@@ -1,122 +1,26 @@
-"""Finite-difference stencil kernels with two interchangeable backends.
+"""Finite-difference stencil kernel.
 
 The hot loop of the whole package is "central difference along one axis of a
-grid array".  Two implementations are provided: compiled loops via numba and
-a pure-numpy slicing path.  NABLA_CALC_BACKEND=numba|numpy forces one; the
-default is numba when it imports, numpy otherwise.
+grid array": a central stencil of order 2 (radius 1) or order 4 (radius 2),
+with values outside the grid treated as zero.  Sections are required to
+vanish on a margin band, so the zero padding never touches meaningful data.
 
-Semantics shared by both paths: central stencil of order 2 (radius 1) or
-order 4 (radius 2), with values outside the grid treated as zero.  Sections
-are required to vanish on a margin band, so the zero padding never touches
-meaningful data.
+Terms are paired before scaling, (u[i+1] - u[i-1]) c1 - (u[i+2] - u[i-2]) c2,
+so a constant stretch of data has an exactly zero derivative.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - mirror environments without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
 STENCIL_RADIUS = {2: 1, 4: 2}
 
-# coefficient of u[i + shift] in the derivative at i, before dividing by h
-_SHIFT_COEFFS = {
-    2: ((1, 0.5), (-1, -0.5)),
-    4: ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0)),
-}
 
-
-def active_backend() -> str:
-    """Resolve the backend name from NABLA_CALC_BACKEND."""
-    forced = os.environ.get("NABLA_CALC_BACKEND", "").strip().lower()
-    if forced == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("NABLA_CALC_BACKEND=numba but numba failed to import")
-        return "numba"
-    if forced == "numpy":
-        return "numpy"
-    if forced:
-        raise ValueError(f"unknown NABLA_CALC_BACKEND {forced!r}, expected numba or numpy")
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def set_thread_cap(threads: int) -> None:
-    """Cap numba's thread pool; no-op on the numpy backend."""
-    if _HAVE_NUMBA:
-        threads = max(1, min(int(threads), numba.config.NUMBA_NUM_THREADS))
-        numba.set_num_threads(threads)
-
-
-def _diff_axis_numpy(u: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    out = np.zeros_like(u)
-    n = u.shape[axis]
-    for shift, c in _SHIFT_COEFFS[order]:
-        lo_dst, hi_dst = max(0, -shift), n - max(0, shift)
-        dst = tuple(
-            slice(lo_dst, hi_dst) if k == axis else slice(None) for k in range(u.ndim)
-        )
-        src = tuple(
-            slice(lo_dst + shift, hi_dst + shift) if k == axis else slice(None)
-            for k in range(u.ndim)
-        )
-        out[dst] += c * u[src]
-    out *= 1.0 / h
-    return out
-
-
-@njit(cache=True)
-def _diff2_flat(u, inv_h):  # pragma: no cover - exercised through diff_axis
-    n, m = u.shape
-    out = np.zeros_like(u)
-    zero = u[0, 0] * 0
-    c = 0.5 * inv_h
-    for i in range(n):
-        for j in range(m):
-            a = u[i + 1, j] if i + 1 < n else zero
-            b = u[i - 1, j] if i - 1 >= 0 else zero
-            out[i, j] = (a - b) * c
-    return out
-
-
-@njit(cache=True)
-def _diff4_flat(u, inv_h):  # pragma: no cover - exercised through diff_axis
-    n, m = u.shape
-    out = np.zeros_like(u)
-    zero = u[0, 0] * 0
-    c1 = (8.0 / 12.0) * inv_h
-    c2 = (1.0 / 12.0) * inv_h
-    for i in range(n):
-        for j in range(m):
-            a1 = u[i + 1, j] if i + 1 < n else zero
-            b1 = u[i - 1, j] if i - 1 >= 0 else zero
-            a2 = u[i + 2, j] if i + 2 < n else zero
-            b2 = u[i - 2, j] if i - 2 >= 0 else zero
-            out[i, j] = (a1 - b1) * c1 - (a2 - b2) * c2
-    return out
-
-
-def _diff_axis_numba(u: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    moved = np.moveaxis(u, axis, 0)
-    shape = moved.shape
-    flat = np.ascontiguousarray(moved).reshape(shape[0], -1)
-    kernel = _diff2_flat if order == 2 else _diff4_flat
-    out = kernel(flat, 1.0 / h)
-    return np.moveaxis(out.reshape(shape), 0, axis)
+def _pair(u, axis, s):
+    """u[i+s] - u[i-s] along axis, with zero beyond the grid edge."""
+    lead = (slice(None),) * (axis % u.ndim)
+    d = np.zeros_like(u)
+    d[lead + (slice(None, -s),)] = u[lead + (slice(s, None),)]
+    d[lead + (slice(s, None),)] -= u[lead + (slice(None, -s),)]
+    return d
 
 
 def diff_axis(u: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
@@ -134,6 +38,13 @@ def diff_axis(u: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
             f"axis {axis} has {u.shape[axis]} points, below the stencil width "
             f"{2 * STENCIL_RADIUS[order] + 1}"
         )
-    if active_backend() == "numba":
-        return _diff_axis_numba(u, axis, h, order)
-    return _diff_axis_numpy(u, axis, h, order)
+    inv_h = 1.0 / h
+    out = _pair(u, axis, 1)
+    if order == 2:
+        out *= 0.5 * inv_h
+        return out
+    out *= (8.0 / 12.0) * inv_h
+    far = _pair(u, axis, 2)
+    far *= (1.0 / 12.0) * inv_h
+    out -= far
+    return out

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from ._kernels import set_thread_cap
 from .errors import ConfigError, IoError, NablaCalcError, ResolutionError
 from .reports import emit_report
 from .scenarios import (
@@ -90,8 +89,6 @@ def main(argv=None):
         return 2
     try:
         threads = _threads()
-        if threads is not None:
-            set_thread_cap(threads)
         scenario = parse_scenario(_load_config(args.scenario))
         report = run_scenario(
             scenario,
