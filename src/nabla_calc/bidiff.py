@@ -11,7 +11,7 @@ from the directional adjoint rule through a generator frame.
 import numpy as np
 
 from .bundles import FockSlice, TensorSection, induced_tensor_bundle
-from .calculus import covariant_derivative, divergence
+from .calculus import divergence, tower
 from .errors import ChartMismatch, NonadmissibleWeight, ShapeMismatch
 from .geometry import conformal_rescale
 from .operators import (
@@ -73,17 +73,6 @@ class BidiffSpec:
         return self.metric.grid
 
 
-def _tower(u, bundle, metric, depth):
-    """Flattened derivative tower [u, grad u, ..., grad^depth u]."""
-    grid = u.grid
-    out = [u.values.reshape(grid.shape + (-1,))]
-    v = u
-    for _ in range(depth):
-        v = covariant_derivative(v, bundle, metric, check_support=False)
-        out.append(v.values.reshape(grid.shape + (-1,)))
-    return out
-
-
 def eval_bidiff(spec, u, w):
     """Pointwise density sum_ij (a_ij grad^i u, grad^j w), conjugating w."""
     grid = spec.grid
@@ -104,8 +93,14 @@ def eval_bidiff(spec, u, w):
     grid.check_support(w.values, m * grid.stencil_radius)
     depth_u = max((i for i, _ in spec.coefficients), default=0)
     depth_w = max((j for _, j in spec.coefficients), default=0)
-    us = _tower(u, spec.source, spec.metric, depth_u)
-    ws = _tower(w, spec.cosource, spec.metric, depth_w)
+    us = [
+        v.values.reshape(grid.shape + (-1,))
+        for v in tower(u, spec.source, spec.metric, depth_u)
+    ]
+    ws = [
+        v.values.reshape(grid.shape + (-1,))
+        for v in tower(w, spec.cosource, spec.metric, depth_w)
+    ]
     out = np.zeros(grid.shape, dtype=complex)
     for (i, j), a in spec.coefficients.items():
         moved = np.einsum("...ae,...e->...a", a, us[i])

@@ -95,6 +95,17 @@ def _coordinate_directional(u, axis, bundle, metric):
     return TensorSection(grid, r, out, u.fiber_dim)
 
 
+def tower(u, bundle, metric, depth):
+    """Yield u, nabla u, .., nabla^depth u, one level alive at a time.
+
+    No support check: callers check u once for the depth they need.
+    """
+    yield u
+    for _ in range(depth):
+        u = covariant_derivative(u, bundle, metric, check_support=False)
+        yield u
+
+
 def iterated_derivative(u, order, bundle, metric):
     """nabla^order, adding `order` slots leftmost."""
     if order < 0:
@@ -104,9 +115,8 @@ def iterated_derivative(u, order, bundle, metric):
     if order == 0:
         return u.copy()
     grid.check_support(u.values, order * grid.stencil_radius)
-    out = u
-    for _ in range(order):
-        out = covariant_derivative(out, bundle, metric, check_support=False)
+    for out in tower(u, bundle, metric, order):
+        pass
     return out
 
 
@@ -138,9 +148,8 @@ def multiindex_derivative(u, idx, bundle, metric):
         for i in reversed(idx):
             out = _coordinate_directional(out, i - 1, bundle, metric)
         return out
-    out = u
-    for _ in idx:
-        out = covariant_derivative(out, bundle, metric, check_support=False)
+    for out in tower(u, bundle, metric, len(idx)):
+        pass
     sel = (slice(None),) * grid.dim + tuple(i - 1 for i in idx)
     return TensorSection(grid, u.rank, out.values[sel], u.fiber_dim)
 

@@ -37,19 +37,6 @@ def _load_config(ref):
     )
 
 
-def _threads():
-    raw = os.environ.get("NABLA_CALC_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"NABLA_CALC_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"NABLA_CALC_THREADS must be >= 1, got {value}")
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nabla-calc",
@@ -88,14 +75,12 @@ def main(argv=None):
         print("error: --scenario is required (or use --list-builtins)", file=sys.stderr)
         return 2
     try:
-        threads = _threads()
         scenario = parse_scenario(_load_config(args.scenario))
         report = run_scenario(
             scenario,
             h=args.h,
             fd_order=args.fd_order,
             seed=args.seed,
-            threads=threads,
         )
         out_dir = scenario.out if scenario.out and args.out == "reports" else args.out
         paths = emit_report(report, out_dir, fmt=args.format)

@@ -18,12 +18,12 @@ from .bundles import (
     induced_tensor_bundle,
     pointwise_kron,
 )
-from .calculus import covariant_derivative, curvature
+from .calculus import covariant_derivative, curvature, tower
 from .errors import ChartMismatch, ShapeMismatch
 from .geometry import WeightPair
 from .norms import (
+    _tower_sup,
     multiplication_constant,
-    pointwise_norm_sq,
     sobolev_norm,
     weighted_sobolev_norm,
 )
@@ -107,12 +107,9 @@ def apply_nabla_op(spec, u):
     grid = spec.grid
     grid.check_support(u.values, spec.order * grid.stencil_radius)
     out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
-    v = u
-    for j, a in enumerate(spec.coefficients.entries):
-        if j > 0:
-            v = covariant_derivative(v, spec.source, spec.metric, check_support=False)
-        flat = v.values.reshape(grid.shape + (-1,))
-        out += np.einsum("...gk,...k->...g", a, flat)
+    levels = tower(u, spec.source, spec.metric, spec.order)
+    for a, v in zip(spec.coefficients.entries, levels):
+        out += np.einsum("...gk,...k->...g", a, v.values.reshape(grid.shape + (-1,)))
     return TensorSection(grid, 0, out, spec.target.fiber_dim)
 
 
@@ -511,14 +508,7 @@ def coefficient_infty_norm(a, source, target, metric, depth):
     hom_bundle = source.hom(target)
     fiber = a.shape[-2] * a.shape[-1]
     cur = TensorSection(grid, 0, a.reshape(grid.shape + (fiber,)), fiber)
-    best = 0.0
-    for j in range(depth + 1):
-        ns = pointwise_norm_sq(cur, metric, hom_bundle)
-        mask = grid.interior_mask((j + 1) * grid.stencil_radius)
-        best = max(best, float(np.sqrt(np.max(np.where(mask, ns, 0.0)))))
-        if j < depth:
-            cur = covariant_derivative(cur, hom_bundle, metric, check_support=False)
-    return best
+    return _tower_sup(cur, hom_bundle, metric, depth)
 
 
 def mapping_bound_check(spec, k, p, trials, seed=0):

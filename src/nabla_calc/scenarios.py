@@ -484,15 +484,20 @@ def build_context(scenario, h=None, fd_order=None, seed=None):
 
 
 def _thread_count(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    raw = os.environ.get("NABLA_CALC_THREADS", "").strip()
-    if not raw:
-        return 1
+    """Check-pool size: the threads argument, else NABLA_CALC_THREADS, else 1."""
+    source = "threads"
+    if threads is None:
+        source = "NABLA_CALC_THREADS"
+        threads = os.environ.get(source, "").strip()
+        if not threads:
+            return 1
     try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"NABLA_CALC_THREADS must be an integer, got {raw!r}") from exc
+        value = int(threads)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{source} must be an integer, got {threads!r}") from exc
+    if value < 1:
+        raise ConfigError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def run_scenario(scenario, h=None, fd_order=None, seed=None, threads=None):

@@ -17,6 +17,7 @@ from nabla_calc.calculus import (
     formal_adjoint_directional,
     iterated_derivative,
     multiindex_derivative,
+    tower,
 )
 from nabla_calc.errors import ChartMismatch, ShapeMismatch, SupportViolation
 from nabla_calc.geometry import MetricField
@@ -111,6 +112,19 @@ def test_multiindex_agrees_with_iterated_contraction():
     assert np.max(np.abs(picked - via_idx.values)) < 1e-12 * np.max(
         np.abs(picked)
     )
+
+
+def test_tower_yields_each_iterated_derivative():
+    grid = ChartGrid([(-1, 1), (-1, 1)], (65, 65))
+    metric = _conformal_metric(grid)
+    bundle = magnetic_example_bundle(grid)
+    sec = random_section(grid, 0, 2, seeded_rng(105, "tower"))
+    levels = list(tower(sec, bundle, metric, 3))
+    assert len(levels) == 4
+    for j, level in enumerate(levels):
+        assert level.rank == j
+        expected = iterated_derivative(sec, j, bundle, metric)
+        assert np.array_equal(level.values, expected.values)
 
 
 def test_leibniz_for_endomorphism_coefficient():

@@ -142,6 +142,13 @@ def test_thread_env_is_validated(tmp_path, capsys, monkeypatch):
     assert "NABLA_CALC_THREADS" in capsys.readouterr().err
 
 
+def test_thread_env_below_one_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NABLA_CALC_THREADS", "0")
+    path = write_config(tmp_path, passing_config())
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert "NABLA_CALC_THREADS must be >= 1" in capsys.readouterr().err
+
+
 def test_thread_env_runs_checks_in_pool(tmp_path, monkeypatch):
     monkeypatch.setenv("NABLA_CALC_THREADS", "2")
     path = write_config(tmp_path, passing_config())

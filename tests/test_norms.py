@@ -275,3 +275,9 @@ def test_hom_infty_norm_constant_field():
     field[..., 1, 0, 1] = 2.0
     got = hom_infty_norm(field, 0, BUNDLE, FLAT)
     assert got == pytest.approx(2.0)
+
+
+def test_hom_infty_norm_propagates_nan():
+    field = np.zeros(GRID.shape + (2, 2, 2), dtype=complex)
+    field[GRID.shape[0] // 2, GRID.shape[1] // 2, 0, 0, 1] = np.nan
+    assert math.isnan(hom_infty_norm(field, 1, BUNDLE, FLAT))

@@ -395,6 +395,12 @@ def test_coefficient_infty_norm_constant_field():
     assert got == pytest.approx(2.0, rel=1e-12)
 
 
+def test_coefficient_infty_norm_propagates_nan():
+    a = np.full(GRID.shape + (1, 1), 2.0, dtype=complex)
+    a[GRID.shape[0] // 2, GRID.shape[1] // 2] = np.nan
+    assert math.isnan(coefficient_infty_norm(a, SCALAR, SCALAR, FLAT, depth=1))
+
+
 def test_mapping_bound_identity_and_gradient():
     report = mapping_bound_check(identity_op(MAGNET, FLAT), 1, 2.0, trials=5)
     assert report["passed"], report

@@ -113,6 +113,15 @@ def test_threaded_run_matches_serial():
     assert serial == pooled
 
 
+def test_thread_count_below_one_is_rejected(monkeypatch):
+    s = parse_scenario(tiny_config())
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        run_scenario(s, threads=0)
+    monkeypatch.setenv("NABLA_CALC_THREADS", "0")
+    with pytest.raises(ConfigError, match="NABLA_CALC_THREADS must be >= 1"):
+        run_scenario(s)
+
+
 def test_seed_override_changes_digests():
     s = parse_scenario(tiny_config())
     base = run_scenario(s)
