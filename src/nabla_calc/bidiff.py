@@ -125,7 +125,8 @@ def bidiff_from_ops(p, q):
         )
     h = np.asarray(p.target.fiber_metric, dtype=complex)
     href = np.asarray(q.target.fiber_metric, dtype=complex)
-    if h.shape != href.shape or not np.allclose(h, href):
+    # a constant fiber metric may be one matrix on one side, a field on the other
+    if h.shape[-2:] != href.shape[-2:] or not np.allclose(h, href):
         raise ShapeMismatch("operator targets carry different fiber metrics")
     coefficients = {}
     for i, pi in enumerate(p.coefficients.entries):

@@ -61,6 +61,8 @@ class BundleSpec:
         self.potentials = potentials
         self.fiber_metric = fiber_metric
         self.is_flat = not np.any(potentials)
+        # induced_tensor_bundle memo: slots -> (metric, induced bundle)
+        self._induced = {}
 
     @property
     def metric_is_constant(self):
@@ -256,30 +258,46 @@ def induced_tensor_bundle(bundle, metric, slots):
     The potential picks up -Gamma on every slot plus the original A; the
     fiber metric is the tensor of inverse-metric factors with the fiber
     metric.  Flattening matches TensorSection.flatten_fiber ordering.
+
+    The result is memoized on the bundle per slots, for this very metric
+    object; a constant metric has Gamma = 0, and with a constant fiber
+    metric as well the induced fiber metric is one (N, N) matrix.
     """
     if metric.grid != bundle.grid:
         raise ChartMismatch("bundle and metric live on different grids")
+    if slots == 0:
+        return bundle
+    memo = bundle._induced.get(slots)
+    if memo is not None and memo[0] is metric:
+        return memo[1]
     grid = bundle.grid
     n = grid.dim
     d = bundle.fiber_dim
-    if slots == 0:
-        return bundle
     lead = grid.dim + 1  # grid axes plus the direction axis
-    gamma = metric.christoffel_field()  # [m, k, l]
-    # action on one slot in direction k: M[l, m] = -Gamma^m_{k l}
-    slot_mat = -np.swapaxes(np.moveaxis(gamma, -2, -3), -1, -2).astype(complex)
-    pots = None
-    for s in range(slots):
-        term = pointwise_kron(_bcast_eye(n**s, lead), slot_mat)
-        right_dim = n ** (slots - s - 1) * d
-        term = pointwise_kron(term, _bcast_eye(right_dim, lead))
-        pots = term if pots is None else pots + term
-    pots = pots + pointwise_kron(_bcast_eye(n**slots, lead), bundle.potentials)
-    ginv = metric.inv.astype(complex)
-    fiber_metric = None
-    for _ in range(slots):
-        fiber_metric = (
-            ginv if fiber_metric is None else pointwise_kron(fiber_metric, ginv)
-        )
-    fiber_metric = pointwise_kron(fiber_metric, bundle.fiber_metric_field())
-    return BundleSpec(grid, (n**slots) * d, pots, fiber_metric)
+    pots = pointwise_kron(_bcast_eye(n**slots, lead), bundle.potentials)
+    if not metric.is_constant:
+        gamma = metric.christoffel_field()  # [m, k, l]
+        # action on one slot in direction k: M[l, m] = -Gamma^m_{k l}
+        slot_mat = -np.swapaxes(np.moveaxis(gamma, -2, -3), -1, -2).astype(complex)
+        slot_sum = None
+        for s in range(slots):
+            term = pointwise_kron(_bcast_eye(n**s, lead), slot_mat)
+            right_dim = n ** (slots - s - 1) * d
+            term = pointwise_kron(term, _bcast_eye(right_dim, lead))
+            slot_sum = term if slot_sum is None else slot_sum + term
+        pots = slot_sum + pots
+    if metric.is_constant and bundle.metric_is_constant:
+        ginv = metric.inv[(0,) * grid.dim].astype(complex)
+        h = bundle.fiber_metric
+        kron = np.kron
+    else:
+        ginv = metric.inv.astype(complex)
+        h = bundle.fiber_metric_field()
+        kron = pointwise_kron
+    fiber_metric = ginv
+    for _ in range(slots - 1):
+        fiber_metric = kron(fiber_metric, ginv)
+    fiber_metric = kron(fiber_metric, h)
+    out = BundleSpec(grid, (n**slots) * d, pots, fiber_metric)
+    bundle._induced[slots] = (metric, out)
+    return out

@@ -42,6 +42,7 @@ from .norms import (
     multiplication_constant,
     perturbed_norm_check,
     sobolev_norm,
+    strict_max,
 )
 from .operators import (
     MixedOpSpec,
@@ -190,7 +191,7 @@ def check_multiindex_formulas(ctx, params):
             got = multiindex_derivative(sec, idx, ctx.bundle, ctx.metric)
             want = _closed_form_second_derivatives(ctx.grid, sec.values, idx)
             scale = max(float(np.max(np.abs(want))), _TINY)
-            worst = max(worst, float(np.max(np.abs(got.values - want))) / scale)
+            worst = strict_max(worst, float(np.max(np.abs(got.values - want))) / scale)
     return _result(worst, None, worst <= tol)
 
 
@@ -224,7 +225,7 @@ def check_leibniz_rule(ctx, params):
             "...ab,...kb->...ka", a, grad_u
         )
         scale = max(float(np.max(np.abs(lhs))), _TINY)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+        worst = strict_max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
     return _result(worst, None, worst <= tol)
 
 
@@ -249,7 +250,7 @@ def check_curvature_commutator(ctx, params):
                 scale = max(
                     float(np.max(np.abs(rhs))), float(np.max(np.abs(u.values))), _TINY
                 )
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+                worst = strict_max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
     return _result(worst, None, worst <= tol)
 
 
@@ -274,7 +275,7 @@ def check_adjoint_pairing(ctx, params):
             * lp_norm(eta, 2, ctx.metric, ctx.bundle),
             _TINY,
         )
-        worst = max(worst, abs(lhs - rhs) / scale)
+        worst = strict_max(worst, abs(lhs - rhs) / scale)
     return _result(worst, None, worst <= tol)
 
 
@@ -332,7 +333,7 @@ def check_covering_bounds(ctx, params):
                 violation = abs(value - base) / max(base, _TINY)
             else:
                 violation = max(base - value, value - upper) / max(base, _TINY)
-            worst = max(worst, violation)
+            worst = strict_max(worst, violation)
             rows.append(_norm_row(ctx, s, p, value, upper, violation <= tol))
     return _result(worst, None, worst <= tol, rows)
 
@@ -349,13 +350,13 @@ def check_generator_identities(ctx, params):
     for trial in range(trials):
         x = random_vector_field(grid, _rng(ctx, "gen-vector", trial))
         back = np.einsum("...jm,...ji,...i->...m", gens.z, gens.xi, x)
-        worst = max(
+        worst = strict_max(
             worst,
             float(np.max(np.abs(back - x))) / max(1.0, float(np.max(np.abs(x)))),
         )
         omega = random_vector_field(grid, _rng(ctx, "gen-covector", trial))
         back = np.einsum("...jm,...ji,...i->...m", gens.xi, gens.z, omega)
-        worst = max(
+        worst = strict_max(
             worst,
             float(np.max(np.abs(back - omega)))
             / max(1.0, float(np.max(np.abs(omega)))),
@@ -364,14 +365,14 @@ def check_generator_identities(ctx, params):
         direct = covariant_derivative(u, ctx.bundle, ctx.metric)
         framed = nabla_via_generators(u, gens, ctx.bundle, ctx.metric)
         scale = max(float(np.max(np.abs(direct.values))), _TINY)
-        worst = max(
+        worst = strict_max(
             worst, float(np.max(np.abs(framed.values - direct.values))) / scale
         )
         field = random_vector_field(grid, _rng(ctx, "gen-div", trial))
         via = divergence_via_generators(field, gens, ctx.metric)
         straight = divergence(field, ctx.metric)
         scale = max(1.0, float(np.max(np.abs(straight))))
-        worst = max(worst, float(np.max(np.abs(via - straight))) / scale)
+        worst = strict_max(worst, float(np.max(np.abs(via - straight))) / scale)
     return _result(worst, None, worst <= tol)
 
 
@@ -396,7 +397,7 @@ def check_norm_equivalence(ctx, params):
         base = max(report["norm_base"], _TINY)
         other = max(report["norm_perturbed"], _TINY)
         c = report["constant"]
-        worst = max(worst, other / (c * base), base / (c * other))
+        worst = strict_max(worst, other / (c * base), base / (c * other))
         all_passed = all_passed and report["passed"]
     return _result(worst, 1.0, all_passed and worst <= 1.0 + tol)
 
@@ -422,7 +423,7 @@ def check_multiplication_property(ctx, params):
         na = sobolev_norm(a, s, p, scalar, ctx.metric)
         nu = sobolev_norm(u, s, q, ctx.bundle, ctx.metric)
         nau = sobolev_norm(au, s, r, ctx.bundle, ctx.metric)
-        worst = max(worst, nau / max(constant * na * nu, _TINY))
+        worst = strict_max(worst, nau / max(constant * na * nu, _TINY))
     return _result(worst, 1.0, worst <= 1.0 + tol)
 
 
@@ -446,7 +447,7 @@ def check_weighted_ratio(ctx, params):
             u, weight, s, p, ctx.bundle, ctx.metric, bound=1.0 + tol
         )
         deviation = abs(report["ratio"] - 1.0)
-        worst = max(worst, deviation)
+        worst = strict_max(worst, deviation)
         rows.append(
             _norm_row(
                 ctx,
@@ -505,7 +506,9 @@ def check_operator_rewrite(ctx, params):
             term.labels == tuple(sorted(term.labels)) for term in ordered.terms
         )
         scale = max(float(np.max(np.abs(one.values))), _TINY)
-        worst = max(worst, float(np.max(np.abs(one.values - two.values))) / scale)
+        worst = strict_max(
+            worst, float(np.max(np.abs(one.values - two.values))) / scale
+        )
     return _result(worst, None, sorted_ok and worst <= tol)
 
 
@@ -570,7 +573,7 @@ def check_divergence_duality(ctx, params):
                 * sobolev_norm(w, m, 2, ctx.bundle, ctx.metric),
                 _TINY,
             )
-            worst = max(worst, abs(weak - strong) / denom)
+            worst = strict_max(worst, abs(weak - strong) / denom)
     return _result(worst, None, worst <= tol)
 
 
@@ -595,23 +598,31 @@ def check_weighted_duality(ctx, params):
         u = random_section(grid, 0, d, _rng(ctx, "weighted-u", trial))
         w = random_section(grid, 0, d, _rng(ctx, "weighted-w", trial))
         report = weighted_duality_check(spec, weight, u, w, p=p, gens=ctx.gens)
-        worst = max(worst, report["residual"])
+        worst = strict_max(worst, report["residual"])
         if "weak_residual" in report:
-            worst = max(worst, report["weak_residual"])
+            worst = strict_max(worst, report["weak_residual"])
     return _result(worst, None, worst <= tol)
 
 
 @register("norm-table", params=("orders", "exponents"))
 def check_norm_table(ctx, params):
-    """Emit a table of Sobolev norms of one reproducible random section."""
+    """Emit a table of Sobolev norms of one reproducible random section.
+
+    Informational, except that a non-finite norm fails its row and the
+    check, and becomes the measured value.
+    """
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     orders = [int(s) for s in params.get("orders", [0, 1, 2])]
     exponents = [_exponent(p) for p in params.get("exponents", [2])]
     u = random_section(grid, 0, d, _rng(ctx, "norm-table"))
     rows = []
+    measured = 0.0
     for s in orders:
         for p in exponents:
             value = sobolev_norm(u, s, p, ctx.bundle, ctx.metric)
-            rows.append(_norm_row(ctx, s, p, value, None, True))
-    return _result(0.0, None, True, rows)
+            finite = math.isfinite(value)
+            if not finite and math.isfinite(measured):
+                measured = value
+            rows.append(_norm_row(ctx, s, p, value, None, finite))
+    return _result(measured, None, all(row.passed for row in rows), rows)

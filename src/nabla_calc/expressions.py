@@ -1,7 +1,8 @@
 """Tiny arithmetic expression evaluator for scenario files.
 
 Accepts +, -, *, /, ^ (power), exp, sin, cos, the coordinates x1..xn, the
-imaginary unit i, numeric literals, unary minus, and parentheses.  Parsing
+imaginary unit i, numeric literals (evaluated as float64, so overflow gives
+inf rather than unbounded integers), unary minus, and parentheses.  Parsing
 goes through the Python ast with a strict node whitelist, so nothing else
 evaluates.  Results broadcast over the grid.
 """
@@ -20,7 +21,7 @@ def _eval_node(node, names):
         return _eval_node(node.body, names)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)):
-            return node.value
+            return np.float64(node.value)
         raise ConfigError(f"literal {node.value!r} is not numeric")
     if isinstance(node, ast.Name):
         if node.id in names:
@@ -72,7 +73,9 @@ def evaluate(expr, grid=None, extra=None):
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from exc
-    value = _eval_node(tree, names)
+    # overflow and 0/0 become inf and nan; callers reject non-finite fields
+    with np.errstate(all="ignore"):
+        value = _eval_node(tree, names)
     if grid is not None and np.ndim(value) == 0:
         value = np.full(grid.shape, value)
     return value

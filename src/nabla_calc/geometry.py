@@ -30,6 +30,8 @@ class MetricField:
                 f"metric values {values.shape} do not match grid {grid.shape} "
                 f"with {n}x{n} fibers"
             )
+        if not np.all(np.isfinite(values)):
+            raise SingularMetric("metric values are not finite on the grid")
         asym = np.max(np.abs(values - np.swapaxes(values, -1, -2)))
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
             raise ShapeMismatch(f"metric is not symmetric, max asymmetry {asym:.3e}")
@@ -65,7 +67,9 @@ class MetricField:
             raise ShapeMismatch(
                 f"conformal exponent shape {phi.shape} does not match grid {grid.shape}"
             )
-        vals = np.exp(2.0 * phi)[..., None, None] * np.eye(n)
+        # an overflow gives inf (and inf * 0 nan), which the constructor rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(2.0 * phi)[..., None, None] * np.eye(n)
         return cls(grid, vals)
 
     @property

@@ -36,6 +36,8 @@ def pointwise_norm_sq(u, metric, bundle=None):
     if r > len(_UL):
         raise ShapeMismatch(f"pointwise norms support rank <= {len(_UL)}, got {r}")
     h = _fiber_metric_of(bundle, u.fiber_dim)
+    if metric.is_constant and h.ndim == 2:
+        return _constant_metric_norm_sq(u, metric.inv[(0,) * metric.grid.dim], h)
     ul, vl = _UL[:r], _VL[:r]
     script = f"...{ul}y,...{vl}z"
     args = [u.values, np.conj(u.values)]
@@ -47,6 +49,25 @@ def pointwise_norm_sq(u, metric, bundle=None):
     script += ",...yz->..."
     args.append(h)
     out = np.einsum(script, *args).real
+    return np.maximum(out, 0.0)
+
+
+def _constant_metric_norm_sq(u, ginv, h):
+    """pointwise_norm_sq for one (n, n) inverse metric and one (d, d) h.
+
+    The small matrices act on one trailing axis at a time instead of being
+    contracted as grid-sized fields; identities are skipped altogether.
+    """
+    vals = u.values
+    trailing = tuple(range(u.grid.dim, vals.ndim))
+    if np.array_equal(h, np.eye(u.fiber_dim)) and (
+        u.rank == 0 or np.array_equal(ginv, np.eye(len(ginv)))
+    ):
+        return np.sum(vals.real**2 + vals.imag**2, axis=trailing)
+    v = np.tensordot(vals, h, axes=([-1], [0]))
+    for ax in trailing[:-1]:
+        v = np.moveaxis(np.tensordot(v, ginv, axes=([ax], [0])), -1, ax)
+    out = np.sum(v.real * vals.real + v.imag * vals.imag, axis=trailing)
     return np.maximum(out, 0.0)
 
 
@@ -77,9 +98,14 @@ def lp_norm(u, p, metric, bundle=None, region=None):
     return float(np.sum(w * ns ** (p / 2.0)) ** (1.0 / p))
 
 
+def strict_max(*values):
+    """Largest value; NaN when any value is NaN (Python max drops NaN)."""
+    return float(np.max(values))
+
+
 def _lp_combine(terms, p):
     if math.isinf(p):
-        return float(max(terms))
+        return strict_max(*terms)
     return float(sum(t**p for t in terms) ** (1.0 / p))
 
 
@@ -212,10 +238,10 @@ def covering_norm(u, covering, s, p, bundle, metric):
     grid.check_support(u.values, s * grid.stencil_radius)
     levels = tower(u, bundle, metric, s)
     if math.isinf(p):
-        value = max(
-            lp_norm(d, p, metric, bundle, region=m) for d in levels for m in masks
+        value = strict_max(
+            *(lp_norm(d, p, metric, bundle, region=m) for d in levels for m in masks)
         )
-        return float(value), mult
+        return value, mult
     total = 0.0
     for d in levels:
         for m in masks:

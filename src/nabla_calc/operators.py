@@ -25,6 +25,7 @@ from .norms import (
     _tower_sup,
     multiplication_constant,
     sobolev_norm,
+    strict_max,
     weighted_sobolev_norm,
 )
 from .sections import random_section, seeded_rng
@@ -532,8 +533,8 @@ def mapping_bound_check(spec, k, p, trials, seed=0):
         )
         den = sobolev_norm(u, k + mu, p, spec.source, metric)
         num = sobolev_norm(apply_nabla_op(spec, u), k, p, spec.target, metric)
-        if den > 0:
-            worst = max(worst, num / den)
+        if den != 0:
+            worst = strict_max(worst, num / den)
     return {
         "max_ratio": worst,
         "bound": constant,
@@ -593,8 +594,8 @@ def weighted_mapping_check(spec, weight, ell, p, trials, seed=0):
         den = weighted_sobolev_norm(u, ell, p, weight, spec.source, spec.metric)
         pu = apply_nabla_op(spec, u)
         num = weighted_sobolev_norm(pu, ell - mu, p, shifted, spec.target, spec.metric)
-        if den > 0:
-            worst = max(worst, num / den)
+        if den != 0:
+            worst = strict_max(worst, num / den)
         if trial == 0:
             scaled = TensorSection(
                 grid, 0, weight.f0[..., None] * u.values, u.fiber_dim

@@ -253,8 +253,15 @@ def parse_scenario(cfg):
     )
 
 
+def _finite(values, expr, what):
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{what} expression {expr!r} is not finite on the grid")
+    return values
+
+
 def _real_field(expr, grid, what):
     values = np.broadcast_to(np.asarray(evaluate(expr, grid)), grid.shape)
+    _finite(values, expr, what)
     if np.iscomplexobj(values) and np.max(np.abs(values.imag)) > 0:
         raise ConfigError(f"{what} expression {expr!r} must be real")
     return np.ascontiguousarray(values.real.astype(float))
@@ -269,8 +276,10 @@ def _matrix_field(entries, grid, what):
     out = np.zeros(grid.shape + (len(entries), cols), dtype=complex)
     for a, row in enumerate(entries):
         for b, expr in enumerate(row):
-            out[..., a, b] = np.broadcast_to(
-                np.asarray(evaluate(expr, grid)), grid.shape
+            out[..., a, b] = _finite(
+                np.broadcast_to(np.asarray(evaluate(expr, grid)), grid.shape),
+                expr,
+                what,
             )
     return out
 

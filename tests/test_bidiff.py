@@ -104,6 +104,14 @@ def test_from_ops_gradients_give_inverse_metric():
     assert np.allclose(spec.coefficients[(1, 1)], metric.inv, atol=1e-12)
 
 
+def test_from_ops_accepts_matrix_and_field_fiber_metrics():
+    grad = gradient_op(SCALAR, FLAT)
+    assert grad.target.fiber_metric.shape == (2, 2)
+    field_metric = BundleSpec(GRID, 2, fiber_metric=_eye_coefficient(2))
+    spec = bidiff_from_ops(grad, identity_op(field_metric, FLAT))
+    assert set(spec.coefficients) == {(1, 0)}
+
+
 def test_from_ops_two_route_evaluation():
     first = gradient_op(MAGNET, FLAT)
     second = compose(gradient_op(first.target, FLAT), first)

@@ -5,10 +5,12 @@ from nabla_calc.bundles import (
     BundleSpec,
     TensorSection,
     compatibility_defect,
+    induced_tensor_bundle,
     magnetic_example_bundle,
     pointwise_kron,
 )
 from nabla_calc.errors import ShapeMismatch
+from nabla_calc.geometry import MetricField
 from nabla_calc.grid import ChartGrid
 from nabla_calc.sections import random_section, random_skew_potentials, seeded_rng
 
@@ -105,3 +107,61 @@ def test_section_arithmetic(grid):
     b = random_section(grid, 1, 2, rng)
     c = a + 2.0 * b - b
     assert np.allclose(c.values, a.values + b.values)
+
+
+def _reference_induced(bundle, metric, slots):
+    """Potentials and fiber metric as grid fields, Christoffel slots included."""
+    n = bundle.grid.dim
+    d = bundle.fiber_dim
+    lead = n + 1
+
+    def eye(k):
+        return np.eye(k, dtype=complex).reshape((1,) * lead + (k, k))
+
+    gamma = metric.christoffel_field()
+    slot_mat = -np.swapaxes(np.moveaxis(gamma, -2, -3), -1, -2).astype(complex)
+    pots = None
+    for s in range(slots):
+        term = pointwise_kron(eye(n**s), slot_mat)
+        term = pointwise_kron(term, eye(n ** (slots - s - 1) * d))
+        pots = term if pots is None else pots + term
+    pots = pots + pointwise_kron(eye(n**slots), bundle.potentials)
+    ginv = metric.inv.astype(complex)
+    fiber_metric = ginv
+    for _ in range(slots - 1):
+        fiber_metric = pointwise_kron(fiber_metric, ginv)
+    return pots, pointwise_kron(fiber_metric, bundle.fiber_metric_field())
+
+
+def test_induced_bundle_is_memoized_per_metric_object(grid):
+    bundle = magnetic_example_bundle(grid)
+    metric = MetricField.flat(grid)
+    first = induced_tensor_bundle(bundle, metric, 2)
+    assert induced_tensor_bundle(bundle, metric, 2) is first
+    assert induced_tensor_bundle(bundle, metric, 1) is not first
+    other = induced_tensor_bundle(bundle, MetricField.flat(grid), 2)
+    assert other is not first
+    assert np.array_equal(other.potentials, first.potentials)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+@pytest.mark.parametrize("g", [np.eye(2), np.array([[2.0, 0.3], [0.3, 0.7]])])
+def test_constant_metric_induced_bundle_matches_grid_construction(grid, slots, g):
+    h = np.array([[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]])
+    bundle = BundleSpec(grid, 2, magnetic_example_bundle(grid).potentials, h)
+    metric = MetricField(grid, np.broadcast_to(g, grid.shape + (2, 2)))
+    pots, fiber_metric = _reference_induced(bundle, metric, slots)
+    got = induced_tensor_bundle(bundle, metric, slots)
+    assert np.array_equal(got.potentials, pots)
+    assert got.metric_is_constant
+    assert np.array_equal(got.fiber_metric_field(), fiber_metric)
+
+
+def test_curved_induced_bundle_matches_grid_construction(grid):
+    x1, x2 = grid.coords
+    metric = MetricField.conformal(grid, 0.2 * x1 * x2)
+    bundle = magnetic_example_bundle(grid)
+    pots, fiber_metric = _reference_induced(bundle, metric, 2)
+    got = induced_tensor_bundle(bundle, metric, 2)
+    assert np.array_equal(got.potentials, pots)
+    assert np.array_equal(got.fiber_metric, fiber_metric)

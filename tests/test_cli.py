@@ -164,3 +164,32 @@ def test_thread_env_runs_checks_in_pool(tmp_path, monkeypatch):
     with open(out_dir / "cli-pass.json") as fa:
         with open(out_dir2 / "cli-pass.json") as fb:
             assert json.load(fa) == json.load(fb)
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_overflowing_literal_exits_two(tmp_path, capsys):
+    cfg = passing_config()
+    cfg["metric"] = {"kind": "conformal", "phi": "10^400"}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_nan_potential_exits_two(tmp_path, capsys):
+    cfg = passing_config()
+    cfg["bundle"]["potentials"] = [[["0/(x1-x1)"]], [["0"]]]
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_overflowing_metric_exits_two(tmp_path, capsys):
+    cfg = passing_config()
+    cfg["metric"] = {"kind": "conformal", "phi": "400 + x1"}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(capsys)

@@ -1,5 +1,7 @@
 """Grammar coverage for the closed-form expression evaluator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,12 @@ def test_rejects_anything_off_grammar(expr):
 def test_rejects_malformed_source():
     with pytest.raises(ConfigError):
         evaluate("x1 +", GRID)
+
+
+def test_literals_are_float64_so_overflow_gives_inf():
+    assert isinstance(evaluate("2"), np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate("10^400") == np.inf
+        assert np.isnan(evaluate("0/0"))
+        assert np.all(np.isnan(evaluate("0/(x1-x1)", GRID)))

@@ -281,3 +281,87 @@ def test_hom_infty_norm_propagates_nan():
     field = np.zeros(GRID.shape + (2, 2, 2), dtype=complex)
     field[GRID.shape[0] // 2, GRID.shape[1] // 2, 0, 0, 1] = np.nan
     assert math.isnan(hom_infty_norm(field, 1, BUNDLE, FLAT))
+
+
+def _einsum_norm_sq(u, ginv, h):
+    """The grid-field contraction pointwise_norm_sq uses for varying metrics."""
+    r = u.rank
+    ul, vl = "abcd"[:r], "efgh"[:r]
+    script = f"...{ul}y,...{vl}z"
+    args = [u.values, np.conj(u.values)]
+    for k in range(r):
+        script += f",...{ul[k]}{vl[k]}"
+        args.append(ginv)
+    args.append(h)
+    out = np.einsum(script + ",...yz->...", *args).real
+    return np.maximum(out, 0.0)
+
+
+def _random_rank_section(grid, rank, d, seed):
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + (grid.dim,) * rank + (d,)
+    return TensorSection(
+        grid, rank, rng.normal(size=shape) + 1j * rng.normal(size=shape), d
+    )
+
+
+SMALL = ChartGrid([(-1, 1), (-1, 1)], (17, 19))
+SPD = np.array([[2.0, 0.3], [0.3, 0.7]])
+HERM = np.array([[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]])
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_constant_metric_norm_matches_grid_einsum(rank):
+    metric = MetricField(SMALL, np.broadcast_to(SPD, SMALL.shape + (2, 2)))
+    bundle = BundleSpec(SMALL, 2, fiber_metric=HERM)
+    assert metric.is_constant and bundle.metric_is_constant
+    u = _random_rank_section(SMALL, rank, 2, rank)
+    ginv = np.broadcast_to(np.linalg.inv(SPD), SMALL.shape + (2, 2))
+    h = np.broadcast_to(HERM, SMALL.shape + (2, 2))
+    want = _einsum_norm_sq(u, ginv, h)
+    got = pointwise_norm_sq(u, metric, bundle)
+    assert got.shape == SMALL.shape
+    assert np.max(np.abs(got - want) / want) < 1e-13
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_identity_metric_norm_matches_grid_einsum_and_keeps_nan(rank):
+    flat = MetricField.flat(SMALL)
+    u = _random_rank_section(SMALL, rank, 2, 10 + rank)
+    eye = np.broadcast_to(np.eye(2), SMALL.shape + (2, 2))
+    want = _einsum_norm_sq(u, eye, eye)
+    got = pointwise_norm_sq(u, flat, BundleSpec(SMALL, 2))
+    assert np.max(np.abs(got - want) / want) < 1e-13
+    u.values[(4, 5) + (0,) * rank + (1,)] = np.nan
+    for bundle in (BundleSpec(SMALL, 2), BundleSpec(SMALL, 2, fiber_metric=HERM)):
+        got = pointwise_norm_sq(u, flat, bundle)
+        assert np.isnan(got[4, 5])
+        assert np.sum(np.isnan(got)) == 1
+
+
+def test_varying_metric_norm_is_the_grid_einsum():
+    x1, x2 = SMALL.coords
+    metric = MetricField.conformal(SMALL, 0.3 * x1 * x2)
+    assert not metric.is_constant
+    bundle = BundleSpec(SMALL, 2, fiber_metric=HERM)
+    for rank in range(4):
+        u = _random_rank_section(SMALL, rank, 2, 20 + rank)
+        got = pointwise_norm_sq(u, metric, bundle)
+        assert np.array_equal(got, _einsum_norm_sq(u, metric.inv, HERM))
+
+
+def _nan_at_one_point_bundle():
+    pots = np.zeros(GRID.shape + (2, 2, 2), dtype=complex)
+    pots[32, 32, 0, 0, 0] = np.nan
+    return BundleSpec(GRID, 2, pots)
+
+
+def test_sup_sobolev_norm_propagates_nan_from_first_derivative():
+    bundle = _nan_at_one_point_bundle()
+    u = random_section(GRID, 0, 2, seeded_rng(4, "nan-sup"))
+    assert math.isfinite(sobolev_norm(u, 0, math.inf, bundle, FLAT))
+    assert math.isnan(sobolev_norm(u, 1, math.inf, bundle, FLAT))
+    value, _ = covering_norm(
+        u, [((-1, 0.2), (-1, 1)), ((-0.2, 1), (-1, 1))], 1, math.inf, bundle, FLAT
+    )
+    assert math.isnan(value)
