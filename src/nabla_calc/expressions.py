@@ -21,7 +21,10 @@ def _eval_node(node, names):
         return _eval_node(node.body, names)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)):
-            return np.float64(node.value)
+            try:
+                return np.float64(node.value)
+            except OverflowError:
+                return np.float64(np.inf)
         raise ConfigError(f"literal {node.value!r} is not numeric")
     if isinstance(node, ast.Name):
         if node.id in names:
@@ -61,7 +64,7 @@ def evaluate(expr, grid=None, extra=None):
     """
     if not isinstance(expr, str):
         raise ConfigError(f"expression must be a string, got {type(expr).__name__}")
-    names = {"i": 1j}
+    names = {"i": np.complex128(1j)}
     if grid is not None:
         for k, xk in enumerate(grid.coords):
             names[f"x{k + 1}"] = xk

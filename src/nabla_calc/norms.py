@@ -36,8 +36,11 @@ def pointwise_norm_sq(u, metric, bundle=None):
     if r > len(_UL):
         raise ShapeMismatch(f"pointwise norms support rank <= {len(_UL)}, got {r}")
     h = _fiber_metric_of(bundle, u.fiber_dim)
-    if metric.is_constant and h.ndim == 2:
-        return _constant_metric_norm_sq(u, metric.inv[(0,) * metric.grid.dim], h)
+    if metric.is_constant and _is_identity(h):
+        if r == 0 or _is_identity(metric.inv[(0,) * u.grid.dim]):
+            vals = u.values
+            trailing = tuple(range(u.grid.dim, vals.ndim))
+            return np.sum(vals.real**2 + vals.imag**2, axis=trailing)
     ul, vl = _UL[:r], _VL[:r]
     script = f"...{ul}y,...{vl}z"
     args = [u.values, np.conj(u.values)]
@@ -52,23 +55,9 @@ def pointwise_norm_sq(u, metric, bundle=None):
     return np.maximum(out, 0.0)
 
 
-def _constant_metric_norm_sq(u, ginv, h):
-    """pointwise_norm_sq for one (n, n) inverse metric and one (d, d) h.
-
-    The small matrices act on one trailing axis at a time instead of being
-    contracted as grid-sized fields; identities are skipped altogether.
-    """
-    vals = u.values
-    trailing = tuple(range(u.grid.dim, vals.ndim))
-    if np.array_equal(h, np.eye(u.fiber_dim)) and (
-        u.rank == 0 or np.array_equal(ginv, np.eye(len(ginv)))
-    ):
-        return np.sum(vals.real**2 + vals.imag**2, axis=trailing)
-    v = np.tensordot(vals, h, axes=([-1], [0]))
-    for ax in trailing[:-1]:
-        v = np.moveaxis(np.tensordot(v, ginv, axes=([ax], [0])), -1, ax)
-    out = np.sum(v.real * vals.real + v.imag * vals.imag, axis=trailing)
-    return np.maximum(out, 0.0)
+def _is_identity(m):
+    """True for a single (n, n) identity matrix, not a grid-sized field."""
+    return m.ndim == 2 and np.array_equal(m, np.eye(len(m)))
 
 
 def _check_p(p):

@@ -193,3 +193,19 @@ def test_overflowing_metric_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
     _assert_one_line_error(capsys)
+
+
+def test_literal_beyond_float_range_exits_two(tmp_path, capsys):
+    cfg = passing_config()
+    cfg["metric"] = {"kind": "conformal", "phi": "1" + "0" * 400}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_overflowing_complex_power_exits_two(tmp_path, capsys):
+    cfg = passing_config()
+    cfg["bundle"]["potentials"] = [[["(i+1)^5000"]], [["0"]]]
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(capsys)

@@ -311,16 +311,17 @@ HERM = np.array([[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]])
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2, 3])
-def test_constant_metric_norm_matches_grid_einsum(rank):
+def test_constant_non_identity_metric_norm_is_the_grid_einsum(rank):
     metric = MetricField(SMALL, np.broadcast_to(SPD, SMALL.shape + (2, 2)))
     bundle = BundleSpec(SMALL, 2, fiber_metric=HERM)
     assert metric.is_constant and bundle.metric_is_constant
     u = _random_rank_section(SMALL, rank, 2, rank)
+    got = pointwise_norm_sq(u, metric, bundle)
+    assert got.shape == SMALL.shape
+    assert np.array_equal(got, _einsum_norm_sq(u, metric.inv, HERM))
     ginv = np.broadcast_to(np.linalg.inv(SPD), SMALL.shape + (2, 2))
     h = np.broadcast_to(HERM, SMALL.shape + (2, 2))
     want = _einsum_norm_sq(u, ginv, h)
-    got = pointwise_norm_sq(u, metric, bundle)
-    assert got.shape == SMALL.shape
     assert np.max(np.abs(got - want) / want) < 1e-13
 
 
