@@ -15,16 +15,20 @@ from .calculus import divergence, tower
 from .errors import ChartMismatch, NonadmissibleWeight, ShapeMismatch
 from .geometry import conformal_rescale
 from .operators import (
+    _COEFF_TAGS,
     MixedOpSpec,
     MixedTerm,
     NablaOpSpec,
+    _joint_class,
+    _put,
+    _scaled,
     apply_nabla_op,
     compose,
+    gradient_op,
+    identity_op,
     mixed_to_nabla,
     multiplication_op,
 )
-
-_COEFF_TAGS = ("smooth", "totally-bounded")
 
 
 class BidiffSpec:
@@ -138,13 +142,8 @@ def bidiff_from_ops(p, q):
             coefficients[(i, j)] = np.einsum(
                 "...ab,...bd,...ae->...de", h, np.conj(qj), pi
             )
-    tag = (
-        "totally-bounded"
-        if p.coefficient_class == q.coefficient_class == "totally-bounded"
-        else "smooth"
-    )
     m = max(p.order, q.order)
-    return BidiffSpec(p.source, q.source, p.metric, m, coefficients, tag)
+    return BidiffSpec(p.source, q.source, p.metric, m, coefficients, _joint_class(p, q))
 
 
 def dirichlet_form(spec, u, w, metric=None):
@@ -163,56 +162,15 @@ def l2_pairing(v, w, bundle, metric):
     return complex(metric.grid.integrate(density * metric.sqrt_det))
 
 
-def _iterated_gradient(bundle, metric, depth):
-    """The pure ladder grad^depth: only the top coefficient is nonzero."""
-    grid = metric.grid
-    n = grid.dim
-    d = bundle.fiber_dim
-    top = (n**depth) * d
-    entries = [
-        np.zeros(grid.shape + (top, (n**m) * d), dtype=complex)
-        for m in range(depth + 1)
-    ]
-    entries[depth] += np.eye(top, dtype=complex)
-    target = induced_tensor_bundle(bundle, metric, depth) if depth else bundle
-    return NablaOpSpec(
-        bundle, target, metric, FockSlice(grid, d, top, entries), "totally-bounded"
-    )
-
-
-def _scale_entries(spec, factor):
-    entries = [factor * a for a in spec.coefficients.entries]
-    ladder = FockSlice(
-        spec.grid, spec.source.fiber_dim, spec.target.fiber_dim, entries
-    )
-    return NablaOpSpec(
-        spec.source, spec.target, spec.metric, ladder, spec.coefficient_class
-    )
-
-
 def _add_ladders(a, b):
     if a is None:
         return b
-    grid = a.grid
-    n = grid.dim
-    d_in = a.source.fiber_dim
-    d_out = a.target.fiber_dim
-    entries = []
-    for m in range(max(a.order, b.order) + 1):
-        acc = np.zeros(grid.shape + (d_out, (n**m) * d_in), dtype=complex)
-        if m <= a.order:
-            acc = acc + a.coefficients.entries[m]
-        if m <= b.order:
-            acc = acc + b.coefficients.entries[m]
-        entries.append(acc)
-    tag = (
-        "totally-bounded"
-        if a.coefficient_class == b.coefficient_class == "totally-bounded"
-        else "smooth"
-    )
-    return NablaOpSpec(
-        a.source, a.target, a.metric, FockSlice(grid, d_in, d_out, entries), tag
-    )
+    entries = [None] * (max(a.order, b.order) + 1)
+    for op in (a, b):
+        for m, c in enumerate(op.coefficients.entries):
+            entries[m] = c if entries[m] is None else entries[m] + c
+    ladder = FockSlice(a.grid, a.source.fiber_dim, a.target.fiber_dim, entries)
+    return NablaOpSpec(a.source, a.target, a.metric, ladder, _joint_class(a, b))
 
 
 def _gradient_adjoint(bundle, metric, gens):
@@ -246,7 +204,7 @@ def _gradient_adjoint(bundle, metric, gens):
             ).reshape(grid.shape + (d, grid.dim * d))
             scaled = c[..., k, l, None, None] * extract
             pick = multiplication_op(scaled, rank_one, bundle, metric, tag)
-            total = _add_ladders(total, _scale_entries(compose(direction, pick), -1.0))
+            total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
             zero_order = multiplication_op(
                 -div_l[..., None, None] * scaled, rank_one, bundle, metric, tag
             )
@@ -279,7 +237,7 @@ def assemble_divergence_form(spec, gens, bundle, metric):
         mid = multiplication_op(
             mid_coeff, source_i, target_j, metric, spec.coefficient_class
         )
-        term = compose(mid, _iterated_gradient(source, metric, i))
+        term = compose(mid, gradient_op(source, metric, i))
         for level in range(j, 0, -1):
             if level not in adj_chain:
                 base = (
@@ -323,22 +281,16 @@ def weighted_duality_check(spec, weight, u, w, p=2.0, gens=None):
     s_w = weight.rho ** (-n / q) / weight.f0
     d_e = spec.source.fiber_dim
     d_f = spec.cosource.fiber_dim
-    eye_e = np.eye(d_e, dtype=complex)
-    eye_f = np.eye(d_f, dtype=complex)
-    mult_u = multiplication_op(
-        s_u[..., None, None] * eye_e, spec.source, spec.source, metric
-    )
-    mult_w = multiplication_op(
-        s_w[..., None, None] * eye_f, spec.cosource, spec.cosource, metric
-    )
+    mult_u = _scaled(identity_op(spec.source, metric), s_u[..., None, None])
+    mult_w = _scaled(identity_op(spec.cosource, metric), s_w[..., None, None])
     depth_u = max((i for i, _ in spec.coefficients), default=0)
     depth_w = max((j for _, j in spec.coefficients), default=0)
     b_ladders = [
-        compose(_iterated_gradient(spec.source, metric, i), mult_u).coefficients
+        compose(gradient_op(spec.source, metric, i), mult_u).coefficients
         for i in range(depth_u + 1)
     ]
     c_ladders = [
-        compose(_iterated_gradient(spec.cosource, metric, j), mult_w).coefficients
+        compose(gradient_op(spec.cosource, metric, j), mult_w).coefficients
         for j in range(depth_w + 1)
     ]
     # dvol_g = rho^n dvol_{g0}, so the coefficients absorb rho^n and the
@@ -358,8 +310,7 @@ def weighted_duality_check(spec, weight, u, w, p=2.0, gens=None):
                 block = np.einsum(
                     "...ad,...ab,...be->...de", np.conj(c_tau), mid, b_t
                 )
-                key = (t, tau)
-                twisted[key] = block if key not in twisted else twisted[key] + block
+                _put(twisted, (t, tau), block)
     spec0 = BidiffSpec(
         spec.source,
         spec.cosource,

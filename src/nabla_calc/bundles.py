@@ -203,7 +203,8 @@ class FockSlice:
 
     Entry j maps the flattened fiber of a rank-j section (slot axes folded
     into the fiber, slot-major) to the target fiber, so it is stored as a
-    grid + (target_dim, n^j * source_dim) complex field.
+    grid + (target_dim, n^j * source_dim) complex field.  An entry given as
+    None is the zero level and is stored as zeros of that shape.
     """
 
     def __init__(self, grid, source_dim, target_dim, entries):
@@ -214,8 +215,8 @@ class FockSlice:
             raise ShapeMismatch("a coefficient ladder needs at least the order-0 entry")
         checked = []
         for j, a in enumerate(entries):
-            a = np.asarray(a, dtype=complex)
             want = grid.shape + (target_dim, (n**j) * source_dim)
+            a = np.zeros(want, complex) if a is None else np.asarray(a, complex)
             if a.shape != want:
                 raise ShapeMismatch(
                     f"coefficient {j} has shape {a.shape}, expected {want}"

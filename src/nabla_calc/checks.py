@@ -47,6 +47,7 @@ from .norms import (
 from .operators import (
     MixedOpSpec,
     MixedTerm,
+    NablaOpSpec,
     apply_mixed_op,
     apply_nabla_op,
     mapping_bound_check,
@@ -516,8 +517,8 @@ def check_operator_rewrite(ctx, params):
 def check_mapping_bound(ctx, params):
     """Observed operator norms against the certified coefficient bound."""
     name = params.get("operator")
-    if name not in ctx.nabla_ops:
-        raise ResolutionError(f"scenario defines no operator named {name!r}")
+    if not isinstance(ctx.nabla_ops.get(name), NablaOpSpec):
+        raise ResolutionError(f"scenario defines no nabla-form operator named {name!r}")
     spec = ctx.nabla_ops[name]
     s = int(params.get("s", 1))
     p = _exponent(params.get("p", 2))

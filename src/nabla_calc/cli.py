@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import ConfigError, IoError, NablaCalcError, ResolutionError
+from .errors import ConfigError, NablaCalcError, ResolutionError
 from .reports import emit_report
 from .scenarios import (
     builtin_scenario,
@@ -84,9 +84,6 @@ def main(argv=None):
         )
         out_dir = scenario.out if scenario.out and args.out == "reports" else args.out
         paths = emit_report(report, out_dir, fmt=args.format)
-    except (ConfigError, ResolutionError, IoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NablaCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,12 +68,25 @@ class NablaOpSpec:
         return self.coefficients.order
 
 
+def _joint_class(*specs):
+    """Totally bounded only when every factor is."""
+    if all(s.coefficient_class == "totally-bounded" for s in specs):
+        return "totally-bounded"
+    return "smooth"
+
+
+def _scaled(spec, factor):
+    """The same ladder with every level multiplied by factor."""
+    entries = [factor * a for a in spec.coefficients.entries]
+    ladder = FockSlice(spec.grid, spec.source.fiber_dim, spec.target.fiber_dim, entries)
+    return NablaOpSpec(
+        spec.source, spec.target, spec.metric, ladder, spec.coefficient_class
+    )
+
+
 def identity_op(bundle, metric):
     """The order-0 operator u -> u."""
-    d = bundle.fiber_dim
-    eye = np.broadcast_to(np.eye(d, dtype=complex), bundle.grid.shape + (d, d))
-    ladder = FockSlice(bundle.grid, d, d, [eye])
-    return NablaOpSpec(bundle, bundle, metric, ladder, "totally-bounded")
+    return gradient_op(bundle, metric, 0)
 
 
 def multiplication_op(a, source, target, metric, coefficient_class="smooth"):
@@ -84,15 +97,14 @@ def multiplication_op(a, source, target, metric, coefficient_class="smooth"):
     return NablaOpSpec(source, target, metric, ladder, coefficient_class)
 
 
-def gradient_op(bundle, metric):
-    """P = nabla, landing in the flattened rank-1 bundle."""
+def gradient_op(bundle, metric, depth=1):
+    """P = nabla^depth, landing in the flattened rank-depth bundle."""
     grid = bundle.grid
-    n = grid.dim
     d = bundle.fiber_dim
-    target = induced_tensor_bundle(bundle, metric, 1)
-    zero = np.zeros(grid.shape + (n * d, d), dtype=complex)
-    eye = np.broadcast_to(np.eye(n * d, dtype=complex), grid.shape + (n * d, n * d))
-    ladder = FockSlice(grid, d, n * d, [zero, eye])
+    top = grid.dim**depth * d
+    target = induced_tensor_bundle(bundle, metric, depth) if depth else bundle
+    eye = np.broadcast_to(np.eye(top, dtype=complex), grid.shape + (top, top))
+    ladder = FockSlice(grid, d, top, [None] * depth + [eye])
     return NablaOpSpec(bundle, target, metric, ladder, "totally-bounded")
 
 
@@ -188,22 +200,8 @@ def compose(q, p):
             _put(nxt, m, der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1])))
             _put(nxt, m + 1, pointwise_kron(eye_lift, mat))
         table = nxt
-    d_in = p.source.fiber_dim
-    d_out = q.target.fiber_dim
-    entries = [
-        mat
-        if mat is not None
-        else np.zeros(grid.shape + (d_out, (n**m) * d_in), dtype=complex)
-        for m, mat in enumerate(out)
-    ]
-    tag = (
-        "totally-bounded"
-        if q.coefficient_class == p.coefficient_class == "totally-bounded"
-        else "smooth"
-    )
-    return NablaOpSpec(
-        p.source, q.target, metric, FockSlice(grid, d_in, d_out, entries), tag
-    )
+    ladder = FockSlice(grid, p.source.fiber_dim, q.target.fiber_dim, out)
+    return NablaOpSpec(p.source, q.target, metric, ladder, _joint_class(q, p))
 
 
 class MixedTerm:
@@ -323,7 +321,6 @@ def mixed_to_nabla(spec, gens=None):
     derivative plus a lifted copy one rung up.
     """
     grid = spec.grid
-    n = grid.dim
     metric = spec.metric
     source = spec.source
     d = source.fiber_dim
@@ -345,14 +342,6 @@ def mixed_to_nabla(spec, gens=None):
         for m, c in chain.items():
             mat = np.einsum("...gf,...fk->...gk", term.coefficient, c)
             total[m] = mat if total[m] is None else total[m] + mat
-    entries = [
-        mat
-        if mat is not None
-        else np.zeros(
-            grid.shape + (spec.target.fiber_dim, (n**m) * d), dtype=complex
-        )
-        for m, mat in enumerate(total)
-    ]
     tag = (
         "totally-bounded"
         if spec.coefficient_class == "totally-bounded" and spec.field_class == "bounded"
@@ -362,7 +351,7 @@ def mixed_to_nabla(spec, gens=None):
         source,
         spec.target,
         metric,
-        FockSlice(grid, d, spec.target.fiber_dim, entries),
+        FockSlice(grid, d, spec.target.fiber_dim, total),
         tag,
     )
 
@@ -548,26 +537,9 @@ def weighted_conjugate(spec, weight):
     """The rescaled operator f0^{-1} rho^mu P f0 with explicit coefficients."""
     if weight.grid != spec.grid:
         raise ChartMismatch("weight and operator live on different grids")
-    grid = spec.grid
-    d = spec.source.fiber_dim
-    eye = np.eye(d, dtype=complex)
-    mult = multiplication_op(
-        weight.f0[..., None, None] * eye,
-        spec.source,
-        spec.source,
-        spec.metric,
-        coefficient_class=spec.coefficient_class,
-    )
-    comp = compose(spec, mult)
+    mult = _scaled(identity_op(spec.source, spec.metric), weight.f0[..., None, None])
     factor = (weight.rho**spec.order / weight.f0)[..., None, None]
-    entries = [factor * a for a in comp.coefficients.entries]
-    return NablaOpSpec(
-        spec.source,
-        spec.target,
-        spec.metric,
-        FockSlice(grid, d, spec.target.fiber_dim, entries),
-        spec.coefficient_class,
-    )
+    return _scaled(compose(spec, mult), factor)
 
 
 def weighted_mapping_check(spec, weight, ell, p, trials, seed=0):

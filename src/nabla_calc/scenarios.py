@@ -11,6 +11,7 @@ parallel threads since each draws from its own counter-based stream.
 import copy
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,7 @@ import numpy as np
 
 from .bidiff import BidiffSpec
 from .bundles import BundleSpec, FockSlice, magnetic_example_bundle
-from .checks import CHECKS, allowed_params
+from .checks import CHECKS, _exponent, allowed_params
 from .errors import ConfigError, NablaCalcError, ResolutionError
 from .expressions import evaluate
 from .generators import (
@@ -33,7 +34,7 @@ from .generators import (
 )
 from .geometry import MetricField, WeightPair
 from .grid import ChartGrid
-from .operators import MixedOpSpec, MixedTerm, NablaOpSpec
+from .operators import _COEFF_TAGS, MixedOpSpec, MixedTerm, NablaOpSpec
 from .reports import CheckRow, Report
 from .sections import seeded_rng
 
@@ -51,8 +52,57 @@ _TOP_KEYS = (
     "seed",
     "out",
 )
-_METRIC_KINDS = ("flat", "conformal", "matrix", "embedded")
+# kind -> the keys it takes besides "kind"; a metric needs all of them
+_METRIC_KINDS = {"flat": (), "conformal": ("phi",), "matrix": ("entries",), "embedded": ()}
+_BUNDLE_KINDS = {
+    "trivial": ("fiber_dim", "potentials", "fiber_metric"),
+    "magnetic-example": (),
+}
 _EMBEDDING_NAMES = ("identity", "sphere-ambient", "graph", "random")
+
+
+def _is_number(value):
+    """A JSON number; a bool is neither a number nor an integer."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value, low=0):
+    return _is_number(value) and isinstance(value, int) and value >= low
+
+
+def _is_positive(value):
+    return _is_number(value) and 0 < value < math.inf
+
+
+def _is_exponent(value):
+    if isinstance(value, str):
+        return value.strip().lower() in ("inf", "infinity")
+    return _is_number(value) and value >= 1
+
+
+def _listed(test, want):
+    """Rule for a non-empty list whose items pass test."""
+    return (
+        lambda v: isinstance(v, list) and bool(v) and all(map(test, v)),
+        f"a non-empty list of {want}",
+    )
+
+
+# check parameter -> (test, what a valid value is); entries are stored as
+# written, since the report digest hashes them
+_COUNT = (lambda v: _is_int(v, 1), "an integer >= 1")
+_EXPONENT = (_is_exponent, "a number >= 1 or 'inf'")
+_NAME = (lambda v: isinstance(v, str), "a name")
+_PARAM_RULES = {
+    **dict.fromkeys(("trials", "pairs", "coverings", "specs", "max_order"), _COUNT),
+    **dict.fromkeys(("p", "q", "r"), _EXPONENT),
+    **dict.fromkeys(("orders", "half_orders"), _listed(_is_int, "integers >= 0")),
+    "s": (_is_int, "an integer >= 0"),
+    "tolerance": (_is_positive, "a finite positive number"),
+    "exponents": _listed(_is_exponent, "numbers >= 1 or 'inf'"),
+    "form": _NAME,
+    "operator": _NAME,
+}
 
 
 @dataclass
@@ -101,6 +151,42 @@ def _need(cfg, key, what):
     return cfg[key]
 
 
+def _object(value, what, keys=None):
+    """A config section as a dict.
+
+    With keys given, it may hold only those, and a "class" entry must name a
+    coefficient class.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {type(value).__name__}")
+    if keys is not None:
+        _check_keys(value, keys, what)
+        if value.get("class", "smooth") not in _COEFF_TAGS:
+            raise ConfigError(f"{what} class must be one of {_COEFF_TAGS}")
+    return dict(value)
+
+
+def _kind(cfg, kinds, what):
+    """The kind entry of a metric or bundle; other keys must suit the kind."""
+    kind = _need(cfg, "kind", what)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ResolutionError(f"unknown {what} kind {kind!r}")
+    _check_keys(cfg, ("kind",) + kinds[kind], f"{kind} {what}")
+    return kind
+
+
+def _indexed_rows(rows, width, what):
+    """Rows of width - 1 integers >= 0 followed by a matrix."""
+    test, want = _listed(
+        lambda row: isinstance(row, list)
+        and len(row) == width
+        and all(map(_is_int, row[:-1])),
+        f"rows of {width - 1} integer(s) >= 0 and a matrix",
+    )
+    if not test(rows):
+        raise ConfigError(f"{what} must be {want}")
+
+
 def parse_scenario(cfg):
     """Validate a config dict into a Scenario; resolve all referenced names."""
     if not isinstance(cfg, dict):
@@ -112,63 +198,46 @@ def parse_scenario(cfg):
     ):
         raise ConfigError(f"scenario name {name!r} must be a [A-Za-z0-9._-] string")
 
-    chart = dict(_need(cfg, "chart", "scenario"))
-    _check_keys(chart, ("box", "h", "margin", "fd_order"), "chart")
+    chart = _need(cfg, "chart", "scenario")
+    chart = _object(chart, "chart", ("box", "h", "margin", "fd_order"))
     box = _need(chart, "box", "chart")
     try:
         box = tuple((float(lo), float(hi)) for lo, hi in box)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"chart box must list [lo, hi] pairs: {exc}") from exc
-    if not box or any(hi <= lo for lo, hi in box):
-        raise ConfigError(f"chart box {box} needs lo < hi on every axis")
-    h = float(_need(chart, "h", "chart"))
-    if h <= 0:
-        raise ConfigError(f"chart spacing must be positive, got {h}")
-    fd_order = int(chart.get("fd_order", 4))
-    if fd_order not in (2, 4):
-        raise ConfigError(f"fd_order must be 2 or 4, got {fd_order}")
+    if not box or not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box):
+        raise ConfigError(f"chart box {box} needs finite lo < hi on every axis")
+    h = _need(chart, "h", "chart")
+    if not _is_positive(h):
+        raise ConfigError(f"chart spacing must be a finite positive number, got {h!r}")
+    fd_order = chart.get("fd_order", 4)
+    if not _is_int(fd_order) or fd_order not in (2, 4):
+        raise ConfigError(f"fd_order must be 2 or 4, got {fd_order!r}")
     margin = chart.get("margin")
-    if margin is not None and int(margin) < 0:
-        raise ConfigError(f"chart margin must be >= 0, got {margin}")
-    chart = {
-        "box": box,
-        "h": h,
-        "fd_order": fd_order,
-        "margin": None if margin is None else int(margin),
-    }
+    if margin is not None and not _is_int(margin):
+        raise ConfigError(f"chart margin must be an integer >= 0, got {margin!r}")
+    chart = {"box": box, "h": float(h), "fd_order": fd_order, "margin": margin}
 
-    metric = dict(_need(cfg, "metric", "scenario"))
-    kind = _need(metric, "kind", "metric")
-    if kind not in _METRIC_KINDS:
-        raise ResolutionError(f"unknown metric kind {kind!r}")
-    if kind == "conformal":
-        _need(metric, "phi", "conformal metric")
-    if kind == "matrix":
-        _need(metric, "entries", "matrix metric")
+    metric = _object(_need(cfg, "metric", "scenario"), "metric")
+    kind = _kind(metric, _METRIC_KINDS, "metric")
+    for key in _METRIC_KINDS[kind]:
+        _need(metric, key, f"{kind} metric")
 
-    bundle = dict(_need(cfg, "bundle", "scenario"))
-    bkind = _need(bundle, "kind", "bundle")
-    if bkind == "trivial":
-        d = int(_need(bundle, "fiber_dim", "bundle"))
-        if d < 1:
-            raise ConfigError(f"fiber_dim must be >= 1, got {d}")
-    elif bkind != "magnetic-example":
-        raise ResolutionError(f"unknown bundle kind {bkind!r}")
+    bundle = _object(_need(cfg, "bundle", "scenario"), "bundle")
+    if _kind(bundle, _BUNDLE_KINDS, "bundle") == "trivial":
+        d = _need(bundle, "fiber_dim", "trivial bundle")
+        if not _is_int(d, 1):
+            raise ConfigError(f"fiber_dim must be an integer >= 1, got {d!r}")
 
     weight = cfg.get("weight")
     if weight is not None:
-        weight = dict(weight)
-        _check_keys(weight, ("rho", "f0", "admissible"), "weight")
+        weight = _object(weight, "weight", ("rho", "f0", "admissible"))
         _need(weight, "rho", "weight")
 
     embedding = cfg.get("embedding")
     if embedding is not None:
-        embedding = dict(embedding)
-        _check_keys(
-            embedding,
-            ("name", "heights", "ambient", "isometrize", "amplitude", "frechet"),
-            "embedding",
-        )
+        keys = ("name", "heights", "ambient", "isometrize", "amplitude", "frechet")
+        embedding = _object(embedding, "embedding", keys)
         ename = _need(embedding, "name", "embedding")
         if ename not in _EMBEDDING_NAMES:
             raise ResolutionError(f"unknown embedding {ename!r}")
@@ -176,65 +245,74 @@ def parse_scenario(cfg):
             _need(embedding, "heights", "graph embedding")
         if ename == "random":
             _need(embedding, "ambient", "random embedding")
-    if metric["kind"] == "embedded" and embedding is None:
+    if kind == "embedded" and embedding is None:
         raise ConfigError("an embedded metric needs an embedding")
 
-    fields = dict(cfg.get("fields", {}))
+    fields = _object(cfg.get("fields", {}), "fields")
     for fname, comps in fields.items():
         if not isinstance(comps, (list, tuple)) or len(comps) != len(box):
             raise ConfigError(
                 f"field {fname!r} needs one component expression per axis"
             )
 
-    operators = dict(cfg.get("operators", {}))
+    operators = _object(cfg.get("operators", {}), "operators")
     for oname, ocfg in operators.items():
-        _check_keys(
-            ocfg, ("form", "coefficients", "terms", "class"), f"operator {oname!r}"
-        )
-        form = _need(ocfg, "form", f"operator {oname!r}")
+        what = f"operator {oname!r}"
+        ocfg = _object(ocfg, what, ("form", "coefficients", "terms", "class"))
+        form = _need(ocfg, "form", what)
         if form == "nabla":
-            _need(ocfg, "coefficients", f"operator {oname!r}")
+            _indexed_rows(_need(ocfg, "coefficients", what), 2, f"{what} coefficients")
         elif form == "mixed":
-            terms = _need(ocfg, "terms", f"operator {oname!r}")
+            terms = _need(ocfg, "terms", what)
+            if not isinstance(terms, list):
+                raise ConfigError(f"{what} terms must be a list")
             for term in terms:
-                for ref in _need(term, "fields", f"operator {oname!r} term"):
-                    if ref not in fields:
-                        raise ResolutionError(
-                            f"operator {oname!r} references unknown field {ref!r}"
-                        )
+                term = _object(term, f"{what} term", ("coefficient", "fields"))
+                _need(term, "coefficient", f"{what} term")
+                refs = _need(term, "fields", f"{what} term")
+                if not isinstance(refs, list):
+                    raise ConfigError(f"{what} term fields must be a list of names")
+                for ref in refs:
+                    if not isinstance(ref, str) or ref not in fields:
+                        raise ResolutionError(f"{what} references unknown field {ref!r}")
         else:
-            raise ConfigError(f"operator {oname!r} form must be nabla or mixed")
+            raise ConfigError(f"{what} form must be nabla or mixed")
 
-    forms = dict(cfg.get("forms", {}))
+    forms = _object(cfg.get("forms", {}), "forms")
     for fname, fcfg in forms.items():
-        _check_keys(fcfg, ("half_order", "table", "class"), f"form {fname!r}")
-        _need(fcfg, "half_order", f"form {fname!r}")
-        _need(fcfg, "table", f"form {fname!r}")
+        what = f"form {fname!r}"
+        fcfg = _object(fcfg, what, ("half_order", "table", "class"))
+        m = _need(fcfg, "half_order", what)
+        if not _is_int(m):
+            raise ConfigError(f"{what} half_order must be an integer >= 0, got {m!r}")
+        _indexed_rows(_need(fcfg, "table", what), 3, f"{what} table")
 
-    checks = list(cfg.get("checks", []))
+    checks = cfg.get("checks", [])
+    if not isinstance(checks, list):
+        raise ConfigError("scenario checks must be a list")
     for entry in checks:
-        if not isinstance(entry, dict) or "check" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("check"), str):
             raise ConfigError(f"check entries need a 'check' name, got {entry!r}")
-        allowed = allowed_params(entry["check"])
-        _check_keys(entry, allowed, f"check {entry['check']!r}")
-        tol = _need(entry, "tolerance", f"check {entry['check']!r}")
-        if not isinstance(tol, (int, float)) or not tol > 0:
-            raise ConfigError(
-                f"check {entry['check']!r} tolerance must be positive, got {tol!r}"
-            )
-        form_ref = entry.get("form")
-        if form_ref is not None and form_ref not in forms:
-            raise ResolutionError(
-                f"check {entry['check']!r} references unknown form {form_ref!r}"
-            )
-        op_ref = entry.get("operator")
-        if op_ref is not None and op_ref not in operators:
-            raise ResolutionError(
-                f"check {entry['check']!r} references unknown operator {op_ref!r}"
-            )
+        check = entry["check"]
+        _check_keys(entry, allowed_params(check), f"check {check!r}")
+        _need(entry, "tolerance", f"check {check!r}")
+        for key, value in entry.items():
+            test, want = _PARAM_RULES.get(key, (None, None))
+            if test is not None and not test(value):
+                raise ConfigError(f"check {check!r} {key} must be {want}, got {value!r}")
+        p = _exponent(entry.get("p", 2))
+        if check == "norm-equivalence" and math.isinf(p):
+            raise ConfigError(f"check {check!r} needs a finite p, got {entry['p']!r}")
+        if check == "weighted-duality" and not 1 < p < math.inf:
+            raise ConfigError(f"check {check!r} needs 1 < p < inf, got {entry['p']!r}")
+        for key, known in (("form", forms), ("operator", operators)):
+            if key in entry and entry[key] not in known:
+                raise ResolutionError(
+                    f"check {check!r} references unknown {key} {entry[key]!r}"
+                )
 
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     out = cfg.get("out")
     return Scenario(
@@ -268,7 +346,9 @@ def _real_field(expr, grid, what):
 
 
 def _matrix_field(entries, grid, what):
-    if not entries or not all(isinstance(row, (list, tuple)) for row in entries):
+    if not isinstance(entries, list) or not entries or not all(
+        isinstance(row, (list, tuple)) for row in entries
+    ):
         raise ConfigError(f"{what} must be a matrix of expression strings")
     cols = len(entries[0])
     if cols == 0 or any(len(row) != cols for row in entries):
@@ -287,8 +367,8 @@ def _matrix_field(entries, grid, what):
 def _build_grid(scenario, h=None, fd_order=None):
     chart = scenario.chart
     h_val = float(h) if h is not None else chart["h"]
-    if h_val <= 0:
-        raise ConfigError(f"grid spacing must be positive, got {h_val}")
+    if not 0 < h_val < math.inf:
+        raise ConfigError(f"grid spacing must be finite and positive, got {h_val}")
     fd = int(fd_order) if fd_order is not None else chart["fd_order"]
     shape = tuple(
         int(round((hi - lo) / h_val)) + 1 for lo, hi in chart["box"]
@@ -297,9 +377,10 @@ def _build_grid(scenario, h=None, fd_order=None):
         raise ConfigError(
             f"spacing {h_val} leaves fewer than 9 points per axis: {shape}"
         )
-    return ChartGrid(
-        chart["box"], shape, fd_order=fd, support_margin=chart["margin"]
-    )
+    try:
+        return ChartGrid(chart["box"], shape, fd_order=fd, support_margin=chart["margin"])
+    except ValueError as exc:  # the grid's own argument checks
+        raise ConfigError(f"chart: {exc}") from exc
 
 
 def _build_embedding(scenario, grid, seed):
@@ -351,14 +432,12 @@ def _build_bundle(scenario, grid):
     cfg = scenario.bundle
     if cfg["kind"] == "magnetic-example":
         return magnetic_example_bundle(grid)
-    d = int(cfg["fiber_dim"])
     pots = None
     if cfg.get("potentials") is not None:
         mats = cfg["potentials"]
-        if len(mats) != grid.dim:
+        if not isinstance(mats, list) or len(mats) != grid.dim:
             raise ConfigError(
-                f"potentials need one matrix per axis, got {len(mats)} "
-                f"for a {grid.dim}d chart"
+                f"potentials need a list of one matrix per axis on a {grid.dim}d chart"
             )
         pots = np.stack(
             [
@@ -370,7 +449,10 @@ def _build_bundle(scenario, grid):
     fiber_metric = None
     if cfg.get("fiber_metric") is not None:
         fiber_metric = _matrix_field(cfg["fiber_metric"], grid, "fiber metric")
-    return BundleSpec(grid, d, potentials=pots, fiber_metric=fiber_metric)
+        first = fiber_metric[(0,) * grid.dim]
+        if np.all(fiber_metric == first):
+            fiber_metric = first  # constant entries: one (d, d) matrix
+    return BundleSpec(grid, cfg["fiber_dim"], pots, fiber_metric)
 
 
 def _build_operators(scenario, grid, bundle, metric, fields):
@@ -381,9 +463,8 @@ def _build_operators(scenario, grid, bundle, metric, fields):
         tag = cfg.get("class", "smooth")
         if cfg["form"] == "nabla":
             by_j = {}
-            for item in cfg["coefficients"]:
-                j = int(item[0])
-                mat = _matrix_field(item[1], grid, f"operator {name!r} level {j}")
+            for j, entries in cfg["coefficients"]:
+                mat = _matrix_field(entries, grid, f"operator {name!r} level {j}")
                 want = (d, n**j * d)
                 if mat.shape[-2:] != want:
                     raise ConfigError(
@@ -391,24 +472,19 @@ def _build_operators(scenario, grid, bundle, metric, fields):
                         f"{want[0]} x {want[1]}, got {mat.shape[-2]} x {mat.shape[-1]}"
                     )
                 by_j[j] = mat
-            if not by_j:
-                raise ConfigError(f"operator {name!r} has no coefficient levels")
-            entries = [
-                by_j.get(j, np.zeros(grid.shape + (d, n**j * d), dtype=complex))
-                for j in range(max(by_j) + 1)
-            ]
+            entries = [by_j.get(j) for j in range(max(by_j) + 1)]
             ops[name] = NablaOpSpec(
                 bundle, bundle, metric, FockSlice(grid, d, d, entries), tag
             )
         else:
-            terms = []
-            for term in cfg["terms"]:
-                coeff = _matrix_field(
-                    term["coefficient"], grid, f"operator {name!r} coefficient"
+            what = f"operator {name!r} coefficient"
+            terms = [
+                MixedTerm(
+                    _matrix_field(term["coefficient"], grid, what),
+                    fields=[fields[ref] for ref in term["fields"]],
                 )
-                terms.append(
-                    MixedTerm(coeff, fields=[fields[ref] for ref in term["fields"]])
-                )
+                for term in cfg["terms"]
+            ]
             ops[name] = MixedOpSpec(
                 bundle, bundle, metric, terms, coefficient_class=tag
             )
@@ -420,11 +496,9 @@ def _build_forms(scenario, grid, bundle, metric):
     d = bundle.fiber_dim
     forms = {}
     for name, cfg in scenario.forms.items():
-        m = int(cfg["half_order"])
         table = {}
-        for item in cfg["table"]:
-            i, j = int(item[0]), int(item[1])
-            mat = _matrix_field(item[2], grid, f"form {name!r} entry ({i}, {j})")
+        for i, j, entries in cfg["table"]:
+            mat = _matrix_field(entries, grid, f"form {name!r} entry ({i}, {j})")
             want = (n**j * d, n**i * d)
             if mat.shape[-2:] != want:
                 raise ConfigError(
@@ -433,7 +507,7 @@ def _build_forms(scenario, grid, bundle, metric):
                 )
             table[(i, j)] = mat
         forms[name] = BidiffSpec(
-            bundle, bundle, metric, m, table, cfg.get("class", "smooth")
+            bundle, bundle, metric, cfg["half_order"], table, cfg.get("class", "smooth")
         )
     return forms
 

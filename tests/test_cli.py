@@ -1,11 +1,23 @@
 """Command line behavior: exit codes, report files, and overrides."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from nabla_calc.cli import main
+
+# hypothesis caches source constants under its home directory even without
+# a database; keep that out of the working tree (removed at exit)
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 from nabla_calc.scenarios import list_builtins
 
 
@@ -209,3 +221,75 @@ def test_overflowing_complex_power_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
     _assert_one_line_error(capsys)
+
+
+def fuzz_base_config():
+    """A 33-point 1-D scenario with two cheap checks."""
+    return {
+        "name": "fuzz",
+        "chart": {"box": [[-1, 1]], "h": 2 / 32, "fd_order": 4, "margin": 6},
+        "metric": {"kind": "flat"},
+        "bundle": {"kind": "trivial", "fiber_dim": 1},
+        "seed": 1,
+        "checks": [
+            {
+                "check": "norm-table",
+                "tolerance": 1.0,
+                "orders": [0, 1],
+                "exponents": [2, "inf"],
+            },
+            {
+                "check": "multiplication-property",
+                "tolerance": 1e-9,
+                "trials": 1,
+                "s": 1,
+                "p": "inf",
+                "q": 2,
+                "r": 2,
+            },
+        ],
+    }
+
+
+def _fuzz_leaves():
+    cfg = fuzz_base_config()
+    leaves = [("chart", key) for key in cfg["chart"]]
+    leaves += [("bundle", "fiber_dim"), ("seed",)]
+    for k, entry in enumerate(cfg["checks"]):
+        leaves += [("checks", k, key) for key in entry if key != "check"]
+    return leaves
+
+
+# small values only: no grid above 33 points, no count above 4
+_ATOMS = st.one_of(
+    st.integers(-3, 4),
+    st.sampled_from([-1.0, 0.0, 0.5, 1.5, math.nan, math.inf]),
+    st.sampled_from(["", "x", "inf", "2"]),
+    st.booleans(),
+    st.none(),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    leaf=st.sampled_from(_fuzz_leaves()),
+    value=st.one_of(_ATOMS, st.lists(_ATOMS, max_size=3)),
+)
+def test_fuzzed_leaf_exits_cleanly(leaf, value):
+    cfg = fuzz_base_config()
+    node = cfg
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scn.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        argv = ["run", "--scenario", path, "--out", os.path.join(tmp, "out")]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines

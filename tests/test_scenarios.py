@@ -1,10 +1,13 @@
 """Scenario parsing, object construction, and deterministic execution."""
 
+import math
+
 import numpy as np
 import pytest
 
-from nabla_calc import MetricField, magnetic_example_bundle
+from nabla_calc import BundleSpec, MetricField, magnetic_example_bundle
 from nabla_calc.errors import ConfigError, ResolutionError
+from nabla_calc.norms import sobolev_norm
 from nabla_calc.reports import report_payload
 from nabla_calc.scenarios import (
     BUILTINS,
@@ -14,6 +17,11 @@ from nabla_calc.scenarios import (
     parse_scenario,
     run_scenario,
 )
+from nabla_calc.sections import random_section, seeded_rng
+
+
+def with_check(entry):
+    return lambda c: c.update(checks=[dict(entry, tolerance=1.0)])
 
 
 def tiny_config():
@@ -56,6 +64,52 @@ def test_parse_round_trips_the_tiny_config():
         lambda c: c["checks"][0].update(bogus_param=1),
         lambda c: c.update(seed=-4),
         lambda c: c.update(fields={"v": ["x1"]}),
+        # check parameters that passed without evaluating anything
+        with_check({"check": "multiindex-formulas", "trials": 0}),
+        with_check({"check": "covering-bounds", "coverings": 0}),
+        with_check({"check": "operator-rewrite", "specs": 0}),
+        with_check({"check": "weighted-duality", "pairs": 0}),
+        with_check({"check": "norm-table", "orders": []}),
+        with_check({"check": "norm-table", "exponents": []}),
+        with_check({"check": "divergence-duality", "half_orders": []}),
+        # check parameters that crashed
+        with_check({"check": "norm-equivalence", "trials": "x"}),
+        with_check({"check": "norm-table", "orders": ["x"]}),
+        with_check({"check": "norm-table", "orders": [-1]}),
+        with_check({"check": "norm-table", "exponents": [0.5]}),
+        with_check({"check": "operator-rewrite", "max_order": 0}),
+        with_check({"check": "weighted-duality", "p": 1}),
+        with_check({"check": "norm-equivalence", "p": "inf"}),
+        # values that were accepted
+        lambda c: c["checks"][0].update(tolerance=True),
+        lambda c: c["checks"][0].update(tolerance=float("inf")),
+        lambda c: c.update(seed=True),
+        # sections that crashed
+        lambda c: c.update(chart=5),
+        lambda c: c["chart"].update(h="abc"),
+        lambda c: c["chart"].update(h=float("nan")),
+        lambda c: c["chart"].update(fd_order="x"),
+        lambda c: c["chart"].update(margin="x"),
+        lambda c: c["bundle"].update(fiber_dim="two"),
+        lambda c: c.update(
+            fields={"v": ["1", "0"]},
+            operators={"m": {"form": "mixed", "terms": [{"fields": ["v"]}]}},
+        ),
+        lambda c: c.update(
+            operators={
+                "m": {"form": "nabla", "coefficients": [["a", [["1", "0"], ["0", "1"]]]]}
+            }
+        ),
+        lambda c: c.update(forms={"f": {"half_order": 0, "table": [[0, 0]]}}),
+        lambda c: c.update(
+            operators={
+                "m": {"form": "nabla", "class": "bounded", "coefficients": [[0, [["1"]]]]}
+            }
+        ),
+        # keys that were ignored
+        lambda c: c["bundle"].update(fibre_metric=[["1", "0"], ["0", "1"]]),
+        lambda c: c["metric"].update(phi="x1"),
+        lambda c: c.update(bundle={"kind": "magnetic-example", "fiber_dim": 2}),
     ],
 )
 def test_config_errors(mangle):
@@ -218,3 +272,45 @@ def test_embedded_metric_needs_embedding():
     cfg["metric"] = {"kind": "embedded"}
     with pytest.raises(ConfigError):
         parse_scenario(cfg)
+
+
+def test_constant_fiber_metric_is_one_matrix():
+    cfg = tiny_config()
+    cfg["bundle"]["fiber_metric"] = [["2", "0"], ["0", "1"]]
+    ctx = build_context(parse_scenario(cfg))
+    bundle, grid = ctx.bundle, ctx.grid
+    assert bundle.metric_is_constant
+    h = np.array([[2, 0], [0, 1]], dtype=complex)
+    assert np.array_equal(bundle.fiber_metric, h)
+    field = BundleSpec(grid, 2, fiber_metric=np.broadcast_to(h, grid.shape + (2, 2)))
+    assert not field.metric_is_constant
+    u = random_section(grid, 0, 2, seeded_rng(7, "fiber-metric"))
+    for s, p in ((0, 2.0), (1, 2.0), (2, math.inf)):
+        want = sobolev_norm(u, s, p, field, ctx.metric)
+        got = sobolev_norm(u, s, p, bundle, ctx.metric)
+        assert abs(got - want) <= 1e-13 * want
+
+
+def test_varying_fiber_metric_stays_a_grid_field():
+    cfg = tiny_config()
+    cfg["bundle"]["fiber_metric"] = [["2 + x1^2", "0"], ["0", "1"]]
+    ctx = build_context(parse_scenario(cfg))
+    assert not ctx.bundle.metric_is_constant
+    assert ctx.bundle.fiber_metric.shape == ctx.grid.shape + (2, 2)
+
+
+def test_margin_below_stencil_radius_is_a_config_error():
+    cfg = tiny_config()
+    cfg["chart"]["margin"] = 1
+    with pytest.raises(ConfigError, match="stencil radius"):
+        build_context(parse_scenario(cfg))
+
+
+def test_mapping_bound_needs_a_nabla_operator():
+    cfg = tiny_config()
+    cfg["fields"] = {"v": ["1", "0"]}
+    term = {"coefficient": [["1", "0"], ["0", "1"]], "fields": ["v"]}
+    cfg["operators"] = {"m": {"form": "mixed", "terms": [term]}}
+    cfg["checks"] = [{"check": "mapping-bound", "tolerance": 1.0, "operator": "m"}]
+    with pytest.raises(ResolutionError, match="nabla-form operator"):
+        run_scenario(parse_scenario(cfg))
