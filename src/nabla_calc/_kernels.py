@@ -17,9 +17,14 @@ STENCIL_RADIUS = {2: 1, 4: 2}
 def _pair(u, axis, s):
     """u[i+s] - u[i-s] along axis, with zero beyond the grid edge."""
     lead = (slice(None),) * (axis % u.ndim)
-    d = np.zeros_like(u)
-    d[lead + (slice(None, -s),)] = u[lead + (slice(s, None),)]
-    d[lead + (slice(s, None),)] -= u[lead + (slice(None, -s),)]
+    d = np.empty_like(u)
+    np.subtract(
+        u[lead + (slice(2 * s, None),)],
+        u[lead + (slice(None, -2 * s),)],
+        out=d[lead + (slice(s, -s),)],
+    )
+    d[lead + (slice(None, s),)] = u[lead + (slice(s, 2 * s),)]
+    np.negative(u[lead + (slice(-2 * s, -s),)], out=d[lead + (slice(-s, None),)])
     return d
 
 

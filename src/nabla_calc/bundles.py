@@ -63,10 +63,24 @@ class BundleSpec:
         self.is_flat = not np.any(potentials)
         # induced_tensor_bundle memo: slots -> (metric, induced bundle)
         self._induced = {}
+        self._potentials_grid_last = None
 
     @property
     def metric_is_constant(self):
         return self.fiber_metric.ndim == 2
+
+    def potentials_grid_last(self):
+        """The potentials as a C-contiguous (n, d, d) + grid array.
+
+        Built on first use and kept, like the induced-bundle memo; the
+        potentials are never written after construction.
+        """
+        if self._potentials_grid_last is None:
+            g = self.grid.dim
+            self._potentials_grid_last = np.ascontiguousarray(
+                np.moveaxis(self.potentials, range(g), range(-g, 0))
+            )
+        return self._potentials_grid_last
 
     def fiber_metric_field(self):
         """Fiber metric broadcast to a full grid field."""

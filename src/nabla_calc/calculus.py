@@ -73,10 +73,21 @@ def covariant_derivative(u, bundle, metric, check_support=True):
     if not metric.is_constant and r > 0:
         gamma = metric.christoffel_field()
         parts -= _gamma_slot_sum(gamma, u.values, r, full_field=True)
-    if not bundle.is_flat:
-        parts += np.einsum(
-            f"...yab,...{letters}b->...y{letters}a", bundle.potentials, u.values
+    if not bundle.is_flat and r == 0:
+        # a matrix times a vector is fast grid-first, and a rank-0 caller
+        # should not pay for a grid-last copy of the potentials
+        parts += np.einsum("...yab,...b->...ya", bundle.potentials, u.values)
+    elif not bundle.is_flat:
+        # grid axes last, so einsum's inner loop runs over the grid and not
+        # over a fiber axis of length d once per point; same sums, same bits
+        g = grid.dim
+        vals = np.ascontiguousarray(np.moveaxis(u.values, range(g), range(-g, 0)))
+        term = np.einsum(
+            f"yab...,{letters}b...->y{letters}a...",
+            bundle.potentials_grid_last(),
+            vals,
         )
+        parts += np.moveaxis(term, range(-g, 0), range(g))
     return TensorSection(grid, r + 1, parts, u.fiber_dim)
 
 

@@ -247,7 +247,8 @@ def multiplication_constant(ell, p, q, r):
     """Constant in ||au||_{W^{l,r}} <= C ||a||_{W^{l,p}} ||u||_{W^{l,q}}.
 
     One recursion step multiplies by (1 + 2^r)^{1/r}, starting from C_0 = 1;
-    the exponents must satisfy 1/p + 1/q = 1/r.
+    the exponents must satisfy 1/p + 1/q = 1/r.  Written as
+    2^l (1 + 2^-r)^{l/r}, so a large finite r does not overflow.
     """
     if ell < 0:
         raise ValueError(f"order ell must be >= 0, got {ell}")
@@ -259,7 +260,7 @@ def multiplication_constant(ell, p, q, r):
     r = float(r)
     if math.isinf(r):
         return 2.0**ell
-    return float((1.0 + 2.0**r) ** (ell / r))
+    return float(2.0**ell * (1.0 + 2.0**-r) ** (ell / r))
 
 
 def equivalence_constant(ell, p, coefficient_norm):

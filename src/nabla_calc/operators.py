@@ -136,8 +136,10 @@ def _hom_derivative(a, source, target, metric):
     grid = metric.grid
     n = grid.dim
     da = np.stack([grid.diff(a, axis=y) for y in range(n)], axis=grid.dim)
-    da = da + np.einsum("...yfg,...gk->...yfk", target.potentials, a)
-    da = da - np.einsum("...fl,...ylk->...yfk", a, source.potentials)
+    da = da.astype(complex, copy=False)
+    a_y = a[..., None, :, :]
+    da += np.matmul(target.potentials, a_y)
+    da -= np.matmul(a_y, source.potentials)
     grid.zero_band(da, grid.stencil_radius)
     return da
 
@@ -185,7 +187,7 @@ def compose(q, p):
     for i in range(q.order + 1):
         b = q.coefficients.entries[i]
         for m, mat in table.items():
-            term = np.einsum("...gf,...fk->...gk", b, mat)
+            term = np.matmul(b, mat)
             out[m] = term if out[m] is None else out[m] + term
         if i == q.order:
             break
@@ -340,7 +342,7 @@ def mixed_to_nabla(spec, gens=None):
                 _put(nxt, m + 1, pointwise_kron(row, c))
             chain = nxt
         for m, c in chain.items():
-            mat = np.einsum("...gf,...fk->...gk", term.coefficient, c)
+            mat = np.matmul(term.coefficient, c)
             total[m] = mat if total[m] is None else total[m] + mat
     tag = (
         "totally-bounded"

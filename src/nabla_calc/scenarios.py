@@ -104,6 +104,15 @@ _PARAM_RULES = {
     "operator": _NAME,
 }
 
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_EMBEDDING_RULES = {
+    "ambient": _COUNT,
+    "amplitude": (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "heights": _listed(lambda v: isinstance(v, str), "expression strings"),
+    "isometrize": _FLAG,
+    "frechet": _FLAG,
+}
+
 
 @dataclass
 class Scenario:
@@ -245,6 +254,11 @@ def parse_scenario(cfg):
             _need(embedding, "heights", "graph embedding")
         if ename == "random":
             _need(embedding, "ambient", "random embedding")
+        for key, (test, want) in _EMBEDDING_RULES.items():
+            if key in embedding and not test(embedding[key]):
+                raise ConfigError(
+                    f"embedding {key} must be {want}, got {embedding[key]!r}"
+                )
     if kind == "embedded" and embedding is None:
         raise ConfigError("an embedded metric needs an embedding")
 
@@ -402,7 +416,7 @@ def _build_embedding(scenario, grid, seed):
             ],
             axis=-1,
         )
-        return graph_embedding(grid, heights), None
+        return graph_embedding(grid, heights)
     rng = seeded_rng(seed, f"{scenario.name}:embedding")
     kw = {}
     if "amplitude" in cfg:

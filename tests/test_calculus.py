@@ -251,6 +251,34 @@ def test_flattened_bundle_reproduces_slot_derivative():
     assert np.max(np.abs(want - grad_flat.values)) < 1e-12 * np.max(np.abs(want))
 
 
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(17,), (13, 13), (9, 9, 9)])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_connection_term_matches_grid_first_einsum(shape, d):
+    grid = ChartGrid([(-1, 1)] * len(shape), shape, support_margin=2)
+    n = grid.dim
+    rng = seeded_rng(112, f"grid-last-{shape}-{d}")
+    bundle = BundleSpec(grid, d, _complex_normal(rng, grid.shape + (n, d, d)))
+    metric = MetricField.flat(grid)
+    for r in range(4):
+        sec = TensorSection(grid, r, _complex_normal(rng, grid.shape + (n,) * r + (d,)), d)
+        got = covariant_derivative(sec, bundle, metric, check_support=False)
+        if r == 0:
+            assert bundle._potentials_grid_last is None
+        slots = "cdefghij"[:r]
+        want = np.stack([grid.diff(sec.values, axis=k) for k in range(n)], axis=n)
+        want += np.einsum(
+            f"...yab,...{slots}b->...y{slots}a", bundle.potentials, sec.values
+        )
+        assert np.array_equal(got.values, want)
+    pots = bundle.potentials_grid_last()
+    assert pots.flags.c_contiguous and pots.shape == (n, d, d) + grid.shape
+    assert pots is bundle.potentials_grid_last()
+
+
 def test_support_violation_raised():
     vals = np.ones(GRID.shape + (2,), dtype=complex)
     sec = TensorSection(GRID, 0, vals, 2)

@@ -170,6 +170,8 @@ def test_multiplication_constant_values():
     assert multiplication_constant(1, 4, 4, 2) == pytest.approx(math.sqrt(5.0))
     assert multiplication_constant(2, 4, 4, 2) == pytest.approx(5.0)
     assert multiplication_constant(3, math.inf, math.inf, math.inf) == 8.0
+    # (1 + 2^r) overflows a float; the constant itself is about 2^ell
+    assert multiplication_constant(5, math.inf, 2000, 2000) == pytest.approx(32.0)
     with pytest.raises(ExponentMismatch):
         multiplication_constant(1, 2, 2, 3)
 

@@ -9,6 +9,7 @@ from nabla_calc.bundles import (
     TensorSection,
     induced_tensor_bundle,
     magnetic_example_bundle,
+    pointwise_kron,
 )
 from nabla_calc.calculus import covariant_derivative, curvature, multiindex_derivative
 from nabla_calc.errors import ChartMismatch, ShapeMismatch
@@ -24,6 +25,7 @@ from nabla_calc.operators import (
     MixedOpSpec,
     MixedTerm,
     NablaOpSpec,
+    _hom_derivative,
     apply_mixed_op,
     apply_nabla_op,
     coefficient_infty_norm,
@@ -165,6 +167,79 @@ def test_compose_is_associative():
     two = apply_nabla_op(right, u)
     scale = np.max(np.abs(one.values))
     assert np.max(np.abs(one.values - two.values)) <= 1e-10 * scale
+
+
+def _hom_derivative_reference(a, source, target, grid):
+    """The Hom-field derivative with einsum products in place of np.matmul."""
+    da = np.stack([grid.diff(a, axis=y) for y in range(grid.dim)], axis=grid.dim)
+    da = da + np.einsum("...yfg,...gk->...yfk", target.potentials, a)
+    da = da - np.einsum("...fl,...ylk->...yfk", a, source.potentials)
+    grid.zero_band(da, grid.stencil_radius)
+    return da
+
+
+def _compose_reference(q, p):
+    """The levels of compose(q, p), built with einsum products."""
+    grid, metric, n = p.grid, p.metric, p.grid.dim
+    eye_lift = np.eye(n).reshape((1,) * grid.dim + (n, n))
+    out = [0] * (q.order + p.order + 1)
+    table = dict(enumerate(p.coefficients.entries))
+    for i, b in enumerate(q.coefficients.entries):
+        for m, mat in table.items():
+            out[m] = out[m] + np.einsum("...gf,...fk->...gk", b, mat)
+        if i == q.order:
+            break
+        nxt = {}
+        for m, mat in table.items():
+            der = _hom_derivative_reference(
+                mat,
+                induced_tensor_bundle(p.source, metric, m),
+                induced_tensor_bundle(p.target, metric, i),
+                grid,
+            )
+            der = der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1]))
+            nxt[m] = nxt.get(m, 0) + der
+            nxt[m + 1] = nxt.get(m + 1, 0) + pointwise_kron(eye_lift, mat)
+        table = nxt
+    return out
+
+
+def _close(got, want, rtol=1e-13):
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def _random_ladder(source, target, order, rng):
+    n, d = GRID.dim, source.fiber_dim
+    entries = [
+        random_trig_field(n, (target.fiber_dim, n**j * d), rng).sample(GRID)
+        for j in range(order + 1)
+    ]
+    ladder = FockSlice(GRID, d, target.fiber_dim, entries)
+    return NablaOpSpec(source, target, FLAT, ladder)
+
+
+def test_hom_derivative_matches_einsum_reference():
+    rng = seeded_rng(7, "op-hom-ref")
+    big = induced_tensor_bundle(MAGNET, FLAT, 2)
+    for source, target in ((MAGNET, MAGNET), (big, MAGNET), (big, big)):
+        shape = (target.fiber_dim, source.fiber_dim)
+        a = random_trig_field(2, shape, rng).sample(GRID)
+        got = _hom_derivative(a, source, target, FLAT)
+        want = _hom_derivative_reference(a, source, target, GRID)
+        assert _close(got, want)
+
+
+def test_compose_matches_einsum_reference():
+    rng = seeded_rng(7, "op-comp-ref")
+    ladder = _random_ladder(MAGNET, MAGNET, 1, rng)
+    grad2 = gradient_op(MAGNET, FLAT, 2)
+    after_grad2 = _random_ladder(grad2.target, MAGNET, 1, rng)
+    for q, p in ((ladder, _random_ladder(MAGNET, MAGNET, 1, rng)), (after_grad2, grad2)):
+        got = compose(q, p).coefficients.entries
+        want = _compose_reference(q, p)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert _close(g, w)
 
 
 def test_compose_rejects_mismatched_factors():

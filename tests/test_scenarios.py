@@ -110,6 +110,16 @@ def test_parse_round_trips_the_tiny_config():
         lambda c: c["bundle"].update(fibre_metric=[["1", "0"], ["0", "1"]]),
         lambda c: c["metric"].update(phi="x1"),
         lambda c: c.update(bundle={"kind": "magnetic-example", "fiber_dim": 2}),
+        # embedding keys that crashed or were read as true
+        lambda c: c.update(embedding={"name": "random", "ambient": "x"}),
+        lambda c: c.update(embedding={"name": "random", "ambient": 0}),
+        lambda c: c.update(embedding={"name": "random", "ambient": 4, "amplitude": "x"}),
+        lambda c: c.update(embedding={"name": "random", "ambient": 4, "amplitude": 1}),
+        lambda c: c.update(embedding={"name": "graph", "heights": 5}),
+        lambda c: c.update(embedding={"name": "graph", "heights": []}),
+        lambda c: c.update(embedding={"name": "graph", "heights": [5]}),
+        lambda c: c.update(embedding={"name": "identity", "isometrize": "no"}),
+        lambda c: c.update(embedding={"name": "identity", "frechet": "no"}),
     ],
 )
 def test_config_errors(mangle):
@@ -272,6 +282,19 @@ def test_embedded_metric_needs_embedding():
     cfg["metric"] = {"kind": "embedded"}
     with pytest.raises(ConfigError):
         parse_scenario(cfg)
+
+
+def test_graph_embedding_builds_its_induced_metric():
+    cfg = tiny_config()
+    cfg["metric"] = {"kind": "embedded"}
+    cfg["embedding"] = {"name": "graph", "heights": ["0.1 * x1 * x2"]}
+    ctx = build_context(parse_scenario(cfg))
+    x2 = ctx.grid.coords[1]
+    # g = 1 + Df^T Df away from the stencil band, where Df = 0.1 (x2, x1)
+    g11 = ctx.metric.values[..., 0, 0]
+    inner = ctx.grid.interior_mask(ctx.grid.stencil_radius)
+    assert np.allclose(g11[inner], (1 + 0.01 * x2**2)[inner], atol=1e-12)
+    assert ctx.gens is not None
 
 
 def test_constant_fiber_metric_is_one_matrix():
