@@ -231,7 +231,6 @@ def assemble_divergence_form(spec, gens, bundle, metric):
     for (i, j), a in spec.coefficients.items():
         target_j = induced_tensor_bundle(bundle, metric, j) if j else bundle
         h_j = np.asarray(target_j.fiber_metric, dtype=complex)
-        h_j = np.broadcast_to(h_j, spec.grid.shape + h_j.shape[-2:])
         mid_coeff = np.linalg.solve(np.swapaxes(h_j, -1, -2), a)
         source_i = induced_tensor_bundle(source, metric, i) if i else source
         mid = multiplication_op(

@@ -7,6 +7,8 @@ values[idx, i_1..i_r, a] with slot axes between the grid axes and the fiber
 axis; new covariant slots are always prepended leftmost.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ChartMismatch, ShapeMismatch, SingularMetric
@@ -18,6 +20,27 @@ def pointwise_kron(x, y):
     r, s = y.shape[-2:]
     out = x[..., :, None, :, None] * y[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (p * r, q * s))
+
+
+def _kron_sum(factors):
+    """Kronecker sum of connection potentials, sum_k I (x) A_k (x) I pointwise.
+
+    Each factor is a (..., d_k, d_k) potential array or, for a factor with
+    no connection, its dimension d_k alone.  Terms are added in factor
+    order and size-1 identities are not multiplied in.
+    """
+    dims = [f if np.ndim(f) == 0 else f.shape[-1] for f in factors]
+    total = None
+    for k, a in enumerate(factors):
+        if np.ndim(a) == 0:
+            continue
+        left, right = math.prod(dims[:k]), math.prod(dims[k + 1 :])
+        if left > 1:
+            a = pointwise_kron(np.eye(left, dtype=complex), a)
+        if right > 1:
+            a = pointwise_kron(a, np.eye(right, dtype=complex))
+        total = a if total is None else total + a
+    return total
 
 
 class BundleSpec:
@@ -82,15 +105,6 @@ class BundleSpec:
             )
         return self._potentials_grid_last
 
-    def fiber_metric_field(self):
-        """Fiber metric broadcast to a full grid field."""
-        if self.metric_is_constant:
-            d = self.fiber_dim
-            return np.broadcast_to(
-                self.fiber_metric, self.grid.shape + (d, d)
-            )
-        return self.fiber_metric
-
     def dual(self):
         """Dual bundle: potentials A'_k = -A_k^T, inverse-transpose metric."""
         pots = -np.swapaxes(self.potentials, -1, -2)
@@ -101,30 +115,16 @@ class BundleSpec:
         """Tensor product bundle, fibers flattened row-major (a, b) -> a*dF+b."""
         if other.grid != self.grid:
             raise ChartMismatch("tensor factors live on different grids")
-        de, df = self.fiber_dim, other.fiber_dim
-        lead = self.grid.dim + 1
-        pots = pointwise_kron(self.potentials, _bcast_eye(df, lead)) + pointwise_kron(
-            _bcast_eye(de, lead), other.potentials
-        )
-        h_self = self.fiber_metric
-        h_other = other.fiber_metric
-        if h_self.ndim != h_other.ndim:
-            h_self = self.fiber_metric_field()
-            h_other = other.fiber_metric_field()
-        metric = pointwise_kron(h_self, h_other)
-        return BundleSpec(self.grid, de * df, pots, metric)
+        pots = _kron_sum([self.potentials, other.potentials])
+        metric = pointwise_kron(self.fiber_metric, other.fiber_metric)
+        return BundleSpec(self.grid, self.fiber_dim * other.fiber_dim, pots, metric)
 
     def hom(self, other):
         """Hom(self, other); morphisms vec'd row-major, (f, e) -> f*dE + e."""
         if other.grid != self.grid:
             raise ChartMismatch("hom factors live on different grids")
-        de, df = self.fiber_dim, other.fiber_dim
-        lead = self.grid.dim + 1
-        a_src_t = np.swapaxes(self.potentials, -1, -2)
-        pots = pointwise_kron(other.potentials, _bcast_eye(de, lead)) - pointwise_kron(
-            _bcast_eye(df, lead), a_src_t
-        )
-        return BundleSpec(self.grid, de * df, pots)
+        pots = _kron_sum([other.potentials, -np.swapaxes(self.potentials, -1, -2)])
+        return BundleSpec(self.grid, self.fiber_dim * other.fiber_dim, pots)
 
     def endo(self):
         return self.hom(self)
@@ -139,7 +139,7 @@ def compatibility_defect(bundle):
     """
     grid = bundle.grid
     a = bundle.potentials
-    h = bundle.fiber_metric_field()
+    h = bundle.fiber_metric
     defect = np.swapaxes(a, -1, -2) @ h[..., None, :, :] + h[..., None, :, :] @ np.conj(a)
     if not bundle.metric_is_constant:
         dh = np.stack([grid.diff(h, axis=k) for k in range(grid.dim)], axis=-3)
@@ -262,11 +262,6 @@ def magnetic_example_bundle(grid):
     return BundleSpec(grid, 2, pots)
 
 
-def _bcast_eye(dim, lead_axes):
-    """Identity matrix shaped to broadcast against (grid..., k, :, :) arrays."""
-    return np.eye(dim, dtype=complex).reshape((1,) * lead_axes + (dim, dim))
-
-
 def induced_tensor_bundle(bundle, metric, slots):
     """T*M^{tensor slots} (x) E as a plain bundle with one flattened fiber.
 
@@ -287,32 +282,19 @@ def induced_tensor_bundle(bundle, metric, slots):
         return memo[1]
     grid = bundle.grid
     n = grid.dim
-    d = bundle.fiber_dim
-    lead = grid.dim + 1  # grid axes plus the direction axis
-    pots = pointwise_kron(_bcast_eye(n**slots, lead), bundle.potentials)
-    if not metric.is_constant:
+    if metric.is_constant:
+        slot = n
+        ginv = metric.inv[(0,) * grid.dim].astype(complex)
+    else:
         gamma = metric.christoffel_field()  # [m, k, l]
         # action on one slot in direction k: M[l, m] = -Gamma^m_{k l}
-        slot_mat = -np.swapaxes(np.moveaxis(gamma, -2, -3), -1, -2).astype(complex)
-        slot_sum = None
-        for s in range(slots):
-            term = pointwise_kron(_bcast_eye(n**s, lead), slot_mat)
-            right_dim = n ** (slots - s - 1) * d
-            term = pointwise_kron(term, _bcast_eye(right_dim, lead))
-            slot_sum = term if slot_sum is None else slot_sum + term
-        pots = slot_sum + pots
-    if metric.is_constant and bundle.metric_is_constant:
-        ginv = metric.inv[(0,) * grid.dim].astype(complex)
-        h = bundle.fiber_metric
-        kron = np.kron
-    else:
+        slot = -np.swapaxes(np.moveaxis(gamma, -2, -3), -1, -2).astype(complex)
         ginv = metric.inv.astype(complex)
-        h = bundle.fiber_metric_field()
-        kron = pointwise_kron
+    pots = _kron_sum([slot] * slots + [bundle.potentials])
     fiber_metric = ginv
     for _ in range(slots - 1):
-        fiber_metric = kron(fiber_metric, ginv)
-    fiber_metric = kron(fiber_metric, h)
-    out = BundleSpec(grid, (n**slots) * d, pots, fiber_metric)
+        fiber_metric = pointwise_kron(fiber_metric, ginv)
+    fiber_metric = pointwise_kron(fiber_metric, bundle.fiber_metric)
+    out = BundleSpec(grid, (n**slots) * bundle.fiber_dim, pots, fiber_metric)
     bundle._induced[slots] = (metric, out)
     return out

@@ -33,27 +33,19 @@ def _check_context(u, bundle, metric):
         )
 
 
-def _gamma_slot_sum(gamma, values, rank, full_field):
-    """Sum over slots of the Christoffel action on a section's slot axes.
+def _gamma_slot_sum(gamma, values, rank):
+    """Sum over the slots of a rank >= 1 section of the Christoffel action.
 
-    With full_field the whole Gamma[..., m, y, l] field is contracted and the
-    result carries the new direction axis y; otherwise gamma is a fixed
-    direction slice Gamma[..., m, l].
+    The whole Gamma[..., m, y, l] field is contracted, so the result carries
+    the new direction axis y.
     """
-    if rank == 0:
-        return 0.0
     letters = _SLOTS[:rank]
     total = None
     for s in range(rank):
         u_sub = letters[:s] + "m" + letters[s + 1 :]
-        if full_field:
-            term = np.einsum(
-                f"...my{letters[s]},...{u_sub}z->...y{letters}z", gamma, values
-            )
-        else:
-            term = np.einsum(
-                f"...m{letters[s]},...{u_sub}z->...{letters}z", gamma, values
-            )
+        term = np.einsum(
+            f"...my{letters[s]},...{u_sub}z->...y{letters}z", gamma, values
+        )
         total = term if total is None else total + term
     return total
 
@@ -72,7 +64,7 @@ def covariant_derivative(u, bundle, metric, check_support=True):
     letters = _SLOTS[:r]
     if not metric.is_constant and r > 0:
         gamma = metric.christoffel_field()
-        parts -= _gamma_slot_sum(gamma, u.values, r, full_field=True)
+        parts -= _gamma_slot_sum(gamma, u.values, r)
     if not bundle.is_flat and r == 0:
         # a matrix times a vector is fast grid-first, and a rank-0 caller
         # should not pay for a grid-last copy of the potentials
@@ -91,14 +83,11 @@ def covariant_derivative(u, bundle, metric, check_support=True):
     return TensorSection(grid, r + 1, parts, u.fiber_dim)
 
 
-def _coordinate_directional(u, axis, bundle, metric):
-    """nabla along a single coordinate direction, rank preserved."""
+def _coordinate_directional(u, axis, bundle):
+    """nabla along one coordinate direction of a constant metric, rank kept."""
     grid = u.grid
     r = u.rank
     out = grid.diff(u.values, axis=axis)
-    if not metric.is_constant and r > 0:
-        gamma_k = metric.christoffel_field()[..., :, axis, :]
-        out = out - _gamma_slot_sum(gamma_k, u.values, r, full_field=False)
     if not bundle.is_flat:
         a_k = bundle.potentials[..., axis, :, :]
         letters = _SLOTS[:r]
@@ -157,7 +146,7 @@ def multiindex_derivative(u, idx, bundle, metric):
     if metric.is_constant:
         out = u
         for i in reversed(idx):
-            out = _coordinate_directional(out, i - 1, bundle, metric)
+            out = _coordinate_directional(out, i - 1, bundle)
         return out
     for out in tower(u, bundle, metric, len(idx)):
         pass

@@ -372,12 +372,11 @@ def nabla_to_mixed(spec, gens):
     source = spec.source
     d = source.fiber_dim
     eye = np.broadcast_to(np.eye(d, dtype=complex), grid.shape + (d, d))
-    tgt_cache = {}
     per_depth = [{(): eye}]
     for j in range(1, spec.order + 1):
         prev = per_depth[j - 1]
         cur = {}
-        tgt = _induced(source, metric, tgt_cache, j - 1)
+        tgt = induced_tensor_bundle(source, metric, j - 1)
         for chain, phi in prev.items():
             der = _hom_derivative(phi, source, tgt, metric)
             for i in range(gens.n_gens):

@@ -93,6 +93,57 @@ def test_hom_potential_matches_commutator_action(grid):
     assert np.allclose(lhs, rhs)
 
 
+def _reference_tensor_and_hom(be, bf):
+    """The tensor and Hom potentials written out as explicit Kronecker terms."""
+    lead = be.grid.dim + 1
+
+    def eye(k):
+        return np.eye(k, dtype=complex).reshape((1,) * lead + (k, k))
+
+    de, df = be.fiber_dim, bf.fiber_dim
+    tensor = pointwise_kron(be.potentials, eye(df)) + pointwise_kron(
+        eye(de), bf.potentials
+    )
+    hom = pointwise_kron(bf.potentials, eye(de)) - pointwise_kron(
+        eye(df), np.swapaxes(be.potentials, -1, -2)
+    )
+    return tensor, hom
+
+
+@pytest.mark.parametrize("shape", [(17,), (17, 17)])
+@pytest.mark.parametrize("de,df", [(1, 1), (1, 3), (2, 3), (3, 2)])
+def test_tensor_and_hom_potentials_match_explicit_kronecker_terms(shape, de, df):
+    g = ChartGrid([(-1, 1)] * len(shape), shape)
+    rng = np.random.default_rng(7)
+
+    def pots(d):
+        size = g.shape + (g.dim, d, d)
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    be = BundleSpec(g, de, pots(de))
+    bf = BundleSpec(g, df, pots(df))
+    tensor, hom = _reference_tensor_and_hom(be, bf)
+    assert np.array_equal(be.tensor(bf).potentials, tensor)
+    assert np.array_equal(be.hom(bf).potentials, hom)
+
+
+def test_tensor_of_constant_and_field_fiber_metrics_broadcasts(grid):
+    h = np.array([[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]])
+    x1 = grid.coords[0]
+    field = np.zeros(grid.shape + (3, 3), dtype=complex)
+    field[...] = np.diag([1.0, 2.0, 0.5])
+    field[..., 0, 1] = field[..., 1, 0] = 0.3 * x1
+    const = BundleSpec(grid, 2, fiber_metric=h)
+    varying = BundleSpec(grid, 3, fiber_metric=field)
+    h_field = np.broadcast_to(h, grid.shape + (2, 2))
+    got = const.tensor(varying).fiber_metric
+    assert got.shape == grid.shape + (6, 6)
+    assert np.array_equal(got, pointwise_kron(h_field, field))
+    assert np.array_equal(
+        varying.tensor(const).fiber_metric, pointwise_kron(field, h_field)
+    )
+
+
 def test_section_shape_guards(grid):
     with pytest.raises(ShapeMismatch):
         TensorSection(grid, 1, np.zeros(grid.shape + (3,)), 3)
@@ -130,7 +181,8 @@ def _reference_induced(bundle, metric, slots):
     fiber_metric = ginv
     for _ in range(slots - 1):
         fiber_metric = pointwise_kron(fiber_metric, ginv)
-    return pots, pointwise_kron(fiber_metric, bundle.fiber_metric_field())
+    h = np.broadcast_to(bundle.fiber_metric, bundle.grid.shape + (d, d))
+    return pots, pointwise_kron(fiber_metric, h)
 
 
 def test_induced_bundle_is_memoized_per_metric_object(grid):
@@ -154,14 +206,17 @@ def test_constant_metric_induced_bundle_matches_grid_construction(grid, slots, g
     got = induced_tensor_bundle(bundle, metric, slots)
     assert np.array_equal(got.potentials, pots)
     assert got.metric_is_constant
-    assert np.array_equal(got.fiber_metric_field(), fiber_metric)
+    assert np.array_equal(
+        np.broadcast_to(got.fiber_metric, fiber_metric.shape), fiber_metric
+    )
 
 
-def test_curved_induced_bundle_matches_grid_construction(grid):
+@pytest.mark.parametrize("slots", [1, 2, 3])
+def test_curved_induced_bundle_matches_grid_construction(grid, slots):
     x1, x2 = grid.coords
     metric = MetricField.conformal(grid, 0.2 * x1 * x2)
     bundle = magnetic_example_bundle(grid)
-    pots, fiber_metric = _reference_induced(bundle, metric, 2)
-    got = induced_tensor_bundle(bundle, metric, 2)
+    pots, fiber_metric = _reference_induced(bundle, metric, slots)
+    got = induced_tensor_bundle(bundle, metric, slots)
     assert np.array_equal(got.potentials, pots)
     assert np.array_equal(got.fiber_metric, fiber_metric)
