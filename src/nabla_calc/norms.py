@@ -67,6 +67,18 @@ def _check_p(p):
     return p
 
 
+def _power_scale(top, power):
+    """Divisor that keeps top ** power, the largest term of a sum, in range.
+
+    The largest value itself when top ** power would pass 2^+-500, else 1.0:
+    unscaled sums keep their bits, so an exact identity between two norms
+    at moderate exponents stays exact.
+    """
+    if 0.0 < top < math.inf and abs(power * math.log2(top)) > 500.0:
+        return top
+    return 1.0
+
+
 def lp_norm(u, p, metric, bundle=None, region=None):
     """L^p norm by trapezoid quadrature against dvol; grid max for p = inf.
 
@@ -77,14 +89,14 @@ def lp_norm(u, p, metric, bundle=None, region=None):
     if u.grid != metric.grid:
         raise ChartMismatch("section and metric live on different grids")
     ns = pointwise_norm_sq(u, metric, bundle)
+    top = float(np.max(ns if region is None else np.where(region, ns, 0.0)))
     if math.isinf(p):
-        if region is not None:
-            ns = np.where(region, ns, 0.0)
-        return float(np.sqrt(np.max(ns)))
+        return math.sqrt(top)
     w = u.grid.quad_weights() * metric.sqrt_det
     if region is not None:
         w = np.where(region, w, 0.0)
-    return float(np.sum(w * ns ** (p / 2.0)) ** (1.0 / p))
+    scale = _power_scale(top, p / 2.0)
+    return math.sqrt(scale) * float(np.sum(w * (ns / scale) ** (p / 2.0)) ** (1.0 / p))
 
 
 def strict_max(*values):
@@ -93,9 +105,12 @@ def strict_max(*values):
 
 
 def _lp_combine(terms, p):
-    if math.isinf(p):
-        return strict_max(*terms)
-    return float(sum(t**p for t in terms) ** (1.0 / p))
+    """(sum_i t_i^p)^(1/p) of nonnegative terms; the max for p = inf."""
+    top = strict_max(*terms)
+    if math.isinf(p) or not 0.0 < top < math.inf:
+        return top
+    scale = _power_scale(top, p)
+    return scale * float(sum((t / scale) ** p for t in terms) ** (1.0 / p))
 
 
 def _tower_sup(u, bundle, metric, depth):
@@ -226,16 +241,8 @@ def covering_norm(u, covering, s, p, bundle, metric):
     mult = covering_multiplicity(boxes, grid.dim)
     grid.check_support(u.values, s * grid.stencil_radius)
     levels = tower(u, bundle, metric, s)
-    if math.isinf(p):
-        value = strict_max(
-            *(lp_norm(d, p, metric, bundle, region=m) for d in levels for m in masks)
-        )
-        return value, mult
-    total = 0.0
-    for d in levels:
-        for m in masks:
-            total += lp_norm(d, p, metric, bundle, region=m) ** p
-    return float(total ** (1.0 / p)), mult
+    terms = [lp_norm(d, p, metric, bundle, region=m) for d in levels for m in masks]
+    return _lp_combine(terms, p), mult
 
 
 def _inv_exp(p):

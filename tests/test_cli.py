@@ -223,6 +223,50 @@ def test_overflowing_complex_power_exits_two(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_finite_exponents_stay_finite(tmp_path, capsys):
+    cfg = {
+        "name": "large-p",
+        "chart": {"box": [[-1, 1], [-1, 1]], "h": 2 / 16},
+        "metric": {"kind": "flat"},
+        "bundle": {"kind": "trivial", "fiber_dim": 1},
+        "seed": 5,
+        "checks": [
+            {
+                "check": "multiplication-property",
+                "tolerance": 1e-9,
+                "trials": 3,
+                "s": 1,
+                "p": "inf",
+                "q": 2000,
+                "r": 2000,
+            },
+            {
+                "check": "norm-table",
+                "tolerance": 1.0,
+                "orders": [0, 1],
+                "exponents": [2000],
+            },
+            {
+                "check": "covering-bounds",
+                "tolerance": 1e-10,
+                "coverings": 3,
+                "s": 1,
+                "exponents": [2000],
+            },
+        ],
+    }
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    args = ["run", "--scenario", path, "--out", str(out_dir), "--format", "json"]
+    assert main(args) == 0, capsys.readouterr().out
+    with open(out_dir / "large-p.json") as fh:
+        payload = json.load(fh)
+    for row in payload["checks"] + payload["norms"]:
+        value = row.get("measured", row.get("value"))
+        assert isinstance(value, float) and math.isfinite(value), row
+
+
 def fuzz_base_config():
     """A 33-point 1-D scenario with two cheap checks."""
     return {

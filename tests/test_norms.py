@@ -13,6 +13,7 @@ from nabla_calc.errors import (
 from nabla_calc.geometry import MetricField, WeightPair
 from nabla_calc.grid import ChartGrid
 from nabla_calc.norms import (
+    _lp_combine,
     conformal_weighted_check,
     covering_multiplicity,
     covering_norm,
@@ -174,6 +175,23 @@ def test_multiplication_constant_values():
     assert multiplication_constant(5, math.inf, 2000, 2000) == pytest.approx(32.0)
     with pytest.raises(ExponentMismatch):
         multiplication_constant(1, 2, 2, 3)
+
+
+def test_lp_combine_scales_large_exponents():
+    assert _lp_combine([3.0, 4.0], 2000) == 4.0
+    assert _lp_combine([3.0, 4.0], 2) == pytest.approx(5.0)
+    assert _lp_combine([0.0, 0.0], 2000) == 0.0
+    assert _lp_combine([1.0, math.inf], 2000) == math.inf
+    assert math.isnan(_lp_combine([1e300, math.nan], 2000))
+
+
+def test_lp_norm_at_large_exponent_tends_to_the_sup():
+    u = 10.0 * random_section(GRID, 0, 2, seeded_rng(9, "large-p"))
+    sup = lp_norm(u, math.inf, FLAT, BUNDLE)
+    big = lp_norm(u, 2000, FLAT, BUNDLE)
+    assert math.isfinite(big) and 0.0 < big
+    assert big == pytest.approx(sup, rel=1e-2)
+    assert lp_norm(TensorSection.zeros(GRID, 0, 2), 2000, FLAT, BUNDLE) == 0.0
 
 
 def test_equivalence_constant_values():
