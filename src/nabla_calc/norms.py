@@ -89,12 +89,12 @@ def lp_norm(u, p, metric, bundle=None, region=None):
     if u.grid != metric.grid:
         raise ChartMismatch("section and metric live on different grids")
     ns = pointwise_norm_sq(u, metric, bundle)
-    top = float(np.max(ns if region is None else np.where(region, ns, 0.0)))
+    if region is not None:
+        ns = np.where(region, ns, 0.0)
+    top = float(np.max(ns))
     if math.isinf(p):
         return math.sqrt(top)
     w = u.grid.quad_weights() * metric.sqrt_det
-    if region is not None:
-        w = np.where(region, w, 0.0)
     scale = _power_scale(top, p / 2.0)
     return math.sqrt(scale) * float(np.sum(w * (ns / scale) ** (p / 2.0)) ** (1.0 / p))
 

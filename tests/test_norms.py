@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,21 @@ def test_lp_norm_at_large_exponent_tends_to_the_sup():
     assert math.isfinite(big) and 0.0 < big
     assert big == pytest.approx(sup, rel=1e-2)
     assert lp_norm(TensorSection.zeros(GRID, 0, 2), 2000, FLAT, BUNDLE) == 0.0
+
+
+def test_lp_norm_region_ignores_larger_values_outside_it():
+    # (1.5 / 0.5) ** 2000 overflows: the scale comes from the region's max,
+    # so the values outside the region must not be raised to the power p
+    left = GRID.coords[0] < 0.0
+    vals = np.where(left, 0.5, 1.5)[..., None]
+    u = TensorSection(GRID, 0, vals, 1)
+    inside = TensorSection(GRID, 0, np.where(left, 0.5, 0.0)[..., None], 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norm(u, 2000, FLAT, region=left)
+        assert got == lp_norm(inside, 2000, FLAT)
+        assert lp_norm(u, math.inf, FLAT, region=left) == 0.5
+    assert got == pytest.approx(0.5, rel=1e-3)
 
 
 def test_equivalence_constant_values():
