@@ -10,7 +10,7 @@ from the directional adjoint rule through a generator frame.
 
 import numpy as np
 
-from .bundles import FockSlice, TensorSection, induced_tensor_bundle
+from .bundles import TensorSection, induced_tensor_bundle
 from .calculus import divergence, tower
 from .errors import ChartMismatch, NonadmissibleWeight, ShapeMismatch
 from .geometry import conformal_rescale
@@ -133,10 +133,10 @@ def bidiff_from_ops(p, q):
     if h.shape[-2:] != href.shape[-2:] or not np.allclose(h, href):
         raise ShapeMismatch("operator targets carry different fiber metrics")
     coefficients = {}
-    for i, pi in enumerate(p.coefficients.entries):
+    for i, pi in enumerate(p.coefficients):
         if not np.any(pi):
             continue
-        for j, qj in enumerate(q.coefficients.entries):
+        for j, qj in enumerate(q.coefficients):
             if not np.any(qj):
                 continue
             coefficients[(i, j)] = np.einsum(
@@ -167,10 +167,9 @@ def _add_ladders(a, b):
         return b
     entries = [None] * (max(a.order, b.order) + 1)
     for op in (a, b):
-        for m, c in enumerate(op.coefficients.entries):
+        for m, c in enumerate(op.coefficients):
             entries[m] = c if entries[m] is None else entries[m] + c
-    ladder = FockSlice(a.grid, a.source.fiber_dim, a.target.fiber_dim, entries)
-    return NablaOpSpec(a.source, a.target, a.metric, ladder, _joint_class(a, b))
+    return NablaOpSpec(a.source, a.target, a.metric, entries, _joint_class(a, b))
 
 
 def _gradient_adjoint(bundle, metric, gens):
@@ -299,11 +298,11 @@ def weighted_duality_check(spec, weight, u, w, p=2.0, gens=None):
     for (i, j), a in spec.coefficients.items():
         mid = measure[..., None, None] * a
         for t in range(i + 1):
-            b_t = b_ladders[i].entries[t]
+            b_t = b_ladders[i][t]
             if not np.any(b_t):
                 continue
             for tau in range(j + 1):
-                c_tau = c_ladders[j].entries[tau]
+                c_tau = c_ladders[j][tau]
                 if not np.any(c_tau):
                     continue
                 block = np.einsum(

@@ -212,40 +212,6 @@ class TensorSection:
         )
 
 
-class FockSlice:
-    """Coefficient ladder a^[j], j = 0..mu, over flattened derivative fibers.
-
-    Entry j maps the flattened fiber of a rank-j section (slot axes folded
-    into the fiber, slot-major) to the target fiber, so it is stored as a
-    grid + (target_dim, n^j * source_dim) complex field.  An entry given as
-    None is the zero level and is stored as zeros of that shape.
-    """
-
-    def __init__(self, grid, source_dim, target_dim, entries):
-        n = grid.dim
-        source_dim = int(source_dim)
-        target_dim = int(target_dim)
-        if not entries:
-            raise ShapeMismatch("a coefficient ladder needs at least the order-0 entry")
-        checked = []
-        for j, a in enumerate(entries):
-            want = grid.shape + (target_dim, (n**j) * source_dim)
-            a = np.zeros(want, complex) if a is None else np.asarray(a, complex)
-            if a.shape != want:
-                raise ShapeMismatch(
-                    f"coefficient {j} has shape {a.shape}, expected {want}"
-                )
-            checked.append(a)
-        self.grid = grid
-        self.source_dim = source_dim
-        self.target_dim = target_dim
-        self.entries = checked
-
-    @property
-    def order(self):
-        return len(self.entries) - 1
-
-
 def magnetic_example_bundle(grid):
     """The oscillating off-diagonal magnetic potential on C^2 over R^2.
 

@@ -83,14 +83,6 @@ class GeneratorSystem:
         # is declared rather than measured
         self.frechet = bool(frechet)
 
-    def vector(self, j):
-        """Components of Z_j (1-based label)."""
-        return self.z[..., j - 1, :]
-
-    def covector(self, j):
-        """Components of xi_j (1-based label)."""
-        return self.xi[..., j - 1, :]
-
 
 def reconstruction_defect(gens):
     """Largest entry of sum_j Z_j (x) xi_j minus the identity, over the grid."""

@@ -12,12 +12,7 @@ import math
 
 import numpy as np
 
-from .bundles import (
-    FockSlice,
-    TensorSection,
-    induced_tensor_bundle,
-    pointwise_kron,
-)
+from .bundles import TensorSection, induced_tensor_bundle, pointwise_kron
 from .calculus import covariant_derivative, curvature, tower
 from .errors import ChartMismatch, ShapeMismatch
 from .geometry import WeightPair
@@ -35,28 +30,35 @@ _FIELD_TAGS = ("smooth", "bounded")
 
 
 class NablaOpSpec:
-    """Ladder operator sum_j a^[j] nabla^j with explicit coefficient data."""
+    """Ladder operator sum_j a^[j] nabla^j with explicit coefficient data.
+
+    Level j maps the flattened fiber of a rank-j section (slot axes folded
+    into the fiber, slot-major) to the target fiber, so it is stored as a
+    grid + (target_dim, n^j * source_dim) complex field.  A level given as
+    None is the zero level and is stored as zeros of that shape.
+    """
 
     def __init__(self, source, target, metric, coefficients, coefficient_class="smooth"):
         if coefficient_class not in _COEFF_TAGS:
             raise ValueError(f"unknown coefficient class {coefficient_class!r}")
         grid = metric.grid
-        if source.grid != grid or target.grid != grid or coefficients.grid != grid:
+        if source.grid != grid or target.grid != grid:
             raise ChartMismatch("operator ingredients live on different grids")
-        if coefficients.source_dim != source.fiber_dim:
-            raise ShapeMismatch(
-                f"coefficients eat fiber {coefficients.source_dim}, the source "
-                f"bundle has fiber {source.fiber_dim}"
-            )
-        if coefficients.target_dim != target.fiber_dim:
-            raise ShapeMismatch(
-                f"coefficients produce fiber {coefficients.target_dim}, the "
-                f"target bundle has fiber {target.fiber_dim}"
-            )
+        if not coefficients:
+            raise ShapeMismatch("a coefficient ladder needs at least the order-0 entry")
+        checked = []
+        for j, a in enumerate(coefficients):
+            want = grid.shape + (target.fiber_dim, (grid.dim**j) * source.fiber_dim)
+            a = np.zeros(want, complex) if a is None else np.asarray(a, complex)
+            if a.shape != want:
+                raise ShapeMismatch(
+                    f"coefficient {j} has shape {a.shape}, expected {want}"
+                )
+            checked.append(a)
         self.source = source
         self.target = target
         self.metric = metric
-        self.coefficients = coefficients
+        self.coefficients = checked
         self.coefficient_class = coefficient_class
 
     @property
@@ -65,7 +67,7 @@ class NablaOpSpec:
 
     @property
     def order(self):
-        return self.coefficients.order
+        return len(self.coefficients) - 1
 
 
 def _joint_class(*specs):
@@ -77,10 +79,9 @@ def _joint_class(*specs):
 
 def _scaled(spec, factor):
     """The same ladder with every level multiplied by factor."""
-    entries = [factor * a for a in spec.coefficients.entries]
-    ladder = FockSlice(spec.grid, spec.source.fiber_dim, spec.target.fiber_dim, entries)
+    levels = [factor * a for a in spec.coefficients]
     return NablaOpSpec(
-        spec.source, spec.target, spec.metric, ladder, spec.coefficient_class
+        spec.source, spec.target, spec.metric, levels, spec.coefficient_class
     )
 
 
@@ -91,10 +92,7 @@ def identity_op(bundle, metric):
 
 def multiplication_op(a, source, target, metric, coefficient_class="smooth"):
     """Order-0 operator u -> a u for a Hom field a."""
-    grid = metric.grid
-    a = np.asarray(a, dtype=complex)
-    ladder = FockSlice(grid, source.fiber_dim, target.fiber_dim, [a])
-    return NablaOpSpec(source, target, metric, ladder, coefficient_class)
+    return NablaOpSpec(source, target, metric, [a], coefficient_class)
 
 
 def gradient_op(bundle, metric, depth=1):
@@ -104,8 +102,7 @@ def gradient_op(bundle, metric, depth=1):
     top = grid.dim**depth * d
     target = induced_tensor_bundle(bundle, metric, depth) if depth else bundle
     eye = np.broadcast_to(np.eye(top, dtype=complex), grid.shape + (top, top))
-    ladder = FockSlice(grid, d, top, [None] * depth + [eye])
-    return NablaOpSpec(bundle, target, metric, ladder, "totally-bounded")
+    return NablaOpSpec(bundle, target, metric, [None] * depth + [eye], "totally-bounded")
 
 
 def apply_nabla_op(spec, u):
@@ -121,7 +118,7 @@ def apply_nabla_op(spec, u):
     grid.check_support(u.values, spec.order * grid.stencil_radius)
     out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
     levels = tower(u, spec.source, spec.metric, spec.order)
-    for a, v in zip(spec.coefficients.entries, levels):
+    for a, v in zip(spec.coefficients, levels):
         out += np.einsum("...gk,...k->...g", a, v.values.reshape(grid.shape + (-1,)))
     return TensorSection(grid, 0, out, spec.target.fiber_dim)
 
@@ -182,10 +179,10 @@ def compose(q, p):
     metric = p.metric
     eye_lift = np.eye(n, dtype=complex).reshape((1,) * grid.dim + (n, n))
     out = [None] * (q.order + p.order + 1)
-    table = dict(enumerate(p.coefficients.entries))
+    table = dict(enumerate(p.coefficients))
     src_cache, tgt_cache = {}, {}
     for i in range(q.order + 1):
-        b = q.coefficients.entries[i]
+        b = q.coefficients[i]
         for m, mat in table.items():
             term = np.matmul(b, mat)
             out[m] = term if out[m] is None else out[m] + term
@@ -202,8 +199,7 @@ def compose(q, p):
             _put(nxt, m, der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1])))
             _put(nxt, m + 1, pointwise_kron(eye_lift, mat))
         table = nxt
-    ladder = FockSlice(grid, p.source.fiber_dim, q.target.fiber_dim, out)
-    return NablaOpSpec(p.source, q.target, metric, ladder, _joint_class(q, p))
+    return NablaOpSpec(p.source, q.target, metric, out, _joint_class(q, p))
 
 
 class MixedTerm:
@@ -349,13 +345,7 @@ def mixed_to_nabla(spec, gens=None):
         if spec.coefficient_class == "totally-bounded" and spec.field_class == "bounded"
         else "smooth"
     )
-    return NablaOpSpec(
-        source,
-        spec.target,
-        metric,
-        FockSlice(grid, d, spec.target.fiber_dim, total),
-        tag,
-    )
+    return NablaOpSpec(source, spec.target, metric, total, tag)
 
 
 def nabla_to_mixed(spec, gens):
@@ -387,7 +377,7 @@ def nabla_to_mixed(spec, gens):
                 _put(cur, (i + 1,) + chain, pointwise_kron(xi_col, phi))
         per_depth.append(cur)
     merged = {}
-    for j, a in enumerate(spec.coefficients.entries):
+    for j, a in enumerate(spec.coefficients):
         if not np.any(a):
             continue
         for chain, phi in per_depth[j].items():
@@ -512,7 +502,7 @@ def mapping_bound_check(spec, k, p, trials, seed=0):
     grid = spec.grid
     mu = spec.order
     coeff_norm = 0.0
-    for j, a in enumerate(spec.coefficients.entries):
+    for j, a in enumerate(spec.coefficients):
         src = induced_tensor_bundle(spec.source, metric, j)
         coeff_norm += coefficient_infty_norm(a, src, spec.target, metric, k)
     constant = multiplication_constant(k, math.inf, p, p) * coeff_norm

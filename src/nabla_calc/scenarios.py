@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bidiff import BidiffSpec
-from .bundles import BundleSpec, FockSlice, magnetic_example_bundle
+from .bundles import BundleSpec, magnetic_example_bundle
 from .checks import CHECKS, _exponent, allowed_params
 from .errors import ConfigError, NablaCalcError, ResolutionError
 from .expressions import evaluate
@@ -487,9 +487,7 @@ def _build_operators(scenario, grid, bundle, metric, fields):
                     )
                 by_j[j] = mat
             entries = [by_j.get(j) for j in range(max(by_j) + 1)]
-            ops[name] = NablaOpSpec(
-                bundle, bundle, metric, FockSlice(grid, d, d, entries), tag
-            )
+            ops[name] = NablaOpSpec(bundle, bundle, metric, entries, tag)
         else:
             what = f"operator {name!r} coefficient"
             terms = [

@@ -167,17 +167,11 @@ class BumpSection:
         return self._assemble(grid, orders)
 
 
-def random_bump_section(grid_or_box, rank, fiber_dim, rng, margin_width=None, **kw):
+def random_bump_section(grid, rank, fiber_dim, rng, margin_width=None, **kw):
     """Random section with independent bump components; returns BumpSection."""
-    if hasattr(grid_or_box, "box"):
-        box = grid_or_box.box
-        if margin_width is None:
-            margin_width = default_margin_width(grid_or_box)
-    else:
-        box = grid_or_box
-        if margin_width is None:
-            raise ShapeMismatch("margin_width is required when passing a bare box")
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    if margin_width is None:
+        margin_width = default_margin_width(grid)
+    box = tuple((float(lo), float(hi)) for lo, hi in grid.box)
     n = len(box)
     components = {}
     for comp in np.ndindex(*((n,) * rank + (fiber_dim,))):
@@ -185,13 +179,9 @@ def random_bump_section(grid_or_box, rank, fiber_dim, rng, margin_width=None, **
     return BumpSection(box, rank, fiber_dim, components)
 
 
-def random_section(grid, rank, fiber_dim, rng, real=False, **kw):
+def random_section(grid, rank, fiber_dim, rng, **kw):
     """Random TensorSection on a grid (values only, no derivative accessor)."""
-    bumps = random_bump_section(grid, rank, fiber_dim, rng, real=real, **kw)
-    sec = bumps.section(grid)
-    if real:
-        sec = TensorSection(grid, rank, sec.values.real.astype(complex), fiber_dim)
-    return sec
+    return random_bump_section(grid, rank, fiber_dim, rng, **kw).section(grid)
 
 
 def random_vector_field(grid, rng, **kw):

@@ -2,9 +2,10 @@
 
 perfbench/reference.json holds, for each builtin of the "builtins"
 workload, the seed and the measured value of every check it runs.  The
-five builtins other than flat-operators run here in about two seconds,
-so a change that moves a builtin residual fails tier-1 and not only the
-benchmark gate.  The drift limit is the benchmark's own.
+five builtins other than flat-operators and two of flat-operators' four
+checks run here in a few seconds, so a change that moves a builtin
+residual fails tier-1 and not only the benchmark gate.  The drift limit
+is the benchmark's own.
 """
 
 import json
@@ -25,19 +26,32 @@ def _reference_builtins():
 
 
 LIGHT = sorted(name for name in _reference_builtins() if name != "flat-operators")
+# the two flat-operators checks that run in about a second each; mapping-bound
+# applies a ladder operator built from the scenario's coefficient config
+FAST_FLAT_OPERATORS = ("mapping-bound", "multiplication-property")
 
 
-@pytest.mark.parametrize("name", LIGHT)
-def test_light_builtin_matches_reference(name):
+def _assert_matches_reference(name, wanted):
     ref = _reference_builtins()[name]
-    wanted = [check for check, _ in ref["measured"]]
+    values = dict(ref["measured"])
     cfg = builtin_scenario(name)
     cfg["checks"] = [c for c in cfg["checks"] if c["check"] in wanted]
     report = run_scenario(parse_scenario(cfg), seed=ref["seed"])
-    assert [row.check for row in report.checks] == wanted
-    for row, (_, value) in zip(report.checks, ref["measured"]):
+    assert [row.check for row in report.checks] == list(wanted)
+    for row in report.checks:
+        value = values[row.check]
         assert row.passed, f"{row.check} failed with measured={row.measured}"
         assert math.isfinite(row.measured)
         assert abs(row.measured - value) <= DRIFT_LIMIT, (
             f"{row.check} drifted {row.measured - value:.3e} from {value!r}"
         )
+
+
+@pytest.mark.parametrize("name", LIGHT)
+def test_light_builtin_matches_reference(name):
+    wanted = [check for check, _ in _reference_builtins()[name]["measured"]]
+    _assert_matches_reference(name, wanted)
+
+
+def test_flat_operators_fast_checks_match_reference():
+    _assert_matches_reference("flat-operators", FAST_FLAT_OPERATORS)

@@ -51,6 +51,19 @@ def test_compatibility_defect_detects_non_skew(grid):
     assert compatibility_defect(bundle) == pytest.approx(2.0)
 
 
+def test_compatibility_defect_on_varying_fiber_metric():
+    # h = e^{2f} I is preserved by A_k = (d_k f) I, since d_k h = 2 (d_k f) h
+    grid = ChartGrid([(-1, 1), (-1, 1)], (65, 65))
+    x1, x2 = grid.coords
+    f = x1 * x2 / 4
+    h = np.exp(2 * f)[..., None, None] * np.eye(2)
+    pots = np.zeros(grid.shape + (2, 2, 2), dtype=complex)
+    pots[..., 0, :, :] = (x2 / 4)[..., None, None] * np.eye(2)
+    pots[..., 1, :, :] = (x1 / 4)[..., None, None] * np.eye(2)
+    assert compatibility_defect(BundleSpec(grid, 2, pots, h)) <= 1e-6
+    assert compatibility_defect(BundleSpec(grid, 2, None, h)) >= 0.1
+
+
 def test_dual_potentials_give_leibniz_pairing(grid):
     rng = seeded_rng(3, "dual")
     bundle = BundleSpec(grid, 2, random_skew_potentials(grid, 2, rng))

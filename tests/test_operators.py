@@ -5,7 +5,6 @@ import pytest
 
 from nabla_calc.bundles import (
     BundleSpec,
-    FockSlice,
     TensorSection,
     induced_tensor_bundle,
     magnetic_example_bundle,
@@ -71,7 +70,7 @@ def _flat_laplacian_ladder(grid, fiber_dim):
     for k in range(n):
         for e in range(d):
             entries[2][..., e, (k * n + k) * d + e] = 1.0
-    return FockSlice(grid, d, d, entries)
+    return entries
 
 
 def test_identity_op_is_identity():
@@ -113,10 +112,31 @@ def test_first_order_extraction_on_magnetic_bundle():
     a1[..., 0, 2] = 1.0
     a1[..., 1, 3] = 1.0
     zero = np.zeros(GRID.shape + (2, 2), dtype=complex)
-    spec = NablaOpSpec(MAGNET, MAGNET, FLAT, FockSlice(GRID, 2, 2, [zero, a1]))
+    spec = NablaOpSpec(MAGNET, MAGNET, FLAT, [zero, a1])
     out = apply_nabla_op(spec, u)
     want = multiindex_derivative(u, (2,), MAGNET, FLAT)
     assert np.allclose(out.values, want.values, atol=1e-14)
+
+
+def test_ladder_levels_are_checked_against_the_bundles():
+    with pytest.raises(ShapeMismatch):
+        NablaOpSpec(MAGNET, SCALAR, FLAT, [])
+    zero0 = np.zeros(GRID.shape + (1, 2), dtype=complex)
+    with pytest.raises(ShapeMismatch):
+        NablaOpSpec(MAGNET, SCALAR, FLAT, [zero0, np.zeros(GRID.shape + (1, 2))])
+    with pytest.raises(ShapeMismatch):
+        NablaOpSpec(MAGNET, SCALAR, FLAT, [np.zeros(GRID.shape + (2, 2))])
+
+
+def test_absent_ladder_levels_become_zeros():
+    a2 = np.ones(GRID.shape + (1, 8), dtype=complex)
+    spec = NablaOpSpec(MAGNET, SCALAR, FLAT, [None, None, a2])
+    assert spec.order == 2
+    for j, want in enumerate(((1, 2), (1, 4))):
+        level = spec.coefficients[j]
+        assert level.shape == GRID.shape + want
+        assert level.dtype == complex and not np.any(level)
+    assert np.array_equal(spec.coefficients[2], a2)
 
 
 def test_apply_rejects_wrong_shape_and_grid():
@@ -183,8 +203,8 @@ def _compose_reference(q, p):
     grid, metric, n = p.grid, p.metric, p.grid.dim
     eye_lift = np.eye(n).reshape((1,) * grid.dim + (n, n))
     out = [0] * (q.order + p.order + 1)
-    table = dict(enumerate(p.coefficients.entries))
-    for i, b in enumerate(q.coefficients.entries):
+    table = dict(enumerate(p.coefficients))
+    for i, b in enumerate(q.coefficients):
         for m, mat in table.items():
             out[m] = out[m] + np.einsum("...gf,...fk->...gk", b, mat)
         if i == q.order:
@@ -214,8 +234,7 @@ def _random_ladder(source, target, order, rng):
         random_trig_field(n, (target.fiber_dim, n**j * d), rng).sample(GRID)
         for j in range(order + 1)
     ]
-    ladder = FockSlice(GRID, d, target.fiber_dim, entries)
-    return NablaOpSpec(source, target, FLAT, ladder)
+    return NablaOpSpec(source, target, FLAT, entries)
 
 
 def test_hom_derivative_matches_einsum_reference():
@@ -235,7 +254,7 @@ def test_compose_matches_einsum_reference():
     grad2 = gradient_op(MAGNET, FLAT, 2)
     after_grad2 = _random_ladder(grad2.target, MAGNET, 1, rng)
     for q, p in ((ladder, _random_ladder(MAGNET, MAGNET, 1, rng)), (after_grad2, grad2)):
-        got = compose(q, p).coefficients.entries
+        got = compose(q, p).coefficients
         want = _compose_reference(q, p)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -281,7 +300,7 @@ def test_mixed_to_nabla_flat_laplacian_coefficients():
     ]
     ladder = mixed_to_nabla(MixedOpSpec(SCALAR, SCALAR, FLAT, terms)).coefficients
     want = _flat_laplacian_ladder(GRID, 1)
-    for got, ref in zip(ladder.entries, want.entries):
+    for got, ref in zip(ladder, want):
         assert np.allclose(got, ref, atol=1e-14)
 
 
@@ -351,13 +370,7 @@ def test_nabla_to_mixed_round_trip_on_sphere():
         np.zeros(GRID.shape + (1, 2), dtype=complex),
         a2,
     ]
-    spec = NablaOpSpec(
-        bundle,
-        bundle,
-        sphere_g,
-        FockSlice(GRID, 1, 1, entries),
-        "totally-bounded",
-    )
+    spec = NablaOpSpec(bundle, bundle, sphere_g, entries, "totally-bounded")
     mixed = nabla_to_mixed(spec, gens)
     assert mixed.coefficient_class == "totally-bounded"
     assert mixed.field_class == "bounded"
@@ -510,7 +523,7 @@ def test_weighted_conjugate_trivial_weight_is_noop():
     weight = WeightPair(GRID, ones, ones)
     grad = gradient_op(MAGNET, FLAT)
     conj = weighted_conjugate(grad, weight)
-    for got, ref in zip(conj.coefficients.entries, grad.coefficients.entries):
+    for got, ref in zip(conj.coefficients, grad.coefficients):
         assert np.allclose(got, ref, atol=1e-14)
 
 

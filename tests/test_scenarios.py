@@ -250,8 +250,8 @@ def test_operator_and_form_construction():
     }
     ctx = build_context(parse_scenario(cfg))
     op = ctx.nabla_ops["drift"]
-    assert op.coefficients.order == 1
-    assert np.allclose(op.coefficients.entries[0], 0.0)
+    assert op.order == 1
+    assert np.allclose(op.coefficients[0], 0.0)
     form = ctx.bidiff_forms["mass"]
     assert form.half_order == 0
     assert ctx.gens is not None
@@ -295,6 +295,36 @@ def test_graph_embedding_builds_its_induced_metric():
     inner = ctx.grid.interior_mask(ctx.grid.stencil_radius)
     assert np.allclose(g11[inner], (1 + 0.01 * x2**2)[inner], atol=1e-12)
     assert ctx.gens is not None
+
+
+def test_matrix_metric_matches_conformal_kind():
+    phi = "x1*x2/4"
+    cfg = tiny_config()
+    cfg["metric"] = {
+        "kind": "matrix",
+        "entries": [[f"exp(2*({phi}))", "0"], ["0", f"exp(2*({phi}))"]],
+    }
+    got = build_context(parse_scenario(cfg)).metric.values
+    cfg["metric"] = {"kind": "conformal", "phi": phi}
+    want = build_context(parse_scenario(cfg)).metric.values
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_complex_matrix_metric_is_rejected():
+    cfg = tiny_config()
+    cfg["metric"] = {"kind": "matrix", "entries": [["1", "0.1*i"], ["0.1*i", "1"]]}
+    with pytest.raises(ConfigError):
+        build_context(parse_scenario(cfg))
+
+
+def test_random_embedding_metric_is_its_gram_matrix():
+    cfg = tiny_config()
+    cfg["metric"] = {"kind": "embedded"}
+    cfg["embedding"] = {"name": "random", "ambient": 3}
+    ctx = build_context(parse_scenario(cfg))
+    xi = ctx.gens.xi
+    gram = np.einsum("...ji,...jk->...ik", xi, xi)
+    assert np.allclose(ctx.metric.values, gram, rtol=1e-14, atol=0)
 
 
 def test_constant_fiber_metric_is_one_matrix():
