@@ -8,6 +8,8 @@ seed and the check name, so repeated runs see identical draws and checks
 can execute concurrently without sharing state.
 """
 
+import functools
+import inspect
 import math
 
 import numpy as np
@@ -70,20 +72,107 @@ CHECKS = {}
 _TINY = 1e-300
 
 
-def register(name, params=()):
-    """Add a check function to the registry under its config name."""
+def _is_number(value):
+    """A JSON number; a bool is neither a number nor an integer."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value, low=0):
+    return _is_number(value) and isinstance(value, int) and value >= low
+
+
+def _is_positive(value):
+    return _is_number(value) and 0 < value < math.inf
+
+
+def _exponent(value):
+    """A config exponent, a number >= 1 or the string "inf", as a float; else None."""
+    if isinstance(value, str):
+        return math.inf if value.strip().lower() in ("inf", "infinity") else None
+    return float(value) if _is_number(value) and value >= 1 else None
+
+
+def _listed(test, want):
+    """Rule for a non-empty list whose items pass test."""
+    return (
+        lambda v: isinstance(v, (list, tuple)) and bool(v) and all(map(test, v)),
+        f"a non-empty list of {want}",
+    )
+
+
+def _check_keys(cfg, allowed, what):
+    extra = sorted(set(cfg) - set(allowed))
+    if extra:
+        raise ConfigError(f"{what} has unknown keys {extra}")
+
+
+def _need(cfg, key, what):
+    if key not in cfg:
+        raise ConfigError(f"{what} is missing the {key!r} entry")
+    return cfg[key]
+
+
+def _check_rules(cfg, rules, what):
+    """Each key of cfg that rules names must pass its (test, want) rule."""
+    for key, (test, want) in rules.items():
+        if key in cfg and not test(cfg[key]):
+            raise ConfigError(f"{what} {key} must be {want}, got {cfg[key]!r}")
+
+
+# check parameter -> (test, what a valid value is); entries are stored as
+# written, since the report digest hashes them
+_COUNT = (lambda v: _is_int(v, 1), "an integer >= 1")
+_EXPONENT = (lambda v: _exponent(v) is not None, "a number >= 1 or 'inf'")
+_PARAM_RULES = {
+    **dict.fromkeys(("trials", "pairs", "coverings", "specs", "max_order"), _COUNT),
+    **dict.fromkeys(("p", "q", "r"), _EXPONENT),
+    **dict.fromkeys(("orders", "half_orders"), _listed(_is_int, "integers >= 0")),
+    **dict.fromkeys(("form", "operator"), (lambda v: isinstance(v, str), "a name")),
+    "s": (_is_int, "an integer >= 0"),
+    "tolerance": (_is_positive, "a finite positive number"),
+    "exponents": _listed(_EXPONENT[0], "numbers >= 1 or 'inf'"),
+}
+
+
+def register(name):
+    """Add a check to the registry under its config name.
+
+    Its parameters after ctx are its config keys.  The registered function
+    takes (ctx, entry) and calls the check with check_params(name, entry).
+    """
 
     def wrap(fn):
-        CHECKS[name] = (fn, frozenset(params) | {"check", "tolerance"})
-        return fn
+        @functools.wraps(fn)
+        def run(ctx, entry):
+            return fn(ctx, **check_params(name, entry))
+
+        params = list(inspect.signature(fn).parameters.values())[1:]
+        CHECKS[name] = (run, {param.name: param.default for param in params})
+        return run
 
     return wrap
 
 
-def allowed_params(name):
+def check_params(name, entry):
+    """The keyword arguments of check name for a config entry.
+
+    The entry holds "tolerance", maybe "check", and parameters that pass
+    their rules; the rest take their defaults, and exponents become floats.
+    """
     if name not in CHECKS:
         raise ResolutionError(f"unknown check {name!r}")
-    return CHECKS[name][1]
+    defaults = CHECKS[name][1]
+    what = f"check {name!r}"
+    _check_keys(entry, ("check", *defaults), what)
+    _need(entry, "tolerance", what)
+    _check_rules(entry, _PARAM_RULES, what)
+    params = {key: entry.get(key, default) for key, default in defaults.items()}
+    for key, value in params.items():
+        if key in ("p", "q", "r"):
+            params[key] = _exponent(value)
+        elif key == "exponents":
+            params[key] = [_exponent(p) for p in value]
+    return params
 
 
 def _result(measured, bound, passed, norms=()):
@@ -97,15 +186,6 @@ def _result(measured, bound, passed, norms=()):
 
 def _rng(ctx, label, trial=0):
     return seeded_rng(ctx.seed, f"{ctx.name}:{label}", trial)
-
-
-def _exponent(value):
-    """Config exponents: numbers, or the string "inf"."""
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError(f"exponent {value!r} is not a number or 'inf'")
-    return float(value)
 
 
 def _norm_row(ctx, s, p, value, bound, passed):
@@ -173,13 +253,11 @@ def _closed_form_second_derivatives(grid, xi, phase):
     }
 
 
-@register("multiindex-formulas", params=("trials",))
-def check_multiindex_formulas(ctx, params):
+@register("multiindex-formulas")
+def check_multiindex_formulas(ctx, tolerance, trials=20):
     """Mixed second derivatives against their displayed closed forms."""
     _require_flat(ctx, "the closed-form check")
     _require_oscillating_bundle(ctx, "the closed-form check")
-    trials = int(params.get("trials", 20))
-    tol = params["tolerance"]
     phase = np.exp(1j * ctx.grid.coords[0] ** 3)
     worst = 0.0
     for trial in range(trials):
@@ -192,18 +270,16 @@ def check_multiindex_formulas(ctx, params):
             got = multiindex_derivative(sec, idx, ctx.bundle, ctx.metric)
             scale = max(float(np.max(np.abs(want))), _TINY)
             worst = strict_max(worst, float(np.max(np.abs(got.values - want))) / scale)
-    return _result(worst, None, worst <= tol)
+    return _result(worst, None, worst <= tolerance)
 
 
-@register("leibniz-rule", params=("trials",))
-def check_leibniz_rule(ctx, params):
+@register("leibniz-rule")
+def check_leibniz_rule(ctx, tolerance, trials=5):
     """nabla(a u) = (nabla a) u + (1 (x) a) nabla u for Hom coefficients."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     n = grid.dim
     pots = ctx.bundle.potentials
-    trials = int(params.get("trials", 5))
-    tol = params["tolerance"]
     worst = 0.0
     for trial in range(trials):
         rng = _rng(ctx, "leibniz-rule", trial)
@@ -226,17 +302,15 @@ def check_leibniz_rule(ctx, params):
         )
         scale = max(float(np.max(np.abs(lhs))), _TINY)
         worst = strict_max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-    return _result(worst, None, worst <= tol)
+    return _result(worst, None, worst <= tolerance)
 
 
-@register("curvature-commutator", params=("trials",))
-def check_curvature_commutator(ctx, params):
+@register("curvature-commutator")
+def check_curvature_commutator(ctx, tolerance, trials=5):
     """(nabla_kl - nabla_lk) u = R_kl u on every direction pair."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     r = curvature(ctx.bundle)
-    trials = int(params.get("trials", 5))
-    tol = params["tolerance"]
     worst = 0.0
     for trial in range(trials):
         u = random_section(grid, 0, d, _rng(ctx, "curvature-commutator", trial))
@@ -251,16 +325,14 @@ def check_curvature_commutator(ctx, params):
                     float(np.max(np.abs(rhs))), float(np.max(np.abs(u.values))), _TINY
                 )
                 worst = strict_max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-    return _result(worst, None, worst <= tol)
+    return _result(worst, None, worst <= tolerance)
 
 
-@register("adjoint-pairing", params=("pairs",))
-def check_adjoint_pairing(ctx, params):
+@register("adjoint-pairing")
+def check_adjoint_pairing(ctx, tolerance, pairs=20):
     """integral (nabla_X xi, eta) + (xi, (nabla_X + div X) eta) = 0."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    pairs = int(params.get("pairs", 20))
-    tol = params["tolerance"]
     worst = 0.0
     for trial in range(pairs):
         xi = random_section(grid, 0, d, _rng(ctx, "adjoint-xi", trial))
@@ -276,7 +348,7 @@ def check_adjoint_pairing(ctx, params):
             _TINY,
         )
         worst = strict_max(worst, abs(lhs - rhs) / scale)
-    return _result(worst, None, worst <= tol)
+    return _result(worst, None, worst <= tolerance)
 
 
 def _covering_with_multiplicity(grid, k, rng):
@@ -305,19 +377,17 @@ def _covering_with_multiplicity(grid, k, rng):
     return boxes
 
 
-@register("covering-bounds", params=("coverings", "s", "exponents"))
-def check_covering_bounds(ctx, params):
+@register("covering-bounds")
+def check_covering_bounds(
+    ctx, tolerance, coverings=10, s=1, exponents=(1.0, 2.0, math.inf)
+):
     """norm <= covering norm <= N^{1/p} norm, equality at p = inf."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    count = int(params.get("coverings", 10))
-    s = int(params.get("s", 1))
-    exponents = [_exponent(p) for p in params.get("exponents", [1, 2, "inf"])]
-    tol = params["tolerance"]
     u = random_section(grid, 0, d, _rng(ctx, "covering-section"))
     worst = 0.0
     rows = []
-    for trial in range(count):
+    for trial in range(coverings):
         k = 1 + trial % 4
         boxes = _covering_with_multiplicity(
             grid, k, _rng(ctx, "covering-boxes", trial)
@@ -334,18 +404,16 @@ def check_covering_bounds(ctx, params):
             else:
                 violation = max(base - value, value - upper) / max(base, _TINY)
             worst = strict_max(worst, violation)
-            rows.append(_norm_row(ctx, s, p, value, upper, violation <= tol))
-    return _result(worst, None, worst <= tol, rows)
+            rows.append(_norm_row(ctx, s, p, value, upper, violation <= tolerance))
+    return _result(worst, None, worst <= tolerance, rows)
 
 
-@register("generator-identities", params=("trials",))
-def check_generator_identities(ctx, params):
+@register("generator-identities")
+def check_generator_identities(ctx, tolerance, trials=5):
     """Frame duality, reconstruction, and the two-route derivative laws."""
     gens = _require_gens(ctx, "the generator check")
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    trials = int(params.get("trials", 5))
-    tol = params["tolerance"]
     worst = reconstruction_defect(gens)
     for trial in range(trials):
         x = random_vector_field(grid, _rng(ctx, "gen-vector", trial))
@@ -373,18 +441,14 @@ def check_generator_identities(ctx, params):
         straight = divergence(field, ctx.metric)
         scale = max(1.0, float(np.max(np.abs(straight))))
         worst = strict_max(worst, float(np.max(np.abs(via - straight))) / scale)
-    return _result(worst, None, worst <= tol)
+    return _result(worst, None, worst <= tolerance)
 
 
-@register("norm-equivalence", params=("trials", "s", "p"))
-def check_norm_equivalence(ctx, params):
+@register("norm-equivalence")
+def check_norm_equivalence(ctx, tolerance, trials=25, s=2, p=2.0):
     """Perturbed-connection norms stay within the recursion constant."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    trials = int(params.get("trials", 25))
-    s = int(params.get("s", 2))
-    p = _exponent(params.get("p", 2))
-    tol = params["tolerance"]
     worst = 0.0
     all_passed = True
     for trial in range(trials):
@@ -399,20 +463,16 @@ def check_norm_equivalence(ctx, params):
         c = report["constant"]
         worst = strict_max(worst, other / (c * base), base / (c * other))
         all_passed = all_passed and report["passed"]
-    return _result(worst, 1.0, all_passed and worst <= 1.0 + tol)
+    return _result(worst, 1.0, all_passed and worst <= 1.0 + tolerance)
 
 
-@register("multiplication-property", params=("trials", "s", "p", "q", "r"))
-def check_multiplication_property(ctx, params):
+@register("multiplication-property")
+def check_multiplication_property(
+    ctx, tolerance, trials=25, s=2, p=math.inf, q=2.0, r=2.0
+):
     """||a u|| <= C ||a|| ||u|| with the recursion constant C."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    trials = int(params.get("trials", 25))
-    s = int(params.get("s", 2))
-    p = _exponent(params.get("p", "inf"))
-    q = _exponent(params.get("q", 2))
-    r = _exponent(params.get("r", 2))
-    tol = params["tolerance"]
     constant = multiplication_constant(s, p, q, r)
     scalar = BundleSpec(grid, 1)
     worst = 0.0
@@ -424,18 +484,15 @@ def check_multiplication_property(ctx, params):
         nu = sobolev_norm(u, s, q, ctx.bundle, ctx.metric)
         nau = sobolev_norm(au, s, r, ctx.bundle, ctx.metric)
         worst = strict_max(worst, nau / max(constant * na * nu, _TINY))
-    return _result(worst, 1.0, worst <= 1.0 + tol)
+    return _result(worst, 1.0, worst <= 1.0 + tolerance)
 
 
-@register("weighted-ratio", params=("orders", "p"))
-def check_weighted_ratio(ctx, params):
+@register("weighted-ratio")
+def check_weighted_ratio(ctx, tolerance, orders=(0, 1), p=2.0):
     """Weighted norm against the classical norm of the twisted section."""
     weight = _require_weight(ctx, "the weighted-ratio check")
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    orders = [int(s) for s in params.get("orders", [0, 1])]
-    p = _exponent(params.get("p", 2))
-    tol = params["tolerance"]
     worst = 0.0
     rows = []
     for s in orders:
@@ -444,7 +501,7 @@ def check_weighted_ratio(ctx, params):
         )
         u = bumps.section(grid)
         report = conformal_weighted_check(
-            u, weight, s, p, ctx.bundle, ctx.metric, bound=1.0 + tol
+            u, weight, s, p, ctx.bundle, ctx.metric, bound=1.0 + tolerance
         )
         deviation = abs(report["ratio"] - 1.0)
         worst = strict_max(worst, deviation)
@@ -455,10 +512,10 @@ def check_weighted_ratio(ctx, params):
                 p,
                 report["weighted_norm"],
                 report["conformal_norm"],
-                deviation <= tol,
+                deviation <= tolerance,
             )
         )
-    return _result(worst, None, worst <= tol, rows)
+    return _result(worst, None, worst <= tolerance, rows)
 
 
 def _random_mixed_spec(ctx, gens, trial, max_order):
@@ -475,15 +532,12 @@ def _random_mixed_spec(ctx, gens, trial, max_order):
     return MixedOpSpec(ctx.bundle, ctx.bundle, ctx.metric, terms)
 
 
-@register("operator-rewrite", params=("specs", "max_order"))
-def check_operator_rewrite(ctx, params):
+@register("operator-rewrite")
+def check_operator_rewrite(ctx, tolerance, specs=10, max_order=2):
     """Mixed -> ladder -> mixed -> sorted preserves the induced map."""
     gens = _require_gens(ctx, "the rewrite check")
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    specs = int(params.get("specs", 10))
-    max_order = int(params.get("max_order", 2))
-    tol = params["tolerance"]
     needed = (max_order + 1) * grid.stencil_radius
     if grid.support_margin < needed:
         raise ConfigError(
@@ -509,23 +563,20 @@ def check_operator_rewrite(ctx, params):
         worst = strict_max(
             worst, float(np.max(np.abs(one.values - two.values))) / scale
         )
-    return _result(worst, None, sorted_ok and worst <= tol)
+    return _result(worst, None, sorted_ok and worst <= tolerance)
 
 
-@register("mapping-bound", params=("operator", "s", "p", "trials"))
-def check_mapping_bound(ctx, params):
+@register("mapping-bound")
+def check_mapping_bound(ctx, tolerance, operator=None, s=1, p=2.0, trials=10):
     """Observed operator norms against the certified coefficient bound."""
-    name = params.get("operator")
-    if not isinstance(ctx.nabla_ops.get(name), NablaOpSpec):
-        raise ResolutionError(f"scenario defines no nabla-form operator named {name!r}")
-    spec = ctx.nabla_ops[name]
-    s = int(params.get("s", 1))
-    p = _exponent(params.get("p", 2))
-    trials = int(params.get("trials", 10))
-    tol = params["tolerance"]
+    if not isinstance(ctx.nabla_ops.get(operator), NablaOpSpec):
+        raise ResolutionError(
+            f"scenario defines no nabla-form operator named {operator!r}"
+        )
+    spec = ctx.nabla_ops[operator]
     report = mapping_bound_check(spec, s, p, trials, seed=ctx.seed)
     measured = report["max_ratio"] / max(report["bound"], _TINY)
-    return _result(measured, 1.0, report["passed"] and measured <= tol)
+    return _result(measured, 1.0, report["passed"] and measured <= tolerance)
 
 
 def _ladder_form(ctx, half_order):
@@ -541,22 +592,18 @@ def _ladder_form(ctx, half_order):
     return BidiffSpec(ctx.bundle, ctx.bundle, ctx.metric, half_order, table)
 
 
-@register("divergence-duality", params=("pairs", "half_orders", "form"))
-def check_divergence_duality(ctx, params):
+@register("divergence-duality")
+def check_divergence_duality(ctx, tolerance, pairs=10, half_orders=(1,), form=None):
     """<P u, w> = B(u, w) for the weakly assembled operator."""
     gens = _require_gens(ctx, "the duality check")
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    pairs = int(params.get("pairs", 10))
-    tol = params["tolerance"]
-    if "form" in params:
-        name = params["form"]
-        if name not in ctx.bidiff_forms:
-            raise ResolutionError(f"scenario defines no form named {name!r}")
-        specs = [ctx.bidiff_forms[name]]
+    if form is not None:
+        if form not in ctx.bidiff_forms:
+            raise ResolutionError(f"scenario defines no form named {form!r}")
+        specs = [ctx.bidiff_forms[form]]
     else:
-        orders = [int(m) for m in params.get("half_orders", [1])]
-        specs = [_ladder_form(ctx, m) for m in orders]
+        specs = [_ladder_form(ctx, m) for m in half_orders]
     worst = 0.0
     for spec in specs:
         m = spec.half_order
@@ -574,23 +621,19 @@ def check_divergence_duality(ctx, params):
                 _TINY,
             )
             worst = strict_max(worst, abs(weak - strong) / denom)
-    return _result(worst, None, worst <= tol)
+    return _result(worst, None, worst <= tolerance)
 
 
-@register("weighted-duality", params=("pairs", "form", "p"))
-def check_weighted_duality(ctx, params):
+@register("weighted-duality")
+def check_weighted_duality(ctx, tolerance, pairs=5, form=None, p=2.0):
     """Two-picture Dirichlet pairing under an admissible weight."""
     weight = _require_weight(ctx, "the weighted-duality check")
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    pairs = int(params.get("pairs", 5))
-    p = _exponent(params.get("p", 2))
-    tol = params["tolerance"]
-    if "form" in params:
-        name = params["form"]
-        if name not in ctx.bidiff_forms:
-            raise ResolutionError(f"scenario defines no form named {name!r}")
-        spec = ctx.bidiff_forms[name]
+    if form is not None:
+        if form not in ctx.bidiff_forms:
+            raise ResolutionError(f"scenario defines no form named {form!r}")
+        spec = ctx.bidiff_forms[form]
     else:
         spec = _ladder_form(ctx, 1)
     worst = 0.0
@@ -601,11 +644,11 @@ def check_weighted_duality(ctx, params):
         worst = strict_max(worst, report["residual"])
         if "weak_residual" in report:
             worst = strict_max(worst, report["weak_residual"])
-    return _result(worst, None, worst <= tol)
+    return _result(worst, None, worst <= tolerance)
 
 
-@register("norm-table", params=("orders", "exponents"))
-def check_norm_table(ctx, params):
+@register("norm-table")
+def check_norm_table(ctx, tolerance, orders=(0, 1, 2), exponents=(2.0,)):
     """Emit a table of Sobolev norms of one reproducible random section.
 
     Informational, except that a non-finite norm fails its row and the
@@ -613,8 +656,6 @@ def check_norm_table(ctx, params):
     """
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    orders = [int(s) for s in params.get("orders", [0, 1, 2])]
-    exponents = [_exponent(p) for p in params.get("exponents", [2])]
     u = random_section(grid, 0, d, _rng(ctx, "norm-table"))
     rows = []
     measured = 0.0

@@ -44,7 +44,7 @@ class NablaOpSpec:
         grid = metric.grid
         if source.grid != grid or target.grid != grid:
             raise ChartMismatch("operator ingredients live on different grids")
-        if not coefficients:
+        if len(coefficients) == 0:
             raise ShapeMismatch("a coefficient ladder needs at least the order-0 entry")
         checked = []
         for j, a in enumerate(coefficients):

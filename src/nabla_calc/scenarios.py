@@ -9,6 +9,7 @@ parallel threads since each draws from its own counter-based stream.
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,7 +22,18 @@ import numpy as np
 
 from .bidiff import BidiffSpec
 from .bundles import BundleSpec, magnetic_example_bundle
-from .checks import CHECKS, _exponent, allowed_params
+from .checks import (
+    _COUNT,
+    CHECKS,
+    _check_keys,
+    _check_rules,
+    _is_int,
+    _is_number,
+    _is_positive,
+    _listed,
+    _need,
+    check_params,
+)
 from .errors import ConfigError, NablaCalcError, ResolutionError
 from .expressions import evaluate
 from .generators import (
@@ -38,20 +50,6 @@ from .operators import _COEFF_TAGS, MixedOpSpec, MixedTerm, NablaOpSpec
 from .reports import CheckRow, Report
 from .sections import seeded_rng
 
-_TOP_KEYS = (
-    "name",
-    "chart",
-    "metric",
-    "bundle",
-    "weight",
-    "embedding",
-    "fields",
-    "operators",
-    "forms",
-    "checks",
-    "seed",
-    "out",
-)
 # kind -> the keys it takes besides "kind"; a metric needs all of them
 _METRIC_KINDS = {"flat": (), "conformal": ("phi",), "matrix": ("entries",), "embedded": ()}
 _BUNDLE_KINDS = {
@@ -59,51 +57,6 @@ _BUNDLE_KINDS = {
     "magnetic-example": (),
 }
 _EMBEDDING_NAMES = ("identity", "sphere-ambient", "graph", "random")
-
-
-def _is_number(value):
-    """A JSON number; a bool is neither a number nor an integer."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value, low=0):
-    return _is_number(value) and isinstance(value, int) and value >= low
-
-
-def _is_positive(value):
-    return _is_number(value) and 0 < value < math.inf
-
-
-def _is_exponent(value):
-    if isinstance(value, str):
-        return value.strip().lower() in ("inf", "infinity")
-    return _is_number(value) and value >= 1
-
-
-def _listed(test, want):
-    """Rule for a non-empty list whose items pass test."""
-    return (
-        lambda v: isinstance(v, list) and bool(v) and all(map(test, v)),
-        f"a non-empty list of {want}",
-    )
-
-
-# check parameter -> (test, what a valid value is); entries are stored as
-# written, since the report digest hashes them
-_COUNT = (lambda v: _is_int(v, 1), "an integer >= 1")
-_EXPONENT = (_is_exponent, "a number >= 1 or 'inf'")
-_NAME = (lambda v: isinstance(v, str), "a name")
-_PARAM_RULES = {
-    **dict.fromkeys(("trials", "pairs", "coverings", "specs", "max_order"), _COUNT),
-    **dict.fromkeys(("p", "q", "r"), _EXPONENT),
-    **dict.fromkeys(("orders", "half_orders"), _listed(_is_int, "integers >= 0")),
-    "s": (_is_int, "an integer >= 0"),
-    "tolerance": (_is_positive, "a finite positive number"),
-    "exponents": _listed(_is_exponent, "numbers >= 1 or 'inf'"),
-    "form": _NAME,
-    "operator": _NAME,
-}
-
 _FLAG = (lambda v: isinstance(v, bool), "true or false")
 _EMBEDDING_RULES = {
     "ambient": _COUNT,
@@ -148,18 +101,6 @@ class CheckContext:
     seed: int = 0
 
 
-def _check_keys(cfg, allowed, what):
-    extra = sorted(set(cfg) - set(allowed))
-    if extra:
-        raise ConfigError(f"{what} has unknown keys {extra}")
-
-
-def _need(cfg, key, what):
-    if key not in cfg:
-        raise ConfigError(f"{what} is missing the {key!r} entry")
-    return cfg[key]
-
-
 def _object(value, what, keys=None):
     """A config section as a dict.
 
@@ -200,7 +141,7 @@ def parse_scenario(cfg):
     """Validate a config dict into a Scenario; resolve all referenced names."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"scenario config must be an object, got {type(cfg).__name__}")
-    _check_keys(cfg, _TOP_KEYS, "scenario")
+    _check_keys(cfg, [f.name for f in dataclasses.fields(Scenario)], "scenario")
     name = _need(cfg, "name", "scenario")
     if not isinstance(name, str) or not name or not all(
         c.isalnum() or c in "._-" for c in name
@@ -210,11 +151,15 @@ def parse_scenario(cfg):
     chart = _need(cfg, "chart", "scenario")
     chart = _object(chart, "chart", ("box", "h", "margin", "fd_order"))
     box = _need(chart, "box", "chart")
-    try:
-        box = tuple((float(lo), float(hi)) for lo, hi in box)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"chart box must list [lo, hi] pairs: {exc}") from exc
-    if not box or not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box):
+    if not isinstance(box, (list, tuple)) or not box or not all(
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and all(map(_is_number, pair))
+        for pair in box
+    ):
+        raise ConfigError(f"chart box must list [lo, hi] number pairs, got {box!r}")
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    if not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box):
         raise ConfigError(f"chart box {box} needs finite lo < hi on every axis")
     h = _need(chart, "h", "chart")
     if not _is_positive(h):
@@ -242,6 +187,7 @@ def parse_scenario(cfg):
     if weight is not None:
         weight = _object(weight, "weight", ("rho", "f0", "admissible"))
         _need(weight, "rho", "weight")
+        _check_rules(weight, {"admissible": _FLAG}, "weight")
 
     embedding = cfg.get("embedding")
     if embedding is not None:
@@ -254,11 +200,7 @@ def parse_scenario(cfg):
             _need(embedding, "heights", "graph embedding")
         if ename == "random":
             _need(embedding, "ambient", "random embedding")
-        for key, (test, want) in _EMBEDDING_RULES.items():
-            if key in embedding and not test(embedding[key]):
-                raise ConfigError(
-                    f"embedding {key} must be {want}, got {embedding[key]!r}"
-                )
+        _check_rules(embedding, _EMBEDDING_RULES, "embedding")
     if kind == "embedded" and embedding is None:
         raise ConfigError("an embedded metric needs an embedding")
 
@@ -308,13 +250,7 @@ def parse_scenario(cfg):
         if not isinstance(entry, dict) or not isinstance(entry.get("check"), str):
             raise ConfigError(f"check entries need a 'check' name, got {entry!r}")
         check = entry["check"]
-        _check_keys(entry, allowed_params(check), f"check {check!r}")
-        _need(entry, "tolerance", f"check {check!r}")
-        for key, value in entry.items():
-            test, want = _PARAM_RULES.get(key, (None, None))
-            if test is not None and not test(value):
-                raise ConfigError(f"check {check!r} {key} must be {want}, got {value!r}")
-        p = _exponent(entry.get("p", 2))
+        p = check_params(check, entry).get("p")
         if check == "norm-equivalence" and math.isinf(p):
             raise ConfigError(f"check {check!r} needs a finite p, got {entry['p']!r}")
         if check == "weighted-duality" and not 1 < p < math.inf:
@@ -329,6 +265,8 @@ def parse_scenario(cfg):
     if not _is_int(seed):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     out = cfg.get("out")
+    if out is not None and not (isinstance(out, str) and out):
+        raise ConfigError(f"out must be a non-empty string, got {out!r}")
     return Scenario(
         name=name,
         chart=chart,
@@ -418,10 +356,8 @@ def _build_embedding(scenario, grid, seed):
         )
         return graph_embedding(grid, heights)
     rng = seeded_rng(seed, f"{scenario.name}:embedding")
-    kw = {}
-    if "amplitude" in cfg:
-        kw["amplitude"] = float(cfg["amplitude"])
-    return random_embedding(grid, int(cfg["ambient"]), rng, **kw), None
+    kw = {"amplitude": float(cfg["amplitude"])} if "amplitude" in cfg else {}
+    return random_embedding(grid, cfg["ambient"], rng, **kw), None
 
 
 def _build_metric(scenario, grid, emb, induced):
@@ -556,7 +492,7 @@ def build_context(scenario, h=None, fd_order=None, seed=None):
             if scenario.weight.get("f0") is not None:
                 f0 = _real_field(scenario.weight["f0"], grid, "weight f0")
             weight = WeightPair(
-                grid, rho, f0=f0, admissible=bool(scenario.weight.get("admissible"))
+                grid, rho, f0=f0, admissible=scenario.weight.get("admissible", False)
             )
         nabla_ops = _build_operators(scenario, grid, bundle, metric, fields)
         forms = _build_forms(scenario, grid, bundle, metric)
@@ -604,7 +540,6 @@ def run_scenario(scenario, h=None, fd_order=None, seed=None, threads=None):
     def run_one(entry):
         name = entry["check"]
         fn = CHECKS[name][0]
-        params = {k: v for k, v in entry.items() if k != "check"}
         digest = hashlib.sha256(
             json.dumps(
                 {"scenario": scenario.name, "seed": seed_used, "check": entry},
@@ -613,7 +548,7 @@ def run_scenario(scenario, h=None, fd_order=None, seed=None, threads=None):
         ).hexdigest()[:16]
         start = time.perf_counter()
         try:
-            out = fn(ctx, params)
+            out = fn(ctx, entry)
         except NablaCalcError as exc:
             raise type(exc)(f"check {name!r}: {exc}") from exc
         runtime = (time.perf_counter() - start) * 1000.0
@@ -622,7 +557,7 @@ def run_scenario(scenario, h=None, fd_order=None, seed=None, threads=None):
             digest=digest,
             measured=out["measured"],
             bound=out["bound"],
-            tolerance=float(params["tolerance"]),
+            tolerance=float(entry["tolerance"]),
             passed=out["passed"],
             runtime_ms=runtime,
         )

@@ -1,11 +1,15 @@
-"""Check verdicts on non-finite input: a NaN must fail, never pass as 0.0."""
+"""Check verdicts on non-finite input: a NaN must fail, never pass as 0.0;
+and check parameters, which are validated on every call."""
 
+import inspect
 import math
 
 import numpy as np
+import pytest
 
 from nabla_calc.bundles import BundleSpec
-from nabla_calc.checks import check_leibniz_rule, check_norm_table
+from nabla_calc.checks import CHECKS, _PARAM_RULES, check_leibniz_rule, check_norm_table
+from nabla_calc.errors import ConfigError
 from nabla_calc.geometry import MetricField
 from nabla_calc.grid import ChartGrid
 from nabla_calc.scenarios import CheckContext
@@ -46,3 +50,27 @@ def test_norm_table_on_finite_input_is_informational():
     ctx.bundle = BundleSpec(ctx.grid, 1)
     out = check_norm_table(ctx, {"tolerance": 1.0, "orders": [0, 1]})
     assert out["passed"] and out["measured"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "check, params",
+    [
+        (check_leibniz_rule, {"tolerance": 1e-5, "trials": 0}),
+        (check_norm_table, {"tolerance": 1.0, "orders": []}),
+        (check_norm_table, {"orders": [0]}),
+        (check_norm_table, {"tolerance": 1.0, "trials": 2}),
+    ],
+)
+def test_registry_calls_validate_their_parameters(check, params):
+    with pytest.raises(ConfigError):
+        check(_nan_potential_context(), params)
+
+
+def test_every_signature_default_passes_its_rule():
+    for name, (_, defaults) in CHECKS.items():
+        assert "tolerance" in defaults, name
+        for key, default in defaults.items():
+            if default in (inspect.Parameter.empty, None):
+                continue
+            test, want = _PARAM_RULES[key]
+            assert test(default), f"{name} {key}={default!r} is not {want}"

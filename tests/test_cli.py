@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import tempfile
 
 import pytest
@@ -268,13 +267,15 @@ def test_large_finite_exponents_stay_finite(tmp_path, capsys):
 
 
 def fuzz_base_config():
-    """A 33-point 1-D scenario with two cheap checks."""
+    """A 33-point 1-D scenario with a weight and two cheap checks."""
     return {
         "name": "fuzz",
         "chart": {"box": [[-1, 1]], "h": 2 / 32, "fd_order": 4, "margin": 6},
         "metric": {"kind": "flat"},
         "bundle": {"kind": "trivial", "fiber_dim": 1},
+        "weight": {"rho": "x1 + 2", "admissible": True},
         "seed": 1,
+        "out": "fuzz-out",
         "checks": [
             {
                 "check": "norm-table",
@@ -298,7 +299,8 @@ def fuzz_base_config():
 def _fuzz_leaves():
     cfg = fuzz_base_config()
     leaves = [("chart", key) for key in cfg["chart"]]
-    leaves += [("bundle", "fiber_dim"), ("seed",)]
+    leaves += [("chart", "box", 0, 0), ("chart", "box", 0, 1)]
+    leaves += [("bundle", "fiber_dim"), ("weight", "admissible"), ("seed",), ("out",)]
     for k, entry in enumerate(cfg["checks"]):
         leaves += [("checks", k, key) for key in entry if key != "check"]
     return leaves
@@ -326,13 +328,12 @@ def test_fuzzed_leaf_exits_cleanly(leaf, value):
         node = node[key]
     node[leaf[-1]] = value
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "scn.json")
-        with open(path, "w") as fh:
+    # without --out the reports go to the scenario's own out, under tmp
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with open("scn.json", "w") as fh:
             json.dump(cfg, fh)
-        argv = ["run", "--scenario", path, "--out", os.path.join(tmp, "out")]
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+            code = main(["run", "--scenario", "scn.json"])
     assert code in (0, 1, 2)
     if code == 2:
         lines = err.getvalue().splitlines()

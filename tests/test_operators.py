@@ -128,6 +128,16 @@ def test_ladder_levels_are_checked_against_the_bundles():
         NablaOpSpec(MAGNET, SCALAR, FLAT, [np.zeros(GRID.shape + (2, 2))])
 
 
+def test_ladder_given_as_one_array_stack():
+    with pytest.raises(ShapeMismatch):
+        NablaOpSpec(MAGNET, SCALAR, FLAT, np.zeros((0,) + GRID.shape + (1, 2)))
+    level = np.arange(math.prod(GRID.shape) * 2).reshape(GRID.shape + (1, 2)) * (1 + 1j)
+    stacked = NablaOpSpec(MAGNET, SCALAR, FLAT, level[None])
+    listed = NablaOpSpec(MAGNET, SCALAR, FLAT, [level])
+    assert stacked.order == listed.order == 0
+    assert np.array_equal(stacked.coefficients[0], listed.coefficients[0])
+
+
 def test_absent_ladder_levels_become_zeros():
     a2 = np.ones(GRID.shape + (1, 8), dtype=complex)
     spec = NablaOpSpec(MAGNET, SCALAR, FLAT, [None, None, a2])

@@ -120,6 +120,11 @@ def test_parse_round_trips_the_tiny_config():
         lambda c: c.update(embedding={"name": "graph", "heights": [5]}),
         lambda c: c.update(embedding={"name": "identity", "isometrize": "no"}),
         lambda c: c.update(embedding={"name": "identity", "frechet": "no"}),
+        # values that crashed the command line or were read loosely
+        lambda c: c.update(out=5),
+        lambda c: c["chart"].update(box=[["-1", "1"], ["-1", "1"]]),
+        lambda c: c["chart"].update(box=[[False, True], [-1, 1]]),
+        lambda c: c.update(weight={"rho": "x1 + 2", "admissible": "false"}),
     ],
 )
 def test_config_errors(mangle):
