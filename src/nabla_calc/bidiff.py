@@ -134,10 +134,10 @@ def bidiff_from_ops(p, q):
         raise ShapeMismatch("operator targets carry different fiber metrics")
     coefficients = {}
     for i, pi in enumerate(p.coefficients):
-        if not np.any(pi):
+        if pi is None or not np.any(pi):
             continue
         for j, qj in enumerate(q.coefficients):
-            if not np.any(qj):
+            if qj is None or not np.any(qj):
                 continue
             coefficients[(i, j)] = np.einsum(
                 "...ab,...bd,...ae->...de", h, np.conj(qj), pi
@@ -168,7 +168,8 @@ def _add_ladders(a, b):
     entries = [None] * (max(a.order, b.order) + 1)
     for op in (a, b):
         for m, c in enumerate(op.coefficients):
-            entries[m] = c if entries[m] is None else entries[m] + c
+            if c is not None:
+                entries[m] = c if entries[m] is None else entries[m] + c
     return NablaOpSpec(a.source, a.target, a.metric, entries, _joint_class(a, b))
 
 
@@ -202,6 +203,8 @@ def _gradient_adjoint(bundle, metric, gens):
                 "...y,...fe->...fye", gens.z[..., k, :].astype(complex), eye
             ).reshape(grid.shape + (d, grid.dim * d))
             scaled = c[..., k, l, None, None] * extract
+            if not np.any(scaled):
+                continue  # an orthogonal frame pair, e.g. k != l for the identity
             pick = multiplication_op(scaled, rank_one, bundle, metric, tag)
             total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
             zero_order = multiplication_op(
@@ -230,12 +233,14 @@ def assemble_divergence_form(spec, gens, bundle, metric):
     for (i, j), a in spec.coefficients.items():
         target_j = induced_tensor_bundle(bundle, metric, j) if j else bundle
         h_j = np.asarray(target_j.fiber_metric, dtype=complex)
-        mid_coeff = np.linalg.solve(np.swapaxes(h_j, -1, -2), a)
-        source_i = induced_tensor_bundle(source, metric, i) if i else source
-        mid = multiplication_op(
-            mid_coeff, source_i, target_j, metric, spec.coefficient_class
+        if h_j.ndim == 2 and np.array_equal(h_j, np.eye(len(h_j))):
+            mid_coeff = a
+        else:
+            mid_coeff = np.linalg.solve(np.swapaxes(h_j, -1, -2), a)
+        # a_ij grad^i as one ladder: levels below i are zero
+        term = NablaOpSpec(
+            source, target_j, metric, [None] * i + [mid_coeff], spec.coefficient_class
         )
-        term = compose(mid, gradient_op(source, metric, i))
         for level in range(j, 0, -1):
             if level not in adj_chain:
                 base = (
@@ -299,11 +304,11 @@ def weighted_duality_check(spec, weight, u, w, p=2.0, gens=None):
         mid = measure[..., None, None] * a
         for t in range(i + 1):
             b_t = b_ladders[i][t]
-            if not np.any(b_t):
+            if b_t is None or not np.any(b_t):
                 continue
             for tau in range(j + 1):
                 c_tau = c_ladders[j][tau]
-                if not np.any(c_tau):
+                if c_tau is None or not np.any(c_tau):
                     continue
                 block = np.einsum(
                     "...ad,...ab,...be->...de", np.conj(c_tau), mid, b_t

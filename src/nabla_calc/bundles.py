@@ -86,6 +86,7 @@ class BundleSpec:
         self.is_flat = not np.any(potentials)
         # induced_tensor_bundle memo: slots -> (metric, induced bundle)
         self._induced = {}
+        self._endo = None
         self._potentials_grid_last = None
 
     @property
@@ -127,7 +128,10 @@ class BundleSpec:
         return BundleSpec(self.grid, self.fiber_dim * other.fiber_dim, pots)
 
     def endo(self):
-        return self.hom(self)
+        """Hom(self, self), built on first use and kept like the induced memo."""
+        if self._endo is None:
+            self._endo = self.hom(self)
+        return self._endo
 
 
 def compatibility_defect(bundle):

@@ -35,7 +35,8 @@ class NablaOpSpec:
     Level j maps the flattened fiber of a rank-j section (slot axes folded
     into the fiber, slot-major) to the target fiber, so it is stored as a
     grid + (target_dim, n^j * source_dim) complex field.  A level given as
-    None is the zero level and is stored as zeros of that shape.
+    None is the zero level and stays None, so that every consumer skips it
+    instead of multiplying, lifting or differentiating zeros.
     """
 
     def __init__(self, source, target, metric, coefficients, coefficient_class="smooth"):
@@ -48,8 +49,11 @@ class NablaOpSpec:
             raise ShapeMismatch("a coefficient ladder needs at least the order-0 entry")
         checked = []
         for j, a in enumerate(coefficients):
+            if a is None:
+                checked.append(None)
+                continue
             want = grid.shape + (target.fiber_dim, (grid.dim**j) * source.fiber_dim)
-            a = np.zeros(want, complex) if a is None else np.asarray(a, complex)
+            a = np.asarray(a, complex)
             if a.shape != want:
                 raise ShapeMismatch(
                     f"coefficient {j} has shape {a.shape}, expected {want}"
@@ -79,7 +83,7 @@ def _joint_class(*specs):
 
 def _scaled(spec, factor):
     """The same ladder with every level multiplied by factor."""
-    levels = [factor * a for a in spec.coefficients]
+    levels = [None if a is None else factor * a for a in spec.coefficients]
     return NablaOpSpec(
         spec.source, spec.target, spec.metric, levels, spec.coefficient_class
     )
@@ -119,7 +123,9 @@ def apply_nabla_op(spec, u):
     out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
     levels = tower(u, spec.source, spec.metric, spec.order)
     for a, v in zip(spec.coefficients, levels):
-        out += np.einsum("...gk,...k->...g", a, v.values.reshape(grid.shape + (-1,)))
+        if a is not None:
+            flat = v.values.reshape(grid.shape + (-1,))
+            out += np.einsum("...gk,...k->...g", a, flat)
     return TensorSection(grid, 0, out, spec.target.fiber_dim)
 
 
@@ -147,12 +153,6 @@ def _directional_endo_derivative(b, field, bundle, metric):
     return np.einsum("...y,...yfk->...fk", field, der)
 
 
-def _induced(bundle, metric, cache, rank):
-    if rank not in cache:
-        cache[rank] = induced_tensor_bundle(bundle, metric, rank)
-    return cache[rank]
-
-
 def _put(table, key, mat):
     table[key] = mat if key not in table else table[key] + mat
 
@@ -163,7 +163,10 @@ def compose(q, p):
     Walks the product rule nabla(a w) = (nabla a) w + (1 (x) a) nabla w
     through Q's derivative depth, then contracts with Q's coefficients.
     The result has order at most order(Q) + order(P) and keeps the
-    totally-bounded tag only when both factors carry it.
+    totally-bounded tag only when both factors carry it.  A level of P
+    that is None or all zero never enters the product-rule table, a None
+    level of Q multiplies nothing, and a result level that nothing reaches
+    stays None.
     """
     if q.grid != p.grid:
         raise ChartMismatch("operator factors live on different grids")
@@ -179,21 +182,21 @@ def compose(q, p):
     metric = p.metric
     eye_lift = np.eye(n, dtype=complex).reshape((1,) * grid.dim + (n, n))
     out = [None] * (q.order + p.order + 1)
-    table = dict(enumerate(p.coefficients))
-    src_cache, tgt_cache = {}, {}
+    table = {m: a for m, a in enumerate(p.coefficients) if a is not None and np.any(a)}
     for i in range(q.order + 1):
         b = q.coefficients[i]
-        for m, mat in table.items():
-            term = np.matmul(b, mat)
-            out[m] = term if out[m] is None else out[m] + term
+        if b is not None:
+            for m, mat in table.items():
+                term = np.matmul(b, mat)
+                out[m] = term if out[m] is None else out[m] + term
         if i == q.order:
             break
         nxt = {}
         for m, mat in table.items():
             der = _hom_derivative(
                 mat,
-                _induced(p.source, metric, src_cache, m),
-                _induced(p.target, metric, tgt_cache, i),
+                induced_tensor_bundle(p.source, metric, m),
+                induced_tensor_bundle(p.target, metric, i),
                 metric,
             )
             _put(nxt, m, der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1])))
@@ -324,14 +327,13 @@ def mixed_to_nabla(spec, gens=None):
     d = source.fiber_dim
     eye = np.broadcast_to(np.eye(d, dtype=complex), grid.shape + (d, d))
     total = [None] * (spec.order + 1)
-    src_cache = {}
     for term in spec.terms:
         chain = {0: eye}
         for x in reversed(_term_fields(term, gens)):
             nxt = {}
             for m, c in chain.items():
                 der = _hom_derivative(
-                    c, _induced(source, metric, src_cache, m), source, metric
+                    c, induced_tensor_bundle(source, metric, m), source, metric
                 )
                 _put(nxt, m, np.einsum("...y,...yfk->...fk", x, der))
                 row = x[..., None, :].astype(complex)
@@ -378,7 +380,7 @@ def nabla_to_mixed(spec, gens):
         per_depth.append(cur)
     merged = {}
     for j, a in enumerate(spec.coefficients):
-        if not np.any(a):
+        if a is None or not np.any(a):
             continue
         for chain, phi in per_depth[j].items():
             _put(merged, chain, np.einsum("...gf,...fk->...gk", a, phi))
@@ -503,6 +505,8 @@ def mapping_bound_check(spec, k, p, trials, seed=0):
     mu = spec.order
     coeff_norm = 0.0
     for j, a in enumerate(spec.coefficients):
+        if a is None:
+            continue  # the zero level adds exactly 0.0
         src = induced_tensor_bundle(spec.source, metric, j)
         coeff_norm += coefficient_infty_norm(a, src, spec.target, metric, k)
     constant = multiplication_constant(k, math.inf, p, p) * coeff_norm

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nabla_calc import operators
 from nabla_calc.bidiff import (
     BidiffSpec,
     assemble_divergence_form,
@@ -12,12 +13,14 @@ from nabla_calc.bidiff import (
 )
 from nabla_calc.bundles import BundleSpec, TensorSection, magnetic_example_bundle
 from nabla_calc.calculus import covariant_derivative
+from nabla_calc.checks import _ladder_form
 from nabla_calc.errors import NonadmissibleWeight, ShapeMismatch, SupportViolation
 from nabla_calc.generators import build_generators, identity_embedding
 from nabla_calc.geometry import MetricField, WeightPair
 from nabla_calc.grid import ChartGrid
 from nabla_calc.norms import lp_norm
 from nabla_calc.operators import compose, gradient_op, identity_op
+from nabla_calc.scenarios import build_context, builtin_scenario, parse_scenario
 from nabla_calc.sections import (
     random_bump_section,
     random_scalar_bump,
@@ -343,3 +346,22 @@ def test_weighted_duality_rejects_undeclared_weight():
     u = random_section(GRID, 0, 1, rng)
     with pytest.raises(NonadmissibleWeight):
         weighted_duality_check(spec, weight, u, u)
+
+
+def test_ladder_form_assembly_differentiates_no_zero_level(monkeypatch):
+    # the flat-operators setting (magnetic bundle, identity frame) on a
+    # coarser chart: which levels are zero does not depend on the spacing
+    cfg = builtin_scenario("flat-operators")
+    cfg["chart"]["h"] = 2 / 32
+    ctx = build_context(parse_scenario(cfg))
+    spec = _ladder_form(ctx, 2)
+    inputs = []
+    hom_derivative = operators._hom_derivative
+
+    def recording(a, *args):
+        inputs.append(bool(np.any(a)))
+        return hom_derivative(a, *args)
+
+    monkeypatch.setattr(operators, "_hom_derivative", recording)
+    assemble_divergence_form(spec, ctx.gens, spec.cosource, ctx.metric)
+    assert inputs and all(inputs)

@@ -2,7 +2,7 @@
 
 perfbench/reference.json holds, for each builtin of the "builtins"
 workload, the seed and the measured value of every check it runs.  The
-five builtins other than flat-operators and two of flat-operators' four
+five builtins other than flat-operators and three of flat-operators' four
 checks run here in a few seconds, so a change that moves a builtin
 residual fails tier-1 and not only the benchmark gate.  The drift limit
 is the benchmark's own.
@@ -26,9 +26,11 @@ def _reference_builtins():
 
 
 LIGHT = sorted(name for name in _reference_builtins() if name != "flat-operators")
-# the two flat-operators checks that run in about a second each; mapping-bound
-# applies a ladder operator built from the scenario's coefficient config
-FAST_FLAT_OPERATORS = ("mapping-bound", "multiplication-property")
+# the flat-operators checks that run in a few seconds, in the builtin's order;
+# mapping-bound applies a ladder operator built from the scenario's coefficient
+# config, and divergence-duality assembles the weak operator of the half-order
+# 1 and 2 ladder forms through the coefficient algebra
+FAST_FLAT_OPERATORS = ("mapping-bound", "divergence-duality", "multiplication-property")
 
 
 def _assert_matches_reference(name, wanted):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nabla_calc.bidiff import _add_ladders, bidiff_from_ops
 from nabla_calc.bundles import (
     BundleSpec,
     TensorSection,
@@ -138,15 +139,14 @@ def test_ladder_given_as_one_array_stack():
     assert np.array_equal(stacked.coefficients[0], listed.coefficients[0])
 
 
-def test_absent_ladder_levels_become_zeros():
+def test_absent_ladder_levels_stay_none():
     a2 = np.ones(GRID.shape + (1, 8), dtype=complex)
     spec = NablaOpSpec(MAGNET, SCALAR, FLAT, [None, None, a2])
     assert spec.order == 2
-    for j, want in enumerate(((1, 2), (1, 4))):
-        level = spec.coefficients[j]
-        assert level.shape == GRID.shape + want
-        assert level.dtype == complex and not np.any(level)
+    assert spec.coefficients[:2] == [None, None]
     assert np.array_equal(spec.coefficients[2], a2)
+    with pytest.raises(ShapeMismatch):
+        NablaOpSpec(MAGNET, SCALAR, FLAT, [None, np.zeros(GRID.shape + (1, 2))])
 
 
 def test_apply_rejects_wrong_shape_and_grid():
@@ -209,14 +209,20 @@ def _hom_derivative_reference(a, source, target, grid):
 
 
 def _compose_reference(q, p):
-    """The levels of compose(q, p), built with einsum products."""
+    """The levels of compose(q, p), built with einsum products.
+
+    A None level is the zero level: it enters no product, and a result
+    level that no product reaches is None.
+    """
     grid, metric, n = p.grid, p.metric, p.grid.dim
     eye_lift = np.eye(n).reshape((1,) * grid.dim + (n, n))
-    out = [0] * (q.order + p.order + 1)
-    table = dict(enumerate(p.coefficients))
+    out = [None] * (q.order + p.order + 1)
+    table = {m: a for m, a in enumerate(p.coefficients) if a is not None}
     for i, b in enumerate(q.coefficients):
         for m, mat in table.items():
-            out[m] = out[m] + np.einsum("...gf,...fk->...gk", b, mat)
+            if b is not None:
+                term = np.einsum("...gf,...fk->...gk", b, mat)
+                out[m] = term if out[m] is None else out[m] + term
         if i == q.order:
             break
         nxt = {}
@@ -268,7 +274,8 @@ def test_compose_matches_einsum_reference():
         want = _compose_reference(q, p)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert _close(g, w)
+            assert (g is None) == (w is None)
+            assert g is None or _close(g, w)
 
 
 def test_compose_rejects_mismatched_factors():
@@ -534,7 +541,63 @@ def test_weighted_conjugate_trivial_weight_is_noop():
     grad = gradient_op(MAGNET, FLAT)
     conj = weighted_conjugate(grad, weight)
     for got, ref in zip(conj.coefficients, grad.coefficients):
+        got = 0.0 if got is None else got  # None is the zero level
+        ref = 0.0 if ref is None else ref
         assert np.allclose(got, ref, atol=1e-14)
+
+
+def _zero_filled(spec):
+    """The same ladder with every None level given as an explicit zero array."""
+    n, d = spec.grid.dim, spec.source.fiber_dim
+    levels = [
+        np.zeros(spec.grid.shape + (spec.target.fiber_dim, n**j * d), complex)
+        if a is None
+        else a
+        for j, a in enumerate(spec.coefficients)
+    ]
+    return NablaOpSpec(
+        spec.source, spec.target, spec.metric, levels, spec.coefficient_class
+    )
+
+
+def _same_ladder(one, two):
+    assert len(one.coefficients) == len(two.coefficients)
+    assert one.coefficient_class == two.coefficient_class
+    for a, b in zip(_zero_filled(one).coefficients, _zero_filled(two).coefficients):
+        assert np.array_equal(a, b)
+
+
+def test_none_levels_act_as_explicit_zeros():
+    rng = seeded_rng(7, "op-sparse")
+    a1 = random_trig_field(2, (2, 4), rng).sample(GRID)
+    sparse = NablaOpSpec(MAGNET, MAGNET, FLAT, [None, a1], "totally-bounded")
+    dense = _zero_filled(sparse)
+    assert sparse.coefficients[0] is None and dense.coefficients[0] is not None
+    other = _random_ladder(MAGNET, MAGNET, 1, rng)
+    grad = gradient_op(MAGNET, FLAT)
+    _same_ladder(compose(sparse, other), compose(dense, other))
+    _same_ladder(compose(other, sparse), compose(other, dense))
+    _same_ladder(compose(grad, sparse), compose(_zero_filled(grad), dense))
+    _same_ladder(_add_ladders(sparse, other), _add_ladders(dense, other))
+    u = random_section(GRID, 0, 2, rng)
+    assert np.array_equal(
+        apply_nabla_op(sparse, u).values, apply_nabla_op(dense, u).values
+    )
+    forms = bidiff_from_ops(sparse, other), bidiff_from_ops(dense, other)
+    assert forms[0].coefficients.keys() == forms[1].coefficients.keys()
+    for key, a in forms[0].coefficients.items():
+        assert np.array_equal(a, forms[1].coefficients[key])
+    gens = build_generators(identity_embedding(GRID), FLAT)
+    mixed = nabla_to_mixed(sparse, gens), nabla_to_mixed(dense, gens)
+    assert [t.labels for t in mixed[0].terms] == [t.labels for t in mixed[1].terms]
+    for s_term, d_term in zip(mixed[0].terms, mixed[1].terms):
+        assert np.array_equal(s_term.coefficient, d_term.coefficient)
+    x1, x2 = GRID.coords
+    weight = WeightPair(GRID, 1.0 / (2.0 + x1), np.exp(0.3 * x2))
+    _same_ladder(weighted_conjugate(sparse, weight), weighted_conjugate(dense, weight))
+    assert mapping_bound_check(sparse, 1, 2.0, trials=2) == mapping_bound_check(
+        dense, 1, 2.0, trials=2
+    )
 
 
 def test_weighted_mapping_check_reports_conjugation():
