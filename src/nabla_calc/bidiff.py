@@ -16,17 +16,16 @@ from .errors import ChartMismatch, NonadmissibleWeight, ShapeMismatch
 from .geometry import conformal_rescale
 from .operators import (
     _COEFF_TAGS,
-    MixedOpSpec,
-    MixedTerm,
     NablaOpSpec,
+    _add_ladders,
     _joint_class,
     _put,
     _scaled,
     apply_nabla_op,
     compose,
+    directional_op,
     gradient_op,
     identity_op,
-    mixed_to_nabla,
     multiplication_op,
 )
 
@@ -162,55 +161,26 @@ def l2_pairing(v, w, bundle, metric):
     return complex(metric.grid.integrate(density * metric.sqrt_det))
 
 
-def _add_ladders(a, b):
-    if a is None:
-        return b
-    entries = [None] * (max(a.order, b.order) + 1)
-    for op in (a, b):
-        for m, c in enumerate(op.coefficients):
-            if c is not None:
-                entries[m] = c if entries[m] is None else entries[m] + c
-    return NablaOpSpec(a.source, a.target, a.metric, entries, _joint_class(a, b))
-
-
 def _gradient_adjoint(bundle, metric, gens):
     """Adjoint of grad on a bundle, via the frame expansion.
 
     Decomposing v = sum_k xi_k (x) v_k and grad w = sum_l xi_l (x)
     grad_{Z_l} w reduces the slot pairing to scalars c_kl = (xi_k, xi_l)
-    against the inverse metric, and each directional factor contributes
-    -grad_{Z_l} - div(Z_l) acting on c_kl v_k.
+    against the inverse metric, so with W_l = sum_k c_kl Z_k each generator
+    contributes -(grad_{Z_l} + div Z_l) i_{W_l}.
     """
-    grid = metric.grid
-    d = bundle.fiber_dim
     rank_one = induced_tensor_bundle(bundle, metric, 1)
-    eye = np.broadcast_to(np.eye(d, dtype=complex), grid.shape + (d, d))
     c = np.einsum("...ab,...ka,...lb->...kl", metric.inv, gens.xi, gens.xi)
-    tag = "totally-bounded" if getattr(gens, "frechet", False) else "smooth"
+    w = np.einsum("...kl,...ky->...ly", c, gens.z)
+    tag = "totally-bounded" if gens.frechet else "smooth"
     total = None
     for l in range(gens.n_gens):
-        z_l = gens.z[..., l, :]
-        div_l = divergence(z_l, metric)
-        direction = mixed_to_nabla(
-            MixedOpSpec(
-                bundle, bundle, metric, [MixedTerm(eye, fields=[z_l])],
-                coefficient_class=tag,
-                field_class="bounded" if tag == "totally-bounded" else "smooth",
-            )
-        )
-        for k in range(gens.n_gens):
-            extract = np.einsum(
-                "...y,...fe->...fye", gens.z[..., k, :].astype(complex), eye
-            ).reshape(grid.shape + (d, grid.dim * d))
-            scaled = c[..., k, l, None, None] * extract
-            if not np.any(scaled):
-                continue  # an orthogonal frame pair, e.g. k != l for the identity
-            pick = multiplication_op(scaled, rank_one, bundle, metric, tag)
-            total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
-            zero_order = multiplication_op(
-                -div_l[..., None, None] * scaled, rank_one, bundle, metric, tag
-            )
-            total = _add_ladders(total, zero_order)
+        i_w = directional_op(w[..., l, :], bundle, metric).coefficients[1]
+        pick = multiplication_op(i_w, rank_one, bundle, metric, tag)
+        direction = directional_op(gens.z[..., l, :], bundle, metric, tag)
+        total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
+        div_l = divergence(gens.z[..., l, :], metric)
+        total = _add_ladders(total, _scaled(pick, -div_l[..., None, None]))
     return total
 
 

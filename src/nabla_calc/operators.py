@@ -89,6 +89,18 @@ def _scaled(spec, factor):
     )
 
 
+def _add_ladders(a, b):
+    """Level-wise sum of two ladders; a may be None, the empty sum."""
+    if a is None:
+        return b
+    entries = [None] * (max(a.order, b.order) + 1)
+    for op in (a, b):
+        for m, c in enumerate(op.coefficients):
+            if c is not None:
+                entries[m] = c if entries[m] is None else entries[m] + c
+    return NablaOpSpec(a.source, a.target, a.metric, entries, _joint_class(a, b))
+
+
 def identity_op(bundle, metric):
     """The order-0 operator u -> u."""
     return gradient_op(bundle, metric, 0)
@@ -107,6 +119,18 @@ def gradient_op(bundle, metric, depth=1):
     target = induced_tensor_bundle(bundle, metric, depth) if depth else bundle
     eye = np.broadcast_to(np.eye(top, dtype=complex), grid.shape + (top, top))
     return NablaOpSpec(bundle, target, metric, [None] * depth + [eye], "totally-bounded")
+
+
+def directional_op(x, bundle, metric, coefficient_class="smooth"):
+    """nabla_X = i_X after nabla, as the ladder [None, X (x) 1].
+
+    The level-1 entry is the contraction i_X of the derivative slot, a Hom
+    field from the rank-1 bundle to the bundle.
+    """
+    d = bundle.fiber_dim
+    eye = np.eye(d, dtype=complex).reshape((1,) * metric.grid.dim + (d, d))
+    i_x = pointwise_kron(x[..., None, :], eye)
+    return NablaOpSpec(bundle, bundle, metric, [None, i_x], coefficient_class)
 
 
 def apply_nabla_op(spec, u):
@@ -164,9 +188,9 @@ def compose(q, p):
     through Q's derivative depth, then contracts with Q's coefficients.
     The result has order at most order(Q) + order(P) and keeps the
     totally-bounded tag only when both factors carry it.  A level of P
-    that is None or all zero never enters the product-rule table, a None
-    level of Q multiplies nothing, and a result level that nothing reaches
-    stays None.
+    that is None or all zero never enters the product-rule table, nor does
+    an all-zero derivative; a None level of Q multiplies nothing, and a
+    result level that nothing reaches stays None.
     """
     if q.grid != p.grid:
         raise ChartMismatch("operator factors live on different grids")
@@ -199,7 +223,8 @@ def compose(q, p):
                 induced_tensor_bundle(p.target, metric, i),
                 metric,
             )
-            _put(nxt, m, der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1])))
+            if np.any(der):
+                _put(nxt, m, der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1])))
             _put(nxt, m + 1, pointwise_kron(eye_lift, mat))
         table = nxt
     return NablaOpSpec(p.source, q.target, metric, out, _joint_class(q, p))
@@ -317,37 +342,34 @@ def apply_mixed_op(spec, u, gens=None):
 def mixed_to_nabla(spec, gens=None):
     """Rewrite directional chains into a single coefficient ladder.
 
-    Works inward from the rightmost factor: nabla_X = i_X after nabla, so
-    every accumulated coefficient splits by the product rule into its
-    derivative plus a lifted copy one rung up.
+    Each term a nabla_{X_1} ... nabla_{X_r} becomes the composition of the
+    multiplication by a with the first-order ladders nabla_{X_i}, nested
+    from the rightmost factor inward so that every product-rule step
+    differentiates a single table entry.  The ladder keeps the declared
+    order; it is totally bounded only when the coefficients are and the
+    fields are bounded.
     """
-    grid = spec.grid
     metric = spec.metric
     source = spec.source
-    d = source.fiber_dim
-    eye = np.broadcast_to(np.eye(d, dtype=complex), grid.shape + (d, d))
-    total = [None] * (spec.order + 1)
+    total = None
     for term in spec.terms:
-        chain = {0: eye}
-        for x in reversed(_term_fields(term, gens)):
-            nxt = {}
-            for m, c in chain.items():
-                der = _hom_derivative(
-                    c, induced_tensor_bundle(source, metric, m), source, metric
-                )
-                _put(nxt, m, np.einsum("...y,...yfk->...fk", x, der))
-                row = x[..., None, :].astype(complex)
-                _put(nxt, m + 1, pointwise_kron(row, c))
-            chain = nxt
-        for m, c in chain.items():
-            mat = np.matmul(term.coefficient, c)
-            total[m] = mat if total[m] is None else total[m] + mat
+        op = multiplication_op(term.coefficient, source, spec.target, metric)
+        fields = _term_fields(term, gens)
+        if fields:
+            chain = directional_op(fields[-1], source, metric)
+            for x in reversed(fields[:-1]):
+                chain = compose(directional_op(x, source, metric), chain)
+            op = compose(op, chain)
+        total = _add_ladders(total, op)
+    levels = [None] * (spec.order + 1)
+    if total is not None:
+        levels[: total.order + 1] = total.coefficients
     tag = (
         "totally-bounded"
         if spec.coefficient_class == "totally-bounded" and spec.field_class == "bounded"
         else "smooth"
     )
-    return NablaOpSpec(source, spec.target, metric, total, tag)
+    return NablaOpSpec(source, spec.target, metric, levels, tag)
 
 
 def nabla_to_mixed(spec, gens):
@@ -389,10 +411,9 @@ def nabla_to_mixed(spec, gens):
         for chain, c in sorted(merged.items())
         if np.any(c)
     ]
-    frechet = bool(getattr(gens, "frechet", False))
     tag = (
         "totally-bounded"
-        if spec.coefficient_class == "totally-bounded" and frechet
+        if spec.coefficient_class == "totally-bounded" and gens.frechet
         else "smooth"
     )
     return MixedOpSpec(
@@ -402,7 +423,7 @@ def nabla_to_mixed(spec, gens):
         terms,
         order=spec.order,
         coefficient_class=tag,
-        field_class="bounded" if frechet else "smooth",
+        field_class="bounded" if gens.frechet else "smooth",
     )
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nabla_calc.bidiff import _add_ladders, bidiff_from_ops
+from nabla_calc import operators
+from nabla_calc.bidiff import bidiff_from_ops
 from nabla_calc.bundles import (
     BundleSpec,
     TensorSection,
@@ -25,11 +26,13 @@ from nabla_calc.operators import (
     MixedOpSpec,
     MixedTerm,
     NablaOpSpec,
+    _add_ladders,
     _hom_derivative,
     apply_mixed_op,
     apply_nabla_op,
     coefficient_infty_norm,
     compose,
+    directional_op,
     gradient_op,
     identity_op,
     mapping_bound_check,
@@ -317,7 +320,9 @@ def test_mixed_to_nabla_flat_laplacian_coefficients():
     ]
     ladder = mixed_to_nabla(MixedOpSpec(SCALAR, SCALAR, FLAT, terms)).coefficients
     want = _flat_laplacian_ladder(GRID, 1)
+    assert len(ladder) == len(want)
     for got, ref in zip(ladder, want):
+        got = 0.0 if got is None else got  # None is the zero level
         assert np.allclose(got, ref, atol=1e-14)
 
 
@@ -347,6 +352,111 @@ def test_mixed_to_nabla_varying_fields_round_trip():
     # the two routes differ by the discrete product-rule defect, which is
     # O(h^4) against the fifth derivatives of the windowed field times u
     assert np.max(np.abs(one.values - two.values)) <= 1e-3 * scale
+
+
+def _mixed_to_nabla_reference(spec):
+    """The levels of mixed_to_nabla(spec), by the hand-walked product rule.
+
+    Works inward from the rightmost factor of each term, starting from the
+    identity: every accumulated coefficient splits into its directional
+    derivative plus a lifted copy one rung up.
+    """
+    grid, metric, source = spec.grid, spec.metric, spec.source
+    d = source.fiber_dim
+    eye = np.broadcast_to(np.eye(d, dtype=complex), grid.shape + (d, d))
+    total = [None] * (spec.order + 1)
+    for term in spec.terms:
+        chain = {0: eye}
+        for x in reversed(term.fields):
+            nxt = {}
+            for m, c in chain.items():
+                der = _hom_derivative(
+                    c, induced_tensor_bundle(source, metric, m), source, metric
+                )
+                moved = np.einsum("...y,...yfk->...fk", x, der)
+                nxt[m] = nxt.get(m, 0) + moved
+                row = x[..., None, :].astype(complex)
+                nxt[m + 1] = nxt.get(m + 1, 0) + pointwise_kron(row, c)
+            chain = nxt
+        for m, c in chain.items():
+            mat = np.matmul(term.coefficient, c)
+            total[m] = mat if total[m] is None else total[m] + mat
+    return total
+
+
+def _varying_mixed(depths, order=None, **tags):
+    """Magnetic-bundle terms with random varying coefficients and fields."""
+    rng = seeded_rng(7, f"op-m2n-ref-{depths}")
+    terms = [
+        MixedTerm(
+            random_trig_field(2, (2, 2), rng).sample(GRID),
+            fields=[random_vector_field(GRID, rng) for _ in range(depth)],
+        )
+        for depth in depths
+    ]
+    return MixedOpSpec(MAGNET, MAGNET, FLAT, terms, order=order, **tags)
+
+
+def _same_levels(got, want, rtol=1e-13):
+    """Level lists agree; a None level matches None or an all-zero level."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None or not np.any(w):
+            assert g is None or not np.any(g)
+        else:
+            assert g is not None and _close(g, w, rtol)
+
+
+def test_directional_op_is_contracted_gradient():
+    x = random_vector_field(GRID, seeded_rng(7, "op-dir"))
+    u = random_section(GRID, 0, 2, seeded_rng(7, "op-dir-u"))
+    spec = directional_op(x, MAGNET, FLAT)
+    assert spec.order == 1 and spec.coefficients[0] is None
+    want = np.einsum(
+        "...k,...ka->...a", x, covariant_derivative(u, MAGNET, FLAT).values
+    )
+    assert np.allclose(apply_nabla_op(spec, u).values, want, atol=1e-14)
+
+
+def test_mixed_to_nabla_matches_hand_walked_reference():
+    cases = (((2,), None), ((3,), None), ((0, 2, 3), None), ((1,), 3))
+    for depths, order in cases:
+        spec = _varying_mixed(depths, order)
+        ladder = mixed_to_nabla(spec)
+        assert ladder.order == spec.order
+        _same_levels(ladder.coefficients, _mixed_to_nabla_reference(spec))
+    # a declared order above the depth leaves the top levels None
+    assert mixed_to_nabla(_varying_mixed((1,), 3)).coefficients[2:] == [None, None]
+
+
+def test_mixed_to_nabla_depth_zero_term_keeps_the_class_rule():
+    for field_class, tag in (("smooth", "smooth"), ("bounded", "totally-bounded")):
+        spec = _varying_mixed(
+            (0,), coefficient_class="totally-bounded", field_class=field_class
+        )
+        ladder = mixed_to_nabla(spec)
+        assert ladder.coefficient_class == tag
+        assert len(ladder.coefficients) == 1
+        assert np.array_equal(
+            ladder.coefficients[0], _mixed_to_nabla_reference(spec)[0]
+        )
+    smooth_coefficients = _varying_mixed((0, 2), field_class="bounded")
+    assert mixed_to_nabla(smooth_coefficients).coefficient_class == "smooth"
+
+
+def test_mixed_to_nabla_differentiates_once_per_table_entry(monkeypatch):
+    calls = []
+    hom_derivative = operators._hom_derivative
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return hom_derivative(*args)
+
+    monkeypatch.setattr(operators, "_hom_derivative", counting)
+    for depth, want in ((2, 1), (3, 3)):
+        calls.clear()
+        mixed_to_nabla(_varying_mixed((depth,)))
+        assert len(calls) == want, calls
 
 
 def test_mixed_labels_require_generators():
