@@ -9,12 +9,15 @@ The covariant derivative adds one cotangent slot, always prepended leftmost:
 A multi-index derivative nabla_(i_1..i_r) is the (i_1..i_r) component of the
 r-fold covariant derivative, so Christoffel terms act on the accumulated
 cotangent slots while they are alive.  On a constant metric this reduces to
-composing directional derivatives right-to-left.  Entries are 1-based.
+composing directional derivatives right-to-left, on one copy of the
+section with the grid axes last, so every connection product runs with the
+grid innermost; same sums, same bits.  Entries are 1-based.
 """
 
 import numpy as np
 
-from .bundles import TensorSection
+from ._kernels import diff_axis
+from .bundles import TensorSection, grid_first, grid_last
 from .errors import ChartMismatch, ShapeMismatch, SupportViolation
 
 # slot letters must avoid the reserved einsum indices a, b, k, m, y, z
@@ -70,29 +73,30 @@ def covariant_derivative(u, bundle, metric, check_support=True):
         # should not pay for a grid-last copy of the potentials
         parts += np.einsum("...yab,...b->...ya", bundle.potentials, u.values)
     elif not bundle.is_flat:
-        # grid axes last, so einsum's inner loop runs over the grid and not
-        # over a fiber axis of length d once per point; same sums, same bits
-        g = grid.dim
-        vals = np.ascontiguousarray(np.moveaxis(u.values, range(g), range(-g, 0)))
         term = np.einsum(
             f"yab...,{letters}b...->y{letters}a...",
             bundle.potentials_grid_last(),
-            vals,
+            grid_last(u.values, grid.dim),
         )
-        parts += np.moveaxis(term, range(-g, 0), range(g))
+        parts += grid_first(term, grid.dim)
     return TensorSection(grid, r + 1, parts, u.fiber_dim)
 
 
-def _coordinate_directional(u, axis, bundle):
-    """nabla along one coordinate direction of a constant metric, rank kept."""
-    grid = u.grid
-    r = u.rank
-    out = grid.diff(u.values, axis=axis)
+def _coordinate_directional(vals, axis, rank, bundle):
+    """nabla along one coordinate direction of a constant metric, rank kept.
+
+    vals is a grid-last array, slots + (d,) + grid, and so is the result.
+    """
+    grid = bundle.grid
+    out = diff_axis(vals, axis - grid.dim, grid.h[axis], grid.fd_order)
     if not bundle.is_flat:
-        a_k = bundle.potentials[..., axis, :, :]
-        letters = _SLOTS[:r]
-        out = out + np.einsum(f"...ab,...{letters}b->...{letters}a", a_k, u.values)
-    return TensorSection(grid, r, out, u.fiber_dim)
+        letters = _SLOTS[:rank]
+        out += np.einsum(
+            f"ab...,{letters}b...->{letters}a...",
+            bundle.potentials_grid_last()[axis],
+            vals,
+        )
+    return out
 
 
 def tower(u, bundle, metric, depth):
@@ -144,10 +148,10 @@ def multiindex_derivative(u, idx, bundle, metric):
         return u.copy()
     grid.check_support(u.values, len(idx) * grid.stencil_radius)
     if metric.is_constant:
-        out = u
+        vals = grid_last(u.values, grid.dim)
         for i in reversed(idx):
-            out = _coordinate_directional(out, i - 1, bundle)
-        return out
+            vals = _coordinate_directional(vals, i - 1, u.rank, bundle)
+        return TensorSection(grid, u.rank, grid_first(vals, grid.dim), u.fiber_dim)
     for out in tower(u, bundle, metric, len(idx)):
         pass
     sel = (slice(None),) * grid.dim + tuple(i - 1 for i in idx)
@@ -205,15 +209,35 @@ class CurvatureField:
 
 
 def curvature(bundle):
-    """Curvature of the bundle connection, zeroed on the FD-invalid band."""
+    """Curvature of the bundle connection, zeroed on the FD-invalid band.
+
+    Per pair k < l, R_kl = (d_k A_l - d_l A_k) + (A_k A_l - A_l A_k) and
+    R_lk with every difference taken the other way round; the products run
+    on the grid-last potentials.  R_kk = 0, and a flat bundle gives zeros.
+    """
     grid = bundle.grid
     n = grid.dim
+    d = bundle.fiber_dim
+    r = np.zeros(grid.shape + (n, n, d, d), dtype=complex)
+    if bundle.is_flat:
+        return CurvatureField(grid, r)
     a = bundle.potentials
-    da = np.stack([grid.diff(a, axis=k) for k in range(n)], axis=-4)
-    da = da - np.swapaxes(da, -4, -3)
-    prod = np.einsum("...kab,...lbc->...klac", a, a)
-    comm = prod - np.swapaxes(prod, -4, -3)
-    r = da + comm
+    pots = bundle.potentials_grid_last()
+    for k in range(n):
+        for l in range(k + 1, n):
+            r_kl = r[..., k, l, :, :]
+            r_lk = r[..., l, k, :, :]
+            d_kl = grid.diff(a[..., l, :, :], axis=k)
+            d_lk = grid.diff(a[..., k, :, :], axis=l)
+            np.subtract(d_kl, d_lk, out=r_kl)
+            np.subtract(d_lk, d_kl, out=r_lk)
+            del d_kl, d_lk  # freed before the products: a lower peak
+            p_kl = np.einsum("ab...,bc...->ac...", pots[k], pots[l])
+            p_lk = np.einsum("ab...,bc...->ac...", pots[l], pots[k])
+            comm = p_kl - p_lk
+            r_kl += grid_first(comm, grid.dim)
+            np.subtract(p_lk, p_kl, out=comm)
+            r_lk += grid_first(comm, grid.dim)
     grid.zero_band(r, grid.stencil_radius)
     return CurvatureField(grid, r)
 

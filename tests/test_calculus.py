@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,71 @@ def test_connection_term_matches_grid_first_einsum(shape, d):
     pots = bundle.potentials_grid_last()
     assert pots.flags.c_contiguous and pots.shape == (n, d, d) + grid.shape
     assert pots is bundle.potentials_grid_last()
+
+
+def _grid_first_multiindex(sec, idx, bundle):
+    """The former constant-metric composition, grid axes first."""
+    grid = sec.grid
+    slots = "cdefghij"[: sec.rank]
+    vals = sec.values
+    for i in reversed(idx):
+        out = grid.diff(vals, axis=i - 1)
+        if not bundle.is_flat:
+            a_k = bundle.potentials[..., i - 1, :, :]
+            out = out + np.einsum(f"...ab,...{slots}b->...{slots}a", a_k, vals)
+        vals = out
+    return vals
+
+
+def _stacked_curvature(bundle):
+    """The former curvature formula over the stacked (n, n, d, d) arrays."""
+    grid = bundle.grid
+    a = bundle.potentials
+    da = np.stack([grid.diff(a, axis=k) for k in range(grid.dim)], axis=-4)
+    da = da - np.swapaxes(da, -4, -3)
+    prod = np.einsum("...kab,...lbc->...klac", a, a)
+    r = da + (prod - np.swapaxes(prod, -4, -3))
+    grid.zero_band(r, grid.stencil_radius)
+    return r
+
+
+@pytest.mark.parametrize("shape", [(17,), (13, 13), (9, 9, 9)])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_grid_last_products_match_grid_first_references(shape, d):
+    grid = ChartGrid([(-1, 1)] * len(shape), shape, fd_order=2, support_margin=3)
+    n = grid.dim
+    rng = seeded_rng(113, f"grid-last-products-{shape}-{d}")
+    bundle = BundleSpec(grid, d, _complex_normal(rng, grid.shape + (n, d, d)))
+    metric = MetricField.flat(grid)
+    for r in range(3):
+        vals = _complex_normal(rng, grid.shape + (n,) * r + (d,))
+        sec = TensorSection(grid, r, grid.zero_band(vals, 3), d)
+        for idx in [(n,), (1, n), (n, 1, n)]:
+            got = multiindex_derivative(sec, idx, bundle, metric)
+            assert np.array_equal(got.values, _grid_first_multiindex(sec, idx, bundle))
+    assert np.array_equal(curvature(bundle).values, _stacked_curvature(bundle))
+
+
+def test_flat_curvature_is_zero_and_builds_no_memo():
+    grid = ChartGrid([(-1, 1), (-1, 1)], (13, 13), support_margin=2)
+    bundle = BundleSpec(grid, 2)
+    r = curvature(bundle).values
+    assert r.shape == grid.shape + (2, 2, 2, 2) and not np.any(r)
+    assert np.array_equal(r, _stacked_curvature(bundle))
+    assert bundle._potentials_grid_last is None
+
+
+def test_curvature_peak_memory_below_three_results():
+    bundle = magnetic_example_bundle(GRID)
+    tracemalloc.start()
+    try:
+        r = curvature(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the peak counts the grid-last potentials memo built on the way
+    assert bundle._potentials_grid_last is not None
+    assert peak < 3 * r.values.nbytes
 
 
 def test_support_violation_raised():

@@ -1,5 +1,6 @@
 """Check verdicts on non-finite input: a NaN must fail, never pass as 0.0;
-and check parameters, which are validated on every call."""
+check parameters, which are validated on every call; and the grid-last
+leibniz-rule residual against its former grid-first formula."""
 
 import inspect
 import math
@@ -7,12 +8,22 @@ import math
 import numpy as np
 import pytest
 
-from nabla_calc.bundles import BundleSpec
-from nabla_calc.checks import CHECKS, _PARAM_RULES, check_leibniz_rule, check_norm_table
+from nabla_calc.bundles import BundleSpec, TensorSection, magnetic_example_bundle
+from nabla_calc.calculus import covariant_derivative
+from nabla_calc.checks import (
+    _PARAM_RULES,
+    _TINY,
+    CHECKS,
+    _rng,
+    check_leibniz_rule,
+    check_norm_table,
+)
 from nabla_calc.errors import ConfigError
 from nabla_calc.geometry import MetricField
 from nabla_calc.grid import ChartGrid
+from nabla_calc.norms import strict_max
 from nabla_calc.scenarios import CheckContext
+from nabla_calc.sections import random_section, random_trig_field
 
 
 def _nan_potential_context():
@@ -32,6 +43,46 @@ def test_leibniz_rule_fails_on_nan_potential():
     out = check_leibniz_rule(_nan_potential_context(), {"tolerance": 1e-5, "trials": 2})
     assert math.isnan(out["measured"])
     assert not out["passed"]
+
+
+def _grid_first_leibniz(ctx, trials):
+    """The former leibniz-rule residual: all directions stacked, grid first."""
+    grid, bundle = ctx.grid, ctx.bundle
+    n, d = grid.dim, bundle.fiber_dim
+    pots = bundle.potentials
+    worst = 0.0
+    for trial in range(trials):
+        a_field = random_trig_field(n, (d, d), _rng(ctx, "leibniz-rule", trial))
+        a = a_field.sample(grid)
+        da = np.stack([a_field.sample(grid, (k,)) for k in range(n)], axis=-3)
+        u = random_section(grid, 0, d, _rng(ctx, "leibniz-section", trial))
+        au = TensorSection(grid, 0, np.einsum("...ab,...b->...a", a, u.values), d)
+        lhs = covariant_derivative(au, bundle, ctx.metric).values
+        nabla_a = (
+            da
+            + np.einsum("...kab,...bc->...kac", pots, a)
+            - np.einsum("...ab,...kbc->...kac", a, pots)
+        )
+        grad_u = covariant_derivative(u, bundle, ctx.metric).values
+        rhs = np.einsum("...kab,...b->...ka", nabla_a, u.values) + np.einsum(
+            "...ab,...kb->...ka", a, grad_u
+        )
+        scale = max(float(np.max(np.abs(lhs))), _TINY)
+        worst = strict_max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+    return worst
+
+
+def test_leibniz_rule_matches_grid_first_formula():
+    grid = ChartGrid([(-1, 1), (-1, 1)], (65, 65))
+    ctx = CheckContext(
+        name="magnetic-65",
+        grid=grid,
+        metric=MetricField.flat(grid),
+        bundle=magnetic_example_bundle(grid),
+        seed=20,
+    )
+    out = check_leibniz_rule(ctx, {"tolerance": 1e-5, "trials": 3})
+    assert repr(out["measured"]) == repr(_grid_first_leibniz(ctx, 3))
 
 
 def test_norm_table_fails_rows_with_non_finite_norms():

@@ -1,6 +1,7 @@
 """Scenario parsing, object construction, and deterministic execution."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -180,6 +181,23 @@ def test_threaded_run_matches_serial():
     serial = report_payload(run_scenario(s, threads=1))
     pooled = report_payload(run_scenario(s, threads=2))
     assert serial == pooled
+
+
+def test_threaded_magnetic_checks_share_the_potentials_memo():
+    # all three checks read the bundle's lazy grid-last potentials; threads
+    # may both build it, and every residual keeps its bits
+    s = parse_scenario(builtin_scenario("magnetic-example"))
+    assert len(s.checks) == 3
+    serial = run_scenario(s, seed=20, threads=1)
+    want = [(row.check, repr(row.measured)) for row in serial.checks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (2, 3):
+            pooled = run_scenario(s, seed=20, threads=threads)
+            assert [(row.check, repr(row.measured)) for row in pooled.checks] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_thread_count_below_one_is_rejected(monkeypatch):
