@@ -15,9 +15,10 @@ from .calculus import divergence, tower
 from .errors import ChartMismatch, NonadmissibleWeight, ShapeMismatch
 from .geometry import conformal_rescale
 from .operators import (
-    _COEFF_TAGS,
     NablaOpSpec,
     _add_ladders,
+    _check_ingredients,
+    _check_rank0,
     _joint_class,
     _put,
     _scaled,
@@ -41,11 +42,7 @@ class BidiffSpec:
     def __init__(
         self, source, cosource, metric, half_order, coefficients, coefficient_class="smooth"
     ):
-        if coefficient_class not in _COEFF_TAGS:
-            raise ValueError(f"unknown coefficient class {coefficient_class!r}")
-        grid = metric.grid
-        if source.grid != grid or cosource.grid != grid:
-            raise ChartMismatch("form ingredients live on different grids")
+        grid = _check_ingredients(coefficient_class, metric, "form", source, cosource)
         m = int(half_order)
         n = grid.dim
         checked = {}
@@ -79,21 +76,10 @@ class BidiffSpec:
 def eval_bidiff(spec, u, w):
     """Pointwise density sum_ij (a_ij grad^i u, grad^j w), conjugating w."""
     grid = spec.grid
-    if u.grid != grid or w.grid != grid:
-        raise ChartMismatch("form and sections live on different grids")
-    if u.rank != 0 or u.fiber_dim != spec.source.fiber_dim:
-        raise ShapeMismatch(
-            f"first argument must be rank 0 with fiber {spec.source.fiber_dim}, "
-            f"got rank {u.rank} with fiber {u.fiber_dim}"
-        )
-    if w.rank != 0 or w.fiber_dim != spec.cosource.fiber_dim:
-        raise ShapeMismatch(
-            f"second argument must be rank 0 with fiber {spec.cosource.fiber_dim}, "
-            f"got rank {w.rank} with fiber {w.fiber_dim}"
-        )
     m = spec.half_order
-    grid.check_support(u.values, m * grid.stencil_radius)
-    grid.check_support(w.values, m * grid.stencil_radius)
+    pair = "form and sections"
+    _check_rank0(u, grid, spec.source, m, pair, "first argument must be rank 0")
+    _check_rank0(w, grid, spec.cosource, m, pair, "second argument must be rank 0")
     depth_u = max((i for i, _ in spec.coefficients), default=0)
     depth_w = max((j for _, j in spec.coefficients), default=0)
     us = [
@@ -133,14 +119,11 @@ def bidiff_from_ops(p, q):
         raise ShapeMismatch("operator targets carry different fiber metrics")
     coefficients = {}
     for i, pi in enumerate(p.coefficients):
-        if pi is None or not np.any(pi):
-            continue
         for j, qj in enumerate(q.coefficients):
-            if qj is None or not np.any(qj):
-                continue
-            coefficients[(i, j)] = np.einsum(
-                "...ab,...bd,...ae->...de", h, np.conj(qj), pi
-            )
+            if pi is not None and qj is not None:
+                coefficients[(i, j)] = np.einsum(
+                    "...ab,...bd,...ae->...de", h, np.conj(qj), pi
+                )
     m = max(p.order, q.order)
     return BidiffSpec(p.source, q.source, p.metric, m, coefficients, _joint_class(p, q))
 
@@ -272,18 +255,13 @@ def weighted_duality_check(spec, weight, u, w, p=2.0, gens=None):
     twisted = {}
     for (i, j), a in spec.coefficients.items():
         mid = measure[..., None, None] * a
-        for t in range(i + 1):
-            b_t = b_ladders[i][t]
-            if b_t is None or not np.any(b_t):
-                continue
-            for tau in range(j + 1):
-                c_tau = c_ladders[j][tau]
-                if c_tau is None or not np.any(c_tau):
-                    continue
-                block = np.einsum(
-                    "...ad,...ab,...be->...de", np.conj(c_tau), mid, b_t
-                )
-                _put(twisted, (t, tau), block)
+        for t, b_t in enumerate(b_ladders[i]):
+            for tau, c_tau in enumerate(c_ladders[j]):
+                if b_t is not None and c_tau is not None:
+                    block = np.einsum(
+                        "...ad,...ab,...be->...de", np.conj(c_tau), mid, b_t
+                    )
+                    _put(twisted, (t, tau), block)
     spec0 = BidiffSpec(
         spec.source,
         spec.cosource,

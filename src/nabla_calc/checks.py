@@ -233,28 +233,26 @@ def _require_weight(ctx, what):
     return ctx.weight
 
 
-def _closed_form_second_derivatives(grid, xi, phase):
+def _closed_form_second_derivatives(grid, xi, phase, conj_phase, slope):
     """Displayed forms of the mixed second derivatives for the oscillating
     potential A_2 = [[0, phase], [-conj(phase), 0]], phase = e^{i x1^3}, on
-    a flat chart, keyed by multi-index.
+    a flat chart, keyed by multi-index; slope = 3i x1^2 is the factor that
+    d_1 brings down from the phase.
 
     The section's own derivatives are rendered with the grid stencils; only
     the potential's derivative uses its analytic form.
     """
-    x1 = grid.coords[0]
     d1 = grid.diff(xi, 0)
     d2 = grid.diff(xi, 1)
 
     def a2(v):
-        return np.stack([phase * v[..., 1], -np.conj(phase) * v[..., 0]], axis=-1)
+        return np.stack([phase * v[..., 1], -conj_phase * v[..., 0]], axis=-1)
 
-    def da2(v):
-        w = np.stack([phase * v[..., 1], np.conj(phase) * v[..., 0]], axis=-1)
-        return 3j * x1[..., None] ** 2 * w
-
+    a2_d1 = a2(d1)
+    da2_xi = slope * np.stack([phase * xi[..., 1], conj_phase * xi[..., 0]], axis=-1)
     return {
-        (1, 2): grid.diff(d2, 0) + da2(xi) + a2(d1),
-        (2, 1): grid.diff(d1, 1) + a2(d1),
+        (1, 2): grid.diff(d2, 0) + da2_xi + a2_d1,
+        (2, 1): grid.diff(d1, 1) + a2_d1,
         (2, 2): grid.diff(d2, 1) + 2 * a2(d2) - xi,
     }
 
@@ -264,14 +262,19 @@ def check_multiindex_formulas(ctx, tolerance, trials=20):
     """Mixed second derivatives against their displayed closed forms."""
     _require_flat(ctx, "the closed-form check")
     _require_oscillating_bundle(ctx, "the closed-form check")
-    phase = np.exp(1j * ctx.grid.coords[0] ** 3)
+    x1 = ctx.grid.coords[0]
+    phase = np.exp(1j * x1**3)
+    conj_phase = np.conj(phase)
+    slope = 3j * x1[..., None] ** 2
     worst = 0.0
     for trial in range(trials):
         bumps = random_bump_section(
             ctx.grid, 0, 2, _rng(ctx, "multiindex-formulas", trial), kappa_max=1.5
         )
         sec = bumps.section(ctx.grid)
-        forms = _closed_form_second_derivatives(ctx.grid, sec.values, phase)
+        forms = _closed_form_second_derivatives(
+            ctx.grid, sec.values, phase, conj_phase, slope
+        )
         for idx, want in forms.items():
             got = multiindex_derivative(sec, idx, ctx.bundle, ctx.metric)
             scale = max(float(np.max(np.abs(want))), _TINY)

@@ -29,22 +29,43 @@ _COEFF_TAGS = ("smooth", "totally-bounded")
 _FIELD_TAGS = ("smooth", "bounded")
 
 
+def _check_ingredients(coefficient_class, metric, noun, *bundles):
+    """Validate a coefficient class tag and that every bundle lives on the
+    metric's grid, which is returned."""
+    if coefficient_class not in _COEFF_TAGS:
+        raise ValueError(f"unknown coefficient class {coefficient_class!r}")
+    grid = metric.grid
+    if any(b.grid != grid for b in bundles):
+        raise ChartMismatch(f"{noun} ingredients live on different grids")
+    return grid
+
+
+def _check_rank0(u, grid, bundle, depth, pair, expects):
+    """Reject a section off the grid, not of rank 0 on the bundle's fiber,
+    or not supported depth stencil radii inside the chart."""
+    if u.grid != grid:
+        raise ChartMismatch(f"{pair} live on different grids")
+    if u.rank != 0 or u.fiber_dim != bundle.fiber_dim:
+        raise ShapeMismatch(
+            f"{expects} with fiber {bundle.fiber_dim}, "
+            f"got rank {u.rank} with fiber {u.fiber_dim}"
+        )
+    grid.check_support(u.values, depth * grid.stencil_radius)
+
+
 class NablaOpSpec:
     """Ladder operator sum_j a^[j] nabla^j with explicit coefficient data.
 
     Level j maps the flattened fiber of a rank-j section (slot axes folded
     into the fiber, slot-major) to the target fiber, so it is stored as a
-    grid + (target_dim, n^j * source_dim) complex field.  A level given as
-    None is the zero level and stays None, so that every consumer skips it
-    instead of multiplying, lifting or differentiating zeros.
+    grid + (target_dim, n^j * source_dim) complex field.  A level that is
+    identically zero, whether given as None or as an all-zero array, is
+    stored as None, so that every consumer skips it instead of
+    multiplying, lifting or differentiating zeros.
     """
 
     def __init__(self, source, target, metric, coefficients, coefficient_class="smooth"):
-        if coefficient_class not in _COEFF_TAGS:
-            raise ValueError(f"unknown coefficient class {coefficient_class!r}")
-        grid = metric.grid
-        if source.grid != grid or target.grid != grid:
-            raise ChartMismatch("operator ingredients live on different grids")
+        grid = _check_ingredients(coefficient_class, metric, "operator", source, target)
         if len(coefficients) == 0:
             raise ShapeMismatch("a coefficient ladder needs at least the order-0 entry")
         checked = []
@@ -58,7 +79,7 @@ class NablaOpSpec:
                 raise ShapeMismatch(
                     f"coefficient {j} has shape {a.shape}, expected {want}"
                 )
-            checked.append(a)
+            checked.append(a if np.any(a) else None)
         self.source = source
         self.target = target
         self.metric = metric
@@ -135,15 +156,10 @@ def directional_op(x, bundle, metric, coefficient_class="smooth"):
 
 def apply_nabla_op(spec, u):
     """Apply a ladder operator by walking the derivative tower once."""
-    if u.grid != spec.grid:
-        raise ChartMismatch("operator and section live on different grids")
-    if u.rank != 0 or u.fiber_dim != spec.source.fiber_dim:
-        raise ShapeMismatch(
-            f"operator eats rank-0 sections with fiber {spec.source.fiber_dim}, "
-            f"got rank {u.rank} with fiber {u.fiber_dim}"
-        )
     grid = spec.grid
-    grid.check_support(u.values, spec.order * grid.stencil_radius)
+    _check_rank0(
+        u, grid, spec.source, spec.order, "operator and section", "operator eats rank-0 sections"
+    )
     out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
     levels = tower(u, spec.source, spec.metric, spec.order)
     for a, v in zip(spec.coefficients, levels):
@@ -187,10 +203,10 @@ def compose(q, p):
     Walks the product rule nabla(a w) = (nabla a) w + (1 (x) a) nabla w
     through Q's derivative depth, then contracts with Q's coefficients.
     The result has order at most order(Q) + order(P) and keeps the
-    totally-bounded tag only when both factors carry it.  A level of P
-    that is None or all zero never enters the product-rule table, nor does
-    an all-zero derivative; a None level of Q multiplies nothing, and a
-    result level that nothing reaches stays None.
+    totally-bounded tag only when both factors carry it.  A zero (None)
+    level of P never enters the product-rule table, nor does an all-zero
+    derivative; a zero level of Q multiplies nothing, and a result level
+    that nothing reaches stays None.
     """
     if q.grid != p.grid:
         raise ChartMismatch("operator factors live on different grids")
@@ -206,7 +222,7 @@ def compose(q, p):
     metric = p.metric
     eye_lift = np.eye(n, dtype=complex).reshape((1,) * grid.dim + (n, n))
     out = [None] * (q.order + p.order + 1)
-    table = {m: a for m, a in enumerate(p.coefficients) if a is not None and np.any(a)}
+    table = {m: a for m, a in enumerate(p.coefficients) if a is not None}
     for i in range(q.order + 1):
         b = q.coefficients[i]
         if b is not None:
@@ -251,7 +267,11 @@ class MixedTerm:
 
 
 class MixedOpSpec:
-    """Sum of mixed terms a nabla_{X_1} ... nabla_{X_r} with r <= order."""
+    """Sum of mixed terms a nabla_{X_1} ... nabla_{X_r} with r <= order.
+
+    A term whose coefficient is identically zero is validated and counts
+    towards the default order, but is not kept.
+    """
 
     def __init__(
         self,
@@ -263,13 +283,9 @@ class MixedOpSpec:
         coefficient_class="smooth",
         field_class="smooth",
     ):
-        if coefficient_class not in _COEFF_TAGS:
-            raise ValueError(f"unknown coefficient class {coefficient_class!r}")
         if field_class not in _FIELD_TAGS:
             raise ValueError(f"unknown vector-field class {field_class!r}")
-        grid = metric.grid
-        if source.grid != grid or target.grid != grid:
-            raise ChartMismatch("operator ingredients live on different grids")
+        grid = _check_ingredients(coefficient_class, metric, "operator", source, target)
         n = grid.dim
         want = grid.shape + (target.fiber_dim, source.fiber_dim)
         depth = 0
@@ -297,7 +313,7 @@ class MixedOpSpec:
         self.source = source
         self.target = target
         self.metric = metric
-        self.terms = list(terms)
+        self.terms = [term for term in terms if np.any(term.coefficient)]
         self.order = int(order)
         self.coefficient_class = coefficient_class
         self.field_class = field_class
@@ -319,15 +335,10 @@ def _term_fields(term, gens):
 
 def apply_mixed_op(spec, u, gens=None):
     """Apply each directional chain right to left, then the coefficient."""
-    if u.grid != spec.grid:
-        raise ChartMismatch("operator and section live on different grids")
-    if u.rank != 0 or u.fiber_dim != spec.source.fiber_dim:
-        raise ShapeMismatch(
-            f"operator eats rank-0 sections with fiber {spec.source.fiber_dim}, "
-            f"got rank {u.rank} with fiber {u.fiber_dim}"
-        )
     grid = spec.grid
-    grid.check_support(u.values, spec.order * grid.stencil_radius)
+    _check_rank0(
+        u, grid, spec.source, spec.order, "operator and section", "operator eats rank-0 sections"
+    )
     out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
     for term in spec.terms:
         v = u
@@ -402,14 +413,13 @@ def nabla_to_mixed(spec, gens):
         per_depth.append(cur)
     merged = {}
     for j, a in enumerate(spec.coefficients):
-        if a is None or not np.any(a):
+        if a is None:
             continue
         for chain, phi in per_depth[j].items():
             _put(merged, chain, np.einsum("...gf,...fk->...gk", a, phi))
     terms = [
         MixedTerm(c, fields=[gens.z[..., k - 1, :] for k in chain], labels=chain)
         for chain, c in sorted(merged.items())
-        if np.any(c)
     ]
     tag = (
         "totally-bounded"
@@ -488,7 +498,6 @@ def reorder_generators(spec, gens, bundle):
     terms = [
         MixedTerm(c, fields=[gens.z[..., k - 1, :] for k in chain], labels=chain)
         for chain, c in sorted(finished.items())
-        if np.any(c)
     ]
     return MixedOpSpec(
         spec.source,

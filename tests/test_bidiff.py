@@ -20,7 +20,12 @@ from nabla_calc.bundles import (
 )
 from nabla_calc.calculus import covariant_derivative, divergence
 from nabla_calc.checks import _ladder_form
-from nabla_calc.errors import NonadmissibleWeight, ShapeMismatch, SupportViolation
+from nabla_calc.errors import (
+    ChartMismatch,
+    NonadmissibleWeight,
+    ShapeMismatch,
+    SupportViolation,
+)
 from nabla_calc.generators import build_generators, identity_embedding
 from nabla_calc.geometry import MetricField, WeightPair
 from nabla_calc.grid import ChartGrid
@@ -94,6 +99,22 @@ def test_eval_checks_support():
     spec = _dirichlet_spec(SCALAR, FLAT)
     with pytest.raises(SupportViolation):
         eval_bidiff(spec, ones, ones)
+
+
+def test_eval_and_spec_name_what_they_reject():
+    spec = _dirichlet_spec(SCALAR, FLAT)
+    u = random_section(GRID, 0, 1, seeded_rng(11, "bd-args"))
+    pair = random_section(GRID, 0, 2, seeded_rng(11, "bd-args-pair"))
+    other = ChartGrid([(-1, 1), (-1, 1)], (65, 65))
+    off = random_section(other, 0, 1, seeded_rng(11, "bd-args-off"))
+    with pytest.raises(ChartMismatch, match="^form and sections live on different grids$"):
+        eval_bidiff(spec, u, off)
+    with pytest.raises(ShapeMismatch, match="^first argument must be rank 0 with fiber 1, "):
+        eval_bidiff(spec, pair, u)
+    with pytest.raises(ShapeMismatch, match="^second argument must be rank 0 with fiber 1, "):
+        eval_bidiff(spec, u, pair)
+    with pytest.raises(ChartMismatch, match="^form ingredients live on different grids$"):
+        BidiffSpec(SCALAR, BundleSpec(other, 1), FLAT, 0, {})
 
 
 def test_dirichlet_form_is_sesquilinear():
@@ -443,11 +464,32 @@ def test_gradient_adjoint_matches_pairwise_reference():
         # floating-point sums changes; level 0 is only the cancellation
         # residue of O(1) terms (Z_l (x) W_l sums to the inverse metric), so
         # both levels are measured against the scale of the whole ladder
-        scale = max(np.max(np.abs(w)) for w in want.coefficients)
+        scale = max(np.max(np.abs(w)) for w in want.coefficients if w is not None)
         for g, w in zip(got.coefficients, want.coefficients):
+            g = 0.0 if g is None else g  # None is the zero level
+            w = 0.0 if w is None else w
             assert np.max(np.abs(g - w)) <= 1e-13 * scale
             # the identity frame on a flat chart has c_kl = delta_kl exactly
             assert frame is not flat_gens or np.array_equal(g, w)
+
+
+def test_flat_identity_frame_adjoint_has_no_zero_order_level():
+    # div Z_l vanishes for the identity frame on a flat chart, so the
+    # zero-order term -div Z_l i_{W_l} is the zero level
+    gens = build_generators(identity_embedding(GRID), FLAT, frechet=True)
+    adjoint = _gradient_adjoint(MAGNET, FLAT, gens)
+    assert adjoint.coefficients[0] is None
+    assert adjoint.coefficients[1] is not None
+
+
+def test_flat_ladder_forms_assemble_without_odd_levels():
+    cfg = builtin_scenario("flat-operators")
+    cfg["chart"]["h"] = 2 / 32
+    ctx = build_context(parse_scenario(cfg))
+    for m, want in ((1, [False, True, False]), (2, [False, True, False, True, False])):
+        spec = _ladder_form(ctx, m)
+        op = assemble_divergence_form(spec, ctx.gens, spec.cosource, ctx.metric)
+        assert [a is None for a in op.coefficients] == want
 
 
 def test_gradient_adjoint_differentiates_once_per_generator(monkeypatch):

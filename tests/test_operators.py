@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nabla_calc import operators
-from nabla_calc.bidiff import bidiff_from_ops
 from nabla_calc.bundles import (
     BundleSpec,
     TensorSection,
@@ -28,6 +27,7 @@ from nabla_calc.operators import (
     NablaOpSpec,
     _add_ladders,
     _hom_derivative,
+    _scaled,
     apply_mixed_op,
     apply_nabla_op,
     coefficient_infty_norm,
@@ -155,11 +155,17 @@ def test_absent_ladder_levels_stay_none():
 def test_apply_rejects_wrong_shape_and_grid():
     other = ChartGrid([(-1, 1), (-1, 1)], (65, 65))
     u = random_section(other, 0, 2, seeded_rng(7, "op-bad"))
-    with pytest.raises(ChartMismatch):
+    with pytest.raises(ChartMismatch, match="^operator and section live on different grids$"):
         apply_nabla_op(identity_op(MAGNET, FLAT), u)
     v = random_section(GRID, 0, 3, seeded_rng(7, "op-bad-fiber"))
-    with pytest.raises(ShapeMismatch):
+    shape = "^operator eats rank-0 sections with fiber 2, got rank 0 with fiber 3$"
+    with pytest.raises(ShapeMismatch, match=shape):
         apply_nabla_op(identity_op(MAGNET, FLAT), v)
+    mixed = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(np.ones(GRID.shape + (2, 2)), [])])
+    with pytest.raises(ShapeMismatch, match=shape):
+        apply_mixed_op(mixed, v)
+    with pytest.raises(ChartMismatch, match="^operator ingredients live on different grids$"):
+        NablaOpSpec(MAGNET, magnetic_example_bundle(other), FLAT, [None])
 
 
 def test_compose_of_flat_gradients_is_exact():
@@ -657,7 +663,7 @@ def test_weighted_conjugate_trivial_weight_is_noop():
 
 
 def _zero_filled(spec):
-    """The same ladder with every None level given as an explicit zero array."""
+    """The same ladder, built with every None level given as an explicit zero array."""
     n, d = spec.grid.dim, spec.source.fiber_dim
     levels = [
         np.zeros(spec.grid.shape + (spec.target.fiber_dim, n**j * d), complex)
@@ -671,43 +677,45 @@ def _zero_filled(spec):
 
 
 def _same_ladder(one, two):
-    assert len(one.coefficients) == len(two.coefficients)
+    """Same class, the same zero (None) levels, bit-equal other levels."""
     assert one.coefficient_class == two.coefficient_class
-    for a, b in zip(_zero_filled(one).coefficients, _zero_filled(two).coefficients):
-        assert np.array_equal(a, b)
+    assert [a is None for a in one.coefficients] == [b is None for b in two.coefficients]
+    for a, b in zip(one.coefficients, two.coefficients):
+        assert a is None or np.array_equal(a, b)
 
 
-def test_none_levels_act_as_explicit_zeros():
+def test_explicit_zero_levels_are_stored_as_none():
     rng = seeded_rng(7, "op-sparse")
     a1 = random_trig_field(2, (2, 4), rng).sample(GRID)
     sparse = NablaOpSpec(MAGNET, MAGNET, FLAT, [None, a1], "totally-bounded")
     dense = _zero_filled(sparse)
-    assert sparse.coefficients[0] is None and dense.coefficients[0] is not None
-    other = _random_ladder(MAGNET, MAGNET, 1, rng)
-    grad = gradient_op(MAGNET, FLAT)
-    _same_ladder(compose(sparse, other), compose(dense, other))
-    _same_ladder(compose(other, sparse), compose(other, dense))
-    _same_ladder(compose(grad, sparse), compose(_zero_filled(grad), dense))
-    _same_ladder(_add_ladders(sparse, other), _add_ladders(dense, other))
-    u = random_section(GRID, 0, 2, rng)
-    assert np.array_equal(
-        apply_nabla_op(sparse, u).values, apply_nabla_op(dense, u).values
-    )
-    forms = bidiff_from_ops(sparse, other), bidiff_from_ops(dense, other)
-    assert forms[0].coefficients.keys() == forms[1].coefficients.keys()
-    for key, a in forms[0].coefficients.items():
-        assert np.array_equal(a, forms[1].coefficients[key])
-    gens = build_generators(identity_embedding(GRID), FLAT)
-    mixed = nabla_to_mixed(sparse, gens), nabla_to_mixed(dense, gens)
-    assert [t.labels for t in mixed[0].terms] == [t.labels for t in mixed[1].terms]
-    for s_term, d_term in zip(mixed[0].terms, mixed[1].terms):
-        assert np.array_equal(s_term.coefficient, d_term.coefficient)
-    x1, x2 = GRID.coords
-    weight = WeightPair(GRID, 1.0 / (2.0 + x1), np.exp(0.3 * x2))
-    _same_ladder(weighted_conjugate(sparse, weight), weighted_conjugate(dense, weight))
-    assert mapping_bound_check(sparse, 1, 2.0, trials=2) == mapping_bound_check(
-        dense, 1, 2.0, trials=2
-    )
+    assert sparse.coefficients[0] is None and dense.coefficients[0] is None
+    _same_ladder(sparse, dense)
+    # a level that cancels to exactly zero is absent as well
+    cancelled = _add_ladders(sparse, _scaled(sparse, -1.0))
+    assert cancelled.coefficients == [None, None]
+    # the shape check comes first: a misshaped zero level is no zero level
+    with pytest.raises(ShapeMismatch):
+        NablaOpSpec(MAGNET, MAGNET, FLAT, [np.zeros(GRID.shape + (2, 3)), a1])
+    with pytest.raises(ShapeMismatch):
+        NablaOpSpec(MAGNET, MAGNET, FLAT, [None, np.zeros(GRID.shape + (2, 2))])
+
+
+def test_mixed_spec_drops_zero_terms_but_keeps_their_order():
+    eye = np.broadcast_to(np.eye(2, dtype=complex), GRID.shape + (2, 2))
+    zero = np.zeros(GRID.shape + (2, 2), dtype=complex)
+    x = _basis_field(GRID, 0)
+    kept = MixedTerm(eye, fields=[x])
+    spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [kept, MixedTerm(zero, fields=[x, x])])
+    assert spec.terms == [kept]
+    assert spec.order == mixed_to_nabla(spec).order == 2
+    # a zero term is validated before it is dropped
+    with pytest.raises(ShapeMismatch):
+        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero[..., :1], fields=[x])])
+    with pytest.raises(ShapeMismatch):
+        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero, labels=(0,))])
+    with pytest.raises(ShapeMismatch):
+        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero, fields=[x, x])], order=1)
 
 
 def test_weighted_mapping_check_reports_conjugation():
