@@ -184,7 +184,7 @@ def assemble_divergence_form(spec, gens, bundle, metric):
     adj_chain = {}
     total = None
     for (i, j), a in spec.coefficients.items():
-        target_j = induced_tensor_bundle(bundle, metric, j) if j else bundle
+        target_j = induced_tensor_bundle(bundle, metric, j)
         h_j = np.asarray(target_j.fiber_metric, dtype=complex)
         if h_j.ndim == 2 and np.array_equal(h_j, np.eye(len(h_j))):
             mid_coeff = a
@@ -196,11 +196,7 @@ def assemble_divergence_form(spec, gens, bundle, metric):
         )
         for level in range(j, 0, -1):
             if level not in adj_chain:
-                base = (
-                    induced_tensor_bundle(bundle, metric, level - 1)
-                    if level > 1
-                    else bundle
-                )
+                base = induced_tensor_bundle(bundle, metric, level - 1)
                 adj_chain[level] = _gradient_adjoint(base, metric, gens)
             term = compose(adj_chain[level], term)
         total = _add_ladders(total, term)

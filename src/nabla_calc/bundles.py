@@ -1,7 +1,8 @@
 """Hermitian bundles over a chart, their potentials, and tensor sections.
 
 A bundle is trivialized over the chart: fiber C^d, a Hermitian fiber metric,
-and connection potential matrices A_k per coordinate direction, stored as
+and connection potential matrices A_k per coordinate direction, stored once
+grid-last as potentials_grid_last[k, a, b, idx] and read grid-first as
 potentials[idx, k, a, b].  Sections of T*M^{tensor r} (x) E are arrays
 values[idx, i_1..i_r, a] with slot axes between the grid axes and the fiber
 axis; new covariant slots are always prepended leftmost.
@@ -95,27 +96,24 @@ class BundleSpec:
             )
         self.grid = grid
         self.fiber_dim = d
-        self.potentials = potentials
+        # the one stored copy, grid innermost and never written
+        self.potentials_grid_last = grid_last(potentials, grid.dim)
+        self.potentials_grid_last.flags.writeable = False
         self.fiber_metric = fiber_metric
         self.is_flat = not np.any(potentials)
-        # induced_tensor_bundle memo: slots -> (metric, induced bundle)
-        self._induced = {}
+        # set by induced_tensor_bundle: the plain bundle E of T*M^slots (x) E
+        self.base = None
+        self.slots = 0
         self._endo = None
-        self._potentials_grid_last = None
 
     @property
     def metric_is_constant(self):
         return self.fiber_metric.ndim == 2
 
-    def potentials_grid_last(self):
-        """The potentials as a C-contiguous (n, d, d) + grid array.
-
-        Built on first use and kept, like the induced-bundle memo; the
-        potentials are never written after construction.
-        """
-        if self._potentials_grid_last is None:
-            self._potentials_grid_last = grid_last(self.potentials, self.grid.dim)
-        return self._potentials_grid_last
+    @property
+    def potentials(self):
+        """The potentials as a grid + (n, d, d) view of the grid-last copy."""
+        return grid_first(self.potentials_grid_last, self.grid.dim)
 
     def dual(self):
         """Dual bundle: potentials A'_k = -A_k^T, inverse-transpose metric."""
@@ -139,7 +137,7 @@ class BundleSpec:
         return BundleSpec(self.grid, self.fiber_dim * other.fiber_dim, pots)
 
     def endo(self):
-        """Hom(self, self), built on first use and kept like the induced memo."""
+        """Hom(self, self), built on first use and kept."""
         if self._endo is None:
             self._endo = self.hom(self)
         return self._endo
@@ -250,17 +248,17 @@ def induced_tensor_bundle(bundle, metric, slots):
     fiber metric is the tensor of inverse-metric factors with the fiber
     metric.  Flattening matches TensorSection.flatten_fiber ordering.
 
-    The result is memoized on the bundle per slots, for this very metric
-    object; a constant metric has Gamma = 0, and with a constant fiber
-    metric as well the induced fiber metric is one (N, N) matrix.
+    The result records E as its base and its total slot count, so the
+    lift of an induced bundle is built from E with the slots added, all
+    over this metric.  A constant metric has Gamma = 0, and with a
+    constant fiber metric the induced fiber metric is one (N, N) matrix.
     """
     if metric.grid != bundle.grid:
         raise ChartMismatch("bundle and metric live on different grids")
     if slots == 0:
         return bundle
-    memo = bundle._induced.get(slots)
-    if memo is not None and memo[0] is metric:
-        return memo[1]
+    if bundle.base is not None:
+        bundle, slots = bundle.base, bundle.slots + slots
     grid = bundle.grid
     n = grid.dim
     if metric.is_constant:
@@ -277,5 +275,5 @@ def induced_tensor_bundle(bundle, metric, slots):
         fiber_metric = pointwise_kron(fiber_metric, ginv)
     fiber_metric = pointwise_kron(fiber_metric, bundle.fiber_metric)
     out = BundleSpec(grid, (n**slots) * bundle.fiber_dim, pots, fiber_metric)
-    bundle._induced[slots] = (metric, out)
+    out.base, out.slots = bundle, slots
     return out

@@ -68,14 +68,10 @@ def covariant_derivative(u, bundle, metric, check_support=True):
     if not metric.is_constant and r > 0:
         gamma = metric.christoffel_field()
         parts -= _gamma_slot_sum(gamma, u.values, r)
-    if not bundle.is_flat and r == 0:
-        # a matrix times a vector is fast grid-first, and a rank-0 caller
-        # should not pay for a grid-last copy of the potentials
-        parts += np.einsum("...yab,...b->...ya", bundle.potentials, u.values)
-    elif not bundle.is_flat:
+    if not bundle.is_flat:
         term = np.einsum(
             f"yab...,{letters}b...->y{letters}a...",
-            bundle.potentials_grid_last(),
+            bundle.potentials_grid_last,
             grid_last(u.values, grid.dim),
         )
         parts += grid_first(term, grid.dim)
@@ -93,7 +89,7 @@ def _coordinate_directional(vals, axis, rank, bundle):
         letters = _SLOTS[:rank]
         out += np.einsum(
             f"ab...,{letters}b...->{letters}a...",
-            bundle.potentials_grid_last()[axis],
+            bundle.potentials_grid_last[axis],
             vals,
         )
     return out
@@ -222,7 +218,7 @@ def curvature(bundle):
     if bundle.is_flat:
         return CurvatureField(grid, r)
     a = bundle.potentials
-    pots = bundle.potentials_grid_last()
+    pots = bundle.potentials_grid_last
     for k in range(n):
         for l in range(k + 1, n):
             r_kl = r[..., k, l, :, :]
@@ -258,24 +254,16 @@ def divergence(X, metric):
     return out
 
 
-class FormalAdjointDirectional:
+def formal_adjoint_directional(X, bundle, metric):
     """The operator -nabla_X - div(X), the formal adjoint of nabla_X."""
+    div_x = divergence(X, metric)
 
-    def __init__(self, X, bundle, metric):
-        self.X = X
-        self.bundle = bundle
-        self.metric = metric
-        self._div = divergence(X, metric)
-
-    def __call__(self, u):
-        der = directional_derivative(u, self.X, self.bundle, self.metric)
-        pad = (1,) * (u.values.ndim - self._div.ndim)
-        div = self._div.reshape(self._div.shape + pad)
+    def adjoint(u):
+        der = directional_derivative(u, X, bundle, metric)
+        div = div_x.reshape(div_x.shape + (1,) * (u.values.ndim - div_x.ndim))
         return TensorSection(u.grid, u.rank, -der.values - div * u.values, u.fiber_dim)
 
-
-def formal_adjoint_directional(X, bundle, metric):
-    return FormalAdjointDirectional(X, bundle, metric)
+    return adjoint
 
 
 def contract_epsilon(w, e_dim, f_dim):

@@ -292,7 +292,7 @@ def check_leibniz_rule(ctx, tolerance, trials=5):
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     n = grid.dim
-    pots = ctx.bundle.potentials_grid_last()
+    pots = ctx.bundle.potentials_grid_last
     worst = 0.0
     for trial in range(trials):
         rng = _rng(ctx, "leibniz-rule", trial)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .bundles import TensorSection, induced_tensor_bundle, pointwise_kron
-from .calculus import covariant_derivative, curvature, tower
+from .calculus import _gamma_slot_sum, covariant_derivative, curvature, tower
 from .errors import ChartMismatch, ShapeMismatch
 from .geometry import WeightPair
 from .norms import (
@@ -134,11 +134,9 @@ def multiplication_op(a, source, target, metric, coefficient_class="smooth"):
 
 def gradient_op(bundle, metric, depth=1):
     """P = nabla^depth, landing in the flattened rank-depth bundle."""
-    grid = bundle.grid
-    d = bundle.fiber_dim
-    top = grid.dim**depth * d
-    target = induced_tensor_bundle(bundle, metric, depth) if depth else bundle
-    eye = np.broadcast_to(np.eye(top, dtype=complex), grid.shape + (top, top))
+    target = induced_tensor_bundle(bundle, metric, depth)
+    top = target.fiber_dim
+    eye = np.broadcast_to(np.eye(top, dtype=complex), bundle.grid.shape + (top, top))
     return NablaOpSpec(bundle, target, metric, [None] * depth + [eye], "totally-bounded")
 
 
@@ -169,27 +167,51 @@ def apply_nabla_op(spec, u):
     return TensorSection(grid, 0, out, spec.target.fiber_dim)
 
 
+def _slot_action(gamma, a, slots):
+    """The Christoffel sum on the leading `slots` slot axes of a's rows."""
+    lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
+    n = gamma.shape[-1]
+    vals = a.reshape(lead + (n,) * slots + (rows // n**slots * cols,))
+    return _gamma_slot_sum(gamma, vals, slots).reshape(lead + (n, rows, cols))
+
+
 def _hom_derivative(a, source, target, metric):
     """Covariant derivative of a Hom field, one direction axis in front.
 
-    Returns grid + (n, d_target, d_source) holding D_y a + A^tgt_y a - a
-    A^src_y; the stencil-invalid band is zeroed since coefficient fields
-    need not vanish there.
+    source and target are (bundle, extra slots): a maps T*M^s (x) E to
+    T*M^t (x) F, with E, F the base bundles and s, t counting their own
+    slots too.  The connection acts slot by slot: grid + (n, d_target,
+    d_source) holds D_y a + A^F_y a - a A^E_y, -Gamma on each target slot
+    and +Gamma on each source slot, zeroed on the stencil-invalid band.
     """
     grid = metric.grid
     n = grid.dim
+    (src, s), (tgt, t) = [
+        (b, k) if b.base is None else (b.base, b.slots + k) for b, k in (source, target)
+    ]
     da = np.stack([grid.diff(a, axis=y) for y in range(n)], axis=grid.dim)
     da = da.astype(complex, copy=False)
-    a_y = a[..., None, :, :]
-    da += np.matmul(target.potentials, a_y)
-    da -= np.matmul(a_y, source.potentials)
+    if not tgt.is_flat:
+        rows = da.reshape(grid.shape + (n, n**t, tgt.fiber_dim, -1))  # a view
+        a_rows = a.reshape(grid.shape + (1, n**t, tgt.fiber_dim, -1))
+        rows += np.matmul(tgt.potentials[..., None, :, :], a_rows)
+    if not src.is_flat:
+        cols = da.reshape(grid.shape + (n, -1, src.fiber_dim))  # a view
+        cols -= np.matmul(a.reshape(grid.shape + (1, -1, src.fiber_dim)), src.potentials)
+    if not metric.is_constant:
+        gamma = metric.christoffel_field()
+        if t:
+            da -= _slot_action(gamma, a, t)
+        if s:
+            flipped = _slot_action(np.swapaxes(gamma, -3, -1), np.swapaxes(a, -1, -2), s)
+            da += np.swapaxes(flipped, -1, -2)
     grid.zero_band(da, grid.stencil_radius)
     return da
 
 
 def _directional_endo_derivative(b, field, bundle, metric):
     """nabla_X of an endomorphism field, as another endomorphism field."""
-    der = _hom_derivative(b, bundle, bundle, metric)
+    der = _hom_derivative(b, (bundle, 0), (bundle, 0), metric)
     return np.einsum("...y,...yfk->...fk", field, der)
 
 
@@ -233,12 +255,7 @@ def compose(q, p):
             break
         nxt = {}
         for m, mat in table.items():
-            der = _hom_derivative(
-                mat,
-                induced_tensor_bundle(p.source, metric, m),
-                induced_tensor_bundle(p.target, metric, i),
-                metric,
-            )
+            der = _hom_derivative(mat, (p.source, m), (p.target, i), metric)
             if np.any(der):
                 _put(nxt, m, der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1])))
             _put(nxt, m + 1, pointwise_kron(eye_lift, mat))
@@ -401,9 +418,8 @@ def nabla_to_mixed(spec, gens):
     for j in range(1, spec.order + 1):
         prev = per_depth[j - 1]
         cur = {}
-        tgt = induced_tensor_bundle(source, metric, j - 1)
         for chain, phi in prev.items():
-            der = _hom_derivative(phi, source, tgt, metric)
+            der = _hom_derivative(phi, (source, 0), (source, j - 1), metric)
             for i in range(gens.n_gens):
                 z = gens.z[..., i, :]
                 xi_col = gens.xi[..., i, :][..., :, None].astype(complex)

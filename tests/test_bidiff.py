@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,24 @@ def test_ladder_form_assembly_differentiates_no_zero_level(monkeypatch):
     monkeypatch.setattr(operators, "_hom_derivative", recording)
     assemble_divergence_form(spec, ctx.gens, spec.cosource, ctx.metric)
     assert inputs and all(inputs)
+
+
+def test_ladder_form_assembly_holds_only_the_operator():
+    # nothing the assembly builds on the way outlives it: no bundle keeps
+    # a memo of the induced bundles or of their potentials
+    cfg = builtin_scenario("flat-operators")
+    cfg["chart"]["h"] = 2 / 64
+    ctx = build_context(parse_scenario(cfg))
+    spec = _ladder_form(ctx, 2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        op = assemble_divergence_form(spec, ctx.gens, spec.cosource, ctx.metric)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    coefficient_bytes = sum(a.nbytes for a in op.coefficients if a is not None)
+    assert held <= 1.5 * coefficient_bytes
 
 
 def _gradient_adjoint_reference(bundle, metric, gens):

@@ -198,15 +198,24 @@ def _reference_induced(bundle, metric, slots):
     return pots, pointwise_kron(fiber_metric, h)
 
 
-def test_induced_bundle_is_memoized_per_metric_object(grid):
+def test_induced_bundle_of_an_induced_bundle_lifts_the_base(grid):
+    x1, x2 = grid.coords
+    metric = MetricField.conformal(grid, 0.2 * x1 * x2)
     bundle = magnetic_example_bundle(grid)
-    metric = MetricField.flat(grid)
-    first = induced_tensor_bundle(bundle, metric, 2)
-    assert induced_tensor_bundle(bundle, metric, 2) is first
-    assert induced_tensor_bundle(bundle, metric, 1) is not first
-    other = induced_tensor_bundle(bundle, MetricField.flat(grid), 2)
-    assert other is not first
-    assert np.array_equal(other.potentials, first.potentials)
+    assert bundle.base is None and bundle.slots == 0
+    twice = induced_tensor_bundle(induced_tensor_bundle(bundle, metric, 1), metric, 1)
+    assert twice.base is bundle and twice.slots == 2
+    direct = induced_tensor_bundle(bundle, metric, 2)
+    assert np.array_equal(twice.potentials, direct.potentials)
+    assert np.array_equal(twice.fiber_metric, direct.fiber_metric)
+
+
+def test_potentials_are_stored_once_grid_last(grid):
+    bundle = magnetic_example_bundle(grid)
+    pots = bundle.potentials_grid_last
+    assert pots.flags.c_contiguous and pots.shape == (2, 2, 2) + grid.shape
+    assert np.shares_memory(bundle.potentials, pots)
+    assert bundle.potentials.shape == grid.shape + (2, 2, 2)
 
 
 @pytest.mark.parametrize("slots", [1, 2, 3])

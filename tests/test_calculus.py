@@ -268,17 +268,14 @@ def test_connection_term_matches_grid_first_einsum(shape, d):
     for r in range(4):
         sec = TensorSection(grid, r, _complex_normal(rng, grid.shape + (n,) * r + (d,)), d)
         got = covariant_derivative(sec, bundle, metric, check_support=False)
-        if r == 0:
-            assert bundle._potentials_grid_last is None
         slots = "cdefghij"[:r]
         want = np.stack([grid.diff(sec.values, axis=k) for k in range(n)], axis=n)
         want += np.einsum(
             f"...yab,...{slots}b->...y{slots}a", bundle.potentials, sec.values
         )
         assert np.array_equal(got.values, want)
-    pots = bundle.potentials_grid_last()
+    pots = bundle.potentials_grid_last
     assert pots.flags.c_contiguous and pots.shape == (n, d, d) + grid.shape
-    assert pots is bundle.potentials_grid_last()
 
 
 def _grid_first_multiindex(sec, idx, bundle):
@@ -324,13 +321,12 @@ def test_grid_last_products_match_grid_first_references(shape, d):
     assert np.array_equal(curvature(bundle).values, _stacked_curvature(bundle))
 
 
-def test_flat_curvature_is_zero_and_builds_no_memo():
+def test_flat_curvature_is_zero():
     grid = ChartGrid([(-1, 1), (-1, 1)], (13, 13), support_margin=2)
     bundle = BundleSpec(grid, 2)
     r = curvature(bundle).values
     assert r.shape == grid.shape + (2, 2, 2, 2) and not np.any(r)
     assert np.array_equal(r, _stacked_curvature(bundle))
-    assert bundle._potentials_grid_last is None
 
 
 def test_curvature_peak_memory_below_three_results():
@@ -341,8 +337,6 @@ def test_curvature_peak_memory_below_three_results():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the peak counts the grid-last potentials memo built on the way
-    assert bundle._potentials_grid_last is not None
     assert peak < 3 * r.values.nbytes
 
 

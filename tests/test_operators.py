@@ -268,9 +268,32 @@ def test_hom_derivative_matches_einsum_reference():
     for source, target in ((MAGNET, MAGNET), (big, MAGNET), (big, big)):
         shape = (target.fiber_dim, source.fiber_dim)
         a = random_trig_field(2, shape, rng).sample(GRID)
-        got = _hom_derivative(a, source, target, FLAT)
+        got = _hom_derivative(a, (source, 0), (target, 0), FLAT)
         want = _hom_derivative_reference(a, source, target, GRID)
         assert _close(got, want)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_slotwise_hom_derivative_matches_induced_bundles_on_a_curved_metric(m, i):
+    # the dense route: the induced bundles' Kronecker-sum potentials, with
+    # -Gamma on every slot, against the slot-by-slot action on the bases
+    grid = ChartGrid([(-1, 1), (-1, 1)], (33, 33))
+    x1, x2 = grid.coords
+    metric = MetricField.conformal(grid, 0.2 * x1 * x2)
+    rng = seeded_rng(7, f"op-hom-curved-{m}-{i}")
+    source = magnetic_example_bundle(grid)
+    target = BundleSpec(grid, 3, random_trig_field(2, (2, 3, 3), rng).sample(grid))
+    shape = (2**i * 3, 2**m * 2)
+    a = random_trig_field(2, shape, rng).sample(grid)
+    got = _hom_derivative(a, (source, m), (target, i), metric)
+    want = _hom_derivative_reference(
+        a,
+        induced_tensor_bundle(source, metric, m),
+        induced_tensor_bundle(target, metric, i),
+        grid,
+    )
+    assert _close(got, want)
 
 
 def test_compose_matches_einsum_reference():
@@ -376,9 +399,7 @@ def _mixed_to_nabla_reference(spec):
         for x in reversed(term.fields):
             nxt = {}
             for m, c in chain.items():
-                der = _hom_derivative(
-                    c, induced_tensor_bundle(source, metric, m), source, metric
-                )
+                der = _hom_derivative(c, (source, m), (source, 0), metric)
                 moved = np.einsum("...y,...yfk->...fk", x, der)
                 nxt[m] = nxt.get(m, 0) + moved
                 row = x[..., None, :].astype(complex)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nabla_calc import BundleSpec, MetricField, magnetic_example_bundle
+from nabla_calc.checks import CHECKS
 from nabla_calc.errors import ConfigError, ResolutionError
 from nabla_calc.norms import sobolev_norm
 from nabla_calc.reports import report_payload
@@ -183,9 +184,9 @@ def test_threaded_run_matches_serial():
     assert serial == pooled
 
 
-def test_threaded_magnetic_checks_share_the_potentials_memo():
-    # all three checks read the bundle's lazy grid-last potentials; threads
-    # may both build it, and every residual keeps its bits
+def test_threaded_magnetic_checks_keep_their_bits():
+    # all three checks read the one bundle's potentials at once, and every
+    # residual keeps its bits under any interleaving of the threads
     s = parse_scenario(builtin_scenario("magnetic-example"))
     assert len(s.checks) == 3
     serial = run_scenario(s, seed=20, threads=1)
@@ -198,6 +199,22 @@ def test_threaded_magnetic_checks_share_the_potentials_memo():
             assert [(row.check, repr(row.measured)) for row in pooled.checks] == want
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("name", ["flat-operators", "magnetic-example"])
+def test_checks_leave_the_bundle_as_built(name):
+    cfg = builtin_scenario(name)
+    cfg["chart"]["h"] = 2 / 32
+    s = parse_scenario(cfg)
+    ctx = build_context(s)
+    # the Hom bundle of endo() is the one state a bundle builds lazily
+    ctx.bundle.endo()
+    before = dict(vars(ctx.bundle))
+    for entry in s.checks:
+        CHECKS[entry["check"]][0](ctx, entry)
+    after = vars(ctx.bundle)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
 
 
 def test_thread_count_below_one_is_rejected(monkeypatch):
