@@ -152,7 +152,9 @@ def _gradient_adjoint(bundle, metric, gens):
     against the inverse metric, so with W_l = sum_k c_kl Z_k each generator
     contributes -(grad_{Z_l} + div Z_l) i_{W_l}.
     """
-    rank_one = induced_tensor_bundle(bundle, metric, 1)
+    # T*M (x) T*M^s (x) E, lifted from the plain bundle E
+    plain, slots = (bundle, 0) if bundle.base is None else (bundle.base, bundle.slots)
+    rank_one = induced_tensor_bundle(plain, metric, slots + 1)
     c = np.einsum("...ab,...ka,...lb->...kl", metric.inv, gens.xi, gens.xi)
     w = np.einsum("...kl,...ky->...ly", c, gens.z)
     tag = "totally-bounded" if gens.frechet else "smooth"

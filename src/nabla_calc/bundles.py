@@ -6,9 +6,14 @@ grid-last as potentials_grid_last[k, a, b, idx] and read grid-first as
 potentials[idx, k, a, b].  Sections of T*M^{tensor r} (x) E are arrays
 values[idx, i_1..i_r, a] with slot axes between the grid axes and the fiber
 axis; new covariant slots are always prepended leftmost.
-"""
 
-import math
+Only a plain BundleSpec holds potentials.  The derived bundle
+T*M^{tensor s} (x) E is an InducedBundle that records E and s, and every
+derived connection, on it or on Hom fields between such bundles, is
+applied slot by slot over E by calculus.covariant_derivative and
+operators._hom_derivative; no Kronecker-sum potential is ever built.
+A bundle builds nothing lazily.
+"""
 
 import numpy as np
 
@@ -21,27 +26,6 @@ def pointwise_kron(x, y):
     r, s = y.shape[-2:]
     out = x[..., :, None, :, None] * y[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (p * r, q * s))
-
-
-def _kron_sum(factors):
-    """Kronecker sum of connection potentials, sum_k I (x) A_k (x) I pointwise.
-
-    Each factor is a (..., d_k, d_k) potential array or, for a factor with
-    no connection, its dimension d_k alone.  Terms are added in factor
-    order and size-1 identities are not multiplied in.
-    """
-    dims = [f if np.ndim(f) == 0 else f.shape[-1] for f in factors]
-    total = None
-    for k, a in enumerate(factors):
-        if np.ndim(a) == 0:
-            continue
-        left, right = math.prod(dims[:k]), math.prod(dims[k + 1 :])
-        if left > 1:
-            a = pointwise_kron(np.eye(left, dtype=complex), a)
-        if right > 1:
-            a = pointwise_kron(a, np.eye(right, dtype=complex))
-        total = a if total is None else total + a
-    return total
 
 
 def grid_last(x, g):
@@ -101,10 +85,9 @@ class BundleSpec:
         self.potentials_grid_last.flags.writeable = False
         self.fiber_metric = fiber_metric
         self.is_flat = not np.any(potentials)
-        # set by induced_tensor_bundle: the plain bundle E of T*M^slots (x) E
+        # a plain bundle; an InducedBundle names its plain bundle here
         self.base = None
         self.slots = 0
-        self._endo = None
 
     @property
     def metric_is_constant(self):
@@ -114,33 +97,6 @@ class BundleSpec:
     def potentials(self):
         """The potentials as a grid + (n, d, d) view of the grid-last copy."""
         return grid_first(self.potentials_grid_last, self.grid.dim)
-
-    def dual(self):
-        """Dual bundle: potentials A'_k = -A_k^T, inverse-transpose metric."""
-        pots = -np.swapaxes(self.potentials, -1, -2)
-        metric = np.linalg.inv(np.swapaxes(self.fiber_metric, -1, -2))
-        return BundleSpec(self.grid, self.fiber_dim, pots, metric)
-
-    def tensor(self, other):
-        """Tensor product bundle, fibers flattened row-major (a, b) -> a*dF+b."""
-        if other.grid != self.grid:
-            raise ChartMismatch("tensor factors live on different grids")
-        pots = _kron_sum([self.potentials, other.potentials])
-        metric = pointwise_kron(self.fiber_metric, other.fiber_metric)
-        return BundleSpec(self.grid, self.fiber_dim * other.fiber_dim, pots, metric)
-
-    def hom(self, other):
-        """Hom(self, other); morphisms vec'd row-major, (f, e) -> f*dE + e."""
-        if other.grid != self.grid:
-            raise ChartMismatch("hom factors live on different grids")
-        pots = _kron_sum([other.potentials, -np.swapaxes(self.potentials, -1, -2)])
-        return BundleSpec(self.grid, self.fiber_dim * other.fiber_dim, pots)
-
-    def endo(self):
-        """Hom(self, self), built on first use and kept."""
-        if self._endo is None:
-            self._endo = self.hom(self)
-        return self._endo
 
 
 def compatibility_defect(bundle):
@@ -241,17 +197,30 @@ def magnetic_example_bundle(grid):
     return BundleSpec(grid, 2, pots)
 
 
+class InducedBundle:
+    """T*M^{tensor slots} (x) E as one flattened fiber, without potentials.
+
+    Its connection is E's with -Gamma on every slot; covariant_derivative
+    and the Hom-field derivative apply it slot by slot over `base`, so a
+    reader of potentials must resolve `base` first.
+    """
+
+    def __init__(self, base, slots, fiber_metric):
+        self.grid = base.grid
+        self.fiber_dim = (base.grid.dim**slots) * base.fiber_dim
+        self.fiber_metric = fiber_metric
+        self.base = base
+        self.slots = slots
+
+
 def induced_tensor_bundle(bundle, metric, slots):
-    """T*M^{tensor slots} (x) E as a plain bundle with one flattened fiber.
+    """T*M^{tensor slots} (x) E as an InducedBundle over the plain bundle E.
 
-    The potential picks up -Gamma on every slot plus the original A; the
-    fiber metric is the tensor of inverse-metric factors with the fiber
-    metric.  Flattening matches TensorSection.flatten_fiber ordering.
-
-    The result records E as its base and its total slot count, so the
+    The fiber metric is the tensor of inverse-metric factors with the fiber
+    metric, flattened as TensorSection.flatten_fiber orders the fiber.  The
     lift of an induced bundle is built from E with the slots added, all
-    over this metric.  A constant metric has Gamma = 0, and with a
-    constant fiber metric the induced fiber metric is one (N, N) matrix.
+    over this metric.  With a constant metric and a constant fiber metric
+    the induced fiber metric is one (N, N) matrix.
     """
     if metric.grid != bundle.grid:
         raise ChartMismatch("bundle and metric live on different grids")
@@ -259,21 +228,10 @@ def induced_tensor_bundle(bundle, metric, slots):
         return bundle
     if bundle.base is not None:
         bundle, slots = bundle.base, bundle.slots + slots
-    grid = bundle.grid
-    n = grid.dim
-    if metric.is_constant:
-        slot = n
-        ginv = metric.inv[(0,) * grid.dim].astype(complex)
-    else:
-        gamma = metric.christoffel_field()  # [m, k, l]
-        # action on one slot in direction k: M[l, m] = -Gamma^m_{k l}
-        slot = -np.swapaxes(np.moveaxis(gamma, -2, -3), -1, -2).astype(complex)
-        ginv = metric.inv.astype(complex)
-    pots = _kron_sum([slot] * slots + [bundle.potentials])
+    ginv = metric.inv[(0,) * metric.grid.dim] if metric.is_constant else metric.inv
+    ginv = ginv.astype(complex)
     fiber_metric = ginv
     for _ in range(slots - 1):
         fiber_metric = pointwise_kron(fiber_metric, ginv)
     fiber_metric = pointwise_kron(fiber_metric, bundle.fiber_metric)
-    out = BundleSpec(grid, (n**slots) * bundle.fiber_dim, pots, fiber_metric)
-    out.base, out.slots = bundle, slots
-    return out
+    return InducedBundle(bundle, slots, fiber_metric)

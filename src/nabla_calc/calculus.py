@@ -57,6 +57,16 @@ def covariant_derivative(u, bundle, metric, check_support=True):
     """One covariant derivative; result has rank r+1 with the new slot first."""
     _check_context(u, bundle, metric)
     grid = u.grid
+    if bundle.base is not None:
+        # the induced connection is the base's with -Gamma on every slot of
+        # the fiber: unfold those slots and differentiate over the base
+        base = bundle.base
+        shape = u.values.shape[:-1] + (grid.dim,) * bundle.slots + (base.fiber_dim,)
+        unfolded = u.values.reshape(shape)
+        v = TensorSection(grid, u.rank + bundle.slots, unfolded, base.fiber_dim)
+        vals = covariant_derivative(v, base, metric, check_support).values
+        shape = vals.shape[: u.values.ndim] + (u.fiber_dim,)
+        return TensorSection(grid, u.rank + 1, vals.reshape(shape), u.fiber_dim)
     n = grid.dim
     r = u.rank
     if check_support:
@@ -135,7 +145,8 @@ def multiindex_derivative(u, idx, bundle, metric):
 
     The rightmost entry acts first.  Slots accumulated by earlier steps stay
     alive (and receive Christoffel corrections) until the final extraction;
-    on a constant metric the cheaper directional composition is identical.
+    on a constant metric and a plain bundle the cheaper directional
+    composition is identical.
     """
     _check_context(u, bundle, metric)
     grid = u.grid
@@ -143,7 +154,7 @@ def multiindex_derivative(u, idx, bundle, metric):
     if not idx:
         return u.copy()
     grid.check_support(u.values, len(idx) * grid.stencil_radius)
-    if metric.is_constant:
+    if metric.is_constant and bundle.base is None:
         vals = grid_last(u.values, grid.dim)
         for i in reversed(idx):
             vals = _coordinate_directional(vals, i - 1, u.rank, bundle)

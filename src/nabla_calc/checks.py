@@ -48,7 +48,6 @@ from .norms import (
     covering_norm,
     lp_norm,
     multiplication_constant,
-    perturbed_norm_check,
     sobolev_norm,
     strict_max,
 )
@@ -61,6 +60,7 @@ from .operators import (
     mapping_bound_check,
     mixed_to_nabla,
     nabla_to_mixed,
+    perturbed_norm_check,
     reorder_generators,
 )
 from .reports import NormRow

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .bundles import BundleSpec, TensorSection
+from .bundles import TensorSection
 from .calculus import tower
 from .errors import (
     ChartMismatch,
@@ -111,26 +111,6 @@ def _lp_combine(terms, p):
         return top
     scale = _power_scale(top, p)
     return scale * float(sum((t / scale) ** p for t in terms) ** (1.0 / p))
-
-
-def _tower_sup(u, bundle, metric, depth):
-    """Grid sup of |nabla^j u| over j <= depth; NaN when any level has NaN.
-
-    Level j excludes the band of j + 1 stencil radii, where the stencil is
-    invalid, since coefficient fields need not vanish there.
-    """
-    grid = u.grid
-    sups = [
-        np.max(
-            np.where(
-                grid.interior_mask((j + 1) * grid.stencil_radius),
-                pointwise_norm_sq(d, metric, bundle),
-                0.0,
-            )
-        )
-        for j, d in enumerate(tower(u, bundle, metric, depth))
-    ]
-    return float(np.sqrt(np.max(sups)))
 
 
 def sobolev_norm(u, s, p, bundle, metric):
@@ -289,63 +269,6 @@ def equivalence_constant(ell, p, coefficient_norm):
         cm = multiplication_constant(j - 1, math.inf, p, p)
         c_p = c_p * 2.0 ** (p - 1.0) * (2.0 + cm**p * coefficient_norm**p)
     return float(c_p ** (1.0 / p))
-
-
-def hom_infty_norm(field, depth, bundle, metric):
-    """W^{depth,inf} norm of a Hom-valued one-form field on the grid.
-
-    field has shape grid + (n, d_out, d_in).  Derivatives are taken in the
-    induced connection; values inside the stencil-invalid band are excluded
-    from the max, since coefficient fields need not vanish there.
-    """
-    grid = metric.grid
-    n = grid.dim
-    d = bundle.fiber_dim
-    if field.shape != grid.shape + (n, d, d):
-        raise ShapeMismatch(
-            f"potential field has shape {field.shape}, expected "
-            f"{grid.shape + (n, d, d)}"
-        )
-    sec = TensorSection(grid, 1, field.reshape(grid.shape + (n, d * d)), d * d)
-    return _tower_sup(sec, bundle.endo(), metric, depth)
-
-
-def perturbed_norm_check(u, perturbation, ell, p, bundle, metric):
-    """Compare Sobolev norms under potentials A and A + perturbation.
-
-    The perturbation is a skew-Hermitian Hom-valued one-form; the two norms
-    must stay within the recursion constant of each other.  Returns a report
-    dict; never raises on a bound violation.
-    """
-    grid = u.grid
-    skew_defect = np.max(
-        np.abs(perturbation + np.conj(np.swapaxes(perturbation, -1, -2)))
-    )
-    scale = max(float(np.max(np.abs(perturbation))), 1e-300)
-    if skew_defect > 1e-10 * scale:
-        raise ValueError(
-            f"perturbation is not skew-Hermitian: defect {float(skew_defect):.3e}"
-        )
-    perturbed = BundleSpec(
-        grid,
-        bundle.fiber_dim,
-        potentials=bundle.potentials + perturbation,
-        fiber_metric=bundle.fiber_metric,
-    )
-    coeff_norm = hom_infty_norm(perturbation, max(ell - 1, 0), bundle, metric)
-    constant = equivalence_constant(ell, p, coeff_norm)
-    base = sobolev_norm(u, ell, p, bundle, metric)
-    other = sobolev_norm(u, ell, p, perturbed, metric)
-    slack = 1.0 + 1e-12
-    passed = other <= constant * base * slack and base <= constant * other * slack
-    return {
-        "norm_base": base,
-        "norm_perturbed": other,
-        "ratio": other / base if base else math.inf,
-        "coefficient_norm": coeff_norm,
-        "constant": constant,
-        "passed": bool(passed),
-    }
 
 
 def conformal_weighted_check(u, weight, ell, p, bundle, metric, bound=1.05):

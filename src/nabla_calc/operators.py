@@ -12,13 +12,21 @@ import math
 
 import numpy as np
 
-from .bundles import TensorSection, induced_tensor_bundle, pointwise_kron
+from .bundles import (
+    BundleSpec,
+    TensorSection,
+    grid_first,
+    grid_last,
+    induced_tensor_bundle,
+    pointwise_kron,
+)
 from .calculus import _gamma_slot_sum, covariant_derivative, curvature, tower
 from .errors import ChartMismatch, ShapeMismatch
 from .geometry import WeightPair
 from .norms import (
-    _tower_sup,
+    equivalence_constant,
     multiplication_constant,
+    pointwise_norm_sq,
     sobolev_norm,
     strict_max,
     weighted_sobolev_norm,
@@ -191,13 +199,25 @@ def _hom_derivative(a, source, target, metric):
     ]
     da = np.stack([grid.diff(a, axis=y) for y in range(n)], axis=grid.dim)
     da = da.astype(complex, copy=False)
-    if not tgt.is_flat:
+    if not (tgt.is_flat and src.is_flat):
+        # one direction at a time, with the grid innermost: the einsum loop
+        # runs over the grid, not over a d x d fiber once per point
+        last = grid_last(a, grid.dim)
+        a_rows = last.reshape((n**t, tgt.fiber_dim, -1) + grid.shape)
+        a_cols = last.reshape((-1, src.fiber_dim) + grid.shape)
         rows = da.reshape(grid.shape + (n, n**t, tgt.fiber_dim, -1))  # a view
-        a_rows = a.reshape(grid.shape + (1, n**t, tgt.fiber_dim, -1))
-        rows += np.matmul(tgt.potentials[..., None, :, :], a_rows)
-    if not src.is_flat:
         cols = da.reshape(grid.shape + (n, -1, src.fiber_dim))  # a view
-        cols -= np.matmul(a.reshape(grid.shape + (1, -1, src.fiber_dim)), src.potentials)
+        for y in range(n):  # each product is freed before the next is made
+            if not tgt.is_flat:
+                pots = tgt.potentials_grid_last[y]
+                rows[..., y, :, :, :] += grid_first(
+                    np.einsum("fg...,tgk...->tfk...", pots, a_rows), grid.dim
+                )
+            if not src.is_flat:
+                pots = src.potentials_grid_last[y]
+                cols[..., y, :, :] -= grid_first(
+                    np.einsum("rl...,le...->re...", a_cols, pots), grid.dim
+                )
     if not metric.is_constant:
         gamma = metric.christoffel_field()
         if t:
@@ -207,12 +227,6 @@ def _hom_derivative(a, source, target, metric):
             da += np.swapaxes(flipped, -1, -2)
     grid.zero_band(da, grid.stencil_radius)
     return da
-
-
-def _directional_endo_derivative(b, field, bundle, metric):
-    """nabla_X of an endomorphism field, as another endomorphism field."""
-    der = _hom_derivative(b, (bundle, 0), (bundle, 0), metric)
-    return np.einsum("...y,...yfk->...fk", field, der)
 
 
 def _put(table, key, mat):
@@ -464,7 +478,9 @@ def _absorb(coefficient, pre, endo, post, gens, bundle, metric):
         return [(merged, tuple(post))]
     k = pre[-1]
     out = _absorb(coefficient, pre[:-1], endo, (k,) + tuple(post), gens, bundle, metric)
-    der = _directional_endo_derivative(endo, gens.z[..., k - 1, :], bundle, metric)
+    # nabla_Z of the endomorphism field, as another endomorphism field
+    der = _hom_derivative(endo, (bundle, 0), (bundle, 0), metric)
+    der = np.einsum("...y,...yfk->...fk", gens.z[..., k - 1, :], der)
     out += _absorb(coefficient, pre[:-1], der, post, gens, bundle, metric)
     return out
 
@@ -501,8 +517,8 @@ def reorder_generators(spec, gens, bundle):
         i, j = labels[spot], labels[spot + 1]
         pending.append((coeff, labels[:spot] + (j, i) + labels[spot + 2 :]))
         pre, post = labels[:spot], labels[spot + 2 :]
-        r_endo = curv.contract(gens.z[..., i - 1, :], gens.z[..., j - 1, :])
-        pending.extend(_absorb(coeff, pre, r_endo, post, gens, bundle, metric))
+        r_ij = curv.contract(gens.z[..., i - 1, :], gens.z[..., j - 1, :])
+        pending.extend(_absorb(coeff, pre, r_ij, post, gens, bundle, metric))
         for m in range(gens.n_gens):
             lam = gens.l_structure[..., i - 1, j - 1, m]
             if not np.any(lam):
@@ -526,18 +542,101 @@ def reorder_generators(spec, gens, bundle):
     )
 
 
+def _hom_tower_sup(a, source, target, slots, metric, depth):
+    """Grid sup of |nabla^j a| over j <= depth; NaN when any level has NaN.
+
+    a is a Hom field from source to T*M^slots (x) target, stored as grid +
+    (n^slots * d_target, d_source).  Its form slots and derivative slots
+    are measured with g^-1, the Hom fiber with the identity.  Level j
+    excludes the band of j + 1 stencil radii, where the stencil is
+    invalid, since coefficient fields need not vanish there.
+    """
+    grid = metric.grid
+    if source.grid != grid or target.grid != grid:
+        raise ChartMismatch("Hom field bundles and metric live on different grids")
+    n = grid.dim
+    fiber = target.fiber_dim * source.fiber_dim
+    sups = []
+    for j in range(depth + 1):
+        if j:
+            a = _hom_derivative(a, (source, 0), (target, slots + j - 1), metric)
+            a = a.reshape(grid.shape + (n * a.shape[-2], a.shape[-1]))
+        rank = slots + j
+        vals = a.reshape(grid.shape + (n,) * rank + (fiber,))
+        level = TensorSection(grid, rank, vals, fiber)
+        mask = grid.interior_mask((j + 1) * grid.stencil_radius)
+        sups.append(np.max(np.where(mask, pointwise_norm_sq(level, metric), 0.0)))
+    return float(np.sqrt(np.max(sups)))
+
+
 def coefficient_infty_norm(a, source, target, metric, depth):
     """Grid sup of a Hom coefficient and its covariant derivatives to depth.
 
     The stencil-invalid band grows with every derivative and is excluded
     from the sup, since coefficients need not vanish near the boundary.
     """
-    grid = metric.grid
     a = np.asarray(a, dtype=complex)
-    hom_bundle = source.hom(target)
-    fiber = a.shape[-2] * a.shape[-1]
-    cur = TensorSection(grid, 0, a.reshape(grid.shape + (fiber,)), fiber)
-    return _tower_sup(cur, hom_bundle, metric, depth)
+    want = metric.grid.shape + (target.fiber_dim, source.fiber_dim)
+    if a.shape != want:
+        raise ShapeMismatch(f"coefficient has shape {a.shape}, expected {want}")
+    return _hom_tower_sup(a, source, target, 0, metric, depth)
+
+
+def hom_infty_norm(field, depth, bundle, metric):
+    """W^{depth,inf} norm of a Hom-valued one-form field on the grid.
+
+    field has shape grid + (n, d_out, d_in).  Derivatives are taken in the
+    induced connection; values inside the stencil-invalid band are excluded
+    from the max, since coefficient fields need not vanish there.
+    """
+    grid = metric.grid
+    n = grid.dim
+    d = bundle.fiber_dim
+    if field.shape != grid.shape + (n, d, d):
+        raise ShapeMismatch(
+            f"potential field has shape {field.shape}, expected "
+            f"{grid.shape + (n, d, d)}"
+        )
+    a = field.astype(complex, copy=False).reshape(grid.shape + (n * d, d))
+    return _hom_tower_sup(a, bundle, bundle, 1, metric, depth)
+
+
+def perturbed_norm_check(u, perturbation, ell, p, bundle, metric):
+    """Compare Sobolev norms under potentials A and A + perturbation.
+
+    The perturbation is a skew-Hermitian Hom-valued one-form; the two norms
+    must stay within the recursion constant of each other.  Returns a report
+    dict; never raises on a bound violation.
+    """
+    grid = u.grid
+    skew_defect = np.max(
+        np.abs(perturbation + np.conj(np.swapaxes(perturbation, -1, -2)))
+    )
+    scale = max(float(np.max(np.abs(perturbation))), 1e-300)
+    if skew_defect > 1e-10 * scale:
+        raise ValueError(
+            f"perturbation is not skew-Hermitian: defect {float(skew_defect):.3e}"
+        )
+    perturbed = BundleSpec(
+        grid,
+        bundle.fiber_dim,
+        potentials=bundle.potentials + perturbation,
+        fiber_metric=bundle.fiber_metric,
+    )
+    coeff_norm = hom_infty_norm(perturbation, max(ell - 1, 0), bundle, metric)
+    constant = equivalence_constant(ell, p, coeff_norm)
+    base = sobolev_norm(u, ell, p, bundle, metric)
+    other = sobolev_norm(u, ell, p, perturbed, metric)
+    slack = 1.0 + 1e-12
+    passed = other <= constant * base * slack and base <= constant * other * slack
+    return {
+        "norm_base": base,
+        "norm_perturbed": other,
+        "ratio": other / base if base else math.inf,
+        "coefficient_norm": coeff_norm,
+        "constant": constant,
+        "passed": bool(passed),
+    }
 
 
 def mapping_bound_check(spec, k, p, trials, seed=0):

@@ -9,10 +9,14 @@ from nabla_calc.bundles import (
     magnetic_example_bundle,
     pointwise_kron,
 )
+from nabla_calc.calculus import covariant_derivative, multiindex_derivative
 from nabla_calc.errors import ShapeMismatch
 from nabla_calc.geometry import MetricField
 from nabla_calc.grid import ChartGrid
-from nabla_calc.sections import random_section, random_skew_potentials, seeded_rng
+from nabla_calc.operators import _hom_derivative
+from nabla_calc.sections import random_section, random_trig_field, seeded_rng
+
+from dense_reference import hom_potentials, reference_induced
 
 
 @pytest.fixture
@@ -64,97 +68,26 @@ def test_compatibility_defect_on_varying_fiber_metric():
     assert compatibility_defect(BundleSpec(grid, 2, None, h)) >= 0.1
 
 
-def test_dual_potentials_give_leibniz_pairing(grid):
-    rng = seeded_rng(3, "dual")
-    bundle = BundleSpec(grid, 2, random_skew_potentials(grid, 2, rng))
-    dual = bundle.dual()
-    assert np.allclose(
-        dual.potentials, -np.swapaxes(bundle.potentials, -1, -2)
-    )
-
-
-def test_tensor_potential_acts_as_derivation(grid):
-    rng = seeded_rng(4, "tensor")
-    be = BundleSpec(grid, 2, random_skew_potentials(grid, 2, rng))
-    bf = BundleSpec(grid, 3, random_skew_potentials(grid, 3, rng))
-    bt = be.tensor(bf)
-    u = random_section(grid, 0, 2, rng).values
-    v = random_section(grid, 0, 3, rng).values
-    uv = np.einsum("...a,...b->...ab", u, v).reshape(grid.shape + (6,))
-    lhs = np.einsum("...kab,...b->...ka", bt.potentials, uv)
-    au = np.einsum("...kab,...b->...ka", be.potentials, u)
-    av = np.einsum("...kab,...b->...ka", bf.potentials, v)
-    rhs = (
-        np.einsum("...ka,...b->...kab", au, v)
-        + np.einsum("...a,...kb->...kab", u, av)
-    ).reshape(grid.shape + (2, 6))
-    assert np.allclose(lhs, rhs)
-
-
-def test_hom_potential_matches_commutator_action(grid):
-    rng = seeded_rng(5, "hom")
-    be = BundleSpec(grid, 2, random_skew_potentials(grid, 2, rng))
-    bf = BundleSpec(grid, 3, random_skew_potentials(grid, 3, rng))
-    bh = be.hom(bf)
-    m = random_section(grid, 0, 6, rng).values.reshape(grid.shape + (3, 2))
-    lhs = np.einsum(
-        "...kab,...b->...ka", bh.potentials, m.reshape(grid.shape + (6,))
-    ).reshape(grid.shape + (2, 3, 2))
-    rhs = np.einsum("...kab,...bc->...kac", bf.potentials, m) - np.einsum(
-        "...ab,...kbc->...kac", m, be.potentials
-    )
-    assert np.allclose(lhs, rhs)
-
-
-def _reference_tensor_and_hom(be, bf):
-    """The tensor and Hom potentials written out as explicit Kronecker terms."""
-    lead = be.grid.dim + 1
-
-    def eye(k):
-        return np.eye(k, dtype=complex).reshape((1,) * lead + (k, k))
-
-    de, df = be.fiber_dim, bf.fiber_dim
-    tensor = pointwise_kron(be.potentials, eye(df)) + pointwise_kron(
-        eye(de), bf.potentials
-    )
-    hom = pointwise_kron(bf.potentials, eye(de)) - pointwise_kron(
-        eye(df), np.swapaxes(be.potentials, -1, -2)
-    )
-    return tensor, hom
-
-
 @pytest.mark.parametrize("shape", [(17,), (17, 17)])
 @pytest.mark.parametrize("de,df", [(1, 1), (1, 3), (2, 3), (3, 2)])
-def test_tensor_and_hom_potentials_match_explicit_kronecker_terms(shape, de, df):
+def test_hom_derivative_matches_explicit_kronecker_terms(shape, de, df):
+    # D a + A^F a - a A^E against the vec'd field under A^F (x) I - I (x) A^E^T
     g = ChartGrid([(-1, 1)] * len(shape), shape)
+    metric = MetricField.flat(g)
     rng = np.random.default_rng(7)
 
-    def pots(d):
-        size = g.shape + (g.dim, d, d)
+    def field(size):
         return rng.normal(size=size) + 1j * rng.normal(size=size)
 
-    be = BundleSpec(g, de, pots(de))
-    bf = BundleSpec(g, df, pots(df))
-    tensor, hom = _reference_tensor_and_hom(be, bf)
-    assert np.array_equal(be.tensor(bf).potentials, tensor)
-    assert np.array_equal(be.hom(bf).potentials, hom)
-
-
-def test_tensor_of_constant_and_field_fiber_metrics_broadcasts(grid):
-    h = np.array([[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]])
-    x1 = grid.coords[0]
-    field = np.zeros(grid.shape + (3, 3), dtype=complex)
-    field[...] = np.diag([1.0, 2.0, 0.5])
-    field[..., 0, 1] = field[..., 1, 0] = 0.3 * x1
-    const = BundleSpec(grid, 2, fiber_metric=h)
-    varying = BundleSpec(grid, 3, fiber_metric=field)
-    h_field = np.broadcast_to(h, grid.shape + (2, 2))
-    got = const.tensor(varying).fiber_metric
-    assert got.shape == grid.shape + (6, 6)
-    assert np.array_equal(got, pointwise_kron(h_field, field))
-    assert np.array_equal(
-        varying.tensor(const).fiber_metric, pointwise_kron(field, h_field)
-    )
+    be = BundleSpec(g, de, field(g.shape + (g.dim, de, de)))
+    bf = BundleSpec(g, df, field(g.shape + (g.dim, df, df)))
+    a = field(g.shape + (df, de))
+    got = _hom_derivative(a, (be, 0), (bf, 0), metric)
+    vec = a.reshape(g.shape + (1, df * de))
+    want = np.stack([g.diff(vec[..., 0, :], axis=y) for y in range(g.dim)], axis=g.dim)
+    want = want + np.einsum("...yab,...zb->...ya", hom_potentials(be, bf), vec)
+    g.zero_band(want, g.stencil_radius)
+    assert np.allclose(got.reshape(want.shape), want, rtol=1e-14, atol=1e-12)
 
 
 def test_section_shape_guards(grid):
@@ -173,29 +106,25 @@ def test_section_arithmetic(grid):
     assert np.allclose(c.values, a.values + b.values)
 
 
-def _reference_induced(bundle, metric, slots):
-    """Potentials and fiber metric as grid fields, Christoffel slots included."""
-    n = bundle.grid.dim
-    d = bundle.fiber_dim
-    lead = n + 1
+def _assert_matches_reference(got, bundle, metric, slots):
+    """Fiber metric, covariant derivatives and nabla_(2,1) of ranks 0-2
+    over an induced bundle against a plain bundle with the explicit
+    Kronecker potentials."""
+    pots, fiber_metric = reference_induced(bundle, metric, slots)
+    assert np.array_equal(
+        np.broadcast_to(got.fiber_metric, fiber_metric.shape), fiber_metric
+    )
+    dense = BundleSpec(bundle.grid, got.fiber_dim, pots, fiber_metric)
+    for rank in range(3):
+        u = random_section(bundle.grid, rank, got.fiber_dim, seeded_rng(8, "ind", rank))
+        for derivative in (covariant_derivative, _mixed_second):
+            one = derivative(u, got, metric).values
+            two = derivative(u, dense, metric).values
+            assert np.max(np.abs(one - two)) <= 1e-13 * np.max(np.abs(two))
 
-    def eye(k):
-        return np.eye(k, dtype=complex).reshape((1,) * lead + (k, k))
 
-    gamma = metric.christoffel_field()
-    slot_mat = -np.swapaxes(np.moveaxis(gamma, -2, -3), -1, -2).astype(complex)
-    pots = None
-    for s in range(slots):
-        term = pointwise_kron(eye(n**s), slot_mat)
-        term = pointwise_kron(term, eye(n ** (slots - s - 1) * d))
-        pots = term if pots is None else pots + term
-    pots = pots + pointwise_kron(eye(n**slots), bundle.potentials)
-    ginv = metric.inv.astype(complex)
-    fiber_metric = ginv
-    for _ in range(slots - 1):
-        fiber_metric = pointwise_kron(fiber_metric, ginv)
-    h = np.broadcast_to(bundle.fiber_metric, bundle.grid.shape + (d, d))
-    return pots, pointwise_kron(fiber_metric, h)
+def _mixed_second(u, bundle, metric):
+    return multiindex_derivative(u, (2, 1), bundle, metric)
 
 
 def test_induced_bundle_of_an_induced_bundle_lifts_the_base(grid):
@@ -205,9 +134,7 @@ def test_induced_bundle_of_an_induced_bundle_lifts_the_base(grid):
     assert bundle.base is None and bundle.slots == 0
     twice = induced_tensor_bundle(induced_tensor_bundle(bundle, metric, 1), metric, 1)
     assert twice.base is bundle and twice.slots == 2
-    direct = induced_tensor_bundle(bundle, metric, 2)
-    assert np.array_equal(twice.potentials, direct.potentials)
-    assert np.array_equal(twice.fiber_metric, direct.fiber_metric)
+    _assert_matches_reference(twice, bundle, metric, 2)
 
 
 def test_potentials_are_stored_once_grid_last(grid):
@@ -224,13 +151,9 @@ def test_constant_metric_induced_bundle_matches_grid_construction(grid, slots, g
     h = np.array([[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]])
     bundle = BundleSpec(grid, 2, magnetic_example_bundle(grid).potentials, h)
     metric = MetricField(grid, np.broadcast_to(g, grid.shape + (2, 2)))
-    pots, fiber_metric = _reference_induced(bundle, metric, slots)
     got = induced_tensor_bundle(bundle, metric, slots)
-    assert np.array_equal(got.potentials, pots)
-    assert got.metric_is_constant
-    assert np.array_equal(
-        np.broadcast_to(got.fiber_metric, fiber_metric.shape), fiber_metric
-    )
+    assert got.fiber_metric.shape == (got.fiber_dim, got.fiber_dim)
+    _assert_matches_reference(got, bundle, metric, slots)
 
 
 @pytest.mark.parametrize("slots", [1, 2, 3])
@@ -238,7 +161,17 @@ def test_curved_induced_bundle_matches_grid_construction(grid, slots):
     x1, x2 = grid.coords
     metric = MetricField.conformal(grid, 0.2 * x1 * x2)
     bundle = magnetic_example_bundle(grid)
-    pots, fiber_metric = _reference_induced(bundle, metric, slots)
     got = induced_tensor_bundle(bundle, metric, slots)
-    assert np.array_equal(got.potentials, pots)
-    assert np.array_equal(got.fiber_metric, fiber_metric)
+    assert not hasattr(got, "potentials")
+    _assert_matches_reference(got, bundle, metric, slots)
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+def test_curved_induced_bundle_of_a_fiber_wider_than_the_chart(grid, slots):
+    # d = 3 != n = 2 tells the slot axes of the unfolded fiber from its own
+    x1, x2 = grid.coords
+    metric = MetricField.conformal(grid, 0.2 * x1 * x2)
+    rng = seeded_rng(8, "wide")
+    bundle = BundleSpec(grid, 3, random_trig_field(2, (2, 3, 3), rng).sample(grid))
+    got = induced_tensor_bundle(bundle, metric, slots)
+    _assert_matches_reference(got, bundle, metric, slots)

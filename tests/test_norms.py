@@ -19,14 +19,13 @@ from nabla_calc.norms import (
     covering_multiplicity,
     covering_norm,
     equivalence_constant,
-    hom_infty_norm,
     lp_norm,
     multiplication_constant,
-    perturbed_norm_check,
     pointwise_norm_sq,
     sobolev_norm,
     weighted_sobolev_norm,
 )
+from nabla_calc.operators import hom_infty_norm, perturbed_norm_check
 from nabla_calc.sections import (
     random_bump_section,
     random_section,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from nabla_calc.operators import (
     compose,
     directional_op,
     gradient_op,
+    hom_infty_norm,
     identity_op,
     mapping_bound_check,
     mixed_to_nabla,
@@ -43,6 +45,7 @@ from nabla_calc.operators import (
     weighted_conjugate,
     weighted_mapping_check,
 )
+from nabla_calc.scenarios import build_context, builtin_scenario, parse_scenario
 from nabla_calc.sections import (
     random_bump_section,
     random_section,
@@ -50,6 +53,8 @@ from nabla_calc.sections import (
     random_vector_field,
     seeded_rng,
 )
+
+from dense_reference import dense_bundle, dense_hom_sup
 
 GRID = ChartGrid([(-1, 1), (-1, 1)], (97, 97))
 FLAT = MetricField.flat(GRID)
@@ -208,8 +213,10 @@ def test_compose_is_associative():
     assert np.max(np.abs(one.values - two.values)) <= 1e-10 * scale
 
 
-def _hom_derivative_reference(a, source, target, grid):
-    """The Hom-field derivative with einsum products in place of np.matmul."""
+def _hom_derivative_reference(a, source, target, metric):
+    """The Hom-field derivative with einsum products over dense potentials."""
+    grid = metric.grid
+    source, target = dense_bundle(source, metric), dense_bundle(target, metric)
     da = np.stack([grid.diff(a, axis=y) for y in range(grid.dim)], axis=grid.dim)
     da = da + np.einsum("...yfg,...gk->...yfk", target.potentials, a)
     da = da - np.einsum("...fl,...ylk->...yfk", a, source.potentials)
@@ -240,7 +247,7 @@ def _compose_reference(q, p):
                 mat,
                 induced_tensor_bundle(p.source, metric, m),
                 induced_tensor_bundle(p.target, metric, i),
-                grid,
+                metric,
             )
             der = der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1]))
             nxt[m] = nxt.get(m, 0) + der
@@ -269,15 +276,15 @@ def test_hom_derivative_matches_einsum_reference():
         shape = (target.fiber_dim, source.fiber_dim)
         a = random_trig_field(2, shape, rng).sample(GRID)
         got = _hom_derivative(a, (source, 0), (target, 0), FLAT)
-        want = _hom_derivative_reference(a, source, target, GRID)
+        want = _hom_derivative_reference(a, source, target, FLAT)
         assert _close(got, want)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_slotwise_hom_derivative_matches_induced_bundles_on_a_curved_metric(m, i):
-    # the dense route: the induced bundles' Kronecker-sum potentials, with
-    # -Gamma on every slot, against the slot-by-slot action on the bases
+    # the dense route: Kronecker-sum potentials of the induced bundles, built
+    # in the test with -Gamma on every slot, against the slot-by-slot action
     grid = ChartGrid([(-1, 1), (-1, 1)], (33, 33))
     x1, x2 = grid.coords
     metric = MetricField.conformal(grid, 0.2 * x1 * x2)
@@ -291,7 +298,7 @@ def test_slotwise_hom_derivative_matches_induced_bundles_on_a_curved_metric(m, i
         a,
         induced_tensor_bundle(source, metric, m),
         induced_tensor_bundle(target, metric, i),
-        grid,
+        metric,
     )
     assert _close(got, want)
 
@@ -641,6 +648,53 @@ def test_coefficient_infty_norm_propagates_nan():
     a = np.full(GRID.shape + (1, 1), 2.0, dtype=complex)
     a[GRID.shape[0] // 2, GRID.shape[1] // 2] = np.nan
     assert math.isnan(coefficient_infty_norm(a, SCALAR, SCALAR, FLAT, depth=1))
+
+
+def test_coefficient_infty_norm_rejects_bad_shapes_and_grids():
+    a = np.ones(GRID.shape + (2, 2), dtype=complex)
+    with pytest.raises(ShapeMismatch):
+        coefficient_infty_norm(a, SCALAR, MAGNET, FLAT, depth=1)
+    away = magnetic_example_bundle(ChartGrid([(-2, 2), (-1, 1)], GRID.shape))
+    with pytest.raises(ChartMismatch):
+        coefficient_infty_norm(a, away, away, FLAT, depth=1)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_hom_field_sups_match_dense_hom_bundles_on_a_curved_metric(depth):
+    grid = ChartGrid([(-1, 1), (-1, 1)], (65, 65))
+    x1, x2 = grid.coords
+    metric = MetricField.conformal(grid, 0.2 * x1 * x2)
+    rng = seeded_rng(7, f"op-sup-curved-{depth}")
+    magnet = magnetic_example_bundle(grid)
+    target = BundleSpec(grid, 3, random_trig_field(2, (2, 3, 3), rng).sample(grid))
+    for slots in range(3):
+        source = induced_tensor_bundle(magnet, metric, slots)
+        a = random_trig_field(2, (3, source.fiber_dim), rng).sample(grid)
+        got = coefficient_infty_norm(a, source, target, metric, depth)
+        want = dense_hom_sup(a, source, target, 0, metric, depth)
+        assert abs(got - want) <= 1e-13 * want
+    # a one-form: its form slot is measured with the inverse metric
+    field = random_trig_field(2, (2, 3, 3), rng).sample(grid)
+    got = hom_infty_norm(field, depth, target, metric)
+    form = field.reshape(grid.shape + (6, 3))
+    want = dense_hom_sup(form, target, target, 1, metric, depth)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_coefficient_norm_peak_stays_near_its_deepest_level():
+    cfg = builtin_scenario("flat-operators")
+    cfg["chart"]["h"] = 2 / 64
+    spec = build_context(parse_scenario(cfg)).nabla_ops["drift-gradient"]
+    source = induced_tensor_bundle(spec.source, spec.metric, 1)
+    a = spec.coefficients[1]
+    deepest = a.nbytes * spec.grid.dim**2  # level 2 has n^2 times the rows
+    tracemalloc.start()
+    try:
+        coefficient_infty_norm(a, source, spec.target, spec.metric, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * deepest
 
 
 def test_mapping_bound_identity_and_gradient():

@@ -207,8 +207,6 @@ def test_checks_leave_the_bundle_as_built(name):
     cfg["chart"]["h"] = 2 / 32
     s = parse_scenario(cfg)
     ctx = build_context(s)
-    # the Hom bundle of endo() is the one state a bundle builds lazily
-    ctx.bundle.endo()
     before = dict(vars(ctx.bundle))
     for entry in s.checks:
         CHECKS[entry["check"]][0](ctx, entry)
