@@ -197,8 +197,9 @@ def _hom_derivative(a, source, target, metric):
     (src, s), (tgt, t) = [
         (b, k) if b.base is None else (b.base, b.slots + k) for b, k in (source, target)
     ]
-    da = np.stack([grid.diff(a, axis=y) for y in range(n)], axis=grid.dim)
-    da = da.astype(complex, copy=False)
+    da = np.empty(grid.shape + (n,) + a.shape[-2:], dtype=complex)
+    for y in range(n):
+        da[..., y, :, :] = grid.diff(a, axis=y)
     if not (tgt.is_flat and src.is_flat):
         # one direction at a time, with the grid innermost: the einsum loop
         # runs over the grid, not over a d x d fiber once per point
@@ -238,11 +239,17 @@ def compose(q, p):
 
     Walks the product rule nabla(a w) = (nabla a) w + (1 (x) a) nabla w
     through Q's derivative depth, then contracts with Q's coefficients.
-    The result has order at most order(Q) + order(P) and keeps the
-    totally-bounded tag only when both factors carry it.  A zero (None)
-    level of P never enters the product-rule table, nor does an all-zero
-    derivative; a zero level of Q multiplies nothing, and a result level
-    that nothing reaches stays None.
+    An entry that is differentiated again is lifted densely to I_n (x) a.
+    The last step builds no next table: Q's top coefficient b is
+    multiplied into nabla a directly, and into the lift by reshaping, b
+    of shape (r, n * s) viewed as (r * n, s), times the (s, c) entry a,
+    read back as (r, n * c).  So a first-order Q makes no lift at all,
+    and only a Q of order >= 2 lifts densely.  The result has order at most
+    order(Q) + order(P) and keeps the totally-bounded tag only when both
+    factors carry it.  A zero (None) level of P never enters the
+    product-rule table, nor does an all-zero derivative; a zero level of
+    Q multiplies nothing, and a result level that nothing reaches stays
+    None.
     """
     if q.grid != p.grid:
         raise ChartMismatch("operator factors live on different grids")
@@ -256,25 +263,38 @@ def compose(q, p):
     grid = p.grid
     n = grid.dim
     metric = p.metric
+
+    def derivative(mat, m, i):
+        der = _hom_derivative(mat, (p.source, m), (p.target, i), metric)
+        return der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1]))
+
     eye_lift = np.eye(n, dtype=complex).reshape((1,) * grid.dim + (n, n))
-    out = [None] * (q.order + p.order + 1)
+    out = {}
     table = {m: a for m, a in enumerate(p.coefficients) if a is not None}
-    for i in range(q.order + 1):
-        b = q.coefficients[i]
+    for i, b in enumerate(q.coefficients):
         if b is not None:
             for m, mat in table.items():
-                term = np.matmul(b, mat)
-                out[m] = term if out[m] is None else out[m] + term
-        if i == q.order:
+                _put(out, m, np.matmul(b, mat))
+        if i + 1 >= q.order:
             break
         nxt = {}
         for m, mat in table.items():
-            der = _hom_derivative(mat, (p.source, m), (p.target, i), metric)
+            der = derivative(mat, m, i)
             if np.any(der):
-                _put(nxt, m, der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1])))
+                _put(nxt, m, der)
             _put(nxt, m + 1, pointwise_kron(eye_lift, mat))
         table = nxt
-    return NablaOpSpec(p.source, q.target, metric, out, _joint_class(q, p))
+    top = q.coefficients[-1]
+    if q.order and top is not None:
+        rows = top.shape[-2]
+        for m, mat in table.items():
+            der = derivative(mat, m, q.order - 1)
+            if np.any(der):
+                _put(out, m, np.matmul(top, der))
+            lifted = np.matmul(top.reshape(grid.shape + (rows * n, mat.shape[-2])), mat)
+            _put(out, m + 1, lifted.reshape(grid.shape + (rows, n * mat.shape[-1])))
+    levels = [out.get(m) for m in range(q.order + p.order + 1)]
+    return NablaOpSpec(p.source, q.target, metric, levels, _joint_class(q, p))
 
 
 class MixedTerm:
@@ -414,6 +434,19 @@ def mixed_to_nabla(spec, gens=None):
     return NablaOpSpec(source, spec.target, metric, levels, tag)
 
 
+def _add_coframe_lift(table, key, xi, mat):
+    """Add xi (x) mat into table[key], held as grid + (n, rows, cols).
+
+    The first term is stored whole; later ones are added slab by slab,
+    slab y taking xi_y mat, so no n-fold lift is built to be summed.
+    """
+    if key not in table:
+        table[key] = xi[..., :, None, None] * mat[..., None, :, :]
+        return
+    for y in range(xi.shape[-1]):
+        table[key][..., y, :, :] += xi[..., y, None, None] * mat
+
+
 def nabla_to_mixed(spec, gens):
     """Expand the ladder through a frame, one directional chain per tuple.
 
@@ -436,11 +469,11 @@ def nabla_to_mixed(spec, gens):
             der = _hom_derivative(phi, (source, 0), (source, j - 1), metric)
             for i in range(gens.n_gens):
                 z = gens.z[..., i, :]
-                xi_col = gens.xi[..., i, :][..., :, None].astype(complex)
+                xi = gens.xi[..., i, :].astype(complex)
                 moved = np.einsum("...y,...yfk->...fk", z, der)
-                _put(cur, chain, pointwise_kron(xi_col, moved))
-                _put(cur, (i + 1,) + chain, pointwise_kron(xi_col, phi))
-        per_depth.append(cur)
+                _add_coframe_lift(cur, chain, xi, moved)
+                _add_coframe_lift(cur, (i + 1,) + chain, xi, phi)
+        per_depth.append({c: a.reshape(grid.shape + (-1, d)) for c, a in cur.items()})
     merged = {}
     for j, a in enumerate(spec.coefficients):
         if a is None:

@@ -427,6 +427,25 @@ def test_ladder_form_assembly_holds_only_the_operator():
     assert held <= 1.5 * coefficient_bytes
 
 
+def test_ladder_form_assembly_peak_is_bounded_by_its_operator():
+    # the last product-rule step of each compose contracts its lifts with
+    # the top coefficient instead of storing I_n (x) a, and the Hom
+    # derivative fills one block: the assembly peaks at about five times
+    # the bytes of the operator it returns (seven with dense lifts)
+    cfg = builtin_scenario("flat-operators")
+    cfg["chart"]["h"] = 2 / 64
+    ctx = build_context(parse_scenario(cfg))
+    spec = _ladder_form(ctx, 2)
+    tracemalloc.start()
+    try:
+        op = assemble_divergence_form(spec, ctx.gens, spec.cosource, ctx.metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    coefficient_bytes = sum(a.nbytes for a in op.coefficients if a is not None)
+    assert peak <= 5.5 * coefficient_bytes
+
+
 def _gradient_adjoint_reference(bundle, metric, gens):
     """The adjoint of grad summed frame pair by frame pair.
 

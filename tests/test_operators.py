@@ -260,13 +260,14 @@ def _close(got, want, rtol=1e-13):
     return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-def _random_ladder(source, target, order, rng):
-    n, d = GRID.dim, source.fiber_dim
+def _random_ladder(source, target, order, rng, metric=FLAT):
+    grid = metric.grid
+    n, d = grid.dim, source.fiber_dim
     entries = [
-        random_trig_field(n, (target.fiber_dim, n**j * d), rng).sample(GRID)
+        random_trig_field(n, (target.fiber_dim, n**j * d), rng).sample(grid)
         for j in range(order + 1)
     ]
-    return NablaOpSpec(source, target, FLAT, entries)
+    return NablaOpSpec(source, target, metric, entries)
 
 
 def test_hom_derivative_matches_einsum_reference():
@@ -315,6 +316,60 @@ def test_compose_matches_einsum_reference():
         for g, w in zip(got, want):
             assert (g is None) == (w is None)
             assert g is None or _close(g, w)
+
+
+SMALL = ChartGrid([(-1, 1), (-1, 1)], (33, 33))
+FLAT_SMALL = MetricField.flat(SMALL)
+
+
+def _compose_factors(case, metric, rng):
+    """(Q, P) for one compose test case on the metric's grid.
+
+    "adjoint-k" is the shape of the assembly chain: P lands in the rank-k
+    bundle over the magnetic bundle, and a first-order Q maps it down to
+    rank k - 1.  "order-k" is a Q of order k after a first-order P.
+    """
+    magnet = magnetic_example_bundle(metric.grid)
+    kind, k = case.split("-")
+    k = int(k)
+    if kind == "adjoint":
+        rank = [induced_tensor_bundle(magnet, metric, s) for s in (k - 1, k)]
+        p = _random_ladder(magnet, rank[1], k, rng, metric)
+        return _random_ladder(rank[1], rank[0], 1, rng, metric), p
+    p = _random_ladder(magnet, magnet, 1, rng, metric)
+    return _random_ladder(magnet, BundleSpec(metric.grid, 1), k, rng, metric), p
+
+
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("case", ["adjoint-1", "adjoint-2", "order-2", "order-3"])
+def test_compose_matches_einsum_reference_on_deep_and_induced_factors(case, curved):
+    x1, x2 = SMALL.coords
+    metric = MetricField.conformal(SMALL, 0.2 * x1 * x2) if curved else FLAT_SMALL
+    q, p = _compose_factors(case, metric, seeded_rng(7, f"op-comp-{case}-{curved}"))
+    got = compose(q, p).coefficients
+    want = _compose_reference(q, p)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        assert g is None or _close(g, w)
+
+
+def test_first_order_compose_makes_no_dense_lift(monkeypatch):
+    calls = []
+
+    def counting(x, y):
+        calls.append(y.shape)
+        return pointwise_kron(x, y)
+
+    rng = seeded_rng(7, "op-comp-lifts")
+    first, p = _compose_factors("adjoint-2", FLAT_SMALL, rng)
+    second, p2 = _compose_factors("order-2", FLAT_SMALL, rng)
+    monkeypatch.setattr(operators, "pointwise_kron", counting)
+    compose(first, p)
+    assert calls == []
+    # the counter sees the dense lift of an entry that is differentiated again
+    compose(second, p2)
+    assert len(calls) == 2
 
 
 def test_compose_rejects_mismatched_factors():
@@ -540,6 +595,49 @@ def test_nabla_to_mixed_round_trip_on_sphere():
     two = apply_nabla_op(spec, u)
     scale = np.max(np.abs(two.values))
     assert np.max(np.abs(one.values - two.values)) <= 2e-4 * scale
+
+
+def _nabla_to_mixed_reference(spec, gens):
+    """The chain coefficients of nabla_to_mixed, built with dense xi lifts.
+
+    This is the former loop: every xi_i (x) (.) is a full pointwise_kron,
+    added into its chain's entry as a whole.
+    """
+    grid, metric, source = spec.grid, spec.metric, spec.source
+    d = source.fiber_dim
+    eye = np.broadcast_to(np.eye(d, dtype=complex), grid.shape + (d, d))
+    per_depth = [{(): eye}]
+    for j in range(1, spec.order + 1):
+        cur = {}
+        for chain, phi in per_depth[j - 1].items():
+            der = _hom_derivative(phi, (source, 0), (source, j - 1), metric)
+            for i in range(gens.n_gens):
+                xi_col = gens.xi[..., i, :][..., :, None].astype(complex)
+                moved = np.einsum("...y,...yfk->...fk", gens.z[..., i, :], der)
+                operators._put(cur, chain, pointwise_kron(xi_col, moved))
+                operators._put(cur, (i + 1,) + chain, pointwise_kron(xi_col, phi))
+        per_depth.append(cur)
+    merged = {}
+    for j, a in enumerate(spec.coefficients):
+        for chain, phi in per_depth[j].items():
+            operators._put(merged, chain, np.einsum("...gf,...fk->...gk", a, phi))
+    return merged
+
+
+@pytest.mark.parametrize("name, h", [("random-embedding", None), ("flat-operators", 2 / 32)])
+def test_nabla_to_mixed_matches_dense_kron_reference(name, h):
+    # to order 3: a conformal metric with four non-orthogonal generators on
+    # a scalar bundle, and the identity frame on the magnetic bundle
+    cfg = builtin_scenario(name)
+    if h is not None:
+        cfg["chart"]["h"] = h
+    ctx = build_context(parse_scenario(cfg))
+    spec = _random_ladder(ctx.bundle, ctx.bundle, 3, seeded_rng(7, "op-n2m-ref"), ctx.metric)
+    mixed = nabla_to_mixed(spec, ctx.gens)
+    want = _nabla_to_mixed_reference(spec, ctx.gens)
+    assert sorted(want) == [term.labels for term in mixed.terms]
+    for term in mixed.terms:
+        assert np.array_equal(term.coefficient, want[term.labels])
 
 
 def test_reorder_keeps_sorted_terms():
