@@ -10,9 +10,10 @@ from the directional adjoint rule through a generator frame.
 
 import numpy as np
 
-from .bundles import TensorSection, induced_tensor_bundle
+from .bundles import TensorSection, grid_einsum, induced_tensor_bundle
 from .calculus import divergence, tower
 from .errors import ChartMismatch, NonadmissibleWeight, ShapeMismatch
+from .generators import coframe_gram
 from .geometry import conformal_rescale
 from .operators import (
     NablaOpSpec,
@@ -140,7 +141,7 @@ def dirichlet_form(spec, u, w, metric=None):
 def l2_pairing(v, w, bundle, metric):
     """L2 inner product of sections with the fiber metric, conjugating w."""
     h = bundle.fiber_metric
-    density = np.einsum("...ab,...a,...b->...", h, v.values, np.conj(w.values))
+    density = grid_einsum("...ab,...a,...b->...", h, v.values, np.conj(w.values))
     return complex(metric.grid.integrate(density * metric.sqrt_det))
 
 
@@ -155,8 +156,7 @@ def _gradient_adjoint(bundle, metric, gens):
     # T*M (x) T*M^s (x) E, lifted from the plain bundle E
     plain, slots = (bundle, 0) if bundle.base is None else (bundle.base, bundle.slots)
     rank_one = induced_tensor_bundle(plain, metric, slots + 1)
-    c = np.einsum("...ab,...ka,...lb->...kl", metric.inv, gens.xi, gens.xi)
-    w = np.einsum("...kl,...ky->...ly", c, gens.z)
+    w = grid_einsum("...kl,...ky->...ly", coframe_gram(gens, metric), gens.z)
     tag = "totally-bounded" if gens.frechet else "smooth"
     total = None
     for l in range(gens.n_gens):

@@ -42,6 +42,32 @@ def grid_first(x, g):
     return np.moveaxis(x, range(-g, 0), range(g))
 
 
+def grid_einsum(script, *operands):
+    """np.einsum of grid-first subscripts, run with the grid innermost.
+
+    Every term of script leads with the grid ellipsis, as in
+    "...im,...ki->...mk".  An operand with axes beyond its letters is a
+    grid field: its grid axes are moved last, C-contiguous.  An operand
+    with no such axes is a constant and is passed as it is.  The same
+    subscripts then run with the ellipsis trailing, and the result comes
+    back grid-first, as a view.  Every product is the grid-first one, but a
+    sum over more than one index may be accumulated in another order and
+    round differently.
+    """
+    inputs, output = script.split("->")
+    terms = inputs.split(",") + [output]
+    if not all(t.startswith("...") for t in terms):
+        raise ValueError(f"every term of {script!r} must lead with '...'")
+    moved = []
+    g = 0
+    for term, x in zip(terms, operands):
+        lead = x.ndim - (len(term) - 3)
+        g = max(g, lead)
+        moved.append(np.ascontiguousarray(np.moveaxis(x, range(lead), range(-lead, 0))))
+    trailing = ",".join(t[3:] + "..." for t in terms[:-1]) + "->" + output[3:] + "..."
+    return grid_first(np.einsum(trailing, *moved), g)
+
+
 class BundleSpec:
     """Trivialized Hermitian bundle with connection potentials."""
 

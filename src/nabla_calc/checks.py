@@ -24,6 +24,7 @@ from .bidiff import (
 from .bundles import (
     BundleSpec,
     TensorSection,
+    grid_einsum,
     grid_first,
     grid_last,
     magnetic_example_bundle,
@@ -432,13 +433,13 @@ def check_generator_identities(ctx, tolerance, trials=5):
     worst = reconstruction_defect(gens)
     for trial in range(trials):
         x = random_vector_field(grid, _rng(ctx, "gen-vector", trial))
-        back = np.einsum("...jm,...ji,...i->...m", gens.z, gens.xi, x)
+        back = grid_einsum("...jm,...ji,...i->...m", gens.z, gens.xi, x)
         worst = strict_max(
             worst,
             float(np.max(np.abs(back - x))) / max(1.0, float(np.max(np.abs(x)))),
         )
         omega = random_vector_field(grid, _rng(ctx, "gen-covector", trial))
-        back = np.einsum("...jm,...ji,...i->...m", gens.xi, gens.z, omega)
+        back = grid_einsum("...jm,...ji,...i->...m", gens.xi, gens.z, omega)
         worst = strict_max(
             worst,
             float(np.max(np.abs(back - omega)))

@@ -6,13 +6,21 @@ vector fields Z_j = Psi(e_j) together with dual covector fields xi_j (the
 rows of Phi).  The pair reconstructs arbitrary tensors, reassembles the
 covariant derivative from directional pieces, and carries the structure
 functions used to reorder iterated directional derivatives.
+
+The frame, its Gram matrices and its structure functions are contracted
+with bundles.grid_einsum, which runs einsum with the grid axes innermost:
+over fiber axes of length 2 to 4 that is several times faster than the
+grid-first einsum and gives the same bits, except that the Christoffel
+term of divergence_via_generators may round differently.  The final
+pairing in divergence_via_generators, a product over one fiber block, is
+the measured exception and stays a grid-first einsum.
 """
 
 import itertools
 
 import numpy as np
 
-from .bundles import TensorSection
+from .bundles import TensorSection, grid_einsum
 from .calculus import _SLOTS, contract_with_vector, covariant_derivative
 from .errors import ChartMismatch, DegenerateEmbedding, ShapeMismatch
 from .geometry import MetricField
@@ -52,7 +60,7 @@ class EmbeddingSpec:
 
     def gram(self):
         """phi^T phi as a pointwise n x n field."""
-        return np.einsum("...ji,...jk->...ik", self.phi, self.phi)
+        return grid_einsum("...ji,...jk->...ik", self.phi, self.phi)
 
 
 class GeneratorSystem:
@@ -90,6 +98,11 @@ def reconstruction_defect(gens):
     return float(np.max(np.abs(prod - np.eye(gens.grid.dim))))
 
 
+def coframe_gram(gens, metric):
+    """Pairings (xi_k, xi_l) of the coframe under the inverse metric."""
+    return grid_einsum("...im,...ki,...lm->...kl", metric.inv, gens.xi, gens.xi)
+
+
 def build_generators(embedding, metric, frechet=False):
     """Frame and coframe from an embedding: Z_j = Psi(e_j), xi_j = row j of Phi.
 
@@ -119,7 +132,7 @@ def build_generators(embedding, metric, frechet=False):
                 f"isometric flag is set but phi^T phi differs from the metric "
                 f"by {defect:.3e}"
             )
-        psi = np.einsum("...ik,...jk->...ij", metric.inv, phi)
+        psi = grid_einsum("...ik,...jk->...ij", metric.inv, phi)
     else:
         psi = np.linalg.solve(gram, np.swapaxes(phi, -1, -2))
     gens = GeneratorSystem(grid, np.swapaxes(psi, -1, -2), phi, frechet=frechet)
@@ -136,7 +149,7 @@ def _spd_power(mats, power, what):
             f"{what} eigenvalue {float(np.min(lam)):.3e} is at or below the "
             f"floor {floor:.3e}"
         )
-    return np.einsum("...ik,...k,...jk->...ij", vecs, lam**power, vecs)
+    return grid_einsum("...ik,...k,...jk->...ij", vecs, lam**power, vecs)
 
 
 def polar_isometrize(embedding, metric):
@@ -151,7 +164,7 @@ def polar_isometrize(embedding, metric):
         raise ChartMismatch("embedding and metric live on different grids")
     inv_root = _spd_power(embedding.gram(), -0.5, "embedding Gram")
     g_root = _spd_power(metric.values, 0.5, "metric")
-    phi = np.einsum("...ai,...ij,...jk->...ak", embedding.phi, inv_root, g_root)
+    phi = grid_einsum("...ai,...ij,...jk->...ak", embedding.phi, inv_root, g_root)
     return EmbeddingSpec(grid, phi, isometric=True)
 
 
@@ -166,14 +179,14 @@ def structure_functions(gens, metric):
     z = gens.z
     dz = np.stack([grid.diff(z, axis=l) for l in range(n)], axis=-3)
     grid.zero_band(dz, grid.stencil_radius)
-    flow = np.einsum("...il,...ljm->...ijm", z, dz)
+    flow = grid_einsum("...il,...ljm->...ijm", z, dz)
     cov = flow
     if not metric.is_constant:
         gamma = metric.christoffel_field()
-        cov = cov + np.einsum("...mlr,...il,...jr->...ijm", gamma, z, z)
+        cov = cov + grid_einsum("...mlr,...il,...jr->...ijm", gamma, z, z)
     bracket = flow - np.swapaxes(flow, -3, -2)
-    g_structure = np.einsum("...km,...ijm->...ijk", gens.xi, cov)
-    l_structure = np.einsum("...km,...ijm->...ijk", gens.xi, bracket)
+    g_structure = grid_einsum("...km,...ijm->...ijk", gens.xi, cov)
+    l_structure = grid_einsum("...km,...ijm->...ijk", gens.xi, bracket)
     return g_structure, l_structure
 
 
@@ -199,15 +212,13 @@ def divergence_via_generators(X, gens, metric):
     if X.shape != grid.shape + (n,):
         raise ShapeMismatch(f"vector field shape {X.shape} does not match the grid")
     dx = np.stack([grid.diff(X, axis=l) for l in range(n)], axis=-2)
-    cov = np.einsum("...kl,...lm->...km", gens.z, dx)
+    cov = grid_einsum("...kl,...lm->...km", gens.z, dx)
     if not metric.is_constant:
         gamma = metric.christoffel_field()
-        cov = cov + np.einsum("...mlr,...kl,...r->...km", gamma, gens.z, X)
-    pair = np.einsum("...im,...ki,...lm->...kl", metric.inv, gens.xi, gens.xi)
-    inner = np.einsum("...im,...ki,...lm->...kl", metric.values, cov, gens.z)
-    out = np.einsum("...kl,...kl->...", pair, inner)
-    if np.iscomplexobj(out):
-        out = out.astype(complex)
+        cov = cov + grid_einsum("...mlr,...kl,...r->...km", gamma, gens.z, X)
+    inner = grid_einsum("...im,...ki,...lm->...kl", metric.values, cov, gens.z)
+    # the measured exception: this pairing is faster grid-first
+    out = np.einsum("...kl,...kl->...", coframe_gram(gens, metric), inner)
     grid.zero_band(out, grid.stencil_radius)
     return out
 

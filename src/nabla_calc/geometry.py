@@ -9,6 +9,7 @@ required to vanish nearby anyway.
 
 import numpy as np
 
+from .bundles import grid_einsum
 from .errors import (
     ChartMismatch,
     NonpositiveWeight,
@@ -100,7 +101,7 @@ class MetricField:
             t1 = np.swapaxes(dg, -3, -2)  # [r, k, l] = d_k g_rl
             t2 = np.swapaxes(t1, -2, -1)  # [r, k, l] = d_l g_rk
             s = t1 + t2 - dg
-            gamma = 0.5 * np.einsum("...mr,...rkl->...mkl", self.inv, s)
+            gamma = 0.5 * grid_einsum("...mr,...rkl->...mkl", self.inv, s)
             grid.zero_band(gamma, grid.stencil_radius)
             self._christoffel = gamma
         return self._christoffel

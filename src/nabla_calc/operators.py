@@ -15,6 +15,7 @@ import numpy as np
 from .bundles import (
     BundleSpec,
     TensorSection,
+    grid_einsum,
     grid_first,
     grid_last,
     induced_tensor_bundle,
@@ -470,7 +471,7 @@ def nabla_to_mixed(spec, gens):
             for i in range(gens.n_gens):
                 z = gens.z[..., i, :]
                 xi = gens.xi[..., i, :].astype(complex)
-                moved = np.einsum("...y,...yfk->...fk", z, der)
+                moved = grid_einsum("...y,...yfk->...fk", z, der)
                 _add_coframe_lift(cur, chain, xi, moved)
                 _add_coframe_lift(cur, (i + 1,) + chain, xi, phi)
         per_depth.append({c: a.reshape(grid.shape + (-1, d)) for c, a in cur.items()})
