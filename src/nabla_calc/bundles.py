@@ -13,6 +13,13 @@ derived connection, on it or on Hom fields between such bundles, is
 applied slot by slot over E by calculus.covariant_derivative and
 operators._hom_derivative; no Kronecker-sum potential is ever built.
 A bundle builds nothing lazily.
+
+A direction whose potential is identically zero is dead.  A BundleSpec
+decides once, in its constructor, which directions are live, and every
+connection product (covariant_derivative, the directional steps of
+multiindex_derivative, _hom_derivative, curvature and the leibniz-rule
+check) runs over the live directions alone: a dead direction multiplies
+nothing.  A flat bundle is one with no live direction.
 """
 
 import numpy as np
@@ -110,7 +117,11 @@ class BundleSpec:
         self.potentials_grid_last = grid_last(potentials, grid.dim)
         self.potentials_grid_last.flags.writeable = False
         self.fiber_metric = fiber_metric
-        self.is_flat = not np.any(potentials)
+        # the directions whose potential is not identically zero
+        self.live = tuple(
+            k for k in range(n) if np.any(self.potentials_grid_last[k])
+        )
+        self.is_flat = not self.live
         # a plain bundle; an InducedBundle names its plain bundle here
         self.base = None
         self.slots = 0
@@ -215,12 +226,16 @@ def magnetic_example_bundle(grid):
     """
     if grid.dim != 2:
         raise ShapeMismatch(f"magnetic example needs a 2d chart, got {grid.dim}d")
-    x1 = grid.coords[0]
-    phase = np.exp(1j * x1**3)
+    phase = magnetic_phase(grid)
     pots = np.zeros(grid.shape + (2, 2, 2), dtype=complex)
     pots[..., 1, 0, 1] = phase
     pots[..., 1, 1, 0] = -np.conj(phase)
     return BundleSpec(grid, 2, pots)
+
+
+def magnetic_phase(grid):
+    """e^{i x1^3} on the x1 axis, shaped (N1, 1) to broadcast over the grid."""
+    return np.exp(1j * grid.axes[0] ** 3)[:, None]
 
 
 class InducedBundle:

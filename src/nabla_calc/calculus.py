@@ -17,7 +17,7 @@ grid innermost; same sums, same bits.  Entries are 1-based.
 import numpy as np
 
 from ._kernels import diff_axis
-from .bundles import TensorSection, grid_first, grid_last
+from .bundles import TensorSection, grid_einsum, grid_first, grid_last
 from .errors import ChartMismatch, ShapeMismatch, SupportViolation
 
 # slot letters must avoid the reserved einsum indices a, b, k, m, y, z
@@ -78,13 +78,17 @@ def covariant_derivative(u, bundle, metric, check_support=True):
     if not metric.is_constant and r > 0:
         gamma = metric.christoffel_field()
         parts -= _gamma_slot_sum(gamma, u.values, r)
-    if not bundle.is_flat:
-        term = np.einsum(
-            f"yab...,{letters}b...->y{letters}a...",
-            bundle.potentials_grid_last,
-            grid_last(u.values, grid.dim),
-        )
-        parts += grid_first(term, grid.dim)
+    if bundle.live:
+        u_last = grid_last(u.values, grid.dim)
+        for y in bundle.live:
+            term = np.einsum(
+                f"ab...,{letters}b...->{letters}a...",
+                bundle.potentials_grid_last[y],
+                u_last,
+            )
+            parts[(Ellipsis, y) + (slice(None),) * (r + 1)] += grid_first(
+                term, grid.dim
+            )
     return TensorSection(grid, r + 1, parts, u.fiber_dim)
 
 
@@ -95,7 +99,7 @@ def _coordinate_directional(vals, axis, rank, bundle):
     """
     grid = bundle.grid
     out = diff_axis(vals, axis - grid.dim, grid.h[axis], grid.fd_order)
-    if not bundle.is_flat:
+    if axis in bundle.live:
         letters = _SLOTS[:rank]
         out += np.einsum(
             f"ab...,{letters}b...->{letters}a...",
@@ -143,26 +147,63 @@ def validate_multiindex(idx, dim):
 def multiindex_derivative(u, idx, bundle, metric):
     """nabla_idx: the idx component of the |idx|-fold covariant derivative.
 
-    The rightmost entry acts first.  Slots accumulated by earlier steps stay
-    alive (and receive Christoffel corrections) until the final extraction;
-    on a constant metric and a plain bundle the cheaper directional
-    composition is identical.
+    idx is one multi-index, or a list of them for a list of sections.  The
+    rightmost entry acts first.  Slots accumulated by earlier steps stay
+    alive (and receive Christoffel corrections) until the final extraction,
+    and one tower serves the whole list.  On a constant metric and a plain
+    bundle the cheaper directional composition is identical: it runs on
+    one grid-last copy of u, multi-indices that end in the same steps
+    share them, and each step is freed once no remaining index needs it.
     """
     _check_context(u, bundle, metric)
     grid = u.grid
-    idx = validate_multiindex(idx, grid.dim)
-    if not idx:
-        return u.copy()
-    grid.check_support(u.values, len(idx) * grid.stencil_radius)
+    many = any(isinstance(i, (tuple, list)) for i in idx)
+    idxs = [validate_multiindex(i, grid.dim) for i in (idx if many else [idx])]
+    depth = max(map(len, idxs), default=0)
+    if depth:
+        grid.check_support(u.values, depth * grid.stencil_radius)
+    out = [None] * len(idxs)
     if metric.is_constant and bundle.base is None:
-        vals = grid_last(u.values, grid.dim)
-        for i in reversed(idx):
-            vals = _coordinate_directional(vals, i - 1, u.rank, bundle)
-        return TensorSection(grid, u.rank, grid_first(vals, grid.dim), u.fiber_dim)
-    for out in tower(u, bundle, metric, len(idx)):
-        pass
-    sel = (slice(None),) * grid.dim + tuple(i - 1 for i in idx)
-    return TensorSection(grid, u.rank, out.values[sel], u.fiber_dim)
+        # passed on, not held here, so the walk can drop the copy
+        _directional_walk(
+            grid_last(u.values, grid.dim), 0, range(len(idxs)), idxs, u, bundle, out
+        )
+    else:
+        for j, level in enumerate(tower(u, bundle, metric, depth)):
+            for pos, i in enumerate(idxs):
+                if len(i) == j:
+                    sel = (slice(None),) * grid.dim + tuple(k - 1 for k in i)
+                    vals = level.values[sel].copy()
+                    out[pos] = TensorSection(grid, u.rank, vals, u.fiber_dim)
+    return out if many else out[0]
+
+
+def _directional_walk(vals, depth, members, idxs, u, bundle, out):
+    """Fill out[pos] for the members, whose last `depth` steps made vals.
+
+    vals is grid-last.  The members are grouped by their next step from
+    the right; every group but the last recurses, and the last continues
+    here, so vals is dropped as soon as its last step is taken.
+    """
+    grid = u.grid
+    while True:
+        groups = {}
+        for pos in members:
+            if len(idxs[pos]) == depth:
+                vals_first = grid_first(vals, grid.dim)
+                out[pos] = TensorSection(grid, u.rank, vals_first, u.fiber_dim)
+            else:
+                groups.setdefault(idxs[pos][-1 - depth], []).append(pos)
+        if not groups:
+            return
+        *rest, (axis, members) = groups.items()
+        for i, group in rest:
+            _directional_walk(
+                _coordinate_directional(vals, i - 1, u.rank, bundle),
+                depth + 1, group, idxs, u, bundle, out,
+            )
+        vals = _coordinate_directional(vals, axis - 1, u.rank, bundle)
+        depth += 1
 
 
 def contract_with_vector(u, X):
@@ -175,7 +216,7 @@ def contract_with_vector(u, X):
             f"vector field shape {X.shape} does not match grid {u.grid.shape}"
         )
     letters = _SLOTS[: u.rank - 1]
-    vals = np.einsum(f"...k,...k{letters}z->...{letters}z", X, u.values)
+    vals = grid_einsum(f"...k,...k{letters}z->...{letters}z", X, u.values)
     return TensorSection(u.grid, u.rank - 1, vals, u.fiber_dim)
 
 
@@ -220,7 +261,8 @@ def curvature(bundle):
 
     Per pair k < l, R_kl = (d_k A_l - d_l A_k) + (A_k A_l - A_l A_k) and
     R_lk with every difference taken the other way round; the products run
-    on the grid-last potentials.  R_kk = 0, and a flat bundle gives zeros.
+    on the grid-last potentials, and only when k and l are both live.
+    R_kk = 0, and a flat bundle gives zeros.
     """
     grid = bundle.grid
     n = grid.dim
@@ -239,6 +281,8 @@ def curvature(bundle):
             np.subtract(d_kl, d_lk, out=r_kl)
             np.subtract(d_lk, d_kl, out=r_lk)
             del d_kl, d_lk  # freed before the products: a lower peak
+            if k not in bundle.live or l not in bundle.live:
+                continue
             p_kl = np.einsum("ab...,bc...->ac...", pots[k], pots[l])
             p_lk = np.einsum("ab...,bc...->ac...", pots[l], pots[k])
             comm = p_kl - p_lk

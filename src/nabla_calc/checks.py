@@ -10,6 +10,7 @@ can execute concurrently without sharing state.
 
 import functools
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from .bundles import (
     grid_einsum,
     grid_first,
     grid_last,
-    magnetic_example_bundle,
+    magnetic_phase,
 )
 from .calculus import (
     covariant_derivative,
@@ -37,7 +38,7 @@ from .calculus import (
     formal_adjoint_directional,
     multiindex_derivative,
 )
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError, ResolutionError, ShapeMismatch
 from .generators import (
     divergence_via_generators,
     nabla_via_generators,
@@ -210,14 +211,25 @@ def _norm_row(ctx, s, p, value, bound, passed):
 
 def _require_flat(ctx, what):
     eye = np.eye(ctx.grid.dim)
-    if not np.allclose(ctx.metric.values, eye):
+    values = ctx.metric.values
+    if ctx.metric.is_constant:
+        values = values[(0,) * ctx.grid.dim]
+    if not np.allclose(values, eye):
         raise ConfigError(f"{what} needs the flat metric")
 
 
 def _require_oscillating_bundle(ctx, what):
-    model = magnetic_example_bundle(ctx.grid)
+    """The potentials of magnetic_example_bundle, compared grid-last against
+    a model that holds only the x1 axis and broadcasts over x2."""
+    grid = ctx.grid
+    if grid.dim != 2:
+        raise ShapeMismatch(f"magnetic example needs a 2d chart, got {grid.dim}d")
+    phase = magnetic_phase(grid)
+    model = np.zeros((2, 2, 2) + phase.shape, dtype=complex)
+    model[1, 0, 1] = phase
+    model[1, 1, 0] = -np.conj(phase)
     if ctx.bundle.fiber_dim != 2 or not np.allclose(
-        ctx.bundle.potentials, model.potentials
+        ctx.bundle.potentials_grid_last, model
     ):
         raise ConfigError(f"{what} needs the built-in oscillating-potential bundle")
 
@@ -246,101 +258,137 @@ def _closed_form_second_derivatives(grid, xi, phase, conj_phase, slope):
     d1 = grid.diff(xi, 0)
     d2 = grid.diff(xi, 1)
 
-    def a2(v):
-        return np.stack([phase * v[..., 1], -conj_phase * v[..., 0]], axis=-1)
+    def swap(v, top, bottom):
+        """The fiber vector (top v_2, bottom v_1); a2(v) is swap(v, phase,
+        -conj_phase).  Each sum below runs in place, in its written order."""
+        out = np.empty_like(v)
+        np.multiply(top, v[..., 1], out=out[..., 0])
+        np.multiply(bottom, v[..., 0], out=out[..., 1])
+        return out
 
-    a2_d1 = a2(d1)
-    da2_xi = slope * np.stack([phase * xi[..., 1], conj_phase * xi[..., 0]], axis=-1)
-    return {
-        (1, 2): grid.diff(d2, 0) + da2_xi + a2_d1,
-        (2, 1): grid.diff(d1, 1) + a2_d1,
-        (2, 2): grid.diff(d2, 1) + 2 * a2(d2) - xi,
-    }
+    a2_d1 = swap(d1, phase, -conj_phase)
+    da2_xi = swap(xi, phase, conj_phase)
+    np.multiply(slope, da2_xi, out=da2_xi)
+    f12 = grid.diff(d2, 0)
+    f12 += da2_xi
+    f12 += a2_d1
+    del da2_xi
+    f21 = grid.diff(d1, 1)
+    f21 += a2_d1
+    del a2_d1, d1
+    f22 = grid.diff(d2, 1)
+    a2_d2 = swap(d2, phase, -conj_phase)
+    np.multiply(2, a2_d2, out=a2_d2)
+    f22 += a2_d2
+    f22 -= xi
+    return {(1, 2): f12, (2, 1): f21, (2, 2): f22}
+
+
+def _formula_error(ctx, trial, phase, conj_phase, slope):
+    """One trial of multiindex-formulas: its worst relative error."""
+    bumps = random_bump_section(
+        ctx.grid, 0, 2, _rng(ctx, "multiindex-formulas", trial), kappa_max=1.5
+    )
+    sec = bumps.section(ctx.grid)
+    forms = _closed_form_second_derivatives(
+        ctx.grid, sec.values, phase, conj_phase, slope
+    )
+    gots = multiindex_derivative(sec, list(forms), ctx.bundle, ctx.metric)
+    errors = []
+    for got, want in zip(gots, forms.values()):
+        scale = max(float(np.max(np.abs(want))), _TINY)
+        errors.append(float(np.max(np.abs(got.values - want))) / scale)
+    return strict_max(*errors)
 
 
 @register("multiindex-formulas")
 def check_multiindex_formulas(ctx, tolerance, trials=20):
-    """Mixed second derivatives against their displayed closed forms."""
+    """Mixed second derivatives against their displayed closed forms.
+
+    Each trial runs in its own call, so none of its fields is still
+    alive while the next trial builds its own.
+    """
     _require_flat(ctx, "the closed-form check")
     _require_oscillating_bundle(ctx, "the closed-form check")
-    x1 = ctx.grid.coords[0]
-    phase = np.exp(1j * x1**3)
+    # the phase and its slope on the x1 axis, broadcast over x2
+    x1 = ctx.grid.axes[0][:, None]
+    phase = magnetic_phase(ctx.grid)
     conj_phase = np.conj(phase)
     slope = 3j * x1[..., None] ** 2
     worst = 0.0
     for trial in range(trials):
-        bumps = random_bump_section(
-            ctx.grid, 0, 2, _rng(ctx, "multiindex-formulas", trial), kappa_max=1.5
+        worst = strict_max(
+            worst, _formula_error(ctx, trial, phase, conj_phase, slope)
         )
-        sec = bumps.section(ctx.grid)
-        forms = _closed_form_second_derivatives(
-            ctx.grid, sec.values, phase, conj_phase, slope
-        )
-        for idx, want in forms.items():
-            got = multiindex_derivative(sec, idx, ctx.bundle, ctx.metric)
-            scale = max(float(np.max(np.abs(want))), _TINY)
-            worst = strict_max(worst, float(np.max(np.abs(got.values - want))) / scale)
     return _result(worst, None, worst <= tolerance)
 
 
-@register("leibniz-rule")
-def check_leibniz_rule(ctx, tolerance, trials=5):
-    """nabla(a u) = (nabla a) u + (1 (x) a) nabla u for Hom coefficients.
-
-    One direction k at a time, with the grid axes last:
-    nabla_k a = d_k a + A_k a - a A_k and rhs_k = (nabla_k a) u + a (nabla u)_k.
-    """
+def _leibniz_error(ctx, trial):
+    """One trial of leibniz-rule, one direction k at a time, grid axes last:
+    nabla_k a = d_k a + A_k a - a A_k, skipped products on a dead k, and
+    rhs_k = (nabla_k a) u + a (nabla u)_k.  The field and its first
+    partials share one phase per wave."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     n = grid.dim
     pots = ctx.bundle.potentials_grid_last
-    worst = 0.0
-    for trial in range(trials):
-        rng = _rng(ctx, "leibniz-rule", trial)
-        a_field = random_trig_field(n, (d, d), rng)
-        a = a_field.sample(grid)
-        u = random_section(grid, 0, d, _rng(ctx, "leibniz-section", trial))
-        au = TensorSection(
-            grid, 0, np.einsum("...ab,...b->...a", a, u.values), d
-        )
-        lhs = covariant_derivative(au, ctx.bundle, ctx.metric).values
-        grad_u = grid_last(covariant_derivative(u, ctx.bundle, ctx.metric).values, n)
-        a = grid_last(a, n)
-        u_vals = grid_last(u.values, n)
-        err = 0.0
-        for k in range(n):
-            nabla_a = grid_last(a_field.sample(grid, (k,)), n)
+    a_field = random_trig_field(n, (d, d), _rng(ctx, "leibniz-rule", trial))
+    a, *partials = a_field.sample(grid, [()] + [(k,) for k in range(n)])
+    u = random_section(grid, 0, d, _rng(ctx, "leibniz-section", trial))
+    au = TensorSection(grid, 0, np.einsum("...ab,...b->...a", a, u.values), d)
+    lhs = covariant_derivative(au, ctx.bundle, ctx.metric).values
+    del au
+    grad_u = grid_last(covariant_derivative(u, ctx.bundle, ctx.metric).values, n)
+    a = grid_last(a, n)
+    u_vals = grid_last(u.values, n)
+    err = 0.0
+    for k in range(n):
+        nabla_a = grid_last(partials[k], n)
+        partials[k] = None
+        if k in ctx.bundle.live:
             nabla_a += np.einsum("ab...,bc...->ac...", pots[k], a)
             nabla_a -= np.einsum("ab...,bc...->ac...", a, pots[k])
-            rhs = np.einsum("ab...,b...->a...", nabla_a, u_vals)
-            rhs += np.einsum("ab...,b...->a...", a, grad_u[k])
-            diff = lhs[..., k, :] - grid_first(rhs, n)
-            err = strict_max(err, float(np.max(np.abs(diff))))
-        scale = max(float(np.max(np.abs(lhs))), _TINY)
-        worst = strict_max(worst, err / scale)
+        rhs = np.einsum("ab...,b...->a...", nabla_a, u_vals)
+        rhs += np.einsum("ab...,b...->a...", a, grad_u[k])
+        diff = lhs[..., k, :] - grid_first(rhs, n)
+        err = strict_max(err, float(np.max(np.abs(diff))))
+    return err / max(float(np.max(np.abs(lhs))), _TINY)
+
+
+@register("leibniz-rule")
+def check_leibniz_rule(ctx, tolerance, trials=5):
+    """nabla(a u) = (nabla a) u + (1 (x) a) nabla u for Hom coefficients."""
+    worst = 0.0
+    for trial in range(trials):
+        worst = strict_max(worst, _leibniz_error(ctx, trial))
     return _result(worst, None, worst <= tolerance)
+
+
+def _commutator_error(ctx, trial, r, pairs):
+    """One trial of curvature-commutator over every direction pair."""
+    rng = _rng(ctx, "curvature-commutator", trial)
+    u = random_section(ctx.grid, 0, ctx.bundle.fiber_dim, rng)
+    idxs = [idx for k, l in pairs for idx in ((k, l), (l, k))]
+    terms = multiindex_derivative(u, idxs, ctx.bundle, ctx.metric)
+    errors = []
+    for (k, l), kl, lk in zip(pairs, terms[::2], terms[1::2]):
+        lhs = kl.values - lk.values
+        rhs = r.apply(k, l, u).values
+        scale = max(
+            float(np.max(np.abs(rhs))), float(np.max(np.abs(u.values))), _TINY
+        )
+        errors.append(float(np.max(np.abs(lhs - rhs))) / scale)
+    return strict_max(0.0, *errors)  # a 1d chart has no pair
 
 
 @register("curvature-commutator")
 def check_curvature_commutator(ctx, tolerance, trials=5):
     """(nabla_kl - nabla_lk) u = R_kl u on every direction pair."""
-    grid = ctx.grid
-    d = ctx.bundle.fiber_dim
     r = curvature(ctx.bundle)
+    pairs = list(itertools.combinations(range(1, ctx.grid.dim + 1), 2))
     worst = 0.0
     for trial in range(trials):
-        u = random_section(grid, 0, d, _rng(ctx, "curvature-commutator", trial))
-        for k in range(1, grid.dim + 1):
-            for l in range(k + 1, grid.dim + 1):
-                lhs = (
-                    multiindex_derivative(u, (k, l), ctx.bundle, ctx.metric).values
-                    - multiindex_derivative(u, (l, k), ctx.bundle, ctx.metric).values
-                )
-                rhs = r.apply(k, l, u).values
-                scale = max(
-                    float(np.max(np.abs(rhs))), float(np.max(np.abs(u.values))), _TINY
-                )
-                worst = strict_max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+        worst = strict_max(worst, _commutator_error(ctx, trial, r, pairs))
     return _result(worst, None, worst <= tolerance)
 
 

@@ -37,7 +37,11 @@ class MetricField:
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
             raise ShapeMismatch(f"metric is not symmetric, max asymmetry {asym:.3e}")
         values = 0.5 * (values + np.swapaxes(values, -1, -2))
-        eigs = np.linalg.eigvalsh(values)
+        self.is_constant = bool(np.all(values == values[(0,) * grid.dim]))
+        # a constant metric has one matrix's eigenvalues
+        eigs = np.linalg.eigvalsh(
+            values[(0,) * grid.dim] if self.is_constant else values
+        )
         floor = EIG_FLOOR_REL * float(np.max(eigs))
         emin = float(np.min(eigs))
         if emin <= floor:
@@ -46,9 +50,6 @@ class MetricField:
             )
         self.grid = grid
         self.values = values
-        self.is_constant = bool(
-            np.all(values == values[(0,) * grid.dim])
-        )
         self._inv = None
         self._sqrt_det = None
         self._christoffel = None

@@ -201,25 +201,24 @@ def _hom_derivative(a, source, target, metric):
     da = np.empty(grid.shape + (n,) + a.shape[-2:], dtype=complex)
     for y in range(n):
         da[..., y, :, :] = grid.diff(a, axis=y)
-    if not (tgt.is_flat and src.is_flat):
-        # one direction at a time, with the grid innermost: the einsum loop
-        # runs over the grid, not over a d x d fiber once per point
+    if tgt.live or src.live:
+        # one live direction at a time, with the grid innermost: the einsum
+        # loop runs over the grid, not over a d x d fiber once per point
         last = grid_last(a, grid.dim)
         a_rows = last.reshape((n**t, tgt.fiber_dim, -1) + grid.shape)
         a_cols = last.reshape((-1, src.fiber_dim) + grid.shape)
         rows = da.reshape(grid.shape + (n, n**t, tgt.fiber_dim, -1))  # a view
         cols = da.reshape(grid.shape + (n, -1, src.fiber_dim))  # a view
-        for y in range(n):  # each product is freed before the next is made
-            if not tgt.is_flat:
-                pots = tgt.potentials_grid_last[y]
-                rows[..., y, :, :, :] += grid_first(
-                    np.einsum("fg...,tgk...->tfk...", pots, a_rows), grid.dim
-                )
-            if not src.is_flat:
-                pots = src.potentials_grid_last[y]
-                cols[..., y, :, :] -= grid_first(
-                    np.einsum("rl...,le...->re...", a_cols, pots), grid.dim
-                )
+        for y in tgt.live:  # each product is freed before the next is made
+            pots = tgt.potentials_grid_last[y]
+            rows[..., y, :, :, :] += grid_first(
+                np.einsum("fg...,tgk...->tfk...", pots, a_rows), grid.dim
+            )
+        for y in src.live:
+            pots = src.potentials_grid_last[y]
+            cols[..., y, :, :] -= grid_first(
+                np.einsum("rl...,le...->re...", a_cols, pots), grid.dim
+            )
     if not metric.is_constant:
         gamma = metric.christoffel_field()
         if t:
@@ -396,7 +395,7 @@ def apply_mixed_op(spec, u, gens=None):
         v = u
         for x in reversed(_term_fields(term, gens)):
             full = covariant_derivative(v, spec.source, spec.metric, check_support=False)
-            vals = np.einsum("...k,...ka->...a", x, full.values)
+            vals = grid_einsum("...k,...ka->...a", x, full.values)
             v = TensorSection(grid, 0, vals, u.fiber_dim)
         out += np.einsum("...gk,...k->...g", term.coefficient, v.values)
     return TensorSection(grid, 0, out, spec.target.fiber_dim)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .bundles import TensorSection
+from .bundles import TensorSection, grid_first
 from .errors import ShapeMismatch
 
 
@@ -102,7 +102,7 @@ class ScalarBump:
                 shape1 = tuple(grid.shape[k] if a == k else 1 for a in range(n))
                 axis_vals = axis_vals.reshape(shape1)
                 prod = axis_vals if prod is None else prod * axis_vals
-            total += amp * prod
+            total += np.multiply(amp, prod, out=prod)
         return total
 
 
@@ -217,6 +217,9 @@ class TrigPolyField:
         """Evaluate the field (or a partial derivative) on a grid.
 
         orders lists 0-based axes to differentiate along, repeats allowed.
+        A list of such tuples gives a list of fields, and each wave's phase
+        is computed once for all of them.  Each field is summed entry by
+        entry, with the grid innermost, and copied out grid-first once.
         """
         n = grid.dim
         if self.waves.shape[1] != n:
@@ -224,18 +227,27 @@ class TrigPolyField:
                 f"field over {self.waves.shape[1]} variables sampled on a "
                 f"{n}-dimensional grid"
             )
-        orders = tuple(int(a) for a in orders)
-        pad = (1,) * len(self.value_shape)
-        out = np.zeros(grid.shape + self.value_shape, dtype=complex)
+        many = any(isinstance(o, (tuple, list)) for o in orders)
+        wanted = [tuple(int(a) for a in o) for o in (orders if many else [orders])]
+        stores = [np.zeros(self.value_shape + grid.shape, dtype=complex) for _ in wanted]
+        term = np.empty(grid.shape, dtype=complex)
         for w, c in zip(self.waves, self.coeffs):
             phase = np.exp(1j * sum(w[k] * grid.coords[k] for k in range(n)))
-            factor = 1.0 + 0.0j
-            for a in orders:
-                factor = factor * 1j * w[a]
-            out += (factor * phase).reshape(grid.shape + pad) * c
-        if not orders and self.const is not None:
-            out += self.const
-        return out
+            for o, store in zip(wanted, stores):
+                factor = 1.0 + 0.0j
+                for a in o:
+                    factor = factor * 1j * w[a]
+                wave = factor * phase
+                for entry in np.ndindex(self.value_shape):
+                    store[entry] += np.multiply(wave, c[entry], out=term)
+        outs = []
+        for o in wanted:
+            store = stores.pop(0)
+            if not o and self.const is not None:
+                for entry in np.ndindex(self.value_shape):
+                    store[entry] += self.const[entry]
+            outs.append(np.ascontiguousarray(grid_first(store, n)))
+        return outs if many else outs[0]
 
 
 def random_trig_field(dim, value_shape, rng, n_waves=3, freq_max=1.5, scale=1.0):

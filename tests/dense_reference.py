@@ -8,12 +8,16 @@ the explicit formulas, to check that route:
   M[l, m] = -Gamma^m_{k l} on each slot;
 - Hom(E, F), morphisms vec'd row-major (f, e) -> f * d_E + e, has
   potential A^F (x) I - I (x) (A^E)^T and the identity fiber metric.
+
+It also keeps the former all-direction connection products, which ran
+over every direction, a dead one (identically zero potential) included:
+the package now skips the dead directions and must give equal arrays.
 """
 
 import numpy as np
 
-from nabla_calc.bundles import BundleSpec, TensorSection, pointwise_kron
-from nabla_calc.calculus import tower
+from nabla_calc.bundles import BundleSpec, TensorSection, grid_first, grid_last, pointwise_kron
+from nabla_calc.calculus import _gamma_slot_sum, tower
 from nabla_calc.norms import pointwise_norm_sq
 
 
@@ -83,3 +87,65 @@ def dense_hom_sup(a, source, target, slots, metric, depth):
         )
     ]
     return float(np.sqrt(np.max(sups)))
+
+
+def all_direction_covariant(u, bundle, metric):
+    """covariant_derivative on a plain bundle, potential term over every y."""
+    grid = u.grid
+    r = u.rank
+    parts = np.stack([grid.diff(u.values, axis=k) for k in range(grid.dim)], axis=grid.dim)
+    letters = "cdefghij"[:r]
+    if not metric.is_constant and r > 0:
+        parts -= _gamma_slot_sum(metric.christoffel_field(), u.values, r)
+    term = np.einsum(
+        f"yab...,{letters}b...->y{letters}a...",
+        bundle.potentials_grid_last,
+        grid_last(u.values, grid.dim),
+    )
+    parts += grid_first(term, grid.dim)
+    return parts
+
+
+def all_direction_hom_products(a, source, target, metric):
+    """_hom_derivative of a, a map E -> F between plain bundles, every y."""
+    grid = metric.grid
+    n = grid.dim
+    da = np.empty(grid.shape + (n,) + a.shape[-2:], dtype=complex)
+    for y in range(n):
+        da[..., y, :, :] = grid.diff(a, axis=y)
+    last = grid_last(a, grid.dim)
+    a_rows = last.reshape((1, target.fiber_dim, -1) + grid.shape)
+    a_cols = last.reshape((-1, source.fiber_dim) + grid.shape)
+    rows = da.reshape(grid.shape + (n, 1, target.fiber_dim, -1))
+    cols = da.reshape(grid.shape + (n, -1, source.fiber_dim))
+    for y in range(n):
+        pots = target.potentials_grid_last[y]
+        rows[..., y, :, :, :] += grid_first(
+            np.einsum("fg...,tgk...->tfk...", pots, a_rows), grid.dim
+        )
+        pots = source.potentials_grid_last[y]
+        cols[..., y, :, :] -= grid_first(
+            np.einsum("rl...,le...->re...", a_cols, pots), grid.dim
+        )
+    grid.zero_band(da, grid.stencil_radius)
+    return da
+
+
+def all_direction_curvature(bundle):
+    """curvature with the commutator products taken on every pair."""
+    grid = bundle.grid
+    n = grid.dim
+    d = bundle.fiber_dim
+    r = np.zeros(grid.shape + (n, n, d, d), dtype=complex)
+    a = bundle.potentials
+    pots = bundle.potentials_grid_last
+    for k in range(n):
+        for l in range(k + 1, n):
+            d_kl = grid.diff(a[..., l, :, :], axis=k)
+            d_lk = grid.diff(a[..., k, :, :], axis=l)
+            p_kl = np.einsum("ab...,bc...->ac...", pots[k], pots[l])
+            p_lk = np.einsum("ab...,bc...->ac...", pots[l], pots[k])
+            r[..., k, l, :, :] = d_kl - d_lk + grid_first(p_kl - p_lk, grid.dim)
+            r[..., l, k, :, :] = d_lk - d_kl + grid_first(p_lk - p_kl, grid.dim)
+    grid.zero_band(r, grid.stencil_radius)
+    return r

@@ -125,3 +125,22 @@ def test_every_signature_default_passes_its_rule():
                 continue
             test, want = _PARAM_RULES[key]
             assert test(default), f"{name} {key}={default!r} is not {want}"
+
+
+def test_closed_form_check_needs_the_flat_metric_and_the_oscillating_bundle():
+    grid = ChartGrid([(-1, 1), (-1, 1)], (33, 33))
+    magnetic = magnetic_example_bundle(grid)
+    x, _ = grid.coords
+
+    def run(metric, bundle):
+        ctx = CheckContext(name="closed-form", grid=grid, metric=metric, bundle=bundle, seed=3)
+        return CHECKS["multiindex-formulas"][0](ctx, {"tolerance": 1.0, "trials": 1})
+
+    assert run(MetricField.flat(grid), magnetic)["passed"]
+    with pytest.raises(ConfigError, match="flat metric"):
+        run(MetricField.conformal(grid, 0.1 * x), magnetic)
+    off = magnetic.potentials.copy()
+    off[..., 1, 0, 1] *= 1.001
+    for bundle in (BundleSpec(grid, 2, off), BundleSpec(grid, 2), BundleSpec(grid, 1)):
+        with pytest.raises(ConfigError, match="oscillating-potential bundle"):
+            run(MetricField.flat(grid), bundle)

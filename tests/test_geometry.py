@@ -116,3 +116,42 @@ def test_weight_pair_validation():
         WeightPair(grid, grid.coords[0])  # hits zero at the left edge
     with pytest.raises(ShapeMismatch):
         WeightPair(grid, np.ones(5))
+
+
+def test_constant_metric_is_validated_on_one_matrix(monkeypatch):
+    grid = ChartGrid([(-1, 1), (-1, 1)], (17, 17), support_margin=2)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    const = np.broadcast_to(np.array([[2.0, 0.5], [0.5, 1.0]]), (17, 17, 2, 2))
+    assert MetricField(grid, const).is_constant
+    x, _ = grid.coords
+    MetricField.conformal(grid, 0.1 * x)
+    assert shapes == [(2, 2), (17, 17, 2, 2)]
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_metric_verdicts_do_not_depend_on_constancy(constant):
+    # the finite, symmetry and eigenvalue-floor checks give the same errors
+    # whether the metric is one matrix everywhere or varies
+    grid = ChartGrid([(-1, 1), (-1, 1)], (17, 17), support_margin=2)
+    x, _ = grid.coords
+    scale = np.ones_like(x) if constant else 1.0 + 0.1 * (x + 1)
+
+    def field(mat):
+        return scale[..., None, None] * np.asarray(mat)
+
+    with pytest.raises(SingularMetric, match="not finite"):
+        MetricField(grid, field([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ShapeMismatch, match="not symmetric"):
+        MetricField(grid, field([[1.0, 0.3], [0.1, 1.0]]))
+    with pytest.raises(SingularMetric, match="at or below the floor"):
+        MetricField(grid, field([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SingularMetric, match="at or below the floor"):
+        MetricField(grid, field([[1.0, 0.0], [0.0, -1.0]]))
+    assert MetricField(grid, field([[1.0, 0.2], [0.2, 1.0]])).is_constant == constant

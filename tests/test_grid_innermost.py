@@ -1,4 +1,4 @@
-"""Frame and Gram contractions run grid-innermost, against grid-first copies.
+"""Frame, Gram and vector contractions run grid-innermost, against grid-first copies.
 
 Each reference below is the former code of a converted function: the same
 einsum subscripts, run with the grid axes first.  Where grid_einsum keeps
@@ -10,8 +10,15 @@ import numpy as np
 import pytest
 
 from nabla_calc.bidiff import _gradient_adjoint, l2_pairing
-from nabla_calc.bundles import BundleSpec, grid_einsum, induced_tensor_bundle
-from nabla_calc.calculus import divergence
+from nabla_calc.bundles import (
+    BundleSpec,
+    TensorSection,
+    grid_einsum,
+    induced_tensor_bundle,
+    magnetic_example_bundle,
+)
+from nabla_calc.calculus import contract_with_vector, covariant_derivative, divergence
+from nabla_calc.checks import _random_mixed_spec
 from nabla_calc.generators import (
     build_generators,
     coframe_gram,
@@ -25,6 +32,8 @@ from nabla_calc.grid import ChartGrid
 from nabla_calc.operators import (
     _add_ladders,
     _scaled,
+    _term_fields,
+    apply_mixed_op,
     compose,
     directional_op,
     multiplication_op,
@@ -200,6 +209,40 @@ def test_l2_pairing_matches_grid_first_reference(frame):
         )
         want = complex(GRID.integrate(density * metric.sqrt_det))
         assert l2_pairing(v, w, bundle, metric) == want
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_contract_with_vector_matches_grid_first_reference(rank):
+    rng = seeded_rng(17, f"contract-{rank}")
+    u = random_section(GRID, rank, 2, rng)
+    X = random_vector_field(GRID, rng)
+    slots = "cdefghij"[: rank - 1]
+    want = np.einsum(f"...k,...k{slots}z->...{slots}z", X, u.values)
+    assert np.array_equal(contract_with_vector(u, X).values, want)
+
+
+def _apply_mixed_reference(spec, u, gens):
+    """apply_mixed_op with its directional contractions grid-first."""
+    grid = spec.grid
+    out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
+    for term in spec.terms:
+        v = u
+        for x in reversed(_term_fields(term, gens)):
+            full = covariant_derivative(v, spec.source, spec.metric, check_support=False)
+            vals = np.einsum("...k,...ka->...a", x, full.values)
+            v = TensorSection(grid, 0, vals, u.fiber_dim)
+        out += np.einsum("...gk,...k->...g", term.coefficient, v.values)
+    return out
+
+
+def test_apply_mixed_op_matches_grid_first_reference():
+    ctx = build_context(parse_scenario(builtin_scenario("random-embedding")))
+    ctx.bundle = magnetic_example_bundle(ctx.grid)
+    for trial in range(3):
+        spec = _random_mixed_spec(ctx, ctx.gens, trial, 2)
+        u = random_section(ctx.grid, 0, 2, seeded_rng(17, "mixed-apply", trial))
+        got = apply_mixed_op(spec, u, ctx.gens).values
+        assert np.array_equal(got, _apply_mixed_reference(spec, u, ctx.gens))
 
 
 def test_no_leading_ellipsis_einsum_with_three_operands(monkeypatch):
