@@ -224,8 +224,6 @@ def magnetic_example_bundle(grid):
     A_1 = 0 and A_2 = [[0, e^{i x1^3}], [-e^{-i x1^3}, 0]]; both are
     skew-Hermitian so the connection preserves the standard fiber metric.
     """
-    if grid.dim != 2:
-        raise ShapeMismatch(f"magnetic example needs a 2d chart, got {grid.dim}d")
     phase = magnetic_phase(grid)
     pots = np.zeros(grid.shape + (2, 2, 2), dtype=complex)
     pots[..., 1, 0, 1] = phase
@@ -234,7 +232,9 @@ def magnetic_example_bundle(grid):
 
 
 def magnetic_phase(grid):
-    """e^{i x1^3} on the x1 axis, shaped (N1, 1) to broadcast over the grid."""
+    """e^{i x1^3} on the x1 axis, shaped (N1, 1) to broadcast over a 2d grid."""
+    if grid.dim != 2:
+        raise ShapeMismatch(f"magnetic example needs a 2d chart, got {grid.dim}d")
     return np.exp(1j * grid.axes[0] ** 3)[:, None]
 
 

@@ -86,9 +86,7 @@ def covariant_derivative(u, bundle, metric, check_support=True):
                 bundle.potentials_grid_last[y],
                 u_last,
             )
-            parts[(Ellipsis, y) + (slice(None),) * (r + 1)] += grid_first(
-                term, grid.dim
-            )
+            parts[(slice(None),) * grid.dim + (y,)] += grid_first(term, grid.dim)
     return TensorSection(grid, r + 1, parts, u.fiber_dim)
 
 
@@ -190,8 +188,8 @@ def _directional_walk(vals, depth, members, idxs, u, bundle, out):
         groups = {}
         for pos in members:
             if len(idxs[pos]) == depth:
-                vals_first = grid_first(vals, grid.dim)
-                out[pos] = TensorSection(grid, u.rank, vals_first, u.fiber_dim)
+                first = grid_first(vals, grid.dim)
+                out[pos] = TensorSection(grid, u.rank, first, u.fiber_dim)
             else:
                 groups.setdefault(idxs[pos][-1 - depth], []).append(pos)
         if not groups:

@@ -38,7 +38,7 @@ from .calculus import (
     formal_adjoint_directional,
     multiindex_derivative,
 )
-from .errors import ConfigError, ResolutionError, ShapeMismatch
+from .errors import ConfigError, ResolutionError
 from .generators import (
     divergence_via_generators,
     nabla_via_generators,
@@ -221,10 +221,7 @@ def _require_flat(ctx, what):
 def _require_oscillating_bundle(ctx, what):
     """The potentials of magnetic_example_bundle, compared grid-last against
     a model that holds only the x1 axis and broadcasts over x2."""
-    grid = ctx.grid
-    if grid.dim != 2:
-        raise ShapeMismatch(f"magnetic example needs a 2d chart, got {grid.dim}d")
-    phase = magnetic_phase(grid)
+    phase = magnetic_phase(ctx.grid)
     model = np.zeros((2, 2, 2) + phase.shape, dtype=complex)
     model[1, 0, 1] = phase
     model[1, 1, 0] = -np.conj(phase)
@@ -259,13 +256,14 @@ def _closed_form_second_derivatives(grid, xi, phase, conj_phase, slope):
     d2 = grid.diff(xi, 1)
 
     def swap(v, top, bottom):
-        """The fiber vector (top v_2, bottom v_1); a2(v) is swap(v, phase,
-        -conj_phase).  Each sum below runs in place, in its written order."""
+        """The fiber vector (top v_2, bottom v_1); A_2 v = swap(v, phase,
+        -conj_phase)."""
         out = np.empty_like(v)
         np.multiply(top, v[..., 1], out=out[..., 0])
         np.multiply(bottom, v[..., 0], out=out[..., 1])
         return out
 
+    # each form is summed in place, term by term in its displayed order
     a2_d1 = swap(d1, phase, -conj_phase)
     da2_xi = swap(xi, phase, conj_phase)
     np.multiply(slope, da2_xi, out=da2_xi)
