@@ -17,8 +17,8 @@ STENCIL_RADIUS = {2: 1, 4: 2}
 
 
 # diff_axis works through u in slabs of about this many bytes, cut along the
-# axis just before the differenced one, so the passes over a slab stay in
-# a core's L2 cache instead of streaming the whole array five times
+# axes before the differenced one, so the passes over a slab stay in a
+# core's L2 cache instead of streaming the whole array five times
 _SLAB_BYTES = 1 << 18
 
 

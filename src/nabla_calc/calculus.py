@@ -155,7 +155,7 @@ def multiindex_derivative(u, idx, bundle, metric):
     """
     _check_context(u, bundle, metric)
     grid = u.grid
-    many = any(isinstance(i, (tuple, list)) for i in idx)
+    many = any(np.ndim(i) for i in idx)
     idxs = [validate_multiindex(i, grid.dim) for i in (idx if many else [idx])]
     depth = max(map(len, idxs), default=0)
     if depth:

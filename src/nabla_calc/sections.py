@@ -227,7 +227,7 @@ class TrigPolyField:
                 f"field over {self.waves.shape[1]} variables sampled on a "
                 f"{n}-dimensional grid"
             )
-        many = any(isinstance(o, (tuple, list)) for o in orders)
+        many = any(np.ndim(o) for o in orders)
         wanted = [tuple(int(a) for a in o) for o in (orders if many else [orders])]
         stores = [np.zeros(self.value_shape + grid.shape, dtype=complex) for _ in wanted]
         term = np.empty(grid.shape, dtype=complex)
