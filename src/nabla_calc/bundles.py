@@ -3,9 +3,17 @@
 A bundle is trivialized over the chart: fiber C^d, a Hermitian fiber metric,
 and connection potential matrices A_k per coordinate direction, stored once
 grid-last as potentials_grid_last[k, a, b, idx] and read grid-first as
-potentials[idx, k, a, b].  Sections of T*M^{tensor r} (x) E are arrays
-values[idx, i_1..i_r, a] with slot axes between the grid axes and the fiber
-axis; new covariant slots are always prepended leftmost.
+potentials[idx, k, a, b].  The potentials are stored at the shape they
+vary over: each grid axis of the array given to BundleSpec has its full
+length or length 1, and the stored copy keeps that shape.  The flat
+default is (n, d, d, 1, .., 1) zeros, and the magnetic example, which
+depends on x1 alone, is (2, 2, 2, N1, 1).  Every connection product
+broadcasts the stored copy over the grid as it is; potentials is a
+read-only broadcast of it to the full grid + (n, d, d).
+
+Sections of T*M^{tensor r} (x) E are arrays values[idx, i_1..i_r, a] with
+slot axes between the grid axes and the fiber axis; new covariant slots
+are always prepended leftmost.
 
 Only a plain BundleSpec holds potentials.  The derived bundle
 T*M^{tensor s} (x) E is an InducedBundle that records E and s, and every
@@ -84,12 +92,16 @@ class BundleSpec:
         if d < 1:
             raise ShapeMismatch(f"fiber dimension must be >= 1, got {d}")
         if potentials is None:
-            potentials = np.zeros(grid.shape + (n, d, d), dtype=complex)
+            potentials = np.zeros((1,) * n + (n, d, d), dtype=complex)
         potentials = np.asarray(potentials, dtype=complex)
-        if potentials.shape != grid.shape + (n, d, d):
+        shape = potentials.shape
+        if shape[n:] != (n, d, d) or not all(
+            m in (1, full) for m, full in zip(shape[:n], grid.shape)
+        ):
             raise ShapeMismatch(
-                f"potentials shape {potentials.shape} does not match grid "
-                f"{grid.shape} with {n} directions and {d}x{d} fibers"
+                f"potentials shape {shape} does not match grid "
+                f"{grid.shape} with {n} directions and {d}x{d} fibers "
+                f"(each grid axis full or of length 1)"
             )
         if fiber_metric is None:
             fiber_metric = np.eye(d, dtype=complex)
@@ -113,7 +125,8 @@ class BundleSpec:
             )
         self.grid = grid
         self.fiber_dim = d
-        # the one stored copy, grid innermost and never written
+        # the one stored copy, grid innermost, at the shape it was given,
+        # and never written
         self.potentials_grid_last = grid_last(potentials, grid.dim)
         self.potentials_grid_last.flags.writeable = False
         self.fiber_metric = fiber_metric
@@ -132,8 +145,11 @@ class BundleSpec:
 
     @property
     def potentials(self):
-        """The potentials as a grid + (n, d, d) view of the grid-last copy."""
-        return grid_first(self.potentials_grid_last, self.grid.dim)
+        """The potentials as a read-only grid + (n, d, d) broadcast view of
+        the grid-last copy."""
+        grid = self.grid
+        first = grid_first(self.potentials_grid_last, grid.dim)
+        return np.broadcast_to(first, grid.shape + first.shape[grid.dim :])
 
 
 def compatibility_defect(bundle):
@@ -225,7 +241,8 @@ def magnetic_example_bundle(grid):
     skew-Hermitian so the connection preserves the standard fiber metric.
     """
     phase = magnetic_phase(grid)
-    pots = np.zeros(grid.shape + (2, 2, 2), dtype=complex)
+    # (N1, 1, 2, 2, 2): the potentials vary over x1 alone
+    pots = np.zeros(phase.shape + (2, 2, 2), dtype=complex)
     pots[..., 1, 0, 1] = phase
     pots[..., 1, 1, 0] = -np.conj(phase)
     return BundleSpec(grid, 2, pots)

@@ -325,7 +325,9 @@ def _leibniz_error(ctx, trial):
     """One trial of leibniz-rule, one direction k at a time, grid axes last:
     nabla_k a = d_k a + A_k a - a A_k, skipped products on a dead k, and
     rhs_k = (nabla_k a) u + a (nabla u)_k.  The field and its first
-    partials share one phase per wave."""
+    partials share one phase per wave.  The grid-first u is dropped once
+    its grid-last copy exists, and each direction's temporaries are freed
+    before the next direction makes its own."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     n = grid.dim
@@ -338,7 +340,7 @@ def _leibniz_error(ctx, trial):
     del au
     grad_u = grid_last(covariant_derivative(u, ctx.bundle, ctx.metric).values, n)
     a = grid_last(a, n)
-    u_vals = grid_last(u.values, n)
+    u = grid_last(u.values, n)
     err = 0.0
     for k in range(n):
         nabla_a = grid_last(partials[k], n)
@@ -346,10 +348,13 @@ def _leibniz_error(ctx, trial):
         if k in ctx.bundle.live:
             nabla_a += np.einsum("ab...,bc...->ac...", pots[k], a)
             nabla_a -= np.einsum("ab...,bc...->ac...", a, pots[k])
-        rhs = np.einsum("ab...,b...->a...", nabla_a, u_vals)
+        rhs = np.einsum("ab...,b...->a...", nabla_a, u)
+        del nabla_a
         rhs += np.einsum("ab...,b...->a...", a, grad_u[k])
         diff = lhs[..., k, :] - grid_first(rhs, n)
+        del rhs
         err = strict_max(err, float(np.max(np.abs(diff))))
+        del diff
     return err / max(float(np.max(np.abs(lhs))), _TINY)
 
 
@@ -362,16 +367,18 @@ def check_leibniz_rule(ctx, tolerance, trials=5):
     return _result(worst, None, worst <= tolerance)
 
 
-def _commutator_error(ctx, trial, r, pairs):
-    """One trial of curvature-commutator over every direction pair."""
+def _commutator_error(ctx, trial, blocks, pairs):
+    """One trial of curvature-commutator over every direction pair; blocks
+    holds the grid + (d, d) curvature R_kl of each pair."""
     rng = _rng(ctx, "curvature-commutator", trial)
     u = random_section(ctx.grid, 0, ctx.bundle.fiber_dim, rng)
     idxs = [idx for k, l in pairs for idx in ((k, l), (l, k))]
     terms = multiindex_derivative(u, idxs, ctx.bundle, ctx.metric)
     errors = []
-    for (k, l), kl, lk in zip(pairs, terms[::2], terms[1::2]):
+    for r_kl, kl, lk in zip(blocks, terms[::2], terms[1::2]):
         lhs = kl.values - lk.values
-        rhs = r.apply(k, l, u).values
+        # CurvatureField.apply on a rank-0 section
+        rhs = np.einsum("...ab,...b->...a", r_kl, u.values)
         scale = max(
             float(np.max(np.abs(rhs))), float(np.max(np.abs(u.values))), _TINY
         )
@@ -381,12 +388,18 @@ def _commutator_error(ctx, trial, r, pairs):
 
 @register("curvature-commutator")
 def check_curvature_commutator(ctx, tolerance, trials=5):
-    """(nabla_kl - nabla_lk) u = R_kl u on every direction pair."""
-    r = curvature(ctx.bundle)
+    """(nabla_kl - nabla_lk) u = R_kl u on every direction pair.
+
+    Only the R_kl blocks of the pairs k < l are kept across the trials;
+    the full (n, n, d, d) curvature field is freed once they are copied.
+    """
     pairs = list(itertools.combinations(range(1, ctx.grid.dim + 1), 2))
+    r = curvature(ctx.bundle).values
+    blocks = [r[..., k - 1, l - 1, :, :].copy() for k, l in pairs]
+    del r
     worst = 0.0
     for trial in range(trials):
-        worst = strict_max(worst, _commutator_error(ctx, trial, r, pairs))
+        worst = strict_max(worst, _commutator_error(ctx, trial, blocks, pairs))
     return _result(worst, None, worst <= tolerance)
 
 

@@ -8,6 +8,7 @@ scenario machinery the command line uses.
 
 import time
 
+import numpy as np
 import pytest
 
 from nabla_calc.checks import CHECKS
@@ -127,8 +128,11 @@ def test_criterion_08_weighted_conformal_identity():
     # ell = 0 is an exact change of measure; ell = 1 carries the fixed
     # lower-order twist-derivative correction, so the computed ratio must
     # sit inside [0.99, 1.01] at the default spacing and stabilize under
-    # refinement with monotonically shrinking steps
+    # refinement with monotonically shrinking steps.  The order-0 ratio is
+    # exact up to the roundoff of its two norms, so its steps need only stay
+    # below a roundoff floor; a strict shrink there would read noise
     base_h = 2 / 128
+    floor = 64 * np.finfo(float).eps
     worst_default = 0.0
     for ell in (0, 1):
         devs = []
@@ -137,12 +141,14 @@ def test_criterion_08_weighted_conformal_identity():
             out = run(ctx, "weighted-ratio", tolerance=0.01, orders=[ell], p=2)
             devs.append(out["measured"])
         assert all(d <= 0.01 for d in devs), f"ell={ell} left [0.99, 1.01]: {devs}"
+        changes = [abs(b - a) for a, b in zip(devs, devs[1:])]
         if ell == 0:
             assert all(d <= 1e-12 for d in devs), f"order-0 ratio not exact: {devs}"
-        changes = [abs(b - a) for a, b in zip(devs, devs[1:])]
-        for wide, tight in zip(changes, changes[1:]):
-            assert tight <= wide, f"ell={ell} refinement not settling: {changes}"
-            assert tight < wide or wide == 0.0
+            assert all(c <= floor for c in changes), f"order-0 steps: {changes}"
+        else:
+            for wide, tight in zip(changes, changes[1:]):
+                assert tight <= wide, f"ell={ell} refinement not settling: {changes}"
+                assert tight < wide or wide == 0.0
         assert devs[-1] <= 1e-3, f"ell={ell} ratio limit too far from 1"
         worst_default = max(worst_default, devs[0])
     line(8, "weighted vs rescaled-metric norm ratio", worst_default, 1e-2, True)

@@ -138,9 +138,10 @@ def test_induced_bundle_of_an_induced_bundle_lifts_the_base(grid):
 
 
 def test_potentials_are_stored_once_grid_last(grid):
+    # the magnetic potentials vary over x1 alone: stored (2, 2, 2, N1, 1)
     bundle = magnetic_example_bundle(grid)
     pots = bundle.potentials_grid_last
-    assert pots.flags.c_contiguous and pots.shape == (2, 2, 2) + grid.shape
+    assert pots.flags.c_contiguous and pots.shape == (2, 2, 2, grid.shape[0], 1)
     assert np.shares_memory(bundle.potentials, pots)
     assert bundle.potentials.shape == grid.shape + (2, 2, 2)
 
