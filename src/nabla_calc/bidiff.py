@@ -6,11 +6,22 @@ pairing, conjugate-linear in w, so the stored coefficients carry every
 metric factor.  Dirichlet forms are quadratures of that density, and the
 weak operator u -> P u with <P u, w> = B(u, w) is assembled term by term
 from the directional adjoint rule through a generator frame.
+
+Form coefficients are stored at the shape they vary over, as ladder levels
+are: each grid axis has its full length or length 1, so a constant form
+such as the identity pairing is (1, .., 1, rows, cols), and the assembly
+composes and sums such levels without building full-grid constants.
 """
 
 import numpy as np
 
-from .bundles import TensorSection, grid_einsum, induced_tensor_bundle
+from .bundles import (
+    TensorSection,
+    check_grid_shape,
+    compact_grid_axes,
+    grid_einsum,
+    induced_tensor_bundle,
+)
 from .calculus import divergence, tower
 from .errors import ChartMismatch, NonadmissibleWeight, ShapeMismatch
 from .generators import coframe_gram
@@ -35,9 +46,12 @@ from .operators import (
 class BidiffSpec:
     """Canonical coefficients of a bidifferential form of order <= 2m.
 
-    coefficients maps (i, j) with i, j <= half_order to arrays of shape
-    grid + (n^j * dim F, n^i * dim E); u lives in the source bundle E and
-    the conjugated argument w in the cosource bundle F.
+    coefficients maps (i, j) with i, j <= half_order to grid + (n^j *
+    dim F, n^i * dim E) arrays; u lives in the source bundle E and the
+    conjugated argument w in the cosource bundle F.  Each coefficient is
+    stored at the shape it varies over: each grid axis has its full length
+    or length 1, and an axis along which every slice equals the first is
+    kept at length 1.
     """
 
     def __init__(
@@ -52,16 +66,10 @@ class BidiffSpec:
                 raise ShapeMismatch(
                     f"coefficient ({i}, {j}) exceeds the half order {m}"
                 )
-            a = np.asarray(a, dtype=complex)
-            want = grid.shape + (
-                (n**j) * cosource.fiber_dim,
-                (n**i) * source.fiber_dim,
-            )
-            if a.shape != want:
-                raise ShapeMismatch(
-                    f"coefficient ({i}, {j}) has shape {a.shape}, expected {want}"
-                )
-            checked[(int(i), int(j))] = a
+            a = np.asarray(a)
+            tail = ((n**j) * cosource.fiber_dim, (n**i) * source.fiber_dim)
+            check_grid_shape(a.shape, grid, tail, f"coefficient ({i}, {j})")
+            checked[(int(i), int(j))] = compact_grid_axes(a, n).astype(complex, copy=False)
         self.source = source
         self.cosource = cosource
         self.metric = metric
@@ -165,7 +173,8 @@ def _gradient_adjoint(bundle, metric, gens):
         direction = directional_op(gens.z[..., l, :], bundle, metric, tag)
         total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
         div_l = divergence(gens.z[..., l, :], metric)
-        total = _add_ladders(total, _scaled(pick, -div_l[..., None, None]))
+        if np.any(div_l):
+            total = _add_ladders(total, _scaled(pick, -div_l[..., None, None]))
     return total
 
 

@@ -83,6 +83,38 @@ def grid_einsum(script, *operands):
     return grid_first(np.einsum(trailing, *moved), g)
 
 
+def check_grid_shape(shape, grid, tail, what):
+    """Raise ShapeMismatch unless shape is grid + tail with each grid axis
+    of full length or of length 1, the shape a stored field varies over."""
+    n = grid.dim
+    if tuple(shape[n:]) != tuple(tail) or not all(
+        m in (1, full) for m, full in zip(shape[:n], grid.shape)
+    ):
+        raise ShapeMismatch(
+            f"{what} shape {shape} does not match grid {grid.shape} with "
+            f"trailing axes {tuple(tail)} (each grid axis full or of length 1)"
+        )
+
+
+def compact_grid_axes(a, g):
+    """a with every one of its g leading axes along which each slice equals
+    the first kept at length 1.
+
+    One neighbouring slice is compared before the whole axis, so a field
+    that varies costs one slice comparison per axis.  A shrunk result is a
+    copy, so it does not keep the full array alive.
+    """
+    shrunk = False
+    for axis in range(g):
+        if a.shape[axis] == 1:
+            continue
+        lead = (slice(None),) * axis
+        first = a[lead + (slice(0, 1),)]
+        if np.array_equal(a[lead + (slice(1, 2),)], first) and np.all(a == first):
+            a, shrunk = first, True
+    return a.copy() if shrunk else a
+
+
 class BundleSpec:
     """Trivialized Hermitian bundle with connection potentials."""
 
@@ -94,15 +126,7 @@ class BundleSpec:
         if potentials is None:
             potentials = np.zeros((1,) * n + (n, d, d), dtype=complex)
         potentials = np.asarray(potentials, dtype=complex)
-        shape = potentials.shape
-        if shape[n:] != (n, d, d) or not all(
-            m in (1, full) for m, full in zip(shape[:n], grid.shape)
-        ):
-            raise ShapeMismatch(
-                f"potentials shape {shape} does not match grid "
-                f"{grid.shape} with {n} directions and {d}x{d} fibers "
-                f"(each grid axis full or of length 1)"
-            )
+        check_grid_shape(potentials.shape, grid, (n, d, d), "potentials")
         if fiber_metric is None:
             fiber_metric = np.eye(d, dtype=complex)
         fiber_metric = np.asarray(fiber_metric, dtype=complex)

@@ -661,9 +661,7 @@ def _ladder_form(ctx, half_order):
     table = {}
     for i in range(half_order + 1):
         dim = n**i * d
-        table[(i, i)] = np.broadcast_to(
-            np.eye(dim, dtype=complex), grid.shape + (dim, dim)
-        )
+        table[(i, i)] = np.eye(dim, dtype=complex).reshape((1,) * n + (dim, dim))
     return BidiffSpec(ctx.bundle, ctx.bundle, ctx.metric, half_order, table)
 
 

@@ -6,15 +6,24 @@ terms a nabla_{X_1} ... nabla_{X_r}.  Composition, rewriting between the two
 forms, and reordering of directional factors all happen on coefficients,
 but operator equality is only ever checked by application: coefficients of
 a given map are not unique.
+
+Coefficients are stored at the shape they vary over, the rule BundleSpec
+applies to potentials: each grid axis has its full length or length 1.
+A ladder level is compacted once, in the NablaOpSpec constructor, and
+every product (composition, sums, application, rewriting) broadcasts the
+stored shapes as they are; only the sup norms broadcast to the full grid.
 """
 
 import math
 
 import numpy as np
 
+from ._kernels import diff_axis
 from .bundles import (
     BundleSpec,
     TensorSection,
+    check_grid_shape,
+    compact_grid_axes,
     grid_einsum,
     grid_first,
     grid_last,
@@ -66,11 +75,15 @@ class NablaOpSpec:
     """Ladder operator sum_j a^[j] nabla^j with explicit coefficient data.
 
     Level j maps the flattened fiber of a rank-j section (slot axes folded
-    into the fiber, slot-major) to the target fiber, so it is stored as a
-    grid + (target_dim, n^j * source_dim) complex field.  A level that is
-    identically zero, whether given as None or as an all-zero array, is
-    stored as None, so that every consumer skips it instead of
-    multiplying, lifting or differentiating zeros.
+    into the fiber, slot-major) to the target fiber, so it is a grid +
+    (target_dim, n^j * source_dim) complex field, stored at the shape it
+    varies over: each grid axis has its full length or length 1, and an
+    axis along which every slice equals the first is kept at length 1.  A
+    level of the flat frame is (1, .., 1, rows, cols), and every product
+    broadcasts it over the grid as it is.  A level that is identically
+    zero, whether given as None or as an all-zero array, is stored as None,
+    so that every consumer skips it instead of multiplying, lifting or
+    differentiating zeros.
     """
 
     def __init__(self, source, target, metric, coefficients, coefficient_class="smooth"):
@@ -82,12 +95,10 @@ class NablaOpSpec:
             if a is None:
                 checked.append(None)
                 continue
-            want = grid.shape + (target.fiber_dim, (grid.dim**j) * source.fiber_dim)
-            a = np.asarray(a, complex)
-            if a.shape != want:
-                raise ShapeMismatch(
-                    f"coefficient {j} has shape {a.shape}, expected {want}"
-                )
+            a = np.asarray(a)
+            tail = (target.fiber_dim, (grid.dim**j) * source.fiber_dim)
+            check_grid_shape(a.shape, grid, tail, f"coefficient {j}")
+            a = compact_grid_axes(a, grid.dim).astype(complex, copy=False)
             checked.append(a if np.any(a) else None)
         self.source = source
         self.target = target
@@ -145,7 +156,7 @@ def gradient_op(bundle, metric, depth=1):
     """P = nabla^depth, landing in the flattened rank-depth bundle."""
     target = induced_tensor_bundle(bundle, metric, depth)
     top = target.fiber_dim
-    eye = np.broadcast_to(np.eye(top, dtype=complex), bundle.grid.shape + (top, top))
+    eye = np.eye(top, dtype=complex).reshape((1,) * bundle.grid.dim + (top, top))
     return NablaOpSpec(bundle, target, metric, [None] * depth + [eye], "totally-bounded")
 
 
@@ -153,11 +164,13 @@ def directional_op(x, bundle, metric, coefficient_class="smooth"):
     """nabla_X = i_X after nabla, as the ladder [None, X (x) 1].
 
     The level-1 entry is the contraction i_X of the derivative slot, a Hom
-    field from the rank-1 bundle to the bundle.
+    field from the rank-1 bundle to the bundle, built at the shape X
+    varies over.
     """
     d = bundle.fiber_dim
-    eye = np.eye(d, dtype=complex).reshape((1,) * metric.grid.dim + (d, d))
-    i_x = pointwise_kron(x[..., None, :], eye)
+    g = metric.grid.dim
+    eye = np.eye(d, dtype=complex).reshape((1,) * g + (d, d))
+    i_x = pointwise_kron(compact_grid_axes(x, g)[..., None, :], eye)
     return NablaOpSpec(bundle, bundle, metric, [None, i_x], coefficient_class)
 
 
@@ -181,7 +194,8 @@ def _slot_action(gamma, a, slots):
     lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
     n = gamma.shape[-1]
     vals = a.reshape(lead + (n,) * slots + (rows // n**slots * cols,))
-    return _gamma_slot_sum(gamma, vals, slots).reshape(lead + (n, rows, cols))
+    total = _gamma_slot_sum(gamma, vals, slots)
+    return total.reshape(total.shape[: len(lead)] + (n, rows, cols))
 
 
 def _hom_derivative(a, source, target, metric):
@@ -189,35 +203,49 @@ def _hom_derivative(a, source, target, metric):
 
     source and target are (bundle, extra slots): a maps T*M^s (x) E to
     T*M^t (x) F, with E, F the base bundles and s, t counting their own
-    slots too.  The connection acts slot by slot: grid + (n, d_target,
-    d_source) holds D_y a + A^F_y a - a A^E_y, -Gamma on each target slot
+    slots too.  The connection acts slot by slot: (n, d_target, d_source)
+    per point holds D_y a + A^F_y a - a A^E_y, -Gamma on each target slot
     and +Gamma on each source slot, zeroed on the stencil-invalid band.
+
+    a may be stored at the shape it varies over.  Only its full-length
+    grid axes are differentiated, since D_y of a length-1 axis is exactly
+    zero, and the potential products are formed at the broadcast shape of
+    a and the potentials.  An identically zero result is returned at that
+    shape; any other result varies over the band, so it is broadcast to
+    the full grid before the band is zeroed.
     """
     grid = metric.grid
-    n = grid.dim
+    n = g = grid.dim
     (src, s), (tgt, t) = [
         (b, k) if b.base is None else (b.base, b.slots + k) for b, k in (source, target)
     ]
-    da = np.empty(grid.shape + (n,) + a.shape[-2:], dtype=complex)
+    lead = a.shape[:g]
+    if metric.is_constant:
+        live = [b.potentials_grid_last.shape[-g:] for b in (tgt, src) if b.live]
+        shape = np.broadcast_shapes(lead, *live)
+    else:
+        shape = grid.shape
+    da = np.zeros(shape + (n,) + a.shape[-2:], dtype=complex)
     for y in range(n):
-        da[..., y, :, :] = grid.diff(a, axis=y)
+        if lead[y] > 1:
+            da[..., y, :, :] = diff_axis(a, y, grid.h[y], grid.fd_order)
     if tgt.live or src.live:
         # one live direction at a time, with the grid innermost: the einsum
         # loop runs over the grid, not over a d x d fiber once per point
-        last = grid_last(a, grid.dim)
-        a_rows = last.reshape((n**t, tgt.fiber_dim, -1) + grid.shape)
-        a_cols = last.reshape((-1, src.fiber_dim) + grid.shape)
-        rows = da.reshape(grid.shape + (n, n**t, tgt.fiber_dim, -1))  # a view
-        cols = da.reshape(grid.shape + (n, -1, src.fiber_dim))  # a view
+        last = grid_last(a, g)
+        a_rows = last.reshape((n**t, tgt.fiber_dim, -1) + lead)
+        a_cols = last.reshape((-1, src.fiber_dim) + lead)
+        rows = da.reshape(shape + (n, n**t, tgt.fiber_dim, -1))  # a view
+        cols = da.reshape(shape + (n, -1, src.fiber_dim))  # a view
         for y in tgt.live:  # each product is freed before the next is made
             pots = tgt.potentials_grid_last[y]
             rows[..., y, :, :, :] += grid_first(
-                np.einsum("fg...,tgk...->tfk...", pots, a_rows), grid.dim
+                np.einsum("fg...,tgk...->tfk...", pots, a_rows), g
             )
         for y in src.live:
             pots = src.potentials_grid_last[y]
             cols[..., y, :, :] -= grid_first(
-                np.einsum("rl...,le...->re...", a_cols, pots), grid.dim
+                np.einsum("rl...,le...->re...", a_cols, pots), g
             )
     if not metric.is_constant:
         gamma = metric.christoffel_field()
@@ -226,6 +254,10 @@ def _hom_derivative(a, source, target, metric):
         if s:
             flipped = _slot_action(np.swapaxes(gamma, -3, -1), np.swapaxes(a, -1, -2), s)
             da += np.swapaxes(flipped, -1, -2)
+    if shape != grid.shape:
+        if not np.any(da):
+            return da
+        da = np.ascontiguousarray(np.broadcast_to(da, grid.shape + da.shape[g:]))
     grid.zero_band(da, grid.stencil_radius)
     return da
 
@@ -249,7 +281,8 @@ def compose(q, p):
     factors carry it.  A zero (None) level of P never enters the
     product-rule table, nor does an all-zero derivative; a zero level of
     Q multiplies nothing, and a result level that nothing reaches stays
-    None.
+    None.  Every product broadcasts the stored shapes of its factors, so
+    constant levels of both factors give a constant product.
     """
     if q.grid != p.grid:
         raise ChartMismatch("operator factors live on different grids")
@@ -260,15 +293,14 @@ def compose(q, p):
         )
     if not np.array_equal(q.metric.values, p.metric.values):
         raise ChartMismatch("operator factors use different metrics")
-    grid = p.grid
-    n = grid.dim
+    n = g = p.grid.dim
     metric = p.metric
 
     def derivative(mat, m, i):
         der = _hom_derivative(mat, (p.source, m), (p.target, i), metric)
-        return der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1]))
+        return der.reshape(der.shape[:g] + (n * mat.shape[-2], mat.shape[-1]))
 
-    eye_lift = np.eye(n, dtype=complex).reshape((1,) * grid.dim + (n, n))
+    eye_lift = np.eye(n, dtype=complex).reshape((1,) * g + (n, n))
     out = {}
     table = {m: a for m, a in enumerate(p.coefficients) if a is not None}
     for i, b in enumerate(q.coefficients):
@@ -291,8 +323,9 @@ def compose(q, p):
             der = derivative(mat, m, q.order - 1)
             if np.any(der):
                 _put(out, m, np.matmul(top, der))
-            lifted = np.matmul(top.reshape(grid.shape + (rows * n, mat.shape[-2])), mat)
-            _put(out, m + 1, lifted.reshape(grid.shape + (rows, n * mat.shape[-1])))
+            stacked = top.reshape(top.shape[:g] + (rows * n, mat.shape[-2]))
+            lifted = np.matmul(stacked, mat)
+            _put(out, m + 1, lifted.reshape(lifted.shape[:g] + (rows, n * mat.shape[-1])))
     levels = [out.get(m) for m in range(q.order + p.order + 1)]
     return NablaOpSpec(p.source, q.target, metric, levels, _joint_class(q, p))
 
@@ -300,9 +333,10 @@ def compose(q, p):
 class MixedTerm:
     """One summand a nabla_{X_1} ... nabla_{X_r}; the rightmost factor acts first.
 
-    fields holds the vector fields as (grid, n) arrays; labels optionally
-    tags them as 1-based generator indices, which reordering requires.
-    Either may be omitted, but not both.
+    The coefficient may be stored at the shape it varies over, each grid
+    axis full or of length 1.  fields holds the vector fields as (grid, n)
+    arrays; labels optionally tags them as 1-based generator indices, which
+    reordering requires.  Either may be omitted, but not both.
     """
 
     def __init__(self, coefficient, fields=None, labels=None):
@@ -338,14 +372,10 @@ class MixedOpSpec:
             raise ValueError(f"unknown vector-field class {field_class!r}")
         grid = _check_ingredients(coefficient_class, metric, "operator", source, target)
         n = grid.dim
-        want = grid.shape + (target.fiber_dim, source.fiber_dim)
+        tail = (target.fiber_dim, source.fiber_dim)
         depth = 0
         for term in terms:
-            if term.coefficient.shape != want:
-                raise ShapeMismatch(
-                    f"term coefficient has shape {term.coefficient.shape}, "
-                    f"expected {want}"
-                )
+            check_grid_shape(term.coefficient.shape, grid, tail, "term coefficient")
             if term.fields is not None:
                 for x in term.fields:
                     if x.shape != grid.shape + (n,):
@@ -460,7 +490,7 @@ def nabla_to_mixed(spec, gens):
     metric = spec.metric
     source = spec.source
     d = source.fiber_dim
-    eye = np.broadcast_to(np.eye(d, dtype=complex), grid.shape + (d, d))
+    eye = np.eye(d, dtype=complex).reshape((1,) * grid.dim + (d, d))
     per_depth = [{(): eye}]
     for j in range(1, spec.order + 1):
         prev = per_depth[j - 1]
@@ -579,16 +609,19 @@ def _hom_tower_sup(a, source, target, slots, metric, depth):
     """Grid sup of |nabla^j a| over j <= depth; NaN when any level has NaN.
 
     a is a Hom field from source to T*M^slots (x) target, stored as grid +
-    (n^slots * d_target, d_source).  Its form slots and derivative slots
-    are measured with g^-1, the Hom fiber with the identity.  Level j
-    excludes the band of j + 1 stencil radii, where the stencil is
-    invalid, since coefficient fields need not vanish there.
+    (n^slots * d_target, d_source), each grid axis full or of length 1; it
+    is broadcast to the full grid, which the interior masks need.  Its
+    form slots and derivative slots are measured with g^-1, the Hom fiber
+    with the identity.  Level j excludes the band of j + 1 stencil radii,
+    where the stencil is invalid, since coefficient fields need not vanish
+    there.
     """
     grid = metric.grid
     if source.grid != grid or target.grid != grid:
         raise ChartMismatch("Hom field bundles and metric live on different grids")
     n = grid.dim
     fiber = target.fiber_dim * source.fiber_dim
+    a = np.broadcast_to(a, grid.shape + a.shape[-2:])
     sups = []
     for j in range(depth + 1):
         if j:
@@ -609,9 +642,8 @@ def coefficient_infty_norm(a, source, target, metric, depth):
     from the sup, since coefficients need not vanish near the boundary.
     """
     a = np.asarray(a, dtype=complex)
-    want = metric.grid.shape + (target.fiber_dim, source.fiber_dim)
-    if a.shape != want:
-        raise ShapeMismatch(f"coefficient has shape {a.shape}, expected {want}")
+    tail = (target.fiber_dim, source.fiber_dim)
+    check_grid_shape(a.shape, metric.grid, tail, "coefficient")
     return _hom_tower_sup(a, source, target, 0, metric, depth)
 
 

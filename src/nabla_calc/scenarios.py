@@ -298,6 +298,12 @@ def _real_field(expr, grid, what):
 
 
 def _matrix_field(entries, grid, what):
+    """A matrix of expressions at the broadcast shape of its entries.
+
+    Each entry is evaluated on the grid axes shaped to broadcast, x1 as
+    (N1, 1, ..) and so on, so each grid axis of the result has its full
+    length or length 1: an entry that does not read x_k leaves axis k at 1.
+    """
     if not isinstance(entries, list) or not entries or not all(
         isinstance(row, (list, tuple)) for row in entries
     ):
@@ -305,15 +311,27 @@ def _matrix_field(entries, grid, what):
     cols = len(entries[0])
     if cols == 0 or any(len(row) != cols for row in entries):
         raise ConfigError(f"{what} rows must all have the same length")
-    out = np.zeros(grid.shape + (len(entries), cols), dtype=complex)
-    for a, row in enumerate(entries):
-        for b, expr in enumerate(row):
-            out[..., a, b] = _finite(
-                np.broadcast_to(np.asarray(evaluate(expr, grid)), grid.shape),
-                expr,
-                what,
-            )
+    g = grid.dim
+    coords = {
+        f"x{k + 1}": axis.reshape((1,) * k + (-1,) + (1,) * (g - k - 1))
+        for k, axis in enumerate(grid.axes)
+    }
+    values = [
+        [_finite(np.asarray(evaluate(expr, extra=coords)), expr, what) for expr in row]
+        for row in entries
+    ]
+    shape = np.broadcast_shapes((1,) * g, *(v.shape for row in values for v in row))
+    out = np.zeros(shape + (len(entries), cols), dtype=complex)
+    for a, row in enumerate(values):
+        for b, v in enumerate(row):
+            out[..., a, b] = v
     return out
+
+
+def _full(field, grid):
+    """A (grid, ..) copy of a field stored at the shape it varies over."""
+    full = np.broadcast_to(field, grid.shape + field.shape[grid.dim :])
+    return np.ascontiguousarray(full)
 
 
 def _build_grid(scenario, h=None, fd_order=None):
@@ -372,7 +390,7 @@ def _build_metric(scenario, grid, emb, induced):
         values = _matrix_field(scenario.metric["entries"], grid, "metric entries")
         if np.max(np.abs(values.imag)) > 0:
             raise ConfigError("metric entries must be real")
-        return MetricField(grid, values.real)
+        return MetricField(grid, _full(values.real, grid))
     if induced is not None:
         return induced
     return MetricField(grid, emb.gram())
@@ -389,19 +407,26 @@ def _build_bundle(scenario, grid):
             raise ConfigError(
                 f"potentials need a list of one matrix per axis on a {grid.dim}d chart"
             )
-        pots = np.stack(
-            [
-                _matrix_field(mat, grid, f"potential matrix {k + 1}")
-                for k, mat in enumerate(mats)
-            ],
-            axis=grid.dim,
-        )
+        d = cfg["fiber_dim"]
+        fields = []
+        for k, mat in enumerate(mats):
+            field = _matrix_field(mat, grid, f"potential matrix {k + 1}")
+            if field.shape[-2:] != (d, d):
+                raise ConfigError(
+                    f"potential matrix {k + 1} must be {d} x {d}, "
+                    f"got {field.shape[-2]} x {field.shape[-1]}"
+                )
+            fields.append(field)
+        # each grid axis at the length the potentials vary over together
+        pots = np.stack(np.broadcast_arrays(*fields), axis=grid.dim)
     fiber_metric = None
     if cfg.get("fiber_metric") is not None:
         fiber_metric = _matrix_field(cfg["fiber_metric"], grid, "fiber metric")
         first = fiber_metric[(0,) * grid.dim]
         if np.all(fiber_metric == first):
             fiber_metric = first  # constant entries: one (d, d) matrix
+        else:
+            fiber_metric = _full(fiber_metric, grid)
     return BundleSpec(grid, cfg["fiber_dim"], pots, fiber_metric)
 
 

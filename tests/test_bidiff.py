@@ -423,7 +423,11 @@ def test_ladder_form_assembly_holds_only_the_operator():
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    coefficient_bytes = sum(a.nbytes for a in op.coefficients if a is not None)
+    coefficient_bytes = sum(
+        np.broadcast_to(a, ctx.grid.shape + a.shape[-2:]).nbytes
+        for a in op.coefficients
+        if a is not None
+    )
     assert held <= 1.5 * coefficient_bytes
 
 
@@ -442,7 +446,11 @@ def test_ladder_form_assembly_peak_is_bounded_by_its_operator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    coefficient_bytes = sum(a.nbytes for a in op.coefficients if a is not None)
+    coefficient_bytes = sum(
+        np.broadcast_to(a, ctx.grid.shape + a.shape[-2:]).nbytes
+        for a in op.coefficients
+        if a is not None
+    )
     assert peak <= 5.5 * coefficient_bytes
 
 

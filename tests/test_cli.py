@@ -198,6 +198,14 @@ def test_nan_potential_exits_two(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_misshaped_potential_matrix_exits_two(tmp_path, capsys):
+    cfg = passing_config()
+    cfg["bundle"]["potentials"] = [[["0"]], [["0", "0"], ["0", "0"]]]
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(capsys)
+
+
 def test_overflowing_metric_exits_two(tmp_path, capsys):
     cfg = passing_config()
     cfg["metric"] = {"kind": "conformal", "phi": "400 + x1"}

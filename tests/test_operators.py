@@ -152,7 +152,7 @@ def test_absent_ladder_levels_stay_none():
     spec = NablaOpSpec(MAGNET, SCALAR, FLAT, [None, None, a2])
     assert spec.order == 2
     assert spec.coefficients[:2] == [None, None]
-    assert np.array_equal(spec.coefficients[2], a2)
+    assert np.array_equal(np.broadcast_to(spec.coefficients[2], a2.shape), a2)
     with pytest.raises(ShapeMismatch):
         NablaOpSpec(MAGNET, SCALAR, FLAT, [None, np.zeros(GRID.shape + (1, 2))])
 
@@ -233,7 +233,11 @@ def _compose_reference(q, p):
     grid, metric, n = p.grid, p.metric, p.grid.dim
     eye_lift = np.eye(n).reshape((1,) * grid.dim + (n, n))
     out = [None] * (q.order + p.order + 1)
-    table = {m: a for m, a in enumerate(p.coefficients) if a is not None}
+    table = {
+        m: np.broadcast_to(a, grid.shape + a.shape[-2:])
+        for m, a in enumerate(p.coefficients)
+        if a is not None
+    }
     for i, b in enumerate(q.coefficients):
         for m, mat in table.items():
             if b is not None:
@@ -785,7 +789,8 @@ def test_coefficient_norm_peak_stays_near_its_deepest_level():
     spec = build_context(parse_scenario(cfg)).nabla_ops["drift-gradient"]
     source = induced_tensor_bundle(spec.source, spec.metric, 1)
     a = spec.coefficients[1]
-    deepest = a.nbytes * spec.grid.dim**2  # level 2 has n^2 times the rows
+    full = np.broadcast_to(a, spec.grid.shape + a.shape[-2:])
+    deepest = full.nbytes * spec.grid.dim**2  # level 2 has n^2 times the rows
     tracemalloc.start()
     try:
         coefficient_infty_norm(a, source, spec.target, spec.metric, 2)
