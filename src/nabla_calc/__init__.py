@@ -17,7 +17,7 @@ from .errors import (
     SupportViolation,
 )
 from .grid import ChartGrid
-from .geometry import MetricField, WeightPair, christoffel, conformal_rescale, volume_density
+from .geometry import MetricField, WeightPair, conformal_rescale
 from .bundles import BundleSpec, TensorSection, magnetic_example_bundle
 from .calculus import (
     covariant_derivative,

@@ -21,6 +21,7 @@ from .bundles import (
     compact_grid_axes,
     grid_einsum,
     induced_tensor_bundle,
+    is_identity,
 )
 from .calculus import divergence, tower
 from .errors import ChartMismatch, NonadmissibleWeight, ShapeMismatch
@@ -123,7 +124,7 @@ def bidiff_from_ops(p, q):
         )
     h = np.asarray(p.target.fiber_metric, dtype=complex)
     href = np.asarray(q.target.fiber_metric, dtype=complex)
-    # a constant fiber metric may be one matrix on one side, a field on the other
+    # fiber metrics stored at different shapes are compared broadcast
     if h.shape[-2:] != href.shape[-2:] or not np.allclose(h, href):
         raise ShapeMismatch("operator targets carry different fiber metrics")
     coefficients = {}
@@ -197,7 +198,7 @@ def assemble_divergence_form(spec, gens, bundle, metric):
     for (i, j), a in spec.coefficients.items():
         target_j = induced_tensor_bundle(bundle, metric, j)
         h_j = np.asarray(target_j.fiber_metric, dtype=complex)
-        if h_j.ndim == 2 and np.array_equal(h_j, np.eye(len(h_j))):
+        if is_identity(h_j):
             mid_coeff = a
         else:
             mid_coeff = np.linalg.solve(np.swapaxes(h_j, -1, -2), a)

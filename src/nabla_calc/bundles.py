@@ -9,7 +9,8 @@ length or length 1, and the stored copy keeps that shape.  The flat
 default is (n, d, d, 1, .., 1) zeros, and the magnetic example, which
 depends on x1 alone, is (2, 2, 2, N1, 1).  Every connection product
 broadcasts the stored copy over the grid as it is; potentials is a
-read-only broadcast of it to the full grid + (n, d, d).
+read-only broadcast of it to the full grid + (n, d, d).  The fiber metric
+follows the same rule: the default is the (1, .., 1, d, d) identity.
 
 Sections of T*M^{tensor r} (x) E are arrays values[idx, i_1..i_r, a] with
 slot axes between the grid axes and the fiber axis; new covariant slots
@@ -32,6 +33,7 @@ nothing.  A flat bundle is one with no live direction.
 
 import numpy as np
 
+from ._kernels import diff_axis
 from .errors import ChartMismatch, ShapeMismatch, SingularMetric
 
 
@@ -115,6 +117,13 @@ def compact_grid_axes(a, g):
     return a.copy() if shrunk else a
 
 
+def is_identity(m):
+    """True for an identity matrix stored at one point, every grid axis of
+    length 1; a grid field is never taken for one."""
+    d = m.shape[-1]
+    return m.size == d * d and np.array_equal(m.reshape(d, d), np.eye(d))
+
+
 class BundleSpec:
     """Trivialized Hermitian bundle with connection potentials."""
 
@@ -128,13 +137,10 @@ class BundleSpec:
         potentials = np.asarray(potentials, dtype=complex)
         check_grid_shape(potentials.shape, grid, (n, d, d), "potentials")
         if fiber_metric is None:
-            fiber_metric = np.eye(d, dtype=complex)
+            fiber_metric = np.eye(d).reshape((1,) * n + (d, d))
         fiber_metric = np.asarray(fiber_metric, dtype=complex)
-        if fiber_metric.shape not in ((d, d), grid.shape + (d, d)):
-            raise ShapeMismatch(
-                f"fiber metric shape {fiber_metric.shape} is neither ({d},{d}) "
-                f"nor grid-varying"
-            )
+        check_grid_shape(fiber_metric.shape, grid, (d, d), "fiber metric")
+        fiber_metric = compact_grid_axes(fiber_metric, n)
         herm_defect = np.max(
             np.abs(fiber_metric - np.conj(np.swapaxes(fiber_metric, -1, -2)))
         )
@@ -164,10 +170,6 @@ class BundleSpec:
         self.slots = 0
 
     @property
-    def metric_is_constant(self):
-        return self.fiber_metric.ndim == 2
-
-    @property
     def potentials(self):
         """The potentials as a read-only grid + (n, d, d) broadcast view of
         the grid-last copy."""
@@ -181,16 +183,16 @@ def compatibility_defect(bundle):
 
     Zero means d(u, v) = (nabla u, v) + (u, nabla v); with the identity fiber
     metric this is skew-Hermitian-ness of every A_k.  Measured as the max
-    Frobenius norm of A_k^T H + H conj(A_k) - d_k H over interior points.
+    Frobenius norm of A_k^T H + H conj(A_k) - d_k H over interior points;
+    only the full-length grid axes of H are differentiated.
     """
     grid = bundle.grid
     a = bundle.potentials
     h = bundle.fiber_metric
     defect = np.swapaxes(a, -1, -2) @ h[..., None, :, :] + h[..., None, :, :] @ np.conj(a)
-    if not bundle.metric_is_constant:
-        dh = np.stack([grid.diff(h, axis=k) for k in range(grid.dim)], axis=-3)
-        grid.zero_band(dh, grid.stencil_radius)
-        defect = defect - dh
+    for k in range(grid.dim):
+        if h.shape[k] > 1:
+            defect[..., k, :, :] -= diff_axis(h, k, grid.h[k], grid.fd_order)
     frob = np.sqrt(np.sum(np.abs(defect) ** 2, axis=(-1, -2)))
     mask = grid.interior_mask(grid.stencil_radius)
     return float(np.max(frob[mask]))
@@ -301,8 +303,8 @@ def induced_tensor_bundle(bundle, metric, slots):
     The fiber metric is the tensor of inverse-metric factors with the fiber
     metric, flattened as TensorSection.flatten_fiber orders the fiber.  The
     lift of an induced bundle is built from E with the slots added, all
-    over this metric.  With a constant metric and a constant fiber metric
-    the induced fiber metric is one (N, N) matrix.
+    over this metric, and its fiber metric has the shape the metric and
+    E's fiber metric vary over together.
     """
     if metric.grid != bundle.grid:
         raise ChartMismatch("bundle and metric live on different grids")
@@ -310,8 +312,7 @@ def induced_tensor_bundle(bundle, metric, slots):
         return bundle
     if bundle.base is not None:
         bundle, slots = bundle.base, bundle.slots + slots
-    ginv = metric.inv[(0,) * metric.grid.dim] if metric.is_constant else metric.inv
-    ginv = ginv.astype(complex)
+    ginv = metric.inv.astype(complex)
     fiber_metric = ginv
     for _ in range(slots - 1):
         fiber_metric = pointwise_kron(fiber_metric, ginv)

@@ -75,9 +75,8 @@ def covariant_derivative(u, bundle, metric, check_support=True):
         [grid.diff(u.values, axis=k) for k in range(n)], axis=grid.dim
     )
     letters = _SLOTS[:r]
-    if not metric.is_constant and r > 0:
-        gamma = metric.christoffel_field()
-        parts -= _gamma_slot_sum(gamma, u.values, r)
+    if r > 0 and metric.christoffel.shape[:n] == grid.shape:
+        parts -= _gamma_slot_sum(metric.christoffel, u.values, r)
     if bundle.live:
         u_last = grid_last(u.values, grid.dim)
         for y in bundle.live:
@@ -161,7 +160,7 @@ def multiindex_derivative(u, idx, bundle, metric):
     if depth:
         grid.check_support(u.values, depth * grid.stencil_radius)
     out = [None] * len(idxs)
-    if metric.is_constant and bundle.base is None:
+    if metric.christoffel.shape[: grid.dim] != grid.shape and bundle.base is None:
         # passed on, not held here, so the walk can drop the copy
         _directional_walk(
             grid_last(u.values, grid.dim), 0, range(len(idxs)), idxs, u, bundle, out
@@ -298,9 +297,8 @@ def divergence(X, metric):
     if X.shape != grid.shape + (n,):
         raise ShapeMismatch(f"vector field shape {X.shape} does not match the grid")
     out = sum(grid.diff(X[..., k], axis=k) for k in range(n))
-    if not metric.is_constant:
-        gamma = metric.christoffel_field()
-        out = out + np.einsum("...kkl,...l->...", gamma, X)
+    if metric.christoffel.shape[:n] == grid.shape:
+        out = out + np.einsum("...kkl,...l->...", metric.christoffel, X)
     if np.iscomplexobj(out):
         out = out.astype(complex)
     grid.zero_band(out, grid.stencil_radius)

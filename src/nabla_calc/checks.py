@@ -210,11 +210,7 @@ def _norm_row(ctx, s, p, value, bound, passed):
 
 
 def _require_flat(ctx, what):
-    eye = np.eye(ctx.grid.dim)
-    values = ctx.metric.values
-    if ctx.metric.is_constant:
-        values = values[(0,) * ctx.grid.dim]
-    if not np.allclose(values, eye):
+    if not np.allclose(ctx.metric.values, np.eye(ctx.grid.dim)):
         raise ConfigError(f"{what} needs the flat metric")
 
 

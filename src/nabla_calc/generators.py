@@ -181,9 +181,8 @@ def structure_functions(gens, metric):
     grid.zero_band(dz, grid.stencil_radius)
     flow = grid_einsum("...il,...ljm->...ijm", z, dz)
     cov = flow
-    if not metric.is_constant:
-        gamma = metric.christoffel_field()
-        cov = cov + grid_einsum("...mlr,...il,...jr->...ijm", gamma, z, z)
+    if metric.christoffel.shape[:n] == grid.shape:
+        cov = cov + grid_einsum("...mlr,...il,...jr->...ijm", metric.christoffel, z, z)
     bracket = flow - np.swapaxes(flow, -3, -2)
     g_structure = grid_einsum("...km,...ijm->...ijk", gens.xi, cov)
     l_structure = grid_einsum("...km,...ijm->...ijk", gens.xi, bracket)
@@ -213,9 +212,8 @@ def divergence_via_generators(X, gens, metric):
         raise ShapeMismatch(f"vector field shape {X.shape} does not match the grid")
     dx = np.stack([grid.diff(X, axis=l) for l in range(n)], axis=-2)
     cov = grid_einsum("...kl,...lm->...km", gens.z, dx)
-    if not metric.is_constant:
-        gamma = metric.christoffel_field()
-        cov = cov + grid_einsum("...mlr,...kl,...r->...km", gamma, gens.z, X)
+    if metric.christoffel.shape[:n] == grid.shape:
+        cov = cov + grid_einsum("...mlr,...kl,...r->...km", metric.christoffel, gens.z, X)
     inner = grid_einsum("...im,...ki,...lm->...kl", metric.values, cov, gens.z)
     # the measured exception: this pairing is faster grid-first
     out = np.einsum("...kl,...kl->...", coframe_gram(gens, metric), inner)

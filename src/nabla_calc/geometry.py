@@ -1,47 +1,44 @@
 """Metrics on chart grids: Christoffel symbols, volume densities, weights.
 
 Metric values are real symmetric positive matrices stored pointwise with
-trailing index axes, values[idx, k, l] = g_kl(x_idx).  Christoffel symbols
-come from central differences of the metric; the outermost stencil-radius
-band is zeroed since the one-sided values there are garbage and sections are
-required to vanish nearby anyway.
+trailing index axes, values[idx, k, l] = g_kl(x_idx), at the shape they
+vary over: each grid axis has its full length or length 1, as the
+potentials of a BundleSpec do.  The flat metric is (1, .., 1, n, n).
+Christoffel symbols come from central differences of the metric; the
+outermost stencil-radius band is zeroed since the one-sided values there
+are garbage and sections are required to vanish nearby anyway.
 """
 
 import numpy as np
 
-from .bundles import grid_einsum
-from .errors import (
-    ChartMismatch,
-    NonpositiveWeight,
-    ShapeMismatch,
-    SingularMetric,
-)
+from .bundles import check_grid_shape, compact_grid_axes, grid_einsum
+from .errors import ChartMismatch, NonpositiveWeight, ShapeMismatch, SingularMetric
 
 EIG_FLOOR_REL = 1e-12
 
 
 class MetricField:
-    """Riemannian metric sampled on a chart grid."""
+    """Riemannian metric sampled on a chart grid.
+
+    values, inv and sqrt_det are stored at the shape the metric varies
+    over, each grid axis full or of length 1, and are computed once, here,
+    and never written.  The Christoffel field is the one exception: the
+    zeroed stencil band runs along every axis, so a metric that varies at
+    all has a full-grid christoffel, and a constant one has the exact zero
+    of shape (1, .., 1, n, n, n).
+    """
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
         n = grid.dim
-        if values.shape != grid.shape + (n, n):
-            raise ShapeMismatch(
-                f"metric values {values.shape} do not match grid {grid.shape} "
-                f"with {n}x{n} fibers"
-            )
+        check_grid_shape(values.shape, grid, (n, n), "metric values")
         if not np.all(np.isfinite(values)):
             raise SingularMetric("metric values are not finite on the grid")
         asym = np.max(np.abs(values - np.swapaxes(values, -1, -2)))
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
             raise ShapeMismatch(f"metric is not symmetric, max asymmetry {asym:.3e}")
-        values = 0.5 * (values + np.swapaxes(values, -1, -2))
-        self.is_constant = bool(np.all(values == values[(0,) * grid.dim]))
-        # a constant metric has one matrix's eigenvalues
-        eigs = np.linalg.eigvalsh(
-            values[(0,) * grid.dim] if self.is_constant else values
-        )
+        values = compact_grid_axes(0.5 * (values + np.swapaxes(values, -1, -2)), n)
+        eigs = np.linalg.eigvalsh(values)
         floor = EIG_FLOOR_REL * float(np.max(eigs))
         emin = float(np.min(eigs))
         if emin <= floor:
@@ -50,15 +47,25 @@ class MetricField:
             )
         self.grid = grid
         self.values = values
-        self._inv = None
-        self._sqrt_det = None
-        self._christoffel = None
+        self.inv = np.linalg.inv(values)
+        self.sqrt_det = np.sqrt(np.linalg.det(values))
+        if values.shape[:n] == (1,) * n:
+            self.christoffel = np.zeros((1,) * n + (n, n, n))
+        else:
+            full = np.broadcast_to(values, grid.shape + (n, n))
+            # dg[idx, k, r, l] = d_k g_rl
+            dg = np.stack([grid.diff(full, axis=k) for k in range(n)], axis=-3)
+            t1 = np.swapaxes(dg, -3, -2)  # [r, k, l] = d_k g_rl
+            t2 = np.swapaxes(t1, -2, -1)  # [r, k, l] = d_l g_rk
+            gamma = 0.5 * grid_einsum("...mr,...rkl->...mkl", self.inv, t1 + t2 - dg)
+            self.christoffel = grid.zero_band(gamma, grid.stencil_radius)
+        for field in (self.values, self.inv, self.sqrt_det, self.christoffel):
+            field.flags.writeable = False
 
     @classmethod
     def flat(cls, grid):
         n = grid.dim
-        eye = np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy()
-        return cls(grid, eye)
+        return cls(grid, np.eye(n).reshape((1,) * n + (n, n)))
 
     @classmethod
     def conformal(cls, grid, phi):
@@ -73,59 +80,6 @@ class MetricField:
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.exp(2.0 * phi)[..., None, None] * np.eye(n)
         return cls(grid, vals)
-
-    @property
-    def inv(self):
-        if self._inv is None:
-            self._inv = np.linalg.inv(self.values)
-        return self._inv
-
-    @property
-    def sqrt_det(self):
-        if self._sqrt_det is None:
-            det = np.linalg.det(self.values)
-            self._sqrt_det = np.sqrt(det)
-        return self._sqrt_det
-
-    def christoffel_field(self):
-        """Gamma[idx, m, k, l] with the outer stencil band zeroed."""
-        if self._christoffel is None:
-            grid = self.grid
-            n = grid.dim
-            if self.is_constant:
-                self._christoffel = np.zeros(grid.shape + (n, n, n))
-                return self._christoffel
-            # dg[idx, k, r, l] = d_k g_rl
-            dg = np.stack(
-                [grid.diff(self.values, axis=k) for k in range(n)], axis=-3
-            )
-            t1 = np.swapaxes(dg, -3, -2)  # [r, k, l] = d_k g_rl
-            t2 = np.swapaxes(t1, -2, -1)  # [r, k, l] = d_l g_rk
-            s = t1 + t2 - dg
-            gamma = 0.5 * grid_einsum("...mr,...rkl->...mkl", self.inv, s)
-            grid.zero_band(gamma, grid.stencil_radius)
-            self._christoffel = gamma
-        return self._christoffel
-
-
-def christoffel(metric, point=None):
-    """Christoffel symbols Gamma^m_kl of the Levi-Civita connection.
-
-    Returns the full grid field, or the matrix stack at one grid index when
-    point is given.
-    """
-    field = metric.christoffel_field()
-    if point is None:
-        return field
-    return field[tuple(point)]
-
-
-def volume_density(metric, point=None):
-    """sqrt(det g), full field or at one grid index."""
-    field = metric.sqrt_det
-    if point is None:
-        return field
-    return field[tuple(point)]
 
 
 def conformal_rescale(metric, rho):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .bundles import TensorSection
+from .bundles import TensorSection, is_identity
 from .calculus import tower
 from .errors import (
     ChartMismatch,
@@ -36,11 +36,11 @@ def pointwise_norm_sq(u, metric, bundle=None):
     if r > len(_UL):
         raise ShapeMismatch(f"pointwise norms support rank <= {len(_UL)}, got {r}")
     h = _fiber_metric_of(bundle, u.fiber_dim)
-    if metric.is_constant and _is_identity(h):
-        if r == 0 or _is_identity(metric.inv[(0,) * u.grid.dim]):
+    g = u.grid.dim
+    if metric.values.shape[:g] == (1,) * g and is_identity(h):
+        if r == 0 or is_identity(metric.inv):
             vals = u.values
-            trailing = tuple(range(u.grid.dim, vals.ndim))
-            return np.sum(vals.real**2 + vals.imag**2, axis=trailing)
+            return np.sum(vals.real**2 + vals.imag**2, axis=tuple(range(g, vals.ndim)))
     ul, vl = _UL[:r], _VL[:r]
     script = f"...{ul}y,...{vl}z"
     args = [u.values, np.conj(u.values)]
@@ -53,11 +53,6 @@ def pointwise_norm_sq(u, metric, bundle=None):
     args.append(h)
     out = np.einsum(script, *args).real
     return np.maximum(out, 0.0)
-
-
-def _is_identity(m):
-    """True for a single (n, n) identity matrix, not a grid-sized field."""
-    return m.ndim == 2 and np.array_equal(m, np.eye(len(m)))
 
 
 def _check_p(p):

@@ -220,11 +220,9 @@ def _hom_derivative(a, source, target, metric):
         (b, k) if b.base is None else (b.base, b.slots + k) for b, k in (source, target)
     ]
     lead = a.shape[:g]
-    if metric.is_constant:
-        live = [b.potentials_grid_last.shape[-g:] for b in (tgt, src) if b.live]
-        shape = np.broadcast_shapes(lead, *live)
-    else:
-        shape = grid.shape
+    gamma = metric.christoffel
+    live = [b.potentials_grid_last.shape[-g:] for b in (tgt, src) if b.live]
+    shape = np.broadcast_shapes(lead, gamma.shape[:g], *live)
     da = np.zeros(shape + (n,) + a.shape[-2:], dtype=complex)
     for y in range(n):
         if lead[y] > 1:
@@ -247,8 +245,7 @@ def _hom_derivative(a, source, target, metric):
             cols[..., y, :, :] -= grid_first(
                 np.einsum("rl...,le...->re...", a_cols, pots), g
             )
-    if not metric.is_constant:
-        gamma = metric.christoffel_field()
+    if gamma.shape[:g] == grid.shape:
         if t:
             da -= _slot_action(gamma, a, t)
         if s:

@@ -328,12 +328,6 @@ def _matrix_field(entries, grid, what):
     return out
 
 
-def _full(field, grid):
-    """A (grid, ..) copy of a field stored at the shape it varies over."""
-    full = np.broadcast_to(field, grid.shape + field.shape[grid.dim :])
-    return np.ascontiguousarray(full)
-
-
 def _build_grid(scenario, h=None, fd_order=None):
     chart = scenario.chart
     h_val = float(h) if h is not None else chart["h"]
@@ -390,7 +384,7 @@ def _build_metric(scenario, grid, emb, induced):
         values = _matrix_field(scenario.metric["entries"], grid, "metric entries")
         if np.max(np.abs(values.imag)) > 0:
             raise ConfigError("metric entries must be real")
-        return MetricField(grid, _full(values.real, grid))
+        return MetricField(grid, values.real)
     if induced is not None:
         return induced
     return MetricField(grid, emb.gram())
@@ -422,11 +416,6 @@ def _build_bundle(scenario, grid):
     fiber_metric = None
     if cfg.get("fiber_metric") is not None:
         fiber_metric = _matrix_field(cfg["fiber_metric"], grid, "fiber metric")
-        first = fiber_metric[(0,) * grid.dim]
-        if np.all(fiber_metric == first):
-            fiber_metric = first  # constant entries: one (d, d) matrix
-        else:
-            fiber_metric = _full(fiber_metric, grid)
     return BundleSpec(grid, cfg["fiber_dim"], pots, fiber_metric)
 
 

@@ -30,7 +30,7 @@ def reference_induced(bundle, metric, slots):
     n = bundle.grid.dim
     d = bundle.fiber_dim
     lead = n + 1
-    gamma = metric.christoffel_field()
+    gamma = metric.christoffel
     slot_mat = -np.swapaxes(np.moveaxis(gamma, -2, -3), -1, -2).astype(complex)
     pots = None
     for s in range(slots):
@@ -95,8 +95,8 @@ def all_direction_covariant(u, bundle, metric):
     r = u.rank
     parts = np.stack([grid.diff(u.values, axis=k) for k in range(grid.dim)], axis=grid.dim)
     letters = "cdefghij"[:r]
-    if not metric.is_constant and r > 0:
-        parts -= _gamma_slot_sum(metric.christoffel_field(), u.values, r)
+    if r > 0 and metric.christoffel.shape[: grid.dim] == grid.shape:
+        parts -= _gamma_slot_sum(metric.christoffel, u.values, r)
     term = np.einsum(
         f"yab...,{letters}b...->y{letters}a...",
         bundle.potentials_grid_last,

@@ -134,7 +134,7 @@ def test_dirichlet_form_is_sesquilinear():
 
 def test_from_ops_identity_gives_fiber_metric():
     h = np.array([[2.0, 0.3], [0.3, 1.0]])
-    bundle = BundleSpec(GRID, 2, fiber_metric=h)
+    bundle = BundleSpec(GRID, 2, fiber_metric=h[None, None])
     spec = bidiff_from_ops(identity_op(bundle, FLAT), identity_op(bundle, FLAT))
     assert set(spec.coefficients) == {(0, 0)}
     assert np.allclose(spec.coefficients[(0, 0)], h.T, atol=1e-14)
@@ -151,8 +151,10 @@ def test_from_ops_gradients_give_inverse_metric():
 
 def test_from_ops_accepts_matrix_and_field_fiber_metrics():
     grad = gradient_op(SCALAR, FLAT)
-    assert grad.target.fiber_metric.shape == (2, 2)
+    assert grad.target.fiber_metric.shape == (1, 1, 2, 2)
+    # a constant field given on the full grid is stored at one point
     field_metric = BundleSpec(GRID, 2, fiber_metric=_eye_coefficient(2))
+    assert field_metric.fiber_metric.shape == (1, 1, 2, 2)
     spec = bidiff_from_ops(grad, identity_op(field_metric, FLAT))
     assert set(spec.coefficients) == {(1, 0)}
 

@@ -66,6 +66,14 @@ def test_compatibility_defect_on_varying_fiber_metric():
     pots[..., 1, :, :] = (x1 / 4)[..., None, None] * np.eye(2)
     assert compatibility_defect(BundleSpec(grid, 2, pots, h)) <= 1e-6
     assert compatibility_defect(BundleSpec(grid, 2, None, h)) >= 0.1
+    # f = x1 / 4: h is stored (N1, 1), and only its x1 axis is differentiated
+    h = np.exp(x1 / 2)[..., None, None] * np.eye(2)
+    pots = np.zeros((1, 1, 2, 2, 2), dtype=complex)
+    pots[..., 0, :, :] = np.eye(2) / 4
+    one_axis = BundleSpec(grid, 2, pots, h)
+    assert one_axis.fiber_metric.shape == (65, 1, 2, 2)
+    assert compatibility_defect(one_axis) <= 1e-6
+    assert compatibility_defect(BundleSpec(grid, 2, None, h)) >= 0.1
 
 
 @pytest.mark.parametrize("shape", [(17,), (17, 17)])
@@ -149,11 +157,11 @@ def test_potentials_are_stored_once_grid_last(grid):
 @pytest.mark.parametrize("slots", [1, 2, 3])
 @pytest.mark.parametrize("g", [np.eye(2), np.array([[2.0, 0.3], [0.3, 0.7]])])
 def test_constant_metric_induced_bundle_matches_grid_construction(grid, slots, g):
-    h = np.array([[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]])
+    h = np.array([[[[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]]]])
     bundle = BundleSpec(grid, 2, magnetic_example_bundle(grid).potentials, h)
     metric = MetricField(grid, np.broadcast_to(g, grid.shape + (2, 2)))
     got = induced_tensor_bundle(bundle, metric, slots)
-    assert got.fiber_metric.shape == (got.fiber_dim, got.fiber_dim)
+    assert got.fiber_metric.shape == (1, 1, got.fiber_dim, got.fiber_dim)
     _assert_matches_reference(got, bundle, metric, slots)
 
 

@@ -230,6 +230,40 @@ def test_overflowing_complex_power_exits_two(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+EYE3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+# case: (where, config, a fragment of the error line)
+MALFORMED_METRICS = {
+    "3x3 metric": ("metric", {"kind": "matrix", "entries": EYE3}, "metric values shape"),
+    "1x2 metric": ("metric", {"kind": "matrix", "entries": [["1", "0"]]}, "metric values shape"),
+    "asymmetric metric": (
+        "metric",
+        {"kind": "matrix", "entries": [["1", "0.5"], ["0", "1"]]},
+        "not symmetric",
+    ),
+    "singular metric": (
+        "metric",
+        {"kind": "matrix", "entries": [["1", "1"], ["1", "1"]]},
+        "at or below the floor",
+    ),
+    "3x3 fiber metric": ("fiber_metric", EYE3, "fiber metric shape"),
+    "non-Hermitian fiber metric": ("fiber_metric", [["1", "i"], ["i", "1"]], "not Hermitian"),
+    "indefinite fiber metric": ("fiber_metric", [["x1", "0"], ["0", "1"]], "not positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_METRICS))
+def test_malformed_metric_exits_two(tmp_path, capsys, case):
+    where, value, fragment = MALFORMED_METRICS[case]
+    cfg = passing_config()
+    cfg["bundle"]["fiber_dim"] = 2
+    (cfg if where == "metric" else cfg["bundle"])[where] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_finite_exponents_stay_finite(tmp_path, capsys):
     cfg = {

@@ -346,11 +346,11 @@ def test_configured_constant_potentials_are_stored_at_one_point():
     ctx = build_context(parse_scenario(cfg))
     assert ctx.bundle.potentials_grid_last.shape == (2, 1, 1, 1, 1)
     assert ctx.bundle.live == (0,)
-    # the metric and a grid-varying fiber metric stay on the full grid
-    assert ctx.metric.values.shape == ctx.grid.shape + (2, 2)
-    assert ctx.bundle.fiber_metric.shape == ctx.grid.shape + (1, 1)
-    x1 = ctx.grid.coords[0]
-    assert np.array_equal(ctx.metric.values[..., 0, 0], 1 + 0.1 * x1**2)
+    # the metric varies over x1 alone and the fiber metric over x2 alone
+    assert ctx.metric.values.shape == (ctx.grid.shape[0], 1, 2, 2)
+    assert ctx.bundle.fiber_metric.shape == (1, ctx.grid.shape[1], 1, 1)
+    x1 = ctx.grid.axes[0]
+    assert np.array_equal(ctx.metric.values[:, 0, 0, 0], 1 + 0.1 * x1**2)
     # potentials that vary over x1 alone keep x2 at length 1
     cfg["bundle"]["potentials"] = [[["0.5*i*x1"]], [["0"]]]
     pots = build_context(parse_scenario(cfg)).bundle.potentials_grid_last

@@ -1,0 +1,102 @@
+"""Metrics stored at the shape they vary over.
+
+MetricField keeps values, inv and sqrt_det at the shape the metric varies
+over, each grid axis full or of length 1, and BundleSpec keeps its fiber
+metric the same way.  The Christoffel field is the exception: full-grid
+for a metric that varies at all, an exact one-point zero for a constant
+one.  A conformal metric of x1 alone, stored (N1, 1), must give the same
+bits as a full-grid stand-in built from its broadcast values.
+"""
+
+import types
+
+import numpy as np
+import pytest
+
+from nabla_calc.bundles import BundleSpec, compact_grid_axes, grid_first, magnetic_example_bundle
+from nabla_calc.calculus import covariant_derivative, divergence, multiindex_derivative
+from nabla_calc.errors import ShapeMismatch
+from nabla_calc.geometry import MetricField
+from nabla_calc.grid import ChartGrid
+from nabla_calc.scenarios import build_context, builtin_scenario, list_builtins, parse_scenario
+from nabla_calc.sections import random_section, random_vector_field, seeded_rng
+
+from dense_reference import all_direction_covariant
+from test_grid_innermost import _christoffel
+
+GRID = ChartGrid([(-1, 1), (-1, 1)], (41, 37), support_margin=6)
+
+
+def _is_compact(field, g):
+    return compact_grid_axes(field, g).shape == field.shape
+
+
+@pytest.mark.parametrize("name", list_builtins())
+def test_builtin_metrics_are_stored_at_the_shape_they_vary_over(name):
+    scenario = parse_scenario(builtin_scenario(name))
+    ctx = build_context(scenario)
+    g = ctx.grid.dim
+    metric, bundle = ctx.metric, ctx.bundle
+    pots = grid_first(bundle.potentials_grid_last, g)
+    for field in (metric.values, metric.inv, metric.sqrt_det, bundle.fiber_metric, pots):
+        assert _is_compact(field, g)
+    assert metric.inv.shape == metric.values.shape
+    assert metric.sqrt_det.shape == metric.values.shape[:g]
+    gamma = metric.christoffel
+    if metric.values.shape[:g] == (1,) * g:
+        assert gamma.shape == (1,) * g + (g,) * 3 and not np.any(gamma)
+    else:
+        assert gamma.shape == ctx.grid.shape + (g,) * 3
+    if scenario.metric["kind"] == "flat":
+        assert metric.values.shape == (1,) * g + (g, g)
+
+
+def test_metric_values_reject_an_axis_neither_full_nor_one():
+    with pytest.raises(ShapeMismatch, match="metric values"):
+        MetricField(GRID, np.broadcast_to(np.eye(2), (41, 2, 2, 2)))
+    with pytest.raises(ShapeMismatch, match="fiber metric"):
+        BundleSpec(GRID, 2, fiber_metric=np.eye(2))
+
+
+def _one_axis_twins():
+    """A conformal metric of x1 alone, given on the full grid, and a
+    full-grid stand-in for it."""
+    x1, _ = GRID.coords
+    metric = MetricField.conformal(GRID, 0.3 * x1 - 0.2 * x1**2)
+    full = np.broadcast_to(metric.values, GRID.shape + (2, 2))
+    ref = types.SimpleNamespace(
+        grid=GRID, values=full, inv=np.linalg.inv(full), sqrt_det=np.sqrt(np.linalg.det(full))
+    )
+    ref.christoffel = _christoffel(ref)
+    return metric, ref
+
+
+def test_one_axis_metric_fields_equal_their_full_grid_twins():
+    metric, ref = _one_axis_twins()
+    assert metric.values.shape == (GRID.shape[0], 1, 2, 2)
+    assert metric.inv.shape == metric.values.shape
+    assert metric.sqrt_det.shape == (GRID.shape[0], 1)
+    assert np.array_equal(np.broadcast_to(metric.inv, ref.inv.shape), ref.inv)
+    assert np.array_equal(np.broadcast_to(metric.sqrt_det, GRID.shape), ref.sqrt_det)
+    assert metric.christoffel.shape == GRID.shape + (2, 2, 2)
+    assert np.array_equal(metric.christoffel, ref.christoffel)
+
+
+def test_one_axis_metric_calculus_equals_its_full_grid_twin():
+    metric, ref = _one_axis_twins()
+    bundle = magnetic_example_bundle(GRID)
+    rng = seeded_rng(5, "one-axis-metric")
+    for rank in (0, 1, 2):
+        u = random_section(GRID, rank, 2, rng)
+        got = covariant_derivative(u, bundle, metric).values
+        assert np.array_equal(got, all_direction_covariant(u, bundle, ref))
+    X = random_vector_field(GRID, rng)
+    want = sum(GRID.diff(X[..., k], axis=k) for k in range(2))
+    want = want + np.einsum("...kkl,...l->...", ref.christoffel, X)
+    GRID.zero_band(want, GRID.stencil_radius)
+    assert np.array_equal(divergence(X, metric), want)
+    u = random_section(GRID, 1, 2, rng)
+    idxs = [(2, 1), (1,), (1, 2, 2)]
+    got = multiindex_derivative(u, idxs, bundle, metric)
+    for i, one in zip(idxs, got):
+        assert np.array_equal(one.values, multiindex_derivative(u, i, bundle, ref).values)

@@ -185,7 +185,7 @@ def test_structure_function_expansions_close():
     dz = np.stack([grid.diff(z, axis=l) for l in range(n)], axis=-3)
     grid.zero_band(dz, grid.stencil_radius)
     cov = np.einsum("...il,...ljm->...ijm", z, dz) + np.einsum(
-        "...mlr,...il,...jr->...ijm", SPHERE_G.christoffel_field(), z, z
+        "...mlr,...il,...jr->...ijm", SPHERE_G.christoffel, z, z
     )
     bracket = np.einsum("...il,...ljm->...ijm", z, dz) - np.einsum(
         "...jl,...lim->...ijm", z, dz

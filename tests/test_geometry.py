@@ -5,10 +5,8 @@ from nabla_calc.errors import NonpositiveWeight, ShapeMismatch, SingularMetric
 from nabla_calc.geometry import (
     MetricField,
     WeightPair,
-    christoffel,
     conformal_rescale,
     levi_civita_difference,
-    volume_density,
 )
 from nabla_calc.grid import ChartGrid
 from nabla_calc.sections import random_vector_field, seeded_rng
@@ -27,15 +25,16 @@ def _conformal_setup(npts=129):
 def test_flat_metric_has_zero_christoffel():
     grid = ChartGrid([(-1, 1), (-1, 1)], (33, 33))
     metric = MetricField.flat(grid)
-    assert metric.is_constant
-    assert np.all(christoffel(metric) == 0)
-    assert np.all(volume_density(metric) == 1.0)
+    assert metric.values.shape == (1, 1, 2, 2)
+    assert metric.christoffel.shape == (1, 1, 2, 2, 2)
+    assert np.all(np.broadcast_to(metric.christoffel, grid.shape + (2, 2, 2)) == 0)
+    assert np.all(np.broadcast_to(metric.sqrt_det, grid.shape) == 1.0)
 
 
 def test_christoffel_matches_conformal_closed_form():
     grid, phi, metric, dphi = _conformal_setup()
     n = grid.dim
-    gamma = christoffel(metric)
+    gamma = metric.christoffel
     eye = np.eye(n)
     expected = (
         np.einsum("mk,...l->...mkl", eye, dphi)
@@ -49,16 +48,24 @@ def test_christoffel_matches_conformal_closed_form():
 
 def test_christoffel_point_access():
     grid, phi, metric, dphi = _conformal_setup(33)
-    full = christoffel(metric)
     pt = (16, 10)
-    assert np.array_equal(christoffel(metric, pt), full[pt])
-    assert volume_density(metric, pt) == pytest.approx(np.exp(2 * 2 * phi[pt]) ** 0.5)
+    assert metric.sqrt_det[pt] == pytest.approx(np.exp(2 * 2 * phi[pt]) ** 0.5)
+    # phi of x1 alone: values (N1, 1), a full-grid Christoffel field
+    x, _ = grid.coords
+    one_axis = MetricField.conformal(grid, 0.1 * x)
+    assert one_axis.values.shape == (33, 1, 2, 2)
+    assert one_axis.christoffel.shape == grid.shape + (2, 2, 2)
+    sqrt_det = np.broadcast_to(one_axis.sqrt_det, grid.shape)
+    assert sqrt_det[pt] == pytest.approx(np.exp(2 * 0.1 * x[pt]))
+    assert np.array_equal(
+        one_axis.christoffel[pt], one_axis.christoffel[pt[0], grid.shape[1] // 2]
+    )
 
 
 def test_volume_density_conformal():
     grid, phi, metric, _ = _conformal_setup(33)
     # det(e^{2 phi} I) = e^{4 phi} in 2d
-    assert np.allclose(volume_density(metric), np.exp(2 * phi))
+    assert np.allclose(metric.sqrt_det, np.exp(2 * phi))
 
 
 def test_metric_validation():
@@ -93,7 +100,7 @@ def test_levi_civita_difference_matches_christoffel_difference():
     X = random_vector_field(grid, rng)
     Y = random_vector_field(grid, rng)
     got = levi_civita_difference(X, Y, phi, metric0)
-    dgamma = christoffel(metric) - christoffel(metric0)
+    dgamma = metric.christoffel - metric0.christoffel
     expected = np.einsum("...mkl,...k,...l->...m", dgamma, X, Y)
     mask = grid.interior_mask(grid.stencil_radius)
     scale = np.max(np.abs(expected))
@@ -129,10 +136,10 @@ def test_constant_metric_is_validated_on_one_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     const = np.broadcast_to(np.array([[2.0, 0.5], [0.5, 1.0]]), (17, 17, 2, 2))
-    assert MetricField(grid, const).is_constant
+    assert MetricField(grid, const).values.shape == (1, 1, 2, 2)
     x, _ = grid.coords
     MetricField.conformal(grid, 0.1 * x)
-    assert shapes == [(2, 2), (17, 17, 2, 2)]
+    assert shapes == [(1, 1, 2, 2), (17, 1, 2, 2)]
 
 
 @pytest.mark.parametrize("constant", [True, False])
@@ -154,4 +161,5 @@ def test_metric_verdicts_do_not_depend_on_constancy(constant):
         MetricField(grid, field([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMetric, match="at or below the floor"):
         MetricField(grid, field([[1.0, 0.0], [0.0, -1.0]]))
-    assert MetricField(grid, field([[1.0, 0.2], [0.2, 1.0]])).is_constant == constant
+    stored = MetricField(grid, field([[1.0, 0.2], [0.2, 1.0]])).values
+    assert (stored.shape == (1, 1, 2, 2)) == constant

@@ -145,7 +145,7 @@ def test_frame_build_matches_grid_first_reference(frame):
     assert np.array_equal(emb.gram(), _gram(emb.phi))
     polar = polar_isometrize(emb, metric)
     assert np.array_equal(polar.phi, _polar_phi(emb.phi, metric))
-    assert np.array_equal(metric.christoffel_field(), _christoffel(metric))
+    assert np.array_equal(metric.christoffel, _christoffel(metric))
     gens = build_generators(polar, metric)
     z, xi = _isometric_frame(polar.phi, metric)
     assert np.array_equal(gens.z, z) and np.array_equal(gens.xi, xi)
@@ -174,7 +174,7 @@ def test_frame_divergence_matches_grid_first_reference(frame):
     emb, metric = FRAMES[frame]()
     gens = build_generators(polar_isometrize(emb, metric), metric)
     X = random_vector_field(GRID, seeded_rng(17, f"div-field-{frame}"))
-    gamma = metric.christoffel_field()
+    gamma = metric.christoffel
     script = "...mlr,...kl,...r->...km"
     moved = grid_einsum(script, gamma, gens.z, X)
     assert _close(moved, np.einsum(script, gamma, gens.z, X))
@@ -199,7 +199,7 @@ def test_l2_pairing_matches_grid_first_reference(frame):
     _, metric = FRAMES[frame]()
     rng = seeded_rng(17, f"l2-pairing-{frame}")
     h = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-    fields = [h, np.broadcast_to(h, GRID.shape + (2, 2)).copy()]
+    fields = [h[None, None], np.broadcast_to(h, GRID.shape + (2, 2)).copy()]
     for fiber_metric in fields:
         bundle = BundleSpec(GRID, 2, fiber_metric=fiber_metric)
         v = random_section(GRID, 0, 2, rng)

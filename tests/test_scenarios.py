@@ -215,6 +215,20 @@ def test_checks_leave_the_bundle_as_built(name):
     assert all(after[key] is value for key, value in before.items())
 
 
+@pytest.mark.parametrize("name", ["sphere-ffc", "random-embedding"])
+def test_checks_leave_the_metric_as_built(name):
+    cfg = builtin_scenario(name)
+    cfg["chart"]["h"] = 2 / 32
+    s = parse_scenario(cfg)
+    ctx = build_context(s)
+    before = dict(vars(ctx.metric))
+    for entry in s.checks:
+        CHECKS[entry["check"]][0](ctx, entry)
+    after = vars(ctx.metric)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
 def test_thread_count_below_one_is_rejected(monkeypatch):
     s = parse_scenario(tiny_config())
     with pytest.raises(ConfigError, match="threads must be >= 1"):
@@ -370,11 +384,11 @@ def test_constant_fiber_metric_is_one_matrix():
     cfg["bundle"]["fiber_metric"] = [["2", "0"], ["0", "1"]]
     ctx = build_context(parse_scenario(cfg))
     bundle, grid = ctx.bundle, ctx.grid
-    assert bundle.metric_is_constant
     h = np.array([[2, 0], [0, 1]], dtype=complex)
-    assert np.array_equal(bundle.fiber_metric, h)
+    assert np.array_equal(bundle.fiber_metric, h.reshape(1, 1, 2, 2))
+    # the same matrix given on the full grid is stored at one point too
     field = BundleSpec(grid, 2, fiber_metric=np.broadcast_to(h, grid.shape + (2, 2)))
-    assert not field.metric_is_constant
+    assert field.fiber_metric.shape == (1, 1, 2, 2)
     u = random_section(grid, 0, 2, seeded_rng(7, "fiber-metric"))
     for s, p in ((0, 2.0), (1, 2.0), (2, math.inf)):
         want = sobolev_norm(u, s, p, field, ctx.metric)
@@ -386,8 +400,9 @@ def test_varying_fiber_metric_stays_a_grid_field():
     cfg = tiny_config()
     cfg["bundle"]["fiber_metric"] = [["2 + x1^2", "0"], ["0", "1"]]
     ctx = build_context(parse_scenario(cfg))
-    assert not ctx.bundle.metric_is_constant
-    assert ctx.bundle.fiber_metric.shape == ctx.grid.shape + (2, 2)
+    assert ctx.bundle.fiber_metric.shape == (ctx.grid.shape[0], 1, 2, 2)
+    x1 = ctx.grid.axes[0]
+    assert np.array_equal(ctx.bundle.fiber_metric[:, 0, 0, 0], 2 + x1**2)
 
 
 def test_margin_below_stencil_radius_is_a_config_error():
