@@ -24,7 +24,6 @@ from .calculus import (
     curvature,
     directional_derivative,
     divergence,
-    iterated_derivative,
     multiindex_derivative,
 )
 from .norms import (
@@ -40,7 +39,6 @@ from .generators import (
     EmbeddingSpec,
     GeneratorSystem,
     build_generators,
-    decompose_tensor,
     divergence_via_generators,
     generator_sobolev_norm,
     graph_embedding,
@@ -66,8 +64,6 @@ from .operators import (
     multiplication_op,
     nabla_to_mixed,
     reorder_generators,
-    weighted_conjugate,
-    weighted_mapping_check,
 )
 from .bidiff import (
     BidiffSpec,
@@ -78,7 +74,7 @@ from .bidiff import (
     l2_pairing,
     weighted_duality_check,
 )
-from .reports import Report, emit_report, read_report
+from .reports import Report, emit_report
 from .scenarios import (
     Scenario,
     build_context,

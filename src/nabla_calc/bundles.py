@@ -89,7 +89,7 @@ def check_grid_shape(shape, grid, tail, what):
     """Raise ShapeMismatch unless shape is grid + tail with each grid axis
     of full length or of length 1, the shape a stored field varies over."""
     n = grid.dim
-    if tuple(shape[n:]) != tuple(tail) or not all(
+    if len(shape) != n + len(tail) or tuple(shape[n:]) != tuple(tail) or not all(
         m in (1, full) for m, full in zip(shape[:n], grid.shape)
     ):
         raise ShapeMismatch(
@@ -215,50 +215,6 @@ class TensorSection:
         self.fiber_dim = int(fiber_dim)
         self.values = values
 
-    @classmethod
-    def zeros(cls, grid, rank, fiber_dim):
-        n = grid.dim
-        shape = grid.shape + (n,) * rank + (fiber_dim,)
-        return cls(grid, rank, np.zeros(shape, dtype=complex), fiber_dim)
-
-    def copy(self):
-        return TensorSection(self.grid, self.rank, self.values.copy(), self.fiber_dim)
-
-    def __add__(self, other):
-        self._check_same(other)
-        return TensorSection(
-            self.grid, self.rank, self.values + other.values, self.fiber_dim
-        )
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return TensorSection(
-            self.grid, self.rank, self.values - other.values, self.fiber_dim
-        )
-
-    def __mul__(self, scalar):
-        return TensorSection(self.grid, self.rank, self.values * scalar, self.fiber_dim)
-
-    __rmul__ = __mul__
-
-    def _check_same(self, other):
-        if self.grid != other.grid:
-            raise ChartMismatch("sections live on different grids")
-        if self.rank != other.rank or self.fiber_dim != other.fiber_dim:
-            raise ShapeMismatch(
-                f"section ranks/fibers differ: ({self.rank},{self.fiber_dim}) vs "
-                f"({other.rank},{other.fiber_dim})"
-            )
-
-    def flatten_fiber(self):
-        """View the slot axes as part of the fiber: rank 0 over C^(n^r * d)."""
-        n = self.grid.dim
-        nd = self.grid.shape
-        flat_dim = (n**self.rank) * self.fiber_dim
-        return TensorSection(
-            self.grid, 0, self.values.reshape(nd + (flat_dim,)), flat_dim
-        )
-
 
 def magnetic_example_bundle(grid):
     """The oscillating off-diagonal magnetic potential on C^2 over R^2.
@@ -301,7 +257,8 @@ def induced_tensor_bundle(bundle, metric, slots):
     """T*M^{tensor slots} (x) E as an InducedBundle over the plain bundle E.
 
     The fiber metric is the tensor of inverse-metric factors with the fiber
-    metric, flattened as TensorSection.flatten_fiber orders the fiber.  The
+    metric, on the fiber flattened slot-major: a rank-r section's values
+    reshaped to grid + (n^r * d,), slot axes before the fiber axis.  The
     lift of an induced bundle is built from E with the slots added, all
     over this metric, and its fiber metric has the shape the metric and
     E's fiber metric vary over together.

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import diff_axis
 from .bundles import TensorSection, grid_einsum, grid_first, grid_last
-from .errors import ChartMismatch, ShapeMismatch, SupportViolation
+from .errors import ChartMismatch, ShapeMismatch
 
 # slot letters must avoid the reserved einsum indices a, b, k, m, y, z
 _SLOTS = "cdefghij"
@@ -115,20 +115,6 @@ def tower(u, bundle, metric, depth):
     for _ in range(depth):
         u = covariant_derivative(u, bundle, metric, check_support=False)
         yield u
-
-
-def iterated_derivative(u, order, bundle, metric):
-    """nabla^order, adding `order` slots leftmost."""
-    if order < 0:
-        raise ShapeMismatch(f"derivative order must be >= 0, got {order}")
-    _check_context(u, bundle, metric)
-    grid = u.grid
-    if order == 0:
-        return u.copy()
-    grid.check_support(u.values, order * grid.stencil_radius)
-    for out in tower(u, bundle, metric, order):
-        pass
-    return out
 
 
 def validate_multiindex(idx, dim):
@@ -233,16 +219,6 @@ class CurvatureField:
         self.values = values
         self.fiber_dim = values.shape[-1]
 
-    def apply(self, k, l, u):
-        """Pointwise action of R_kl on a section (1-based directions)."""
-        letters = _SLOTS[: u.rank]
-        vals = np.einsum(
-            f"...ab,...{letters}b->...{letters}a",
-            self.values[..., k - 1, l - 1, :, :],
-            u.values,
-        )
-        return TensorSection(self.grid, u.rank, vals, u.fiber_dim)
-
     def contract(self, X, Y):
         """R(X, Y) as an endomorphism field."""
         return np.einsum("...k,...l,...klab->...ab", X, Y, self.values)
@@ -315,14 +291,3 @@ def formal_adjoint_directional(X, bundle, metric):
         return TensorSection(u.grid, u.rank, -der.values - div * u.values, u.fiber_dim)
 
     return adjoint
-
-
-def contract_epsilon(w, e_dim, f_dim):
-    """Trace the two E factors of a section valued in E (x) E (x) F."""
-    if w.fiber_dim != e_dim * e_dim * f_dim:
-        raise ShapeMismatch(
-            f"fiber {w.fiber_dim} does not factor as {e_dim}^2 * {f_dim}"
-        )
-    vals = w.values.reshape(w.values.shape[:-1] + (e_dim, e_dim, f_dim))
-    traced = np.trace(vals, axis1=-3, axis2=-2)
-    return TensorSection(w.grid, w.rank, traced, f_dim)

@@ -373,7 +373,7 @@ def _commutator_error(ctx, trial, blocks, pairs):
     errors = []
     for r_kl, kl, lk in zip(blocks, terms[::2], terms[1::2]):
         lhs = kl.values - lk.values
-        # CurvatureField.apply on a rank-0 section
+        # R_kl acting pointwise on the fiber of a rank-0 section
         rhs = np.einsum("...ab,...b->...a", r_kl, u.values)
         scale = max(
             float(np.max(np.abs(rhs))), float(np.max(np.abs(u.values))), _TINY

@@ -24,7 +24,6 @@ from .bundles import TensorSection, grid_einsum
 from .calculus import _SLOTS, contract_with_vector, covariant_derivative
 from .errors import ChartMismatch, DegenerateEmbedding, ShapeMismatch
 from .geometry import MetricField
-from .grid import ChartGrid
 from .norms import _lp_combine, lp_norm
 
 SIGMA_FLOOR = 1e-12
@@ -221,48 +220,6 @@ def divergence_via_generators(X, gens, metric):
     return out
 
 
-def decompose_tensor(w, gens):
-    """Contract every slot of w with frame fields, one component per tuple.
-
-    Returns a list of (labels, section) pairs where labels is the 1-based
-    generator tuple (k_1, ..., k_mu) and the section is w with slot s
-    contracted against Z_{k_s}; reassemble_tensor inverts this.
-    """
-    if gens.grid != w.grid:
-        raise ChartMismatch("generator system and section live on different grids")
-    components = []
-    for combo in itertools.product(range(gens.n_gens), repeat=w.rank):
-        sec = w
-        for k in combo:
-            sec = contract_with_vector(sec, gens.z[..., k, :])
-        components.append((tuple(k + 1 for k in combo), sec))
-    return components
-
-
-def reassemble_tensor(components, gens):
-    """Sum of xi_{k_1} tensor ... tensor xi_{k_mu} tensor component."""
-    if not components:
-        raise ShapeMismatch("cannot reassemble an empty component list")
-    grid = gens.grid
-    n = grid.dim
-    rank = len(components[0][0])
-    fiber_dim = components[0][1].fiber_dim
-    vals = np.zeros(grid.shape + (n,) * rank + (fiber_dim,), dtype=complex)
-    for labels, sec in components:
-        if len(labels) != rank or sec.fiber_dim != fiber_dim:
-            raise ShapeMismatch("components disagree on rank or fiber dimension")
-        factor = np.ones(grid.shape)
-        for s, k in enumerate(labels):
-            xi_k = gens.xi[..., k - 1, :]
-            factor = factor[..., None] * xi_k.reshape(
-                grid.shape + (1,) * s + (n,)
-            )
-        vals += factor.reshape(factor.shape + (1,)) * sec.values.reshape(
-            grid.shape + (1,) * rank + (fiber_dim,)
-        )
-    return TensorSection(grid, rank, vals, fiber_dim)
-
-
 def generator_sobolev_norm(u, s, p, gens, bundle, metric, all_tuples=False):
     """l^p combination of nabla_{Z_{k_1}} ... nabla_{Z_{k_j}} u over tuples.
 
@@ -298,17 +255,6 @@ def identity_embedding(grid, isometric=True):
     n = grid.dim
     phi = np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy()
     return EmbeddingSpec(grid, phi, isometric=isometric)
-
-
-def stereographic_points(grid):
-    """Ambient unit-sphere positions of a 2d stereographic chart."""
-    if grid.dim != 2:
-        raise ShapeMismatch(f"stereographic chart must be 2d, got {grid.dim}d")
-    x1, x2 = grid.coords
-    s = 1.0 + x1**2 + x2**2
-    return np.stack(
-        [2.0 * x1 / s, 2.0 * x2 / s, (x1**2 + x2**2 - 1.0) / s], axis=-1
-    )
 
 
 def sphere_ambient_embedding(grid):
@@ -389,31 +335,3 @@ def random_embedding(grid, n_ambient, rng, n_waves=2, amplitude=0.25):
         wave = np.sin(x @ w + phase)
         phi = phi + wave[..., None, None] * c
     return EmbeddingSpec(grid, phi, isometric=False)
-
-
-def restrict_embedding(embedding, lo, hi):
-    """Restriction to the inclusive index subbox [lo_k, hi_k] per axis.
-
-    The subgrid keeps the parent spacing, finite-difference order, and
-    support margin, so frame values at shared nodes are unchanged.
-    """
-    grid = embedding.grid
-    lo = tuple(int(a) for a in lo)
-    hi = tuple(int(b) for b in hi)
-    if len(lo) != grid.dim or len(hi) != grid.dim:
-        raise ShapeMismatch(
-            f"index bounds need {grid.dim} entries, got {len(lo)} and {len(hi)}"
-        )
-    for a, b, m in zip(lo, hi, grid.shape):
-        if not 0 <= a < b < m:
-            raise ShapeMismatch(
-                f"index range [{a}, {b}] does not fit an axis with {m} points"
-            )
-    sub_box = tuple(
-        (float(grid.axes[k][a]), float(grid.axes[k][b]))
-        for k, (a, b) in enumerate(zip(lo, hi))
-    )
-    sub_shape = tuple(b - a + 1 for a, b in zip(lo, hi))
-    sub = ChartGrid(sub_box, sub_shape, grid.fd_order, grid.support_margin)
-    slices = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
-    return EmbeddingSpec(sub, embedding.phi[slices], embedding.isometric)

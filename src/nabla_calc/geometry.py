@@ -11,6 +11,7 @@ are garbage and sections are required to vanish nearby anyway.
 
 import numpy as np
 
+from ._kernels import diff_axis
 from .bundles import check_grid_shape, compact_grid_axes, grid_einsum
 from .errors import ChartMismatch, NonpositiveWeight, ShapeMismatch, SingularMetric
 
@@ -49,15 +50,22 @@ class MetricField:
         self.values = values
         self.inv = np.linalg.inv(values)
         self.sqrt_det = np.sqrt(np.linalg.det(values))
-        if values.shape[:n] == (1,) * n:
+        lead = values.shape[:n]
+        if lead == (1,) * n:
             self.christoffel = np.zeros((1,) * n + (n, n, n))
         else:
-            full = np.broadcast_to(values, grid.shape + (n, n))
-            # dg[idx, k, r, l] = d_k g_rl
-            dg = np.stack([grid.diff(full, axis=k) for k in range(n)], axis=-3)
+            # dg[idx, k, r, l] = d_k g_rl at the shape g varies over: only
+            # the full-length axes are differenced, the rest stay exact zeros
+            dg = np.zeros(lead + (n, n, n))
+            for k in range(n):
+                if lead[k] > 1:
+                    dg[..., k, :, :] = diff_axis(values, k, grid.h[k], grid.fd_order)
             t1 = np.swapaxes(dg, -3, -2)  # [r, k, l] = d_k g_rl
             t2 = np.swapaxes(t1, -2, -1)  # [r, k, l] = d_l g_rk
             gamma = 0.5 * grid_einsum("...mr,...rkl->...mkl", self.inv, t1 + t2 - dg)
+            if lead != grid.shape:
+                # the zeroed band runs along every axis
+                gamma = np.ascontiguousarray(np.broadcast_to(gamma, grid.shape + (n, n, n)))
             self.christoffel = grid.zero_band(gamma, grid.stencil_radius)
         for field in (self.values, self.inv, self.sqrt_det, self.christoffel):
             field.flags.writeable = False
@@ -69,13 +77,11 @@ class MetricField:
 
     @classmethod
     def conformal(cls, grid, phi):
-        """g = e^{2 phi} * identity for a scalar field phi."""
+        """g = e^{2 phi} * identity for a scalar field phi, each grid axis
+        of phi full or of length 1."""
         n = grid.dim
         phi = np.asarray(phi, dtype=float)
-        if phi.shape != grid.shape:
-            raise ShapeMismatch(
-                f"conformal exponent shape {phi.shape} does not match grid {grid.shape}"
-            )
+        check_grid_shape(phi.shape, grid, (), "conformal exponent")
         # an overflow gives inf (and inf * 0 nan), which the constructor rejects
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.exp(2.0 * phi)[..., None, None] * np.eye(n)

@@ -32,14 +32,12 @@ from .bundles import (
 )
 from .calculus import _gamma_slot_sum, covariant_derivative, curvature, tower
 from .errors import ChartMismatch, ShapeMismatch
-from .geometry import WeightPair
 from .norms import (
     equivalence_constant,
     multiplication_constant,
     pointwise_norm_sq,
     sobolev_norm,
     strict_max,
-    weighted_sobolev_norm,
 )
 from .sections import random_section, seeded_rng
 
@@ -732,56 +730,4 @@ def mapping_bound_check(spec, k, p, trials, seed=0):
         "coefficient_norm": coeff_norm,
         "trials": trials,
         "passed": bool(worst <= constant * (1.0 + 1e-12)),
-    }
-
-
-def weighted_conjugate(spec, weight):
-    """The rescaled operator f0^{-1} rho^mu P f0 with explicit coefficients."""
-    if weight.grid != spec.grid:
-        raise ChartMismatch("weight and operator live on different grids")
-    mult = _scaled(identity_op(spec.source, spec.metric), weight.f0[..., None, None])
-    factor = (weight.rho**spec.order / weight.f0)[..., None, None]
-    return _scaled(compose(spec, mult), factor)
-
-
-def weighted_mapping_check(spec, weight, ell, p, trials, seed=0):
-    """Weighted continuity report: f0 W^{l,p} into f0 rho^{-mu} W^{l-mu,p}.
-
-    Ratios use the weighted norms on both sides; the report also measures
-    how far the explicit conjugate f0^{-1} rho^mu P f0 is from conjugating
-    P section by section.
-    """
-    mu = spec.order
-    if ell < mu:
-        raise ValueError(f"need ell >= order, got ell={ell} for order {mu}")
-    grid = spec.grid
-    shifted = WeightPair(
-        grid, weight.rho, weight.f0 / weight.rho**mu, admissible=weight.admissible
-    )
-    worst = 0.0
-    conj = weighted_conjugate(spec, weight)
-    residual = 0.0
-    for trial in range(trials):
-        u = random_section(
-            grid, 0, spec.source.fiber_dim, seeded_rng(seed, "weighted-map", trial)
-        )
-        den = weighted_sobolev_norm(u, ell, p, weight, spec.source, spec.metric)
-        pu = apply_nabla_op(spec, u)
-        num = weighted_sobolev_norm(pu, ell - mu, p, shifted, spec.target, spec.metric)
-        if den != 0:
-            worst = strict_max(worst, num / den)
-        if trial == 0:
-            scaled = TensorSection(
-                grid, 0, weight.f0[..., None] * u.values, u.fiber_dim
-            )
-            direct = apply_nabla_op(spec, scaled)
-            direct_vals = (weight.rho**mu / weight.f0)[..., None] * direct.values
-            via_conj = apply_nabla_op(conj, u)
-            scale = max(1.0, float(np.max(np.abs(direct_vals))))
-            residual = float(np.max(np.abs(via_conj.values - direct_vals))) / scale
-    return {
-        "max_ratio": worst,
-        "conjugate_residual": residual,
-        "trials": trials,
-        "order": mu,
     }

@@ -10,7 +10,8 @@ CSV columns, fixed:
   checks table: check, digest, measured, bound, tolerance, status
   norms table:  scenario, s, p, value, bound, status, h, fd_order
 JSON files hold one object with "scenario", "seed", "passed", "checks"
-and "norms" keys; infinite exponents are spelled "inf".
+and "norms" keys, read back with json.load; non-finite numbers are the
+strings "inf", "-inf" and "nan".
 """
 
 import csv
@@ -188,44 +189,3 @@ def emit_report(report, out_dir, fmt="csv"):
         return paths
     except OSError as exc:
         raise IoError(f"cannot write report under {out_dir!r}: {exc}") from exc
-
-
-def _parse_number(x):
-    if x is None or isinstance(x, (int, float)):
-        return x
-    return float(x)
-
-
-def read_report(path):
-    """Load an emitted json report back into a Report."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read report {path!r}: {exc}") from exc
-    report = Report(scenario=raw["scenario"], seed=int(raw["seed"]))
-    for row in raw["checks"]:
-        report.checks.append(
-            CheckRow(
-                check=row["check"],
-                digest=row["digest"],
-                measured=_parse_number(row["measured"]),
-                bound=_parse_number(row["bound"]),
-                tolerance=_parse_number(row["tolerance"]),
-                passed=bool(row["passed"]),
-            )
-        )
-    for row in raw["norms"]:
-        report.norms.append(
-            NormRow(
-                scenario=row["scenario"],
-                s=int(row["s"]),
-                p=_parse_number(row["p"]),
-                value=_parse_number(row["value"]),
-                bound=_parse_number(row["bound"]),
-                passed=bool(row["passed"]),
-                h=_parse_number(row["h"]),
-                fd_order=int(row["fd_order"]),
-            )
-        )
-    return report

@@ -377,9 +377,12 @@ def _build_metric(scenario, grid, emb, induced):
     if kind == "flat":
         return MetricField.flat(grid)
     if kind == "conformal":
-        return MetricField.conformal(
-            grid, _real_field(scenario.metric["phi"], grid, "conformal factor")
-        )
+        # at the shape phi varies over, each axis it does not read at length 1
+        expr = scenario.metric["phi"]
+        phi = _matrix_field([[expr]], grid, "conformal factor")[..., 0, 0]
+        if np.max(np.abs(phi.imag)) > 0:
+            raise ConfigError(f"conformal factor expression {expr!r} must be real")
+        return MetricField.conformal(grid, phi.real)
     if kind == "matrix":
         values = _matrix_field(scenario.metric["entries"], grid, "metric entries")
         if np.max(np.abs(values.imag)) > 0:

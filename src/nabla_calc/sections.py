@@ -14,7 +14,6 @@ evaluated exactly.
 """
 
 import hashlib
-import math
 
 import numpy as np
 

@@ -126,8 +126,10 @@ def test_dirichlet_form_is_sesquilinear():
     spec = BidiffSpec(MAGNET, MAGNET, FLAT, 0, {(0, 0): _eye_coefficient(2)})
     base = dirichlet_form(spec, u, w)
     lam = 0.7 - 1.3j
-    assert dirichlet_form(spec, u * lam, w) == pytest.approx(lam * base, rel=1e-12)
-    assert dirichlet_form(spec, u, w * lam) == pytest.approx(
+    u_lam = TensorSection(GRID, 0, u.values * lam, 2)
+    w_lam = TensorSection(GRID, 0, w.values * lam, 2)
+    assert dirichlet_form(spec, u_lam, w) == pytest.approx(lam * base, rel=1e-12)
+    assert dirichlet_form(spec, u, w_lam) == pytest.approx(
         np.conj(lam) * base, rel=1e-12
     )
 

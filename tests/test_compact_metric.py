@@ -5,9 +5,12 @@ over, each grid axis full or of length 1, and BundleSpec keeps its fiber
 metric the same way.  The Christoffel field is the exception: full-grid
 for a metric that varies at all, an exact one-point zero for a constant
 one.  A conformal metric of x1 alone, stored (N1, 1), must give the same
-bits as a full-grid stand-in built from its broadcast values.
+bits as a full-grid stand-in built from its broadcast values, and it is
+built from phi at its own (N1, 1) shape: the full grid is reached only by
+the Christoffel field.
 """
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -18,6 +21,7 @@ from nabla_calc.calculus import covariant_derivative, divergence, multiindex_der
 from nabla_calc.errors import ShapeMismatch
 from nabla_calc.geometry import MetricField
 from nabla_calc.grid import ChartGrid
+from nabla_calc import scenarios
 from nabla_calc.scenarios import build_context, builtin_scenario, list_builtins, parse_scenario
 from nabla_calc.sections import random_section, random_vector_field, seeded_rng
 
@@ -100,3 +104,58 @@ def test_one_axis_metric_calculus_equals_its_full_grid_twin():
     got = multiindex_derivative(u, idxs, bundle, metric)
     for i, one in zip(idxs, got):
         assert np.array_equal(one.values, multiindex_derivative(u, i, bundle, ref).values)
+
+
+def _full_grid_christoffel(metric):
+    """Gamma of the metric's values broadcast to the full grid, with the
+    inverse taken there too, by the grid-first reference construction."""
+    full = np.broadcast_to(metric.values, metric.grid.shape + metric.values.shape[-2:])
+    return _christoffel(types.SimpleNamespace(grid=metric.grid, values=full, inv=np.linalg.inv(full)))
+
+
+def _one_axis_config(phi):
+    cfg = builtin_scenario("magnetic-example")
+    cfg["metric"] = {"kind": "conformal", "phi": phi}
+    return cfg
+
+
+@pytest.mark.parametrize("name", list_builtins() + ["conformal-x1"])
+def test_christoffel_equals_its_full_grid_construction(name):
+    if name == "conformal-x1":
+        cfg = _one_axis_config("0.3*x1 - 0.2*x1^2")
+    else:
+        cfg = builtin_scenario(name)
+    metric = build_context(parse_scenario(cfg)).metric
+    grid = metric.grid
+    if name == "conformal-x1":
+        assert metric.values.shape == (grid.shape[0], 1, 2, 2)
+    gamma = np.broadcast_to(metric.christoffel, grid.shape + (grid.dim,) * 3)
+    assert np.array_equal(gamma, _full_grid_christoffel(metric))
+
+
+def test_conformal_exponent_is_taken_at_the_shape_it_varies_over():
+    x1 = GRID.axes[0][:, None]
+    phi = 0.3 * x1 - 0.2 * x1**2
+    compact = MetricField.conformal(GRID, phi)
+    full = MetricField.conformal(GRID, np.broadcast_to(phi, GRID.shape))
+    for name in ("values", "inv", "sqrt_det", "christoffel"):
+        assert getattr(compact, name).shape == getattr(full, name).shape
+        assert np.array_equal(getattr(compact, name), getattr(full, name))
+    with pytest.raises(ShapeMismatch, match="conformal exponent"):
+        MetricField.conformal(GRID, phi[:-1])
+    with pytest.raises(ShapeMismatch, match="conformal exponent"):
+        MetricField.conformal(GRID, GRID.axes[0])
+
+
+def test_one_axis_conformal_metric_reaches_the_full_grid_only_in_gamma():
+    scenario = parse_scenario(_one_axis_config("0.1*x1"))
+    grid = scenarios._build_grid(scenario, h=2 / 256)
+    tracemalloc.start()
+    try:
+        metric = scenarios._build_metric(scenario, grid, None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert metric.values.shape == (grid.shape[0], 1, 2, 2)
+    # the full-grid build this replaced peaked above 4.5 Gammas
+    assert peak < 1.25 * metric.christoffel.nbytes

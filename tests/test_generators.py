@@ -13,7 +13,6 @@ from nabla_calc.errors import DegenerateEmbedding, ShapeMismatch
 from nabla_calc.generators import (
     EmbeddingSpec,
     build_generators,
-    decompose_tensor,
     divergence_via_generators,
     generator_sobolev_norm,
     graph_embedding,
@@ -21,11 +20,8 @@ from nabla_calc.generators import (
     nabla_via_generators,
     polar_isometrize,
     random_embedding,
-    reassemble_tensor,
     reconstruction_defect,
-    restrict_embedding,
     sphere_ambient_embedding,
-    stereographic_points,
     structure_functions,
 )
 from nabla_calc.geometry import MetricField
@@ -60,6 +56,17 @@ def test_identity_generators_are_coordinate_frame():
 
 def test_sphere_frame_reconstructs_identity():
     assert reconstruction_defect(SPHERE) <= 1e-12
+
+
+def stereographic_points(grid):
+    """Ambient unit-sphere positions of a 2d stereographic chart."""
+    if grid.dim != 2:
+        raise ShapeMismatch(f"stereographic chart must be 2d, got {grid.dim}d")
+    x1, x2 = grid.coords
+    s = 1.0 + x1**2 + x2**2
+    return np.stack(
+        [2.0 * x1 / s, 2.0 * x2 / s, (x1**2 + x2**2 - 1.0) / s], axis=-1
+    )
 
 
 def test_sphere_generators_match_ambient_projection():
@@ -204,30 +211,6 @@ def test_structure_functions_torsion_free():
     assert np.max(np.abs(skew - l_struct)) <= 1e-12 * scale
 
 
-def test_decompose_identity_frame_reads_components():
-    gens = build_generators(identity_embedding(GRID), FLAT)
-    u = random_section(GRID, 0, 2, seeded_rng(5, "decomp-id"))
-    w = covariant_derivative(u, BundleSpec(GRID, 2), FLAT)
-    comps = dict(decompose_tensor(w, gens))
-    assert set(comps) == {(1,), (2,)}
-    for k in (1, 2):
-        assert np.array_equal(comps[(k,)].values, w.values[..., k - 1, :])
-
-
-@pytest.mark.parametrize("rank", [1, 2])
-def test_decompose_reassemble_round_trip(rank):
-    rng = seeded_rng(13, f"decomp-{rank}")
-    metric = _conformal_metric(GRID)
-    emb = polar_isometrize(random_embedding(GRID, 4, rng), metric)
-    gens = build_generators(emb, metric)
-    w = random_section(GRID, rank, 2, rng)
-    comps = decompose_tensor(w, gens)
-    assert len(comps) == 4**rank
-    back = reassemble_tensor(comps, gens)
-    scale = max(1.0, np.max(np.abs(w.values)))
-    assert np.max(np.abs(back.values - w.values)) <= 1e-10 * scale
-
-
 def test_generator_norm_all_tuples_matches_multiindex_route():
     bundle = magnetic_example_bundle(GRID)
     gens = build_generators(identity_embedding(GRID), FLAT)
@@ -269,7 +252,8 @@ def test_generator_norm_tuple_variants_and_curvature_gap():
         v = contract_with_vector(covariant_derivative(v, bundle, FLAT), gens.z[..., first - 1, :])
         return v
 
-    r12 = curvature(bundle).apply(1, 2, u)
+    r = curvature(bundle).values[..., 0, 1, :, :]
+    r12 = TensorSection(GRID, 0, np.einsum("...ab,...b->...a", r, u.values), 2)
     gap = abs(
         lp_norm(chain(1, 2), 2, FLAT, bundle) - lp_norm(chain(2, 1), 2, FLAT, bundle)
     )
@@ -291,23 +275,3 @@ def test_graph_embedding_round_trip():
     framed = nabla_via_generators(u, gens, bundle, metric)
     scale = np.max(np.abs(direct.values))
     assert np.max(np.abs(framed.values - direct.values)) <= 1e-10 * scale
-
-
-def test_restriction_preserves_frame_values():
-    sub_emb = restrict_embedding(SPHERE_EMB, (16, 16), (48, 48))
-    sub_metric = MetricField(
-        sub_emb.grid, SPHERE_G.values[16:49, 16:49]
-    )
-    sub = build_generators(sub_emb, sub_metric)
-    assert np.max(np.abs(sub.z - SPHERE.z[16:49, 16:49])) <= 1e-13
-    assert np.max(np.abs(sub.xi - SPHERE.xi[16:49, 16:49])) <= 1e-13
-    # structure functions agree wherever both stencils are interior
-    inner = sub_emb.grid.interior_mask(sub_emb.grid.stencil_radius)
-    scale = max(1.0, np.max(np.abs(SPHERE.g_structure)))
-    diff = sub.g_structure - SPHERE.g_structure[16:49, 16:49]
-    assert np.max(np.abs(diff[inner])) <= 1e-11 * scale
-
-
-def test_restriction_bounds_validated():
-    with pytest.raises(ShapeMismatch):
-        restrict_embedding(SPHERE_EMB, (10, 10), (70, 20))

@@ -51,7 +51,7 @@ def test_l2_norm_matches_gaussian_integral():
 
 
 def test_zero_and_max_norms():
-    z = TensorSection.zeros(GRID, 0, 2)
+    z = TensorSection(GRID, 0, np.zeros(GRID.shape + (2,)), 2)
     assert lp_norm(z, 2, FLAT) == 0.0
     vals = np.zeros(GRID.shape + (1,), dtype=complex)
     vals[32, 32, 0] = 3.0
@@ -93,7 +93,7 @@ def test_homogeneity_and_triangle():
         nu = sobolev_norm(u, 1, p, BUNDLE, FLAT)
         scaled = TensorSection(GRID, 0, 2.5j * u.values, 2)
         assert sobolev_norm(scaled, 1, p, BUNDLE, FLAT) == pytest.approx(2.5 * nu)
-        w = u + v
+        w = TensorSection(GRID, 0, u.values + v.values, 2)
         assert sobolev_norm(w, 1, p, BUNDLE, FLAT) <= nu + sobolev_norm(
             v, 1, p, BUNDLE, FLAT
         ) + 1e-12
@@ -158,7 +158,7 @@ def test_covering_norm_single_box_and_bounds():
 
 
 def test_covering_norm_rejects_bad_coverings():
-    u = TensorSection.zeros(GRID, 0, 2)
+    u = TensorSection(GRID, 0, np.zeros(GRID.shape + (2,)), 2)
     with pytest.raises(EmptyCovering):
         covering_norm(u, [], 0, 2, BUNDLE, FLAT)
     small = [((-0.2, 0.2), (-0.2, 0.2))]
@@ -186,12 +186,14 @@ def test_lp_combine_scales_large_exponents():
 
 
 def test_lp_norm_at_large_exponent_tends_to_the_sup():
-    u = 10.0 * random_section(GRID, 0, 2, seeded_rng(9, "large-p"))
+    u = random_section(GRID, 0, 2, seeded_rng(9, "large-p"))
+    u = TensorSection(GRID, 0, 10.0 * u.values, 2)
     sup = lp_norm(u, math.inf, FLAT, BUNDLE)
     big = lp_norm(u, 2000, FLAT, BUNDLE)
     assert math.isfinite(big) and 0.0 < big
     assert big == pytest.approx(sup, rel=1e-2)
-    assert lp_norm(TensorSection.zeros(GRID, 0, 2), 2000, FLAT, BUNDLE) == 0.0
+    zero = TensorSection(GRID, 0, np.zeros(GRID.shape + (2,)), 2)
+    assert lp_norm(zero, 2000, FLAT, BUNDLE) == 0.0
 
 
 def test_lp_norm_region_ignores_larger_values_outside_it():
@@ -251,7 +253,7 @@ def test_perturbed_norm_check_random_skew_trials():
 
 
 def test_perturbed_norm_check_rejects_non_skew():
-    u = TensorSection.zeros(GRID, 0, 2)
+    u = TensorSection(GRID, 0, np.zeros(GRID.shape + (2,)), 2)
     bad = np.zeros(GRID.shape + (2, 2, 2), dtype=complex)
     bad[..., 0, 0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -300,7 +302,7 @@ def test_conformal_check_half_line_order_one():
 def test_conformal_check_requires_admissible_flag():
     grid, metric, bundle, _ = _half_line((65,))
     plain = WeightPair(grid, grid.coords[0].copy(), admissible=False)
-    u = TensorSection.zeros(grid, 0, 1)
+    u = TensorSection(grid, 0, np.zeros(grid.shape + (1,)), 1)
     with pytest.raises(NonadmissibleWeight):
         conformal_weighted_check(u, plain, 0, 2, bundle, metric)
 

@@ -1,0 +1,124 @@
+"""The package keeps no public function that the package itself never reaches.
+
+A static guard over src/nabla_calc/*.py: every public module-level
+function and every public method must be named, as an ast.Name or an
+ast.Attribute, somewhere in the package outside __init__.py and outside
+its own body.  An attribute of an imported module, such as np.zeros,
+names nothing in the package.  Re-exports in __init__.py and uses in
+tests do not count.
+The registered checks are reached through the CHECKS registry, and KEPT
+lists the few functions kept on purpose, each with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nabla_calc"
+
+KEPT = {
+    "levi_civita_difference": "closed form of the conformal Levi-Civita change, "
+    "a second route for Gamma",
+    "compatibility_defect": "metric compatibility of the connection, a second "
+    "route for the bundle potentials",
+    "skew_hermitian_defect": "curvature of a metric connection is skew-Hermitian, "
+    "a second route for curvature",
+    "generator_sobolev_norm": "the paper's equivalent W^{k,p} norm under (FFC), "
+    "a second route for sobolev_norm",
+    "bidiff_from_ops": "a bidifferential form built from two ladders, a second "
+    "route for eval_bidiff",
+    "partial": "the analytic derivatives of a bump, the reference for the "
+    "stencil tests",
+    "admissibility_bound": "the measured counterpart of WeightPair's admissible flag",
+}
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _is_registered(fn):
+    return any(
+        isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name) and dec.func.id == "register"
+        for dec in fn.decorator_list
+    )
+
+
+def _public_definitions(tree):
+    """(name, node) of each public module-level function and public method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            members = node.body
+        else:
+            members = [node]
+        for fn in members:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                if not _is_registered(fn):
+                    yield fn.name, fn
+
+
+def _imported_modules(tree):
+    """Names bound by plain imports, such as np: np.zeros is not a method of
+    the package, so it does not reach TensorSection.zeros."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+
+def _names_used(node, imported):
+    """Every identifier node names, as an ast.Name or as an ast.Attribute
+    not taken from an imported module."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and not (
+            isinstance(sub.value, ast.Name) and sub.value.id in imported
+        ):
+            yield sub.attr
+
+
+def unreached_names(modules):
+    """Public names defined in the package that nothing else in it names."""
+    used = {}
+    for filename, tree in modules.items():
+        if filename == "__init__.py":
+            continue
+        for name in _names_used(tree, _imported_modules(tree)):
+            used[name] = used.get(name, 0) + 1
+    unreached = set()
+    for tree in modules.values():
+        imported = _imported_modules(tree)
+        for name, fn in _public_definitions(tree):
+            own = sum(1 for n in _names_used(fn, imported) if n == name)
+            if used.get(name, 0) <= own:
+                unreached.add(name)
+    return unreached
+
+
+def test_every_public_function_is_reached_inside_the_package():
+    unreached = unreached_names(_modules()) - set(KEPT)
+    assert not unreached, (
+        "public functions that no check, CLI path or scenario reaches: "
+        f"{sorted(unreached)}"
+    )
+
+
+def test_every_kept_name_is_defined_and_otherwise_unreached():
+    # a kept name that a check adopts, or that is deleted, leaves the list
+    assert set(KEPT) <= unreached_names(_modules())
+    assert all(reason.strip() for reason in KEPT.values())
+
+
+def test_the_guard_sees_a_function_only_tests_would_call():
+    tree = ast.parse(
+        "import numpy as np\n\n"
+        "def used(x):\n    return np.zeros(x)\n\n"
+        "def zeros(x):\n    return x\n\n"
+        "def orphan(x):\n    return orphan(x)\n\n"
+        "class C:\n    def method(self):\n        return used(1)\n"
+        "    def _private(self):\n        return 0\n\n"
+        "@register('a-check')\ndef check_a(ctx, tolerance):\n    return C().method()\n"
+    )
+    assert unreached_names({"mod.py": tree}) == {"orphan", "zeros"}

@@ -11,7 +11,6 @@ from nabla_calc.reports import (
     NormRow,
     Report,
     emit_report,
-    read_report,
     report_payload,
 )
 
@@ -89,8 +88,9 @@ def test_runtime_stays_out_of_emitted_bytes(tmp_path):
 def test_json_round_trip(tmp_path):
     report = sample_report()
     (path,) = emit_report(report, tmp_path, fmt="json")
-    loaded = read_report(path)
-    assert report_payload(loaded) == report_payload(report)
+    with open(path) as fh:
+        loaded = json.load(fh)
+    assert loaded == report_payload(report)
 
 
 def test_csv_row_counts(tmp_path):
@@ -130,4 +130,5 @@ def test_infinities_survive_json(tmp_path):
     with open(path) as fh:
         raw = json.load(fh)
     assert raw["checks"][0]["measured"] == "inf"
-    assert read_report(path).checks[0].measured == float("inf")
+    assert raw == report_payload(report)
+    assert float(raw["checks"][0]["measured"]) == float("inf")
