@@ -16,43 +16,50 @@ import numpy as np
 STENCIL_RADIUS = {2: 1, 4: 2}
 
 
-# diff_axis works through u in slabs of about this many bytes, cut along the
-# axes before the differenced one, so the passes over a slab stay in a
-# core's L2 cache instead of streaming the whole array five times
+# diff_axis works through u in slabs of about this many bytes, so the passes
+# over a slab stay in a core's L2 cache instead of streaming the whole array
+# five times.  Every axis before the differenced one is first collapsed
+# into one leading axis, and slabs are cut along it: a grid-last section's
+# slot and fiber axes and the grid axes before the differenced one are cut
+# together, not one small slab per slot and fiber component
 _SLAB_BYTES = 1 << 18
 
 
-def _pair(u, axis, s, d):
-    """d = u[i+s] - u[i-s] along axis, with zero beyond the grid edge."""
-    lead = (slice(None),) * axis
-    np.subtract(
-        u[lead + (slice(2 * s, None),)],
-        u[lead + (slice(None, -2 * s),)],
-        out=d[lead + (slice(s, -s),)],
-    )
-    d[lead + (slice(None, s),)] = u[lead + (slice(s, 2 * s),)]
-    np.negative(u[lead + (slice(-2 * s, -s),)], out=d[lead + (slice(-s, None),)])
+def _pair(u, s, d):
+    """d = u[:, i+s] - u[:, i-s] along axis 1, with zero beyond the grid edge.
+
+    d is C-contiguous, so its flattened reshape is a view.  A C-contiguous
+    u runs as one shifted subtraction over the flattened arrays, so a short
+    last axis is not cut into one small loop per row; the entries within s
+    points of a grid edge, where that read a neighbouring row, are then
+    overwritten.  Any other u is read through slices, which copy nothing.
+    """
+    if u.flags.c_contiguous:
+        shift = s * (u.size // (u.shape[0] * u.shape[1]))
+        flat, out = u.reshape(-1), d.reshape(-1)
+        np.subtract(flat[2 * shift :], flat[: -2 * shift], out=out[shift:-shift])
+    else:
+        np.subtract(u[:, 2 * s :], u[:, : -2 * s], out=d[:, s:-s])
+    d[:, :s] = u[:, s : 2 * s]
+    np.negative(u[:, -2 * s : -s], out=d[:, -s:])
 
 
-def _slabs(shape, axis, itemsize):
-    """Index tuples that cut an array into slabs along the axes before axis."""
-    if axis == 0 or itemsize * math.prod(shape) <= _SLAB_BYTES:
-        return [()]
-    cut = axis - 1
-    row = itemsize * math.prod(shape[cut + 1 :])
-    step = max(1, _SLAB_BYTES // row)
-    return [
-        tuple(slice(i, i + 1) for i in outer) + (slice(s, s + step),)
-        for outer in np.ndindex(*shape[:cut])
-        for s in range(0, shape[cut], step)
-    ]
+def _slabs(shape, itemsize):
+    """Slices of the leading axis of a (lead, points, ..) array, each slab
+    about _SLAB_BYTES."""
+    step = max(1, _SLAB_BYTES // (itemsize * math.prod(shape[1:])))
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
 
 
-def diff_axis(u: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
+def diff_axis(
+    u: np.ndarray, axis: int, h: float, order: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Central difference of u along one axis, zero beyond the grid edge.
 
-    Works for any array rank; the axis is a grid axis, trailing axes are
-    slots/fiber components and ride along.  Every entry takes the same
+    Works for any array rank and either layout: the axis is a grid axis,
+    the others ride along.  The result is written into out when given (a
+    C-contiguous array of u's shape, such as one direction's block of a
+    covariant derivative) and returned.  Every entry takes the same
     operations whatever the slab it falls in.
     """
     if order not in STENCIL_RADIUS:
@@ -65,19 +72,28 @@ def diff_axis(u: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
             f"{2 * STENCIL_RADIUS[order] + 1}"
         )
     axis %= u.ndim
+    if out is None:
+        out = np.empty(u.shape, dtype=u.dtype)
+    elif out.shape != u.shape or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous array of shape {u.shape}, got shape "
+            f"{out.shape}"
+        )
+    shape = (math.prod(u.shape[:axis]),) + u.shape[axis:]
+    src = u.reshape(shape)
+    dst = out.reshape(shape)  # a view: out is C-contiguous
     inv_h = 1.0 / h
-    out = np.empty_like(u)
     far = None
-    for slab in _slabs(u.shape, axis, u.itemsize):
-        piece, near = u[slab], out[slab]
-        _pair(piece, axis, 1, near)
+    for slab in _slabs(shape, u.itemsize):
+        piece, near = src[slab], dst[slab]
+        _pair(piece, 1, near)
         if order == 2:
             near *= 0.5 * inv_h
             continue
         near *= (8.0 / 12.0) * inv_h
         if far is None or far.shape != piece.shape:
-            far = np.empty_like(piece)
-        _pair(piece, axis, 2, far)
+            far = np.empty(piece.shape, dtype=piece.dtype)
+        _pair(piece, 2, far)
         far *= (1.0 / 12.0) * inv_h
         near -= far
     return out

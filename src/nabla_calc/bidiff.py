@@ -93,17 +93,17 @@ def eval_bidiff(spec, u, w):
     depth_u = max((i for i, _ in spec.coefficients), default=0)
     depth_w = max((j for _, j in spec.coefficients), default=0)
     us = [
-        v.values.reshape(grid.shape + (-1,))
+        v.values.reshape((-1,) + grid.shape)
         for v in tower(u, spec.source, spec.metric, depth_u)
     ]
     ws = [
-        v.values.reshape(grid.shape + (-1,))
+        v.values.reshape((-1,) + grid.shape)
         for v in tower(w, spec.cosource, spec.metric, depth_w)
     ]
     out = np.zeros(grid.shape, dtype=complex)
     for (i, j), a in spec.coefficients.items():
-        moved = np.einsum("...ae,...e->...a", a, us[i])
-        out += np.einsum("...a,...a->...", moved, np.conj(ws[j]))
+        moved = grid_einsum("...ae,e...->a...", a, us[i])
+        out += np.einsum("a...,a...->...", moved, np.conj(ws[j]))
     return out
 
 
@@ -150,7 +150,7 @@ def dirichlet_form(spec, u, w, metric=None):
 def l2_pairing(v, w, bundle, metric):
     """L2 inner product of sections with the fiber metric, conjugating w."""
     h = bundle.fiber_metric
-    density = grid_einsum("...ab,...a,...b->...", h, v.values, np.conj(w.values))
+    density = grid_einsum("...ab,a...,b...->...", h, v.values, np.conj(w.values))
     return complex(metric.grid.integrate(density * metric.sqrt_det))
 
 
@@ -278,8 +278,8 @@ def weighted_duality_check(spec, weight, u, w, p=2.0, gens=None):
         twisted,
         spec.coefficient_class,
     )
-    u0 = TensorSection(grid, 0, u.values / s_u[..., None], d_e)
-    w0 = TensorSection(grid, 0, w.values / s_w[..., None], d_f)
+    u0 = TensorSection(grid, 0, u.values / s_u, d_e)
+    w0 = TensorSection(grid, 0, w.values / s_w, d_f)
     pair_weighted = dirichlet_form(spec, u, w)
     metric0 = conformal_rescale(metric, weight.rho)
     pair_rescaled = dirichlet_form(spec0, u0, w0, metric=metric0)

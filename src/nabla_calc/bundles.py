@@ -12,9 +12,14 @@ broadcasts the stored copy over the grid as it is; potentials is a
 read-only broadcast of it to the full grid + (n, d, d).  The fiber metric
 follows the same rule: the default is the (1, .., 1, d, d) identity.
 
-Sections of T*M^{tensor r} (x) E are arrays values[idx, i_1..i_r, a] with
-slot axes between the grid axes and the fiber axis; new covariant slots
-are always prepended leftmost.
+Sections of T*M^{tensor r} (x) E are stored grid-last: C-contiguous arrays
+values[i_1..i_r, a, idx] with the slot axes first, then the fiber axis,
+then the grid axes; new covariant slots are always prepended leftmost.
+Every other field (metric, Christoffel symbols, potentials, fiber metric,
+ladder and form coefficients, frames, vector fields) keeps its index
+axes trailing, grid-first, and a product of such a field with a section
+is one grid_einsum with the ellipsis leading on the field and trailing on
+the section, so the section is never copied to meet the field.
 
 Only a plain BundleSpec holds potentials.  The derived bundle
 T*M^{tensor s} (x) E is an InducedBundle that records E and s, and every
@@ -60,29 +65,35 @@ def grid_first(x, g):
 
 
 def grid_einsum(script, *operands):
-    """np.einsum of grid-first subscripts, run with the grid innermost.
+    """np.einsum run with the grid innermost, on operands of either layout.
 
-    Every term of script leads with the grid ellipsis, as in
-    "...im,...ki->...mk".  An operand with axes beyond its letters is a
-    grid field: its grid axes are moved last, C-contiguous.  An operand
-    with no such axes is a constant and is passed as it is.  The same
-    subscripts then run with the ellipsis trailing, and the result comes
-    back grid-first, as a view.  Every product is the grid-first one, but a
-    sum over more than one index may be accumulated in another order and
-    round differently.
+    Every term of script carries the grid ellipsis at one end: leading, as
+    in "...ab", for a grid-first field (a metric, a potential, a
+    coefficient, a frame), or trailing, as in "b...", for a grid-last array
+    such as a section's values.  A grid-first operand with axes beyond its
+    letters is moved grid-last, C-contiguous; one with no such axes is a
+    constant and is passed as it is, and so is every grid-last operand,
+    never copied.  The subscripts then run with the ellipsis trailing.  The
+    result is grid-last when the output term ends with the ellipsis and a
+    grid-first view when it leads with it.  Every product is the grid-first
+    one, but a sum over more than one index may be accumulated in another
+    order and round differently.
     """
     inputs, output = script.split("->")
     terms = inputs.split(",") + [output]
-    if not all(t.startswith("...") for t in terms):
-        raise ValueError(f"every term of {script!r} must lead with '...'")
+    if not all(t.startswith("...") or t.endswith("...") for t in terms):
+        raise ValueError(f"every term of {script!r} must lead or end with '...'")
     moved = []
     g = 0
     for term, x in zip(terms, operands):
         lead = x.ndim - (len(term) - 3)
         g = max(g, lead)
-        moved.append(np.ascontiguousarray(np.moveaxis(x, range(lead), range(-lead, 0))))
-    trailing = ",".join(t[3:] + "..." for t in terms[:-1]) + "->" + output[3:] + "..."
-    return grid_first(np.einsum(trailing, *moved), g)
+        if term.startswith("..."):
+            x = np.ascontiguousarray(np.moveaxis(x, range(lead), range(-lead, 0)))
+        moved.append(x)
+    trailing = ",".join(t.strip(".") + "..." for t in terms[:-1])
+    out = np.einsum(trailing + "->" + output.strip(".") + "...", *moved)
+    return grid_first(out, g) if output.startswith("...") else out
 
 
 def check_grid_shape(shape, grid, tail, what):
@@ -199,16 +210,23 @@ def compatibility_defect(bundle):
 
 
 class TensorSection:
-    """Section of T*M^{tensor rank} (x) E as a complex grid array."""
+    """Section of T*M^{tensor rank} (x) E as a complex grid-last array,
+    values[i_1..i_rank, a, idx].
+
+    Every section the package builds is C-contiguous, and the derivative
+    tower keeps it so; the one exception is the grid-last view through
+    which the Hom-field sup norms measure a grid-first level, which is
+    never stored or differentiated.
+    """
 
     def __init__(self, grid, rank, values, fiber_dim):
         values = np.asarray(values, dtype=complex)
         n = grid.dim
-        expected = grid.shape + (n,) * rank + (fiber_dim,)
+        expected = (n,) * rank + (fiber_dim,) + grid.shape
         if values.shape != expected:
             raise ShapeMismatch(
                 f"section values {values.shape} do not match expected {expected} "
-                f"(rank {rank}, fiber {fiber_dim})"
+                f"(rank {rank}, fiber {fiber_dim}, grid axes last)"
             )
         self.grid = grid
         self.rank = int(rank)
@@ -258,7 +276,7 @@ def induced_tensor_bundle(bundle, metric, slots):
 
     The fiber metric is the tensor of inverse-metric factors with the fiber
     metric, on the fiber flattened slot-major: a rank-r section's values
-    reshaped to grid + (n^r * d,), slot axes before the fiber axis.  The
+    reshaped to (n^r * d,) + grid, slot axes before the fiber axis.  The
     lift of an induced bundle is built from E with the slots added, all
     over this metric, and its fiber metric has the shape the metric and
     E's fiber metric vary over together.

@@ -6,17 +6,21 @@ The covariant derivative adds one cotangent slot, always prepended leftmost:
                                 - sum_s Gamma^m_{y i_s} u[.. m .., a]
                                 + A_y[a, b] u[i_1.., b]
 
-A multi-index derivative nabla_(i_1..i_r) is the (i_1..i_r) component of the
-r-fold covariant derivative, so Christoffel terms act on the accumulated
-cotangent slots while they are alive.  On a constant metric this reduces to
-composing directional derivatives right-to-left, on one copy of the
-section with the grid axes last, so every connection product runs with the
-grid innermost; same sums, same bits.  Entries are 1-based.
+Sections are grid-last (bundles.TensorSection), and every step of the
+tower runs in that one layout: each direction's difference is written
+straight into its contiguous block of the result
+(ChartGrid.section_diff), and the potential products run with the grid
+innermost on the stored arrays, so no section is copied.  The one layout
+copy a step makes is of a field: a grid-first Christoffel field is moved
+grid-last once per step of rank >= 1, for all its slots.  A multi-index derivative nabla_(i_1..i_r) is the
+(i_1..i_r) component of the r-fold covariant derivative, so Christoffel
+terms act on the accumulated cotangent slots while they are alive.  On a
+constant metric this reduces to composing directional derivatives
+right-to-left, which gives the same bits.  Entries are 1-based.
 """
 
 import numpy as np
 
-from ._kernels import diff_axis
 from .bundles import TensorSection, grid_einsum, grid_first, grid_last
 from .errors import ChartMismatch, ShapeMismatch
 
@@ -37,65 +41,68 @@ def _check_context(u, bundle, metric):
 
 
 def _gamma_slot_sum(gamma, values, rank):
-    """Sum over the slots of a rank >= 1 section of the Christoffel action.
+    """Sum over the slots of a rank >= 1 grid-last array of the Christoffel
+    action.
 
-    The whole Gamma[..., m, y, l] field is contracted, so the result carries
-    the new direction axis y.
+    The whole grid-first Gamma[..., m, y, l] field is contracted, so the
+    result carries the new direction axis y in front.  Gamma is moved
+    grid-last once, for every slot.
     """
+    gamma = grid_last(gamma, gamma.ndim - 3)
     letters = _SLOTS[:rank]
     total = None
     for s in range(rank):
         u_sub = letters[:s] + "m" + letters[s + 1 :]
         term = np.einsum(
-            f"...my{letters[s]},...{u_sub}z->...y{letters}z", gamma, values
+            f"my{letters[s]}...,{u_sub}z...->y{letters}z...", gamma, values
         )
         total = term if total is None else total + term
     return total
 
 
 def covariant_derivative(u, bundle, metric, check_support=True):
-    """One covariant derivative; result has rank r+1 with the new slot first."""
+    """One covariant derivative; result has rank r+1 with the new slot first.
+
+    The result is allocated once: direction k's difference is written into
+    its block parts[k], and the potential product of each live direction
+    is added there in place.
+    """
     _check_context(u, bundle, metric)
     grid = u.grid
     if bundle.base is not None:
         # the induced connection is the base's with -Gamma on every slot of
         # the fiber: unfold those slots and differentiate over the base
         base = bundle.base
-        shape = u.values.shape[:-1] + (grid.dim,) * bundle.slots + (base.fiber_dim,)
-        unfolded = u.values.reshape(shape)
-        v = TensorSection(grid, u.rank + bundle.slots, unfolded, base.fiber_dim)
+        r = u.rank + bundle.slots
+        unfolded = u.values.reshape((grid.dim,) * r + (base.fiber_dim,) + grid.shape)
+        v = TensorSection(grid, r, unfolded, base.fiber_dim)
         vals = covariant_derivative(v, base, metric, check_support).values
-        shape = vals.shape[: u.values.ndim] + (u.fiber_dim,)
-        return TensorSection(grid, u.rank + 1, vals.reshape(shape), u.fiber_dim)
+        folded = vals.reshape((grid.dim,) * (u.rank + 1) + (u.fiber_dim,) + grid.shape)
+        return TensorSection(grid, u.rank + 1, folded, u.fiber_dim)
     n = grid.dim
     r = u.rank
+    vals = u.values
     if check_support:
-        grid.check_support(u.values, grid.stencil_radius)
-    parts = np.stack(
-        [grid.diff(u.values, axis=k) for k in range(n)], axis=grid.dim
-    )
+        grid.check_support(vals, grid.stencil_radius)
+    parts = np.empty((n,) + vals.shape, dtype=complex)
+    for k in range(n):
+        grid.section_diff(vals, k, out=parts[k])
     letters = _SLOTS[:r]
     if r > 0 and metric.christoffel.shape[:n] == grid.shape:
-        parts -= _gamma_slot_sum(metric.christoffel, u.values, r)
-    if bundle.live:
-        u_last = grid_last(u.values, grid.dim)
-        for y in bundle.live:
-            term = np.einsum(
-                f"ab...,{letters}b...->{letters}a...",
-                bundle.potentials_grid_last[y],
-                u_last,
-            )
-            parts[(slice(None),) * grid.dim + (y,)] += grid_first(term, grid.dim)
+        parts -= _gamma_slot_sum(metric.christoffel, vals, r)
+    for y in bundle.live:
+        parts[y] += np.einsum(
+            f"ab...,{letters}b...->{letters}a...",
+            bundle.potentials_grid_last[y],
+            vals,
+        )
     return TensorSection(grid, r + 1, parts, u.fiber_dim)
 
 
 def _coordinate_directional(vals, axis, rank, bundle):
-    """nabla along one coordinate direction of a constant metric, rank kept.
-
-    vals is a grid-last array, slots + (d,) + grid, and so is the result.
-    """
-    grid = bundle.grid
-    out = diff_axis(vals, axis - grid.dim, grid.h[axis], grid.fd_order)
+    """nabla along one coordinate direction of a constant metric, rank kept,
+    on a section's grid-last values."""
+    out = bundle.grid.section_diff(vals, axis)
     if axis in bundle.live:
         letters = _SLOTS[:rank]
         out += np.einsum(
@@ -135,8 +142,9 @@ def multiindex_derivative(u, idx, bundle, metric):
     alive (and receive Christoffel corrections) until the final extraction,
     and one tower serves the whole list.  On a constant metric and a plain
     bundle the cheaper directional composition is identical: it runs on
-    one grid-last copy of u, multi-indices that end in the same steps
-    share them, and each step is freed once no remaining index needs it.
+    u's values, multi-indices that end in the same steps share them, and
+    each step is freed once no remaining index needs it.  Every result is
+    C-contiguous.
     """
     _check_context(u, bundle, metric)
     grid = u.grid
@@ -147,16 +155,12 @@ def multiindex_derivative(u, idx, bundle, metric):
         grid.check_support(u.values, depth * grid.stencil_radius)
     out = [None] * len(idxs)
     if metric.christoffel.shape[: grid.dim] != grid.shape and bundle.base is None:
-        # passed on, not held here, so the walk can drop the copy
-        _directional_walk(
-            grid_last(u.values, grid.dim), 0, range(len(idxs)), idxs, u, bundle, out
-        )
+        _directional_walk(u.values, 0, range(len(idxs)), idxs, u, bundle, out)
     else:
         for j, level in enumerate(tower(u, bundle, metric, depth)):
             for pos, i in enumerate(idxs):
                 if len(i) == j:
-                    sel = (slice(None),) * grid.dim + tuple(k - 1 for k in i)
-                    vals = level.values[sel].copy()
+                    vals = level.values[tuple(k - 1 for k in i)].copy()
                     out[pos] = TensorSection(grid, u.rank, vals, u.fiber_dim)
     return out if many else out[0]
 
@@ -164,17 +168,18 @@ def multiindex_derivative(u, idx, bundle, metric):
 def _directional_walk(vals, depth, members, idxs, u, bundle, out):
     """Fill out[pos] for the members, whose last `depth` steps made vals.
 
-    vals is grid-last.  The members are grouped by their next step from
-    the right; every group but the last recurses, and the last continues
-    here, so vals is dropped as soon as its last step is taken.
+    The members are grouped by their next step from the right; every group
+    but the last recurses, and the last continues here, so vals is dropped
+    as soon as its last step is taken.
     """
     grid = u.grid
     while True:
         groups = {}
         for pos in members:
             if len(idxs[pos]) == depth:
-                first = grid_first(vals, grid.dim)
-                out[pos] = TensorSection(grid, u.rank, first, u.fiber_dim)
+                # an empty multi-index gets a copy of u, as from the tower
+                own = vals if depth else vals.copy()
+                out[pos] = TensorSection(grid, u.rank, own, u.fiber_dim)
             else:
                 groups.setdefault(idxs[pos][-1 - depth], []).append(pos)
         if not groups:
@@ -199,7 +204,7 @@ def contract_with_vector(u, X):
             f"vector field shape {X.shape} does not match grid {u.grid.shape}"
         )
     letters = _SLOTS[: u.rank - 1]
-    vals = grid_einsum(f"...k,...k{letters}z->...{letters}z", X, u.values)
+    vals = grid_einsum(f"...k,k{letters}z...->{letters}z...", X, u.values)
     return TensorSection(u.grid, u.rank - 1, vals, u.fiber_dim)
 
 
@@ -287,7 +292,6 @@ def formal_adjoint_directional(X, bundle, metric):
 
     def adjoint(u):
         der = directional_derivative(u, X, bundle, metric)
-        div = div_x.reshape(div_x.shape + (1,) * (u.values.ndim - div_x.ndim))
-        return TensorSection(u.grid, u.rank, -der.values - div * u.values, u.fiber_dim)
+        return TensorSection(u.grid, u.rank, -der.values - div_x * u.values, u.fiber_dim)
 
     return adjoint

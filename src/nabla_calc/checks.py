@@ -26,7 +26,6 @@ from .bundles import (
     BundleSpec,
     TensorSection,
     grid_einsum,
-    grid_first,
     grid_last,
     magnetic_phase,
 )
@@ -245,32 +244,33 @@ def _closed_form_second_derivatives(grid, xi, phase, conj_phase, slope):
     a flat chart, keyed by multi-index; slope = 3i x1^2 is the factor that
     d_1 brings down from the phase.
 
-    The section's own derivatives are rendered with the grid stencils; only
-    the potential's derivative uses its analytic form.
+    xi is a section's grid-last values.  The section's own derivatives are
+    rendered with the grid stencils; only the potential's derivative uses
+    its analytic form.
     """
-    d1 = grid.diff(xi, 0)
-    d2 = grid.diff(xi, 1)
+    d1 = grid.section_diff(xi, 0)
+    d2 = grid.section_diff(xi, 1)
 
     def swap(v, top, bottom):
         """The fiber vector (top v_2, bottom v_1); A_2 v = swap(v, phase,
         -conj_phase)."""
         out = np.empty_like(v)
-        np.multiply(top, v[..., 1], out=out[..., 0])
-        np.multiply(bottom, v[..., 0], out=out[..., 1])
+        np.multiply(top, v[1], out=out[0])
+        np.multiply(bottom, v[0], out=out[1])
         return out
 
     # each form is summed in place, term by term in its displayed order
     a2_d1 = swap(d1, phase, -conj_phase)
     da2_xi = swap(xi, phase, conj_phase)
     np.multiply(slope, da2_xi, out=da2_xi)
-    f12 = grid.diff(d2, 0)
+    f12 = grid.section_diff(d2, 0)
     f12 += da2_xi
     f12 += a2_d1
     del da2_xi
-    f21 = grid.diff(d1, 1)
+    f21 = grid.section_diff(d1, 1)
     f21 += a2_d1
     del a2_d1, d1
-    f22 = grid.diff(d2, 1)
+    f22 = grid.section_diff(d2, 1)
     a2_d2 = swap(d2, phase, -conj_phase)
     np.multiply(2, a2_d2, out=a2_d2)
     f22 += a2_d2
@@ -308,7 +308,7 @@ def check_multiindex_formulas(ctx, tolerance, trials=20):
     x1 = ctx.grid.axes[0][:, None]
     phase = magnetic_phase(ctx.grid)
     conj_phase = np.conj(phase)
-    slope = 3j * x1[..., None] ** 2
+    slope = 3j * x1**2
     worst = 0.0
     for trial in range(trials):
         worst = strict_max(
@@ -321,25 +321,29 @@ def _leibniz_error(ctx, trial):
     """One trial of leibniz-rule, one direction k at a time, grid axes last:
     nabla_k a = d_k a + A_k a - a A_k, skipped products on a dead k, and
     rhs_k = (nabla_k a) u + a (nabla u)_k.  The field and its first
-    partials share one phase per wave.  The grid-first u is dropped once
-    its grid-last copy exists, and each direction's temporaries are freed
-    before the next direction makes its own."""
+    partials share one phase per wave, and each is copied grid-last, to
+    meet the sections, before any section exists; each direction's
+    temporaries are freed before the next direction makes its own."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     n = grid.dim
     pots = ctx.bundle.potentials_grid_last
     a_field = random_trig_field(n, (d, d), _rng(ctx, "leibniz-rule", trial))
-    a, *partials = a_field.sample(grid, [()] + [(k,) for k in range(n)])
+    fields = a_field.sample(grid, [()] + [(k,) for k in range(n)])
+    for i, field in enumerate(fields):
+        fields[i] = grid_last(field, n)
+    del field
+    a, *partials = fields
+    del fields
     u = random_section(grid, 0, d, _rng(ctx, "leibniz-section", trial))
-    au = TensorSection(grid, 0, np.einsum("...ab,...b->...a", a, u.values), d)
+    au = TensorSection(grid, 0, np.einsum("ab...,b...->a...", a, u.values), d)
     lhs = covariant_derivative(au, ctx.bundle, ctx.metric).values
     del au
-    grad_u = grid_last(covariant_derivative(u, ctx.bundle, ctx.metric).values, n)
-    a = grid_last(a, n)
-    u = grid_last(u.values, n)
+    grad_u = covariant_derivative(u, ctx.bundle, ctx.metric).values
+    u = u.values
     err = 0.0
     for k in range(n):
-        nabla_a = grid_last(partials[k], n)
+        nabla_a = partials[k]
         partials[k] = None
         if k in ctx.bundle.live:
             nabla_a += np.einsum("ab...,bc...->ac...", pots[k], a)
@@ -347,7 +351,7 @@ def _leibniz_error(ctx, trial):
         rhs = np.einsum("ab...,b...->a...", nabla_a, u)
         del nabla_a
         rhs += np.einsum("ab...,b...->a...", a, grad_u[k])
-        diff = lhs[..., k, :] - grid_first(rhs, n)
+        diff = lhs[k] - rhs
         del rhs
         err = strict_max(err, float(np.max(np.abs(diff))))
         del diff
@@ -365,7 +369,7 @@ def check_leibniz_rule(ctx, tolerance, trials=5):
 
 def _commutator_error(ctx, trial, blocks, pairs):
     """One trial of curvature-commutator over every direction pair; blocks
-    holds the grid + (d, d) curvature R_kl of each pair."""
+    holds the curvature R_kl of each pair, grid-last as (d, d) + grid."""
     rng = _rng(ctx, "curvature-commutator", trial)
     u = random_section(ctx.grid, 0, ctx.bundle.fiber_dim, rng)
     idxs = [idx for k, l in pairs for idx in ((k, l), (l, k))]
@@ -374,7 +378,7 @@ def _commutator_error(ctx, trial, blocks, pairs):
     for r_kl, kl, lk in zip(blocks, terms[::2], terms[1::2]):
         lhs = kl.values - lk.values
         # R_kl acting pointwise on the fiber of a rank-0 section
-        rhs = np.einsum("...ab,...b->...a", r_kl, u.values)
+        rhs = np.einsum("ab...,b...->a...", r_kl, u.values)
         scale = max(
             float(np.max(np.abs(rhs))), float(np.max(np.abs(u.values))), _TINY
         )
@@ -386,12 +390,13 @@ def _commutator_error(ctx, trial, blocks, pairs):
 def check_curvature_commutator(ctx, tolerance, trials=5):
     """(nabla_kl - nabla_lk) u = R_kl u on every direction pair.
 
-    Only the R_kl blocks of the pairs k < l are kept across the trials;
-    the full (n, n, d, d) curvature field is freed once they are copied.
+    Only the R_kl blocks of the pairs k < l are kept across the trials,
+    copied grid-last to meet the sections; the full (n, n, d, d) curvature
+    field is freed once they are copied.
     """
     pairs = list(itertools.combinations(range(1, ctx.grid.dim + 1), 2))
     r = curvature(ctx.bundle).values
-    blocks = [r[..., k - 1, l - 1, :, :].copy() for k, l in pairs]
+    blocks = [grid_last(r[..., k - 1, l - 1, :, :], ctx.grid.dim) for k, l in pairs]
     del r
     worst = 0.0
     for trial in range(trials):

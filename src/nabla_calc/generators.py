@@ -197,8 +197,8 @@ def nabla_via_generators(u, gens, bundle, metric):
     out = np.zeros(full.values.shape, dtype=complex)
     for j in range(gens.n_gens):
         der = contract_with_vector(full, gens.z[..., j, :])
-        out += np.einsum(
-            f"...y,...{letters}a->...y{letters}a", gens.xi[..., j, :], der.values
+        out += grid_einsum(
+            f"...y,{letters}a...->y{letters}a...", gens.xi[..., j, :], der.values
         )
     return TensorSection(u.grid, u.rank + 1, out, u.fiber_dim)
 

@@ -82,12 +82,22 @@ class ChartGrid:
         )
 
     def diff(self, values, axis):
-        """Central difference of a grid array along one grid axis."""
+        """Central difference of a grid-first field along one grid axis."""
         if values.shape[: self.dim] != self.shape:
             raise ShapeMismatch(
                 f"array shape {values.shape} does not start with grid shape {self.shape}"
             )
         return diff_axis(values, axis, self.h[axis], self.fd_order)
+
+    def section_diff(self, values, axis, out=None):
+        """Central difference of a section's grid-last values along one grid
+        axis, written into out when given (a C-contiguous array of their
+        shape) and returned."""
+        if values.shape[values.ndim - self.dim :] != self.shape:
+            raise ShapeMismatch(
+                f"array shape {values.shape} does not end with grid shape {self.shape}"
+            )
+        return diff_axis(values, axis - self.dim, self.h[axis], self.fd_order, out=out)
 
     def band_mask(self, layers):
         """Boolean mask, True on the outermost `layers` grid layers."""
@@ -119,16 +129,23 @@ class ChartGrid:
         return values
 
     def check_support(self, values, layers, what="section"):
-        """Raise SupportViolation unless values vanish on the band."""
+        """Raise SupportViolation unless a section's grid-last values vanish
+        on the band, read as the 2 * dim slabs at the grid's edges."""
         if layers > self.support_margin:
             raise SupportViolation(
                 f"{what} needs {layers} margin layers but the grid declares "
                 f"{self.support_margin}"
             )
-        band = self.band_mask(layers)
-        flat = values.reshape(self.shape + (-1,))
-        if np.any(flat[band] != 0):
-            worst = float(np.max(np.abs(flat[band])))
+        if layers <= 0:
+            return
+        g = self.dim
+        slabs = [
+            values[(Ellipsis, edge) + (slice(None),) * (g - 1 - k)]
+            for k in range(g)
+            for edge in (slice(None, layers), slice(-layers, None))
+        ]
+        if any(np.any(slab != 0) for slab in slabs):
+            worst = float(np.max([np.max(np.abs(slab)) for slab in slabs]))
             raise SupportViolation(
                 f"{what} must vanish on the outer {layers} grid layers; "
                 f"max magnitude there is {worst:.3e}"

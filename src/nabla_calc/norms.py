@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .bundles import TensorSection, is_identity
+from .bundles import TensorSection, grid_einsum, grid_last, is_identity
 from .calculus import tower
 from .errors import (
     ChartMismatch,
@@ -31,27 +31,34 @@ def _fiber_metric_of(bundle, fiber_dim):
 
 
 def pointwise_norm_sq(u, metric, bundle=None):
-    """|u(x)|^2 with g^{-1} on every slot and the fiber metric on the fiber."""
+    """|u(x)|^2 with g^{-1} on every slot and the fiber metric on the fiber.
+
+    The section is grid-last, so the sums run over its leading slot and
+    fiber axes with the grid innermost; g^{-1} is moved grid-last once,
+    for every slot.
+    """
     r = u.rank
     if r > len(_UL):
         raise ShapeMismatch(f"pointwise norms support rank <= {len(_UL)}, got {r}")
     h = _fiber_metric_of(bundle, u.fiber_dim)
     g = u.grid.dim
+    vals = u.values
     if metric.values.shape[:g] == (1,) * g and is_identity(h):
         if r == 0 or is_identity(metric.inv):
-            vals = u.values
-            return np.sum(vals.real**2 + vals.imag**2, axis=tuple(range(g, vals.ndim)))
+            sq = vals.real**2
+            sq += vals.imag**2
+            return np.sum(sq, axis=tuple(range(r + 1)))
     ul, vl = _UL[:r], _VL[:r]
-    script = f"...{ul}y,...{vl}z"
-    args = [u.values, np.conj(u.values)]
+    script = f"{ul}y...,{vl}z..."
+    args = [vals, np.conj(vals)]
     if r > 0:
-        ginv = metric.inv
+        ginv = grid_last(metric.inv, g)
         for k in range(r):
-            script += f",...{ul[k]}{vl[k]}"
+            script += f",{ul[k]}{vl[k]}..."
             args.append(ginv)
     script += ",...yz->..."
     args.append(h)
-    out = np.einsum(script, *args).real
+    out = grid_einsum(script, *args).real
     return np.maximum(out, 0.0)
 
 
@@ -128,15 +135,12 @@ def weighted_sobolev_norm(u, s, p, weight, bundle, metric):
     p = _check_p(p)
     if weight.grid != u.grid:
         raise ChartMismatch("weight and section live on different grids")
-    pad = (1,) * (u.values.ndim - u.grid.dim)
-    f0 = weight.f0.reshape(weight.f0.shape + pad)
-    v = TensorSection(u.grid, u.rank, u.values / f0, u.fiber_dim)
+    # the grid-last values broadcast against the grid-shaped f0 and rho
+    v = TensorSection(u.grid, u.rank, u.values / weight.f0, u.fiber_dim)
     u.grid.check_support(v.values, s * u.grid.stencil_radius)
     terms = []
     for j, d in enumerate(tower(v, bundle, metric, s)):
-        pad = (1,) * (d.values.ndim - u.grid.dim)
-        rho_j = (weight.rho**j).reshape(weight.rho.shape + pad)
-        scaled = TensorSection(u.grid, d.rank, rho_j * d.values, d.fiber_dim)
+        scaled = TensorSection(u.grid, d.rank, weight.rho**j * d.values, d.fiber_dim)
         terms.append(lp_norm(scaled, p, metric, bundle))
     return _lp_combine(terms, p)
 
@@ -281,8 +285,7 @@ def conformal_weighted_check(u, weight, ell, p, bundle, metric, bound=1.05):
     grid = u.grid
     n = grid.dim
     exp = 0.0 if math.isinf(p) else n / p
-    pad = (1,) * (u.values.ndim - grid.dim)
-    twist = (weight.rho**exp / weight.f0).reshape(grid.shape + pad)
+    twist = weight.rho**exp / weight.f0
     twisted = TensorSection(grid, u.rank, twist * u.values, u.fiber_dim)
     g0 = weight.rescaled_metric(metric)
     weighted = weighted_sobolev_norm(u, ell, p, weight, bundle, metric)

@@ -30,7 +30,7 @@ from .bundles import (
     induced_tensor_bundle,
     pointwise_kron,
 )
-from .calculus import _gamma_slot_sum, covariant_derivative, curvature, tower
+from .calculus import _SLOTS, covariant_derivative, curvature, tower
 from .errors import ChartMismatch, ShapeMismatch
 from .norms import (
     equivalence_constant,
@@ -178,21 +178,29 @@ def apply_nabla_op(spec, u):
     _check_rank0(
         u, grid, spec.source, spec.order, "operator and section", "operator eats rank-0 sections"
     )
-    out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
+    out = np.zeros((spec.target.fiber_dim,) + grid.shape, dtype=complex)
     levels = tower(u, spec.source, spec.metric, spec.order)
     for a, v in zip(spec.coefficients, levels):
         if a is not None:
-            flat = v.values.reshape(grid.shape + (-1,))
-            out += np.einsum("...gk,...k->...g", a, flat)
+            flat = v.values.reshape((-1,) + grid.shape)
+            out += grid_einsum("...gk,k...->g...", a, flat)
     return TensorSection(grid, 0, out, spec.target.fiber_dim)
 
 
 def _slot_action(gamma, a, slots):
-    """The Christoffel sum on the leading `slots` slot axes of a's rows."""
+    """The Christoffel sum on the leading `slots` slot axes of the rows of
+    the grid-first Hom field a."""
     lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
     n = gamma.shape[-1]
     vals = a.reshape(lead + (n,) * slots + (rows // n**slots * cols,))
-    total = _gamma_slot_sum(gamma, vals, slots)
+    letters = _SLOTS[:slots]
+    total = None
+    for s in range(slots):
+        u_sub = letters[:s] + "m" + letters[s + 1 :]
+        term = np.einsum(
+            f"...my{letters[s]},...{u_sub}z->...y{letters}z", gamma, vals
+        )
+        total = term if total is None else total + term
     return total.reshape(total.shape[: len(lead)] + (n, rows, cols))
 
 
@@ -415,14 +423,14 @@ def apply_mixed_op(spec, u, gens=None):
     _check_rank0(
         u, grid, spec.source, spec.order, "operator and section", "operator eats rank-0 sections"
     )
-    out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
+    out = np.zeros((spec.target.fiber_dim,) + grid.shape, dtype=complex)
     for term in spec.terms:
         v = u
         for x in reversed(_term_fields(term, gens)):
             full = covariant_derivative(v, spec.source, spec.metric, check_support=False)
-            vals = grid_einsum("...k,...ka->...a", x, full.values)
+            vals = grid_einsum("...k,ka...->a...", x, full.values)
             v = TensorSection(grid, 0, vals, u.fiber_dim)
-        out += np.einsum("...gk,...k->...g", term.coefficient, v.values)
+        out += grid_einsum("...gk,k...->g...", term.coefficient, v.values)
     return TensorSection(grid, 0, out, spec.target.fiber_dim)
 
 
@@ -623,8 +631,9 @@ def _hom_tower_sup(a, source, target, slots, metric, depth):
             a = _hom_derivative(a, (source, 0), (target, slots + j - 1), metric)
             a = a.reshape(grid.shape + (n * a.shape[-2], a.shape[-1]))
         rank = slots + j
+        # measured through a grid-last view: the level is never stored
         vals = a.reshape(grid.shape + (n,) * rank + (fiber,))
-        level = TensorSection(grid, rank, vals, fiber)
+        level = TensorSection(grid, rank, np.moveaxis(vals, range(n), range(-n, 0)), fiber)
         mask = grid.interior_mask((j + 1) * grid.stencil_radius)
         sups.append(np.max(np.where(mask, pointwise_norm_sq(level, metric), 0.0)))
     return float(np.sqrt(np.max(sups)))

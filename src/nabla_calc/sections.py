@@ -151,18 +151,19 @@ class BumpSection:
         self.components = components  # dict: component tuple -> ScalarBump
 
     def _assemble(self, grid, orders):
+        """The components written grid-last, each into its contiguous block."""
         n = grid.dim
-        shape = grid.shape + (n,) * self.rank + (self.fiber_dim,)
+        shape = (n,) * self.rank + (self.fiber_dim,) + grid.shape
         vals = np.zeros(shape, dtype=complex)
         for comp, bump in self.components.items():
-            vals[(Ellipsis,) + comp] = bump.sample(grid, orders)
+            vals[comp] = bump.sample(grid, orders)
         return vals
 
     def section(self, grid):
         return TensorSection(grid, self.rank, self._assemble(grid, None), self.fiber_dim)
 
     def partial(self, grid, orders):
-        """Analytic partial derivative, stacked over components."""
+        """Analytic partial derivative, stacked grid-last over components."""
         return self._assemble(grid, orders)
 
 
@@ -186,7 +187,7 @@ def random_section(grid, rank, fiber_dim, rng, **kw):
 def random_vector_field(grid, rng, **kw):
     """Real windowed vector field as a plain (grid, n) array."""
     bumps = random_bump_section(grid, 0, grid.dim, rng, real=True, **kw)
-    return bumps.section(grid).values.real.copy()
+    return np.ascontiguousarray(grid_first(bumps.section(grid).values.real, grid.dim))
 
 
 class TrigPolyField:
@@ -270,7 +271,8 @@ def random_skew_potentials(grid, fiber_dim, rng, scale=1.0, **kw):
     pots = np.zeros(grid.shape + (n, d, d), dtype=complex)
     for k in range(n):
         raw = random_section(grid, 0, d * d, rng, **kw).values.reshape(
-            grid.shape + (d, d)
+            (d, d) + grid.shape
         )
-        pots[..., k, :, :] = 0.5 * scale * (raw - np.conj(np.swapaxes(raw, -1, -2)))
+        skew = 0.5 * scale * (raw - np.conj(np.swapaxes(raw, 0, 1)))
+        pots[..., k, :, :] = grid_first(skew, n)
     return pots

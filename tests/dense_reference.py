@@ -16,6 +16,7 @@ the package now skips the dead directions and must give equal arrays.
 
 import numpy as np
 
+from nabla_calc._kernels import diff_axis
 from nabla_calc.bundles import BundleSpec, TensorSection, grid_first, grid_last, pointwise_kron
 from nabla_calc.calculus import _gamma_slot_sum, tower
 from nabla_calc.norms import pointwise_norm_sq
@@ -73,7 +74,7 @@ def dense_hom_sup(a, source, target, slots, metric, depth):
     source, target = dense_bundle(source, metric), dense_bundle(target, metric)
     fiber = source.fiber_dim * target.fiber_dim
     hom = BundleSpec(grid, fiber, hom_potentials(source, target))
-    vals = a.reshape(grid.shape + (grid.dim,) * slots + (fiber,))
+    vals = grid_last(a, grid.dim).reshape((grid.dim,) * slots + (fiber,) + grid.shape)
     sups = [
         np.max(
             np.where(
@@ -90,19 +91,20 @@ def dense_hom_sup(a, source, target, slots, metric, depth):
 
 
 def all_direction_covariant(u, bundle, metric):
-    """covariant_derivative on a plain bundle, potential term over every y."""
+    """covariant_derivative on a plain bundle, potential term over every y;
+    grid-last, as the section is."""
     grid = u.grid
+    n = grid.dim
     r = u.rank
-    parts = np.stack([grid.diff(u.values, axis=k) for k in range(grid.dim)], axis=grid.dim)
-    letters = "cdefghij"[:r]
-    if r > 0 and metric.christoffel.shape[: grid.dim] == grid.shape:
-        parts -= _gamma_slot_sum(metric.christoffel, u.values, r)
-    term = np.einsum(
-        f"yab...,{letters}b...->y{letters}a...",
-        bundle.potentials_grid_last,
-        grid_last(u.values, grid.dim),
+    parts = np.stack(
+        [diff_axis(u.values, k - n, grid.h[k], grid.fd_order) for k in range(n)]
     )
-    parts += grid_first(term, grid.dim)
+    letters = "cdefghij"[:r]
+    if r > 0 and metric.christoffel.shape[:n] == grid.shape:
+        parts -= _gamma_slot_sum(metric.christoffel, u.values, r)
+    parts += np.einsum(
+        f"yab...,{letters}b...->y{letters}a...", bundle.potentials_grid_last, u.values
+    )
     return parts
 
 

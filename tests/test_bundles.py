@@ -100,9 +100,9 @@ def test_hom_derivative_matches_explicit_kronecker_terms(shape, de, df):
 
 def test_section_shape_guards(grid):
     with pytest.raises(ShapeMismatch):
-        TensorSection(grid, 1, np.zeros(grid.shape + (3,)), 3)
-    sec = TensorSection(grid, 2, np.zeros(grid.shape + (2, 2, 2)), 2)
-    flat = TensorSection(grid, 0, sec.values.reshape(grid.shape + (8,)), 8)
+        TensorSection(grid, 1, np.zeros((3,) + grid.shape), 3)
+    sec = TensorSection(grid, 2, np.zeros((2, 2, 2) + grid.shape), 2)
+    flat = TensorSection(grid, 0, sec.values.reshape((8,) + grid.shape), 8)
     assert flat.rank == 0 and flat.fiber_dim == 8
 
 

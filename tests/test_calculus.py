@@ -6,6 +6,8 @@ import pytest
 from nabla_calc.bundles import (
     BundleSpec,
     TensorSection,
+    grid_first,
+    grid_last,
     induced_tensor_bundle,
     magnetic_example_bundle,
 )
@@ -35,6 +37,11 @@ FLAT = MetricField.flat(GRID)
 MAGNETIC = magnetic_example_bundle(GRID)
 
 
+def _gf(values):
+    """A section's grid-last values read grid-first, as a view."""
+    return grid_first(values, GRID.dim)
+
+
 def _conformal_metric(grid):
     x, y = grid.coords
     return MetricField.conformal(grid, 0.15 * x * y + 0.1 * x)
@@ -46,7 +53,7 @@ def _magnetic_oracle(grid, bumps, idx):
     The section's own derivatives are rendered with the same stencils; the
     potential's derivative uses its displayed analytic form.
     """
-    xi = bumps.section(grid).values
+    xi = grid_first(bumps.section(grid).values, grid.dim)
     x1 = grid.coords[0]
     phase = np.exp(1j * x1**3)
     d1 = grid.diff(xi, 0)
@@ -78,7 +85,7 @@ def test_magnetic_multiindex_matches_closed_form(idx):
     got = multiindex_derivative(sec, idx, MAGNETIC, FLAT)
     want = _magnetic_oracle(GRID, bumps, idx)
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(got.values - want)) < 1e-5 * scale
+    assert np.max(np.abs(_gf(got.values) - want)) < 1e-5 * scale
 
 
 def test_first_slot_is_prepended_leftmost():
@@ -88,7 +95,7 @@ def test_first_slot_is_prepended_leftmost():
     assert grad.rank == 1
     # slot k of the gradient is the k-direction derivative
     d1 = multiindex_derivative(sec, (1,), MAGNETIC, FLAT)
-    assert np.allclose(grad.values[..., 0, :], d1.values)
+    assert np.allclose(grad.values[0], d1.values)
 
 
 def test_multiindex_composes_right_to_left():
@@ -107,7 +114,7 @@ def test_multiindex_agrees_with_iterated_contraction():
     bundle = BundleSpec(grid, 2)
     sec = random_section(grid, 1, 2, rng)
     *_, two = tower(sec, bundle, metric, 2)
-    picked = two.values[:, :, 0, 1, :, :]  # slots (i_1, i_2) = (1, 2)
+    picked = two.values[0, 1]  # slots (i_1, i_2) = (1, 2)
     via_idx = multiindex_derivative(sec, (1, 2), bundle, metric)
     assert np.max(np.abs(picked - via_idx.values)) < 1e-12 * np.max(
         np.abs(picked)
@@ -137,16 +144,17 @@ def test_leibniz_for_endomorphism_coefficient():
     a = a_field.sample(GRID)
     da = np.stack([a_field.sample(GRID, (k,)) for k in range(2)], axis=-3)
     sec = random_section(GRID, 0, 2, rng)
-    au = TensorSection(GRID, 0, np.einsum("...ab,...b->...a", a, sec.values), 2)
-    lhs = covariant_derivative(au, MAGNETIC, FLAT).values
+    au = grid_last(np.einsum("...ab,...b->...a", a, _gf(sec.values)), 2)
+    au = TensorSection(GRID, 0, au, 2)
+    lhs = _gf(covariant_derivative(au, MAGNETIC, FLAT).values)
     pots = MAGNETIC.potentials
     nabla_a = (
         da
         + np.einsum("...kab,...bc->...kac", pots, a)
         - np.einsum("...ab,...kbc->...kac", a, pots)
     )
-    grad_u = covariant_derivative(sec, MAGNETIC, FLAT).values
-    rhs = np.einsum("...kab,...b->...ka", nabla_a, sec.values) + np.einsum(
+    grad_u = _gf(covariant_derivative(sec, MAGNETIC, FLAT).values)
+    rhs = np.einsum("...kab,...b->...ka", nabla_a, _gf(sec.values)) + np.einsum(
         "...ab,...kb->...ka", a, grad_u
     )
     scale = np.max(np.abs(lhs))
@@ -161,7 +169,8 @@ def test_commutator_equals_curvature():
         multiindex_derivative(sec, (1, 2), MAGNETIC, FLAT).values
         - multiindex_derivative(sec, (2, 1), MAGNETIC, FLAT).values
     )
-    rhs = np.einsum("...ab,...b->...a", r.values[..., 0, 1, :, :], sec.values)
+    rhs = np.einsum("...ab,...b->...a", r.values[..., 0, 1, :, :], _gf(sec.values))
+    rhs = grid_last(rhs, 2)
     scale = max(np.max(np.abs(rhs)), np.max(np.abs(sec.values)))
     assert np.max(np.abs(lhs - rhs)) < 1e-5 * scale
 
@@ -206,11 +215,12 @@ def test_divergence_two_routes():
 def _pairing_residual(X, grid, bundle, metric, xi, eta):
     adj = formal_adjoint_directional(X, bundle, metric)
     dxi = directional_derivative(xi, X, bundle, metric)
-    lhs = grid.integrate(np.einsum("...a,...a->...", dxi.values, np.conj(eta.values)))
-    rhs = grid.integrate(np.einsum("...a,...a->...", xi.values, np.conj(adj(eta).values)))
+    lhs = grid.integrate(np.einsum("a...,a...->...", dxi.values, np.conj(eta.values)))
+    adj_eta = adj(eta).values
+    rhs = grid.integrate(np.einsum("a...,a...->...", xi.values, np.conj(adj_eta)))
     scale = np.sqrt(
-        abs(grid.integrate(np.sum(np.abs(xi.values) ** 2, axis=-1)))
-        * abs(grid.integrate(np.sum(np.abs(eta.values) ** 2, axis=-1)))
+        abs(grid.integrate(np.sum(np.abs(xi.values) ** 2, axis=0)))
+        * abs(grid.integrate(np.sum(np.abs(eta.values) ** 2, axis=0)))
     )
     return abs(lhs - rhs), scale
 
@@ -246,10 +256,10 @@ def test_flattened_bundle_reproduces_slot_derivative():
     sec = random_section(grid, 1, 2, rng)
     grad = covariant_derivative(sec, bundle, metric)
     big = induced_tensor_bundle(bundle, metric, 1)
-    flat_sec = TensorSection(grid, 0, sec.values.reshape(grid.shape + (4,)), 4)
+    flat_sec = TensorSection(grid, 0, sec.values.reshape((4,) + grid.shape), 4)
     grad_flat = covariant_derivative(flat_sec, big, metric)
     # flatten only the original slot of grad; the new slot stays a slot
-    want = grad.values.reshape(grid.shape + (2, 4))
+    want = grad.values.reshape((2, 4) + grid.shape)
     assert np.max(np.abs(want - grad_flat.values)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -266,14 +276,15 @@ def test_connection_term_matches_grid_first_einsum(shape, d):
     bundle = BundleSpec(grid, d, _complex_normal(rng, grid.shape + (n, d, d)))
     metric = MetricField.flat(grid)
     for r in range(4):
-        sec = TensorSection(grid, r, _complex_normal(rng, grid.shape + (n,) * r + (d,)), d)
+        vals = _complex_normal(rng, grid.shape + (n,) * r + (d,))
+        sec = TensorSection(grid, r, grid_last(vals, n), d)
         got = covariant_derivative(sec, bundle, metric, check_support=False)
         slots = "cdefghij"[:r]
-        want = np.stack([grid.diff(sec.values, axis=k) for k in range(n)], axis=n)
+        want = np.stack([grid.diff(vals, axis=k) for k in range(n)], axis=n)
         want += np.einsum(
-            f"...yab,...{slots}b->...y{slots}a", bundle.potentials, sec.values
+            f"...yab,...{slots}b->...y{slots}a", bundle.potentials, vals
         )
-        assert np.array_equal(got.values, want)
+        assert np.array_equal(grid_first(got.values, n), want)
     pots = bundle.potentials_grid_last
     assert pots.flags.c_contiguous and pots.shape == (n, d, d) + grid.shape
 
@@ -282,7 +293,7 @@ def _grid_first_multiindex(sec, idx, bundle):
     """The former constant-metric composition, grid axes first."""
     grid = sec.grid
     slots = "cdefghij"[: sec.rank]
-    vals = sec.values
+    vals = np.ascontiguousarray(grid_first(sec.values, grid.dim))
     for i in reversed(idx):
         out = grid.diff(vals, axis=i - 1)
         if not bundle.is_flat:
@@ -314,10 +325,11 @@ def test_grid_last_products_match_grid_first_references(shape, d):
     metric = MetricField.flat(grid)
     for r in range(3):
         vals = _complex_normal(rng, grid.shape + (n,) * r + (d,))
-        sec = TensorSection(grid, r, grid.zero_band(vals, 3), d)
+        sec = TensorSection(grid, r, grid_last(grid.zero_band(vals, 3), n), d)
         for idx in [(n,), (1, n), (n, 1, n)]:
             got = multiindex_derivative(sec, idx, bundle, metric)
-            assert np.array_equal(got.values, _grid_first_multiindex(sec, idx, bundle))
+            want = _grid_first_multiindex(sec, idx, bundle)
+            assert np.array_equal(grid_first(got.values, n), want)
     assert np.array_equal(curvature(bundle).values, _stacked_curvature(bundle))
 
 
@@ -341,7 +353,7 @@ def test_curvature_peak_memory_below_three_results():
 
 
 def test_support_violation_raised():
-    vals = np.ones(GRID.shape + (2,), dtype=complex)
+    vals = np.ones((2,) + GRID.shape, dtype=complex)
     sec = TensorSection(GRID, 0, vals, 2)
     with pytest.raises(SupportViolation):
         covariant_derivative(sec, MAGNETIC, FLAT)
@@ -357,13 +369,13 @@ def test_margin_budget_enforced():
 
 def test_chart_mismatch_raised():
     other = ChartGrid([(-1, 1), (-1, 1)], (65, 65))
-    sec = TensorSection(other, 0, np.zeros(other.shape + (2,)), 2)
+    sec = TensorSection(other, 0, np.zeros((2,) + other.shape), 2)
     with pytest.raises(ChartMismatch):
         covariant_derivative(sec, MAGNETIC, FLAT)
 
 
 def test_invalid_multiindex_entries():
-    sec = TensorSection(GRID, 0, np.zeros(GRID.shape + (2,)), 2)
+    sec = TensorSection(GRID, 0, np.zeros((2,) + GRID.shape), 2)
     with pytest.raises(ShapeMismatch):
         multiindex_derivative(sec, (0, 1), MAGNETIC, FLAT)
     with pytest.raises(ShapeMismatch):

@@ -8,7 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from nabla_calc.bundles import BundleSpec, TensorSection, magnetic_example_bundle
+from nabla_calc.bundles import (
+    BundleSpec,
+    TensorSection,
+    grid_first,
+    grid_last,
+    magnetic_example_bundle,
+)
 from nabla_calc.calculus import covariant_derivative
 from nabla_calc.checks import (
     _PARAM_RULES,
@@ -56,15 +62,17 @@ def _grid_first_leibniz(ctx, trials):
         a = a_field.sample(grid)
         da = np.stack([a_field.sample(grid, (k,)) for k in range(n)], axis=-3)
         u = random_section(grid, 0, d, _rng(ctx, "leibniz-section", trial))
-        au = TensorSection(grid, 0, np.einsum("...ab,...b->...a", a, u.values), d)
-        lhs = covariant_derivative(au, bundle, ctx.metric).values
+        u_first = np.ascontiguousarray(grid_first(u.values, n))
+        au = np.einsum("...ab,...b->...a", a, u_first)
+        au = TensorSection(grid, 0, grid_last(au, n), d)
+        lhs = grid_first(covariant_derivative(au, bundle, ctx.metric).values, n)
         nabla_a = (
             da
             + np.einsum("...kab,...bc->...kac", pots, a)
             - np.einsum("...ab,...kbc->...kac", a, pots)
         )
-        grad_u = covariant_derivative(u, bundle, ctx.metric).values
-        rhs = np.einsum("...kab,...b->...ka", nabla_a, u.values) + np.einsum(
+        grad_u = grid_first(covariant_derivative(u, bundle, ctx.metric).values, n)
+        rhs = np.einsum("...kab,...b->...ka", nabla_a, u_first) + np.einsum(
             "...ab,...kb->...ka", a, grad_u
         )
         scale = max(float(np.max(np.abs(lhs))), _TINY)

@@ -229,7 +229,7 @@ def test_generator_norm_sphere_ratio():
     sec = None
     for trial in range(50):
         bump = random_scalar_bump(GRID.box, seeded_rng(29, "ratio", trial), 0.2)
-        sec = TensorSection(GRID, 0, bump.sample(GRID)[..., None], 1)
+        sec = TensorSection(GRID, 0, bump.sample(GRID)[None], 1)
         gen = generator_sobolev_norm(sec, 1, 2, SPHERE, bundle, SPHERE_G)
         sob = sobolev_norm(sec, 1, 2, bundle, SPHERE_G)
         assert gen == pytest.approx(sob, rel=1e-8)
@@ -253,7 +253,7 @@ def test_generator_norm_tuple_variants_and_curvature_gap():
         return v
 
     r = curvature(bundle).values[..., 0, 1, :, :]
-    r12 = TensorSection(GRID, 0, np.einsum("...ab,...b->...a", r, u.values), 2)
+    r12 = TensorSection(GRID, 0, np.einsum("...ab,b...->a...", r, u.values), 2)
     gap = abs(
         lp_norm(chain(1, 2), 2, FLAT, bundle) - lp_norm(chain(2, 1), 2, FLAT, bundle)
     )

@@ -34,14 +34,14 @@ def test_band_mask_counts():
 
 def test_check_support_passes_and_raises():
     g = ChartGrid([(-1, 1)], (33,), fd_order=4)
-    u = np.zeros((33, 2), dtype=complex)
-    u[10, 0] = 1.0
+    u = np.zeros((2, 33), dtype=complex)
+    u[0, 10] = 1.0
     g.check_support(u, 4)
-    u[2, 1] = 1e-9
+    u[1, 2] = 1e-9
     with pytest.raises(SupportViolation):
         g.check_support(u, 4)
     with pytest.raises(SupportViolation):
-        g.check_support(np.zeros((33, 2)), 10)
+        g.check_support(np.zeros((2, 33)), 10)
 
 
 def test_quadrature_normalizes():
@@ -54,6 +54,21 @@ def test_diff_shape_guard():
     g = ChartGrid([(-1, 1)], (33,))
     with pytest.raises(ShapeMismatch):
         g.diff(np.zeros((5, 3)), 0)
+
+
+def test_section_diff_is_the_grid_first_diff_on_grid_last_values():
+    g = ChartGrid([(-1, 1), (0, 2)], (33, 17))
+    rng = np.random.default_rng(3)
+    first = rng.normal(size=g.shape + (2, 3)) + 1j * rng.normal(size=g.shape + (2, 3))
+    last = np.ascontiguousarray(np.moveaxis(first, (0, 1), (-2, -1)))
+    for axis in range(g.dim):
+        want = np.moveaxis(g.diff(first, axis), (0, 1), (-2, -1))
+        assert np.array_equal(g.section_diff(last, axis), want)
+        out = np.empty_like(last)
+        assert g.section_diff(last, axis, out=out) is out
+        assert np.array_equal(out, want)
+    with pytest.raises(ShapeMismatch, match="end with grid shape"):
+        g.section_diff(first, 0)
 
 
 def test_grid_equality_and_hash():

@@ -14,6 +14,8 @@ from nabla_calc.bundles import (
     BundleSpec,
     TensorSection,
     grid_einsum,
+    grid_first,
+    grid_last,
     induced_tensor_bundle,
     magnetic_example_bundle,
 )
@@ -135,6 +137,11 @@ def _gradient_adjoint_reference(bundle, metric, gens):
     return total
 
 
+def _first(values):
+    """A section's grid-last values copied to the former grid-first layout."""
+    return np.ascontiguousarray(grid_first(values, GRID.dim))
+
+
 def _close(got, want, rtol=1e-13):
     return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
@@ -204,8 +211,9 @@ def test_l2_pairing_matches_grid_first_reference(frame):
         bundle = BundleSpec(GRID, 2, fiber_metric=fiber_metric)
         v = random_section(GRID, 0, 2, rng)
         w = random_section(GRID, 0, 2, rng)
+        v_first, w_first = (_first(x.values) for x in (v, w))
         density = np.einsum(
-            "...ab,...a,...b->...", fiber_metric, v.values, np.conj(w.values)
+            "...ab,...a,...b->...", fiber_metric, v_first, np.conj(w_first)
         )
         want = complex(GRID.integrate(density * metric.sqrt_det))
         assert l2_pairing(v, w, bundle, metric) == want
@@ -217,21 +225,24 @@ def test_contract_with_vector_matches_grid_first_reference(rank):
     u = random_section(GRID, rank, 2, rng)
     X = random_vector_field(GRID, rng)
     slots = "cdefghij"[: rank - 1]
-    want = np.einsum(f"...k,...k{slots}z->...{slots}z", X, u.values)
-    assert np.array_equal(contract_with_vector(u, X).values, want)
+    want = np.einsum(f"...k,...k{slots}z->...{slots}z", X, _first(u.values))
+    got = contract_with_vector(u, X).values
+    assert np.array_equal(grid_first(got, GRID.dim), want)
 
 
 def _apply_mixed_reference(spec, u, gens):
-    """apply_mixed_op with its directional contractions grid-first."""
+    """apply_mixed_op with its directional contractions and coefficient
+    products grid-first, returned grid-first."""
     grid = spec.grid
+    g = grid.dim
     out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
     for term in spec.terms:
         v = u
         for x in reversed(_term_fields(term, gens)):
             full = covariant_derivative(v, spec.source, spec.metric, check_support=False)
-            vals = np.einsum("...k,...ka->...a", x, full.values)
-            v = TensorSection(grid, 0, vals, u.fiber_dim)
-        out += np.einsum("...gk,...k->...g", term.coefficient, v.values)
+            vals = np.einsum("...k,...ka->...a", x, _first(full.values))
+            v = TensorSection(grid, 0, grid_last(vals, g), u.fiber_dim)
+        out += np.einsum("...gk,...k->...g", term.coefficient, _first(v.values))
     return out
 
 
@@ -241,7 +252,7 @@ def test_apply_mixed_op_matches_grid_first_reference():
     for trial in range(3):
         spec = _random_mixed_spec(ctx, ctx.gens, trial, 2)
         u = random_section(ctx.grid, 0, 2, seeded_rng(17, "mixed-apply", trial))
-        got = apply_mixed_op(spec, u, ctx.gens).values
+        got = grid_first(apply_mixed_op(spec, u, ctx.gens).values, ctx.grid.dim)
         assert np.array_equal(got, _apply_mixed_reference(spec, u, ctx.gens))
 
 

@@ -101,3 +101,22 @@ def test_real_dtype_passthrough():
 def test_bad_order_rejected():
     with pytest.raises(ValueError):
         diff_axis(np.zeros(9), 0, 0.1, 3)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_out_block_gets_the_bits_of_a_fresh_result(order):
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(2, 3, 33, 17)) + 1j * rng.normal(size=(2, 3, 33, 17))
+    parts = np.empty((2,) + u.shape, dtype=complex)
+    for k in range(2):
+        block = parts[k]
+        assert diff_axis(u, k - 2, 0.05, order, out=block) is block
+        assert np.array_equal(block, diff_axis(u, k - 2, 0.05, order))
+
+
+def test_out_must_be_contiguous_and_of_u_shape():
+    u = np.zeros((9, 9), dtype=complex)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        diff_axis(u, 0, 0.1, 2, out=np.zeros((9, 18), dtype=complex)[:, ::2])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        diff_axis(u, 0, 0.1, 2, out=np.zeros((9, 8), dtype=complex))

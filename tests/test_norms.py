@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from nabla_calc.bundles import BundleSpec, TensorSection, magnetic_example_bundle
+from nabla_calc.bundles import (
+    BundleSpec,
+    TensorSection,
+    grid_einsum,
+    grid_last,
+    magnetic_example_bundle,
+)
 from nabla_calc.calculus import multiindex_derivative
 from nabla_calc.errors import (
     EmptyCovering,
@@ -43,7 +49,7 @@ def test_l2_norm_matches_gaussian_integral():
     metric = MetricField.flat(grid)
     sigma = 0.15
     u = TensorSection(
-        grid, 0, np.exp(-grid.coords[0] ** 2 / (2 * sigma**2))[..., None], 1
+        grid, 0, np.exp(-grid.coords[0] ** 2 / (2 * sigma**2))[None], 1
     )
     got = lp_norm(u, 2, metric)
     want = (sigma * math.sqrt(math.pi)) ** 0.5
@@ -51,10 +57,10 @@ def test_l2_norm_matches_gaussian_integral():
 
 
 def test_zero_and_max_norms():
-    z = TensorSection(GRID, 0, np.zeros(GRID.shape + (2,)), 2)
+    z = TensorSection(GRID, 0, np.zeros((2,) + GRID.shape), 2)
     assert lp_norm(z, 2, FLAT) == 0.0
-    vals = np.zeros(GRID.shape + (1,), dtype=complex)
-    vals[32, 32, 0] = 3.0
+    vals = np.zeros((1,) + GRID.shape, dtype=complex)
+    vals[0, 32, 32] = 3.0
     u = TensorSection(GRID, 0, vals, 1)
     assert lp_norm(u, math.inf, FLAT) == pytest.approx(3.0)
 
@@ -63,8 +69,8 @@ def test_slot_norm_uses_metric_inverse():
     # a covector with |w|_g^2 = g^{11} at a conformal point
     grid = ChartGrid([(-1, 1), (-1, 1)], (17, 17))
     metric = MetricField.conformal(grid, 0.3 * grid.coords[0])
-    vals = np.zeros(grid.shape + (2, 1), dtype=complex)
-    vals[..., 0, 0] = 1.0
+    vals = np.zeros((2, 1) + grid.shape, dtype=complex)
+    vals[0, 0] = 1.0
     w = TensorSection(grid, 1, vals, 1)
     ns = pointwise_norm_sq(w, metric)
     assert np.allclose(ns, metric.inv[..., 0, 0])
@@ -158,7 +164,7 @@ def test_covering_norm_single_box_and_bounds():
 
 
 def test_covering_norm_rejects_bad_coverings():
-    u = TensorSection(GRID, 0, np.zeros(GRID.shape + (2,)), 2)
+    u = TensorSection(GRID, 0, np.zeros((2,) + GRID.shape), 2)
     with pytest.raises(EmptyCovering):
         covering_norm(u, [], 0, 2, BUNDLE, FLAT)
     small = [((-0.2, 0.2), (-0.2, 0.2))]
@@ -192,7 +198,7 @@ def test_lp_norm_at_large_exponent_tends_to_the_sup():
     big = lp_norm(u, 2000, FLAT, BUNDLE)
     assert math.isfinite(big) and 0.0 < big
     assert big == pytest.approx(sup, rel=1e-2)
-    zero = TensorSection(GRID, 0, np.zeros(GRID.shape + (2,)), 2)
+    zero = TensorSection(GRID, 0, np.zeros((2,) + GRID.shape), 2)
     assert lp_norm(zero, 2000, FLAT, BUNDLE) == 0.0
 
 
@@ -200,9 +206,9 @@ def test_lp_norm_region_ignores_larger_values_outside_it():
     # (1.5 / 0.5) ** 2000 overflows: the scale comes from the region's max,
     # so the values outside the region must not be raised to the power p
     left = GRID.coords[0] < 0.0
-    vals = np.where(left, 0.5, 1.5)[..., None]
+    vals = np.where(left, 0.5, 1.5)[None]
     u = TensorSection(GRID, 0, vals, 1)
-    inside = TensorSection(GRID, 0, np.where(left, 0.5, 0.0)[..., None], 1)
+    inside = TensorSection(GRID, 0, np.where(left, 0.5, 0.0)[None], 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = lp_norm(u, 2000, FLAT, region=left)
@@ -253,7 +259,7 @@ def test_perturbed_norm_check_random_skew_trials():
 
 
 def test_perturbed_norm_check_rejects_non_skew():
-    u = TensorSection(GRID, 0, np.zeros(GRID.shape + (2,)), 2)
+    u = TensorSection(GRID, 0, np.zeros((2,) + GRID.shape), 2)
     bad = np.zeros(GRID.shape + (2, 2, 2), dtype=complex)
     bad[..., 0, 0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -302,7 +308,7 @@ def test_conformal_check_half_line_order_one():
 def test_conformal_check_requires_admissible_flag():
     grid, metric, bundle, _ = _half_line((65,))
     plain = WeightPair(grid, grid.coords[0].copy(), admissible=False)
-    u = TensorSection(grid, 0, np.zeros(grid.shape + (1,)), 1)
+    u = TensorSection(grid, 0, np.zeros((1,) + grid.shape), 1)
     with pytest.raises(NonadmissibleWeight):
         conformal_weighted_check(u, plain, 0, 2, bundle, metric)
 
@@ -321,25 +327,25 @@ def test_hom_infty_norm_propagates_nan():
 
 
 def _einsum_norm_sq(u, ginv, h):
-    """The grid-field contraction pointwise_norm_sq uses for varying metrics."""
+    """The grid-field contraction pointwise_norm_sq uses for varying metrics:
+    the grid-last section against the grid-first ginv and h."""
     r = u.rank
     ul, vl = "abcd"[:r], "efgh"[:r]
-    script = f"...{ul}y,...{vl}z"
+    script = f"{ul}y...,{vl}z..."
     args = [u.values, np.conj(u.values)]
     for k in range(r):
         script += f",...{ul[k]}{vl[k]}"
         args.append(ginv)
     args.append(h)
-    out = np.einsum(script + ",...yz->...", *args).real
+    out = grid_einsum(script + ",...yz->...", *args).real
     return np.maximum(out, 0.0)
 
 
 def _random_rank_section(grid, rank, d, seed):
     rng = np.random.default_rng(seed)
     shape = grid.shape + (grid.dim,) * rank + (d,)
-    return TensorSection(
-        grid, rank, rng.normal(size=shape) + 1j * rng.normal(size=shape), d
-    )
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return TensorSection(grid, rank, grid_last(vals, grid.dim), d)
 
 
 SMALL = ChartGrid([(-1, 1), (-1, 1)], (17, 19))
@@ -370,7 +376,7 @@ def test_identity_metric_norm_matches_grid_einsum_and_keeps_nan(rank):
     want = _einsum_norm_sq(u, eye, eye)
     got = pointwise_norm_sq(u, flat, BundleSpec(SMALL, 2))
     assert np.max(np.abs(got - want) / want) < 1e-13
-    u.values[(4, 5) + (0,) * rank + (1,)] = np.nan
+    u.values[(0,) * rank + (1, 4, 5)] = np.nan
     for bundle in (BundleSpec(SMALL, 2), BundleSpec(SMALL, 2, fiber_metric=HERM)):
         got = pointwise_norm_sq(u, flat, bundle)
         assert np.isnan(got[4, 5])

@@ -4,14 +4,19 @@ A static guard over src/nabla_calc/*.py: every public module-level
 function and every public method must be named, as an ast.Name or an
 ast.Attribute, somewhere in the package outside __init__.py and outside
 its own body.  An attribute of an imported module, such as np.zeros,
-names nothing in the package.  Re-exports in __init__.py and uses in
-tests do not count.
+names nothing in the package.  A public method named like an attribute of
+np.ndarray (copy, flat, sum) is named by every array in the package, so
+it counts as reached only through its class name, cls or self, as in
+MetricField.flat(grid).  Re-exports in __init__.py and uses in tests do
+not count.
 The registered checks are reached through the CHECKS registry, and KEPT
 lists the few functions kept on purpose, each with its reason.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nabla_calc"
 
@@ -43,17 +48,22 @@ def _is_registered(fn):
     )
 
 
+# names that any array in the package carries as attributes
+ARRAY_ATTRIBUTES = frozenset(dir(np.ndarray))
+
+
 def _public_definitions(tree):
-    """(name, node) of each public module-level function and public method."""
+    """(name, node, class name) of each public method, and (name, node,
+    None) of each public module-level function."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            members = node.body
+            owner, members = node.name, node.body
         else:
-            members = [node]
+            owner, members = None, [node]
         for fn in members:
             if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
                 if not _is_registered(fn):
-                    yield fn.name, fn
+                    yield fn.name, fn, owner
 
 
 def _imported_modules(tree):
@@ -79,6 +89,18 @@ def _names_used(node, imported):
             yield sub.attr
 
 
+def _owner_uses(node, name, owner):
+    """How often node names the method owner.name, cls.name or self.name."""
+    return sum(
+        1
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and sub.attr == name
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id in (owner, "cls", "self")
+    )
+
+
 def unreached_names(modules):
     """Public names defined in the package that nothing else in it names."""
     used = {}
@@ -87,12 +109,18 @@ def unreached_names(modules):
             continue
         for name in _names_used(tree, _imported_modules(tree)):
             used[name] = used.get(name, 0) + 1
+    package = [tree for filename, tree in modules.items() if filename != "__init__.py"]
     unreached = set()
     for tree in modules.values():
         imported = _imported_modules(tree)
-        for name, fn in _public_definitions(tree):
-            own = sum(1 for n in _names_used(fn, imported) if n == name)
-            if used.get(name, 0) <= own:
+        for name, fn, owner in _public_definitions(tree):
+            if owner is not None and name in ARRAY_ATTRIBUTES:
+                uses = sum(_owner_uses(module, name, owner) for module in package)
+                own = _owner_uses(fn, name, owner)
+            else:
+                uses = used.get(name, 0)
+                own = sum(1 for n in _names_used(fn, imported) if n == name)
+            if uses <= own:
                 unreached.add(name)
     return unreached
 
@@ -122,3 +150,20 @@ def test_the_guard_sees_a_function_only_tests_would_call():
         "@register('a-check')\ndef check_a(ctx, tolerance):\n    return C().method()\n"
     )
     assert unreached_names({"mod.py": tree}) == {"orphan", "zeros"}
+
+
+def test_the_guard_sees_a_method_named_like_an_array_attribute():
+    # values.copy() and f.sum() name the array methods, not Field's; only
+    # Field.flat and self.flat reach a method named like one
+    tree = ast.parse(
+        "import numpy as np\n\n"
+        "class Field:\n"
+        "    def __init__(self, values):\n        self.values = values.copy()\n"
+        "    def copy(self):\n        return Field(self.values)\n"
+        "    def flat(cls, n):\n        return Field(np.zeros(n))\n"
+        "    def sum(self):\n        return self.values.sum()\n"
+        "    def twice(self):\n        return self.flat(2)\n\n"
+        "@register('a-check')\ndef check_a(ctx, f):\n"
+        "    return Field.flat(1).twice(), f.sum()\n"
+    )
+    assert unreached_names({"mod.py": tree}) == {"copy", "sum"}

@@ -184,11 +184,22 @@ def test_threaded_run_matches_serial():
     assert serial == pooled
 
 
-def test_threaded_magnetic_checks_keep_their_bits():
-    # all three checks read the one bundle's potentials at once, and every
-    # residual keeps its bits under any interleaving of the threads
-    s = parse_scenario(builtin_scenario("magnetic-example"))
-    assert len(s.checks) == 3
+# the per-check counts that bound a check's trials
+_TRIAL_KEYS = ("trials", "pairs", "coverings", "specs")
+
+
+@pytest.mark.parametrize("name", list_builtins())
+def test_threaded_builtin_checks_keep_their_bits(name):
+    # the checks read the one context at once, and every measured value
+    # keeps its bits under any interleaving of the threads; flat-operators
+    # runs two trials per check, since this tests determinism, not verdicts
+    cfg = builtin_scenario(name)
+    if name == "flat-operators":
+        for entry in cfg["checks"]:
+            keys = CHECKS[entry["check"]][1]
+            entry.update({key: 2 for key in _TRIAL_KEYS if key in keys})
+    s = parse_scenario(cfg)
+    assert len(s.checks) > 1
     serial = run_scenario(s, seed=20, threads=1)
     want = [(row.check, repr(row.measured)) for row in serial.checks]
     interval = sys.getswitchinterval()
