@@ -7,9 +7,10 @@ metric factor.  Dirichlet forms are quadratures of that density, and the
 weak operator u -> P u with <P u, w> = B(u, w) is assembled term by term
 from the directional adjoint rule through a generator frame.
 
-Form coefficients are stored at the shape they vary over, as ladder levels
-are: each grid axis has its full length or length 1, so a constant form
-such as the identity pairing is (1, .., 1, rows, cols), and the assembly
+Form coefficients are stored grid-last at the shape they vary over, as
+ladder levels are: each grid axis has its full length or length 1, so a
+constant form such as the identity pairing is (rows, cols, 1, .., 1), and
+the assembly
 composes and sums such levels without building full-grid constants.
 """
 
@@ -19,7 +20,6 @@ from .bundles import (
     TensorSection,
     check_grid_shape,
     compact_grid_axes,
-    grid_einsum,
     induced_tensor_bundle,
     is_identity,
 )
@@ -47,8 +47,8 @@ from .operators import (
 class BidiffSpec:
     """Canonical coefficients of a bidifferential form of order <= 2m.
 
-    coefficients maps (i, j) with i, j <= half_order to grid + (n^j *
-    dim F, n^i * dim E) arrays; u lives in the source bundle E and the
+    coefficients maps (i, j) with i, j <= half_order to (n^j * dim F,
+    n^i * dim E) + grid arrays; u lives in the source bundle E and the
     conjugated argument w in the cosource bundle F.  Each coefficient is
     stored at the shape it varies over: each grid axis has its full length
     or length 1, and an axis along which every slice equals the first is
@@ -102,7 +102,7 @@ def eval_bidiff(spec, u, w):
     ]
     out = np.zeros(grid.shape, dtype=complex)
     for (i, j), a in spec.coefficients.items():
-        moved = grid_einsum("...ae,e...->a...", a, us[i])
+        moved = np.einsum("ae...,e...->a...", a, us[i])
         out += np.einsum("a...,a...->...", moved, np.conj(ws[j]))
     return out
 
@@ -125,14 +125,14 @@ def bidiff_from_ops(p, q):
     h = np.asarray(p.target.fiber_metric, dtype=complex)
     href = np.asarray(q.target.fiber_metric, dtype=complex)
     # fiber metrics stored at different shapes are compared broadcast
-    if h.shape[-2:] != href.shape[-2:] or not np.allclose(h, href):
+    if h.shape[:2] != href.shape[:2] or not np.allclose(h, href):
         raise ShapeMismatch("operator targets carry different fiber metrics")
     coefficients = {}
     for i, pi in enumerate(p.coefficients):
         for j, qj in enumerate(q.coefficients):
             if pi is not None and qj is not None:
                 coefficients[(i, j)] = np.einsum(
-                    "...ab,...bd,...ae->...de", h, np.conj(qj), pi
+                    "ab...,bd...,ae...->de...", h, np.conj(qj), pi
                 )
     m = max(p.order, q.order)
     return BidiffSpec(p.source, q.source, p.metric, m, coefficients, _joint_class(p, q))
@@ -150,7 +150,7 @@ def dirichlet_form(spec, u, w, metric=None):
 def l2_pairing(v, w, bundle, metric):
     """L2 inner product of sections with the fiber metric, conjugating w."""
     h = bundle.fiber_metric
-    density = grid_einsum("...ab,a...,b...->...", h, v.values, np.conj(w.values))
+    density = np.einsum("ab...,a...,b...->...", h, v.values, np.conj(w.values))
     return complex(metric.grid.integrate(density * metric.sqrt_det))
 
 
@@ -165,17 +165,17 @@ def _gradient_adjoint(bundle, metric, gens):
     # T*M (x) T*M^s (x) E, lifted from the plain bundle E
     plain, slots = (bundle, 0) if bundle.base is None else (bundle.base, bundle.slots)
     rank_one = induced_tensor_bundle(plain, metric, slots + 1)
-    w = grid_einsum("...kl,...ky->...ly", coframe_gram(gens, metric), gens.z)
+    w = np.einsum("kl...,ky...->ly...", coframe_gram(gens, metric), gens.z)
     tag = "totally-bounded" if gens.frechet else "smooth"
     total = None
     for l in range(gens.n_gens):
-        i_w = directional_op(w[..., l, :], bundle, metric).coefficients[1]
+        i_w = directional_op(w[l], bundle, metric).coefficients[1]
         pick = multiplication_op(i_w, rank_one, bundle, metric, tag)
-        direction = directional_op(gens.z[..., l, :], bundle, metric, tag)
+        direction = directional_op(gens.z[l], bundle, metric, tag)
         total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
-        div_l = divergence(gens.z[..., l, :], metric)
+        div_l = divergence(gens.z[l], metric)
         if np.any(div_l):
-            total = _add_ladders(total, _scaled(pick, -div_l[..., None, None]))
+            total = _add_ladders(total, _scaled(pick, -div_l))
     return total
 
 
@@ -201,7 +201,11 @@ def assemble_divergence_form(spec, gens, bundle, metric):
         if is_identity(h_j):
             mid_coeff = a
         else:
-            mid_coeff = np.linalg.solve(np.swapaxes(h_j, -1, -2), a)
+            # numpy.linalg wants the matrices last
+            mid_coeff = np.linalg.solve(
+                np.moveaxis(h_j, (1, 0), (-2, -1)), np.moveaxis(a, (0, 1), (-2, -1))
+            )
+            mid_coeff = np.moveaxis(mid_coeff, (-2, -1), (0, 1))
         # a_ij grad^i as one ladder: levels below i are zero
         term = NablaOpSpec(
             source, target_j, metric, [None] * i + [mid_coeff], spec.coefficient_class
@@ -245,8 +249,8 @@ def weighted_duality_check(spec, weight, u, w, p=2.0, gens=None):
     s_w = weight.rho ** (-n / q) / weight.f0
     d_e = spec.source.fiber_dim
     d_f = spec.cosource.fiber_dim
-    mult_u = _scaled(identity_op(spec.source, metric), s_u[..., None, None])
-    mult_w = _scaled(identity_op(spec.cosource, metric), s_w[..., None, None])
+    mult_u = _scaled(identity_op(spec.source, metric), s_u)
+    mult_w = _scaled(identity_op(spec.cosource, metric), s_w)
     depth_u = max((i for i, _ in spec.coefficients), default=0)
     depth_w = max((j for _, j in spec.coefficients), default=0)
     b_ladders = [
@@ -262,12 +266,12 @@ def weighted_duality_check(spec, weight, u, w, p=2.0, gens=None):
     measure = weight.rho ** float(n)
     twisted = {}
     for (i, j), a in spec.coefficients.items():
-        mid = measure[..., None, None] * a
+        mid = measure * a
         for t, b_t in enumerate(b_ladders[i]):
             for tau, c_tau in enumerate(c_ladders[j]):
                 if b_t is not None and c_tau is not None:
                     block = np.einsum(
-                        "...ad,...ab,...be->...de", np.conj(c_tau), mid, b_t
+                        "ad...,ab...,be...->de...", np.conj(c_tau), mid, b_t
                     )
                     _put(twisted, (t, tau), block)
     spec0 = BidiffSpec(

@@ -1,25 +1,21 @@
 """Hermitian bundles over a chart, their potentials, and tensor sections.
 
-A bundle is trivialized over the chart: fiber C^d, a Hermitian fiber metric,
-and connection potential matrices A_k per coordinate direction, stored once
-grid-last as potentials_grid_last[k, a, b, idx] and read grid-first as
-potentials[idx, k, a, b].  The potentials are stored at the shape they
-vary over: each grid axis of the array given to BundleSpec has its full
-length or length 1, and the stored copy keeps that shape.  The flat
-default is (n, d, d, 1, .., 1) zeros, and the magnetic example, which
-depends on x1 alone, is (2, 2, 2, N1, 1).  Every connection product
-broadcasts the stored copy over the grid as it is; potentials is a
-read-only broadcast of it to the full grid + (n, d, d).  The fiber metric
-follows the same rule: the default is the (1, .., 1, d, d) identity.
+Every grid field is stored the one way: its index axes first, its grid
+axes last, each grid axis at its full length or at length 1, the shape
+the field varies over.  A section of T*M^{tensor r} (x) E holds
+values[i_1..i_r, a, idx], C-contiguous, at the full grid shape; new
+covariant slots are always prepended leftmost.  The metric, the
+Christoffel symbols, the potentials and the fiber metric, ladder and form
+coefficients, frames and vector fields follow the same rule, so a product
+of any two of them is one np.einsum with the ellipsis trailing on every
+term, and nothing is moved to meet anything else.
 
-Sections of T*M^{tensor r} (x) E are stored grid-last: C-contiguous arrays
-values[i_1..i_r, a, idx] with the slot axes first, then the fiber axis,
-then the grid axes; new covariant slots are always prepended leftmost.
-Every other field (metric, Christoffel symbols, potentials, fiber metric,
-ladder and form coefficients, frames, vector fields) keeps its index
-axes trailing, grid-first, and a product of such a field with a section
-is one grid_einsum with the ellipsis leading on the field and trailing on
-the section, so the section is never copied to meet the field.
+A bundle is trivialized over the chart: fiber C^d, a Hermitian fiber
+metric, and connection potential matrices A_k per coordinate direction,
+stored once, read-only, as potentials[k, a, b, idx] at the shape they
+were given.  The flat default is (n, d, d, 1, .., 1) zeros, and the
+magnetic example, which depends on x1 alone, is (2, 2, 2, N1, 1).  The
+fiber metric default is the (d, d, 1, .., 1) identity.
 
 Only a plain BundleSpec holds potentials.  The derived bundle
 T*M^{tensor s} (x) E is an InducedBundle that records E and s, and every
@@ -43,74 +39,28 @@ from .errors import ChartMismatch, ShapeMismatch, SingularMetric
 
 
 def pointwise_kron(x, y):
-    """Kronecker product over the trailing two axes, pointwise on the grid."""
-    p, q = x.shape[-2:]
-    r, s = y.shape[-2:]
-    out = x[..., :, None, :, None] * y[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (p * r, q * s))
-
-
-def grid_last(x, g):
-    """A C-contiguous copy of x with its g leading grid axes moved last.
-
-    With the grid innermost, einsum's inner loop runs over the grid and not
-    over a fiber axis of length d once per point; same sums, same bits.
-    """
-    return np.moveaxis(x, range(g), range(-g, 0)).copy(order="C")
-
-
-def grid_first(x, g):
-    """The inverse of grid_last, as a view: the g trailing axes moved first."""
-    return np.moveaxis(x, range(-g, 0), range(g))
-
-
-def grid_einsum(script, *operands):
-    """np.einsum run with the grid innermost, on operands of either layout.
-
-    Every term of script carries the grid ellipsis at one end: leading, as
-    in "...ab", for a grid-first field (a metric, a potential, a
-    coefficient, a frame), or trailing, as in "b...", for a grid-last array
-    such as a section's values.  A grid-first operand with axes beyond its
-    letters is moved grid-last, C-contiguous; one with no such axes is a
-    constant and is passed as it is, and so is every grid-last operand,
-    never copied.  The subscripts then run with the ellipsis trailing.  The
-    result is grid-last when the output term ends with the ellipsis and a
-    grid-first view when it leads with it.  Every product is the grid-first
-    one, but a sum over more than one index may be accumulated in another
-    order and round differently.
-    """
-    inputs, output = script.split("->")
-    terms = inputs.split(",") + [output]
-    if not all(t.startswith("...") or t.endswith("...") for t in terms):
-        raise ValueError(f"every term of {script!r} must lead or end with '...'")
-    moved = []
-    g = 0
-    for term, x in zip(terms, operands):
-        lead = x.ndim - (len(term) - 3)
-        g = max(g, lead)
-        if term.startswith("..."):
-            x = np.ascontiguousarray(np.moveaxis(x, range(lead), range(-lead, 0)))
-        moved.append(x)
-    trailing = ",".join(t.strip(".") + "..." for t in terms[:-1])
-    out = np.einsum(trailing + "->" + output.strip(".") + "...", *moved)
-    return grid_first(out, g) if output.startswith("...") else out
+    """Kronecker product over the leading two axes, pointwise on the grid."""
+    p, q = x.shape[:2]
+    r, s = y.shape[:2]
+    out = x[:, None, :, None] * y[None, :, None, :]
+    return out.reshape((p * r, q * s) + out.shape[4:])
 
 
 def check_grid_shape(shape, grid, tail, what):
-    """Raise ShapeMismatch unless shape is grid + tail with each grid axis
+    """Raise ShapeMismatch unless shape is tail + grid with each grid axis
     of full length or of length 1, the shape a stored field varies over."""
-    n = grid.dim
-    if len(shape) != n + len(tail) or tuple(shape[n:]) != tuple(tail) or not all(
-        m in (1, full) for m, full in zip(shape[:n], grid.shape)
+    t = len(tail)
+    if len(shape) != t + grid.dim or tuple(shape[:t]) != tuple(tail) or not all(
+        m in (1, full) for m, full in zip(shape[t:], grid.shape)
     ):
         raise ShapeMismatch(
-            f"{what} shape {shape} does not match grid {grid.shape} with "
-            f"trailing axes {tuple(tail)} (each grid axis full or of length 1)"
+            f"{what} shape {shape} does not match leading axes {tuple(tail)} "
+            f"with grid {grid.shape} (each grid axis full or of length 1)"
         )
 
 
 def compact_grid_axes(a, g):
-    """a with every one of its g leading axes along which each slice equals
+    """a with every one of its g trailing axes along which each slice equals
     the first kept at length 1.
 
     One neighbouring slice is compared before the whole axis, so a field
@@ -118,7 +68,7 @@ def compact_grid_axes(a, g):
     copy, so it does not keep the full array alive.
     """
     shrunk = False
-    for axis in range(g):
+    for axis in range(a.ndim - g, a.ndim):
         if a.shape[axis] == 1:
             continue
         lead = (slice(None),) * axis
@@ -131,7 +81,7 @@ def compact_grid_axes(a, g):
 def is_identity(m):
     """True for an identity matrix stored at one point, every grid axis of
     length 1; a grid field is never taken for one."""
-    d = m.shape[-1]
+    d = m.shape[0]
     return m.size == d * d and np.array_equal(m.reshape(d, d), np.eye(d))
 
 
@@ -144,49 +94,38 @@ class BundleSpec:
         if d < 1:
             raise ShapeMismatch(f"fiber dimension must be >= 1, got {d}")
         if potentials is None:
-            potentials = np.zeros((1,) * n + (n, d, d), dtype=complex)
-        potentials = np.asarray(potentials, dtype=complex)
+            potentials = np.zeros((n, d, d) + (1,) * n, dtype=complex)
+        # the one stored copy, at the shape it was given, and never written
+        potentials = np.array(potentials, dtype=complex, order="C")
         check_grid_shape(potentials.shape, grid, (n, d, d), "potentials")
         if fiber_metric is None:
-            fiber_metric = np.eye(d).reshape((1,) * n + (d, d))
+            fiber_metric = np.eye(d).reshape((d, d) + (1,) * n)
         fiber_metric = np.asarray(fiber_metric, dtype=complex)
         check_grid_shape(fiber_metric.shape, grid, (d, d), "fiber metric")
         fiber_metric = compact_grid_axes(fiber_metric, n)
         herm_defect = np.max(
-            np.abs(fiber_metric - np.conj(np.swapaxes(fiber_metric, -1, -2)))
+            np.abs(fiber_metric - np.conj(np.swapaxes(fiber_metric, 0, 1)))
         )
         if herm_defect > 1e-12 * max(1.0, float(np.max(np.abs(fiber_metric)))):
             raise ShapeMismatch(
                 f"fiber metric is not Hermitian, defect {herm_defect:.3e}"
             )
-        eigs = np.linalg.eigvalsh(fiber_metric)
+        eigs = np.linalg.eigvalsh(np.moveaxis(fiber_metric, (0, 1), (-2, -1)))
         if float(np.min(eigs)) <= 1e-12 * float(np.max(eigs)):
             raise SingularMetric(
                 f"fiber metric eigenvalue {float(np.min(eigs)):.3e} is not positive"
             )
         self.grid = grid
         self.fiber_dim = d
-        # the one stored copy, grid innermost, at the shape it was given,
-        # and never written
-        self.potentials_grid_last = grid_last(potentials, grid.dim)
-        self.potentials_grid_last.flags.writeable = False
+        potentials.flags.writeable = False
+        self.potentials = potentials
         self.fiber_metric = fiber_metric
         # the directions whose potential is not identically zero
-        self.live = tuple(
-            k for k in range(n) if np.any(self.potentials_grid_last[k])
-        )
+        self.live = tuple(k for k in range(n) if np.any(potentials[k]))
         self.is_flat = not self.live
         # a plain bundle; an InducedBundle names its plain bundle here
         self.base = None
         self.slots = 0
-
-    @property
-    def potentials(self):
-        """The potentials as a read-only grid + (n, d, d) broadcast view of
-        the grid-last copy."""
-        grid = self.grid
-        first = grid_first(self.potentials_grid_last, grid.dim)
-        return np.broadcast_to(first, grid.shape + first.shape[grid.dim :])
 
 
 def compatibility_defect(bundle):
@@ -198,15 +137,18 @@ def compatibility_defect(bundle):
     only the full-length grid axes of H are differentiated.
     """
     grid = bundle.grid
+    n = grid.dim
     a = bundle.potentials
     h = bundle.fiber_metric
-    defect = np.swapaxes(a, -1, -2) @ h[..., None, :, :] + h[..., None, :, :] @ np.conj(a)
-    for k in range(grid.dim):
-        if h.shape[k] > 1:
-            defect[..., k, :, :] -= diff_axis(h, k, grid.h[k], grid.fd_order)
-    frob = np.sqrt(np.sum(np.abs(defect) ** 2, axis=(-1, -2)))
+    defect = np.einsum("kba...,bc...->kac...", a, h)
+    defect = defect + np.einsum("ab...,kbc...->kac...", h, np.conj(a))
+    for k in range(n):
+        if h.shape[2 + k] > 1:
+            defect[k] -= diff_axis(h, k - n, grid.h[k], grid.fd_order)
+    frob = np.sqrt(np.sum(np.abs(defect) ** 2, axis=(1, 2)))
+    frob = np.broadcast_to(frob, (n,) + grid.shape)
     mask = grid.interior_mask(grid.stencil_radius)
-    return float(np.max(frob[mask]))
+    return float(np.max(frob[..., mask]))
 
 
 class TensorSection:
@@ -214,9 +156,7 @@ class TensorSection:
     values[i_1..i_rank, a, idx].
 
     Every section the package builds is C-contiguous, and the derivative
-    tower keeps it so; the one exception is the grid-last view through
-    which the Hom-field sup norms measure a grid-first level, which is
-    never stored or differentiated.
+    tower keeps it so.
     """
 
     def __init__(self, grid, rank, values, fiber_dim):
@@ -241,10 +181,10 @@ def magnetic_example_bundle(grid):
     skew-Hermitian so the connection preserves the standard fiber metric.
     """
     phase = magnetic_phase(grid)
-    # (N1, 1, 2, 2, 2): the potentials vary over x1 alone
-    pots = np.zeros(phase.shape + (2, 2, 2), dtype=complex)
-    pots[..., 1, 0, 1] = phase
-    pots[..., 1, 1, 0] = -np.conj(phase)
+    # (2, 2, 2, N1, 1): the potentials vary over x1 alone
+    pots = np.zeros((2, 2, 2) + phase.shape, dtype=complex)
+    pots[1, 0, 1] = phase
+    pots[1, 1, 0] = -np.conj(phase)
     return BundleSpec(grid, 2, pots)
 
 

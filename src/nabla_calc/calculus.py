@@ -6,13 +6,12 @@ The covariant derivative adds one cotangent slot, always prepended leftmost:
                                 - sum_s Gamma^m_{y i_s} u[.. m .., a]
                                 + A_y[a, b] u[i_1.., b]
 
-Sections are grid-last (bundles.TensorSection), and every step of the
-tower runs in that one layout: each direction's difference is written
-straight into its contiguous block of the result
-(ChartGrid.section_diff), and the potential products run with the grid
-innermost on the stored arrays, so no section is copied.  The one layout
-copy a step makes is of a field: a grid-first Christoffel field is moved
-grid-last once per step of rank >= 1, for all its slots.  A multi-index derivative nabla_(i_1..i_r) is the
+Sections, like every grid field, are stored grid-last (see bundles), and
+every step of the tower runs in that one layout: each direction's
+difference is written straight into its contiguous block of the result
+(ChartGrid.diff), and the potential and Christoffel products run with the
+grid innermost on the stored arrays, so nothing is copied to meet
+anything else.  A multi-index derivative nabla_(i_1..i_r) is the
 (i_1..i_r) component of the r-fold covariant derivative, so Christoffel
 terms act on the accumulated cotangent slots while they are alive.  On a
 constant metric this reduces to composing directional derivatives
@@ -21,7 +20,8 @@ right-to-left, which gives the same bits.  Entries are 1-based.
 
 import numpy as np
 
-from .bundles import TensorSection, grid_einsum, grid_first, grid_last
+from ._kernels import diff_axis
+from .bundles import TensorSection
 from .errors import ChartMismatch, ShapeMismatch
 
 # slot letters must avoid the reserved einsum indices a, b, k, m, y, z
@@ -41,14 +41,12 @@ def _check_context(u, bundle, metric):
 
 
 def _gamma_slot_sum(gamma, values, rank):
-    """Sum over the slots of a rank >= 1 grid-last array of the Christoffel
-    action.
+    """Sum over the leading `rank` slot axes of a grid-last array of the
+    Christoffel action.
 
-    The whole grid-first Gamma[..., m, y, l] field is contracted, so the
-    result carries the new direction axis y in front.  Gamma is moved
-    grid-last once, for every slot.
+    The whole Gamma[m, y, l, idx] field is contracted, so the result
+    carries the new direction axis y in front.
     """
-    gamma = grid_last(gamma, gamma.ndim - 3)
     letters = _SLOTS[:rank]
     total = None
     for s in range(rank):
@@ -86,14 +84,14 @@ def covariant_derivative(u, bundle, metric, check_support=True):
         grid.check_support(vals, grid.stencil_radius)
     parts = np.empty((n,) + vals.shape, dtype=complex)
     for k in range(n):
-        grid.section_diff(vals, k, out=parts[k])
+        grid.diff(vals, k, out=parts[k])
     letters = _SLOTS[:r]
-    if r > 0 and metric.christoffel.shape[:n] == grid.shape:
+    if r > 0 and metric.christoffel.shape[3:] == grid.shape:
         parts -= _gamma_slot_sum(metric.christoffel, vals, r)
     for y in bundle.live:
         parts[y] += np.einsum(
             f"ab...,{letters}b...->{letters}a...",
-            bundle.potentials_grid_last[y],
+            bundle.potentials[y],
             vals,
         )
     return TensorSection(grid, r + 1, parts, u.fiber_dim)
@@ -102,12 +100,12 @@ def covariant_derivative(u, bundle, metric, check_support=True):
 def _coordinate_directional(vals, axis, rank, bundle):
     """nabla along one coordinate direction of a constant metric, rank kept,
     on a section's grid-last values."""
-    out = bundle.grid.section_diff(vals, axis)
+    out = bundle.grid.diff(vals, axis)
     if axis in bundle.live:
         letters = _SLOTS[:rank]
         out += np.einsum(
             f"ab...,{letters}b...->{letters}a...",
-            bundle.potentials_grid_last[axis],
+            bundle.potentials[axis],
             vals,
         )
     return out
@@ -154,7 +152,7 @@ def multiindex_derivative(u, idx, bundle, metric):
     if depth:
         grid.check_support(u.values, depth * grid.stencil_radius)
     out = [None] * len(idxs)
-    if metric.christoffel.shape[: grid.dim] != grid.shape and bundle.base is None:
+    if metric.christoffel.shape[3:] != grid.shape and bundle.base is None:
         _directional_walk(u.values, 0, range(len(idxs)), idxs, u, bundle, out)
     else:
         for j, level in enumerate(tower(u, bundle, metric, depth)):
@@ -199,12 +197,12 @@ def contract_with_vector(u, X):
     if u.rank == 0:
         raise ShapeMismatch("cannot contract a rank-0 section with a vector field")
     n = u.grid.dim
-    if X.shape != u.grid.shape + (n,):
+    if X.shape != (n,) + u.grid.shape:
         raise ShapeMismatch(
             f"vector field shape {X.shape} does not match grid {u.grid.shape}"
         )
     letters = _SLOTS[: u.rank - 1]
-    vals = grid_einsum(f"...k,k{letters}z...->{letters}z...", X, u.values)
+    vals = np.einsum(f"k...,k{letters}z...->{letters}z...", X, u.values)
     return TensorSection(u.grid, u.rank - 1, vals, u.fiber_dim)
 
 
@@ -214,23 +212,24 @@ def directional_derivative(u, X, bundle, metric):
 
 
 class CurvatureField:
-    """Curvature tensor R_kl = d_k A_l - d_l A_k + [A_k, A_l]."""
+    """Curvature tensor R_kl = d_k A_l - d_l A_k + [A_k, A_l], stored as
+    values[k, l, a, b, idx]."""
 
     def __init__(self, grid, values):
         n = grid.dim
-        if values.shape[: grid.dim] != grid.shape or values.shape[grid.dim : grid.dim + 2] != (n, n):
+        if values.shape[:2] != (n, n) or values.shape[4:] != grid.shape:
             raise ShapeMismatch(f"curvature values have shape {values.shape}")
         self.grid = grid
         self.values = values
-        self.fiber_dim = values.shape[-1]
+        self.fiber_dim = values.shape[2]
 
     def contract(self, X, Y):
         """R(X, Y) as an endomorphism field."""
-        return np.einsum("...k,...l,...klab->...ab", X, Y, self.values)
+        return np.einsum("k...,l...,klab...->ab...", X, Y, self.values)
 
     def skew_hermitian_defect(self):
         vals = self.values
-        defect = vals + np.conj(np.swapaxes(vals, -1, -2))
+        defect = vals + np.conj(np.swapaxes(vals, 2, 3))
         return float(np.max(np.abs(defect)))
 
 
@@ -238,35 +237,39 @@ def curvature(bundle):
     """Curvature of the bundle connection, zeroed on the FD-invalid band.
 
     Per pair k < l, R_kl = (d_k A_l - d_l A_k) + (A_k A_l - A_l A_k) and
-    R_lk with every difference taken the other way round; the products run
-    on the grid-last potentials, and only when k and l are both live.
-    R_kk = 0, and a flat bundle gives zeros.
+    R_lk with every difference taken the other way round.  A potential is
+    differenced only along its full-length grid axes, since its difference
+    along a length-1 axis is exactly zero; the products run only when k
+    and l are both live.  R_kk = 0, and a flat bundle gives zeros.
     """
     grid = bundle.grid
     n = grid.dim
     d = bundle.fiber_dim
-    r = np.zeros(grid.shape + (n, n, d, d), dtype=complex)
+    r = np.zeros((n, n, d, d) + grid.shape, dtype=complex)
     if bundle.is_flat:
         return CurvatureField(grid, r)
-    a = bundle.potentials
-    pots = bundle.potentials_grid_last
+    pots = bundle.potentials
+
+    def difference(a, axis):
+        if a.shape[axis - n] == 1:
+            return 0.0
+        return diff_axis(a, axis - n, grid.h[axis], grid.fd_order)
+
     for k in range(n):
         for l in range(k + 1, n):
-            r_kl = r[..., k, l, :, :]
-            r_lk = r[..., l, k, :, :]
-            d_kl = grid.diff(a[..., l, :, :], axis=k)
-            d_lk = grid.diff(a[..., k, :, :], axis=l)
-            np.subtract(d_kl, d_lk, out=r_kl)
-            np.subtract(d_lk, d_kl, out=r_lk)
+            d_kl = difference(pots[l], k)
+            d_lk = difference(pots[k], l)
+            np.subtract(d_kl, d_lk, out=r[k, l])
+            np.subtract(d_lk, d_kl, out=r[l, k])
             del d_kl, d_lk  # freed before the products: a lower peak
             if k not in bundle.live or l not in bundle.live:
                 continue
             p_kl = np.einsum("ab...,bc...->ac...", pots[k], pots[l])
             p_lk = np.einsum("ab...,bc...->ac...", pots[l], pots[k])
             comm = p_kl - p_lk
-            r_kl += grid_first(comm, grid.dim)
+            r[k, l] += comm
             np.subtract(p_lk, p_kl, out=comm)
-            r_lk += grid_first(comm, grid.dim)
+            r[l, k] += comm
     grid.zero_band(r, grid.stencil_radius)
     return CurvatureField(grid, r)
 
@@ -275,11 +278,11 @@ def divergence(X, metric):
     """Levi-Civita divergence of a vector field."""
     grid = metric.grid
     n = grid.dim
-    if X.shape != grid.shape + (n,):
+    if X.shape != (n,) + grid.shape:
         raise ShapeMismatch(f"vector field shape {X.shape} does not match the grid")
-    out = sum(grid.diff(X[..., k], axis=k) for k in range(n))
-    if metric.christoffel.shape[:n] == grid.shape:
-        out = out + np.einsum("...kkl,...l->...", metric.christoffel, X)
+    out = sum(grid.diff(X[k], axis=k) for k in range(n))
+    if metric.christoffel.shape[3:] == grid.shape:
+        out = out + np.einsum("kkl...,l...->...", metric.christoffel, X)
     if np.iscomplexobj(out):
         out = out.astype(complex)
     grid.zero_band(out, grid.stencil_radius)

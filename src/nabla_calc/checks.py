@@ -22,13 +22,7 @@ from .bidiff import (
     l2_pairing,
     weighted_duality_check,
 )
-from .bundles import (
-    BundleSpec,
-    TensorSection,
-    grid_einsum,
-    grid_last,
-    magnetic_phase,
-)
+from .bundles import BundleSpec, TensorSection, magnetic_phase
 from .calculus import (
     covariant_derivative,
     curvature,
@@ -209,19 +203,20 @@ def _norm_row(ctx, s, p, value, bound, passed):
 
 
 def _require_flat(ctx, what):
-    if not np.allclose(ctx.metric.values, np.eye(ctx.grid.dim)):
+    n = ctx.grid.dim
+    if not np.allclose(ctx.metric.values, np.eye(n).reshape((n, n) + (1,) * n)):
         raise ConfigError(f"{what} needs the flat metric")
 
 
 def _require_oscillating_bundle(ctx, what):
-    """The potentials of magnetic_example_bundle, compared grid-last against
-    a model that holds only the x1 axis and broadcasts over x2."""
+    """The potentials of magnetic_example_bundle, compared against a model
+    that holds only the x1 axis and broadcasts over x2."""
     phase = magnetic_phase(ctx.grid)
     model = np.zeros((2, 2, 2) + phase.shape, dtype=complex)
     model[1, 0, 1] = phase
     model[1, 1, 0] = -np.conj(phase)
     if ctx.bundle.fiber_dim != 2 or not np.allclose(
-        ctx.bundle.potentials_grid_last, model
+        ctx.bundle.potentials, model
     ):
         raise ConfigError(f"{what} needs the built-in oscillating-potential bundle")
 
@@ -248,8 +243,8 @@ def _closed_form_second_derivatives(grid, xi, phase, conj_phase, slope):
     rendered with the grid stencils; only the potential's derivative uses
     its analytic form.
     """
-    d1 = grid.section_diff(xi, 0)
-    d2 = grid.section_diff(xi, 1)
+    d1 = grid.diff(xi, 0)
+    d2 = grid.diff(xi, 1)
 
     def swap(v, top, bottom):
         """The fiber vector (top v_2, bottom v_1); A_2 v = swap(v, phase,
@@ -263,14 +258,14 @@ def _closed_form_second_derivatives(grid, xi, phase, conj_phase, slope):
     a2_d1 = swap(d1, phase, -conj_phase)
     da2_xi = swap(xi, phase, conj_phase)
     np.multiply(slope, da2_xi, out=da2_xi)
-    f12 = grid.section_diff(d2, 0)
+    f12 = grid.diff(d2, 0)
     f12 += da2_xi
     f12 += a2_d1
     del da2_xi
-    f21 = grid.section_diff(d1, 1)
+    f21 = grid.diff(d1, 1)
     f21 += a2_d1
     del a2_d1, d1
-    f22 = grid.section_diff(d2, 1)
+    f22 = grid.diff(d2, 1)
     a2_d2 = swap(d2, phase, -conj_phase)
     np.multiply(2, a2_d2, out=a2_d2)
     f22 += a2_d2
@@ -318,21 +313,18 @@ def check_multiindex_formulas(ctx, tolerance, trials=20):
 
 
 def _leibniz_error(ctx, trial):
-    """One trial of leibniz-rule, one direction k at a time, grid axes last:
+    """One trial of leibniz-rule, one direction k at a time:
     nabla_k a = d_k a + A_k a - a A_k, skipped products on a dead k, and
     rhs_k = (nabla_k a) u + a (nabla u)_k.  The field and its first
-    partials share one phase per wave, and each is copied grid-last, to
-    meet the sections, before any section exists; each direction's
-    temporaries are freed before the next direction makes its own."""
+    partials share one phase per wave, and are made before any section
+    exists; each direction's temporaries are freed before the next
+    direction makes its own."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     n = grid.dim
-    pots = ctx.bundle.potentials_grid_last
+    pots = ctx.bundle.potentials
     a_field = random_trig_field(n, (d, d), _rng(ctx, "leibniz-rule", trial))
     fields = a_field.sample(grid, [()] + [(k,) for k in range(n)])
-    for i, field in enumerate(fields):
-        fields[i] = grid_last(field, n)
-    del field
     a, *partials = fields
     del fields
     u = random_section(grid, 0, d, _rng(ctx, "leibniz-section", trial))
@@ -369,7 +361,7 @@ def check_leibniz_rule(ctx, tolerance, trials=5):
 
 def _commutator_error(ctx, trial, blocks, pairs):
     """One trial of curvature-commutator over every direction pair; blocks
-    holds the curvature R_kl of each pair, grid-last as (d, d) + grid."""
+    holds the curvature R_kl of each pair as (d, d) + grid."""
     rng = _rng(ctx, "curvature-commutator", trial)
     u = random_section(ctx.grid, 0, ctx.bundle.fiber_dim, rng)
     idxs = [idx for k, l in pairs for idx in ((k, l), (l, k))]
@@ -391,12 +383,12 @@ def check_curvature_commutator(ctx, tolerance, trials=5):
     """(nabla_kl - nabla_lk) u = R_kl u on every direction pair.
 
     Only the R_kl blocks of the pairs k < l are kept across the trials,
-    copied grid-last to meet the sections; the full (n, n, d, d) curvature
-    field is freed once they are copied.
+    each copied out; the full (n, n, d, d) curvature field is freed once
+    they are copied.
     """
     pairs = list(itertools.combinations(range(1, ctx.grid.dim + 1), 2))
     r = curvature(ctx.bundle).values
-    blocks = [grid_last(r[..., k - 1, l - 1, :, :], ctx.grid.dim) for k, l in pairs]
+    blocks = [r[k - 1, l - 1].copy() for k, l in pairs]
     del r
     worst = 0.0
     for trial in range(trials):
@@ -493,13 +485,13 @@ def check_generator_identities(ctx, tolerance, trials=5):
     worst = reconstruction_defect(gens)
     for trial in range(trials):
         x = random_vector_field(grid, _rng(ctx, "gen-vector", trial))
-        back = grid_einsum("...jm,...ji,...i->...m", gens.z, gens.xi, x)
+        back = np.einsum("jm...,ji...,i...->m...", gens.z, gens.xi, x)
         worst = strict_max(
             worst,
             float(np.max(np.abs(back - x))) / max(1.0, float(np.max(np.abs(x)))),
         )
         omega = random_vector_field(grid, _rng(ctx, "gen-covector", trial))
-        back = grid_einsum("...jm,...ji,...i->...m", gens.xi, gens.z, omega)
+        back = np.einsum("jm...,ji...,i...->m...", gens.xi, gens.z, omega)
         worst = strict_max(
             worst,
             float(np.max(np.abs(back - omega)))
@@ -597,7 +589,7 @@ def check_weighted_ratio(ctx, tolerance, orders=(0, 1), p=2.0):
 def _random_mixed_spec(ctx, gens, trial, max_order):
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
-    n_gen = gens.z.shape[-2]
+    n_gen = gens.n_gens
     rng = _rng(ctx, "rewrite-spec", trial)
     terms = []
     for _ in range(1 + trial % 2):
@@ -662,7 +654,7 @@ def _ladder_form(ctx, half_order):
     table = {}
     for i in range(half_order + 1):
         dim = n**i * d
-        table[(i, i)] = np.eye(dim, dtype=complex).reshape((1,) * n + (dim, dim))
+        table[(i, i)] = np.eye(dim, dtype=complex).reshape((dim, dim) + (1,) * n)
     return BidiffSpec(ctx.bundle, ctx.bundle, ctx.metric, half_order, table)
 
 

@@ -7,20 +7,17 @@ rows of Phi).  The pair reconstructs arbitrary tensors, reassembles the
 covariant derivative from directional pieces, and carries the structure
 functions used to reorder iterated directional derivatives.
 
-The frame, its Gram matrices and its structure functions are contracted
-with bundles.grid_einsum, which runs einsum with the grid axes innermost:
-over fiber axes of length 2 to 4 that is several times faster than the
-grid-first einsum and gives the same bits, except that the Christoffel
-term of divergence_via_generators may round differently.  The final
-pairing in divergence_via_generators, a product over one fiber block, is
-the measured exception and stays a grid-first einsum.
+The embedding, the frame, the coframe and the structure functions are
+grid fields stored grid-last (see bundles): phi[a, i, idx], z[j, i, idx]
+and xi[j, i, idx], so the frame field Z_j is z[j].  Every contraction is
+one einsum with the grid innermost.
 """
 
 import itertools
 
 import numpy as np
 
-from .bundles import TensorSection, grid_einsum
+from .bundles import TensorSection
 from .calculus import _SLOTS, contract_with_vector, covariant_derivative
 from .errors import ChartMismatch, DegenerateEmbedding, ShapeMismatch
 from .geometry import MetricField
@@ -32,49 +29,49 @@ SIGMA_FLOOR = 1e-12
 class EmbeddingSpec:
     """Pointwise injective linear map of the tangent spaces into R^N.
 
-    phi has shape grid + (N, n); the isometric flag asserts phi^T phi = g
+    phi has shape (N, n) + grid; the isometric flag asserts phi^T phi = g
     for the metric the embedding will be paired with.
     """
 
     def __init__(self, grid, phi, isometric=False):
         phi = np.asarray(phi, dtype=float)
         n = grid.dim
-        if phi.ndim != grid.dim + 2 or phi.shape[: grid.dim] != grid.shape:
+        if phi.ndim != grid.dim + 2 or phi.shape[2:] != grid.shape:
             raise ShapeMismatch(
                 f"embedding values {phi.shape} do not sit over grid {grid.shape}"
             )
-        if phi.shape[-1] != n:
+        if phi.shape[1] != n:
             raise ShapeMismatch(
-                f"embedding matrices are {phi.shape[-2]}x{phi.shape[-1]}, "
+                f"embedding matrices are {phi.shape[0]}x{phi.shape[1]}, "
                 f"expected column count {n}"
             )
-        if phi.shape[-2] < n:
+        if phi.shape[0] < n:
             raise ShapeMismatch(
-                f"ambient dimension {phi.shape[-2]} is below the chart dimension {n}"
+                f"ambient dimension {phi.shape[0]} is below the chart dimension {n}"
             )
         self.grid = grid
         self.phi = phi
-        self.n_ambient = phi.shape[-2]
+        self.n_ambient = phi.shape[0]
         self.isometric = bool(isometric)
 
     def gram(self):
         """phi^T phi as a pointwise n x n field."""
-        return grid_einsum("...ji,...jk->...ik", self.phi, self.phi)
+        return np.einsum("ji...,jk...->ik...", self.phi, self.phi)
 
 
 class GeneratorSystem:
     """Spanning frame Z_j with dual coframe xi_j over a chart.
 
-    z[idx, j, i] holds the components Z_j^i and xi[idx, j, i] the covector
-    components (xi_j)_i; g_structure and l_structure hold the expansion
-    coefficients of nabla_{Z_i} Z_j and [Z_i, Z_j] in the frame.
+    z[j, i, idx] holds the components Z_j^i and xi[j, i, idx] the covector
+    components (xi_j)_i; g_structure[i, j, k, idx] and l_structure hold the
+    expansion coefficients of nabla_{Z_i} Z_j and [Z_i, Z_j] in the frame.
     """
 
     def __init__(self, grid, z, xi, frechet=False):
         n = grid.dim
         z = np.asarray(z, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        if z.shape != xi.shape or z.shape[: grid.dim] != grid.shape or z.shape[-1] != n:
+        if z.shape != xi.shape or z.shape[2:] != grid.shape or z.shape[1] != n:
             raise ShapeMismatch(
                 f"frame arrays {z.shape} / {xi.shape} do not match grid "
                 f"{grid.shape} with {n} components"
@@ -82,7 +79,7 @@ class GeneratorSystem:
         self.grid = grid
         self.z = z
         self.xi = xi
-        self.n_gens = z.shape[-2]
+        self.n_gens = z.shape[0]
         self.g_structure = None
         self.l_structure = None
         # boundedness of the frame and all its derivatives is a property of
@@ -93,13 +90,14 @@ class GeneratorSystem:
 
 def reconstruction_defect(gens):
     """Largest entry of sum_j Z_j (x) xi_j minus the identity, over the grid."""
-    prod = np.einsum("...ji,...jr->...ir", gens.z, gens.xi)
-    return float(np.max(np.abs(prod - np.eye(gens.grid.dim))))
+    n = gens.grid.dim
+    prod = np.einsum("ji...,jr...->ir...", gens.z, gens.xi)
+    return float(np.max(np.abs(prod - np.eye(n).reshape((n, n) + (1,) * n))))
 
 
 def coframe_gram(gens, metric):
     """Pairings (xi_k, xi_l) of the coframe under the inverse metric."""
-    return grid_einsum("...im,...ki,...lm->...kl", metric.inv, gens.xi, gens.xi)
+    return np.einsum("im...,ki...,lm...->kl...", metric.inv, gens.xi, gens.xi)
 
 
 def build_generators(embedding, metric, frechet=False):
@@ -115,7 +113,8 @@ def build_generators(embedding, metric, frechet=False):
         raise ChartMismatch("embedding and metric live on different grids")
     phi = embedding.phi
     gram = embedding.gram()
-    lam = np.linalg.eigvalsh(gram)
+    # numpy.linalg wants the matrices last
+    lam = np.linalg.eigvalsh(np.moveaxis(gram, (0, 1), (-2, -1)))
     smin = float(np.sqrt(max(float(np.min(lam)), 0.0)))
     smax = float(np.sqrt(float(np.max(lam))))
     if smin <= SIGMA_FLOOR * max(1.0, smax):
@@ -131,24 +130,31 @@ def build_generators(embedding, metric, frechet=False):
                 f"isometric flag is set but phi^T phi differs from the metric "
                 f"by {defect:.3e}"
             )
-        psi = grid_einsum("...ik,...jk->...ij", metric.inv, phi)
+        psi = np.einsum("ik...,jk...->ij...", metric.inv, phi)
     else:
-        psi = np.linalg.solve(gram, np.swapaxes(phi, -1, -2))
-    gens = GeneratorSystem(grid, np.swapaxes(psi, -1, -2), phi, frechet=frechet)
+        psi = np.linalg.solve(
+            np.moveaxis(gram, (0, 1), (-2, -1)), np.moveaxis(phi, (1, 0), (-2, -1))
+        )
+        psi = np.moveaxis(psi, (-2, -1), (0, 1))
+    z = np.ascontiguousarray(np.swapaxes(psi, 0, 1))
+    gens = GeneratorSystem(grid, z, phi, frechet=frechet)
     gens.g_structure, gens.l_structure = structure_functions(gens, metric)
     return gens
 
 
 def _spd_power(mats, power, what):
     """Eigendecomposition power of a field of symmetric matrices."""
-    lam, vecs = np.linalg.eigh(mats)
+    # numpy.linalg wants the matrices last
+    lam, vecs = np.linalg.eigh(np.moveaxis(mats, (0, 1), (-2, -1)))
     floor = SIGMA_FLOOR * max(1.0, float(np.max(lam)))
     if float(np.min(lam)) <= floor:
         raise DegenerateEmbedding(
             f"{what} eigenvalue {float(np.min(lam)):.3e} is at or below the "
             f"floor {floor:.3e}"
         )
-    return grid_einsum("...ik,...k,...jk->...ij", vecs, lam**power, vecs)
+    vecs = np.ascontiguousarray(np.moveaxis(vecs, (-2, -1), (0, 1)))
+    lam = np.ascontiguousarray(np.moveaxis(lam**power, -1, 0))
+    return np.einsum("ik...,k...,jk...->ij...", vecs, lam, vecs)
 
 
 def polar_isometrize(embedding, metric):
@@ -163,7 +169,7 @@ def polar_isometrize(embedding, metric):
         raise ChartMismatch("embedding and metric live on different grids")
     inv_root = _spd_power(embedding.gram(), -0.5, "embedding Gram")
     g_root = _spd_power(metric.values, 0.5, "metric")
-    phi = grid_einsum("...ai,...ij,...jk->...ak", embedding.phi, inv_root, g_root)
+    phi = np.einsum("ai...,ij...,jk...->ak...", embedding.phi, inv_root, g_root)
     return EmbeddingSpec(grid, phi, isometric=True)
 
 
@@ -176,15 +182,15 @@ def structure_functions(gens, metric):
     grid = gens.grid
     n = grid.dim
     z = gens.z
-    dz = np.stack([grid.diff(z, axis=l) for l in range(n)], axis=-3)
+    dz = np.stack([grid.diff(z, axis=l) for l in range(n)])
     grid.zero_band(dz, grid.stencil_radius)
-    flow = grid_einsum("...il,...ljm->...ijm", z, dz)
+    flow = np.einsum("il...,ljm...->ijm...", z, dz)
     cov = flow
-    if metric.christoffel.shape[:n] == grid.shape:
-        cov = cov + grid_einsum("...mlr,...il,...jr->...ijm", metric.christoffel, z, z)
-    bracket = flow - np.swapaxes(flow, -3, -2)
-    g_structure = grid_einsum("...km,...ijm->...ijk", gens.xi, cov)
-    l_structure = grid_einsum("...km,...ijm->...ijk", gens.xi, bracket)
+    if metric.christoffel.shape[3:] == grid.shape:
+        cov = cov + np.einsum("mlr...,il...,jr...->ijm...", metric.christoffel, z, z)
+    bracket = flow - np.swapaxes(flow, 0, 1)
+    g_structure = np.einsum("km...,ijm...->ijk...", gens.xi, cov)
+    l_structure = np.einsum("km...,ijm...->ijk...", gens.xi, bracket)
     return g_structure, l_structure
 
 
@@ -196,9 +202,9 @@ def nabla_via_generators(u, gens, bundle, metric):
     letters = _SLOTS[: u.rank]
     out = np.zeros(full.values.shape, dtype=complex)
     for j in range(gens.n_gens):
-        der = contract_with_vector(full, gens.z[..., j, :])
-        out += grid_einsum(
-            f"...y,{letters}a...->y{letters}a...", gens.xi[..., j, :], der.values
+        der = contract_with_vector(full, gens.z[j])
+        out += np.einsum(
+            f"y...,{letters}a...->y{letters}a...", gens.xi[j], der.values
         )
     return TensorSection(u.grid, u.rank + 1, out, u.fiber_dim)
 
@@ -207,15 +213,14 @@ def divergence_via_generators(X, gens, metric):
     """Divergence through the frame: sum_kl (xi_k, xi_l) g(nabla_{Z_k} X, Z_l)."""
     grid = gens.grid
     n = grid.dim
-    if X.shape != grid.shape + (n,):
+    if X.shape != (n,) + grid.shape:
         raise ShapeMismatch(f"vector field shape {X.shape} does not match the grid")
-    dx = np.stack([grid.diff(X, axis=l) for l in range(n)], axis=-2)
-    cov = grid_einsum("...kl,...lm->...km", gens.z, dx)
-    if metric.christoffel.shape[:n] == grid.shape:
-        cov = cov + grid_einsum("...mlr,...kl,...r->...km", metric.christoffel, gens.z, X)
-    inner = grid_einsum("...im,...ki,...lm->...kl", metric.values, cov, gens.z)
-    # the measured exception: this pairing is faster grid-first
-    out = np.einsum("...kl,...kl->...", coframe_gram(gens, metric), inner)
+    dx = np.stack([grid.diff(X, axis=l) for l in range(n)])
+    cov = np.einsum("kl...,lm...->km...", gens.z, dx)
+    if metric.christoffel.shape[3:] == grid.shape:
+        cov = cov + np.einsum("mlr...,kl...,r...->km...", metric.christoffel, gens.z, X)
+    inner = np.einsum("im...,ki...,lm...->kl...", metric.values, cov, gens.z)
+    out = np.einsum("kl...,kl...->...", coframe_gram(gens, metric), inner)
     grid.zero_band(out, grid.stencil_radius)
     return out
 
@@ -245,7 +250,7 @@ def generator_sobolev_norm(u, s, p, gens, bundle, metric, all_tuples=False):
             v = u
             for k in reversed(combo):
                 full = covariant_derivative(v, bundle, metric, check_support=False)
-                v = contract_with_vector(full, gens.z[..., k, :])
+                v = contract_with_vector(full, gens.z[k])
             terms.append(lp_norm(v, p, metric, bundle))
     return _lp_combine(terms, p)
 
@@ -253,7 +258,8 @@ def generator_sobolev_norm(u, s, p, gens, bundle, metric, all_tuples=False):
 def identity_embedding(grid, isometric=True):
     """Phi = identity with N = n; isometric exactly for the flat metric."""
     n = grid.dim
-    phi = np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy()
+    eye = np.eye(n).reshape((n, n) + (1,) * n)
+    phi = np.broadcast_to(eye, (n, n) + grid.shape).copy()
     return EmbeddingSpec(grid, phi, isometric=isometric)
 
 
@@ -268,64 +274,65 @@ def sphere_ambient_embedding(grid):
         raise ShapeMismatch(f"sphere chart must be 2d, got {grid.dim}d")
     x1, x2 = grid.coords
     s = 1.0 + x1**2 + x2**2
-    phi = np.empty(grid.shape + (3, 2))
-    phi[..., 0, 0] = (2.0 * s - 4.0 * x1**2) / s**2
-    phi[..., 0, 1] = -4.0 * x1 * x2 / s**2
-    phi[..., 1, 0] = -4.0 * x1 * x2 / s**2
-    phi[..., 1, 1] = (2.0 * s - 4.0 * x2**2) / s**2
-    phi[..., 2, 0] = 4.0 * x1 / s**2
-    phi[..., 2, 1] = 4.0 * x2 / s**2
-    metric = MetricField(grid, (4.0 / s**2)[..., None, None] * np.eye(2))
+    phi = np.empty((3, 2) + grid.shape)
+    phi[0, 0] = (2.0 * s - 4.0 * x1**2) / s**2
+    phi[0, 1] = -4.0 * x1 * x2 / s**2
+    phi[1, 0] = -4.0 * x1 * x2 / s**2
+    phi[1, 1] = (2.0 * s - 4.0 * x2**2) / s**2
+    phi[2, 0] = 4.0 * x1 / s**2
+    phi[2, 1] = 4.0 * x2 / s**2
+    metric = MetricField(grid, (4.0 / s**2) * np.eye(2).reshape(2, 2, 1, 1))
     return EmbeddingSpec(grid, phi, isometric=True), metric
 
 
 def graph_embedding(grid, heights, gradients=None):
     """Graph-of-f chart: Phi stacks the identity over the height gradients.
 
-    heights is a grid array (one ambient height) or grid + (m,) for m of
-    them; gradients holds the grid + (m, n) partials and is
+    heights is a grid array (one ambient height) or (m,) + grid for m of
+    them; gradients holds the (m, n) + grid partials and is
     central-differenced from the heights when not supplied.  Returns
     (embedding, metric) with the induced graph metric 1 + Df^T Df.
     """
     heights = np.asarray(heights, dtype=float)
     if heights.shape == grid.shape:
-        heights = heights[..., None]
-    m = heights.shape[-1]
-    if heights.shape != grid.shape + (m,):
+        heights = heights[None]
+    m = heights.shape[0]
+    if heights.shape != (m,) + grid.shape:
         raise ShapeMismatch(
             f"height field shape {heights.shape} does not sit over grid {grid.shape}"
         )
     n = grid.dim
     if gradients is None:
-        gradients = np.stack(
-            [grid.diff(heights, axis=k) for k in range(n)], axis=-1
-        )
+        gradients = np.stack([grid.diff(heights, axis=k) for k in range(n)], axis=1)
     gradients = np.asarray(gradients, dtype=float)
-    if gradients.shape != grid.shape + (m, n):
+    if gradients.shape != (m, n) + grid.shape:
         raise ShapeMismatch(
             f"gradient field shape {gradients.shape} does not match "
             f"{m} heights over a {n}d chart"
         )
-    eye = np.broadcast_to(np.eye(n), grid.shape + (n, n))
-    phi = np.concatenate([eye, gradients], axis=-2)
-    gram = np.eye(n) + np.einsum("...mi,...mj->...ij", gradients, gradients)
+    eye = np.eye(n).reshape((n, n) + (1,) * n)
+    phi = np.concatenate([np.broadcast_to(eye, (n, n) + grid.shape), gradients])
+    gram = eye + np.einsum("mi...,mj...->ij...", gradients, gradients)
     return EmbeddingSpec(grid, phi, isometric=True), MetricField(grid, gram)
 
 
-def random_embedding(grid, n_ambient, rng, n_waves=2, amplitude=0.25):
+def random_embedding(grid, n_ambient, rng, amplitude=0.25):
     """Smooth random full-rank embedding: orthonormal base plus gentle sway.
 
-    The base columns are orthonormal and every sinusoidal perturbation is
-    scaled so the total spectral deviation stays below the amplitude, which
-    keeps the smallest singular value at least 1 - amplitude everywhere.
+    The base columns are orthonormal and each of the two sinusoidal
+    perturbations is scaled so the total spectral deviation stays below
+    the amplitude, which keeps the smallest singular value at least
+    1 - amplitude everywhere.
     """
     n = grid.dim
     if n_ambient < n:
         raise ShapeMismatch(
             f"ambient dimension {n_ambient} is below the chart dimension {n}"
         )
+    n_waves = 2
     base = np.linalg.qr(rng.standard_normal((n_ambient, n_ambient)))[0][:, :n]
-    phi = np.broadcast_to(base, grid.shape + (n_ambient, n)).copy()
+    pad = (1,) * n
+    phi = np.broadcast_to(base.reshape(base.shape + pad), base.shape + grid.shape).copy()
     x = np.stack(grid.coords, axis=-1)
     for _ in range(n_waves):
         w = rng.uniform(-1.0, 1.0, size=n)
@@ -333,5 +340,5 @@ def random_embedding(grid, n_ambient, rng, n_waves=2, amplitude=0.25):
         c = rng.standard_normal((n_ambient, n))
         c *= amplitude / (n_waves * np.linalg.norm(c, 2))
         wave = np.sin(x @ w + phase)
-        phi = phi + wave[..., None, None] * c
+        phi = phi + wave * c.reshape(c.shape + pad)
     return EmbeddingSpec(grid, phi, isometric=False)

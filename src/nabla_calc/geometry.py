@@ -1,9 +1,9 @@
 """Metrics on chart grids: Christoffel symbols, volume densities, weights.
 
-Metric values are real symmetric positive matrices stored pointwise with
-trailing index axes, values[idx, k, l] = g_kl(x_idx), at the shape they
-vary over: each grid axis has its full length or length 1, as the
-potentials of a BundleSpec do.  The flat metric is (1, .., 1, n, n).
+Metric values are real symmetric positive matrices stored grid-last,
+values[k, l, idx] = g_kl(x_idx), at the shape they vary over: each grid
+axis has its full length or length 1, as every grid field is (see
+bundles).  The flat metric is (n, n, 1, .., 1).
 Christoffel symbols come from central differences of the metric; the
 outermost stencil-radius band is zeroed since the one-sided values there
 are garbage and sections are required to vanish nearby anyway.
@@ -12,7 +12,7 @@ are garbage and sections are required to vanish nearby anyway.
 import numpy as np
 
 from ._kernels import diff_axis
-from .bundles import check_grid_shape, compact_grid_axes, grid_einsum
+from .bundles import check_grid_shape, compact_grid_axes
 from .errors import ChartMismatch, NonpositiveWeight, ShapeMismatch, SingularMetric
 
 EIG_FLOOR_REL = 1e-12
@@ -25,8 +25,9 @@ class MetricField:
     over, each grid axis full or of length 1, and are computed once, here,
     and never written.  The Christoffel field is the one exception: the
     zeroed stencil band runs along every axis, so a metric that varies at
-    all has a full-grid christoffel, and a constant one has the exact zero
-    of shape (1, .., 1, n, n, n).
+    all has a full-grid christoffel[m, k, l, idx], and a constant one has
+    the exact zero of shape (n, n, n, 1, .., 1).  Every stored field is
+    C-contiguous.
     """
 
     def __init__(self, grid, values):
@@ -35,11 +36,13 @@ class MetricField:
         check_grid_shape(values.shape, grid, (n, n), "metric values")
         if not np.all(np.isfinite(values)):
             raise SingularMetric("metric values are not finite on the grid")
-        asym = np.max(np.abs(values - np.swapaxes(values, -1, -2)))
+        asym = np.max(np.abs(values - np.swapaxes(values, 0, 1)))
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
             raise ShapeMismatch(f"metric is not symmetric, max asymmetry {asym:.3e}")
-        values = compact_grid_axes(0.5 * (values + np.swapaxes(values, -1, -2)), n)
-        eigs = np.linalg.eigvalsh(values)
+        values = compact_grid_axes(0.5 * (values + np.swapaxes(values, 0, 1)), n)
+        # numpy.linalg wants the matrices last
+        mats = np.moveaxis(values, (0, 1), (-2, -1))
+        eigs = np.linalg.eigvalsh(mats)
         floor = EIG_FLOOR_REL * float(np.max(eigs))
         emin = float(np.min(eigs))
         if emin <= floor:
@@ -48,24 +51,26 @@ class MetricField:
             )
         self.grid = grid
         self.values = values
-        self.inv = np.linalg.inv(values)
-        self.sqrt_det = np.sqrt(np.linalg.det(values))
-        lead = values.shape[:n]
+        self.inv = np.ascontiguousarray(
+            np.moveaxis(np.linalg.inv(mats), (-2, -1), (0, 1))
+        )
+        self.sqrt_det = np.sqrt(np.linalg.det(mats))
+        lead = values.shape[2:]
         if lead == (1,) * n:
-            self.christoffel = np.zeros((1,) * n + (n, n, n))
+            self.christoffel = np.zeros((n, n, n) + (1,) * n)
         else:
-            # dg[idx, k, r, l] = d_k g_rl at the shape g varies over: only
+            # dg[k, r, l, idx] = d_k g_rl at the shape g varies over: only
             # the full-length axes are differenced, the rest stay exact zeros
-            dg = np.zeros(lead + (n, n, n))
+            dg = np.zeros((n, n, n) + lead)
             for k in range(n):
                 if lead[k] > 1:
-                    dg[..., k, :, :] = diff_axis(values, k, grid.h[k], grid.fd_order)
-            t1 = np.swapaxes(dg, -3, -2)  # [r, k, l] = d_k g_rl
-            t2 = np.swapaxes(t1, -2, -1)  # [r, k, l] = d_l g_rk
-            gamma = 0.5 * grid_einsum("...mr,...rkl->...mkl", self.inv, t1 + t2 - dg)
+                    dg[k] = diff_axis(values, k - n, grid.h[k], grid.fd_order)
+            t1 = np.swapaxes(dg, 0, 1)  # [r, k, l] = d_k g_rl
+            t2 = np.swapaxes(t1, 1, 2)  # [r, k, l] = d_l g_rk
+            gamma = 0.5 * np.einsum("mr...,rkl...->mkl...", self.inv, t1 + t2 - dg)
             if lead != grid.shape:
                 # the zeroed band runs along every axis
-                gamma = np.ascontiguousarray(np.broadcast_to(gamma, grid.shape + (n, n, n)))
+                gamma = np.broadcast_to(gamma, (n, n, n) + grid.shape).copy()
             self.christoffel = grid.zero_band(gamma, grid.stencil_radius)
         for field in (self.values, self.inv, self.sqrt_det, self.christoffel):
             field.flags.writeable = False
@@ -73,7 +78,7 @@ class MetricField:
     @classmethod
     def flat(cls, grid):
         n = grid.dim
-        return cls(grid, np.eye(n).reshape((1,) * n + (n, n)))
+        return cls(grid, np.eye(n).reshape((n, n) + (1,) * n))
 
     @classmethod
     def conformal(cls, grid, phi):
@@ -84,7 +89,7 @@ class MetricField:
         check_grid_shape(phi.shape, grid, (), "conformal exponent")
         # an overflow gives inf (and inf * 0 nan), which the constructor rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.exp(2.0 * phi)[..., None, None] * np.eye(n)
+            vals = np.exp(2.0 * phi) * np.eye(n).reshape((n, n) + (1,) * n)
         return cls(grid, vals)
 
 
@@ -100,32 +105,28 @@ def conformal_rescale(metric, rho):
         raise NonpositiveWeight(
             f"conformal factor must be positive, min is {float(np.min(rho)):.3e}"
         )
-    return MetricField(metric.grid, metric.values / (rho**2)[..., None, None])
+    return MetricField(metric.grid, metric.values / rho**2)
 
 
 def levi_civita_difference(X, Y, phi, metric0):
     """Difference of Levi-Civita connections under g = e^{2 phi} g0.
 
     Evaluates X(phi) Y + Y(phi) X - g0(X, Y) grad_{g0} phi as a vector field;
-    X, Y are (grid, n) coordinate-component arrays.
+    X, Y are (n,) + grid coordinate-component arrays.
     """
     grid = metric0.grid
     n = grid.dim
     for name, fld in (("X", X), ("Y", Y)):
-        if fld.shape != grid.shape + (n,):
+        if fld.shape != (n,) + grid.shape:
             raise ShapeMismatch(f"{name} has shape {fld.shape}, expected vector field")
     if phi.shape != grid.shape:
         raise ShapeMismatch(f"phi has shape {phi.shape}, expected scalar field")
-    dphi = np.stack([grid.diff(phi, axis=k) for k in range(n)], axis=-1)
-    x_phi = np.einsum("...k,...k->...", X, dphi)
-    y_phi = np.einsum("...k,...k->...", Y, dphi)
-    grad_phi = np.einsum("...km,...m->...k", metric0.inv, dphi)
-    g0_xy = np.einsum("...kl,...k,...l->...", metric0.values, X, Y)
-    out = (
-        x_phi[..., None] * Y
-        + y_phi[..., None] * X
-        - g0_xy[..., None] * grad_phi
-    )
+    dphi = np.stack([grid.diff(phi, axis=k) for k in range(n)])
+    x_phi = np.einsum("k...,k...->...", X, dphi)
+    y_phi = np.einsum("k...,k...->...", Y, dphi)
+    grad_phi = np.einsum("km...,m...->k...", metric0.inv, dphi)
+    g0_xy = np.einsum("kl...,k...,l...->...", metric0.values, X, Y)
+    out = x_phi * Y + y_phi * X - g0_xy * grad_phi
     grid.zero_band(out, grid.stencil_radius)
     return out
 
@@ -177,8 +178,8 @@ class WeightPair:
         grid = self.grid
         n = grid.dim
         g0 = self.rescaled_metric(metric)
-        drho = np.stack([grid.diff(self.rho, axis=k) for k in range(n)], axis=-1)
-        omega = drho / self.rho[..., None]
-        sq = np.einsum("...kl,...k,...l->...", g0.inv, omega, omega)
+        drho = np.stack([grid.diff(self.rho, axis=k) for k in range(n)])
+        omega = drho / self.rho
+        sq = np.einsum("kl...,k...,l...->...", g0.inv, omega, omega)
         mask = grid.interior_mask(grid.stencil_radius)
         return float(np.sqrt(np.max(sq[mask])))

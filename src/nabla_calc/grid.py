@@ -81,18 +81,10 @@ class ChartGrid:
             f"fd_order={self.fd_order}, support_margin={self.support_margin})"
         )
 
-    def diff(self, values, axis):
-        """Central difference of a grid-first field along one grid axis."""
-        if values.shape[: self.dim] != self.shape:
-            raise ShapeMismatch(
-                f"array shape {values.shape} does not start with grid shape {self.shape}"
-            )
-        return diff_axis(values, axis, self.h[axis], self.fd_order)
-
-    def section_diff(self, values, axis, out=None):
-        """Central difference of a section's grid-last values along one grid
-        axis, written into out when given (a C-contiguous array of their
-        shape) and returned."""
+    def diff(self, values, axis, out=None):
+        """Central difference of a grid-last field along one grid axis,
+        written into out when given (a C-contiguous array of its shape)
+        and returned."""
         if values.shape[values.ndim - self.dim :] != self.shape:
             raise ShapeMismatch(
                 f"array shape {values.shape} does not end with grid shape {self.shape}"
@@ -122,18 +114,19 @@ class ChartGrid:
         return ~self.band_mask(layers)
 
     def zero_band(self, values, layers):
-        """Zero an array in place on the outermost `layers` grid layers."""
+        """Zero a grid-last array in place on the outermost `layers` grid
+        layers."""
         if layers <= 0:
             return values
-        values[self.band_mask(layers)] = 0
+        values[..., self.band_mask(layers)] = 0
         return values
 
-    def check_support(self, values, layers, what="section"):
+    def check_support(self, values, layers):
         """Raise SupportViolation unless a section's grid-last values vanish
         on the band, read as the 2 * dim slabs at the grid's edges."""
         if layers > self.support_margin:
             raise SupportViolation(
-                f"{what} needs {layers} margin layers but the grid declares "
+                f"section needs {layers} margin layers but the grid declares "
                 f"{self.support_margin}"
             )
         if layers <= 0:
@@ -147,7 +140,7 @@ class ChartGrid:
         if any(np.any(slab != 0) for slab in slabs):
             worst = float(np.max([np.max(np.abs(slab)) for slab in slabs]))
             raise SupportViolation(
-                f"{what} must vanish on the outer {layers} grid layers; "
+                f"section must vanish on the outer {layers} grid layers; "
                 f"max magnitude there is {worst:.3e}"
             )
 

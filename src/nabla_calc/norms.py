@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .bundles import TensorSection, grid_einsum, grid_last, is_identity
+from .bundles import TensorSection, is_identity
 from .calculus import tower
 from .errors import (
     ChartMismatch,
@@ -33,9 +33,8 @@ def _fiber_metric_of(bundle, fiber_dim):
 def pointwise_norm_sq(u, metric, bundle=None):
     """|u(x)|^2 with g^{-1} on every slot and the fiber metric on the fiber.
 
-    The section is grid-last, so the sums run over its leading slot and
-    fiber axes with the grid innermost; g^{-1} is moved grid-last once,
-    for every slot.
+    The section, g^{-1} and the fiber metric are all grid-last, so the
+    sums run over their leading index axes with the grid innermost.
     """
     r = u.rank
     if r > len(_UL):
@@ -43,7 +42,7 @@ def pointwise_norm_sq(u, metric, bundle=None):
     h = _fiber_metric_of(bundle, u.fiber_dim)
     g = u.grid.dim
     vals = u.values
-    if metric.values.shape[:g] == (1,) * g and is_identity(h):
+    if metric.values.shape[2:] == (1,) * g and is_identity(h):
         if r == 0 or is_identity(metric.inv):
             sq = vals.real**2
             sq += vals.imag**2
@@ -51,14 +50,12 @@ def pointwise_norm_sq(u, metric, bundle=None):
     ul, vl = _UL[:r], _VL[:r]
     script = f"{ul}y...,{vl}z..."
     args = [vals, np.conj(vals)]
-    if r > 0:
-        ginv = grid_last(metric.inv, g)
-        for k in range(r):
-            script += f",{ul[k]}{vl[k]}..."
-            args.append(ginv)
-    script += ",...yz->..."
+    for k in range(r):
+        script += f",{ul[k]}{vl[k]}..."
+        args.append(metric.inv)
+    script += ",yz...->..."
     args.append(h)
-    out = grid_einsum(script, *args).real
+    out = np.einsum(script, *args).real
     return np.maximum(out, 0.0)
 
 

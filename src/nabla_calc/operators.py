@@ -7,11 +7,12 @@ forms, and reordering of directional factors all happen on coefficients,
 but operator equality is only ever checked by application: coefficients of
 a given map are not unique.
 
-Coefficients are stored at the shape they vary over, the rule BundleSpec
-applies to potentials: each grid axis has its full length or length 1.
-A ladder level is compacted once, in the NablaOpSpec constructor, and
-every product (composition, sums, application, rewriting) broadcasts the
-stored shapes as they are; only the sup norms broadcast to the full grid.
+Coefficients are grid fields like any other (see bundles): a Hom field
+is stored as a[row, col, idx], its grid axes last, each at its full
+length or length 1.  A ladder level is compacted once, in the NablaOpSpec
+constructor, and every product (composition, sums, application,
+rewriting) is an einsum that broadcasts the stored shapes as they are;
+only the sup norms broadcast to the full grid.
 """
 
 import math
@@ -24,13 +25,10 @@ from .bundles import (
     TensorSection,
     check_grid_shape,
     compact_grid_axes,
-    grid_einsum,
-    grid_first,
-    grid_last,
     induced_tensor_bundle,
     pointwise_kron,
 )
-from .calculus import _SLOTS, covariant_derivative, curvature, tower
+from .calculus import _gamma_slot_sum, covariant_derivative, curvature, tower
 from .errors import ChartMismatch, ShapeMismatch
 from .norms import (
     equivalence_constant,
@@ -73,11 +71,11 @@ class NablaOpSpec:
     """Ladder operator sum_j a^[j] nabla^j with explicit coefficient data.
 
     Level j maps the flattened fiber of a rank-j section (slot axes folded
-    into the fiber, slot-major) to the target fiber, so it is a grid +
-    (target_dim, n^j * source_dim) complex field, stored at the shape it
-    varies over: each grid axis has its full length or length 1, and an
-    axis along which every slice equals the first is kept at length 1.  A
-    level of the flat frame is (1, .., 1, rows, cols), and every product
+    into the fiber, slot-major) to the target fiber, so it is a
+    (target_dim, n^j * source_dim) + grid complex field, stored at the
+    shape it varies over: each grid axis has its full length or length 1,
+    and an axis along which every slice equals the first is kept at length
+    1.  A level of the flat frame is (rows, cols, 1, .., 1), and every product
     broadcasts it over the grid as it is.  A level that is identically
     zero, whether given as None or as an all-zero array, is stored as None,
     so that every consumer skips it instead of multiplying, lifting or
@@ -154,7 +152,7 @@ def gradient_op(bundle, metric, depth=1):
     """P = nabla^depth, landing in the flattened rank-depth bundle."""
     target = induced_tensor_bundle(bundle, metric, depth)
     top = target.fiber_dim
-    eye = np.eye(top, dtype=complex).reshape((1,) * bundle.grid.dim + (top, top))
+    eye = np.eye(top, dtype=complex).reshape((top, top) + (1,) * bundle.grid.dim)
     return NablaOpSpec(bundle, target, metric, [None] * depth + [eye], "totally-bounded")
 
 
@@ -167,8 +165,8 @@ def directional_op(x, bundle, metric, coefficient_class="smooth"):
     """
     d = bundle.fiber_dim
     g = metric.grid.dim
-    eye = np.eye(d, dtype=complex).reshape((1,) * g + (d, d))
-    i_x = pointwise_kron(compact_grid_axes(x, g)[..., None, :], eye)
+    eye = np.eye(d, dtype=complex).reshape((d, d) + (1,) * g)
+    i_x = pointwise_kron(compact_grid_axes(x, g)[None], eye)
     return NablaOpSpec(bundle, bundle, metric, [None, i_x], coefficient_class)
 
 
@@ -183,25 +181,8 @@ def apply_nabla_op(spec, u):
     for a, v in zip(spec.coefficients, levels):
         if a is not None:
             flat = v.values.reshape((-1,) + grid.shape)
-            out += grid_einsum("...gk,k...->g...", a, flat)
+            out += np.einsum("gk...,k...->g...", a, flat)
     return TensorSection(grid, 0, out, spec.target.fiber_dim)
-
-
-def _slot_action(gamma, a, slots):
-    """The Christoffel sum on the leading `slots` slot axes of the rows of
-    the grid-first Hom field a."""
-    lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
-    n = gamma.shape[-1]
-    vals = a.reshape(lead + (n,) * slots + (rows // n**slots * cols,))
-    letters = _SLOTS[:slots]
-    total = None
-    for s in range(slots):
-        u_sub = letters[:s] + "m" + letters[s + 1 :]
-        term = np.einsum(
-            f"...my{letters[s]},...{u_sub}z->...y{letters}z", gamma, vals
-        )
-        total = term if total is None else total + term
-    return total.reshape(total.shape[: len(lead)] + (n, rows, cols))
 
 
 def _hom_derivative(a, source, target, metric):
@@ -225,42 +206,41 @@ def _hom_derivative(a, source, target, metric):
     (src, s), (tgt, t) = [
         (b, k) if b.base is None else (b.base, b.slots + k) for b, k in (source, target)
     ]
-    lead = a.shape[:g]
+    rows, cols = a.shape[:2]
+    lead = a.shape[2:]
     gamma = metric.christoffel
-    live = [b.potentials_grid_last.shape[-g:] for b in (tgt, src) if b.live]
-    shape = np.broadcast_shapes(lead, gamma.shape[:g], *live)
-    da = np.zeros(shape + (n,) + a.shape[-2:], dtype=complex)
+    live = [b.potentials.shape[3:] for b in (tgt, src) if b.live]
+    shape = np.broadcast_shapes(lead, gamma.shape[3:], *live)
+    da = np.zeros((n, rows, cols) + shape, dtype=complex)
     for y in range(n):
         if lead[y] > 1:
-            da[..., y, :, :] = diff_axis(a, y, grid.h[y], grid.fd_order)
+            da[y] = diff_axis(a, y - g, grid.h[y], grid.fd_order)
     if tgt.live or src.live:
-        # one live direction at a time, with the grid innermost: the einsum
-        # loop runs over the grid, not over a d x d fiber once per point
-        last = grid_last(a, g)
-        a_rows = last.reshape((n**t, tgt.fiber_dim, -1) + lead)
-        a_cols = last.reshape((-1, src.fiber_dim) + lead)
-        rows = da.reshape(shape + (n, n**t, tgt.fiber_dim, -1))  # a view
-        cols = da.reshape(shape + (n, -1, src.fiber_dim))  # a view
-        for y in tgt.live:  # each product is freed before the next is made
-            pots = tgt.potentials_grid_last[y]
-            rows[..., y, :, :, :] += grid_first(
-                np.einsum("fg...,tgk...->tfk...", pots, a_rows), g
-            )
+        # one live direction at a time: each product is freed before the
+        # next is made
+        a_rows = a.reshape((n**t, tgt.fiber_dim, -1) + lead)
+        a_cols = a.reshape((-1, src.fiber_dim) + lead)
+        by_rows = da.reshape((n, n**t, tgt.fiber_dim, -1) + shape)  # a view
+        by_cols = da.reshape((n, -1, src.fiber_dim) + shape)  # a view
+        for y in tgt.live:
+            pots = tgt.potentials[y]
+            by_rows[y] += np.einsum("fg...,tgk...->tfk...", pots, a_rows)
         for y in src.live:
-            pots = src.potentials_grid_last[y]
-            cols[..., y, :, :] -= grid_first(
-                np.einsum("rl...,le...->re...", a_cols, pots), g
-            )
-    if gamma.shape[:g] == grid.shape:
+            pots = src.potentials[y]
+            by_cols[y] -= np.einsum("rl...,le...->re...", a_cols, pots)
+    if gamma.shape[3:] == grid.shape:
+        # the slots of the rows, then of the columns, unfolded in front
         if t:
-            da -= _slot_action(gamma, a, t)
+            slots = a.reshape((n,) * t + (-1,) + lead)
+            da -= _gamma_slot_sum(gamma, slots, t).reshape(da.shape)
         if s:
-            flipped = _slot_action(np.swapaxes(gamma, -3, -1), np.swapaxes(a, -1, -2), s)
-            da += np.swapaxes(flipped, -1, -2)
+            slots = np.swapaxes(a, 0, 1).reshape((n,) * s + (-1,) + lead)
+            flipped = _gamma_slot_sum(np.swapaxes(gamma, 0, 2), slots, s)
+            da += np.swapaxes(flipped.reshape((n, cols, rows) + shape), 1, 2)
     if shape != grid.shape:
         if not np.any(da):
             return da
-        da = np.ascontiguousarray(np.broadcast_to(da, grid.shape + da.shape[g:]))
+        da = np.broadcast_to(da, (n, rows, cols) + grid.shape).copy()
     grid.zero_band(da, grid.stencil_radius)
     return da
 
@@ -301,15 +281,18 @@ def compose(q, p):
 
     def derivative(mat, m, i):
         der = _hom_derivative(mat, (p.source, m), (p.target, i), metric)
-        return der.reshape(der.shape[:g] + (n * mat.shape[-2], mat.shape[-1]))
+        return der.reshape((n * mat.shape[0], mat.shape[1]) + der.shape[3:])
 
-    eye_lift = np.eye(n, dtype=complex).reshape((1,) * g + (n, n))
+    def product(x, y):
+        return np.einsum("ab...,bc...->ac...", x, y)
+
+    eye_lift = np.eye(n, dtype=complex).reshape((n, n) + (1,) * g)
     out = {}
     table = {m: a for m, a in enumerate(p.coefficients) if a is not None}
     for i, b in enumerate(q.coefficients):
         if b is not None:
             for m, mat in table.items():
-                _put(out, m, np.matmul(b, mat))
+                _put(out, m, product(b, mat))
         if i + 1 >= q.order:
             break
         nxt = {}
@@ -321,14 +304,14 @@ def compose(q, p):
         table = nxt
     top = q.coefficients[-1]
     if q.order and top is not None:
-        rows = top.shape[-2]
+        rows = top.shape[0]
         for m, mat in table.items():
             der = derivative(mat, m, q.order - 1)
             if np.any(der):
-                _put(out, m, np.matmul(top, der))
-            stacked = top.reshape(top.shape[:g] + (rows * n, mat.shape[-2]))
-            lifted = np.matmul(stacked, mat)
-            _put(out, m + 1, lifted.reshape(lifted.shape[:g] + (rows, n * mat.shape[-1])))
+                _put(out, m, product(top, der))
+            stacked = top.reshape((rows * n, mat.shape[0]) + top.shape[2:])
+            lifted = product(stacked, mat)
+            _put(out, m + 1, lifted.reshape((rows, n * mat.shape[1]) + lifted.shape[2:]))
     levels = [out.get(m) for m in range(q.order + p.order + 1)]
     return NablaOpSpec(p.source, q.target, metric, levels, _joint_class(q, p))
 
@@ -337,7 +320,7 @@ class MixedTerm:
     """One summand a nabla_{X_1} ... nabla_{X_r}; the rightmost factor acts first.
 
     The coefficient may be stored at the shape it varies over, each grid
-    axis full or of length 1.  fields holds the vector fields as (grid, n)
+    axis full or of length 1.  fields holds the vector fields as (n,) + grid
     arrays; labels optionally tags them as 1-based generator indices, which
     reordering requires.  Either may be omitted, but not both.
     """
@@ -381,7 +364,7 @@ class MixedOpSpec:
             check_grid_shape(term.coefficient.shape, grid, tail, "term coefficient")
             if term.fields is not None:
                 for x in term.fields:
-                    if x.shape != grid.shape + (n,):
+                    if x.shape != (n,) + grid.shape:
                         raise ShapeMismatch(
                             f"vector field shape {x.shape} does not match the grid"
                         )
@@ -414,7 +397,7 @@ def _term_fields(term, gens):
         raise ValueError(
             "term carries only generator labels; pass the generator system"
         )
-    return [gens.z[..., k - 1, :] for k in term.labels]
+    return [gens.z[k - 1] for k in term.labels]
 
 
 def apply_mixed_op(spec, u, gens=None):
@@ -428,9 +411,9 @@ def apply_mixed_op(spec, u, gens=None):
         v = u
         for x in reversed(_term_fields(term, gens)):
             full = covariant_derivative(v, spec.source, spec.metric, check_support=False)
-            vals = grid_einsum("...k,ka...->a...", x, full.values)
+            vals = np.einsum("k...,ka...->a...", x, full.values)
             v = TensorSection(grid, 0, vals, u.fiber_dim)
-        out += grid_einsum("...gk,k...->g...", term.coefficient, v.values)
+        out += np.einsum("gk...,k...->g...", term.coefficient, v.values)
     return TensorSection(grid, 0, out, spec.target.fiber_dim)
 
 
@@ -468,16 +451,16 @@ def mixed_to_nabla(spec, gens=None):
 
 
 def _add_coframe_lift(table, key, xi, mat):
-    """Add xi (x) mat into table[key], held as grid + (n, rows, cols).
+    """Add xi (x) mat into table[key], held as (n, rows, cols) + grid.
 
     The first term is stored whole; later ones are added slab by slab,
     slab y taking xi_y mat, so no n-fold lift is built to be summed.
     """
     if key not in table:
-        table[key] = xi[..., :, None, None] * mat[..., None, :, :]
+        table[key] = xi[:, None, None] * mat[None]
         return
-    for y in range(xi.shape[-1]):
-        table[key][..., y, :, :] += xi[..., y, None, None] * mat
+    for y in range(xi.shape[0]):
+        table[key][y] += xi[y] * mat
 
 
 def nabla_to_mixed(spec, gens):
@@ -486,6 +469,8 @@ def nabla_to_mixed(spec, gens):
     Each application of nabla becomes sum_i tau_{xi_i} nabla_{Z_i}; the
     derivative also hits the coframe factors already emitted, which keeps
     the chains in pure Z form with the slack pushed into the coefficients.
+    Only two depths of chains are alive at a time: depth j is merged into
+    the result, a_j times each chain, as soon as depth j + 1 is built.
     """
     if gens.grid != spec.grid:
         raise ChartMismatch("generator system and operator live on different grids")
@@ -493,28 +478,32 @@ def nabla_to_mixed(spec, gens):
     metric = spec.metric
     source = spec.source
     d = source.fiber_dim
-    eye = np.eye(d, dtype=complex).reshape((1,) * grid.dim + (d, d))
-    per_depth = [{(): eye}]
+    eye = np.eye(d, dtype=complex).reshape((d, d) + (1,) * grid.dim)
+    merged = {}
+
+    def merge(a, chains):
+        if a is not None:
+            for chain, phi in chains.items():
+                _put(merged, chain, np.einsum("gf...,fk...->gk...", a, phi))
+
+    prev = {(): eye}
     for j in range(1, spec.order + 1):
-        prev = per_depth[j - 1]
         cur = {}
         for chain, phi in prev.items():
             der = _hom_derivative(phi, (source, 0), (source, j - 1), metric)
             for i in range(gens.n_gens):
-                z = gens.z[..., i, :]
-                xi = gens.xi[..., i, :].astype(complex)
-                moved = grid_einsum("...y,...yfk->...fk", z, der)
+                xi = gens.xi[i].astype(complex)
+                moved = np.einsum("y...,yfk...->fk...", gens.z[i], der)
                 _add_coframe_lift(cur, chain, xi, moved)
                 _add_coframe_lift(cur, (i + 1,) + chain, xi, phi)
-        per_depth.append({c: a.reshape(grid.shape + (-1, d)) for c, a in cur.items()})
-    merged = {}
-    for j, a in enumerate(spec.coefficients):
-        if a is None:
-            continue
-        for chain, phi in per_depth[j].items():
-            _put(merged, chain, np.einsum("...gf,...fk->...gk", a, phi))
+            del der
+        merge(spec.coefficients[j - 1], prev)
+        prev = {c: a.reshape((-1, d) + grid.shape) for c, a in cur.items()}
+        del cur
+    merge(spec.coefficients[spec.order], prev)
+    del prev
     terms = [
-        MixedTerm(c, fields=[gens.z[..., k - 1, :] for k in chain], labels=chain)
+        MixedTerm(c, fields=[gens.z[k - 1] for k in chain], labels=chain)
         for chain, c in sorted(merged.items())
     ]
     tag = (
@@ -540,13 +529,13 @@ def _absorb(coefficient, pre, endo, post, gens, bundle, metric):
     directional derivative: nabla_Z (B w) = (nabla_Z B) w + B nabla_Z w.
     """
     if not pre:
-        merged = np.einsum("...gf,...fk->...gk", coefficient, endo)
+        merged = np.einsum("gf...,fk...->gk...", coefficient, endo)
         return [(merged, tuple(post))]
     k = pre[-1]
     out = _absorb(coefficient, pre[:-1], endo, (k,) + tuple(post), gens, bundle, metric)
     # nabla_Z of the endomorphism field, as another endomorphism field
     der = _hom_derivative(endo, (bundle, 0), (bundle, 0), metric)
-    der = np.einsum("...y,...yfk->...fk", gens.z[..., k - 1, :], der)
+    der = np.einsum("y...,yfk...->fk...", gens.z[k - 1], der)
     out += _absorb(coefficient, pre[:-1], der, post, gens, bundle, metric)
     return out
 
@@ -564,7 +553,7 @@ def reorder_generators(spec, gens, bundle):
         raise ShapeMismatch("curvature bundle does not match the operator source")
     metric = spec.metric
     d = bundle.fiber_dim
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d, dtype=complex).reshape((d, d) + (1,) * metric.grid.dim)
     curv = curvature(bundle)
     pending = []
     for term in spec.terms:
@@ -583,18 +572,18 @@ def reorder_generators(spec, gens, bundle):
         i, j = labels[spot], labels[spot + 1]
         pending.append((coeff, labels[:spot] + (j, i) + labels[spot + 2 :]))
         pre, post = labels[:spot], labels[spot + 2 :]
-        r_ij = curv.contract(gens.z[..., i - 1, :], gens.z[..., j - 1, :])
+        r_ij = curv.contract(gens.z[i - 1], gens.z[j - 1])
         pending.extend(_absorb(coeff, pre, r_ij, post, gens, bundle, metric))
         for m in range(gens.n_gens):
-            lam = gens.l_structure[..., i - 1, j - 1, m]
+            lam = gens.l_structure[i - 1, j - 1, m]
             if not np.any(lam):
                 continue
-            scaled = lam[..., None, None] * eye
+            scaled = lam * eye
             pending.extend(
                 _absorb(coeff, pre, scaled, (m + 1,) + post, gens, bundle, metric)
             )
     terms = [
-        MixedTerm(c, fields=[gens.z[..., k - 1, :] for k in chain], labels=chain)
+        MixedTerm(c, fields=[gens.z[k - 1] for k in chain], labels=chain)
         for chain, c in sorted(finished.items())
     ]
     return MixedOpSpec(
@@ -611,29 +600,28 @@ def reorder_generators(spec, gens, bundle):
 def _hom_tower_sup(a, source, target, slots, metric, depth):
     """Grid sup of |nabla^j a| over j <= depth; NaN when any level has NaN.
 
-    a is a Hom field from source to T*M^slots (x) target, stored as grid +
-    (n^slots * d_target, d_source), each grid axis full or of length 1; it
-    is broadcast to the full grid, which the interior masks need.  Its
-    form slots and derivative slots are measured with g^-1, the Hom fiber
-    with the identity.  Level j excludes the band of j + 1 stencil radii,
-    where the stencil is invalid, since coefficient fields need not vanish
-    there.
+    a is a Hom field from source to T*M^slots (x) target, stored as
+    (n^slots * d_target, d_source) + grid, each grid axis full or of length
+    1; it is broadcast to the full grid, which the interior masks need.
+    Its form slots and derivative slots are measured with g^-1, the Hom
+    fiber with the identity.  Level j excludes the band of j + 1 stencil
+    radii, where the stencil is invalid, since coefficient fields need not
+    vanish there.
     """
     grid = metric.grid
     if source.grid != grid or target.grid != grid:
         raise ChartMismatch("Hom field bundles and metric live on different grids")
     n = grid.dim
     fiber = target.fiber_dim * source.fiber_dim
-    a = np.broadcast_to(a, grid.shape + a.shape[-2:])
+    a = np.broadcast_to(a, a.shape[:2] + grid.shape)
     sups = []
     for j in range(depth + 1):
         if j:
             a = _hom_derivative(a, (source, 0), (target, slots + j - 1), metric)
-            a = a.reshape(grid.shape + (n * a.shape[-2], a.shape[-1]))
+            a = a.reshape((n * a.shape[1], a.shape[2]) + grid.shape)
         rank = slots + j
-        # measured through a grid-last view: the level is never stored
-        vals = a.reshape(grid.shape + (n,) * rank + (fiber,))
-        level = TensorSection(grid, rank, np.moveaxis(vals, range(n), range(-n, 0)), fiber)
+        vals = a.reshape((n,) * rank + (fiber,) + grid.shape)
+        level = TensorSection(grid, rank, vals, fiber)
         mask = grid.interior_mask((j + 1) * grid.stencil_radius)
         sups.append(np.max(np.where(mask, pointwise_norm_sq(level, metric), 0.0)))
     return float(np.sqrt(np.max(sups)))
@@ -654,19 +642,19 @@ def coefficient_infty_norm(a, source, target, metric, depth):
 def hom_infty_norm(field, depth, bundle, metric):
     """W^{depth,inf} norm of a Hom-valued one-form field on the grid.
 
-    field has shape grid + (n, d_out, d_in).  Derivatives are taken in the
+    field has shape (n, d_out, d_in) + grid.  Derivatives are taken in the
     induced connection; values inside the stencil-invalid band are excluded
     from the max, since coefficient fields need not vanish there.
     """
     grid = metric.grid
     n = grid.dim
     d = bundle.fiber_dim
-    if field.shape != grid.shape + (n, d, d):
+    if field.shape != (n, d, d) + grid.shape:
         raise ShapeMismatch(
             f"potential field has shape {field.shape}, expected "
-            f"{grid.shape + (n, d, d)}"
+            f"{(n, d, d) + grid.shape}"
         )
-    a = field.astype(complex, copy=False).reshape(grid.shape + (n * d, d))
+    a = field.astype(complex, copy=False).reshape((n * d, d) + grid.shape)
     return _hom_tower_sup(a, bundle, bundle, 1, metric, depth)
 
 
@@ -679,7 +667,7 @@ def perturbed_norm_check(u, perturbation, ell, p, bundle, metric):
     """
     grid = u.grid
     skew_defect = np.max(
-        np.abs(perturbation + np.conj(np.swapaxes(perturbation, -1, -2)))
+        np.abs(perturbation + np.conj(np.swapaxes(perturbation, 1, 2)))
     )
     scale = max(float(np.max(np.abs(perturbation))), 1e-300)
     if skew_defect > 1e-10 * scale:

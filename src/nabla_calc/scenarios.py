@@ -298,7 +298,8 @@ def _real_field(expr, grid, what):
 
 
 def _matrix_field(entries, grid, what):
-    """A matrix of expressions at the broadcast shape of its entries.
+    """A matrix of expressions, (rows, cols) + the broadcast grid shape of
+    its entries.
 
     Each entry is evaluated on the grid axes shaped to broadcast, x1 as
     (N1, 1, ..) and so on, so each grid axis of the result has its full
@@ -321,10 +322,10 @@ def _matrix_field(entries, grid, what):
         for row in entries
     ]
     shape = np.broadcast_shapes((1,) * g, *(v.shape for row in values for v in row))
-    out = np.zeros(shape + (len(entries), cols), dtype=complex)
+    out = np.zeros((len(entries), cols) + shape, dtype=complex)
     for a, row in enumerate(values):
         for b, v in enumerate(row):
-            out[..., a, b] = v
+            out[a, b] = v
     return out
 
 
@@ -360,11 +361,7 @@ def _build_embedding(scenario, grid, seed):
         return sphere_ambient_embedding(grid)
     if name == "graph":
         heights = np.stack(
-            [
-                _real_field(expr, grid, "graph height")
-                for expr in cfg["heights"]
-            ],
-            axis=-1,
+            [_real_field(expr, grid, "graph height") for expr in cfg["heights"]]
         )
         return graph_embedding(grid, heights)
     rng = seeded_rng(seed, f"{scenario.name}:embedding")
@@ -379,7 +376,7 @@ def _build_metric(scenario, grid, emb, induced):
     if kind == "conformal":
         # at the shape phi varies over, each axis it does not read at length 1
         expr = scenario.metric["phi"]
-        phi = _matrix_field([[expr]], grid, "conformal factor")[..., 0, 0]
+        phi = _matrix_field([[expr]], grid, "conformal factor")[0, 0]
         if np.max(np.abs(phi.imag)) > 0:
             raise ConfigError(f"conformal factor expression {expr!r} must be real")
         return MetricField.conformal(grid, phi.real)
@@ -408,14 +405,14 @@ def _build_bundle(scenario, grid):
         fields = []
         for k, mat in enumerate(mats):
             field = _matrix_field(mat, grid, f"potential matrix {k + 1}")
-            if field.shape[-2:] != (d, d):
+            if field.shape[:2] != (d, d):
                 raise ConfigError(
                     f"potential matrix {k + 1} must be {d} x {d}, "
-                    f"got {field.shape[-2]} x {field.shape[-1]}"
+                    f"got {field.shape[0]} x {field.shape[1]}"
                 )
             fields.append(field)
         # each grid axis at the length the potentials vary over together
-        pots = np.stack(np.broadcast_arrays(*fields), axis=grid.dim)
+        pots = np.stack(np.broadcast_arrays(*fields))
     fiber_metric = None
     if cfg.get("fiber_metric") is not None:
         fiber_metric = _matrix_field(cfg["fiber_metric"], grid, "fiber metric")
@@ -433,10 +430,10 @@ def _build_operators(scenario, grid, bundle, metric, fields):
             for j, entries in cfg["coefficients"]:
                 mat = _matrix_field(entries, grid, f"operator {name!r} level {j}")
                 want = (d, n**j * d)
-                if mat.shape[-2:] != want:
+                if mat.shape[:2] != want:
                     raise ConfigError(
                         f"operator {name!r} level {j} coefficient must be "
-                        f"{want[0]} x {want[1]}, got {mat.shape[-2]} x {mat.shape[-1]}"
+                        f"{want[0]} x {want[1]}, got {mat.shape[0]} x {mat.shape[1]}"
                     )
                 by_j[j] = mat
             entries = [by_j.get(j) for j in range(max(by_j) + 1)]
@@ -465,10 +462,10 @@ def _build_forms(scenario, grid, bundle, metric):
         for i, j, entries in cfg["table"]:
             mat = _matrix_field(entries, grid, f"form {name!r} entry ({i}, {j})")
             want = (n**j * d, n**i * d)
-            if mat.shape[-2:] != want:
+            if mat.shape[:2] != want:
                 raise ConfigError(
                     f"form {name!r} entry ({i}, {j}) must be "
-                    f"{want[0]} x {want[1]}, got {mat.shape[-2]} x {mat.shape[-1]}"
+                    f"{want[0]} x {want[1]}, got {mat.shape[0]} x {mat.shape[1]}"
                 )
             table[(i, j)] = mat
         forms[name] = BidiffSpec(
@@ -494,11 +491,7 @@ def build_context(scenario, h=None, fd_order=None, seed=None):
         bundle = _build_bundle(scenario, grid)
         fields = {
             fname: np.stack(
-                [
-                    _real_field(expr, grid, f"field {fname!r}")
-                    for expr in comps
-                ],
-                axis=-1,
+                [_real_field(expr, grid, f"field {fname!r}") for expr in comps]
             )
             for fname, comps in scenario.fields.items()
         }

@@ -17,7 +17,7 @@ import hashlib
 
 import numpy as np
 
-from .bundles import TensorSection, grid_first
+from .bundles import TensorSection
 from .errors import ShapeMismatch
 
 
@@ -31,19 +31,19 @@ def seeded_rng(seed, label, trial=0):
 class AxisFactor:
     """One-axis factor: hinge plateau times Gaussian times phase."""
 
-    def __init__(self, lo, hi, margin_width, center, sigma, kappa, power=9):
+    # the hinge is C^8, so its derivatives to second order are smooth
+    p = 9
+
+    def __init__(self, lo, hi, margin_width, center, sigma, kappa):
         self.mid = 0.5 * (lo + hi)
         self.radius = 0.5 * (hi - lo) - margin_width
         if self.radius <= 0:
             raise ShapeMismatch(
                 f"margin {margin_width} leaves no interior in ({lo}, {hi})"
             )
-        if power < 3:
-            raise ShapeMismatch(f"hinge power must be >= 3, got {power}")
         self.c = float(center)
         self.s = float(sigma)
         self.k = float(kappa)
-        self.p = int(power)
 
     def _hinge(self, x):
         y = x - self.mid
@@ -111,32 +111,25 @@ def default_margin_width(grid):
 
 
 def random_scalar_bump(
-    box,
-    rng,
-    margin_width,
-    n_terms=2,
-    sigma_range=(0.25, 0.45),
-    kappa_max=2.0,
-    center_frac=0.3,
-    power=9,
-    real=False,
+    box, rng, margin_width, sigma_range=(0.25, 0.45), kappa_max=2.0, real=False
 ):
-    """Draw one bump over a box; lengths scale with the box half-widths."""
+    """Draw one bump of two terms over a box; lengths scale with the box
+    half-widths, and each center lies within 0.3 half-widths of the mid."""
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     halves = [(hi - lo) / 2.0 for lo, hi in box]
     ref = min(halves)
     terms = []
-    for _ in range(n_terms):
+    for _ in range(2):
         amp = rng.uniform(0.4, 1.0) * (
             1.0 if real else np.exp(2j * np.pi * rng.uniform())
         )
         factors = []
         for (lo, hi), half in zip(box, halves):
             mid = 0.5 * (lo + hi)
-            c = mid + half * center_frac * rng.uniform(-1.0, 1.0)
+            c = mid + half * 0.3 * rng.uniform(-1.0, 1.0)
             sigma = ref * rng.uniform(*sigma_range)
             kappa = 0.0 if real else rng.uniform(-kappa_max, kappa_max) / ref
-            factors.append(AxisFactor(lo, hi, margin_width, c, sigma, kappa, power))
+            factors.append(AxisFactor(lo, hi, margin_width, c, sigma, kappa))
         terms.append((amp, factors))
     return ScalarBump(box, terms)
 
@@ -185,9 +178,9 @@ def random_section(grid, rank, fiber_dim, rng, **kw):
 
 
 def random_vector_field(grid, rng, **kw):
-    """Real windowed vector field as a plain (grid, n) array."""
+    """Real windowed vector field as a plain (n,) + grid array."""
     bumps = random_bump_section(grid, 0, grid.dim, rng, real=True, **kw)
-    return np.ascontiguousarray(grid_first(bumps.section(grid).values.real, grid.dim))
+    return bumps.section(grid).values.real.copy()
 
 
 class TrigPolyField:
@@ -218,8 +211,8 @@ class TrigPolyField:
 
         orders lists 0-based axes to differentiate along, repeats allowed.
         A list of such tuples gives a list of fields, and each wave's phase
-        is computed once for all of them.  Each field is summed entry by
-        entry, with the grid innermost, and copied out grid-first once.
+        is computed once for all of them.  Each field is value_shape + grid,
+        summed entry by entry with the grid innermost.
         """
         n = grid.dim
         if self.waves.shape[1] != n:
@@ -240,39 +233,36 @@ class TrigPolyField:
                 wave = factor * phase
                 for entry in np.ndindex(self.value_shape):
                     store[entry] += np.multiply(wave, c[entry], out=term)
-        outs = []
-        for o in wanted:
-            store = stores.pop(0)
+        for o, store in zip(wanted, stores):
             if not o and self.const is not None:
                 for entry in np.ndindex(self.value_shape):
                     store[entry] += self.const[entry]
-            outs.append(np.ascontiguousarray(grid_first(store, n)))
-        return outs if many else outs[0]
+        return stores if many else stores[0]
 
 
-def random_trig_field(dim, value_shape, rng, n_waves=3, freq_max=1.5, scale=1.0):
-    """Random bounded coefficient field with closed-form derivatives."""
+def random_trig_field(dim, value_shape, rng):
+    """Random bounded coefficient field with closed-form derivatives: three
+    waves of frequencies in [-1.5, 1.5] on every axis."""
+    n_waves = 3
     value_shape = tuple(int(d) for d in value_shape)
-    waves = rng.uniform(-freq_max, freq_max, size=(n_waves, dim))
+    waves = rng.uniform(-1.5, 1.5, size=(n_waves, dim))
     coeffs = (
         rng.standard_normal((n_waves,) + value_shape)
         + 1j * rng.standard_normal((n_waves,) + value_shape)
-    ) * (scale / (2.0 * n_waves))
+    ) * (1.0 / (2.0 * n_waves))
     const = (
         rng.standard_normal(value_shape) + 1j * rng.standard_normal(value_shape)
-    ) * (0.5 * scale)
+    ) * 0.5
     return TrigPolyField(waves, coeffs, const)
 
 
-def random_skew_potentials(grid, fiber_dim, rng, scale=1.0, **kw):
-    """Compactly supported skew-Hermitian potentials, one matrix per direction."""
+def random_skew_potentials(grid, fiber_dim, rng, scale=1.0):
+    """Compactly supported skew-Hermitian potentials, one matrix per
+    direction, as (n, d, d) + grid."""
     n = grid.dim
     d = fiber_dim
-    pots = np.zeros(grid.shape + (n, d, d), dtype=complex)
+    pots = np.zeros((n, d, d) + grid.shape, dtype=complex)
     for k in range(n):
-        raw = random_section(grid, 0, d * d, rng, **kw).values.reshape(
-            (d, d) + grid.shape
-        )
-        skew = 0.5 * scale * (raw - np.conj(np.swapaxes(raw, 0, 1)))
-        pots[..., k, :, :] = grid_first(skew, n)
+        raw = random_section(grid, 0, d * d, rng).values.reshape((d, d) + grid.shape)
+        pots[k] = 0.5 * scale * (raw - np.conj(np.swapaxes(raw, 0, 1)))
     return pots

@@ -17,34 +17,40 @@ the package now skips the dead directions and must give equal arrays.
 import numpy as np
 
 from nabla_calc._kernels import diff_axis
-from nabla_calc.bundles import BundleSpec, TensorSection, grid_first, grid_last, pointwise_kron
+from nabla_calc.bundles import BundleSpec, TensorSection, pointwise_kron
 from nabla_calc.calculus import _gamma_slot_sum, tower
 from nabla_calc.norms import pointwise_norm_sq
 
 
-def _eye(k, lead):
-    return np.eye(k, dtype=complex).reshape((1,) * lead + (k, k))
+def _eye(k, g):
+    return np.eye(k, dtype=complex).reshape((k, k) + (1,) * g)
+
+
+def _stack(mats):
+    """One potential per direction, stacked at their common shape."""
+    return np.stack(np.broadcast_arrays(*mats))
 
 
 def reference_induced(bundle, metric, slots):
     """Potentials and fiber metric of T*M^slots (x) E as grid fields."""
     n = bundle.grid.dim
     d = bundle.fiber_dim
-    lead = n + 1
-    gamma = metric.christoffel
-    slot_mat = -np.swapaxes(np.moveaxis(gamma, -2, -3), -1, -2).astype(complex)
-    pots = None
-    for s in range(slots):
-        term = pointwise_kron(_eye(n**s, lead), slot_mat)
-        term = pointwise_kron(term, _eye(n ** (slots - s - 1) * d, lead))
-        pots = term if pots is None else pots + term
-    pots = pots + pointwise_kron(_eye(n**slots, lead), bundle.potentials)
+    # slot_mat[k, l, m] = -Gamma^m_{k l}
+    slot_mat = -np.moveaxis(metric.christoffel, 0, 2).astype(complex)
+    pots = []
+    for k in range(n):
+        pot = None
+        for s in range(slots):
+            term = pointwise_kron(_eye(n**s, n), slot_mat[k])
+            term = pointwise_kron(term, _eye(n ** (slots - s - 1) * d, n))
+            pot = term if pot is None else pot + term
+        pots.append(pot + pointwise_kron(_eye(n**slots, n), bundle.potentials[k]))
     ginv = metric.inv.astype(complex)
     fiber_metric = ginv
     for _ in range(slots - 1):
         fiber_metric = pointwise_kron(fiber_metric, ginv)
-    h = np.broadcast_to(bundle.fiber_metric, bundle.grid.shape + (d, d))
-    return pots, pointwise_kron(fiber_metric, h)
+    h = np.broadcast_to(bundle.fiber_metric, (d, d) + bundle.grid.shape)
+    return _stack(pots), pointwise_kron(fiber_metric, h)
 
 
 def dense_bundle(bundle, metric):
@@ -57,24 +63,30 @@ def dense_bundle(bundle, metric):
 
 def hom_potentials(source, target):
     """The Hom(source, target) potential of two plain bundles."""
-    lead = source.grid.dim + 1
-    return pointwise_kron(target.potentials, _eye(source.fiber_dim, lead)) - pointwise_kron(
-        _eye(target.fiber_dim, lead), np.swapaxes(source.potentials, -1, -2)
+    n = source.grid.dim
+    eye_e, eye_f = _eye(source.fiber_dim, n), _eye(target.fiber_dim, n)
+    return _stack(
+        [
+            pointwise_kron(target.potentials[k], eye_e)
+            - pointwise_kron(eye_f, np.swapaxes(source.potentials[k], 0, 1))
+            for k in range(n)
+        ]
     )
 
 
 def dense_hom_sup(a, source, target, slots, metric, depth):
     """Grid sup of |nabla^j a|, j <= depth, by towers over the dense Hom bundle.
 
-    a maps source to T*M^slots (x) target, stored as grid +
-    (n^slots * d_target, d_source); the form slots stay slots.  Level j
-    excludes the band of j + 1 stencil radii.
+    a maps source to T*M^slots (x) target, stored as (n^slots * d_target,
+    d_source) + grid; the form slots stay slots.  Level j excludes the
+    band of j + 1 stencil radii.
     """
     grid = metric.grid
     source, target = dense_bundle(source, metric), dense_bundle(target, metric)
     fiber = source.fiber_dim * target.fiber_dim
     hom = BundleSpec(grid, fiber, hom_potentials(source, target))
-    vals = grid_last(a, grid.dim).reshape((grid.dim,) * slots + (fiber,) + grid.shape)
+    full = np.broadcast_to(a, a.shape[:2] + grid.shape)
+    vals = full.reshape((grid.dim,) * slots + (fiber,) + grid.shape)
     sups = [
         np.max(
             np.where(
@@ -91,8 +103,7 @@ def dense_hom_sup(a, source, target, slots, metric, depth):
 
 
 def all_direction_covariant(u, bundle, metric):
-    """covariant_derivative on a plain bundle, potential term over every y;
-    grid-last, as the section is."""
+    """covariant_derivative on a plain bundle, potential term over every y."""
     grid = u.grid
     n = grid.dim
     r = u.rank
@@ -100,10 +111,10 @@ def all_direction_covariant(u, bundle, metric):
         [diff_axis(u.values, k - n, grid.h[k], grid.fd_order) for k in range(n)]
     )
     letters = "cdefghij"[:r]
-    if r > 0 and metric.christoffel.shape[:n] == grid.shape:
+    if r > 0 and metric.christoffel.shape[3:] == grid.shape:
         parts -= _gamma_slot_sum(metric.christoffel, u.values, r)
     parts += np.einsum(
-        f"yab...,{letters}b...->y{letters}a...", bundle.potentials_grid_last, u.values
+        f"yab...,{letters}b...->y{letters}a...", bundle.potentials, u.values
     )
     return parts
 
@@ -112,23 +123,16 @@ def all_direction_hom_products(a, source, target, metric):
     """_hom_derivative of a, a map E -> F between plain bundles, every y."""
     grid = metric.grid
     n = grid.dim
-    da = np.empty(grid.shape + (n,) + a.shape[-2:], dtype=complex)
+    da = np.empty((n,) + a.shape[:2] + grid.shape, dtype=complex)
     for y in range(n):
-        da[..., y, :, :] = grid.diff(a, axis=y)
-    last = grid_last(a, grid.dim)
-    a_rows = last.reshape((1, target.fiber_dim, -1) + grid.shape)
-    a_cols = last.reshape((-1, source.fiber_dim) + grid.shape)
-    rows = da.reshape(grid.shape + (n, 1, target.fiber_dim, -1))
-    cols = da.reshape(grid.shape + (n, -1, source.fiber_dim))
+        da[y] = grid.diff(a, axis=y)
+    a_rows = a.reshape((1, target.fiber_dim, -1) + grid.shape)
+    a_cols = a.reshape((-1, source.fiber_dim) + grid.shape)
+    rows = da.reshape((n, 1, target.fiber_dim, -1) + grid.shape)
+    cols = da.reshape((n, -1, source.fiber_dim) + grid.shape)
     for y in range(n):
-        pots = target.potentials_grid_last[y]
-        rows[..., y, :, :, :] += grid_first(
-            np.einsum("fg...,tgk...->tfk...", pots, a_rows), grid.dim
-        )
-        pots = source.potentials_grid_last[y]
-        cols[..., y, :, :] -= grid_first(
-            np.einsum("rl...,le...->re...", a_cols, pots), grid.dim
-        )
+        rows[y] += np.einsum("fg...,tgk...->tfk...", target.potentials[y], a_rows)
+        cols[y] -= np.einsum("rl...,le...->re...", a_cols, source.potentials[y])
     grid.zero_band(da, grid.stencil_radius)
     return da
 
@@ -138,16 +142,16 @@ def all_direction_curvature(bundle):
     grid = bundle.grid
     n = grid.dim
     d = bundle.fiber_dim
-    r = np.zeros(grid.shape + (n, n, d, d), dtype=complex)
-    a = bundle.potentials
-    pots = bundle.potentials_grid_last
+    r = np.zeros((n, n, d, d) + grid.shape, dtype=complex)
+    pots = bundle.potentials
+    a = np.broadcast_to(pots, pots.shape[:3] + grid.shape)
     for k in range(n):
         for l in range(k + 1, n):
-            d_kl = grid.diff(a[..., l, :, :], axis=k)
-            d_lk = grid.diff(a[..., k, :, :], axis=l)
+            d_kl = grid.diff(a[l], axis=k)
+            d_lk = grid.diff(a[k], axis=l)
             p_kl = np.einsum("ab...,bc...->ac...", pots[k], pots[l])
             p_lk = np.einsum("ab...,bc...->ac...", pots[l], pots[k])
-            r[..., k, l, :, :] = d_kl - d_lk + grid_first(p_kl - p_lk, grid.dim)
-            r[..., l, k, :, :] = d_lk - d_kl + grid_first(p_lk - p_kl, grid.dim)
+            r[k, l] = d_kl - d_lk + (p_kl - p_lk)
+            r[l, k] = d_lk - d_kl + (p_lk - p_kl)
     grid.zero_band(r, grid.stencil_radius)
     return r

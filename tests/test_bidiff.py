@@ -17,7 +17,6 @@ from nabla_calc.bidiff import (
 from nabla_calc.bundles import (
     BundleSpec,
     TensorSection,
-    grid_first,
     induced_tensor_bundle,
     magnetic_example_bundle,
 )
@@ -61,15 +60,17 @@ SCALAR = BundleSpec(GRID, 1)
 MAGNET = magnetic_example_bundle(GRID)
 
 
-def _eye_coefficient(dim):
-    return np.broadcast_to(np.eye(dim, dtype=complex), GRID.shape + (dim, dim))
+def _eye_coefficient(dim, grid=GRID):
+    """The dim x dim identity on every point of the grid."""
+    eye = np.eye(dim, dtype=complex).reshape((dim, dim) + (1,) * grid.dim)
+    return np.broadcast_to(eye, (dim, dim) + grid.shape)
 
 
 def _dirichlet_spec(bundle, metric, grid=None):
     g = bundle.grid if grid is None else grid
     n = g.dim
     d = bundle.fiber_dim
-    a11 = np.broadcast_to(np.eye(n * d, dtype=complex), g.shape + (n * d, n * d))
+    a11 = _eye_coefficient(n * d, g)
     return BidiffSpec(bundle, bundle, metric, 1, {(1, 1): a11})
 
 
@@ -137,10 +138,11 @@ def test_dirichlet_form_is_sesquilinear():
 
 def test_from_ops_identity_gives_fiber_metric():
     h = np.array([[2.0, 0.3], [0.3, 1.0]])
-    bundle = BundleSpec(GRID, 2, fiber_metric=h[None, None])
+    bundle = BundleSpec(GRID, 2, fiber_metric=h[:, :, None, None])
     spec = bidiff_from_ops(identity_op(bundle, FLAT), identity_op(bundle, FLAT))
     assert set(spec.coefficients) == {(0, 0)}
-    assert np.allclose(spec.coefficients[(0, 0)], h.T, atol=1e-14)
+    assert spec.coefficients[(0, 0)].shape == (2, 2, 1, 1)
+    assert np.allclose(spec.coefficients[(0, 0)], h.T[:, :, None, None], atol=1e-14)
 
 
 def test_from_ops_gradients_give_inverse_metric():
@@ -154,10 +156,10 @@ def test_from_ops_gradients_give_inverse_metric():
 
 def test_from_ops_accepts_matrix_and_field_fiber_metrics():
     grad = gradient_op(SCALAR, FLAT)
-    assert grad.target.fiber_metric.shape == (1, 1, 2, 2)
+    assert grad.target.fiber_metric.shape == (2, 2, 1, 1)
     # a constant field given on the full grid is stored at one point
     field_metric = BundleSpec(GRID, 2, fiber_metric=_eye_coefficient(2))
-    assert field_metric.fiber_metric.shape == (1, 1, 2, 2)
+    assert field_metric.fiber_metric.shape == (2, 2, 1, 1)
     spec = bidiff_from_ops(grad, identity_op(field_metric, FLAT))
     assert set(spec.coefficients) == {(1, 0)}
 
@@ -176,10 +178,10 @@ def test_from_ops_two_route_evaluation():
     qw = covariant_derivative(w, partner.source, FLAT)
     h2 = second.target.fiber_metric
     want = np.einsum(
-        "...ab,...a,...b->...",
+        "ab...,a...,b...->...",
         h2,
-        grid_first(pu.values.reshape((-1,) + GRID.shape), GRID.dim),
-        np.conj(grid_first(qw.values.reshape((-1,) + GRID.shape), GRID.dim)),
+        pu.values.reshape((-1,) + GRID.shape),
+        np.conj(qw.values.reshape((-1,) + GRID.shape)),
     )
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -244,8 +246,9 @@ def test_hermitian_symmetry_for_adjoint_shaped_coefficients():
         rng.standard_normal(GRID.shape + (2, 2))
         + 1j * rng.standard_normal(GRID.shape + (2, 2))
     )
-    a00 = raw + np.conj(np.swapaxes(raw, -1, -2))
-    a11 = np.broadcast_to(np.eye(4, dtype=complex), GRID.shape + (4, 4))
+    raw = np.moveaxis(raw, (-2, -1), (0, 1))  # the same draws, grid-last
+    a00 = raw + np.conj(np.swapaxes(raw, 0, 1))
+    a11 = _eye_coefficient(4)
     spec = BidiffSpec(MAGNET, MAGNET, FLAT, 1, {(0, 0): a00, (1, 1): a11})
     u = random_section(GRID, 0, 2, rng)
     w = random_section(GRID, 0, 2, rng)
@@ -257,7 +260,7 @@ def test_hermitian_symmetry_for_adjoint_shaped_coefficients():
 def test_coercivity_witness():
     rng = seeded_rng(11, "bd-coercive")
     u = random_section(GRID, 0, 1, rng)
-    a11 = np.broadcast_to(np.eye(2, dtype=complex), GRID.shape + (2, 2))
+    a11 = _eye_coefficient(2)
     spec = BidiffSpec(
         SCALAR, SCALAR, FLAT, 1, {(0, 0): _eye_coefficient(1), (1, 1): a11}
     )
@@ -267,9 +270,9 @@ def test_coercivity_witness():
 
 def test_spec_validation():
     with pytest.raises(ShapeMismatch):
-        BidiffSpec(SCALAR, SCALAR, FLAT, 0, {(1, 0): np.zeros(GRID.shape + (1, 2))})
+        BidiffSpec(SCALAR, SCALAR, FLAT, 0, {(1, 0): np.zeros((1, 2) + GRID.shape)})
     with pytest.raises(ShapeMismatch):
-        BidiffSpec(SCALAR, SCALAR, FLAT, 1, {(1, 1): np.zeros(GRID.shape + (1, 1))})
+        BidiffSpec(SCALAR, SCALAR, FLAT, 1, {(1, 1): np.zeros((1, 1) + GRID.shape)})
     with pytest.raises(ValueError):
         BidiffSpec(SCALAR, SCALAR, FLAT, 0, {}, coefficient_class="rough")
 
@@ -429,7 +432,7 @@ def test_ladder_form_assembly_holds_only_the_operator():
     finally:
         tracemalloc.stop()
     coefficient_bytes = sum(
-        np.broadcast_to(a, ctx.grid.shape + a.shape[-2:]).nbytes
+        np.broadcast_to(a, a.shape[:2] + ctx.grid.shape).nbytes
         for a in op.coefficients
         if a is not None
     )
@@ -452,7 +455,7 @@ def test_ladder_form_assembly_peak_is_bounded_by_its_operator():
     finally:
         tracemalloc.stop()
     coefficient_bytes = sum(
-        np.broadcast_to(a, ctx.grid.shape + a.shape[-2:]).nbytes
+        np.broadcast_to(a, a.shape[:2] + ctx.grid.shape).nbytes
         for a in op.coefficients
         if a is not None
     )
@@ -468,27 +471,27 @@ def _gradient_adjoint_reference(bundle, metric, gens):
     grid = metric.grid
     d = bundle.fiber_dim
     rank_one = induced_tensor_bundle(bundle, metric, 1)
-    eye = np.broadcast_to(np.eye(d, dtype=complex), grid.shape + (d, d))
-    c = np.einsum("...ab,...ka,...lb->...kl", metric.inv, gens.xi, gens.xi)
+    eye = _eye_coefficient(d, grid)
+    c = np.einsum("ab...,ka...,lb...->kl...", metric.inv, gens.xi, gens.xi)
     tag = "totally-bounded" if gens.frechet else "smooth"
 
     def extract(k):
         return np.einsum(
-            "...y,...fe->...fye", gens.z[..., k, :].astype(complex), eye
-        ).reshape(grid.shape + (d, grid.dim * d))
+            "y...,fe...->fye...", gens.z[k].astype(complex), eye
+        ).reshape((d, grid.dim * d) + grid.shape)
 
     total = None
     for l in range(gens.n_gens):
-        div_l = divergence(gens.z[..., l, :], metric)
+        div_l = divergence(gens.z[l], metric)
         direction = NablaOpSpec(bundle, bundle, metric, [None, extract(l)], tag)
         for k in range(gens.n_gens):
-            scaled = c[..., k, l, None, None] * extract(k)
+            scaled = c[k, l] * extract(k)
             if not np.any(scaled):
                 continue
             pick = multiplication_op(scaled, rank_one, bundle, metric, tag)
             total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
             zero_order = multiplication_op(
-                -div_l[..., None, None] * scaled, rank_one, bundle, metric, tag
+                -div_l * scaled, rank_one, bundle, metric, tag
             )
             total = _add_ladders(total, zero_order)
     return total
@@ -502,8 +505,9 @@ def _random_embedding_context():
 def test_gradient_adjoint_matches_pairwise_reference():
     ctx = _random_embedding_context()
     gens = ctx.gens
-    c = np.einsum("...ab,...ka,...lb->...kl", ctx.metric.inv, gens.xi, gens.xi)
-    assert gens.n_gens == 4 and np.max(np.abs(c - np.eye(4))) > 0.1
+    c = np.einsum("ab...,ka...,lb...->kl...", ctx.metric.inv, gens.xi, gens.xi)
+    eye = np.eye(4).reshape(4, 4, 1, 1)
+    assert gens.n_gens == 4 and np.max(np.abs(c - eye)) > 0.1
     rank_one = induced_tensor_bundle(ctx.bundle, ctx.metric, 1)
     cases = ((ctx.bundle, ctx.metric, gens), (rank_one, ctx.metric, gens))
     flat_gens = build_generators(identity_embedding(GRID), FLAT, frechet=True)

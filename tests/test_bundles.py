@@ -28,20 +28,24 @@ def test_pointwise_kron_matches_numpy():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3))
     b = rng.normal(size=(4, 3, 2))
+    # the same draws with the grid axis of 4 points last
+    a, b = np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)
     got = pointwise_kron(a, b)
+    assert got.shape == (6, 6, 4)
     for i in range(4):
-        assert np.allclose(got[i], np.kron(a[i], b[i]))
+        assert np.allclose(got[..., i], np.kron(a[..., i], b[..., i]))
 
 
 def test_magnetic_example_layout(grid):
     bundle = magnetic_example_bundle(grid)
     x1 = grid.coords[0]
-    assert np.all(bundle.potentials[..., 0, :, :] == 0)
-    assert np.allclose(bundle.potentials[..., 1, 0, 1], np.exp(1j * x1**3))
-    assert np.allclose(bundle.potentials[..., 1, 1, 0], -np.exp(-1j * x1**3))
+    assert np.all(bundle.potentials[0] == 0)
+    assert np.allclose(bundle.potentials[1, 0, 1], np.exp(1j * x1**3))
+    assert np.allclose(bundle.potentials[1, 1, 0], -np.exp(-1j * x1**3))
     # A_2^2 = -identity
-    a2 = bundle.potentials[..., 1, :, :]
-    assert np.allclose(a2 @ a2, -np.eye(2))
+    a2 = bundle.potentials[1]
+    square = np.einsum("ab...,bc...->ac...", a2, a2)
+    assert np.allclose(square, -np.eye(2)[:, :, None, None])
 
 
 def test_magnetic_connection_preserves_metric(grid):
@@ -49,8 +53,8 @@ def test_magnetic_connection_preserves_metric(grid):
 
 
 def test_compatibility_defect_detects_non_skew(grid):
-    pots = np.zeros(grid.shape + (2, 2, 2), dtype=complex)
-    pots[..., 0, 0, 0] = 1.0  # symmetric, not skew
+    pots = np.zeros((2, 2, 2) + grid.shape, dtype=complex)
+    pots[0, 0, 0] = 1.0  # symmetric, not skew
     bundle = BundleSpec(grid, 2, pots)
     assert compatibility_defect(bundle) == pytest.approx(2.0)
 
@@ -60,18 +64,19 @@ def test_compatibility_defect_on_varying_fiber_metric():
     grid = ChartGrid([(-1, 1), (-1, 1)], (65, 65))
     x1, x2 = grid.coords
     f = x1 * x2 / 4
-    h = np.exp(2 * f)[..., None, None] * np.eye(2)
-    pots = np.zeros(grid.shape + (2, 2, 2), dtype=complex)
-    pots[..., 0, :, :] = (x2 / 4)[..., None, None] * np.eye(2)
-    pots[..., 1, :, :] = (x1 / 4)[..., None, None] * np.eye(2)
+    eye = np.eye(2).reshape(2, 2, 1, 1)
+    h = np.exp(2 * f) * eye
+    pots = np.zeros((2, 2, 2) + grid.shape, dtype=complex)
+    pots[0] = (x2 / 4) * eye
+    pots[1] = (x1 / 4) * eye
     assert compatibility_defect(BundleSpec(grid, 2, pots, h)) <= 1e-6
     assert compatibility_defect(BundleSpec(grid, 2, None, h)) >= 0.1
     # f = x1 / 4: h is stored (N1, 1), and only its x1 axis is differentiated
-    h = np.exp(x1 / 2)[..., None, None] * np.eye(2)
-    pots = np.zeros((1, 1, 2, 2, 2), dtype=complex)
-    pots[..., 0, :, :] = np.eye(2) / 4
+    h = np.exp(x1 / 2) * eye
+    pots = np.zeros((2, 2, 2, 1, 1), dtype=complex)
+    pots[0] = eye / 4
     one_axis = BundleSpec(grid, 2, pots, h)
-    assert one_axis.fiber_metric.shape == (65, 1, 2, 2)
+    assert one_axis.fiber_metric.shape == (2, 2, 65, 1)
     assert compatibility_defect(one_axis) <= 1e-6
     assert compatibility_defect(BundleSpec(grid, 2, None, h)) >= 0.1
 
@@ -85,15 +90,17 @@ def test_hom_derivative_matches_explicit_kronecker_terms(shape, de, df):
     rng = np.random.default_rng(7)
 
     def field(size):
-        return rng.normal(size=size) + 1j * rng.normal(size=size)
+        """Draws over grid + size, moved grid-last."""
+        x = rng.normal(size=g.shape + size) + 1j * rng.normal(size=g.shape + size)
+        return np.moveaxis(x, range(g.dim), range(-g.dim, 0))
 
-    be = BundleSpec(g, de, field(g.shape + (g.dim, de, de)))
-    bf = BundleSpec(g, df, field(g.shape + (g.dim, df, df)))
-    a = field(g.shape + (df, de))
+    be = BundleSpec(g, de, field((g.dim, de, de)))
+    bf = BundleSpec(g, df, field((g.dim, df, df)))
+    a = field((df, de))
     got = _hom_derivative(a, (be, 0), (bf, 0), metric)
-    vec = a.reshape(g.shape + (1, df * de))
-    want = np.stack([g.diff(vec[..., 0, :], axis=y) for y in range(g.dim)], axis=g.dim)
-    want = want + np.einsum("...yab,...zb->...ya", hom_potentials(be, bf), vec)
+    vec = a.reshape((1, df * de) + g.shape)
+    want = np.stack([g.diff(vec[0], axis=y) for y in range(g.dim)])
+    want = want + np.einsum("yab...,zb...->ya...", hom_potentials(be, bf), vec)
     g.zero_band(want, g.stencil_radius)
     assert np.allclose(got.reshape(want.shape), want, rtol=1e-14, atol=1e-12)
 
@@ -148,20 +155,19 @@ def test_induced_bundle_of_an_induced_bundle_lifts_the_base(grid):
 def test_potentials_are_stored_once_grid_last(grid):
     # the magnetic potentials vary over x1 alone: stored (2, 2, 2, N1, 1)
     bundle = magnetic_example_bundle(grid)
-    pots = bundle.potentials_grid_last
+    pots = bundle.potentials
     assert pots.flags.c_contiguous and pots.shape == (2, 2, 2, grid.shape[0], 1)
-    assert np.shares_memory(bundle.potentials, pots)
-    assert bundle.potentials.shape == grid.shape + (2, 2, 2)
+    assert not pots.flags.writeable
 
 
 @pytest.mark.parametrize("slots", [1, 2, 3])
 @pytest.mark.parametrize("g", [np.eye(2), np.array([[2.0, 0.3], [0.3, 0.7]])])
 def test_constant_metric_induced_bundle_matches_grid_construction(grid, slots, g):
-    h = np.array([[[[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]]]])
+    h = np.array([[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]])[:, :, None, None]
     bundle = BundleSpec(grid, 2, magnetic_example_bundle(grid).potentials, h)
-    metric = MetricField(grid, np.broadcast_to(g, grid.shape + (2, 2)))
+    metric = MetricField(grid, np.broadcast_to(g[:, :, None, None], (2, 2) + grid.shape))
     got = induced_tensor_bundle(bundle, metric, slots)
-    assert got.fiber_metric.shape == (1, 1, got.fiber_dim, got.fiber_dim)
+    assert got.fiber_metric.shape == (got.fiber_dim, got.fiber_dim, 1, 1)
     _assert_matches_reference(got, bundle, metric, slots)
 
 

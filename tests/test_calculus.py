@@ -3,11 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nabla_calc._kernels import diff_axis
 from nabla_calc.bundles import (
     BundleSpec,
     TensorSection,
-    grid_first,
-    grid_last,
     induced_tensor_bundle,
     magnetic_example_bundle,
 )
@@ -37,9 +36,14 @@ FLAT = MetricField.flat(GRID)
 MAGNETIC = magnetic_example_bundle(GRID)
 
 
-def _gf(values):
-    """A section's grid-last values read grid-first, as a view."""
-    return grid_first(values, GRID.dim)
+def _first(values, g):
+    """A grid-last array read grid-first, as a view."""
+    return np.moveaxis(values, range(-g, 0), range(g))
+
+
+def _last(values, g):
+    """A grid-first array copied grid-last, C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(values, range(g), range(-g, 0)))
 
 
 def _conformal_metric(grid):
@@ -53,18 +57,18 @@ def _magnetic_oracle(grid, bumps, idx):
     The section's own derivatives are rendered with the same stencils; the
     potential's derivative uses its displayed analytic form.
     """
-    xi = grid_first(bumps.section(grid).values, grid.dim)
+    xi = bumps.section(grid).values
     x1 = grid.coords[0]
     phase = np.exp(1j * x1**3)
     d1 = grid.diff(xi, 0)
     d2 = grid.diff(xi, 1)
 
     def a2(v):
-        return np.stack([phase * v[..., 1], -np.conj(phase) * v[..., 0]], axis=-1)
+        return np.stack([phase * v[1], -np.conj(phase) * v[0]])
 
     def da2(v):
-        w = np.stack([phase * v[..., 1], np.conj(phase) * v[..., 0]], axis=-1)
-        return 3j * x1[..., None] ** 2 * w
+        w = np.stack([phase * v[1], np.conj(phase) * v[0]])
+        return 3j * x1**2 * w
 
     if idx == (1, 1):
         return grid.diff(d1, 0)
@@ -85,7 +89,7 @@ def test_magnetic_multiindex_matches_closed_form(idx):
     got = multiindex_derivative(sec, idx, MAGNETIC, FLAT)
     want = _magnetic_oracle(GRID, bumps, idx)
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(_gf(got.values) - want)) < 1e-5 * scale
+    assert np.max(np.abs(got.values - want)) < 1e-5 * scale
 
 
 def test_first_slot_is_prepended_leftmost():
@@ -142,20 +146,19 @@ def test_leibniz_for_endomorphism_coefficient():
     rng = seeded_rng(104, "leibniz")
     a_field = random_trig_field(2, (2, 2), rng)
     a = a_field.sample(GRID)
-    da = np.stack([a_field.sample(GRID, (k,)) for k in range(2)], axis=-3)
+    da = np.stack([a_field.sample(GRID, (k,)) for k in range(2)])
     sec = random_section(GRID, 0, 2, rng)
-    au = grid_last(np.einsum("...ab,...b->...a", a, _gf(sec.values)), 2)
-    au = TensorSection(GRID, 0, au, 2)
-    lhs = _gf(covariant_derivative(au, MAGNETIC, FLAT).values)
+    au = TensorSection(GRID, 0, np.einsum("ab...,b...->a...", a, sec.values), 2)
+    lhs = covariant_derivative(au, MAGNETIC, FLAT).values
     pots = MAGNETIC.potentials
     nabla_a = (
         da
-        + np.einsum("...kab,...bc->...kac", pots, a)
-        - np.einsum("...ab,...kbc->...kac", a, pots)
+        + np.einsum("kab...,bc...->kac...", pots, a)
+        - np.einsum("ab...,kbc...->kac...", a, pots)
     )
-    grad_u = _gf(covariant_derivative(sec, MAGNETIC, FLAT).values)
-    rhs = np.einsum("...kab,...b->...ka", nabla_a, _gf(sec.values)) + np.einsum(
-        "...ab,...kb->...ka", a, grad_u
+    grad_u = covariant_derivative(sec, MAGNETIC, FLAT).values
+    rhs = np.einsum("kab...,b...->ka...", nabla_a, sec.values) + np.einsum(
+        "ab...,kb...->ka...", a, grad_u
     )
     scale = np.max(np.abs(lhs))
     assert np.max(np.abs(lhs - rhs)) < 1e-5 * scale
@@ -169,8 +172,7 @@ def test_commutator_equals_curvature():
         multiindex_derivative(sec, (1, 2), MAGNETIC, FLAT).values
         - multiindex_derivative(sec, (2, 1), MAGNETIC, FLAT).values
     )
-    rhs = np.einsum("...ab,...b->...a", r.values[..., 0, 1, :, :], _gf(sec.values))
-    rhs = grid_last(rhs, 2)
+    rhs = np.einsum("ab...,b...->a...", r.values[0, 1], sec.values)
     scale = max(np.max(np.abs(rhs)), np.max(np.abs(sec.values)))
     assert np.max(np.abs(lhs - rhs)) < 1e-5 * scale
 
@@ -178,13 +180,13 @@ def test_commutator_equals_curvature():
 def test_curvature_against_displayed_form():
     r = curvature(MAGNETIC)
     x1 = GRID.coords[0]
-    want = np.zeros(GRID.shape + (2, 2), dtype=complex)
-    want[..., 0, 1] = 3j * x1**2 * np.exp(1j * x1**3)
-    want[..., 1, 0] = 3j * x1**2 * np.exp(-1j * x1**3)
+    want = np.zeros((2, 2) + GRID.shape, dtype=complex)
+    want[0, 1] = 3j * x1**2 * np.exp(1j * x1**3)
+    want[1, 0] = 3j * x1**2 * np.exp(-1j * x1**3)
     mask = GRID.interior_mask(GRID.stencil_radius)
-    err = np.max(np.abs(r.values[..., 0, 1, :, :] - want)[mask])
+    err = np.max(np.abs(r.values[0, 1] - want)[..., mask])
     assert err < 1e-5
-    assert np.max(np.abs(r.values + np.swapaxes(r.values, GRID.dim, GRID.dim + 1))) == 0
+    assert np.max(np.abs(r.values + np.swapaxes(r.values, 0, 1))) == 0
     assert r.skew_hermitian_defect() < 1e-5
 
 
@@ -205,7 +207,7 @@ def test_divergence_two_routes():
     got = divergence(X, metric)
     # density route: div X = (1/sqrt g) d_k (sqrt g X^k)
     sg = metric.sqrt_det
-    want = sum(grid.diff(sg * X[..., k], k) for k in range(2)) / sg
+    want = sum(grid.diff(sg * X[k], k) for k in range(2)) / sg
     grid.zero_band(want, grid.stencil_radius)
     mask = grid.interior_mask(2 * grid.stencil_radius)
     scale = np.max(np.abs(want))
@@ -232,8 +234,8 @@ def test_adjoint_pairing_constant_direction_exact():
     rng = seeded_rng(108, "adjoint")
     xi = random_section(GRID, 0, 2, rng)
     eta = random_section(GRID, 0, 2, rng)
-    X = np.zeros(GRID.shape + (2,))
-    X[..., 1] = 1.0
+    X = np.zeros((2,) + GRID.shape)
+    X[1] = 1.0
     residual, scale = _pairing_residual(X, GRID, MAGNETIC, FLAT, xi, eta)
     assert residual < 1e-13 * scale
 
@@ -273,19 +275,20 @@ def test_connection_term_matches_grid_first_einsum(shape, d):
     grid = ChartGrid([(-1, 1)] * len(shape), shape, support_margin=2)
     n = grid.dim
     rng = seeded_rng(112, f"grid-last-{shape}-{d}")
-    bundle = BundleSpec(grid, d, _complex_normal(rng, grid.shape + (n, d, d)))
+    draws = _complex_normal(rng, grid.shape + (n, d, d))
+    bundle = BundleSpec(grid, d, _last(draws, n))
     metric = MetricField.flat(grid)
     for r in range(4):
         vals = _complex_normal(rng, grid.shape + (n,) * r + (d,))
-        sec = TensorSection(grid, r, grid_last(vals, n), d)
+        sec = TensorSection(grid, r, _last(vals, n), d)
         got = covariant_derivative(sec, bundle, metric, check_support=False)
         slots = "cdefghij"[:r]
-        want = np.stack([grid.diff(vals, axis=k) for k in range(n)], axis=n)
-        want += np.einsum(
-            f"...yab,...{slots}b->...y{slots}a", bundle.potentials, vals
+        want = np.stack(
+            [diff_axis(vals, k, grid.h[k], grid.fd_order) for k in range(n)], axis=n
         )
-        assert np.array_equal(grid_first(got.values, n), want)
-    pots = bundle.potentials_grid_last
+        want += np.einsum(f"...yab,...{slots}b->...y{slots}a", draws, vals)
+        assert np.array_equal(_first(got.values, n), want)
+    pots = bundle.potentials
     assert pots.flags.c_contiguous and pots.shape == (n, d, d) + grid.shape
 
 
@@ -293,25 +296,29 @@ def _grid_first_multiindex(sec, idx, bundle):
     """The former constant-metric composition, grid axes first."""
     grid = sec.grid
     slots = "cdefghij"[: sec.rank]
-    vals = np.ascontiguousarray(grid_first(sec.values, grid.dim))
+    vals = np.ascontiguousarray(_first(sec.values, grid.dim))
     for i in reversed(idx):
-        out = grid.diff(vals, axis=i - 1)
+        out = diff_axis(vals, i - 1, grid.h[i - 1], grid.fd_order)
         if not bundle.is_flat:
-            a_k = bundle.potentials[..., i - 1, :, :]
+            a_k = _first(bundle.potentials[i - 1], grid.dim)
             out = out + np.einsum(f"...ab,...{slots}b->...{slots}a", a_k, vals)
         vals = out
     return vals
 
 
 def _stacked_curvature(bundle):
-    """The former curvature formula over the stacked (n, n, d, d) arrays."""
+    """The former curvature formula over the stacked (n, n, d, d) arrays,
+    grid-first."""
     grid = bundle.grid
-    a = bundle.potentials
-    da = np.stack([grid.diff(a, axis=k) for k in range(grid.dim)], axis=-4)
+    pots = _first(bundle.potentials, grid.dim)
+    a = np.broadcast_to(pots, grid.shape + pots.shape[grid.dim :])
+    da = np.stack(
+        [diff_axis(a, k, grid.h[k], grid.fd_order) for k in range(grid.dim)], axis=-4
+    )
     da = da - np.swapaxes(da, -4, -3)
     prod = np.einsum("...kab,...lbc->...klac", a, a)
     r = da + (prod - np.swapaxes(prod, -4, -3))
-    grid.zero_band(r, grid.stencil_radius)
+    r[grid.band_mask(grid.stencil_radius)] = 0
     return r
 
 
@@ -321,24 +328,25 @@ def test_grid_last_products_match_grid_first_references(shape, d):
     grid = ChartGrid([(-1, 1)] * len(shape), shape, fd_order=2, support_margin=3)
     n = grid.dim
     rng = seeded_rng(113, f"grid-last-products-{shape}-{d}")
-    bundle = BundleSpec(grid, d, _complex_normal(rng, grid.shape + (n, d, d)))
+    bundle = BundleSpec(grid, d, _last(_complex_normal(rng, grid.shape + (n, d, d)), n))
     metric = MetricField.flat(grid)
     for r in range(3):
-        vals = _complex_normal(rng, grid.shape + (n,) * r + (d,))
-        sec = TensorSection(grid, r, grid_last(grid.zero_band(vals, 3), n), d)
+        vals = _last(_complex_normal(rng, grid.shape + (n,) * r + (d,)), n)
+        sec = TensorSection(grid, r, grid.zero_band(vals, 3), d)
         for idx in [(n,), (1, n), (n, 1, n)]:
             got = multiindex_derivative(sec, idx, bundle, metric)
             want = _grid_first_multiindex(sec, idx, bundle)
-            assert np.array_equal(grid_first(got.values, n), want)
-    assert np.array_equal(curvature(bundle).values, _stacked_curvature(bundle))
+            assert np.array_equal(_first(got.values, n), want)
+    want = _stacked_curvature(bundle)
+    assert np.array_equal(_first(curvature(bundle).values, n), want)
 
 
 def test_flat_curvature_is_zero():
     grid = ChartGrid([(-1, 1), (-1, 1)], (13, 13), support_margin=2)
     bundle = BundleSpec(grid, 2)
     r = curvature(bundle).values
-    assert r.shape == grid.shape + (2, 2, 2, 2) and not np.any(r)
-    assert np.array_equal(r, _stacked_curvature(bundle))
+    assert r.shape == (2, 2, 2, 2) + grid.shape and not np.any(r)
+    assert np.array_equal(_first(r, grid.dim), _stacked_curvature(bundle))
 
 
 def test_curvature_peak_memory_below_three_results():

@@ -8,13 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from nabla_calc.bundles import (
-    BundleSpec,
-    TensorSection,
-    grid_first,
-    grid_last,
-    magnetic_example_bundle,
-)
+from nabla_calc.bundles import BundleSpec, TensorSection, magnetic_example_bundle
 from nabla_calc.calculus import covariant_derivative
 from nabla_calc.checks import (
     _PARAM_RULES,
@@ -34,8 +28,8 @@ from nabla_calc.sections import random_section, random_trig_field
 
 def _nan_potential_context():
     grid = ChartGrid([(-1, 1), (-1, 1)], (25, 25))
-    pots = np.zeros(grid.shape + (2, 1, 1), dtype=complex)
-    pots[..., 0, 0, 0] = np.nan
+    pots = np.zeros((2, 1, 1) + grid.shape, dtype=complex)
+    pots[0, 0, 0] = np.nan
     return CheckContext(
         name="nan-potential",
         grid=grid,
@@ -51,27 +45,35 @@ def test_leibniz_rule_fails_on_nan_potential():
     assert not out["passed"]
 
 
+def _first(values, g):
+    """A grid-last array read grid-first, as a view."""
+    return np.moveaxis(values, range(-g, 0), range(g))
+
+
 def _grid_first_leibniz(ctx, trials):
     """The former leibniz-rule residual: all directions stacked, grid first."""
     grid, bundle = ctx.grid, ctx.bundle
     n, d = grid.dim, bundle.fiber_dim
-    pots = bundle.potentials
+    pots = _first(bundle.potentials, n)
+    pots = np.broadcast_to(pots, grid.shape + pots.shape[n:])
     worst = 0.0
     for trial in range(trials):
         a_field = random_trig_field(n, (d, d), _rng(ctx, "leibniz-rule", trial))
-        a = a_field.sample(grid)
-        da = np.stack([a_field.sample(grid, (k,)) for k in range(n)], axis=-3)
+        a = np.ascontiguousarray(_first(a_field.sample(grid), n))
+        partials = [_first(a_field.sample(grid, (k,)), n) for k in range(n)]
+        da = np.stack(partials, axis=-3)
         u = random_section(grid, 0, d, _rng(ctx, "leibniz-section", trial))
-        u_first = np.ascontiguousarray(grid_first(u.values, n))
+        u_first = np.ascontiguousarray(_first(u.values, n))
         au = np.einsum("...ab,...b->...a", a, u_first)
-        au = TensorSection(grid, 0, grid_last(au, n), d)
-        lhs = grid_first(covariant_derivative(au, bundle, ctx.metric).values, n)
+        au = np.ascontiguousarray(np.moveaxis(au, range(n), range(-n, 0)))
+        au = TensorSection(grid, 0, au, d)
+        lhs = _first(covariant_derivative(au, bundle, ctx.metric).values, n)
         nabla_a = (
             da
             + np.einsum("...kab,...bc->...kac", pots, a)
             - np.einsum("...ab,...kbc->...kac", a, pots)
         )
-        grad_u = grid_first(covariant_derivative(u, bundle, ctx.metric).values, n)
+        grad_u = _first(covariant_derivative(u, bundle, ctx.metric).values, n)
         rhs = np.einsum("...kab,...b->...ka", nabla_a, u_first) + np.einsum(
             "...ab,...kb->...ka", a, grad_u
         )
@@ -148,7 +150,7 @@ def test_closed_form_check_needs_the_flat_metric_and_the_oscillating_bundle():
     with pytest.raises(ConfigError, match="flat metric"):
         run(MetricField.conformal(grid, 0.1 * x), magnetic)
     off = magnetic.potentials.copy()
-    off[..., 1, 0, 1] *= 1.001
+    off[1, 0, 1] *= 1.001
     for bundle in (BundleSpec(grid, 2, off), BundleSpec(grid, 2), BundleSpec(grid, 1)):
         with pytest.raises(ConfigError, match="oscillating-potential bundle"):
             run(MetricField.flat(grid), bundle)

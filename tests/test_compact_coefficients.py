@@ -62,12 +62,13 @@ def _conformal(grid):
 
 def _full(a, grid):
     """The full-grid twin of a stored field: a C-contiguous copy."""
-    return np.ascontiguousarray(np.broadcast_to(a, grid.shape + a.shape[grid.dim :]))
+    lead = a.shape[: a.ndim - grid.dim]
+    return np.ascontiguousarray(np.broadcast_to(a, lead + grid.shape))
 
 
 def _same(compact, full):
     """Bit-equal once the compact array is broadcast to the full grid."""
-    return compact.shape[-2:] == full.shape[-2:] and np.array_equal(
+    return compact.shape[:2] == full.shape[:2] and np.array_equal(
         np.broadcast_to(compact, full.shape), full
     )
 
@@ -107,7 +108,7 @@ def _field(kind, tail, rng, grid=GRID):
     a = random_trig_field(grid.dim, tail, rng).sample(grid)
     mid = [m // 2 for m in grid.shape]
     keep = {"const": (), "x1": (0,), "x2": (1,), "full": (0, 1)}[kind]
-    sel = tuple(
+    sel = (Ellipsis,) + tuple(
         slice(None) if k in keep else slice(mid[k], mid[k] + 1) for k in range(grid.dim)
     )
     return np.ascontiguousarray(a[sel])
@@ -125,15 +126,15 @@ def _ladder(kinds, source, target, rng, metric=FLAT):
 def test_shape_rule_accepts_full_or_one_and_rejects_other_lengths():
     n1, n2 = GRID.shape
     for shape in [(n1, n2), (n1, 1), (1, n2), (1, 1)]:
-        check_grid_shape(shape + (2, 4), GRID, (2, 4), "coefficient 1")
+        check_grid_shape((2, 4) + shape, GRID, (2, 4), "coefficient 1")
     for shape in [(n1, 2), (n1 - 1, n2), (1, n2 - 1), (n1,), (n1, n2, 1)]:
         with pytest.raises(ShapeMismatch, match="each grid axis full or of length 1"):
-            check_grid_shape(shape + (2, 4), GRID, (2, 4), "coefficient 1")
+            check_grid_shape((2, 4) + shape, GRID, (2, 4), "coefficient 1")
 
 
 @pytest.mark.parametrize("shape", [(41, 2), (40, 37), (1, 36), (41,), (41, 37, 1)])
 def test_every_stored_coefficient_rejects_an_axis_neither_full_nor_one(shape):
-    bad = np.ones(shape + (2, 2), dtype=complex)
+    bad = np.ones((2, 2) + shape, dtype=complex)
     with pytest.raises(ShapeMismatch):
         NablaOpSpec(MAGNET, MAGNET, FLAT, [bad])
     with pytest.raises(ShapeMismatch):
@@ -151,17 +152,17 @@ def test_constructors_keep_an_axis_only_where_the_field_varies():
     for kind, want in kept.items():
         a = _field(kind, (2, 2), rng)
         full = _full(a, GRID)
-        assert NablaOpSpec(MAGNET, MAGNET, FLAT, [full]).coefficients[0].shape[:2] == want
+        assert NablaOpSpec(MAGNET, MAGNET, FLAT, [full]).coefficients[0].shape[2:] == want
         form = BidiffSpec(MAGNET, MAGNET, FLAT, 0, {(0, 0): full})
-        assert form.coefficients[(0, 0)].shape[:2] == want
+        assert form.coefficients[(0, 0)].shape[2:] == want
         # the stored copy does not keep the full array alive
         assert want == GRID.shape or not np.shares_memory(
             compact_grid_axes(full, 2), full
         )
     # a level that differs from its first slice only far away still varies
-    a = np.zeros(GRID.shape + (2, 2), dtype=complex)
-    a[-1, -1] = 1.0
-    assert NablaOpSpec(MAGNET, MAGNET, FLAT, [a]).coefficients[0].shape[:2] == GRID.shape
+    a = np.zeros((2, 2) + GRID.shape, dtype=complex)
+    a[..., -1, -1] = 1.0
+    assert NablaOpSpec(MAGNET, MAGNET, FLAT, [a]).coefficients[0].shape[2:] == GRID.shape
 
 
 @pytest.mark.parametrize("kind", SHAPES)
@@ -182,17 +183,17 @@ def test_hom_derivative_compact_equals_full(kind, pair, curved):
     a = _field(kind, (rows, cols), seeded_rng(31, f"{kind}-{pair}"))
     got = _hom_derivative(a, source, target, metric)
     want = _hom_derivative(_full(a, GRID), source, target, metric)
-    assert want.shape[:2] == GRID.shape
+    assert want.shape[3:] == GRID.shape
     assert _same(got, want)
-    assert got.shape[:2] == GRID.shape or not np.any(got)
+    assert got.shape[3:] == GRID.shape or not np.any(got)
 
 
 def test_hom_derivative_of_a_parallel_field_is_zero_before_the_grid():
     # the identity commutes with the magnetic potential: nothing of grid
     # shape is built, and the zero comes back at the broadcast shape
-    eye = np.eye(2, dtype=complex).reshape(1, 1, 2, 2)
+    eye = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
     got = _hom_derivative(eye, (MAGNET, 0), (MAGNET, 0), FLAT)
-    assert got.shape == (GRID.shape[0], 1, 2, 2, 2) and not np.any(got)
+    assert got.shape == (2, 2, 2, GRID.shape[0], 1) and not np.any(got)
     assert not np.any(_hom_derivative(eye, (PLAIN, 0), (PLAIN, 0), FLAT))
 
 
@@ -263,9 +264,9 @@ def test_flat_operators_assembly_is_constant_and_equals_its_full_grid_twin(
 ):
     ctx = _flat_operators(2 / 32)
     op, twin = _assembled_with_twin(ctx, half_order, monkeypatch)
-    assert all(b is None or b.shape[:2] == ctx.grid.shape for b in twin.coefficients)
+    assert all(b is None or b.shape[2:] == ctx.grid.shape for b in twin.coefficients)
     for a in op.coefficients:
-        assert a is None or a.shape[:2] == (1, 1)
+        assert a is None or a.shape[2:] == (1, 1)
     assert [a is None for a in op.coefficients] == [b is None for b in twin.coefficients]
     for a, b in zip(op.coefficients, twin.coefficients):
         assert a is None or _same(a, b)
@@ -278,7 +279,7 @@ def test_random_embedding_assembly_collapses_nothing_and_equals_its_twin(monkeyp
     op, twin = _assembled_with_twin(ctx, 2, monkeypatch)
     # level 0 is the mass term's identity; every derivative level varies
     levels = [a for a in op.coefficients[1:] if a is not None]
-    assert len(levels) == 4 and all(a.shape[:2] == ctx.grid.shape for a in levels)
+    assert len(levels) == 4 and all(a.shape[2:] == ctx.grid.shape for a in levels)
     for a, b in zip(op.coefficients, twin.coefficients):
         assert (a is None) == (b is None)
         assert a is None or _same(a, b)
@@ -304,7 +305,7 @@ def test_weighted_duality_with_a_compact_form_equals_its_twin(monkeypatch):
     cfg = builtin_scenario("half-line-weighted")
     ctx = build_context(parse_scenario(cfg))
     spec = ctx.bidiff_forms["mass-gradient"]
-    assert all(a.shape[:1] == (1,) for a in spec.coefficients.values())
+    assert all(a.shape[2:] == (1,) for a in spec.coefficients.values())
     u = random_section(ctx.grid, 0, 1, seeded_rng(35, "u"))
     w = random_section(ctx.grid, 0, 1, seeded_rng(35, "w"))
     got = weighted_duality_check(spec, ctx.weight, u, w, gens=ctx.gens)
@@ -320,7 +321,7 @@ def test_drift_gradient_levels_vary_over_one_axis_each(monkeypatch):
     spec = ctx.nabla_ops["drift-gradient"]
     n1, n2 = ctx.grid.shape
     # cos(x2)/4 on level 0; sin(x1)/3 and 1/2 on level 1
-    assert [a.shape for a in spec.coefficients] == [(1, n2, 2, 2), (n1, 1, 2, 4)]
+    assert [a.shape for a in spec.coefficients] == [(2, 2, 1, n2), (2, 4, n1, 1)]
     got = mapping_bound_check(spec, 1, 2.0, trials=3, seed=ctx.seed)
     with _full_grid(monkeypatch):
         want = mapping_bound_check(_twin_ladder(spec), 1, 2.0, trials=3, seed=ctx.seed)
@@ -344,16 +345,16 @@ def test_configured_constant_potentials_are_stored_at_one_point():
         "checks": [],
     }
     ctx = build_context(parse_scenario(cfg))
-    assert ctx.bundle.potentials_grid_last.shape == (2, 1, 1, 1, 1)
+    assert ctx.bundle.potentials.shape == (2, 1, 1, 1, 1)
     assert ctx.bundle.live == (0,)
     # the metric varies over x1 alone and the fiber metric over x2 alone
-    assert ctx.metric.values.shape == (ctx.grid.shape[0], 1, 2, 2)
-    assert ctx.bundle.fiber_metric.shape == (1, ctx.grid.shape[1], 1, 1)
+    assert ctx.metric.values.shape == (2, 2, ctx.grid.shape[0], 1)
+    assert ctx.bundle.fiber_metric.shape == (1, 1, 1, ctx.grid.shape[1])
     x1 = ctx.grid.axes[0]
-    assert np.array_equal(ctx.metric.values[:, 0, 0, 0], 1 + 0.1 * x1**2)
+    assert np.array_equal(ctx.metric.values[0, 0, :, 0], 1 + 0.1 * x1**2)
     # potentials that vary over x1 alone keep x2 at length 1
     cfg["bundle"]["potentials"] = [[["0.5*i*x1"]], [["0"]]]
-    pots = build_context(parse_scenario(cfg)).bundle.potentials_grid_last
+    pots = build_context(parse_scenario(cfg)).bundle.potentials
     assert pots.shape == (2, 1, 1, ctx.grid.shape[0], 1)
     assert np.array_equal(pots[0, 0, 0, :, 0], 0.5j * ctx.grid.axes[0])
 

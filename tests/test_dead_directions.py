@@ -50,7 +50,7 @@ def _conformal(grid):
 def _dead_first(grid, rng):
     """Random skew potentials with direction 0 zeroed."""
     pots = random_skew_potentials(grid, 2, rng)
-    pots[..., 0, :, :] = 0
+    pots[0] = 0
     return BundleSpec(grid, 2, pots)
 
 
@@ -87,7 +87,7 @@ def test_hom_derivative_equals_all_direction_products(metric):
 def test_curvature_equals_all_direction_products():
     grid = ChartGrid([(-1, 1)] * 3, (13, 13, 13), support_margin=3)
     pots = random_skew_potentials(grid, 2, seeded_rng(6, "curv"))
-    pots[..., 1, :, :] = 0
+    pots[1] = 0
     for bundle in (magnetic_example_bundle(GRID), BundleSpec(grid, 2, pots)):
         assert np.array_equal(curvature(bundle).values, all_direction_curvature(bundle))
 
@@ -103,7 +103,7 @@ def test_no_potential_product_along_a_dead_direction(monkeypatch):
         bundle=magnetic_example_bundle(grid),
         seed=7,
     )
-    dead = ctx.bundle.potentials_grid_last[0]
+    dead = ctx.bundle.potentials[0]
     seen = []
     einsum = np.einsum
 

@@ -47,7 +47,7 @@ def _conformal_metric(grid):
 
 def test_identity_generators_are_coordinate_frame():
     gens = build_generators(identity_embedding(GRID), FLAT)
-    eye = np.broadcast_to(np.eye(2), GRID.shape + (2, 2))
+    eye = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2) + GRID.shape)
     assert np.array_equal(gens.z, eye)
     assert np.array_equal(gens.xi, eye)
     assert not np.any(gens.g_structure)
@@ -64,19 +64,17 @@ def stereographic_points(grid):
         raise ShapeMismatch(f"stereographic chart must be 2d, got {grid.dim}d")
     x1, x2 = grid.coords
     s = 1.0 + x1**2 + x2**2
-    return np.stack(
-        [2.0 * x1 / s, 2.0 * x2 / s, (x1**2 + x2**2 - 1.0) / s], axis=-1
-    )
+    return np.stack([2.0 * x1 / s, 2.0 * x2 / s, (x1**2 + x2**2 - 1.0) / s])
 
 
 def test_sphere_generators_match_ambient_projection():
     # pushing Z_j forward must give the tangential part of the ambient e_j
     points = stereographic_points(GRID)
-    pushed = np.einsum("...ai,...ji->...ja", SPHERE_EMB.phi, SPHERE.z)
+    pushed = np.einsum("ai...,ji...->ja...", SPHERE_EMB.phi, SPHERE.z)
     for j in range(3):
-        want = -points[..., j, None] * points
-        want[..., j] += 1.0
-        assert np.max(np.abs(pushed[..., j, :] - want)) <= 1e-12
+        want = -points[j] * points
+        want[j] += 1.0
+        assert np.max(np.abs(pushed[j] - want)) <= 1e-12
 
 
 def test_reconstruction_on_random_frames():
@@ -87,16 +85,16 @@ def test_reconstruction_on_random_frames():
     assert reconstruction_defect(gens) <= 1e-12
     for trial in range(5):
         x = random_vector_field(GRID, seeded_rng(7, "recon-field", trial))
-        back = np.einsum("...jm,...ji,...i->...m", gens.z, gens.xi, x)
+        back = np.einsum("jm...,ji...,i...->m...", gens.z, gens.xi, x)
         assert np.max(np.abs(back - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
         omega = random_vector_field(GRID, seeded_rng(7, "recon-form", trial))
-        back = np.einsum("...jm,...ji,...i->...m", gens.xi, gens.z, omega)
+        back = np.einsum("jm...,ji...,i...->m...", gens.xi, gens.z, omega)
         assert np.max(np.abs(back - omega)) <= 1e-10 * max(1.0, np.max(np.abs(omega)))
 
 
 def test_degenerate_embedding_raises():
-    phi = np.broadcast_to(np.eye(2), GRID.shape + (2, 2)).copy()
-    phi[..., :, 0] *= GRID.coords[0][..., None]  # first column dies at x1 = 0
+    phi = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2) + GRID.shape).copy()
+    phi[:, 0] *= GRID.coords[0]  # first column dies at x1 = 0
     with pytest.raises(DegenerateEmbedding):
         build_generators(EmbeddingSpec(GRID, phi), FLAT)
 
@@ -109,9 +107,9 @@ def test_isometric_flag_is_checked():
 
 def test_embedding_shape_validation():
     with pytest.raises(ShapeMismatch):
-        EmbeddingSpec(GRID, np.zeros(GRID.shape + (1, 2)))
+        EmbeddingSpec(GRID, np.zeros((1, 2) + GRID.shape))
     with pytest.raises(ShapeMismatch):
-        EmbeddingSpec(GRID, np.zeros(GRID.shape + (3,)))
+        EmbeddingSpec(GRID, np.zeros((3,) + GRID.shape))
 
 
 def test_polar_isometrize_random_embedding():
@@ -155,7 +153,7 @@ def test_nabla_via_generators_magnetic():
 def test_divergence_identity_frame_linear_field():
     gens = build_generators(identity_embedding(GRID), FLAT)
     x, y = GRID.coords
-    field = np.stack([x, y], axis=-1)
+    field = np.stack([x, y])
     div = divergence_via_generators(field, gens, FLAT)
     inner = GRID.interior_mask(GRID.stencil_radius)
     assert np.max(np.abs(div[inner] - 2.0)) <= 1e-12
@@ -168,7 +166,7 @@ def test_divergence_of_sphere_rotation_field_vanishes():
     emb, metric = sphere_ambient_embedding(grid)
     gens = build_generators(emb, metric)
     x, y = grid.coords
-    rotation = np.stack([-y, x], axis=-1)
+    rotation = np.stack([-y, x])
     div = divergence_via_generators(rotation, gens, metric)
     assert np.max(np.abs(div[grid.interior_mask(grid.stencil_radius)])) <= 5e-6
 
@@ -189,24 +187,24 @@ def test_structure_function_expansions_close():
     grid = SPHERE.grid
     n = grid.dim
     z = SPHERE.z
-    dz = np.stack([grid.diff(z, axis=l) for l in range(n)], axis=-3)
+    dz = np.stack([grid.diff(z, axis=l) for l in range(n)])
     grid.zero_band(dz, grid.stencil_radius)
-    cov = np.einsum("...il,...ljm->...ijm", z, dz) + np.einsum(
-        "...mlr,...il,...jr->...ijm", SPHERE_G.christoffel, z, z
+    cov = np.einsum("il...,ljm...->ijm...", z, dz) + np.einsum(
+        "mlr...,il...,jr...->ijm...", SPHERE_G.christoffel, z, z
     )
-    bracket = np.einsum("...il,...ljm->...ijm", z, dz) - np.einsum(
-        "...jl,...lim->...ijm", z, dz
+    bracket = np.einsum("il...,ljm...->ijm...", z, dz) - np.einsum(
+        "jl...,lim...->ijm...", z, dz
     )
     scale = max(1.0, np.max(np.abs(cov)))
-    back = np.einsum("...ijk,...km->...ijm", SPHERE.g_structure, z)
+    back = np.einsum("ijk...,km...->ijm...", SPHERE.g_structure, z)
     assert np.max(np.abs(back - cov)) <= 1e-12 * scale
-    back = np.einsum("...ijk,...km->...ijm", SPHERE.l_structure, z)
+    back = np.einsum("ijk...,km...->ijm...", SPHERE.l_structure, z)
     assert np.max(np.abs(back - bracket)) <= 1e-12 * scale
 
 
 def test_structure_functions_torsion_free():
     g_struct, l_struct = structure_functions(SPHERE, SPHERE_G)
-    skew = g_struct - np.swapaxes(g_struct, -3, -2)
+    skew = g_struct - np.swapaxes(g_struct, 0, 1)
     scale = max(1.0, np.max(np.abs(g_struct)))
     assert np.max(np.abs(skew - l_struct)) <= 1e-12 * scale
 
@@ -248,12 +246,12 @@ def test_generator_norm_tuple_variants_and_curvature_gap():
     # swapping the two labels moves the norm by at most the curvature term
     def chain(first, second):
         v = covariant_derivative(u, bundle, FLAT)
-        v = contract_with_vector(v, gens.z[..., second - 1, :])
-        v = contract_with_vector(covariant_derivative(v, bundle, FLAT), gens.z[..., first - 1, :])
+        v = contract_with_vector(v, gens.z[second - 1])
+        v = contract_with_vector(covariant_derivative(v, bundle, FLAT), gens.z[first - 1])
         return v
 
-    r = curvature(bundle).values[..., 0, 1, :, :]
-    r12 = TensorSection(GRID, 0, np.einsum("...ab,b...->a...", r, u.values), 2)
+    r = curvature(bundle).values[0, 1]
+    r12 = TensorSection(GRID, 0, np.einsum("ab...,b...->a...", r, u.values), 2)
     gap = abs(
         lp_norm(chain(1, 2), 2, FLAT, bundle) - lp_norm(chain(2, 1), 2, FLAT, bundle)
     )
@@ -263,9 +261,7 @@ def test_generator_norm_tuple_variants_and_curvature_gap():
 def test_graph_embedding_round_trip():
     x, y = GRID.coords
     heights = 0.3 * np.sin(x) * np.cos(y)
-    gradients = np.stack(
-        [0.3 * np.cos(x) * np.cos(y), -0.3 * np.sin(x) * np.sin(y)], axis=-1
-    )[..., None, :]
+    gradients = np.stack([0.3 * np.cos(x) * np.cos(y), -0.3 * np.sin(x) * np.sin(y)])[None]
     emb, metric = graph_embedding(GRID, heights, gradients)
     gens = build_generators(emb, metric)
     assert reconstruction_defect(gens) <= 1e-12

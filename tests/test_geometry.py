@@ -18,16 +18,16 @@ def _conformal_setup(npts=129):
     phi = 0.2 * x * y + 0.1 * x - 0.05 * y**2
     metric = MetricField.conformal(grid, phi)
     # analytic phi gradient for the closed-form Christoffel oracle
-    dphi = np.stack([0.2 * y + 0.1, 0.2 * x - 0.1 * y], axis=-1)
+    dphi = np.stack([0.2 * y + 0.1, 0.2 * x - 0.1 * y])
     return grid, phi, metric, dphi
 
 
 def test_flat_metric_has_zero_christoffel():
     grid = ChartGrid([(-1, 1), (-1, 1)], (33, 33))
     metric = MetricField.flat(grid)
-    assert metric.values.shape == (1, 1, 2, 2)
-    assert metric.christoffel.shape == (1, 1, 2, 2, 2)
-    assert np.all(np.broadcast_to(metric.christoffel, grid.shape + (2, 2, 2)) == 0)
+    assert metric.values.shape == (2, 2, 1, 1)
+    assert metric.christoffel.shape == (2, 2, 2, 1, 1)
+    assert np.all(np.broadcast_to(metric.christoffel, (2, 2, 2) + grid.shape) == 0)
     assert np.all(np.broadcast_to(metric.sqrt_det, grid.shape) == 1.0)
 
 
@@ -37,12 +37,12 @@ def test_christoffel_matches_conformal_closed_form():
     gamma = metric.christoffel
     eye = np.eye(n)
     expected = (
-        np.einsum("mk,...l->...mkl", eye, dphi)
-        + np.einsum("ml,...k->...mkl", eye, dphi)
-        - np.einsum("kl,...m->...mkl", eye, dphi)
+        np.einsum("mk,l...->mkl...", eye, dphi)
+        + np.einsum("ml,k...->mkl...", eye, dphi)
+        - np.einsum("kl,m...->mkl...", eye, dphi)
     )
     mask = grid.interior_mask(grid.stencil_radius)
-    err = np.max(np.abs(gamma - expected)[mask])
+    err = np.max(np.abs(gamma - expected)[..., mask])
     assert err < 1e-6
 
 
@@ -53,13 +53,12 @@ def test_christoffel_point_access():
     # phi of x1 alone: values (N1, 1), a full-grid Christoffel field
     x, _ = grid.coords
     one_axis = MetricField.conformal(grid, 0.1 * x)
-    assert one_axis.values.shape == (33, 1, 2, 2)
-    assert one_axis.christoffel.shape == grid.shape + (2, 2, 2)
+    assert one_axis.values.shape == (2, 2, 33, 1)
+    assert one_axis.christoffel.shape == (2, 2, 2) + grid.shape
     sqrt_det = np.broadcast_to(one_axis.sqrt_det, grid.shape)
     assert sqrt_det[pt] == pytest.approx(np.exp(2 * 0.1 * x[pt]))
-    assert np.array_equal(
-        one_axis.christoffel[pt], one_axis.christoffel[pt[0], grid.shape[1] // 2]
-    )
+    gamma = one_axis.christoffel
+    assert np.array_equal(gamma[(...,) + pt], gamma[..., pt[0], grid.shape[1] // 2])
 
 
 def test_volume_density_conformal():
@@ -71,15 +70,15 @@ def test_volume_density_conformal():
 def test_metric_validation():
     grid = ChartGrid([(-1, 1)], (33,))
     with pytest.raises(ShapeMismatch):
-        MetricField(grid, np.zeros((33, 2, 2)))
-    bad = np.zeros((33, 1, 1))
+        MetricField(grid, np.zeros((2, 2, 33)))
+    bad = np.zeros((1, 1, 33))
     with pytest.raises(SingularMetric):
         MetricField(grid, bad)
 
 
 def test_non_symmetric_rejected():
     grid = ChartGrid([(-1, 1), (-1, 1)], (17, 17), support_margin=2)
-    vals = np.broadcast_to(np.array([[1.0, 0.3], [0.1, 1.0]]), (17, 17, 2, 2))
+    vals = np.broadcast_to(np.array([[1.0, 0.3], [0.1, 1.0]])[:, :, None, None], (2, 2, 17, 17))
     with pytest.raises(ShapeMismatch):
         MetricField(grid, vals)
 
@@ -101,10 +100,10 @@ def test_levi_civita_difference_matches_christoffel_difference():
     Y = random_vector_field(grid, rng)
     got = levi_civita_difference(X, Y, phi, metric0)
     dgamma = metric.christoffel - metric0.christoffel
-    expected = np.einsum("...mkl,...k,...l->...m", dgamma, X, Y)
+    expected = np.einsum("mkl...,k...,l...->m...", dgamma, X, Y)
     mask = grid.interior_mask(grid.stencil_radius)
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(got - expected)[mask]) < 1e-5 * scale
+    assert np.max(np.abs(got - expected)[..., mask]) < 1e-5 * scale
 
 
 def test_weight_pair_halfline_admissibility():
@@ -135,8 +134,9 @@ def test_constant_metric_is_validated_on_one_matrix(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    const = np.broadcast_to(np.array([[2.0, 0.5], [0.5, 1.0]]), (17, 17, 2, 2))
-    assert MetricField(grid, const).values.shape == (1, 1, 2, 2)
+    const = np.array([[2.0, 0.5], [0.5, 1.0]])[:, :, None, None]
+    const = np.broadcast_to(const, (2, 2, 17, 17))
+    assert MetricField(grid, const).values.shape == (2, 2, 1, 1)
     x, _ = grid.coords
     MetricField.conformal(grid, 0.1 * x)
     assert shapes == [(1, 1, 2, 2), (17, 1, 2, 2)]
@@ -151,7 +151,7 @@ def test_metric_verdicts_do_not_depend_on_constancy(constant):
     scale = np.ones_like(x) if constant else 1.0 + 0.1 * (x + 1)
 
     def field(mat):
-        return scale[..., None, None] * np.asarray(mat)
+        return scale * np.asarray(mat)[:, :, None, None]
 
     with pytest.raises(SingularMetric, match="not finite"):
         MetricField(grid, field([[1.0, np.nan], [np.nan, 1.0]]))
@@ -162,4 +162,4 @@ def test_metric_verdicts_do_not_depend_on_constancy(constant):
     with pytest.raises(SingularMetric, match="at or below the floor"):
         MetricField(grid, field([[1.0, 0.0], [0.0, -1.0]]))
     stored = MetricField(grid, field([[1.0, 0.2], [0.2, 1.0]])).values
-    assert (stored.shape == (1, 1, 2, 2)) == constant
+    assert (stored.shape == (2, 2, 1, 1)) == constant

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nabla_calc._kernels import diff_axis
 from nabla_calc.errors import ResolutionError, ShapeMismatch, SupportViolation
 from nabla_calc.grid import ChartGrid
 
@@ -56,19 +57,20 @@ def test_diff_shape_guard():
         g.diff(np.zeros((5, 3)), 0)
 
 
-def test_section_diff_is_the_grid_first_diff_on_grid_last_values():
+def test_diff_on_grid_last_values_is_the_grid_first_stencil():
     g = ChartGrid([(-1, 1), (0, 2)], (33, 17))
     rng = np.random.default_rng(3)
     first = rng.normal(size=g.shape + (2, 3)) + 1j * rng.normal(size=g.shape + (2, 3))
     last = np.ascontiguousarray(np.moveaxis(first, (0, 1), (-2, -1)))
     for axis in range(g.dim):
-        want = np.moveaxis(g.diff(first, axis), (0, 1), (-2, -1))
-        assert np.array_equal(g.section_diff(last, axis), want)
+        stencil = diff_axis(first, axis, g.h[axis], g.fd_order)
+        want = np.moveaxis(stencil, (0, 1), (-2, -1))
+        assert np.array_equal(g.diff(last, axis), want)
         out = np.empty_like(last)
-        assert g.section_diff(last, axis, out=out) is out
+        assert g.diff(last, axis, out=out) is out
         assert np.array_equal(out, want)
     with pytest.raises(ShapeMismatch, match="end with grid shape"):
-        g.section_diff(first, 0)
+        g.diff(first, 0)
 
 
 def test_grid_equality_and_hash():

@@ -1,21 +1,26 @@
 """Frame, Gram and vector contractions run grid-innermost, against grid-first copies.
 
-Each reference below is the former code of a converted function: the same
-einsum subscripts, run with the grid axes first.  Where grid_einsum keeps
-the sums in the same order the results must be bit-identical; the two
-contractions that round differently are named and held to 1e-13 relative.
+Each reference below is the former grid-first code of a converted
+function: the same einsum subscripts with the ellipsis leading, run on
+grid-first copies of the stored grid-last fields, and its result is
+compared grid-first.  Where the grid-last einsum keeps the sums in the
+same order the results must be bit-identical; the contractions that round
+differently are named and held to 1e-13 relative:
+
+- the final pairing "...kl,...kl->..." of divergence_via_generators, and
+  so its result; its Gamma term "...mlr,...kl,...r->...km" is held to the
+  same bound;
+- the generator-identities round trips "...jm,...ji,...i->...m".
 """
 
 import numpy as np
 import pytest
 
+from nabla_calc._kernels import diff_axis
 from nabla_calc.bidiff import _gradient_adjoint, l2_pairing
 from nabla_calc.bundles import (
     BundleSpec,
     TensorSection,
-    grid_einsum,
-    grid_first,
-    grid_last,
     induced_tensor_bundle,
     magnetic_example_bundle,
 )
@@ -61,6 +66,16 @@ def _sphere_frame():
 FRAMES = {"random-embedding": _random_frame, "sphere-ffc": _sphere_frame}
 
 
+def _first(values, g=2):
+    """A grid-last field copied to the former grid-first layout, C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(values, range(-g, 0), range(g)))
+
+
+def _last(values, g=2):
+    """A grid-first array copied grid-last, C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(values, range(g), range(-g, 0)))
+
+
 def _gram(phi):
     return np.einsum("...ji,...jk->...ik", phi, phi)
 
@@ -70,76 +85,86 @@ def _spd_power(mats, power):
     return np.einsum("...ik,...k,...jk->...ij", vecs, lam**power, vecs)
 
 
-def _polar_phi(phi, metric):
+def _polar_phi(phi, metric_values):
     inv_root = _spd_power(_gram(phi), -0.5)
-    g_root = _spd_power(metric.values, 0.5)
+    g_root = _spd_power(metric_values, 0.5)
     return np.einsum("...ai,...ij,...jk->...ak", phi, inv_root, g_root)
 
 
-def _isometric_frame(phi, metric):
-    """Z and xi of build_generators for an isometric phi."""
-    psi = np.einsum("...ik,...jk->...ij", metric.inv, phi)
+def _isometric_frame(phi, inv):
+    """Z and xi of build_generators for an isometric phi, grid-first."""
+    psi = np.einsum("...ik,...jk->...ij", inv, phi)
     return np.swapaxes(psi, -1, -2), phi
 
 
-def _christoffel(metric):
-    grid = metric.grid
+def _christoffel(grid, values, inv):
+    """Gamma[..., m, k, l] from full-grid, grid-first metric values."""
     n = grid.dim
-    dg = np.stack([grid.diff(metric.values, axis=k) for k in range(n)], axis=-3)
+    dg = np.stack(
+        [diff_axis(values, k, grid.h[k], grid.fd_order) for k in range(n)], axis=-3
+    )
     t1 = np.swapaxes(dg, -3, -2)
     t2 = np.swapaxes(t1, -2, -1)
-    gamma = 0.5 * np.einsum("...mr,...rkl->...mkl", metric.inv, t1 + t2 - dg)
-    grid.zero_band(gamma, grid.stencil_radius)
+    gamma = 0.5 * np.einsum("...mr,...rkl->...mkl", inv, t1 + t2 - dg)
+    gamma[grid.band_mask(grid.stencil_radius)] = 0
     return gamma
 
 
-def _structure_functions(gens, metric):
-    grid = gens.grid
-    z = gens.z
-    dz = np.stack([grid.diff(z, axis=l) for l in range(grid.dim)], axis=-3)
-    grid.zero_band(dz, grid.stencil_radius)
+def _metric_first(metric):
+    """values, inv and Gamma of a metric, grid-first on the full grid."""
+    grid = metric.grid
+    full = (2, 2) + grid.shape
+    values = _first(np.broadcast_to(metric.values, full))
+    inv = _first(np.broadcast_to(metric.inv, full))
+    return values, inv, _christoffel(grid, values, inv)
+
+
+def _structure_functions(z, xi, grid, gamma):
+    n = grid.dim
+    dz = np.stack([diff_axis(z, l, grid.h[l], grid.fd_order) for l in range(n)], axis=-3)
+    dz[grid.band_mask(grid.stencil_radius)] = 0
     flow = np.einsum("...il,...ljm->...ijm", z, dz)
-    cov = flow + np.einsum("...mlr,...il,...jr->...ijm", _christoffel(metric), z, z)
+    cov = flow + np.einsum("...mlr,...il,...jr->...ijm", gamma, z, z)
     bracket = flow - np.swapaxes(flow, -3, -2)
     return (
-        np.einsum("...km,...ijm->...ijk", gens.xi, cov),
-        np.einsum("...km,...ijm->...ijk", gens.xi, bracket),
+        np.einsum("...km,...ijm->...ijk", xi, cov),
+        np.einsum("...km,...ijm->...ijk", xi, bracket),
     )
 
 
-def _coframe_gram(gens, metric):
-    return np.einsum("...im,...ki,...lm->...kl", metric.inv, gens.xi, gens.xi)
+def _coframe_gram(inv, xi):
+    return np.einsum("...im,...ki,...lm->...kl", inv, xi, xi)
 
 
 def _frame_divergence(X, gens, metric, christoffel_term):
-    """divergence_via_generators with its Gamma term passed in."""
+    """divergence_via_generators grid-first, with its Gamma term passed in."""
     grid = gens.grid
-    dx = np.stack([grid.diff(X, axis=l) for l in range(grid.dim)], axis=-2)
-    cov = np.einsum("...kl,...lm->...km", gens.z, dx) + christoffel_term
-    inner = np.einsum("...im,...ki,...lm->...kl", metric.values, cov, gens.z)
-    out = np.einsum("...kl,...kl->...", _coframe_gram(gens, metric), inner)
-    grid.zero_band(out, grid.stencil_radius)
+    z, xi, x = _first(gens.z), _first(gens.xi), _first(X, 2)
+    values, inv, _ = _metric_first(metric)
+    dx = np.stack(
+        [diff_axis(x, l, grid.h[l], grid.fd_order) for l in range(grid.dim)], axis=-2
+    )
+    cov = np.einsum("...kl,...lm->...km", z, dx) + christoffel_term
+    inner = np.einsum("...im,...ki,...lm->...kl", values, cov, z)
+    out = np.einsum("...kl,...kl->...", _coframe_gram(inv, xi), inner)
+    out[grid.band_mask(grid.stencil_radius)] = 0
     return out
 
 
 def _gradient_adjoint_reference(bundle, metric, gens):
     rank_one = induced_tensor_bundle(bundle, metric, 1)
-    c = _coframe_gram(gens, metric)
-    w = np.einsum("...kl,...ky->...ly", c, gens.z)
+    _, inv, _ = _metric_first(metric)
+    c = _coframe_gram(inv, _first(gens.xi))
+    w = _last(np.einsum("...kl,...ky->...ly", c, _first(gens.z)))
     total = None
     for l in range(gens.n_gens):
-        i_w = directional_op(w[..., l, :], bundle, metric).coefficients[1]
+        i_w = directional_op(w[l], bundle, metric).coefficients[1]
         pick = multiplication_op(i_w, rank_one, bundle, metric, "smooth")
-        direction = directional_op(gens.z[..., l, :], bundle, metric, "smooth")
+        direction = directional_op(gens.z[l], bundle, metric, "smooth")
         total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
-        div_l = divergence(gens.z[..., l, :], metric)
-        total = _add_ladders(total, _scaled(pick, -div_l[..., None, None]))
+        div_l = divergence(gens.z[l], metric)
+        total = _add_ladders(total, _scaled(pick, -div_l))
     return total
-
-
-def _first(values):
-    """A section's grid-last values copied to the former grid-first layout."""
-    return np.ascontiguousarray(grid_first(values, GRID.dim))
 
 
 def _close(got, want, rtol=1e-13):
@@ -149,17 +174,20 @@ def _close(got, want, rtol=1e-13):
 @pytest.mark.parametrize("frame", sorted(FRAMES))
 def test_frame_build_matches_grid_first_reference(frame):
     emb, metric = FRAMES[frame]()
-    assert np.array_equal(emb.gram(), _gram(emb.phi))
+    phi = _first(emb.phi)
+    values, inv, gamma = _metric_first(metric)
+    assert np.array_equal(_first(emb.gram()), _gram(phi))
     polar = polar_isometrize(emb, metric)
-    assert np.array_equal(polar.phi, _polar_phi(emb.phi, metric))
-    assert np.array_equal(metric.christoffel, _christoffel(metric))
+    assert np.array_equal(_first(polar.phi), _polar_phi(phi, values))
+    assert np.array_equal(_first(metric.christoffel), gamma)
     gens = build_generators(polar, metric)
-    z, xi = _isometric_frame(polar.phi, metric)
-    assert np.array_equal(gens.z, z) and np.array_equal(gens.xi, xi)
-    g_want, l_want = _structure_functions(gens, metric)
-    assert np.array_equal(gens.g_structure, g_want)
-    assert np.array_equal(gens.l_structure, l_want)
-    assert np.array_equal(coframe_gram(gens, metric), _coframe_gram(gens, metric))
+    z, xi = _isometric_frame(_first(polar.phi), inv)
+    assert np.array_equal(_first(gens.z), z) and np.array_equal(_first(gens.xi), xi)
+    g_want, l_want = _structure_functions(_first(gens.z), _first(gens.xi), GRID, gamma)
+    assert np.array_equal(_first(gens.g_structure), g_want)
+    assert np.array_equal(_first(gens.l_structure), l_want)
+    want = _coframe_gram(inv, _first(gens.xi))
+    assert np.array_equal(_first(coframe_gram(gens, metric)), want)
 
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
@@ -176,17 +204,19 @@ def test_gradient_adjoint_matches_grid_first_reference(frame):
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
 def test_frame_divergence_matches_grid_first_reference(frame):
-    # bit-identical but for the Gamma term "...mlr,...kl,...r->...km",
-    # whose grid-innermost sum rounds differently
+    # within 1e-13 relative: the final pairing "...kl,...kl->..." rounds
+    # differently grid-innermost
     emb, metric = FRAMES[frame]()
     gens = build_generators(polar_isometrize(emb, metric), metric)
     X = random_vector_field(GRID, seeded_rng(17, f"div-field-{frame}"))
     gamma = metric.christoffel
-    script = "...mlr,...kl,...r->...km"
-    moved = grid_einsum(script, gamma, gens.z, X)
-    assert _close(moved, np.einsum(script, gamma, gens.z, X))
-    want = _frame_divergence(X, gens, metric, moved)
-    assert np.array_equal(divergence_via_generators(X, gens, metric), want)
+    moved = np.einsum("mlr...,kl...,r...->km...", gamma, gens.z, X)
+    first = np.einsum(
+        "...mlr,...kl,...r->...km", _metric_first(metric)[2], _first(gens.z), _first(X)
+    )
+    assert _close(_first(moved), first)
+    want = _frame_divergence(X, gens, metric, _first(moved))
+    assert _close(divergence_via_generators(X, gens, metric), want)
 
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
@@ -197,8 +227,9 @@ def test_frame_round_trip_within_1e13_of_grid_first(frame):
     gens = build_generators(polar_isometrize(emb, metric), metric)
     x = random_vector_field(GRID, seeded_rng(17, f"round-trip-{frame}"))
     for a, b in [(gens.z, gens.xi), (gens.xi, gens.z)]:
-        script = "...jm,...ji,...i->...m"
-        assert _close(grid_einsum(script, a, b, x), np.einsum(script, a, b, x))
+        got = np.einsum("jm...,ji...,i...->m...", a, b, x)
+        want = np.einsum("...jm,...ji,...i->...m", _first(a), _first(b), _first(x))
+        assert _close(_first(got), want)
 
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
@@ -206,14 +237,14 @@ def test_l2_pairing_matches_grid_first_reference(frame):
     _, metric = FRAMES[frame]()
     rng = seeded_rng(17, f"l2-pairing-{frame}")
     h = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-    fields = [h[None, None], np.broadcast_to(h, GRID.shape + (2, 2)).copy()]
+    fields = [h[:, :, None, None], np.broadcast_to(h[:, :, None, None], (2, 2) + GRID.shape)]
     for fiber_metric in fields:
         bundle = BundleSpec(GRID, 2, fiber_metric=fiber_metric)
         v = random_section(GRID, 0, 2, rng)
         w = random_section(GRID, 0, 2, rng)
         v_first, w_first = (_first(x.values) for x in (v, w))
         density = np.einsum(
-            "...ab,...a,...b->...", fiber_metric, v_first, np.conj(w_first)
+            "...ab,...a,...b->...", _first(fiber_metric), v_first, np.conj(w_first)
         )
         want = complex(GRID.integrate(density * metric.sqrt_det))
         assert l2_pairing(v, w, bundle, metric) == want
@@ -225,24 +256,24 @@ def test_contract_with_vector_matches_grid_first_reference(rank):
     u = random_section(GRID, rank, 2, rng)
     X = random_vector_field(GRID, rng)
     slots = "cdefghij"[: rank - 1]
-    want = np.einsum(f"...k,...k{slots}z->...{slots}z", X, _first(u.values))
+    want = np.einsum(f"...k,...k{slots}z->...{slots}z", _first(X), _first(u.values))
     got = contract_with_vector(u, X).values
-    assert np.array_equal(grid_first(got, GRID.dim), want)
+    assert np.array_equal(_first(got), want)
 
 
 def _apply_mixed_reference(spec, u, gens):
     """apply_mixed_op with its directional contractions and coefficient
     products grid-first, returned grid-first."""
     grid = spec.grid
-    g = grid.dim
     out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
     for term in spec.terms:
         v = u
         for x in reversed(_term_fields(term, gens)):
             full = covariant_derivative(v, spec.source, spec.metric, check_support=False)
-            vals = np.einsum("...k,...ka->...a", x, _first(full.values))
-            v = TensorSection(grid, 0, grid_last(vals, g), u.fiber_dim)
-        out += np.einsum("...gk,...k->...g", term.coefficient, _first(v.values))
+            vals = np.einsum("...k,...ka->...a", _first(x), _first(full.values))
+            v = TensorSection(grid, 0, _last(vals), u.fiber_dim)
+        coefficient = np.broadcast_to(term.coefficient, term.coefficient.shape[:2] + grid.shape)
+        out += np.einsum("...gk,...k->...g", _first(coefficient), _first(v.values))
     return out
 
 
@@ -252,7 +283,7 @@ def test_apply_mixed_op_matches_grid_first_reference():
     for trial in range(3):
         spec = _random_mixed_spec(ctx, ctx.gens, trial, 2)
         u = random_section(ctx.grid, 0, 2, seeded_rng(17, "mixed-apply", trial))
-        got = grid_first(apply_mixed_op(spec, u, ctx.gens).values, ctx.grid.dim)
+        got = _first(apply_mixed_op(spec, u, ctx.gens).values, ctx.grid.dim)
         assert np.array_equal(got, _apply_mixed_reference(spec, u, ctx.gens))
 
 

@@ -16,12 +16,9 @@ to 1e-13 relative instead:
 import numpy as np
 import pytest
 
-import nabla_calc.bundles as bundles_module
-import nabla_calc.calculus as calculus
+from nabla_calc._kernels import diff_axis
 from nabla_calc.bundles import (
     TensorSection,
-    grid_first,
-    grid_last,
     induced_tensor_bundle,
     is_identity,
     magnetic_example_bundle,
@@ -63,7 +60,25 @@ def _bundle(kind, metric):
 
 def _first(values):
     """Grid-last values copied to the former grid-first, C-contiguous layout."""
-    return np.ascontiguousarray(grid_first(values, GRID.dim))
+    g = GRID.dim
+    return np.ascontiguousarray(np.moveaxis(values, range(-g, 0), range(g)))
+
+
+def _last(values):
+    """Grid-first values copied grid-last, C-contiguous."""
+    g = GRID.dim
+    return np.ascontiguousarray(np.moveaxis(values, range(g), range(-g, 0)))
+
+
+def _view_first(values):
+    """Grid-last values read grid-first, as a view."""
+    g = GRID.dim
+    return np.moveaxis(values, range(-g, 0), range(g))
+
+
+def _diff(vals, k):
+    """The grid stencil along grid axis k of a grid-first array."""
+    return diff_axis(vals, k, GRID.h[k], GRID.fd_order)
 
 
 def _gamma_slot_sum_reference(gamma, values, rank):
@@ -87,19 +102,20 @@ def _covariant_reference(vals, bundle, metric):
         out = _covariant_reference(vals.reshape(shape), base, metric)
         return out.reshape(out.shape[: vals.ndim] + (vals.shape[-1],))
     r = vals.ndim - n - 1
-    parts = np.stack([grid.diff(vals, axis=k) for k in range(n)], axis=n)
+    parts = np.stack([_diff(vals, k) for k in range(n)], axis=n)
     letters = SLOTS[:r]
-    if r > 0 and metric.christoffel.shape[:n] == grid.shape:
-        parts -= _gamma_slot_sum_reference(metric.christoffel, vals, r)
+    if r > 0 and metric.christoffel.shape[3:] == grid.shape:
+        gamma = _first(metric.christoffel)
+        parts -= _gamma_slot_sum_reference(gamma, vals, r)
     if bundle.live:
-        u_last = grid_last(vals, n)
+        u_last = _last(vals)
         for y in bundle.live:
             term = np.einsum(
                 f"ab...,{letters}b...->{letters}a...",
-                bundle.potentials_grid_last[y],
+                bundle.potentials[y],
                 u_last,
             )
-            parts[(slice(None),) * n + (y,)] += grid_first(term, n)
+            parts[(slice(None),) * n + (y,)] += _view_first(term)
     return parts
 
 
@@ -107,7 +123,7 @@ def _norm_reference(vals, metric, h):
     """The former pointwise_norm_sq on grid-first values."""
     g = metric.grid.dim
     r = vals.ndim - g - 1
-    if metric.values.shape[:g] == (1,) * g and is_identity(h):
+    if metric.values.shape[2:] == (1,) * g and is_identity(h):
         if r == 0 or is_identity(metric.inv):
             return np.sum(vals.real**2 + vals.imag**2, axis=tuple(range(g, vals.ndim)))
     ul, vl = "abcd"[:r], "efgh"[:r]
@@ -115,8 +131,8 @@ def _norm_reference(vals, metric, h):
     args = [vals, np.conj(vals)]
     for k in range(r):
         script += f",...{ul[k]}{vl[k]}"
-        args.append(metric.inv)
-    args.append(h)
+        args.append(_first(metric.inv))
+    args.append(_first(h))
     return np.maximum(np.einsum(script + ",...yz->...", *args).real, 0.0)
 
 
@@ -124,21 +140,20 @@ def _multiindex_reference(vals, idx, bundle, metric):
     """The former multiindex_derivative of one multi-index, grid-first."""
     grid = metric.grid
     n = grid.dim
-    if metric.christoffel.shape[:n] != grid.shape and bundle.base is None:
+    if metric.christoffel.shape[3:] != grid.shape and bundle.base is None:
         r = vals.ndim - n - 1
         letters = SLOTS[:r]
-        last = grid_last(vals, n)
+        last = _last(vals)
         for i in reversed(idx):
-            out = grid.diff(grid_first(last, n), axis=i - 1)
-            out = grid_last(out, n)
+            out = _last(_diff(_view_first(last), i - 1))
             if i - 1 in bundle.live:
                 out += np.einsum(
                     f"ab...,{letters}b...->{letters}a...",
-                    bundle.potentials_grid_last[i - 1],
+                    bundle.potentials[i - 1],
                     last,
                 )
             last = out
-        return grid_first(last, n)
+        return _view_first(last)
     for _ in idx:
         vals = _covariant_reference(vals, bundle, metric)
     return vals[(slice(None),) * n + tuple(k - 1 for k in idx)]
@@ -154,7 +169,7 @@ def _apply_reference(spec, vals):
             level = _covariant_reference(level, spec.source, spec.metric)
         if a is not None:
             flat = level.reshape(grid.shape + (-1,))
-            out += np.einsum("...gk,...k->...g", a, flat)
+            out += np.einsum("...gk,...k->...g", _first(a), flat)
     return out
 
 
@@ -217,7 +232,7 @@ def _ladder(bundle, metric, rng):
     """An order-2 ladder: a constant level 0, levels 1 and 2 varying."""
     n, d = GRID.dim, bundle.fiber_dim
     levels = [random_trig_field(n, (d, n**j * d), rng).sample(GRID) for j in range(3)]
-    levels[0] = levels[0][:1, :1]
+    levels[0] = levels[0][..., :1, :1]
     return NablaOpSpec(bundle, bundle, metric, levels)
 
 
@@ -227,7 +242,7 @@ def test_apply_nabla_op_matches_grid_first_reference(metric_name):
     bundle = magnetic_example_bundle(GRID)
     rng = seeded_rng(24, f"apply-{metric_name}")
     spec = _ladder(bundle, metric, rng)
-    assert spec.coefficients[0].shape[:2] == (1, 1)
+    assert spec.coefficients[0].shape[2:] == (1, 1)
     u = random_section(GRID, 0, 2, rng)
     got = apply_nabla_op(spec, u).values
     assert got.flags.c_contiguous
@@ -235,37 +250,22 @@ def test_apply_nabla_op_matches_grid_first_reference(metric_name):
 
 
 def test_tower_makes_no_layout_copy_or_stack(monkeypatch):
-    """No section is stacked or moved; the one layout copy a step makes is
-    the metric's Christoffel field moved grid-last, once per step of rank
-    >= 1, whatever the rank."""
+    """No section is stacked or moved, and neither is any field: the
+    Christoffel field is contracted as it is stored, on every step."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a layout copy or a stack in the tower")
 
     metric = _curved()
-    moved = []
-    grid_last = bundles_module.grid_last
-
-    def gamma_only(x, g):
-        if x is not metric.christoffel:
-            refuse()
-        moved.append(g)
-        return grid_last(x, g)
-
     plain = magnetic_example_bundle(GRID)
     bundles = [plain, induced_tensor_bundle(plain, metric, 1)]
     rng = seeded_rng(24, "no-copy")
     sections = [random_section(GRID, 1, b.fiber_dim, rng) for b in bundles]
-    monkeypatch.setattr(np, "stack", refuse)
-    monkeypatch.setattr(bundles_module, "grid_first", refuse)
-    monkeypatch.setattr(bundles_module, "grid_last", refuse)
-    monkeypatch.setattr(calculus, "grid_first", refuse)
-    monkeypatch.setattr(calculus, "grid_last", gamma_only)
+    for name in ("stack", "moveaxis", "ascontiguousarray", "swapaxes", "transpose"):
+        monkeypatch.setattr(np, name, refuse)
     for bundle, u in zip(bundles, sections):
-        moved.clear()
         levels = list(tower(u, bundle, metric, 2))
         assert all(level.values.flags.c_contiguous for level in levels)
-        assert moved == [GRID.dim] * 2
 
 
 def test_sections_are_stored_grid_last_and_contiguous():
@@ -275,7 +275,7 @@ def test_sections_are_stored_grid_last_and_contiguous():
         assert u.values.shape == (2,) * rank + (2,) + GRID.shape
         assert u.values.flags.c_contiguous
     X = random_vector_field(GRID, rng)
-    assert X.shape == GRID.shape + (2,) and X.flags.c_contiguous
+    assert X.shape == (2,) + GRID.shape and X.flags.c_contiguous
     v = contract_with_vector(random_section(GRID, 2, 2, rng), X)
     assert v.values.shape == (2, 2) + GRID.shape and v.values.flags.c_contiguous
     with pytest.raises(ShapeMismatch, match="grid axes last"):

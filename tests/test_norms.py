@@ -4,13 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nabla_calc.bundles import (
-    BundleSpec,
-    TensorSection,
-    grid_einsum,
-    grid_last,
-    magnetic_example_bundle,
-)
+from nabla_calc.bundles import BundleSpec, TensorSection, magnetic_example_bundle
 from nabla_calc.calculus import multiindex_derivative
 from nabla_calc.errors import (
     EmptyCovering,
@@ -73,7 +67,7 @@ def test_slot_norm_uses_metric_inverse():
     vals[0, 0] = 1.0
     w = TensorSection(grid, 1, vals, 1)
     ns = pointwise_norm_sq(w, metric)
-    assert np.allclose(ns, metric.inv[..., 0, 0])
+    assert np.allclose(ns, metric.inv[0, 0])
 
 
 def test_sobolev_norm_order_zero_is_lp():
@@ -228,7 +222,7 @@ def test_equivalence_constant_values():
 def test_perturbed_norm_check_zero_perturbation():
     rng = seeded_rng(26, "perturb")
     u = random_section(GRID, 0, 2, rng)
-    zero = np.zeros(GRID.shape + (2, 2, 2), dtype=complex)
+    zero = np.zeros((2, 2, 2) + GRID.shape, dtype=complex)
     report = perturbed_norm_check(u, zero, 1, 2, BUNDLE, FLAT)
     assert report["passed"]
     assert report["ratio"] == pytest.approx(1.0)
@@ -241,7 +235,8 @@ def test_perturbed_norm_check_magnetic_potential():
     flat_bundle = BundleSpec(grid, 2)
     magnetic = magnetic_example_bundle(grid)
     u = random_section(grid, 0, 2, seeded_rng(26, "perturb", 1))
-    report = perturbed_norm_check(u, magnetic.potentials, 1, 2, flat_bundle, metric)
+    pert = np.broadcast_to(magnetic.potentials, (2, 2, 2) + grid.shape)
+    report = perturbed_norm_check(u, pert, 1, 2, flat_bundle, metric)
     assert report["passed"]
     # the magnetic potential has pointwise Frobenius norm sqrt(2)
     assert report["coefficient_norm"] == pytest.approx(math.sqrt(2.0), rel=1e-6)
@@ -260,8 +255,8 @@ def test_perturbed_norm_check_random_skew_trials():
 
 def test_perturbed_norm_check_rejects_non_skew():
     u = TensorSection(GRID, 0, np.zeros((2,) + GRID.shape), 2)
-    bad = np.zeros(GRID.shape + (2, 2, 2), dtype=complex)
-    bad[..., 0, 0, 0] = 1.0
+    bad = np.zeros((2, 2, 2) + GRID.shape, dtype=complex)
+    bad[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         perturbed_norm_check(u, bad, 1, 2, BUNDLE, FLAT)
 
@@ -314,30 +309,30 @@ def test_conformal_check_requires_admissible_flag():
 
 
 def test_hom_infty_norm_constant_field():
-    field = np.zeros(GRID.shape + (2, 2, 2), dtype=complex)
-    field[..., 1, 0, 1] = 2.0
+    field = np.zeros((2, 2, 2) + GRID.shape, dtype=complex)
+    field[1, 0, 1] = 2.0
     got = hom_infty_norm(field, 0, BUNDLE, FLAT)
     assert got == pytest.approx(2.0)
 
 
 def test_hom_infty_norm_propagates_nan():
-    field = np.zeros(GRID.shape + (2, 2, 2), dtype=complex)
-    field[GRID.shape[0] // 2, GRID.shape[1] // 2, 0, 0, 1] = np.nan
+    field = np.zeros((2, 2, 2) + GRID.shape, dtype=complex)
+    field[0, 0, 1, GRID.shape[0] // 2, GRID.shape[1] // 2] = np.nan
     assert math.isnan(hom_infty_norm(field, 1, BUNDLE, FLAT))
 
 
 def _einsum_norm_sq(u, ginv, h):
     """The grid-field contraction pointwise_norm_sq uses for varying metrics:
-    the grid-last section against the grid-first ginv and h."""
+    the section against ginv and h, all grid-last."""
     r = u.rank
     ul, vl = "abcd"[:r], "efgh"[:r]
     script = f"{ul}y...,{vl}z..."
     args = [u.values, np.conj(u.values)]
     for k in range(r):
-        script += f",...{ul[k]}{vl[k]}"
+        script += f",{ul[k]}{vl[k]}..."
         args.append(ginv)
     args.append(h)
-    out = grid_einsum(script + ",...yz->...", *args).real
+    out = np.einsum(script + ",yz...->...", *args).real
     return np.maximum(out, 0.0)
 
 
@@ -345,25 +340,28 @@ def _random_rank_section(grid, rank, d, seed):
     rng = np.random.default_rng(seed)
     shape = grid.shape + (grid.dim,) * rank + (d,)
     vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return TensorSection(grid, rank, grid_last(vals, grid.dim), d)
+    g = grid.dim
+    vals = np.ascontiguousarray(np.moveaxis(vals, range(g), range(-g, 0)))
+    return TensorSection(grid, rank, vals, d)
 
 
 SMALL = ChartGrid([(-1, 1), (-1, 1)], (17, 19))
 SPD = np.array([[2.0, 0.3], [0.3, 0.7]])
-HERM = np.array([[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]]).reshape(1, 1, 2, 2)
+HERM = np.array([[1.5, 0.2 - 0.4j], [0.2 + 0.4j, 0.9]]).reshape(2, 2, 1, 1)
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2, 3])
 def test_constant_non_identity_metric_norm_is_the_grid_einsum(rank):
-    metric = MetricField(SMALL, np.broadcast_to(SPD, SMALL.shape + (2, 2)))
+    full = (2, 2) + SMALL.shape
+    metric = MetricField(SMALL, np.broadcast_to(SPD[:, :, None, None], full))
     bundle = BundleSpec(SMALL, 2, fiber_metric=HERM)
-    assert metric.inv.shape == bundle.fiber_metric.shape == (1, 1, 2, 2)
+    assert metric.inv.shape == bundle.fiber_metric.shape == (2, 2, 1, 1)
     u = _random_rank_section(SMALL, rank, 2, rank)
     got = pointwise_norm_sq(u, metric, bundle)
     assert got.shape == SMALL.shape
     assert np.array_equal(got, _einsum_norm_sq(u, metric.inv, HERM))
-    ginv = np.broadcast_to(np.linalg.inv(SPD), SMALL.shape + (2, 2))
-    h = np.broadcast_to(HERM, SMALL.shape + (2, 2))
+    ginv = np.broadcast_to(np.linalg.inv(SPD)[:, :, None, None], full)
+    h = np.broadcast_to(HERM, full)
     want = _einsum_norm_sq(u, ginv, h)
     assert np.max(np.abs(got - want) / want) < 1e-13
 
@@ -372,7 +370,7 @@ def test_constant_non_identity_metric_norm_is_the_grid_einsum(rank):
 def test_identity_metric_norm_matches_grid_einsum_and_keeps_nan(rank):
     flat = MetricField.flat(SMALL)
     u = _random_rank_section(SMALL, rank, 2, 10 + rank)
-    eye = np.broadcast_to(np.eye(2), SMALL.shape + (2, 2))
+    eye = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2) + SMALL.shape)
     want = _einsum_norm_sq(u, eye, eye)
     got = pointwise_norm_sq(u, flat, BundleSpec(SMALL, 2))
     assert np.max(np.abs(got - want) / want) < 1e-13
@@ -386,7 +384,7 @@ def test_identity_metric_norm_matches_grid_einsum_and_keeps_nan(rank):
 def test_varying_metric_norm_is_the_grid_einsum():
     x1, x2 = SMALL.coords
     metric = MetricField.conformal(SMALL, 0.3 * x1 * x2)
-    assert metric.values.shape == SMALL.shape + (2, 2)
+    assert metric.values.shape == (2, 2) + SMALL.shape
     bundle = BundleSpec(SMALL, 2, fiber_metric=HERM)
     for rank in range(4):
         u = _random_rank_section(SMALL, rank, 2, 20 + rank)
@@ -395,8 +393,8 @@ def test_varying_metric_norm_is_the_grid_einsum():
 
 
 def _nan_at_one_point_bundle():
-    pots = np.zeros(GRID.shape + (2, 2, 2), dtype=complex)
-    pots[32, 32, 0, 0, 0] = np.nan
+    pots = np.zeros((2, 2, 2) + GRID.shape, dtype=complex)
+    pots[0, 0, 0, 32, 32] = np.nan
     return BundleSpec(GRID, 2, pots)
 
 

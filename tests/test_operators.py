@@ -61,22 +61,28 @@ MAGNET = magnetic_example_bundle(GRID)
 
 
 def _basis_field(grid, axis):
-    e = np.zeros(grid.shape + (grid.dim,))
-    e[..., axis] = 1.0
+    e = np.zeros((grid.dim,) + grid.shape)
+    e[axis] = 1.0
     return e
+
+
+def _eye(d, grid=GRID):
+    """The d x d identity on every point of the grid."""
+    eye = np.eye(d, dtype=complex).reshape((d, d) + (1,) * grid.dim)
+    return np.broadcast_to(eye, (d, d) + grid.shape)
 
 
 def _flat_laplacian_ladder(grid, fiber_dim):
     n = grid.dim
     d = fiber_dim
     entries = [
-        np.zeros(grid.shape + (d, d), dtype=complex),
-        np.zeros(grid.shape + (d, n * d), dtype=complex),
-        np.zeros(grid.shape + (d, n * n * d), dtype=complex),
+        np.zeros((d, d) + grid.shape, dtype=complex),
+        np.zeros((d, n * d) + grid.shape, dtype=complex),
+        np.zeros((d, n * n * d) + grid.shape, dtype=complex),
     ]
     for k in range(n):
         for e in range(d):
-            entries[2][..., e, (k * n + k) * d + e] = 1.0
+            entries[2][e, (k * n + k) * d + e] = 1.0
     return entries
 
 
@@ -91,7 +97,7 @@ def test_multiplication_op_matches_pointwise_product():
     a = random_trig_field(2, (2, 2), rng).sample(GRID)
     u = random_section(GRID, 0, 2, rng)
     out = apply_nabla_op(multiplication_op(a, MAGNET, MAGNET, FLAT), u)
-    want = np.einsum("...fe,e...->f...", a, u.values)
+    want = np.einsum("fe...,e...->f...", a, u.values)
     assert np.allclose(out.values, want, atol=1e-14)
 
 
@@ -115,10 +121,10 @@ def test_flat_laplacian_against_direct_differences():
 
 def test_first_order_extraction_on_magnetic_bundle():
     u = random_section(GRID, 0, 2, seeded_rng(7, "op-first"))
-    a1 = np.zeros(GRID.shape + (2, 4), dtype=complex)
-    a1[..., 0, 2] = 1.0
-    a1[..., 1, 3] = 1.0
-    zero = np.zeros(GRID.shape + (2, 2), dtype=complex)
+    a1 = np.zeros((2, 4) + GRID.shape, dtype=complex)
+    a1[0, 2] = 1.0
+    a1[1, 3] = 1.0
+    zero = np.zeros((2, 2) + GRID.shape, dtype=complex)
     spec = NablaOpSpec(MAGNET, MAGNET, FLAT, [zero, a1])
     out = apply_nabla_op(spec, u)
     want = multiindex_derivative(u, (2,), MAGNET, FLAT)
@@ -128,17 +134,17 @@ def test_first_order_extraction_on_magnetic_bundle():
 def test_ladder_levels_are_checked_against_the_bundles():
     with pytest.raises(ShapeMismatch):
         NablaOpSpec(MAGNET, SCALAR, FLAT, [])
-    zero0 = np.zeros(GRID.shape + (1, 2), dtype=complex)
+    zero0 = np.zeros((1, 2) + GRID.shape, dtype=complex)
     with pytest.raises(ShapeMismatch):
-        NablaOpSpec(MAGNET, SCALAR, FLAT, [zero0, np.zeros(GRID.shape + (1, 2))])
+        NablaOpSpec(MAGNET, SCALAR, FLAT, [zero0, np.zeros((1, 2) + GRID.shape)])
     with pytest.raises(ShapeMismatch):
-        NablaOpSpec(MAGNET, SCALAR, FLAT, [np.zeros(GRID.shape + (2, 2))])
+        NablaOpSpec(MAGNET, SCALAR, FLAT, [np.zeros((2, 2) + GRID.shape)])
 
 
 def test_ladder_given_as_one_array_stack():
     with pytest.raises(ShapeMismatch):
-        NablaOpSpec(MAGNET, SCALAR, FLAT, np.zeros((0,) + GRID.shape + (1, 2)))
-    level = np.arange(math.prod(GRID.shape) * 2).reshape(GRID.shape + (1, 2)) * (1 + 1j)
+        NablaOpSpec(MAGNET, SCALAR, FLAT, np.zeros((0, 1, 2) + GRID.shape))
+    level = np.arange(math.prod(GRID.shape) * 2).reshape((1, 2) + GRID.shape) * (1 + 1j)
     stacked = NablaOpSpec(MAGNET, SCALAR, FLAT, level[None])
     listed = NablaOpSpec(MAGNET, SCALAR, FLAT, [level])
     assert stacked.order == listed.order == 0
@@ -146,13 +152,13 @@ def test_ladder_given_as_one_array_stack():
 
 
 def test_absent_ladder_levels_stay_none():
-    a2 = np.ones(GRID.shape + (1, 8), dtype=complex)
+    a2 = np.ones((1, 8) + GRID.shape, dtype=complex)
     spec = NablaOpSpec(MAGNET, SCALAR, FLAT, [None, None, a2])
     assert spec.order == 2
     assert spec.coefficients[:2] == [None, None]
     assert np.array_equal(np.broadcast_to(spec.coefficients[2], a2.shape), a2)
     with pytest.raises(ShapeMismatch):
-        NablaOpSpec(MAGNET, SCALAR, FLAT, [None, np.zeros(GRID.shape + (1, 2))])
+        NablaOpSpec(MAGNET, SCALAR, FLAT, [None, np.zeros((1, 2) + GRID.shape)])
 
 
 def test_apply_rejects_wrong_shape_and_grid():
@@ -164,7 +170,7 @@ def test_apply_rejects_wrong_shape_and_grid():
     shape = "^operator eats rank-0 sections with fiber 2, got rank 0 with fiber 3$"
     with pytest.raises(ShapeMismatch, match=shape):
         apply_nabla_op(identity_op(MAGNET, FLAT), v)
-    mixed = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(np.ones(GRID.shape + (2, 2)), [])])
+    mixed = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(np.ones((2, 2) + GRID.shape), [])])
     with pytest.raises(ShapeMismatch, match=shape):
         apply_mixed_op(mixed, v)
     with pytest.raises(ChartMismatch, match="^operator ingredients live on different grids$"):
@@ -215,9 +221,9 @@ def _hom_derivative_reference(a, source, target, metric):
     """The Hom-field derivative with einsum products over dense potentials."""
     grid = metric.grid
     source, target = dense_bundle(source, metric), dense_bundle(target, metric)
-    da = np.stack([grid.diff(a, axis=y) for y in range(grid.dim)], axis=grid.dim)
-    da = da + np.einsum("...yfg,...gk->...yfk", target.potentials, a)
-    da = da - np.einsum("...fl,...ylk->...yfk", a, source.potentials)
+    da = np.stack([grid.diff(a, axis=y) for y in range(grid.dim)])
+    da = da + np.einsum("yfg...,gk...->yfk...", target.potentials, a)
+    da = da - np.einsum("fl...,ylk...->yfk...", a, source.potentials)
     grid.zero_band(da, grid.stencil_radius)
     return da
 
@@ -229,17 +235,17 @@ def _compose_reference(q, p):
     level that no product reaches is None.
     """
     grid, metric, n = p.grid, p.metric, p.grid.dim
-    eye_lift = np.eye(n).reshape((1,) * grid.dim + (n, n))
+    eye_lift = np.eye(n).reshape((n, n) + (1,) * grid.dim)
     out = [None] * (q.order + p.order + 1)
     table = {
-        m: np.broadcast_to(a, grid.shape + a.shape[-2:])
+        m: np.broadcast_to(a, a.shape[:2] + grid.shape)
         for m, a in enumerate(p.coefficients)
         if a is not None
     }
     for i, b in enumerate(q.coefficients):
         for m, mat in table.items():
             if b is not None:
-                term = np.einsum("...gf,...fk->...gk", b, mat)
+                term = np.einsum("gf...,fk...->gk...", b, mat)
                 out[m] = term if out[m] is None else out[m] + term
         if i == q.order:
             break
@@ -251,7 +257,7 @@ def _compose_reference(q, p):
                 induced_tensor_bundle(p.target, metric, i),
                 metric,
             )
-            der = der.reshape(grid.shape + (n * mat.shape[-2], mat.shape[-1]))
+            der = der.reshape((n * mat.shape[0], mat.shape[1]) + grid.shape)
             nxt[m] = nxt.get(m, 0) + der
             nxt[m + 1] = nxt.get(m + 1, 0) + pointwise_kron(eye_lift, mat)
         table = nxt
@@ -397,7 +403,7 @@ def test_compose_tag_algebra():
 
 def test_mixed_constant_fields_match_multiindex():
     u = random_section(GRID, 0, 2, seeded_rng(7, "op-mixed"))
-    eye = np.broadcast_to(np.eye(2, dtype=complex), GRID.shape + (2, 2))
+    eye = _eye(2)
     term = MixedTerm(eye, fields=[_basis_field(GRID, 1), _basis_field(GRID, 1)])
     spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [term])
     out = apply_mixed_op(spec, u)
@@ -406,7 +412,7 @@ def test_mixed_constant_fields_match_multiindex():
 
 
 def test_mixed_to_nabla_flat_laplacian_coefficients():
-    eye = np.broadcast_to(np.eye(1, dtype=complex), GRID.shape + (1, 1))
+    eye = _eye(1)
     terms = [
         MixedTerm(eye, fields=[_basis_field(GRID, k), _basis_field(GRID, k)])
         for k in range(2)
@@ -421,7 +427,7 @@ def test_mixed_to_nabla_flat_laplacian_coefficients():
 
 def test_mixed_to_nabla_magnetic_second_order():
     u = random_section(GRID, 0, 2, seeded_rng(7, "op-m2n"))
-    eye = np.broadcast_to(np.eye(2, dtype=complex), GRID.shape + (2, 2))
+    eye = _eye(2)
     term = MixedTerm(eye, fields=[_basis_field(GRID, 1), _basis_field(GRID, 1)])
     spec = mixed_to_nabla(MixedOpSpec(MAGNET, MAGNET, FLAT, [term]))
     out = apply_nabla_op(spec, u)
@@ -456,7 +462,7 @@ def _mixed_to_nabla_reference(spec):
     """
     grid, metric, source = spec.grid, spec.metric, spec.source
     d = source.fiber_dim
-    eye = np.broadcast_to(np.eye(d, dtype=complex), grid.shape + (d, d))
+    eye = _eye(d, grid)
     total = [None] * (spec.order + 1)
     for term in spec.terms:
         chain = {0: eye}
@@ -464,13 +470,13 @@ def _mixed_to_nabla_reference(spec):
             nxt = {}
             for m, c in chain.items():
                 der = _hom_derivative(c, (source, m), (source, 0), metric)
-                moved = np.einsum("...y,...yfk->...fk", x, der)
+                moved = np.einsum("y...,yfk...->fk...", x, der)
                 nxt[m] = nxt.get(m, 0) + moved
-                row = x[..., None, :].astype(complex)
+                row = x[None].astype(complex)
                 nxt[m + 1] = nxt.get(m + 1, 0) + pointwise_kron(row, c)
             chain = nxt
         for m, c in chain.items():
-            mat = np.matmul(term.coefficient, c)
+            mat = np.einsum("ab...,bc...->ac...", term.coefficient, c)
             total[m] = mat if total[m] is None else total[m] + mat
     return total
 
@@ -504,7 +510,7 @@ def test_directional_op_is_contracted_gradient():
     spec = directional_op(x, MAGNET, FLAT)
     assert spec.order == 1 and spec.coefficients[0] is None
     want = np.einsum(
-        "...k,ka...->a...", x, covariant_derivative(u, MAGNET, FLAT).values
+        "k...,ka...->a...", x, covariant_derivative(u, MAGNET, FLAT).values
     )
     assert np.allclose(apply_nabla_op(spec, u).values, want, atol=1e-14)
 
@@ -551,7 +557,7 @@ def test_mixed_to_nabla_differentiates_once_per_table_entry(monkeypatch):
 
 
 def test_mixed_labels_require_generators():
-    eye = np.broadcast_to(np.eye(2, dtype=complex), GRID.shape + (2, 2))
+    eye = _eye(2)
     spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, labels=(2, 1))])
     u = random_section(GRID, 0, 2, seeded_rng(7, "op-lbl"))
     with pytest.raises(ValueError):
@@ -568,8 +574,8 @@ def test_nabla_to_mixed_gradient_reads_off_coframe():
     labels = sorted(term.labels for term in mixed.terms)
     assert labels == [(1,), (2,)]
     for term in mixed.terms:
-        want = np.zeros(GRID.shape + (2, 1), dtype=complex)
-        want[..., term.labels[0] - 1, 0] = 1.0
+        want = np.zeros((2, 1) + GRID.shape, dtype=complex)
+        want[term.labels[0] - 1, 0] = 1.0
         assert np.allclose(term.coefficient, want, atol=1e-14)
     u = random_section(GRID, 0, 1, seeded_rng(7, "op-n2m"))
     one = apply_mixed_op(mixed, u)
@@ -584,8 +590,8 @@ def test_nabla_to_mixed_round_trip_on_sphere():
     rng = seeded_rng(7, "op-sphere")
     a2 = random_trig_field(2, (1, 4), rng).sample(GRID)
     entries = [
-        np.zeros(GRID.shape + (1, 1), dtype=complex),
-        np.zeros(GRID.shape + (1, 2), dtype=complex),
+        np.zeros((1, 1) + GRID.shape, dtype=complex),
+        np.zeros((1, 2) + GRID.shape, dtype=complex),
         a2,
     ]
     spec = NablaOpSpec(bundle, bundle, sphere_g, entries, "totally-bounded")
@@ -607,22 +613,22 @@ def _nabla_to_mixed_reference(spec, gens):
     """
     grid, metric, source = spec.grid, spec.metric, spec.source
     d = source.fiber_dim
-    eye = np.broadcast_to(np.eye(d, dtype=complex), grid.shape + (d, d))
+    eye = _eye(d, grid)
     per_depth = [{(): eye}]
     for j in range(1, spec.order + 1):
         cur = {}
         for chain, phi in per_depth[j - 1].items():
             der = _hom_derivative(phi, (source, 0), (source, j - 1), metric)
             for i in range(gens.n_gens):
-                xi_col = gens.xi[..., i, :][..., :, None].astype(complex)
-                moved = np.einsum("...y,...yfk->...fk", gens.z[..., i, :], der)
+                xi_col = gens.xi[i][:, None].astype(complex)
+                moved = np.einsum("y...,yfk...->fk...", gens.z[i], der)
                 operators._put(cur, chain, pointwise_kron(xi_col, moved))
                 operators._put(cur, (i + 1,) + chain, pointwise_kron(xi_col, phi))
         per_depth.append(cur)
     merged = {}
     for j, a in enumerate(spec.coefficients):
         for chain, phi in per_depth[j].items():
-            operators._put(merged, chain, np.einsum("...gf,...fk->...gk", a, phi))
+            operators._put(merged, chain, np.einsum("gf...,fk...->gk...", a, phi))
     return merged
 
 
@@ -644,7 +650,7 @@ def test_nabla_to_mixed_matches_dense_kron_reference(name, h):
 
 def test_reorder_keeps_sorted_terms():
     gens = build_generators(identity_embedding(GRID), FLAT)
-    eye = np.broadcast_to(np.eye(2, dtype=complex), GRID.shape + (2, 2))
+    eye = _eye(2)
     spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, labels=(1, 2))])
     out = reorder_generators(spec, gens, MAGNET)
     assert [term.labels for term in out.terms] == [(1, 2)]
@@ -653,7 +659,7 @@ def test_reorder_keeps_sorted_terms():
 
 def test_reorder_flat_scalar_swap_is_free():
     gens = build_generators(identity_embedding(GRID), FLAT)
-    eye = np.broadcast_to(np.eye(1, dtype=complex), GRID.shape + (1, 1))
+    eye = _eye(1)
     spec = MixedOpSpec(SCALAR, SCALAR, FLAT, [MixedTerm(eye, labels=(2, 1))])
     out = reorder_generators(spec, gens, SCALAR)
     by_labels = {term.labels: term.coefficient for term in out.terms}
@@ -669,13 +675,13 @@ def test_reorder_flat_scalar_swap_is_free():
 
 def test_reorder_magnetic_swap_inserts_minus_curvature():
     gens = build_generators(identity_embedding(GRID), FLAT)
-    eye = np.broadcast_to(np.eye(2, dtype=complex), GRID.shape + (2, 2))
+    eye = _eye(2)
     spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, labels=(2, 1))])
     out = reorder_generators(spec, gens, MAGNET)
     by_labels = {term.labels: term.coefficient for term in out.terms}
     assert set(by_labels) == {(1, 2), ()}
     f12 = curvature(MAGNET).contract(_basis_field(GRID, 0), _basis_field(GRID, 1))
-    inner = GRID.interior_mask(2 * GRID.stencil_radius)[..., None, None]
+    inner = GRID.interior_mask(2 * GRID.stencil_radius)
     diff = np.where(inner, by_labels[()] + f12, 0.0)
     assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(f12))
     u = random_bump_section(GRID, 0, 2, seeded_rng(7, "op-curv")).section(GRID)
@@ -724,7 +730,7 @@ def test_apply_is_linear():
 
 
 def test_mixed_spec_validation():
-    eye = np.broadcast_to(np.eye(2, dtype=complex), GRID.shape + (2, 2))
+    eye = _eye(2)
     with pytest.raises(ShapeMismatch):
         MixedTerm(eye)
     with pytest.raises(ShapeMismatch):
@@ -733,25 +739,25 @@ def test_mixed_spec_validation():
         MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, labels=(0,))])
     with pytest.raises(ShapeMismatch):
         MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, labels=(1, 2))], order=1)
-    bad_field = np.zeros(GRID.shape + (3,))
+    bad_field = np.zeros((3,) + GRID.shape)
     with pytest.raises(ShapeMismatch):
         MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, fields=[bad_field])])
 
 
 def test_coefficient_infty_norm_constant_field():
-    a = np.full(GRID.shape + (1, 1), 2.0, dtype=complex)
+    a = np.full((1, 1) + GRID.shape, 2.0, dtype=complex)
     got = coefficient_infty_norm(a, SCALAR, SCALAR, FLAT, depth=2)
     assert got == pytest.approx(2.0, rel=1e-12)
 
 
 def test_coefficient_infty_norm_propagates_nan():
-    a = np.full(GRID.shape + (1, 1), 2.0, dtype=complex)
-    a[GRID.shape[0] // 2, GRID.shape[1] // 2] = np.nan
+    a = np.full((1, 1) + GRID.shape, 2.0, dtype=complex)
+    a[..., GRID.shape[0] // 2, GRID.shape[1] // 2] = np.nan
     assert math.isnan(coefficient_infty_norm(a, SCALAR, SCALAR, FLAT, depth=1))
 
 
 def test_coefficient_infty_norm_rejects_bad_shapes_and_grids():
-    a = np.ones(GRID.shape + (2, 2), dtype=complex)
+    a = np.ones((2, 2) + GRID.shape, dtype=complex)
     with pytest.raises(ShapeMismatch):
         coefficient_infty_norm(a, SCALAR, MAGNET, FLAT, depth=1)
     away = magnetic_example_bundle(ChartGrid([(-2, 2), (-1, 1)], GRID.shape))
@@ -776,7 +782,7 @@ def test_hom_field_sups_match_dense_hom_bundles_on_a_curved_metric(depth):
     # a one-form: its form slot is measured with the inverse metric
     field = random_trig_field(2, (2, 3, 3), rng).sample(grid)
     got = hom_infty_norm(field, depth, target, metric)
-    form = field.reshape(grid.shape + (6, 3))
+    form = field.reshape((6, 3) + grid.shape)
     want = dense_hom_sup(form, target, target, 1, metric, depth)
     assert abs(got - want) <= 1e-13 * want
 
@@ -787,7 +793,7 @@ def test_coefficient_norm_peak_stays_near_its_deepest_level():
     spec = build_context(parse_scenario(cfg)).nabla_ops["drift-gradient"]
     source = induced_tensor_bundle(spec.source, spec.metric, 1)
     a = spec.coefficients[1]
-    full = np.broadcast_to(a, spec.grid.shape + a.shape[-2:])
+    full = np.broadcast_to(a, a.shape[:2] + spec.grid.shape)
     deepest = full.nbytes * spec.grid.dim**2  # level 2 has n^2 times the rows
     tracemalloc.start()
     try:
@@ -815,7 +821,7 @@ def test_mapping_bound_second_order_magnetic():
             FLAT,
             [
                 MixedTerm(
-                    np.broadcast_to(np.eye(2, dtype=complex), GRID.shape + (2, 2)),
+                    _eye(2),
                     fields=[_basis_field(GRID, 1), _basis_field(GRID, 0)],
                 )
             ],
@@ -831,7 +837,7 @@ def _zero_filled(spec):
     """The same ladder, built with every None level given as an explicit zero array."""
     n, d = spec.grid.dim, spec.source.fiber_dim
     levels = [
-        np.zeros(spec.grid.shape + (spec.target.fiber_dim, n**j * d), complex)
+        np.zeros((spec.target.fiber_dim, n**j * d) + spec.grid.shape, complex)
         if a is None
         else a
         for j, a in enumerate(spec.coefficients)
@@ -861,14 +867,14 @@ def test_explicit_zero_levels_are_stored_as_none():
     assert cancelled.coefficients == [None, None]
     # the shape check comes first: a misshaped zero level is no zero level
     with pytest.raises(ShapeMismatch):
-        NablaOpSpec(MAGNET, MAGNET, FLAT, [np.zeros(GRID.shape + (2, 3)), a1])
+        NablaOpSpec(MAGNET, MAGNET, FLAT, [np.zeros((2, 3) + GRID.shape), a1])
     with pytest.raises(ShapeMismatch):
-        NablaOpSpec(MAGNET, MAGNET, FLAT, [None, np.zeros(GRID.shape + (2, 2))])
+        NablaOpSpec(MAGNET, MAGNET, FLAT, [None, np.zeros((2, 2) + GRID.shape)])
 
 
 def test_mixed_spec_drops_zero_terms_but_keeps_their_order():
-    eye = np.broadcast_to(np.eye(2, dtype=complex), GRID.shape + (2, 2))
-    zero = np.zeros(GRID.shape + (2, 2), dtype=complex)
+    eye = _eye(2)
+    zero = np.zeros((2, 2) + GRID.shape, dtype=complex)
     x = _basis_field(GRID, 0)
     kept = MixedTerm(eye, fields=[x])
     spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [kept, MixedTerm(zero, fields=[x, x])])
@@ -876,7 +882,7 @@ def test_mixed_spec_drops_zero_terms_but_keeps_their_order():
     assert spec.order == mixed_to_nabla(spec).order == 2
     # a zero term is validated before it is dropped
     with pytest.raises(ShapeMismatch):
-        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero[..., :1], fields=[x])])
+        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero[:, :1], fields=[x])])
     with pytest.raises(ShapeMismatch):
         MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero, labels=(0,))])
     with pytest.raises(ShapeMismatch):

@@ -276,8 +276,8 @@ def test_context_matches_hand_built_objects():
     want = magnetic_example_bundle(grid)
     assert np.allclose(ctx.bundle.potentials, want.potentials)
     assert np.allclose(ctx.weight.rho, 2 + grid.coords[0])
-    assert np.allclose(ctx.fields["spin"][..., 0], grid.coords[1])
-    assert np.allclose(ctx.fields["spin"][..., 1], -grid.coords[0])
+    assert np.allclose(ctx.fields["spin"][0], grid.coords[1])
+    assert np.allclose(ctx.fields["spin"][1], -grid.coords[0])
 
 
 def test_conformal_metric_from_expression():
@@ -354,7 +354,7 @@ def test_graph_embedding_builds_its_induced_metric():
     ctx = build_context(parse_scenario(cfg))
     x2 = ctx.grid.coords[1]
     # g = 1 + Df^T Df away from the stencil band, where Df = 0.1 (x2, x1)
-    g11 = ctx.metric.values[..., 0, 0]
+    g11 = ctx.metric.values[0, 0]
     inner = ctx.grid.interior_mask(ctx.grid.stencil_radius)
     assert np.allclose(g11[inner], (1 + 0.01 * x2**2)[inner], atol=1e-12)
     assert ctx.gens is not None
@@ -386,7 +386,7 @@ def test_random_embedding_metric_is_its_gram_matrix():
     cfg["embedding"] = {"name": "random", "ambient": 3}
     ctx = build_context(parse_scenario(cfg))
     xi = ctx.gens.xi
-    gram = np.einsum("...ji,...jk->...ik", xi, xi)
+    gram = np.einsum("ji...,jk...->ik...", xi, xi)
     assert np.allclose(ctx.metric.values, gram, rtol=1e-14, atol=0)
 
 
@@ -396,10 +396,11 @@ def test_constant_fiber_metric_is_one_matrix():
     ctx = build_context(parse_scenario(cfg))
     bundle, grid = ctx.bundle, ctx.grid
     h = np.array([[2, 0], [0, 1]], dtype=complex)
-    assert np.array_equal(bundle.fiber_metric, h.reshape(1, 1, 2, 2))
+    assert np.array_equal(bundle.fiber_metric, h.reshape(2, 2, 1, 1))
     # the same matrix given on the full grid is stored at one point too
-    field = BundleSpec(grid, 2, fiber_metric=np.broadcast_to(h, grid.shape + (2, 2)))
-    assert field.fiber_metric.shape == (1, 1, 2, 2)
+    full = np.broadcast_to(h[:, :, None, None], (2, 2) + grid.shape)
+    field = BundleSpec(grid, 2, fiber_metric=full)
+    assert field.fiber_metric.shape == (2, 2, 1, 1)
     u = random_section(grid, 0, 2, seeded_rng(7, "fiber-metric"))
     for s, p in ((0, 2.0), (1, 2.0), (2, math.inf)):
         want = sobolev_norm(u, s, p, field, ctx.metric)
@@ -411,9 +412,9 @@ def test_varying_fiber_metric_stays_a_grid_field():
     cfg = tiny_config()
     cfg["bundle"]["fiber_metric"] = [["2 + x1^2", "0"], ["0", "1"]]
     ctx = build_context(parse_scenario(cfg))
-    assert ctx.bundle.fiber_metric.shape == (ctx.grid.shape[0], 1, 2, 2)
+    assert ctx.bundle.fiber_metric.shape == (2, 2, ctx.grid.shape[0], 1)
     x1 = ctx.grid.axes[0]
-    assert np.array_equal(ctx.bundle.fiber_metric[:, 0, 0, 0], 2 + x1**2)
+    assert np.array_equal(ctx.bundle.fiber_metric[0, 0, :, 0], 2 + x1**2)
 
 
 def test_margin_below_stencil_radius_is_a_config_error():
