@@ -130,13 +130,13 @@ def build_generators(embedding, metric, frechet=False):
                 f"isometric flag is set but phi^T phi differs from the metric "
                 f"by {defect:.3e}"
             )
-        psi = np.einsum("ik...,jk...->ij...", metric.inv, phi)
+        z = np.swapaxes(np.einsum("ik...,jk...->ij...", metric.inv, phi), 0, 1)
     else:
+        # numpy.linalg wants the matrices last: psi[..., i, j] = Psi_ij
         psi = np.linalg.solve(
             np.moveaxis(gram, (0, 1), (-2, -1)), np.moveaxis(phi, (1, 0), (-2, -1))
         )
-        psi = np.moveaxis(psi, (-2, -1), (0, 1))
-    z = np.ascontiguousarray(np.swapaxes(psi, 0, 1))
+        z = np.moveaxis(psi, (-1, -2), (0, 1))
     gens = GeneratorSystem(grid, z, phi, frechet=frechet)
     gens.g_structure, gens.l_structure = structure_functions(gens, metric)
     return gens
@@ -152,8 +152,8 @@ def _spd_power(mats, power, what):
             f"{what} eigenvalue {float(np.min(lam)):.3e} is at or below the "
             f"floor {floor:.3e}"
         )
-    vecs = np.ascontiguousarray(np.moveaxis(vecs, (-2, -1), (0, 1)))
-    lam = np.ascontiguousarray(np.moveaxis(lam**power, -1, 0))
+    vecs = np.moveaxis(vecs, (-2, -1), (0, 1))
+    lam = np.moveaxis(lam**power, -1, 0)
     return np.einsum("ik...,k...,jk...->ij...", vecs, lam, vecs)
 
 
