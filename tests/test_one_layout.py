@@ -1,0 +1,179 @@
+"""Every grid field is stored grid-last, in the one layout sections use.
+
+For each builtin's build_context, every stored field has its index axes
+first and its grid axes last, each grid axis full or of length 1: the
+metric, its inverse, volume density and Christoffel field; the potentials
+and fiber metrics; the curvature; ladder levels, form coefficients and
+mixed terms with their vector fields; the frame, the coframe and their
+structure functions.  Every TensorSection made from the context is
+C-contiguous.  A static check pins the layout moves the package keeps:
+np.moveaxis appears only around the numpy.linalg calls, which want the
+matrices last, and no function moves a whole field between layouts.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nabla_calc.bundles import induced_tensor_bundle
+from nabla_calc.calculus import (
+    contract_with_vector,
+    curvature,
+    directional_derivative,
+    multiindex_derivative,
+    tower,
+)
+from nabla_calc.generators import nabla_via_generators
+from nabla_calc.operators import NablaOpSpec, apply_mixed_op, apply_nabla_op
+from nabla_calc.scenarios import build_context, builtin_scenario, list_builtins, parse_scenario
+from nabla_calc.sections import random_section, random_vector_field, seeded_rng
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nabla_calc"
+
+# the functions whose numpy.linalg calls (eigvalsh, inv, det, eigh, solve)
+# want the matrices last
+LINALG_SITES = {
+    ("geometry.py", "MetricField.__init__"),
+    ("bundles.py", "BundleSpec.__init__"),
+    ("generators.py", "build_generators"),
+    ("generators.py", "_spd_power"),
+    ("bidiff.py", "assemble_divergence_form"),
+}
+BRIDGE = {"grid_first", "grid_last", "grid_einsum"}
+
+
+def _stored_fields(ctx):
+    """(name, array, leading index axes) of every grid field the context
+    stores, and of the derived fields it is read through."""
+    n = ctx.grid.dim
+    metric, bundle = ctx.metric, ctx.bundle
+    d = bundle.fiber_dim
+    induced = induced_tensor_bundle(bundle, metric, 1)
+    fields = [
+        ("metric values", metric.values, (n, n)),
+        ("metric inverse", metric.inv, (n, n)),
+        ("volume density", metric.sqrt_det, ()),
+        ("christoffel", metric.christoffel, (n, n, n)),
+        ("potentials", bundle.potentials, (n, d, d)),
+        ("fiber metric", bundle.fiber_metric, (d, d)),
+        ("induced fiber metric", induced.fiber_metric, (n * d, n * d)),
+        ("curvature", curvature(bundle).values, (n, n, d, d)),
+    ]
+    if ctx.gens is not None:
+        g = ctx.gens.n_gens
+        fields += [
+            ("frame", ctx.gens.z, (g, n)),
+            ("coframe", ctx.gens.xi, (g, n)),
+            ("g structure", ctx.gens.g_structure, (g, g, g)),
+            ("l structure", ctx.gens.l_structure, (g, g, g)),
+        ]
+    fields += [(f"field {name}", x, (n,)) for name, x in ctx.fields.items()]
+    for name, op in ctx.nabla_ops.items():
+        if isinstance(op, NablaOpSpec):
+            fields += [
+                (f"{name} level {j}", a, (d, n**j * d))
+                for j, a in enumerate(op.coefficients)
+                if a is not None
+            ]
+        else:
+            for term in op.terms:
+                fields.append((f"{name} term", term.coefficient, (d, d)))
+                fields += [(f"{name} term field", x, (n,)) for x in term.fields]
+    for name, form in ctx.bidiff_forms.items():
+        fields += [
+            (f"{name} {key}", a, (n ** key[1] * d, n ** key[0] * d))
+            for key, a in form.coefficients.items()
+        ]
+    return fields
+
+
+def _sections(ctx):
+    """The sections a context's calculus makes from one random section."""
+    grid, metric, bundle = ctx.grid, ctx.metric, ctx.bundle
+    u = random_section(grid, 0, bundle.fiber_dim, seeded_rng(25, ctx.name))
+    levels = list(tower(u, bundle, metric, 2))
+    idxs = [(1,), (grid.dim, 1), (1, grid.dim)]
+    made = levels + multiindex_derivative(u, idxs, bundle, metric)
+    x = random_vector_field(grid, seeded_rng(25, f"{ctx.name}-field"))
+    made += [
+        contract_with_vector(levels[2], x),
+        directional_derivative(u, x, bundle, metric),
+    ]
+    for op in ctx.nabla_ops.values():
+        apply = apply_nabla_op if isinstance(op, NablaOpSpec) else apply_mixed_op
+        made.append(apply(op, u))
+    if ctx.gens is not None:
+        made.append(nabla_via_generators(u, ctx.gens, bundle, metric))
+        made.append(contract_with_vector(levels[1], ctx.gens.z[0]))
+    return made
+
+
+@pytest.mark.parametrize("name", list_builtins())
+def test_every_stored_field_is_grid_last(name):
+    ctx = build_context(parse_scenario(builtin_scenario(name)))
+    grid = ctx.grid
+    for what, field, index in _stored_fields(ctx):
+        k = len(index)
+        assert field.ndim == k + grid.dim, (what, field.shape)
+        assert field.shape[:k] == index, (what, field.shape)
+        assert all(
+            m in (1, full) for m, full in zip(field.shape[k:], grid.shape)
+        ), (what, field.shape)
+    for section in _sections(ctx):
+        assert section.values.flags.c_contiguous
+        assert section.values.shape[section.values.ndim - grid.dim :] == grid.shape
+
+
+def _calls_by_function(tree, attr):
+    """(qualified function name) of every call of np.<attr> in the tree."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                qual = owner + child.name
+                for sub in ast.walk(child):
+                    if (
+                        isinstance(sub, ast.Call)
+                        and isinstance(sub.func, ast.Attribute)
+                        and sub.func.attr == attr
+                    ):
+                        found.append(qual)
+            else:
+                visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_moveaxis_only_around_linalg_and_no_layout_bridge():
+    sites = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sites |= {(path.name, qual) for qual in _calls_by_function(tree, "moveaxis")}
+    assert sites <= LINALG_SITES, sorted(sites - LINALG_SITES)
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in BRIDGE:
+                defined.add((path.name, node.name))
+            if isinstance(node, ast.Name) and node.id in BRIDGE:
+                defined.add((path.name, node.id))
+            if isinstance(node, ast.alias) and node.name in BRIDGE:
+                defined.add((path.name, node.name))
+    assert not defined, sorted(defined)
+
+
+def test_the_guard_sees_a_move_outside_the_linalg_sites():
+    tree = ast.parse(
+        "import numpy as np\n\n"
+        "class MetricField:\n"
+        "    def __init__(self, v):\n        self.m = np.moveaxis(v, 0, -1)\n\n"
+        "def grid_last(x, g):\n    return np.moveaxis(x, range(g), range(-g, 0))\n"
+    )
+    assert _calls_by_function(tree, "moveaxis") == ["MetricField.__init__", "grid_last"]

@@ -648,6 +648,61 @@ def test_nabla_to_mixed_matches_dense_kron_reference(name, h):
         assert np.array_equal(term.coefficient, want[term.labels])
 
 
+def _all_depths_nabla_to_mixed(spec, gens):
+    """The chain coefficients of the former nabla_to_mixed: the chain
+    table of every depth is kept until the last depth is built, and only
+    then are the depths merged, j ascending."""
+    grid, metric, source = spec.grid, spec.metric, spec.source
+    d = source.fiber_dim
+    eye = np.eye(d, dtype=complex).reshape((d, d) + (1,) * grid.dim)
+    per_depth = [{(): eye}]
+    for j in range(1, spec.order + 1):
+        cur = {}
+        for chain, phi in per_depth[j - 1].items():
+            der = _hom_derivative(phi, (source, 0), (source, j - 1), metric)
+            for i in range(gens.n_gens):
+                xi = gens.xi[i].astype(complex)
+                moved = np.einsum("y...,yfk...->fk...", gens.z[i], der)
+                operators._add_coframe_lift(cur, chain, xi, moved)
+                operators._add_coframe_lift(cur, (i + 1,) + chain, xi, phi)
+        per_depth.append({c: a.reshape((-1, d) + grid.shape) for c, a in cur.items()})
+    merged = {}
+    for j, a in enumerate(spec.coefficients):
+        if a is None:
+            continue
+        for chain, phi in per_depth[j].items():
+            operators._put(merged, chain, np.einsum("gf...,fk...->gk...", a, phi))
+    return merged
+
+
+def _traced_peak(call):
+    """call() and its tracemalloc peak above what was traced before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_nabla_to_mixed_merges_each_depth_once_the_next_is_built():
+    # four non-orthogonal generators on a conformal chart, to order 2 as in
+    # operator-rewrite: the terms are bit-identical to the all-depths
+    # table's, and the peak is lower (16.0 against 18.3 MiB), since no
+    # depth outlives the one built from it
+    ctx = build_context(parse_scenario(builtin_scenario("random-embedding")))
+    rng = seeded_rng(7, "op-n2m-depths")
+    spec = _random_ladder(ctx.bundle, ctx.bundle, 2, rng, ctx.metric)
+    mixed, peak = _traced_peak(lambda: nabla_to_mixed(spec, ctx.gens))
+    want, former = _traced_peak(lambda: _all_depths_nabla_to_mixed(spec, ctx.gens))
+    assert [term.labels for term in mixed.terms] == sorted(want)
+    for term in mixed.terms:
+        assert np.array_equal(term.coefficient, want[term.labels])
+    assert peak < former
+
+
 def test_reorder_keeps_sorted_terms():
     gens = build_generators(identity_embedding(GRID), FLAT)
     eye = _eye(2)
