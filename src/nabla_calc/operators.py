@@ -190,11 +190,14 @@ def _hom_derivative(a, source, target, metric):
 
     source and target are (bundle, extra slots): a maps T*M^s (x) E to
     T*M^t (x) F, with E, F the base bundles and s, t counting their own
-    slots too.  The connection acts slot by slot: (n, d_target, d_source)
-    per point holds D_y a + A^F_y a - a A^E_y, -Gamma on each target slot
-    and +Gamma on each source slot, zeroed on the stencil-invalid band.
+    slots too.  The connection acts slot by slot: the result, (n,
+    d_target, d_source) + grid, holds D_y a + A^F_y a - a A^E_y, -Gamma on
+    each target slot and +Gamma on each source slot (the one Christoffel
+    slot sum, on the rows or the columns unfolded into slot axes), zeroed
+    on the stencil-invalid band.
 
-    a may be stored at the shape it varies over.  Only its full-length
+    a is (d_target, d_source) + grid, stored at the shape it varies
+    over.  Only its full-length
     grid axes are differentiated, since D_y of a length-1 axis is exactly
     zero, and the potential products are formed at the broadcast shape of
     a and the potentials.  An identically zero result is returned at that
