@@ -7,13 +7,47 @@ vanish on a margin band, so the zero padding never touches meaningful data.
 
 Terms are paired before scaling, (u[i+1] - u[i-1]) c1 - (u[i+2] - u[i-2]) c2,
 so a constant stretch of data has an exactly zero derivative.
+
+Importing this module also tunes glibc's malloc, once, so that the memory
+of a freed difference or product is reused by the next one instead of being
+returned to the kernel and faulted back in (_keep_freed_heap).
 """
 
+import ctypes
 import math
 
 import numpy as np
 
 STENCIL_RADIUS = {2: 1, 4: 2}
+
+# mallopt parameters, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap():
+    """Have glibc's malloc keep freed heap memory in the process.
+
+    By default glibc trims a large free block at the top of the heap, such
+    as the one an 8-17 MB grid field leaves when it is freed, and the next
+    field of that size faults all its pages back in, zeroed.  The mmap
+    threshold is fixed at its 64-bit ceiling, 32 MiB, and the trim threshold
+    far above any field's size; setting both switches off glibc's dynamic
+    thresholds, and setting only one makes the churn worse.  Freed memory
+    then stays at the process's high-water mark.  True when glibc accepted
+    both settings; where there is no mallopt nothing is changed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return (
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+        and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1
+    )
+
+
+HEAP_KEPT = _keep_freed_heap()
 
 
 # diff_axis works through u in slabs of about this many bytes, so the passes

@@ -69,8 +69,8 @@ class GeneratorSystem:
 
     def __init__(self, grid, z, xi, frechet=False):
         n = grid.dim
-        z = np.asarray(z, dtype=float)
-        xi = np.asarray(xi, dtype=float)
+        z = np.ascontiguousarray(z, dtype=float)
+        xi = np.ascontiguousarray(xi, dtype=float)
         if z.shape != xi.shape or z.shape[2:] != grid.shape or z.shape[1] != n:
             raise ShapeMismatch(
                 f"frame arrays {z.shape} / {xi.shape} do not match grid "

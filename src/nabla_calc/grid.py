@@ -50,6 +50,7 @@ class ChartGrid:
         ]
         # full-shape coordinate arrays, x[k][idx] = k-th coordinate at idx
         self.coords = list(np.meshgrid(*self.axes, indexing="ij"))
+        self._quad_weights = None
 
     @property
     def dim(self):
@@ -145,16 +146,21 @@ class ChartGrid:
             )
 
     def quad_weights(self):
-        """Trapezoid weights as a full-shape array (product of 1D rules)."""
-        w = np.ones(self.shape, dtype=float)
-        for k in range(self.dim):
-            w1 = np.ones(self.shape[k])
-            w1[0] = w1[-1] = 0.5
-            shape1 = tuple(
-                self.shape[k] if a == k else 1 for a in range(self.dim)
-            )
-            w = w * w1.reshape(shape1)
-        return w * self.cell_volume
+        """Trapezoid weights as a full-shape array (product of 1D rules),
+        built once per grid and read-only."""
+        if self._quad_weights is None:
+            w = np.ones(self.shape, dtype=float)
+            for k in range(self.dim):
+                w1 = np.ones(self.shape[k])
+                w1[0] = w1[-1] = 0.5
+                shape1 = tuple(
+                    self.shape[k] if a == k else 1 for a in range(self.dim)
+                )
+                w = w * w1.reshape(shape1)
+            w = w * self.cell_volume
+            w.flags.writeable = False
+            self._quad_weights = w
+        return self._quad_weights
 
     def integrate(self, values):
         """Trapezoid quadrature of a scalar grid array (flat measure)."""
@@ -162,6 +168,5 @@ class ChartGrid:
             raise ShapeMismatch(
                 f"integrand shape {values.shape} does not match grid {self.shape}"
             )
-        return complex(np.sum(values * self.quad_weights())) if np.iscomplexobj(
-            values
-        ) else float(np.sum(values * self.quad_weights()))
+        total = np.sum(values * self.quad_weights())
+        return complex(total) if np.iscomplexobj(values) else float(total)

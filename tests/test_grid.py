@@ -51,6 +51,30 @@ def test_quadrature_normalizes():
     assert total == pytest.approx(2.0)
 
 
+def _former_quad_weights(g):
+    """The trapezoid weights as ChartGrid.quad_weights built them on every
+    call, before they were kept on the grid."""
+    w = np.ones(g.shape, dtype=float)
+    for k in range(g.dim):
+        w1 = np.ones(g.shape[k])
+        w1[0] = w1[-1] = 0.5
+        w = w * w1.reshape(tuple(g.shape[k] if a == k else 1 for a in range(g.dim)))
+    return w * g.cell_volume
+
+
+@pytest.mark.parametrize("shape", [(33,), (21, 17), (9, 11, 13)])
+def test_quad_weights_are_built_once_read_only_and_keep_their_bits(shape):
+    g = ChartGrid([(-1.0, 2.0)] * len(shape), shape, fd_order=2, support_margin=1)
+    w = g.quad_weights()
+    assert g.quad_weights() is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[(0,) * g.dim] = 1.0
+    assert w.tobytes() == _former_quad_weights(g).tobytes()
+    values = np.cos(sum(g.coords)) + 1j * np.sin(g.coords[0])
+    assert g.integrate(values) == complex(np.sum(values * _former_quad_weights(g)))
+
+
 def test_diff_shape_guard():
     g = ChartGrid([(-1, 1)], (33,))
     with pytest.raises(ShapeMismatch):

@@ -5,8 +5,9 @@ first and its grid axes last, each grid axis full or of length 1: the
 metric, its inverse, volume density and Christoffel field; the potentials
 and fiber metrics; the curvature; ladder levels, form coefficients and
 mixed terms with their vector fields; the frame, the coframe and their
-structure functions.  Every TensorSection made from the context is
-C-contiguous.  A static check pins the layout moves the package keeps:
+structure functions.  The frame, the coframe and their structure
+functions are C-contiguous, and so is every TensorSection made from the
+context.  A static check pins the layout moves the package keeps:
 np.moveaxis appears only around the numpy.linalg calls, which want the
 matrices last, and no function moves a whole field between layouts.
 """
@@ -43,6 +44,8 @@ LINALG_SITES = {
     ("bidiff.py", "assemble_divergence_form"),
 }
 BRIDGE = {"grid_first", "grid_last", "grid_einsum"}
+# stored fields that must also be C-contiguous
+CONTIGUOUS = {"frame", "coframe", "g structure", "l structure"}
 
 
 def _stored_fields(ctx):
@@ -122,6 +125,7 @@ def test_every_stored_field_is_grid_last(name):
         assert all(
             m in (1, full) for m, full in zip(field.shape[k:], grid.shape)
         ), (what, field.shape)
+        assert what not in CONTIGUOUS or field.flags.c_contiguous, what
     for section in _sections(ctx):
         assert section.values.flags.c_contiguous
         assert section.values.shape[section.values.ndim - grid.dim :] == grid.shape
