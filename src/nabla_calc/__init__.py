@@ -59,7 +59,7 @@ from .operators import (
     compose,
     gradient_op,
     identity_op,
-    mapping_bound_check,
+    mapping_constant,
     mixed_to_nabla,
     multiplication_op,
     nabla_to_mixed,

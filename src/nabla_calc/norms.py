@@ -267,12 +267,11 @@ def equivalence_constant(ell, p, coefficient_norm):
     return float(c_p ** (1.0 / p))
 
 
-def conformal_weighted_check(u, weight, ell, p, bundle, metric, bound=1.05):
-    """Weighted norm under g vs classical norm under g0 of the twisted section.
+def conformal_weighted_norms(u, weight, ell, p, bundle, metric):
+    """Weighted norm under g and classical norm under g0 of the twisted section.
 
     The twist is rho^{n/p} f0^{-1} u and g0 = rho^{-2} g; the two routes give
-    equivalent norms and the report records their ratio against the declared
-    two-sided bound.
+    equivalent norms.  Returns (weighted, classical).
     """
     if not weight.admissible:
         raise NonadmissibleWeight(
@@ -286,13 +285,4 @@ def conformal_weighted_check(u, weight, ell, p, bundle, metric, bound=1.05):
     twisted = TensorSection(grid, u.rank, twist * u.values, u.fiber_dim)
     g0 = weight.rescaled_metric(metric)
     weighted = weighted_sobolev_norm(u, ell, p, weight, bundle, metric)
-    classical = sobolev_norm(twisted, ell, p, bundle, g0)
-    ratio = classical / weighted if weighted else math.inf
-    passed = 1.0 / bound <= ratio <= bound
-    return {
-        "weighted_norm": weighted,
-        "conformal_norm": classical,
-        "ratio": ratio,
-        "bound": bound,
-        "passed": bool(passed),
-    }
+    return weighted, sobolev_norm(twisted, ell, p, bundle, g0)

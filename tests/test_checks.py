@@ -1,5 +1,6 @@
 """Check verdicts on non-finite input: a NaN must fail, never pass as 0.0;
-check parameters, which are validated on every call; and the grid-last
+the pass/fail edges of the bound-ratio checks, fed known ratios; check
+parameters, which are validated on every call; and the grid-last
 leibniz-rule residual against its former grid-first formula."""
 
 import inspect
@@ -8,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from nabla_calc import checks
 from nabla_calc.bundles import BundleSpec, TensorSection, magnetic_example_bundle
 from nabla_calc.calculus import covariant_derivative
 from nabla_calc.checks import (
@@ -22,6 +24,7 @@ from nabla_calc.errors import ConfigError
 from nabla_calc.geometry import MetricField
 from nabla_calc.grid import ChartGrid
 from nabla_calc.norms import strict_max
+from nabla_calc.operators import gradient_op
 from nabla_calc.scenarios import CheckContext
 from nabla_calc.sections import random_section, random_trig_field
 
@@ -39,10 +42,78 @@ def _nan_potential_context():
     )
 
 
-def test_leibniz_rule_fails_on_nan_potential():
-    out = check_leibniz_rule(_nan_potential_context(), {"tolerance": 1e-5, "trials": 2})
+# every check the NaN-potential context can run, with its short parameters
+NAN_RUNS = {
+    "adjoint-pairing": {"pairs": 2},
+    "covering-bounds": {"coverings": 2},
+    "curvature-commutator": {"trials": 2},
+    "leibniz-rule": {"trials": 2},
+    "multiplication-property": {"trials": 2},
+    "norm-equivalence": {"trials": 2},
+    "norm-table": {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_RUNS))
+def test_checks_fail_on_nan_potential(name):
+    out = CHECKS[name][0](_nan_potential_context(), {"tolerance": 1e-5, **NAN_RUNS[name]})
     assert math.isnan(out["measured"])
     assert not out["passed"]
+
+
+def _plain_context():
+    grid = ChartGrid([(-1, 1), (-1, 1)], (17, 17))
+    metric = MetricField.flat(grid)
+    bundle = BundleSpec(grid, 1)
+    return CheckContext(
+        name="plain",
+        grid=grid,
+        metric=metric,
+        bundle=bundle,
+        nabla_ops={"gradient": gradient_op(bundle, metric)},
+        seed=6,
+    )
+
+
+@pytest.mark.parametrize("ratio, passed", [(1 + 5e-13, True), (1 + 1e-9, False)])
+def test_norm_equivalence_passes_within_the_rounding_slack(monkeypatch, ratio, passed):
+    # tolerance 1e-6 is capped at 1e-12: the norms sit ratio apart, constant 1
+    monkeypatch.setattr(checks, "perturbed_norms", lambda *args: (1.0, ratio, 1.0))
+    params = {"tolerance": 1e-6, "trials": 2}
+    out = CHECKS["norm-equivalence"][0](_plain_context(), params)
+    assert out["measured"] == ratio and out["bound"] == 1.0
+    assert out["passed"] is passed
+
+
+@pytest.mark.parametrize("ratio, passed", [(1 + 5e-13, True), (1 + 1e-9, False)])
+def test_mapping_bound_passes_within_the_rounding_slack(monkeypatch, ratio, passed):
+    # tolerance 2.0 is capped at 1 + 1e-12: the image's W^{1,2} norm reads
+    # ratio, the section's W^{2,2} norm 1, and the certified constant is 1
+    monkeypatch.setattr(checks, "mapping_constant", lambda spec, k, p: 1.0)
+    monkeypatch.setattr(
+        checks, "sobolev_norm", lambda u, k, p, bundle, metric: ratio if k == 1 else 1.0
+    )
+    params = {"tolerance": 2.0, "operator": "gradient", "trials": 2}
+    out = CHECKS["mapping-bound"][0](_plain_context(), params)
+    assert out["measured"] == ratio and out["bound"] == 1.0
+    assert out["passed"] is passed
+
+
+@pytest.mark.parametrize("excess, passed", [(0.5, True), (2.0, False)])
+def test_multiplication_property_passes_within_one_plus_tolerance(
+    monkeypatch, excess, passed
+):
+    # at s = 0 the constant is 1; the factor and section norms (p = q = 4)
+    # read 1 and the product norm (r = 2) reads the ratio
+    tol = 1e-3
+    ratio = 1.0 + excess * tol
+    monkeypatch.setattr(
+        checks, "sobolev_norm", lambda u, s, p, bundle, metric: ratio if p == 2 else 1.0
+    )
+    params = {"tolerance": tol, "trials": 2, "s": 0, "p": 4, "q": 4, "r": 2}
+    out = CHECKS["multiplication-property"][0](_plain_context(), params)
+    assert out["measured"] == ratio and out["bound"] == 1.0
+    assert out["passed"] is passed
 
 
 def _first(values, g):

@@ -5,14 +5,15 @@ full length or at length 1, and every product broadcasts the stored
 shapes.  A compact ladder or form must give the same bits as its full-grid
 twin, built with the compaction switched off and every level copied to the
 full grid, which is how every level was stored before: in compose,
-_hom_derivative, apply_nabla_op, eval_bidiff, assemble_divergence_form and
-mapping_bound_check.  Also here: the shape rule and its ShapeMismatch, the
-compact shapes of the flat-operators assembly and of the drift-gradient
-levels, configured constant potentials, and the tracemalloc peak of the
-half-order-2 assembly.
+_hom_derivative, apply_nabla_op, eval_bidiff, assemble_divergence_form,
+mapping_constant and the mapping-bound check.  Also here: the shape rule
+and its ShapeMismatch, the compact shapes of the flat-operators assembly
+and of the drift-gradient levels, configured constant potentials, and the
+tracemalloc peak of the half-order-2 assembly.
 """
 
 import contextlib
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ from nabla_calc.bundles import (
     compact_grid_axes,
     magnetic_example_bundle,
 )
-from nabla_calc.checks import _ladder_form
+from nabla_calc.checks import CHECKS, _ladder_form
 from nabla_calc.errors import ShapeMismatch
 from nabla_calc.geometry import MetricField
 from nabla_calc.grid import ChartGrid
@@ -44,7 +45,7 @@ from nabla_calc.operators import (
     apply_nabla_op,
     coefficient_infty_norm,
     compose,
-    mapping_bound_check,
+    mapping_constant,
 )
 from nabla_calc.scenarios import build_context, builtin_scenario, parse_scenario
 from nabla_calc.sections import random_section, random_trig_field, seeded_rng
@@ -322,10 +323,16 @@ def test_drift_gradient_levels_vary_over_one_axis_each(monkeypatch):
     n1, n2 = ctx.grid.shape
     # cos(x2)/4 on level 0; sin(x1)/3 and 1/2 on level 1
     assert [a.shape for a in spec.coefficients] == [(2, 2, 1, n2), (2, 4, n1, 1)]
-    got = mapping_bound_check(spec, 1, 2.0, trials=3, seed=ctx.seed)
+    entry = {"tolerance": 2.0, "operator": "drift-gradient", "trials": 3}
+    got = CHECKS["mapping-bound"][0](ctx, entry)
+    constant = mapping_constant(spec, 1, 2.0)
     with _full_grid(monkeypatch):
-        want = mapping_bound_check(_twin_ladder(spec), 1, 2.0, trials=3, seed=ctx.seed)
-    assert got == want and got["passed"]
+        twin = _twin_ladder(spec)
+        twin_ctx = dataclasses.replace(ctx, nabla_ops={"drift-gradient": twin})
+        want = CHECKS["mapping-bound"][0](twin_ctx, entry)
+        assert mapping_constant(twin, 1, 2.0) == constant
+    # the certified bound holds up to a rounding slack of 1e-12
+    assert got == want and got["measured"] <= 1.0 + 1e-12
 
 
 def test_configured_constant_potentials_are_stored_at_one_point():

@@ -15,7 +15,7 @@ from nabla_calc.geometry import MetricField, WeightPair
 from nabla_calc.grid import ChartGrid
 from nabla_calc.norms import (
     _lp_combine,
-    conformal_weighted_check,
+    conformal_weighted_norms,
     covering_multiplicity,
     covering_norm,
     equivalence_constant,
@@ -25,7 +25,7 @@ from nabla_calc.norms import (
     sobolev_norm,
     weighted_sobolev_norm,
 )
-from nabla_calc.operators import hom_infty_norm, perturbed_norm_check
+from nabla_calc.operators import hom_infty_norm, perturbed_norms
 from nabla_calc.sections import (
     random_bump_section,
     random_section,
@@ -219,14 +219,21 @@ def test_equivalence_constant_values():
         equivalence_constant(1, math.inf, 1.0)
 
 
+def _within_constant(base, other, constant):
+    """Either norm is at most the constant times the other, up to a rounding
+    slack of 1e-12."""
+    slack = 1.0 + 1e-12
+    return other <= constant * base * slack and base <= constant * other * slack
+
+
 def test_perturbed_norm_check_zero_perturbation():
     rng = seeded_rng(26, "perturb")
     u = random_section(GRID, 0, 2, rng)
     zero = np.zeros((2, 2, 2) + GRID.shape, dtype=complex)
-    report = perturbed_norm_check(u, zero, 1, 2, BUNDLE, FLAT)
-    assert report["passed"]
-    assert report["ratio"] == pytest.approx(1.0)
-    assert report["coefficient_norm"] == 0.0
+    base, other, constant = perturbed_norms(u, zero, 1, 2, BUNDLE, FLAT)
+    assert _within_constant(base, other, constant)
+    assert other / base == pytest.approx(1.0)
+    assert hom_infty_norm(zero, 0, BUNDLE, FLAT) == 0.0
 
 
 def test_perturbed_norm_check_magnetic_potential():
@@ -236,11 +243,12 @@ def test_perturbed_norm_check_magnetic_potential():
     magnetic = magnetic_example_bundle(grid)
     u = random_section(grid, 0, 2, seeded_rng(26, "perturb", 1))
     pert = np.broadcast_to(magnetic.potentials, (2, 2, 2) + grid.shape)
-    report = perturbed_norm_check(u, pert, 1, 2, flat_bundle, metric)
-    assert report["passed"]
+    base, other, constant = perturbed_norms(u, pert, 1, 2, flat_bundle, metric)
+    assert _within_constant(base, other, constant)
     # the magnetic potential has pointwise Frobenius norm sqrt(2)
-    assert report["coefficient_norm"] == pytest.approx(math.sqrt(2.0), rel=1e-6)
-    assert report["constant"] == pytest.approx(math.sqrt(8.0), rel=1e-6)
+    coefficient_norm = hom_infty_norm(pert, 0, flat_bundle, metric)
+    assert coefficient_norm == pytest.approx(math.sqrt(2.0), rel=1e-6)
+    assert constant == pytest.approx(math.sqrt(8.0), rel=1e-6)
 
 
 def test_perturbed_norm_check_random_skew_trials():
@@ -248,8 +256,8 @@ def test_perturbed_norm_check_random_skew_trials():
     for trial in range(5):
         u = random_section(GRID, 0, 2, seeded_rng(27, "skew-u", trial))
         pert = random_skew_potentials(GRID, 2, seeded_rng(27, "skew-a", trial))
-        report = perturbed_norm_check(u, pert, 2, 2, BUNDLE, FLAT)
-        assert report["passed"], report
+        norms = perturbed_norms(u, pert, 2, 2, BUNDLE, FLAT)
+        assert _within_constant(*norms), norms
     del rng_a
 
 
@@ -258,7 +266,7 @@ def test_perturbed_norm_check_rejects_non_skew():
     bad = np.zeros((2, 2, 2) + GRID.shape, dtype=complex)
     bad[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        perturbed_norm_check(u, bad, 1, 2, BUNDLE, FLAT)
+        perturbed_norms(u, bad, 1, 2, BUNDLE, FLAT)
 
 
 def _half_line(shape=(257,)):
@@ -273,16 +281,16 @@ def test_conformal_check_unit_weight_is_exact():
     rng = seeded_rng(28, "conformal")
     u = random_section(GRID, 0, 2, rng)
     unit = WeightPair(GRID, np.ones(GRID.shape), admissible=True)
-    report = conformal_weighted_check(u, unit, 1, 2, BUNDLE, FLAT)
-    assert report["passed"]
-    assert report["ratio"] == pytest.approx(1.0, rel=1e-12)
+    weighted, classical = conformal_weighted_norms(u, unit, 1, 2, BUNDLE, FLAT)
+    assert 1.0 / 1.05 <= classical / weighted <= 1.05
+    assert classical / weighted == pytest.approx(1.0, rel=1e-12)
 
 
 def test_conformal_check_half_line_order_zero_exact():
     grid, metric, bundle, weight = _half_line()
     u = random_section(grid, 0, 1, seeded_rng(28, "halfline"))
-    report = conformal_weighted_check(u, weight, 0, 2, bundle, metric)
-    assert report["ratio"] == pytest.approx(1.0, rel=1e-12)
+    weighted, classical = conformal_weighted_norms(u, weight, 0, 2, bundle, metric)
+    assert classical / weighted == pytest.approx(1.0, rel=1e-12)
 
 
 def test_conformal_check_half_line_order_one():
@@ -291,13 +299,13 @@ def test_conformal_check_half_line_order_one():
         grid, 0, 1, seeded_rng(28, "halfline", 1), sigma_range=(0.1, 0.12)
     )
     u = bumps.section(grid)
-    report = conformal_weighted_check(u, weight, 1, 2, bundle, metric, bound=1.05)
-    assert report["passed"], report
+    weighted, classical = conformal_weighted_norms(u, weight, 1, 2, bundle, metric)
+    assert 1.0 / 1.05 <= classical / weighted <= 1.05, (weighted, classical)
     # the squared norms differ by exactly -|u|_L2^2 / 4: the half-density
     # twist r^{1/2} trades first-order mass against the cross term
     l2 = lp_norm(u, 2, metric, bundle)
-    predicted = math.sqrt(1.0 - 0.25 * l2**2 / report["weighted_norm"] ** 2)
-    assert report["ratio"] == pytest.approx(predicted, abs=2e-4)
+    predicted = math.sqrt(1.0 - 0.25 * l2**2 / weighted**2)
+    assert classical / weighted == pytest.approx(predicted, abs=2e-4)
 
 
 def test_conformal_check_requires_admissible_flag():
@@ -305,7 +313,7 @@ def test_conformal_check_requires_admissible_flag():
     plain = WeightPair(grid, grid.coords[0].copy(), admissible=False)
     u = TensorSection(grid, 0, np.zeros((1,) + grid.shape), 1)
     with pytest.raises(NonadmissibleWeight):
-        conformal_weighted_check(u, plain, 0, 2, bundle, metric)
+        conformal_weighted_norms(u, plain, 0, 2, bundle, metric)
 
 
 def test_hom_infty_norm_constant_field():

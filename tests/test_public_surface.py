@@ -11,6 +11,9 @@ MetricField.flat(grid).  Re-exports in __init__.py and uses in tests do
 not count.
 The registered checks are reached through the CHECKS registry, and KEPT
 lists the few functions kept on purpose, each with its reason.
+
+A second guard keeps every verdict in checks.py: no library module draws
+trial data from sections or builds a "passed" key.
 """
 
 import ast
@@ -167,3 +170,47 @@ def test_the_guard_sees_a_method_named_like_an_array_attribute():
         "    return Field.flat(1).twice(), f.sum()\n"
     )
     assert unreached_names({"mod.py": tree}) == {"copy", "sum"}
+
+
+# modules that only compute: checks.py draws the trial data and decides
+LIBRARY = ("calculus", "operators", "norms", "bidiff", "generators", "geometry", "bundles", "grid")
+
+
+def draws_or_decides(tree):
+    """Lines where a module imports from .sections or builds a "passed" key,
+    as a dict entry, a subscript store or a keyword argument."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "sections" or (
+                node.module is None and any(a.name == "sections" for a in node.names)
+            ):
+                found.append((node.lineno, "imports from .sections"))
+        elif isinstance(node, ast.Dict):
+            if any(isinstance(k, ast.Constant) and k.value == "passed" for k in node.keys):
+                found.append((node.lineno, 'builds a "passed" key'))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.slice, ast.Constant) and node.slice.value == "passed":
+                found.append((node.lineno, 'stores a "passed" key'))
+        elif isinstance(node, ast.keyword) and node.arg == "passed":
+            found.append((node.value.lineno, "passes a passed= argument"))
+    return found
+
+
+def test_library_modules_neither_draw_trial_data_nor_decide_verdicts():
+    modules = _modules()
+    found = {name: draws_or_decides(modules[f"{name}.py"]) for name in LIBRARY}
+    assert not any(found.values()), found
+
+
+def test_the_decision_guard_sees_a_draw_and_a_verdict():
+    tree = ast.parse(
+        "from .sections import seeded_rng\n"
+        "from . import sections\n"
+        "from .norms import sobolev_norm\n\n"
+        "def check(u):\n"
+        "    report = {'ratio': 1.0, 'passed': True}\n"
+        "    report['passed'] = False\n"
+        "    return Row(passed=report['passed'])\n"
+    )
+    assert [line for line, _ in draws_or_decides(tree)] == [1, 2, 6, 7, 8]
