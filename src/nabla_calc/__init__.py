@@ -72,7 +72,7 @@ from .bidiff import (
     dirichlet_form,
     eval_bidiff,
     l2_pairing,
-    weighted_duality_check,
+    weighted_pairings,
 )
 from .reports import Report, emit_report
 from .scenarios import (

@@ -35,7 +35,6 @@ from .operators import (
     _joint_class,
     _put,
     _scaled,
-    apply_nabla_op,
     compose,
     directional_op,
     gradient_op,
@@ -221,16 +220,14 @@ def assemble_divergence_form(spec, gens, bundle, metric):
     return total
 
 
-def weighted_duality_check(spec, weight, u, w, p=2.0, gens=None):
+def weighted_pairings(spec, weight, u, w, p=2.0):
     """Two-picture pairing: original metric against the rescaled one.
 
-    Route one evaluates the Dirichlet pairing directly.  Route two pulls
-    the normalizing twists f0 rho^{-n/p} (and the dual twist on the w
-    side) into the coefficients, which turns the volume into the one of
-    the rescaled metric rho^{-2} g; exact arithmetic would make the two
-    numbers equal, so the report carries their ratio.  When a generator
-    system is supplied, the weak-form residual against the assembled
-    divergence-form operator is measured as well.
+    Returns (pair_weighted, pair_rescaled).  The first evaluates the
+    Dirichlet pairing directly.  The second pulls the normalizing twists
+    f0 rho^{-n/p} (and the dual twist on the w side) into the coefficients,
+    which turns the volume into the one of the rescaled metric rho^{-2} g;
+    exact arithmetic would make the two numbers equal.
     """
     if not weight.admissible:
         raise NonadmissibleWeight(
@@ -287,19 +284,4 @@ def weighted_duality_check(spec, weight, u, w, p=2.0, gens=None):
     pair_weighted = dirichlet_form(spec, u, w)
     metric0 = conformal_rescale(metric, weight.rho)
     pair_rescaled = dirichlet_form(spec0, u0, w0, metric=metric0)
-    scale = max(abs(pair_weighted), abs(pair_rescaled), 1e-300)
-    report = {
-        "pair_weighted": pair_weighted,
-        "pair_rescaled": pair_rescaled,
-        "ratio": pair_weighted / pair_rescaled if pair_rescaled != 0 else np.inf,
-        "residual": abs(pair_weighted - pair_rescaled) / scale,
-    }
-    if gens is not None:
-        op = assemble_divergence_form(spec, gens, spec.cosource, metric)
-        pu = apply_nabla_op(op, u)
-        weak = l2_pairing(pu, w, spec.cosource, metric)
-        report["weak_pairing"] = weak
-        report["weak_residual"] = abs(weak - pair_weighted) / max(
-            abs(pair_weighted), 1e-300
-        )
-    return report
+    return pair_weighted, pair_rescaled

@@ -724,7 +724,7 @@ BUILTINS = {
             {"check": "adjoint-pairing", "tolerance": 1e-5, "pairs": 10},
             {
                 "check": "mapping-bound",
-                "tolerance": 1.0,
+                "tolerance": 1e-12,
                 "operator": "drift-gradient",
                 "s": 1,
                 "p": 2,
@@ -736,7 +736,7 @@ BUILTINS = {
                 "pairs": 10,
                 "half_orders": [1, 2],
             },
-            {"check": "norm-equivalence", "tolerance": 1e-9, "trials": 25, "s": 2},
+            {"check": "norm-equivalence", "tolerance": 1e-12, "trials": 25, "s": 2},
             {
                 "check": "multiplication-property",
                 "tolerance": 1e-9,

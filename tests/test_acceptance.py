@@ -113,9 +113,9 @@ def test_criterion_06_operator_rewriting_closure():
 def test_criterion_07_explicit_constants_certified():
     ctx = custom_context(flat_magnetic_config(2 / 96, seed=44))
     reports = [
-        run(ctx, "norm-equivalence", tolerance=1e-9, trials=34, s=0),
-        run(ctx, "norm-equivalence", tolerance=1e-9, trials=33, s=1),
-        run(ctx, "norm-equivalence", tolerance=1e-9, trials=33, s=2),
+        run(ctx, "norm-equivalence", tolerance=1e-12, trials=34, s=0),
+        run(ctx, "norm-equivalence", tolerance=1e-12, trials=33, s=1),
+        run(ctx, "norm-equivalence", tolerance=1e-12, trials=33, s=2),
         run(ctx, "multiplication-property", tolerance=1e-9, trials=100,
             s=2, p="inf", q=2, r=2),
     ]

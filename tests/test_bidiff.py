@@ -12,7 +12,7 @@ from nabla_calc.bidiff import (
     dirichlet_form,
     eval_bidiff,
     l2_pairing,
-    weighted_duality_check,
+    weighted_pairings,
 )
 from nabla_calc.bundles import (
     BundleSpec,
@@ -36,6 +36,7 @@ from nabla_calc.operators import (
     NablaOpSpec,
     _add_ladders,
     _scaled,
+    apply_nabla_op,
     compose,
     gradient_op,
     identity_op,
@@ -330,8 +331,6 @@ def test_assemble_magnetic_weak_duality():
 
 
 def test_assemble_transpose_probe_oracle():
-    from nabla_calc.operators import apply_nabla_op
-
     grid = ChartGrid([(-1, 1), (-1, 1)], (49, 49))
     flat = MetricField.flat(grid)
     scalar = BundleSpec(grid, 1)
@@ -352,6 +351,12 @@ def test_assemble_transpose_probe_oracle():
         assert abs(probe / weights[ix, iy] - pu.values[0, ix, iy]) <= 1e-10 * scale
 
 
+def _two_picture_residual(pairings):
+    """The weighted-duality check's residual between the two pictures."""
+    weighted, rescaled = pairings
+    return abs(weighted - rescaled) / max(abs(weighted), abs(rescaled), 1e-300)
+
+
 def test_weighted_duality_trivial_weight():
     gens = build_generators(identity_embedding(GRID), FLAT, frechet=True)
     ones = np.ones(GRID.shape)
@@ -360,9 +365,11 @@ def test_weighted_duality_trivial_weight():
     rng = seeded_rng(11, "bd-wtriv")
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
-    report = weighted_duality_check(spec, weight, u, w, gens=gens)
-    assert report["residual"] <= 1e-12
-    assert report["weak_residual"] <= 1e-11
+    pairings = weighted_pairings(spec, weight, u, w)
+    assert _two_picture_residual(pairings) <= 1e-12
+    op = assemble_divergence_form(spec, gens, SCALAR, FLAT)
+    weak = l2_pairing(apply_nabla_op(op, u), w, SCALAR, FLAT)
+    assert abs(weak - pairings[0]) / max(abs(pairings[0]), 1e-300) <= 1e-11
 
 
 def test_weighted_duality_order_zero_is_change_of_measure():
@@ -372,9 +379,9 @@ def test_weighted_duality_order_zero_is_change_of_measure():
     rng = seeded_rng(11, "bd-w0")
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
-    report = weighted_duality_check(spec, weight, u, w)
-    assert report["residual"] <= 1e-12
-    assert report["ratio"] == pytest.approx(1.0, abs=1e-12)
+    weighted, rescaled = weighted_pairings(spec, weight, u, w)
+    assert _two_picture_residual((weighted, rescaled)) <= 1e-12
+    assert weighted / rescaled == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weighted_duality_first_order_two_route():
@@ -384,8 +391,8 @@ def test_weighted_duality_first_order_two_route():
     rng = seeded_rng(11, "bd-w1")
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
-    report = weighted_duality_check(spec, weight, u, w)
-    assert report["ratio"] == pytest.approx(1.0, abs=1e-4)
+    weighted, rescaled = weighted_pairings(spec, weight, u, w)
+    assert weighted / rescaled == pytest.approx(1.0, abs=1e-4)
 
 
 def test_weighted_duality_rejects_undeclared_weight():
@@ -395,7 +402,7 @@ def test_weighted_duality_rejects_undeclared_weight():
     rng = seeded_rng(11, "bd-wbad")
     u = random_section(GRID, 0, 1, rng)
     with pytest.raises(NonadmissibleWeight):
-        weighted_duality_check(spec, weight, u, u)
+        weighted_pairings(spec, weight, u, u)
 
 
 def test_ladder_form_assembly_differentiates_no_zero_level(monkeypatch):

@@ -1,21 +1,24 @@
 """Check verdicts on non-finite input: a NaN must fail, never pass as 0.0;
-the pass/fail edges of the bound-ratio checks, fed known ratios; check
-parameters, which are validated on every call; and the grid-last
+the verdict rules, and the pass/fail edges of the bound-ratio checks fed
+known ratios; check parameters, which are validated on every call; the
+README's table of checks and rules against the registry; and the grid-last
 leibniz-rule residual against its former grid-first formula."""
 
 import inspect
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from nabla_calc import checks
+from nabla_calc import calculus, checks
 from nabla_calc.bundles import BundleSpec, TensorSection, magnetic_example_bundle
 from nabla_calc.calculus import covariant_derivative
 from nabla_calc.checks import (
     _PARAM_RULES,
     _TINY,
     CHECKS,
+    RULES,
     _rng,
     check_leibniz_rule,
     check_norm_table,
@@ -25,7 +28,12 @@ from nabla_calc.geometry import MetricField
 from nabla_calc.grid import ChartGrid
 from nabla_calc.norms import strict_max
 from nabla_calc.operators import gradient_op
-from nabla_calc.scenarios import CheckContext
+from nabla_calc.scenarios import (
+    CheckContext,
+    build_context,
+    builtin_scenario,
+    parse_scenario,
+)
 from nabla_calc.sections import random_section, random_trig_field
 
 
@@ -75,26 +83,53 @@ def _plain_context():
     )
 
 
-@pytest.mark.parametrize("ratio, passed", [(1 + 5e-13, True), (1 + 1e-9, False)])
-def test_norm_equivalence_passes_within_the_rounding_slack(monkeypatch, ratio, passed):
-    # tolerance 1e-6 is capped at 1e-12: the norms sit ratio apart, constant 1
+@pytest.mark.parametrize("rule", sorted(RULES))
+@pytest.mark.parametrize("measured", [math.nan, math.inf])
+def test_every_rule_fails_a_non_finite_measured_value(rule, measured):
+    _, passes = RULES[rule]
+    assert passes(0.5, 1.0) is True
+    assert passes(measured, 1.0) is False
+
+
+def _ratio_patches(monkeypatch, ratio):
+    """Stubs under which each bound-ratio check measures exactly ratio, and
+    the parameters it runs with."""
+    # norm-equivalence: the two norms sit ratio apart, constant 1
     monkeypatch.setattr(checks, "perturbed_norms", lambda *args: (1.0, ratio, 1.0))
-    params = {"tolerance": 1e-6, "trials": 2}
-    out = CHECKS["norm-equivalence"][0](_plain_context(), params)
-    assert out["measured"] == ratio and out["bound"] == 1.0
-    assert out["passed"] is passed
-
-
-@pytest.mark.parametrize("ratio, passed", [(1 + 5e-13, True), (1 + 1e-9, False)])
-def test_mapping_bound_passes_within_the_rounding_slack(monkeypatch, ratio, passed):
-    # tolerance 2.0 is capped at 1 + 1e-12: the image's W^{1,2} norm reads
-    # ratio, the section's W^{2,2} norm 1, and the certified constant is 1
+    # mapping-bound: the image's W^{1,2} norm reads ratio, the section's
+    # W^{2,2} norm 1 and the certified constant 1; multiplication-property,
+    # at s = 0 with constant 1: the factor and section norms (p = q = 4)
+    # read 1 and the product norm (r = 2) reads ratio
     monkeypatch.setattr(checks, "mapping_constant", lambda spec, k, p: 1.0)
     monkeypatch.setattr(
-        checks, "sobolev_norm", lambda u, k, p, bundle, metric: ratio if k == 1 else 1.0
+        checks,
+        "sobolev_norm",
+        lambda u, k, p, bundle, metric: ratio if k == 1 or p == 2 else 1.0,
     )
-    params = {"tolerance": 2.0, "operator": "gradient", "trials": 2}
-    out = CHECKS["mapping-bound"][0](_plain_context(), params)
+    return {
+        "norm-equivalence": {"trials": 2},
+        "mapping-bound": {"operator": "gradient", "trials": 2, "p": 4},
+        "multiplication-property": {"trials": 2, "s": 0, "p": 4, "q": 4, "r": 2},
+    }
+
+
+BOUND_RATIO_CHECKS = ("norm-equivalence", "mapping-bound", "multiplication-property")
+
+
+def test_the_bound_ratio_checks_are_the_registered_ones():
+    registered = {name for name, (_, _, rule) in CHECKS.items() if rule == "bound-ratio"}
+    assert registered == set(BOUND_RATIO_CHECKS)
+
+
+@pytest.mark.parametrize("excess, passed", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("tol", [1e-12, 1e-3, 2.0])
+@pytest.mark.parametrize("name", BOUND_RATIO_CHECKS)
+def test_bound_ratio_checks_pass_within_one_plus_tolerance(
+    monkeypatch, name, tol, excess, passed
+):
+    ratio = 1.0 + excess * tol
+    params = _ratio_patches(monkeypatch, ratio)[name]
+    out = CHECKS[name][0](_plain_context(), {"tolerance": tol, **params})
     assert out["measured"] == ratio and out["bound"] == 1.0
     assert out["passed"] is passed
 
@@ -114,6 +149,41 @@ def test_multiplication_property_passes_within_one_plus_tolerance(
     out = CHECKS["multiplication-property"][0](_plain_context(), params)
     assert out["measured"] == ratio and out["bound"] == 1.0
     assert out["passed"] is passed
+
+
+def _random_embedding_context():
+    return build_context(parse_scenario(builtin_scenario("random-embedding")), h=2 / 32)
+
+
+def test_operator_rewrite_fails_an_unsorted_rewrite(monkeypatch):
+    # the fourth spec has a second-order term, whose round trip holds
+    # unsorted labels such as (2, 1) before they are reordered
+    entry = {"tolerance": 1.0, "specs": 4, "max_order": 2}
+    ctx = _random_embedding_context()
+    sorted_out = CHECKS["operator-rewrite"][0](ctx, entry)
+    assert sorted_out["passed"] and math.isfinite(sorted_out["measured"])
+    monkeypatch.setattr(checks, "reorder_generators", lambda spec, gens, bundle: spec)
+    out = CHECKS["operator-rewrite"][0](ctx, entry)
+    assert out["measured"] == math.inf and not out["passed"]
+
+
+def test_covering_bounds_takes_each_base_norm_once(monkeypatch):
+    cfg = builtin_scenario("covering-suite")
+    (entry,) = [c for c in cfg["checks"] if c["check"] == "covering-bounds"]
+    ctx = build_context(parse_scenario(cfg))
+    calls = []
+    derivative = calculus.covariant_derivative
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return derivative(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "covariant_derivative", counting)
+    out = CHECKS["covering-bounds"][0](ctx, entry)
+    assert out["passed"]
+    # s levels of each exponent's base norm, then of each covering's norm
+    exponents, s = len(entry["exponents"]), entry["s"]
+    assert len(calls) == s * exponents * (1 + entry["coverings"]) == 33
 
 
 def _first(values, g):
@@ -198,9 +268,15 @@ def test_registry_calls_validate_their_parameters(check, params):
         check(_nan_potential_context(), params)
 
 
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_every_check_needs_a_tolerance(name):
+    with pytest.raises(ConfigError, match="tolerance"):
+        CHECKS[name][0](_nan_potential_context(), {"check": name})
+
+
 def test_every_signature_default_passes_its_rule():
-    for name, (_, defaults) in CHECKS.items():
-        assert "tolerance" in defaults, name
+    for name, (_, defaults, rule) in CHECKS.items():
+        assert rule in RULES, name
         for key, default in defaults.items():
             if default in (inspect.Parameter.empty, None):
                 continue
@@ -225,3 +301,18 @@ def test_closed_form_check_needs_the_flat_metric_and_the_oscillating_bundle():
     for bundle in (BundleSpec(grid, 2, off), BundleSpec(grid, 2), BundleSpec(grid, 1)):
         with pytest.raises(ConfigError, match="oscillating-potential bundle"):
             run(MetricField.flat(grid), bundle)
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_every_check_with_its_rule():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    header = lines.index("| check | rule | parameters and defaults | passes when |")
+    rows = {}
+    for line in lines[header + 2 :]:
+        if not line.startswith("| "):
+            break
+        name, rule = (cell.strip() for cell in line.split("|")[1:3])
+        rows[name] = rule
+    assert rows == {name: rule for name, (_, _, rule) in CHECKS.items()}

@@ -13,7 +13,9 @@ The registered checks are reached through the CHECKS registry, and KEPT
 lists the few functions kept on purpose, each with its reason.
 
 A second guard keeps every verdict in checks.py: no library module draws
-trial data from sections or builds a "passed" key.
+trial data from sections or builds a "passed" key.  A third keeps it in the
+rule table there: no check body reads its tolerance, except the two that
+judge their norm rows one by one.
 """
 
 import ast
@@ -214,3 +216,37 @@ def test_the_decision_guard_sees_a_draw_and_a_verdict():
         "    return Row(passed=report['passed'])\n"
     )
     assert [line for line, _ in draws_or_decides(tree)] == [1, 2, 6, 7, 8]
+
+
+# checks that judge each of their norm rows against the tolerance
+ROW_VERDICTS = {"check_covering_bounds", "check_weighted_ratio"}
+
+
+def tolerance_readers(tree):
+    """Module-level functions that name tolerance as an argument or a
+    variable; the "tolerance" key of a config entry is a string."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            (isinstance(sub, ast.Name) and sub.id == "tolerance")
+            or (isinstance(sub, ast.arg) and sub.arg == "tolerance")
+            for sub in ast.walk(node)
+        )
+    }
+
+
+def test_only_row_verdicts_read_the_tolerance_in_a_check():
+    assert tolerance_readers(_modules()["checks.py"]) == ROW_VERDICTS
+
+
+def test_the_tolerance_guard_sees_a_verdict_in_a_body():
+    tree = ast.parse(
+        "RULES = {'residual': lambda measured, tolerance: measured <= tolerance}\n\n"
+        "def run(ctx, entry):\n    return entry['tolerance']\n\n"
+        "def check_a(ctx, tolerance):\n    return 0.0\n\n"
+        "def check_b(ctx, trials):\n    def trial(t):\n"
+        "        return t <= tolerance\n    return trial(trials)\n"
+    )
+    assert tolerance_readers(tree) == {"check_a", "check_b"}
