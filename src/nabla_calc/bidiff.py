@@ -26,13 +26,11 @@ from .bundles import (
 from .calculus import divergence, tower
 from .errors import ChartMismatch, NonadmissibleWeight, ShapeMismatch
 from .generators import coframe_gram
-from .geometry import conformal_rescale
 from .operators import (
     NablaOpSpec,
     _add_ladders,
-    _check_ingredients,
     _check_rank0,
-    _joint_class,
+    _common_grid,
     _put,
     _scaled,
     compose,
@@ -54,10 +52,8 @@ class BidiffSpec:
     kept at length 1.
     """
 
-    def __init__(
-        self, source, cosource, metric, half_order, coefficients, coefficient_class="smooth"
-    ):
-        grid = _check_ingredients(coefficient_class, metric, "form", source, cosource)
+    def __init__(self, source, cosource, metric, half_order, coefficients):
+        grid = _common_grid(metric, "form", source, cosource)
         m = int(half_order)
         n = grid.dim
         checked = {}
@@ -75,7 +71,6 @@ class BidiffSpec:
         self.metric = metric
         self.half_order = m
         self.coefficients = checked
-        self.coefficient_class = coefficient_class
 
     @property
     def grid(self):
@@ -134,7 +129,7 @@ def bidiff_from_ops(p, q):
                     "ab...,bd...,ae...->de...", h, np.conj(qj), pi
                 )
     m = max(p.order, q.order)
-    return BidiffSpec(p.source, q.source, p.metric, m, coefficients, _joint_class(p, q))
+    return BidiffSpec(p.source, q.source, p.metric, m, coefficients)
 
 
 def dirichlet_form(spec, u, w, metric=None):
@@ -165,12 +160,11 @@ def _gradient_adjoint(bundle, metric, gens):
     plain, slots = (bundle, 0) if bundle.base is None else (bundle.base, bundle.slots)
     rank_one = induced_tensor_bundle(plain, metric, slots + 1)
     w = np.einsum("kl...,ky...->ly...", coframe_gram(gens, metric), gens.z)
-    tag = "totally-bounded" if gens.frechet else "smooth"
     total = None
     for l in range(gens.n_gens):
         i_w = directional_op(w[l], bundle, metric).coefficients[1]
-        pick = multiplication_op(i_w, rank_one, bundle, metric, tag)
-        direction = directional_op(gens.z[l], bundle, metric, tag)
+        pick = multiplication_op(i_w, rank_one, bundle, metric)
+        direction = directional_op(gens.z[l], bundle, metric)
         total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
         div_l = divergence(gens.z[l], metric)
         if np.any(div_l):
@@ -206,9 +200,7 @@ def assemble_divergence_form(spec, gens, bundle, metric):
             )
             mid_coeff = np.moveaxis(mid_coeff, (-2, -1), (0, 1))
         # a_ij grad^i as one ladder: levels below i are zero
-        term = NablaOpSpec(
-            source, target_j, metric, [None] * i + [mid_coeff], spec.coefficient_class
-        )
+        term = NablaOpSpec(source, target_j, metric, [None] * i + [mid_coeff])
         for level in range(j, 0, -1):
             if level not in adj_chain:
                 base = induced_tensor_bundle(bundle, metric, level - 1)
@@ -271,17 +263,10 @@ def weighted_pairings(spec, weight, u, w, p=2.0):
                         "ad...,ab...,be...->de...", np.conj(c_tau), mid, b_t
                     )
                     _put(twisted, (t, tau), block)
-    spec0 = BidiffSpec(
-        spec.source,
-        spec.cosource,
-        metric,
-        spec.half_order,
-        twisted,
-        spec.coefficient_class,
-    )
+    spec0 = BidiffSpec(spec.source, spec.cosource, metric, spec.half_order, twisted)
     u0 = TensorSection(grid, 0, u.values / s_u, d_e)
     w0 = TensorSection(grid, 0, w.values / s_w, d_f)
     pair_weighted = dirichlet_form(spec, u, w)
-    metric0 = conformal_rescale(metric, weight.rho)
+    metric0 = weight.rescaled_metric(metric)
     pair_rescaled = dirichlet_form(spec0, u0, w0, metric=metric0)
     return pair_weighted, pair_rescaled

@@ -20,7 +20,7 @@ def _eval_node(node, names):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, names)
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
+        if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
             try:
                 return np.float64(node.value)
             except OverflowError:

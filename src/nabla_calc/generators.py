@@ -51,7 +51,6 @@ class EmbeddingSpec:
             )
         self.grid = grid
         self.phi = phi
-        self.n_ambient = phi.shape[0]
         self.isometric = bool(isometric)
 
     def gram(self):
@@ -67,7 +66,7 @@ class GeneratorSystem:
     expansion coefficients of nabla_{Z_i} Z_j and [Z_i, Z_j] in the frame.
     """
 
-    def __init__(self, grid, z, xi, frechet=False):
+    def __init__(self, grid, z, xi):
         n = grid.dim
         z = np.ascontiguousarray(z, dtype=float)
         xi = np.ascontiguousarray(xi, dtype=float)
@@ -82,10 +81,6 @@ class GeneratorSystem:
         self.n_gens = z.shape[0]
         self.g_structure = None
         self.l_structure = None
-        # boundedness of the frame and all its derivatives is a property of
-        # the chart family, not something a single grid can certify, so it
-        # is declared rather than measured
-        self.frechet = bool(frechet)
 
 
 def reconstruction_defect(gens):
@@ -100,13 +95,12 @@ def coframe_gram(gens, metric):
     return np.einsum("im...,ki...,lm...->kl...", metric.inv, gens.xi, gens.xi)
 
 
-def build_generators(embedding, metric, frechet=False):
+def build_generators(embedding, metric):
     """Frame and coframe from an embedding: Z_j = Psi(e_j), xi_j = row j of Phi.
 
     Psi is the pointwise pseudoinverse (Phi^T Phi)^{-1} Phi^T; for an
     isometric embedding the Gram factor is the metric itself and g^{-1}
-    Phi^T is used directly.  Set frechet when the frame is known to stay
-    bounded with all derivatives; this tags rewrites, it changes no values.
+    Phi^T is used directly.
     """
     grid = embedding.grid
     if metric.grid != grid:
@@ -137,7 +131,7 @@ def build_generators(embedding, metric, frechet=False):
             np.moveaxis(gram, (0, 1), (-2, -1)), np.moveaxis(phi, (1, 0), (-2, -1))
         )
         z = np.moveaxis(psi, (-1, -2), (0, 1))
-    gens = GeneratorSystem(grid, z, phi, frechet=frechet)
+    gens = GeneratorSystem(grid, z, phi)
     gens.g_structure, gens.l_structure = structure_functions(gens, metric)
     return gens
 

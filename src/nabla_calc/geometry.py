@@ -134,10 +134,8 @@ def levi_civita_difference(X, Y, phi, metric0):
 class WeightPair:
     """A weight function rho and a normalizer f0, both positive scalars.
 
-    Stores phi = log(rho) alongside, since conformal bookkeeping wants the
-    exponent more often than the factor.  The admissible flag asserts that
-    d(rho)/rho stays bounded in the rescaled metric; admissibility_bound
-    measures that on the grid.
+    The admissible flag asserts that d(rho)/rho stays bounded in the
+    rescaled metric; admissibility_bound measures that on the grid.
     """
 
     def __init__(self, grid, rho, f0=None, admissible=False):
@@ -164,7 +162,6 @@ class WeightPair:
         self.grid = grid
         self.rho = rho
         self.f0 = f0
-        self.phi = np.log(rho)
         self.admissible = bool(admissible)
 
     def rescaled_metric(self, metric):

@@ -118,10 +118,10 @@ def sobolev_norm(u, s, p, bundle, metric):
         raise ValueError(f"order s must be >= 0, got {s}")
     p = _check_p(p)
     u.grid.check_support(u.values, s * u.grid.stencil_radius)
-    # the whole tower before any norm: interleaving has the same allocation
-    # peak but, through allocator placement, 20 MB more peak RSS on builtins
-    stack = list(tower(u, bundle, metric, s))
-    terms = [lp_norm(d, p, metric, bundle) for d in stack]
+    # holding the whole tower before the norms gives the same reports; the
+    # order moves builtins peak RSS by under 1 MB, with allocator placement
+    # (73.5 MB with this loop, 73.65 MB with the tower held first)
+    terms = [lp_norm(d, p, metric, bundle) for d in tower(u, bundle, metric, s)]
     return _lp_combine(terms, p)
 
 

@@ -37,15 +37,9 @@ from .norms import (
     sobolev_norm,
 )
 
-_COEFF_TAGS = ("smooth", "totally-bounded")
-_FIELD_TAGS = ("smooth", "bounded")
 
-
-def _check_ingredients(coefficient_class, metric, noun, *bundles):
-    """Validate a coefficient class tag and that every bundle lives on the
-    metric's grid, which is returned."""
-    if coefficient_class not in _COEFF_TAGS:
-        raise ValueError(f"unknown coefficient class {coefficient_class!r}")
+def _common_grid(metric, noun, *bundles):
+    """The metric's grid, after checking that every bundle lives on it."""
     grid = metric.grid
     if any(b.grid != grid for b in bundles):
         raise ChartMismatch(f"{noun} ingredients live on different grids")
@@ -80,8 +74,8 @@ class NablaOpSpec:
     differentiating zeros.
     """
 
-    def __init__(self, source, target, metric, coefficients, coefficient_class="smooth"):
-        grid = _check_ingredients(coefficient_class, metric, "operator", source, target)
+    def __init__(self, source, target, metric, coefficients):
+        grid = _common_grid(metric, "operator", source, target)
         if len(coefficients) == 0:
             raise ShapeMismatch("a coefficient ladder needs at least the order-0 entry")
         checked = []
@@ -98,7 +92,6 @@ class NablaOpSpec:
         self.target = target
         self.metric = metric
         self.coefficients = checked
-        self.coefficient_class = coefficient_class
 
     @property
     def grid(self):
@@ -109,19 +102,10 @@ class NablaOpSpec:
         return len(self.coefficients) - 1
 
 
-def _joint_class(*specs):
-    """Totally bounded only when every factor is."""
-    if all(s.coefficient_class == "totally-bounded" for s in specs):
-        return "totally-bounded"
-    return "smooth"
-
-
 def _scaled(spec, factor):
     """The same ladder with every level multiplied by factor."""
     levels = [None if a is None else factor * a for a in spec.coefficients]
-    return NablaOpSpec(
-        spec.source, spec.target, spec.metric, levels, spec.coefficient_class
-    )
+    return NablaOpSpec(spec.source, spec.target, spec.metric, levels)
 
 
 def _add_ladders(a, b):
@@ -133,7 +117,7 @@ def _add_ladders(a, b):
         for m, c in enumerate(op.coefficients):
             if c is not None:
                 entries[m] = c if entries[m] is None else entries[m] + c
-    return NablaOpSpec(a.source, a.target, a.metric, entries, _joint_class(a, b))
+    return NablaOpSpec(a.source, a.target, a.metric, entries)
 
 
 def identity_op(bundle, metric):
@@ -141,9 +125,9 @@ def identity_op(bundle, metric):
     return gradient_op(bundle, metric, 0)
 
 
-def multiplication_op(a, source, target, metric, coefficient_class="smooth"):
+def multiplication_op(a, source, target, metric):
     """Order-0 operator u -> a u for a Hom field a."""
-    return NablaOpSpec(source, target, metric, [a], coefficient_class)
+    return NablaOpSpec(source, target, metric, [a])
 
 
 def gradient_op(bundle, metric, depth=1):
@@ -151,10 +135,10 @@ def gradient_op(bundle, metric, depth=1):
     target = induced_tensor_bundle(bundle, metric, depth)
     top = target.fiber_dim
     eye = np.eye(top, dtype=complex).reshape((top, top) + (1,) * bundle.grid.dim)
-    return NablaOpSpec(bundle, target, metric, [None] * depth + [eye], "totally-bounded")
+    return NablaOpSpec(bundle, target, metric, [None] * depth + [eye])
 
 
-def directional_op(x, bundle, metric, coefficient_class="smooth"):
+def directional_op(x, bundle, metric):
     """nabla_X = i_X after nabla, as the ladder [None, X (x) 1].
 
     The level-1 entry is the contraction i_X of the derivative slot, a Hom
@@ -165,7 +149,7 @@ def directional_op(x, bundle, metric, coefficient_class="smooth"):
     g = metric.grid.dim
     eye = np.eye(d, dtype=complex).reshape((d, d) + (1,) * g)
     i_x = pointwise_kron(compact_grid_axes(x, g)[None], eye)
-    return NablaOpSpec(bundle, bundle, metric, [None, i_x], coefficient_class)
+    return NablaOpSpec(bundle, bundle, metric, [None, i_x])
 
 
 def apply_nabla_op(spec, u):
@@ -261,8 +245,7 @@ def compose(q, p):
     of shape (r, n * s) viewed as (r * n, s), times the (s, c) entry a,
     read back as (r, n * c).  So a first-order Q makes no lift at all,
     and only a Q of order >= 2 lifts densely.  The result has order at most
-    order(Q) + order(P) and keeps the totally-bounded tag only when both
-    factors carry it.  A zero (None) level of P never enters the
+    order(Q) + order(P).  A zero (None) level of P never enters the
     product-rule table, nor does an all-zero derivative; a zero level of
     Q multiplies nothing, and a result level that nothing reaches stays
     None.  Every product broadcasts the stored shapes of its factors, so
@@ -314,7 +297,7 @@ def compose(q, p):
             lifted = product(stacked, mat)
             _put(out, m + 1, lifted.reshape((rows, n * mat.shape[1]) + lifted.shape[2:]))
     levels = [out.get(m) for m in range(q.order + p.order + 1)]
-    return NablaOpSpec(p.source, q.target, metric, levels, _joint_class(q, p))
+    return NablaOpSpec(p.source, q.target, metric, levels)
 
 
 class MixedTerm:
@@ -345,19 +328,8 @@ class MixedOpSpec:
     towards the default order, but is not kept.
     """
 
-    def __init__(
-        self,
-        source,
-        target,
-        metric,
-        terms,
-        order=None,
-        coefficient_class="smooth",
-        field_class="smooth",
-    ):
-        if field_class not in _FIELD_TAGS:
-            raise ValueError(f"unknown vector-field class {field_class!r}")
-        grid = _check_ingredients(coefficient_class, metric, "operator", source, target)
+    def __init__(self, source, target, metric, terms, order=None):
+        grid = _common_grid(metric, "operator", source, target)
         n = grid.dim
         tail = (target.fiber_dim, source.fiber_dim)
         depth = 0
@@ -383,8 +355,6 @@ class MixedOpSpec:
         self.metric = metric
         self.terms = [term for term in terms if np.any(term.coefficient)]
         self.order = int(order)
-        self.coefficient_class = coefficient_class
-        self.field_class = field_class
 
     @property
     def grid(self):
@@ -424,9 +394,7 @@ def mixed_to_nabla(spec, gens=None):
     Each term a nabla_{X_1} ... nabla_{X_r} becomes the composition of the
     multiplication by a with the first-order ladders nabla_{X_i}, nested
     from the rightmost factor inward so that every product-rule step
-    differentiates a single table entry.  The ladder keeps the declared
-    order; it is totally bounded only when the coefficients are and the
-    fields are bounded.
+    differentiates a single table entry.  The ladder keeps the declared order.
     """
     metric = spec.metric
     source = spec.source
@@ -443,12 +411,7 @@ def mixed_to_nabla(spec, gens=None):
     levels = [None] * (spec.order + 1)
     if total is not None:
         levels[: total.order + 1] = total.coefficients
-    tag = (
-        "totally-bounded"
-        if spec.coefficient_class == "totally-bounded" and spec.field_class == "bounded"
-        else "smooth"
-    )
-    return NablaOpSpec(source, spec.target, metric, levels, tag)
+    return NablaOpSpec(source, spec.target, metric, levels)
 
 
 def _add_coframe_lift(table, key, xi, mat):
@@ -507,20 +470,7 @@ def nabla_to_mixed(spec, gens):
         MixedTerm(c, fields=[gens.z[k - 1] for k in chain], labels=chain)
         for chain, c in sorted(merged.items())
     ]
-    tag = (
-        "totally-bounded"
-        if spec.coefficient_class == "totally-bounded" and gens.frechet
-        else "smooth"
-    )
-    return MixedOpSpec(
-        source,
-        spec.target,
-        metric,
-        terms,
-        order=spec.order,
-        coefficient_class=tag,
-        field_class="bounded" if gens.frechet else "smooth",
-    )
+    return MixedOpSpec(source, spec.target, metric, terms, order=spec.order)
 
 
 def _absorb(coefficient, pre, endo, post, gens, bundle, metric):
@@ -587,15 +537,7 @@ def reorder_generators(spec, gens, bundle):
         MixedTerm(c, fields=[gens.z[k - 1] for k in chain], labels=chain)
         for chain, c in sorted(finished.items())
     ]
-    return MixedOpSpec(
-        spec.source,
-        spec.target,
-        metric,
-        terms,
-        order=spec.order,
-        coefficient_class=spec.coefficient_class,
-        field_class=spec.field_class,
-    )
+    return MixedOpSpec(spec.source, spec.target, metric, terms, order=spec.order)
 
 
 def _hom_tower_sup(a, source, target, slots, metric, depth):

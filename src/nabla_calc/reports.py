@@ -81,17 +81,6 @@ class Report:
         return lines
 
 
-def _fmt_float(x):
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.12e}"
-
-
 def _json_number(x):
     if x is None:
         return None
@@ -101,6 +90,13 @@ def _json_number(x):
     if math.isnan(x):
         return "nan"
     return x
+
+
+def _fmt_float(x):
+    x = _json_number(x)
+    if x is None:
+        return ""
+    return x if isinstance(x, str) else f"{x:.12e}"
 
 
 def report_payload(report):
@@ -153,39 +149,41 @@ def emit_report(report, out_dir, fmt="csv"):
                 json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
                 fh.write("\n")
             return [path]
-        paths = [os.path.join(out_dir, f"{report.scenario}.checks.csv")]
-        with open(paths[0], "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_CHECK_COLUMNS)
-            for row in report.checks:
-                writer.writerow(
-                    [
-                        row.check,
-                        row.digest,
-                        _fmt_float(row.measured),
-                        _fmt_float(row.bound),
-                        _fmt_float(row.tolerance),
-                        "pass" if row.passed else "fail",
-                    ]
-                )
+        checks = [
+            [
+                row.check,
+                row.digest,
+                _fmt_float(row.measured),
+                _fmt_float(row.bound),
+                _fmt_float(row.tolerance),
+                "pass" if row.passed else "fail",
+            ]
+            for row in report.checks
+        ]
+        tables = [("checks", _CHECK_COLUMNS, checks)]
         if report.norms:
-            paths.append(os.path.join(out_dir, f"{report.scenario}.norms.csv"))
-            with open(paths[1], "w", newline="") as fh:
+            norms = [
+                [
+                    row.scenario,
+                    row.s,
+                    _fmt_float(row.p),
+                    _fmt_float(row.value),
+                    _fmt_float(row.bound),
+                    "pass" if row.passed else "fail",
+                    _fmt_float(row.h),
+                    row.fd_order,
+                ]
+                for row in report.norms
+            ]
+            tables.append(("norms", _NORM_COLUMNS, norms))
+        paths = []
+        for table, columns, rows in tables:
+            path = os.path.join(out_dir, f"{report.scenario}.{table}.csv")
+            with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(_NORM_COLUMNS)
-                for row in report.norms:
-                    writer.writerow(
-                        [
-                            row.scenario,
-                            row.s,
-                            _fmt_float(row.p),
-                            _fmt_float(row.value),
-                            _fmt_float(row.bound),
-                            "pass" if row.passed else "fail",
-                            _fmt_float(row.h),
-                            row.fd_order,
-                        ]
-                    )
+                writer.writerow(columns)
+                writer.writerows(rows)
+            paths.append(path)
         return paths
     except OSError as exc:
         raise IoError(f"cannot write report under {out_dir!r}: {exc}") from exc

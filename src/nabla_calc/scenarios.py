@@ -46,7 +46,7 @@ from .generators import (
 )
 from .geometry import MetricField, WeightPair
 from .grid import ChartGrid
-from .operators import _COEFF_TAGS, MixedOpSpec, MixedTerm, NablaOpSpec
+from .operators import MixedOpSpec, MixedTerm, NablaOpSpec
 from .reports import CheckRow, Report
 from .sections import seeded_rng
 
@@ -63,7 +63,6 @@ _EMBEDDING_RULES = {
     "amplitude": (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)"),
     "heights": _listed(lambda v: isinstance(v, str), "expression strings"),
     "isometrize": _FLAG,
-    "frechet": _FLAG,
 }
 
 
@@ -102,17 +101,11 @@ class CheckContext:
 
 
 def _object(value, what, keys=None):
-    """A config section as a dict.
-
-    With keys given, it may hold only those, and a "class" entry must name a
-    coefficient class.
-    """
+    """A config section as a dict; with keys given, it may hold only those."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be an object, got {type(value).__name__}")
     if keys is not None:
         _check_keys(value, keys, what)
-        if value.get("class", "smooth") not in _COEFF_TAGS:
-            raise ConfigError(f"{what} class must be one of {_COEFF_TAGS}")
     return dict(value)
 
 
@@ -191,7 +184,7 @@ def parse_scenario(cfg):
 
     embedding = cfg.get("embedding")
     if embedding is not None:
-        keys = ("name", "heights", "ambient", "isometrize", "amplitude", "frechet")
+        keys = ("name", "heights", "ambient", "isometrize", "amplitude")
         embedding = _object(embedding, "embedding", keys)
         ename = _need(embedding, "name", "embedding")
         if ename not in _EMBEDDING_NAMES:
@@ -214,7 +207,7 @@ def parse_scenario(cfg):
     operators = _object(cfg.get("operators", {}), "operators")
     for oname, ocfg in operators.items():
         what = f"operator {oname!r}"
-        ocfg = _object(ocfg, what, ("form", "coefficients", "terms", "class"))
+        ocfg = _object(ocfg, what, ("form", "coefficients", "terms"))
         form = _need(ocfg, "form", what)
         if form == "nabla":
             _indexed_rows(_need(ocfg, "coefficients", what), 2, f"{what} coefficients")
@@ -237,7 +230,7 @@ def parse_scenario(cfg):
     forms = _object(cfg.get("forms", {}), "forms")
     for fname, fcfg in forms.items():
         what = f"form {fname!r}"
-        fcfg = _object(fcfg, what, ("half_order", "table", "class"))
+        fcfg = _object(fcfg, what, ("half_order", "table"))
         m = _need(fcfg, "half_order", what)
         if not _is_int(m):
             raise ConfigError(f"{what} half_order must be an integer >= 0, got {m!r}")
@@ -424,7 +417,6 @@ def _build_operators(scenario, grid, bundle, metric, fields):
     d = bundle.fiber_dim
     ops = {}
     for name, cfg in scenario.operators.items():
-        tag = cfg.get("class", "smooth")
         if cfg["form"] == "nabla":
             by_j = {}
             for j, entries in cfg["coefficients"]:
@@ -437,7 +429,7 @@ def _build_operators(scenario, grid, bundle, metric, fields):
                     )
                 by_j[j] = mat
             entries = [by_j.get(j) for j in range(max(by_j) + 1)]
-            ops[name] = NablaOpSpec(bundle, bundle, metric, entries, tag)
+            ops[name] = NablaOpSpec(bundle, bundle, metric, entries)
         else:
             what = f"operator {name!r} coefficient"
             terms = [
@@ -447,9 +439,7 @@ def _build_operators(scenario, grid, bundle, metric, fields):
                 )
                 for term in cfg["terms"]
             ]
-            ops[name] = MixedOpSpec(
-                bundle, bundle, metric, terms, coefficient_class=tag
-            )
+            ops[name] = MixedOpSpec(bundle, bundle, metric, terms)
     return ops
 
 
@@ -468,9 +458,7 @@ def _build_forms(scenario, grid, bundle, metric):
                     f"{want[0]} x {want[1]}, got {mat.shape[0]} x {mat.shape[1]}"
                 )
             table[(i, j)] = mat
-        forms[name] = BidiffSpec(
-            bundle, bundle, metric, cfg["half_order"], table, cfg.get("class", "smooth")
-        )
+        forms[name] = BidiffSpec(bundle, bundle, metric, cfg["half_order"], table)
     return forms
 
 
@@ -485,9 +473,7 @@ def build_context(scenario, h=None, fd_order=None, seed=None):
         if emb is not None:
             if scenario.embedding.get("isometrize"):
                 emb = polar_isometrize(emb, metric)
-            gens = build_generators(
-                emb, metric, frechet=bool(scenario.embedding.get("frechet", False))
-            )
+            gens = build_generators(emb, metric)
         bundle = _build_bundle(scenario, grid)
         fields = {
             fname: np.stack(
@@ -529,16 +515,18 @@ def _thread_count(threads):
     source = "threads"
     if threads is None:
         source = "NABLA_CALC_THREADS"
-        threads = os.environ.get(source, "").strip()
-        if not threads:
+        text = os.environ.get(source, "").strip()
+        if not text:
             return 1
-    try:
-        value = int(threads)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source} must be an integer, got {threads!r}") from exc
-    if value < 1:
-        raise ConfigError(f"{source} must be >= 1, got {value}")
-    return value
+        try:
+            threads = int(text)
+        except ValueError as exc:
+            raise ConfigError(f"{source} must be an integer, got {text!r}") from exc
+    elif isinstance(threads, bool) or not isinstance(threads, int):
+        raise ConfigError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
+        raise ConfigError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def run_scenario(scenario, h=None, fd_order=None, seed=None, threads=None):
@@ -607,7 +595,7 @@ BUILTINS = {
         "chart": {"box": _box((-1, 1), (-1, 1)), "h": 2 / 64, "fd_order": 4},
         "metric": {"kind": "embedded"},
         "bundle": {"kind": "trivial", "fiber_dim": 1},
-        "embedding": {"name": "sphere-ambient", "frechet": True},
+        "embedding": {"name": "sphere-ambient"},
         "seed": 21,
         "checks": [
             {"check": "generator-identities", "tolerance": 1e-5, "trials": 5},
@@ -625,7 +613,7 @@ BUILTINS = {
         "metric": {"kind": "flat"},
         "bundle": {"kind": "trivial", "fiber_dim": 1},
         "weight": {"rho": "x1", "admissible": True},
-        "embedding": {"name": "identity", "frechet": True},
+        "embedding": {"name": "identity"},
         "forms": {
             "mass-gradient": {
                 "half_order": 1,
@@ -653,12 +641,7 @@ BUILTINS = {
         },
         "metric": {"kind": "conformal", "phi": "0.1*x1*x2 - 0.05*x2"},
         "bundle": {"kind": "trivial", "fiber_dim": 1},
-        "embedding": {
-            "name": "random",
-            "ambient": 4,
-            "isometrize": True,
-            "frechet": True,
-        },
+        "embedding": {"name": "random", "ambient": 4, "isometrize": True},
         "seed": 23,
         "checks": [
             {"check": "generator-identities", "tolerance": 1e-5, "trials": 5},
@@ -702,11 +685,10 @@ BUILTINS = {
         },
         "metric": {"kind": "flat"},
         "bundle": {"kind": "magnetic-example"},
-        "embedding": {"name": "identity", "frechet": True},
+        "embedding": {"name": "identity"},
         "operators": {
             "drift-gradient": {
                 "form": "nabla",
-                "class": "totally-bounded",
                 "coefficients": [
                     [0, [["cos(x2)/4", "0"], ["0", "cos(x2)/4"]]],
                     [

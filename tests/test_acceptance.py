@@ -160,7 +160,7 @@ def test_criterion_09_divergence_form_duality():
                    {"kind": "magnetic-example"}):
         cfg = flat_magnetic_config(2 / 128, seed=43, margin=8)
         cfg["bundle"] = bundle
-        cfg["embedding"] = {"name": "identity", "frechet": True}
+        cfg["embedding"] = {"name": "identity"}
         ctx = custom_context(cfg)
         outs.append(run(ctx, "divergence-duality", tolerance=1e-5, pairs=25,
                         half_orders=[1, 2]))
@@ -203,7 +203,7 @@ def test_criterion_10_stencil_convergence_order():
 
     dd = flat_magnetic_config(2 / 64, seed=43, margin=8)
     dd["bundle"] = {"kind": "trivial", "fiber_dim": 2}
-    dd["embedding"] = {"name": "identity", "frechet": True}
+    dd["embedding"] = {"name": "identity"}
     for h in (2 / 64, 2 / 128):
         out = run(custom_context(dd, h=h), "divergence-duality",
                   tolerance=1e-10, pairs=5, half_orders=[1])

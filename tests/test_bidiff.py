@@ -187,16 +187,6 @@ def test_from_ops_two_route_evaluation():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_from_ops_tag_is_minimum():
-    from nabla_calc.operators import multiplication_op
-
-    ident = identity_op(MAGNET, FLAT)
-    assert bidiff_from_ops(ident, ident).coefficient_class == "totally-bounded"
-    soft = multiplication_op(_eye_coefficient(2), MAGNET, MAGNET, FLAT, "smooth")
-    assert bidiff_from_ops(ident, soft).coefficient_class == "smooth"
-    assert bidiff_from_ops(soft, ident).coefficient_class == "smooth"
-
-
 def test_dirichlet_disjoint_supports_vanishes():
     rng = seeded_rng(11, "bd-disjoint")
     left = random_scalar_bump(GRID.box, rng, margin_width=0.08)
@@ -274,14 +264,12 @@ def test_spec_validation():
         BidiffSpec(SCALAR, SCALAR, FLAT, 0, {(1, 0): np.zeros((1, 2) + GRID.shape)})
     with pytest.raises(ShapeMismatch):
         BidiffSpec(SCALAR, SCALAR, FLAT, 1, {(1, 1): np.zeros((1, 1) + GRID.shape)})
-    with pytest.raises(ValueError):
-        BidiffSpec(SCALAR, SCALAR, FLAT, 0, {}, coefficient_class="rough")
 
 
 def test_assemble_identity_form():
     from nabla_calc.operators import apply_nabla_op
 
-    gens = build_generators(identity_embedding(GRID), FLAT, frechet=True)
+    gens = build_generators(identity_embedding(GRID), FLAT)
     spec = BidiffSpec(SCALAR, SCALAR, FLAT, 0, {(0, 0): _eye_coefficient(1)})
     op = assemble_divergence_form(spec, gens, SCALAR, FLAT)
     assert op.order == 0
@@ -297,7 +285,7 @@ def test_assemble_identity_form():
 def test_assemble_flat_laplacian_is_exact():
     from nabla_calc.operators import apply_nabla_op
 
-    gens = build_generators(identity_embedding(GRID), FLAT, frechet=True)
+    gens = build_generators(identity_embedding(GRID), FLAT)
     spec = _dirichlet_spec(SCALAR, FLAT)
     op = assemble_divergence_form(spec, gens, SCALAR, FLAT)
     assert op.order == 2
@@ -318,7 +306,7 @@ def test_assemble_flat_laplacian_is_exact():
 def test_assemble_magnetic_weak_duality():
     from nabla_calc.operators import apply_nabla_op
 
-    gens = build_generators(identity_embedding(GRID), FLAT, frechet=True)
+    gens = build_generators(identity_embedding(GRID), FLAT)
     spec = _dirichlet_spec(MAGNET, FLAT)
     op = assemble_divergence_form(spec, gens, MAGNET, FLAT)
     rng = seeded_rng(11, "bd-weak")
@@ -334,7 +322,7 @@ def test_assemble_transpose_probe_oracle():
     grid = ChartGrid([(-1, 1), (-1, 1)], (49, 49))
     flat = MetricField.flat(grid)
     scalar = BundleSpec(grid, 1)
-    gens = build_generators(identity_embedding(grid), flat, frechet=True)
+    gens = build_generators(identity_embedding(grid), flat)
     spec = _dirichlet_spec(scalar, flat, grid=grid)
     op = assemble_divergence_form(spec, gens, scalar, flat)
     rng = seeded_rng(11, "bd-probe")
@@ -358,7 +346,7 @@ def _two_picture_residual(pairings):
 
 
 def test_weighted_duality_trivial_weight():
-    gens = build_generators(identity_embedding(GRID), FLAT, frechet=True)
+    gens = build_generators(identity_embedding(GRID), FLAT)
     ones = np.ones(GRID.shape)
     weight = WeightPair(GRID, ones, ones, admissible=True)
     spec = _dirichlet_spec(SCALAR, FLAT)
@@ -480,7 +468,6 @@ def _gradient_adjoint_reference(bundle, metric, gens):
     rank_one = induced_tensor_bundle(bundle, metric, 1)
     eye = _eye_coefficient(d, grid)
     c = np.einsum("ab...,ka...,lb...->kl...", metric.inv, gens.xi, gens.xi)
-    tag = "totally-bounded" if gens.frechet else "smooth"
 
     def extract(k):
         return np.einsum(
@@ -490,16 +477,14 @@ def _gradient_adjoint_reference(bundle, metric, gens):
     total = None
     for l in range(gens.n_gens):
         div_l = divergence(gens.z[l], metric)
-        direction = NablaOpSpec(bundle, bundle, metric, [None, extract(l)], tag)
+        direction = NablaOpSpec(bundle, bundle, metric, [None, extract(l)])
         for k in range(gens.n_gens):
             scaled = c[k, l] * extract(k)
             if not np.any(scaled):
                 continue
-            pick = multiplication_op(scaled, rank_one, bundle, metric, tag)
+            pick = multiplication_op(scaled, rank_one, bundle, metric)
             total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
-            zero_order = multiplication_op(
-                -div_l * scaled, rank_one, bundle, metric, tag
-            )
+            zero_order = multiplication_op(-div_l * scaled, rank_one, bundle, metric)
             total = _add_ladders(total, zero_order)
     return total
 
@@ -517,11 +502,10 @@ def test_gradient_adjoint_matches_pairwise_reference():
     assert gens.n_gens == 4 and np.max(np.abs(c - eye)) > 0.1
     rank_one = induced_tensor_bundle(ctx.bundle, ctx.metric, 1)
     cases = ((ctx.bundle, ctx.metric, gens), (rank_one, ctx.metric, gens))
-    flat_gens = build_generators(identity_embedding(GRID), FLAT, frechet=True)
+    flat_gens = build_generators(identity_embedding(GRID), FLAT)
     for bundle, metric, frame in cases + ((MAGNET, FLAT, flat_gens),):
         got = _gradient_adjoint(bundle, metric, frame)
         want = _gradient_adjoint_reference(bundle, metric, frame)
-        assert got.coefficient_class == want.coefficient_class == "totally-bounded"
         assert len(got.coefficients) == len(want.coefficients) == 2
         # the sum over k moves inside the product rule, so the order of the
         # floating-point sums changes; level 0 is only the cancellation
@@ -539,7 +523,7 @@ def test_gradient_adjoint_matches_pairwise_reference():
 def test_flat_identity_frame_adjoint_has_no_zero_order_level():
     # div Z_l vanishes for the identity frame on a flat chart, so the
     # zero-order term -div Z_l i_{W_l} is the zero level
-    gens = build_generators(identity_embedding(GRID), FLAT, frechet=True)
+    gens = build_generators(identity_embedding(GRID), FLAT)
     adjoint = _gradient_adjoint(MAGNET, FLAT, gens)
     assert adjoint.coefficients[0] is None
     assert adjoint.coefficients[1] is not None

@@ -115,6 +115,32 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("operators", "class", "smooth"),
+        ("forms", "class", "totally-bounded"),
+        ("embedding", "frechet", True),
+    ],
+)
+def test_dropped_tag_key_exits_two(tmp_path, capsys, section, key, value):
+    cfg = passing_config()
+    cfg["embedding"] = {"name": "identity"}
+    cfg["operators"] = {"o": {"form": "nabla", "coefficients": [[0, [["1"]]]]}}
+    cfg["forms"] = {"f": {"half_order": 0, "table": [[0, 0, [["1"]]]]}}
+    tagged = {
+        "embedding": cfg["embedding"],
+        "operators": cfg["operators"]["o"],
+        "forms": cfg["forms"]["f"],
+    }
+    tagged[section][key] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"unknown keys ['{key}']" in err
+
+
 def test_unreadable_json_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -90,7 +90,6 @@ def _twin_ladder(spec):
         spec.target,
         spec.metric,
         [None if a is None else _full(a, spec.grid) for a in spec.coefficients],
-        spec.coefficient_class,
     )
 
 

@@ -61,6 +61,8 @@ def test_extra_names_extend_the_namespace():
         "x1 @ x2",
         "y",
         "x1 if x2 else 0",
+        "True",
+        "x1*False",
     ],
 )
 def test_rejects_anything_off_grammar(expr):

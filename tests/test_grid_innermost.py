@@ -159,8 +159,8 @@ def _gradient_adjoint_reference(bundle, metric, gens):
     total = None
     for l in range(gens.n_gens):
         i_w = directional_op(w[l], bundle, metric).coefficients[1]
-        pick = multiplication_op(i_w, rank_one, bundle, metric, "smooth")
-        direction = directional_op(gens.z[l], bundle, metric, "smooth")
+        pick = multiplication_op(i_w, rank_one, bundle, metric)
+        direction = directional_op(gens.z[l], bundle, metric)
         total = _add_ladders(total, _scaled(compose(direction, pick), -1.0))
         div_l = divergence(gens.z[l], metric)
         total = _add_ladders(total, _scaled(pick, -div_l))

@@ -395,18 +395,6 @@ def test_compose_rejects_mismatched_factors():
         compose(identity_op(BundleSpec(other, 2), MetricField.flat(other)), grad)
 
 
-def test_compose_tag_algebra():
-    rng = seeded_rng(7, "op-tags")
-    a = random_trig_field(2, (2, 2), rng).sample(GRID)
-    bounded = multiplication_op(a, MAGNET, MAGNET, FLAT, "totally-bounded")
-    smooth = multiplication_op(a, MAGNET, MAGNET, FLAT, "smooth")
-    assert compose(bounded, bounded).coefficient_class == "totally-bounded"
-    assert compose(bounded, smooth).coefficient_class == "smooth"
-    assert compose(smooth, bounded).coefficient_class == "smooth"
-    with pytest.raises(ValueError):
-        multiplication_op(a, MAGNET, MAGNET, FLAT, "analytic")
-
-
 def test_mixed_constant_fields_match_multiindex():
     u = random_section(GRID, 0, 2, seeded_rng(7, "op-mixed"))
     eye = _eye(2)
@@ -487,7 +475,7 @@ def _mixed_to_nabla_reference(spec):
     return total
 
 
-def _varying_mixed(depths, order=None, **tags):
+def _varying_mixed(depths, order=None):
     """Magnetic-bundle terms with random varying coefficients and fields."""
     rng = seeded_rng(7, f"op-m2n-ref-{depths}")
     terms = [
@@ -497,7 +485,7 @@ def _varying_mixed(depths, order=None, **tags):
         )
         for depth in depths
     ]
-    return MixedOpSpec(MAGNET, MAGNET, FLAT, terms, order=order, **tags)
+    return MixedOpSpec(MAGNET, MAGNET, FLAT, terms, order=order)
 
 
 def _same_levels(got, want, rtol=1e-13):
@@ -532,19 +520,11 @@ def test_mixed_to_nabla_matches_hand_walked_reference():
     assert mixed_to_nabla(_varying_mixed((1,), 3)).coefficients[2:] == [None, None]
 
 
-def test_mixed_to_nabla_depth_zero_term_keeps_the_class_rule():
-    for field_class, tag in (("smooth", "smooth"), ("bounded", "totally-bounded")):
-        spec = _varying_mixed(
-            (0,), coefficient_class="totally-bounded", field_class=field_class
-        )
-        ladder = mixed_to_nabla(spec)
-        assert ladder.coefficient_class == tag
-        assert len(ladder.coefficients) == 1
-        assert np.array_equal(
-            ladder.coefficients[0], _mixed_to_nabla_reference(spec)[0]
-        )
-    smooth_coefficients = _varying_mixed((0, 2), field_class="bounded")
-    assert mixed_to_nabla(smooth_coefficients).coefficient_class == "smooth"
+def test_mixed_to_nabla_depth_zero_term_is_its_coefficient():
+    spec = _varying_mixed((0,))
+    ladder = mixed_to_nabla(spec)
+    assert len(ladder.coefficients) == 1
+    assert np.array_equal(ladder.coefficients[0], _mixed_to_nabla_reference(spec)[0])
 
 
 def test_mixed_to_nabla_differentiates_once_per_table_entry(monkeypatch):
@@ -591,7 +571,7 @@ def test_nabla_to_mixed_gradient_reads_off_coframe():
 
 def test_nabla_to_mixed_round_trip_on_sphere():
     emb, sphere_g = sphere_ambient_embedding(GRID)
-    gens = build_generators(emb, sphere_g, frechet=True)
+    gens = build_generators(emb, sphere_g)
     bundle = BundleSpec(GRID, 1)
     rng = seeded_rng(7, "op-sphere")
     a2 = random_trig_field(2, (1, 4), rng).sample(GRID)
@@ -600,10 +580,8 @@ def test_nabla_to_mixed_round_trip_on_sphere():
         np.zeros((1, 2) + GRID.shape, dtype=complex),
         a2,
     ]
-    spec = NablaOpSpec(bundle, bundle, sphere_g, entries, "totally-bounded")
+    spec = NablaOpSpec(bundle, bundle, sphere_g, entries)
     mixed = nabla_to_mixed(spec, gens)
-    assert mixed.coefficient_class == "totally-bounded"
-    assert mixed.field_class == "bounded"
     u = random_bump_section(GRID, 0, 1, rng).section(GRID)
     one = apply_mixed_op(mixed, u)
     two = apply_nabla_op(spec, u)
@@ -755,7 +733,7 @@ def test_reorder_magnetic_swap_inserts_minus_curvature():
 def test_reorder_depth_three_on_sphere_frame():
     grid = ChartGrid([(-1, 1), (-1, 1)], (97, 97), support_margin=8)
     emb, sphere_g = sphere_ambient_embedding(grid)
-    gens = build_generators(emb, sphere_g, frechet=True)
+    gens = build_generators(emb, sphere_g)
     bundle = BundleSpec(grid, 1)
     rng = seeded_rng(7, "op-deep")
     coeff = random_trig_field(2, (1, 1), rng).sample(grid)
@@ -917,14 +895,11 @@ def _zero_filled(spec):
         else a
         for j, a in enumerate(spec.coefficients)
     ]
-    return NablaOpSpec(
-        spec.source, spec.target, spec.metric, levels, spec.coefficient_class
-    )
+    return NablaOpSpec(spec.source, spec.target, spec.metric, levels)
 
 
 def _same_ladder(one, two):
-    """Same class, the same zero (None) levels, bit-equal other levels."""
-    assert one.coefficient_class == two.coefficient_class
+    """The same zero (None) levels, bit-equal other levels."""
     assert [a is None for a in one.coefficients] == [b is None for b in two.coefficients]
     for a, b in zip(one.coefficients, two.coefficients):
         assert a is None or np.array_equal(a, b)
@@ -933,7 +908,7 @@ def _same_ladder(one, two):
 def test_explicit_zero_levels_are_stored_as_none():
     rng = seeded_rng(7, "op-sparse")
     a1 = random_trig_field(2, (2, 4), rng).sample(GRID)
-    sparse = NablaOpSpec(MAGNET, MAGNET, FLAT, [None, a1], "totally-bounded")
+    sparse = NablaOpSpec(MAGNET, MAGNET, FLAT, [None, a1])
     dense = _zero_filled(sparse)
     assert sparse.coefficients[0] is None and dense.coefficients[0] is None
     _same_ladder(sparse, dense)

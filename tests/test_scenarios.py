@@ -103,11 +103,26 @@ def test_parse_round_trips_the_tiny_config():
             }
         ),
         lambda c: c.update(forms={"f": {"half_order": 0, "table": [[0, 0]]}}),
+        # the dropped coefficient-class and Frechet tags are unknown keys
         lambda c: c.update(
             operators={
-                "m": {"form": "nabla", "class": "bounded", "coefficients": [[0, [["1"]]]]}
+                "m": {
+                    "form": "nabla",
+                    "class": "smooth",
+                    "coefficients": [[0, [["1", "0"], ["0", "1"]]]],
+                }
             }
         ),
+        lambda c: c.update(
+            forms={
+                "f": {
+                    "half_order": 0,
+                    "class": "totally-bounded",
+                    "table": [[0, 0, [["1", "0"], ["0", "1"]]]],
+                }
+            }
+        ),
+        lambda c: c.update(embedding={"name": "identity", "frechet": True}),
         # keys that were ignored
         lambda c: c["bundle"].update(fibre_metric=[["1", "0"], ["0", "1"]]),
         lambda c: c["metric"].update(phi="x1"),
@@ -121,7 +136,6 @@ def test_parse_round_trips_the_tiny_config():
         lambda c: c.update(embedding={"name": "graph", "heights": []}),
         lambda c: c.update(embedding={"name": "graph", "heights": [5]}),
         lambda c: c.update(embedding={"name": "identity", "isometrize": "no"}),
-        lambda c: c.update(embedding={"name": "identity", "frechet": "no"}),
         # values that crashed the command line or were read loosely
         lambda c: c.update(out=5),
         lambda c: c["chart"].update(box=[["-1", "1"], ["-1", "1"]]),
@@ -244,6 +258,9 @@ def test_thread_count_below_one_is_rejected(monkeypatch):
     s = parse_scenario(tiny_config())
     with pytest.raises(ConfigError, match="threads must be >= 1"):
         run_scenario(s, threads=0)
+    for bad in (2.5, 1.9, True):
+        with pytest.raises(ConfigError, match="threads must be an integer"):
+            run_scenario(s, threads=bad)
     monkeypatch.setenv("NABLA_CALC_THREADS", "0")
     with pytest.raises(ConfigError, match="NABLA_CALC_THREADS must be >= 1"):
         run_scenario(s)
@@ -299,7 +316,7 @@ def test_complex_weight_expression_is_rejected():
 
 def test_operator_and_form_construction():
     cfg = tiny_config()
-    cfg["embedding"] = {"name": "identity", "frechet": True}
+    cfg["embedding"] = {"name": "identity"}
     cfg["operators"] = {
         "drift": {
             "form": "nabla",
