@@ -212,14 +212,15 @@ def assemble_divergence_form(spec, gens, bundle, metric):
     return total
 
 
-def weighted_pairings(spec, weight, u, w, p=2.0):
+def weighted_pairings(spec, weight, p=2.0):
     """Two-picture pairing: original metric against the rescaled one.
 
-    Returns (pair_weighted, pair_rescaled).  The first evaluates the
-    Dirichlet pairing directly.  The second pulls the normalizing twists
-    f0 rho^{-n/p} (and the dual twist on the w side) into the coefficients,
-    which turns the volume into the one of the rescaled metric rho^{-2} g;
-    exact arithmetic would make the two numbers equal.
+    Returns the function (u, w) -> (pair_weighted, pair_rescaled).  The
+    first evaluates the Dirichlet pairing directly.  The second pulls the
+    normalizing twists f0 rho^{-n/p} (and the dual twist on the w side) into
+    the coefficients, which turns the volume into the one of the rescaled
+    metric rho^{-2} g; exact arithmetic would make the two numbers equal.
+    The twisted form and the rescaled metric are built here, once.
     """
     if not weight.admissible:
         raise NonadmissibleWeight(
@@ -264,9 +265,12 @@ def weighted_pairings(spec, weight, u, w, p=2.0):
                     )
                     _put(twisted, (t, tau), block)
     spec0 = BidiffSpec(spec.source, spec.cosource, metric, spec.half_order, twisted)
-    u0 = TensorSection(grid, 0, u.values / s_u, d_e)
-    w0 = TensorSection(grid, 0, w.values / s_w, d_f)
-    pair_weighted = dirichlet_form(spec, u, w)
     metric0 = weight.rescaled_metric(metric)
-    pair_rescaled = dirichlet_form(spec0, u0, w0, metric=metric0)
-    return pair_weighted, pair_rescaled
+
+    def pairings(u, w):
+        u0 = TensorSection(grid, 0, u.values / s_u, d_e)
+        w0 = TensorSection(grid, 0, w.values / s_w, d_f)
+        pair_weighted = dirichlet_form(spec, u, w)
+        return pair_weighted, dirichlet_form(spec0, u0, w0, metric=metric0)
+
+    return pairings

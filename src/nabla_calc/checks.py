@@ -51,7 +51,6 @@ from .norms import (
 from .operators import (
     MixedOpSpec,
     MixedTerm,
-    NablaOpSpec,
     apply_mixed_op,
     apply_nabla_op,
     mapping_constant,
@@ -143,6 +142,15 @@ _PARAM_RULES = {
     "tolerance": (_is_positive, "a finite positive number"),
     "exponents": _listed(_EXPONENT[0], "numbers >= 1 or 'inf'"),
 }
+# check -> rules that narrow _PARAM_RULES for that check's parameters
+_CHECK_RULES = {
+    "norm-equivalence": {
+        "p": (lambda v: _exponent(v) < math.inf, "a finite number >= 1"),
+    },
+    "weighted-duality": {
+        "p": (lambda v: 1 < _exponent(v) < math.inf, "a number in (1, inf)"),
+    },
+}
 
 
 def register(name, rule):
@@ -178,7 +186,8 @@ def check_params(name, entry):
     """The keyword arguments of check name for a config entry.
 
     The entry holds "tolerance", maybe "check", and parameters that pass
-    their rules; the rest take their defaults, and exponents become floats.
+    their rules, in _PARAM_RULES and the check's own _CHECK_RULES; the rest
+    take their defaults, and exponents become floats.
     "tolerance" is an argument only of a check that declares it.
     """
     if name not in CHECKS:
@@ -188,6 +197,7 @@ def check_params(name, entry):
     _check_keys(entry, ("check", "tolerance", *defaults), what)
     _need(entry, "tolerance", what)
     _check_rules(entry, _PARAM_RULES, what)
+    _check_rules(entry, _CHECK_RULES.get(name, {}), what)
     params = {key: entry.get(key, default) for key, default in defaults.items()}
     for key, value in params.items():
         if key in ("p", "q", "r"):
@@ -627,10 +637,8 @@ def check_operator_rewrite(ctx, specs=10, max_order=2):
 @register("mapping-bound", rule="bound-ratio")
 def check_mapping_bound(ctx, operator=None, s=1, p=2.0, trials=10):
     """Observed operator norms against the certified coefficient bound."""
-    if not isinstance(ctx.nabla_ops.get(operator), NablaOpSpec):
-        raise ResolutionError(
-            f"scenario defines no nabla-form operator named {operator!r}"
-        )
+    if operator not in ctx.nabla_ops:
+        raise ResolutionError(f"scenario defines no operator named {operator!r}")
     spec = ctx.nabla_ops[operator]
     constant = mapping_constant(spec, s, p)
 
@@ -704,6 +712,7 @@ def check_weighted_duality(ctx, pairs=5, form=None, p=2.0):
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     (spec,) = _forms(ctx, form, (1,))
+    pairings = weighted_pairings(spec, weight, p)
     op = None
     if ctx.gens is not None:
         op = assemble_divergence_form(spec, ctx.gens, spec.cosource, spec.metric)
@@ -711,7 +720,7 @@ def check_weighted_duality(ctx, pairs=5, form=None, p=2.0):
     def defect(trial):
         u = random_section(grid, 0, d, _rng(ctx, "weighted-u", trial))
         w = random_section(grid, 0, d, _rng(ctx, "weighted-w", trial))
-        weighted, rescaled = weighted_pairings(spec, weight, u, w, p=p)
+        weighted, rescaled = pairings(u, w)
         two = abs(weighted - rescaled) / max(abs(weighted), abs(rescaled), _TINY)
         if op is None:
             return two

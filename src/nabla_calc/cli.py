@@ -4,7 +4,8 @@
 scenario, executes its checks, writes a report, and exits 0 when every
 check passed, 1 when some check failed, and 2 on any configuration or
 resolution problem.  ``--h``, ``--fd-order``, and ``--seed`` override
-the corresponding scenario entries for quick resolution studies.
+the corresponding scenario entries for quick resolution studies; each
+obeys the rule of the entry it overrides.
 """
 
 import argparse
@@ -27,7 +28,9 @@ def _load_config(ref):
         try:
             with open(ref, "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # a file that is not UTF-8 JSON raises ValueError, one nested past
+        # the decoder's depth RecursionError
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"could not load scenario file {ref!r}: {exc}") from exc
     if ref in list_builtins():
         return builtin_scenario(ref)
@@ -35,6 +38,17 @@ def _load_config(ref):
         f"{ref!r} is neither a scenario file nor a built-in; "
         f"built-ins: {', '.join(list_builtins())}"
     )
+
+
+def _number(text):
+    """An override as the JSON number it spells, else the text itself; the
+    scenario's rules judge it, so a bad value is a configuration error."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def build_parser():
@@ -50,11 +64,13 @@ def build_parser():
     )
     run.add_argument("--out", default="reports", help="report output directory")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--h", type=float, default=None, help="override grid spacing")
+    run.add_argument("--h", type=_number, default=None, help="override grid spacing")
     run.add_argument(
-        "--fd-order", type=int, choices=(2, 4), default=None, help="override stencil order"
+        "--fd-order", type=_number, default=None, help="override stencil order (2 or 4)"
     )
-    run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    run.add_argument(
+        "--seed", type=_number, default=None, help="override the scenario seed"
+    )
     run.add_argument(
         "--list-builtins", action="store_true", help="print built-in scenario names"
     )

@@ -4,7 +4,8 @@ Accepts +, -, *, /, ^ (power), exp, sin, cos, the coordinates x1..xn, the
 imaginary unit i, numeric literals (evaluated as float64, so overflow gives
 inf rather than unbounded integers), unary minus, and parentheses.  Parsing
 goes through the Python ast with a strict node whitelist, so nothing else
-evaluates.  Results broadcast over the grid.
+evaluates.  Coordinates come in as arrays shaped to broadcast, and so
+does the result.
 """
 
 import ast
@@ -56,29 +57,29 @@ def _eval_node(node, names):
     raise ConfigError(f"expression element {type(node).__name__} not allowed")
 
 
-def evaluate(expr, grid=None, extra=None):
-    """Evaluate an expression string on a grid.
+def evaluate(expr, coords=()):
+    """Evaluate an expression string over coordinate arrays.
 
-    Returns a scalar or an array broadcast to the grid shape.  x1..xn bind to
-    the grid coordinates, i to the imaginary unit.
+    coords[k] binds to x{k+1}, and i to the imaginary unit.  The result
+    has the broadcast shape of the coordinates the expression reads: a
+    scalar when it reads none.
     """
     if not isinstance(expr, str):
         raise ConfigError(f"expression must be a string, got {type(expr).__name__}")
-    names = {"i": np.complex128(1j)}
-    if grid is not None:
-        for k, xk in enumerate(grid.coords):
-            names[f"x{k + 1}"] = xk
-    if extra:
-        names.update(extra)
+    names = {f"x{k + 1}": xk for k, xk in enumerate(coords)}
+    names["i"] = np.complex128(1j)
     # ^ means power here, but the Python parser would give it bitwise-xor
-    # precedence (below +), so rewrite it to ** before parsing
+    # precedence (below +), so rewrite it to ** before parsing; the parser
+    # reports nesting past its depth limit as RecursionError or MemoryError
     try:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from exc
+    except (RecursionError, MemoryError) as exc:
+        raise ConfigError(f"expression {expr[:40]!r}... nests too deeply") from exc
     # overflow and 0/0 become inf and nan; callers reject non-finite fields
-    with np.errstate(all="ignore"):
-        value = _eval_node(tree, names)
-    if grid is not None and np.ndim(value) == 0:
-        value = np.full(grid.shape, value)
-    return value
+    try:
+        with np.errstate(all="ignore"):
+            return _eval_node(tree, names)
+    except RecursionError as exc:
+        raise ConfigError(f"expression {expr[:40]!r}... nests too deeply") from exc

@@ -78,24 +78,24 @@ def _power_scale(top, power):
     return 1.0
 
 
-def lp_norm(u, p, metric, bundle=None, region=None):
-    """L^p norm by trapezoid quadrature against dvol; grid max for p = inf.
-
-    region optionally masks the quadrature (or the max) to a subset of grid
-    points; used by covering norms.
-    """
-    p = _check_p(p)
-    if u.grid != metric.grid:
-        raise ChartMismatch("section and metric live on different grids")
-    ns = pointwise_norm_sq(u, metric, bundle)
-    if region is not None:
-        ns = np.where(region, ns, 0.0)
+def _lp_of_sq(ns, p, metric):
+    """The L^p norm whose pointwise squared norm is ns: trapezoid quadrature
+    against dvol, the grid max for p = inf.  A masked ns, zero outside its
+    region, gives the norm over the region."""
     top = float(np.max(ns))
     if math.isinf(p):
         return math.sqrt(top)
-    w = u.grid.quad_weights() * metric.sqrt_det
+    w = metric.grid.quad_weights() * metric.sqrt_det
     scale = _power_scale(top, p / 2.0)
     return math.sqrt(scale) * float(np.sum(w * (ns / scale) ** (p / 2.0)) ** (1.0 / p))
+
+
+def lp_norm(u, p, metric, bundle=None):
+    """L^p norm by trapezoid quadrature against dvol; grid max for p = inf."""
+    p = _check_p(p)
+    if u.grid != metric.grid:
+        raise ChartMismatch("section and metric live on different grids")
+    return _lp_of_sq(pointwise_norm_sq(u, metric, bundle), p, metric)
 
 
 def strict_max(*values):
@@ -216,8 +216,13 @@ def covering_norm(u, covering, s, p, bundle, metric):
         )
     mult = covering_multiplicity(boxes, grid.dim)
     grid.check_support(u.values, s * grid.stencil_radius)
-    levels = tower(u, bundle, metric, s)
-    terms = [lp_norm(d, p, metric, bundle, region=m) for d in levels for m in masks]
+    if u.grid != metric.grid:
+        raise ChartMismatch("section and metric live on different grids")
+    terms = []
+    for d in tower(u, bundle, metric, s):
+        # each level's pointwise norm once, then its norm over each box
+        ns = pointwise_norm_sq(d, metric, bundle)
+        terms += [_lp_of_sq(np.where(m, ns, 0.0), p, metric) for m in masks]
     return _lp_combine(terms, p), mult
 
 

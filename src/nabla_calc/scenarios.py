@@ -1,11 +1,11 @@
 """Scenario configs: validation, object construction, and check execution.
 
 A scenario is a JSON-shaped dict naming a chart, a metric, a bundle, and
-optionally a weight, an embedding, vector fields, operators, and
-bidifferential forms, all through small closed-form expression strings.
-Its check list invokes registered checks by name with tolerances.  The
-same seed always produces the same report, and checks may run in
-parallel threads since each draws from its own counter-based stream.
+optionally a weight, an embedding, operators, and bidifferential forms,
+all through small closed-form expression strings.  Its check list invokes
+registered checks by name with tolerances.  The same seed always produces
+the same report, and checks may run in parallel threads since each draws
+from its own counter-based stream.
 """
 
 import copy
@@ -46,7 +46,7 @@ from .generators import (
 )
 from .geometry import MetricField, WeightPair
 from .grid import ChartGrid
-from .operators import MixedOpSpec, MixedTerm, NablaOpSpec
+from .operators import NablaOpSpec
 from .reports import CheckRow, Report
 from .sections import seeded_rng
 
@@ -64,6 +64,13 @@ _EMBEDDING_RULES = {
     "heights": _listed(lambda v: isinstance(v, str), "expression strings"),
     "isometrize": _FLAG,
 }
+# the values that run_scenario and build_context may override, with the
+# rules that the file's values obey; an override obeys the same rule
+_SETTINGS = {
+    "h": (_is_positive, "a finite positive number"),
+    "fd_order": (lambda v: _is_int(v) and v in (2, 4), "the integer 2 or 4"),
+    "seed": (_is_int, "an integer >= 0"),
+}
 
 
 @dataclass
@@ -76,7 +83,6 @@ class Scenario:
     bundle: dict
     weight: dict | None
     embedding: dict | None
-    fields: dict
     operators: dict
     forms: dict
     checks: list
@@ -94,7 +100,6 @@ class CheckContext:
     bundle: object
     weight: object = None
     gens: object = None
-    fields: dict = field(default_factory=dict)
     nabla_ops: dict = field(default_factory=dict)
     bidiff_forms: dict = field(default_factory=dict)
     seed: int = 0
@@ -155,11 +160,8 @@ def parse_scenario(cfg):
     if not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box):
         raise ConfigError(f"chart box {box} needs finite lo < hi on every axis")
     h = _need(chart, "h", "chart")
-    if not _is_positive(h):
-        raise ConfigError(f"chart spacing must be a finite positive number, got {h!r}")
+    _check_rules(chart, _SETTINGS, "chart")
     fd_order = chart.get("fd_order", 4)
-    if not _is_int(fd_order) or fd_order not in (2, 4):
-        raise ConfigError(f"fd_order must be 2 or 4, got {fd_order!r}")
     margin = chart.get("margin")
     if margin is not None and not _is_int(margin):
         raise ConfigError(f"chart margin must be an integer >= 0, got {margin!r}")
@@ -197,35 +199,11 @@ def parse_scenario(cfg):
     if kind == "embedded" and embedding is None:
         raise ConfigError("an embedded metric needs an embedding")
 
-    fields = _object(cfg.get("fields", {}), "fields")
-    for fname, comps in fields.items():
-        if not isinstance(comps, (list, tuple)) or len(comps) != len(box):
-            raise ConfigError(
-                f"field {fname!r} needs one component expression per axis"
-            )
-
     operators = _object(cfg.get("operators", {}), "operators")
     for oname, ocfg in operators.items():
         what = f"operator {oname!r}"
-        ocfg = _object(ocfg, what, ("form", "coefficients", "terms"))
-        form = _need(ocfg, "form", what)
-        if form == "nabla":
-            _indexed_rows(_need(ocfg, "coefficients", what), 2, f"{what} coefficients")
-        elif form == "mixed":
-            terms = _need(ocfg, "terms", what)
-            if not isinstance(terms, list):
-                raise ConfigError(f"{what} terms must be a list")
-            for term in terms:
-                term = _object(term, f"{what} term", ("coefficient", "fields"))
-                _need(term, "coefficient", f"{what} term")
-                refs = _need(term, "fields", f"{what} term")
-                if not isinstance(refs, list):
-                    raise ConfigError(f"{what} term fields must be a list of names")
-                for ref in refs:
-                    if not isinstance(ref, str) or ref not in fields:
-                        raise ResolutionError(f"{what} references unknown field {ref!r}")
-        else:
-            raise ConfigError(f"{what} form must be nabla or mixed")
+        ocfg = _object(ocfg, what, ("coefficients",))
+        _indexed_rows(_need(ocfg, "coefficients", what), 2, f"{what} coefficients")
 
     forms = _object(cfg.get("forms", {}), "forms")
     for fname, fcfg in forms.items():
@@ -243,20 +221,14 @@ def parse_scenario(cfg):
         if not isinstance(entry, dict) or not isinstance(entry.get("check"), str):
             raise ConfigError(f"check entries need a 'check' name, got {entry!r}")
         check = entry["check"]
-        p = check_params(check, entry).get("p")
-        if check == "norm-equivalence" and math.isinf(p):
-            raise ConfigError(f"check {check!r} needs a finite p, got {entry['p']!r}")
-        if check == "weighted-duality" and not 1 < p < math.inf:
-            raise ConfigError(f"check {check!r} needs 1 < p < inf, got {entry['p']!r}")
+        check_params(check, entry)
         for key, known in (("form", forms), ("operator", operators)):
             if key in entry and entry[key] not in known:
                 raise ResolutionError(
                     f"check {check!r} references unknown {key} {entry[key]!r}"
                 )
 
-    seed = cfg.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_rules(cfg, _SETTINGS, "scenario")
     out = cfg.get("out")
     if out is not None and not (isinstance(out, str) and out):
         raise ConfigError(f"out must be a non-empty string, got {out!r}")
@@ -267,37 +239,41 @@ def parse_scenario(cfg):
         bundle=bundle,
         weight=weight,
         embedding=embedding,
-        fields=fields,
         operators=operators,
         forms=forms,
         checks=checks,
-        seed=seed,
+        seed=cfg.get("seed", 0),
         out=out,
     )
 
 
-def _finite(values, expr, what):
+def _expression(expr, grid, what):
+    """An expression evaluated on the grid axes shaped to broadcast, x1 as
+    (N1, 1, ..) and so on, so each grid axis of the result has its full
+    length or length 1: an expression that does not read x_k leaves axis k
+    at 1.  It must be finite at every grid point."""
+    g = grid.dim
+    coords = [
+        axis.reshape((1,) * k + (-1,) + (1,) * (g - k - 1))
+        for k, axis in enumerate(grid.axes)
+    ]
+    values = np.asarray(evaluate(expr, coords))
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"{what} expression {expr!r} is not finite on the grid")
     return values
 
 
 def _real_field(expr, grid, what):
-    values = np.broadcast_to(np.asarray(evaluate(expr, grid)), grid.shape)
-    _finite(values, expr, what)
+    """A real expression as a full-grid field."""
+    values = _expression(expr, grid, what)
     if np.iscomplexobj(values) and np.max(np.abs(values.imag)) > 0:
         raise ConfigError(f"{what} expression {expr!r} must be real")
-    return np.ascontiguousarray(values.real.astype(float))
+    return np.ascontiguousarray(np.broadcast_to(values.real.astype(float), grid.shape))
 
 
 def _matrix_field(entries, grid, what):
     """A matrix of expressions, (rows, cols) + the broadcast grid shape of
-    its entries.
-
-    Each entry is evaluated on the grid axes shaped to broadcast, x1 as
-    (N1, 1, ..) and so on, so each grid axis of the result has its full
-    length or length 1: an entry that does not read x_k leaves axis k at 1.
-    """
+    its entries, each evaluated by _expression."""
     if not isinstance(entries, list) or not entries or not all(
         isinstance(row, (list, tuple)) for row in entries
     ):
@@ -305,16 +281,9 @@ def _matrix_field(entries, grid, what):
     cols = len(entries[0])
     if cols == 0 or any(len(row) != cols for row in entries):
         raise ConfigError(f"{what} rows must all have the same length")
-    g = grid.dim
-    coords = {
-        f"x{k + 1}": axis.reshape((1,) * k + (-1,) + (1,) * (g - k - 1))
-        for k, axis in enumerate(grid.axes)
-    }
-    values = [
-        [_finite(np.asarray(evaluate(expr, extra=coords)), expr, what) for expr in row]
-        for row in entries
-    ]
-    shape = np.broadcast_shapes((1,) * g, *(v.shape for row in values for v in row))
+    values = [[_expression(expr, grid, what) for expr in row] for row in entries]
+    shapes = (v.shape for row in values for v in row)
+    shape = np.broadcast_shapes((1,) * grid.dim, *shapes)
     out = np.zeros((len(entries), cols) + shape, dtype=complex)
     for a, row in enumerate(values):
         for b, v in enumerate(row):
@@ -322,21 +291,26 @@ def _matrix_field(entries, grid, what):
     return out
 
 
-def _build_grid(scenario, h=None, fd_order=None):
+def _resolve_settings(scenario, h, fd_order, seed):
+    """The scenario's h, fd_order and seed, each replaced by its override
+    when one is given (not None); an override obeys the file's rule."""
+    given = {"h": h, "fd_order": fd_order, "seed": seed}
+    given = {key: value for key, value in given.items() if value is not None}
+    _check_rules(given, _SETTINGS, "override")
     chart = scenario.chart
-    h_val = float(h) if h is not None else chart["h"]
-    if not 0 < h_val < math.inf:
-        raise ConfigError(f"grid spacing must be finite and positive, got {h_val}")
-    fd = int(fd_order) if fd_order is not None else chart["fd_order"]
-    shape = tuple(
-        int(round((hi - lo) / h_val)) + 1 for lo, hi in chart["box"]
-    )
+    base = {"h": chart["h"], "fd_order": chart["fd_order"], "seed": scenario.seed}
+    return {**base, **given}
+
+
+def _build_grid(scenario, h, fd_order):
+    chart = scenario.chart
+    shape = tuple(int(round((hi - lo) / h)) + 1 for lo, hi in chart["box"])
     if any(m < 9 for m in shape):
-        raise ConfigError(
-            f"spacing {h_val} leaves fewer than 9 points per axis: {shape}"
-        )
+        raise ConfigError(f"spacing {h} leaves fewer than 9 points per axis: {shape}")
     try:
-        return ChartGrid(chart["box"], shape, fd_order=fd, support_margin=chart["margin"])
+        return ChartGrid(
+            chart["box"], shape, fd_order=fd_order, support_margin=chart["margin"]
+        )
     except ValueError as exc:  # the grid's own argument checks
         raise ConfigError(f"chart: {exc}") from exc
 
@@ -412,34 +386,23 @@ def _build_bundle(scenario, grid):
     return BundleSpec(grid, cfg["fiber_dim"], pots, fiber_metric)
 
 
-def _build_operators(scenario, grid, bundle, metric, fields):
+def _build_operators(scenario, grid, bundle, metric):
     n = grid.dim
     d = bundle.fiber_dim
     ops = {}
     for name, cfg in scenario.operators.items():
-        if cfg["form"] == "nabla":
-            by_j = {}
-            for j, entries in cfg["coefficients"]:
-                mat = _matrix_field(entries, grid, f"operator {name!r} level {j}")
-                want = (d, n**j * d)
-                if mat.shape[:2] != want:
-                    raise ConfigError(
-                        f"operator {name!r} level {j} coefficient must be "
-                        f"{want[0]} x {want[1]}, got {mat.shape[0]} x {mat.shape[1]}"
-                    )
-                by_j[j] = mat
-            entries = [by_j.get(j) for j in range(max(by_j) + 1)]
-            ops[name] = NablaOpSpec(bundle, bundle, metric, entries)
-        else:
-            what = f"operator {name!r} coefficient"
-            terms = [
-                MixedTerm(
-                    _matrix_field(term["coefficient"], grid, what),
-                    fields=[fields[ref] for ref in term["fields"]],
+        by_j = {}
+        for j, entries in cfg["coefficients"]:
+            mat = _matrix_field(entries, grid, f"operator {name!r} level {j}")
+            want = (d, n**j * d)
+            if mat.shape[:2] != want:
+                raise ConfigError(
+                    f"operator {name!r} level {j} coefficient must be "
+                    f"{want[0]} x {want[1]}, got {mat.shape[0]} x {mat.shape[1]}"
                 )
-                for term in cfg["terms"]
-            ]
-            ops[name] = MixedOpSpec(bundle, bundle, metric, terms)
+            by_j[j] = mat
+        entries = [by_j.get(j) for j in range(max(by_j) + 1)]
+        ops[name] = NablaOpSpec(bundle, bundle, metric, entries)
     return ops
 
 
@@ -463,11 +426,13 @@ def _build_forms(scenario, grid, bundle, metric):
 
 
 def build_context(scenario, h=None, fd_order=None, seed=None):
-    """Construct every object a scenario declares, ready for its checks."""
-    seed_used = scenario.seed if seed is None else int(seed)
+    """Construct every object a scenario declares, ready for its checks.
+
+    h, fd_order and seed override the scenario's own values when given."""
+    settings = _resolve_settings(scenario, h, fd_order, seed)
     try:
-        grid = _build_grid(scenario, h, fd_order)
-        emb, induced = _build_embedding(scenario, grid, seed_used)
+        grid = _build_grid(scenario, settings["h"], settings["fd_order"])
+        emb, induced = _build_embedding(scenario, grid, settings["seed"])
         metric = _build_metric(scenario, grid, emb, induced)
         gens = None
         if emb is not None:
@@ -475,12 +440,6 @@ def build_context(scenario, h=None, fd_order=None, seed=None):
                 emb = polar_isometrize(emb, metric)
             gens = build_generators(emb, metric)
         bundle = _build_bundle(scenario, grid)
-        fields = {
-            fname: np.stack(
-                [_real_field(expr, grid, f"field {fname!r}") for expr in comps]
-            )
-            for fname, comps in scenario.fields.items()
-        }
         weight = None
         if scenario.weight is not None:
             rho = _real_field(scenario.weight["rho"], grid, "weight rho")
@@ -490,7 +449,7 @@ def build_context(scenario, h=None, fd_order=None, seed=None):
             weight = WeightPair(
                 grid, rho, f0=f0, admissible=scenario.weight.get("admissible", False)
             )
-        nabla_ops = _build_operators(scenario, grid, bundle, metric, fields)
+        nabla_ops = _build_operators(scenario, grid, bundle, metric)
         forms = _build_forms(scenario, grid, bundle, metric)
     except ConfigError:
         raise
@@ -503,10 +462,9 @@ def build_context(scenario, h=None, fd_order=None, seed=None):
         bundle=bundle,
         weight=weight,
         gens=gens,
-        fields=fields,
         nabla_ops=nabla_ops,
         bidiff_forms=forms,
-        seed=seed_used,
+        seed=settings["seed"],
     )
 
 
@@ -530,17 +488,18 @@ def _thread_count(threads):
 
 
 def run_scenario(scenario, h=None, fd_order=None, seed=None, threads=None):
-    """Execute every configured check; returns the assembled Report."""
-    seed_used = scenario.seed if seed is None else int(seed)
+    """Execute every configured check; returns the assembled Report.
+
+    h, fd_order and seed override the scenario's own values when given."""
     workers = _thread_count(threads)
-    ctx = build_context(scenario, h=h, fd_order=fd_order, seed=seed_used)
+    ctx = build_context(scenario, h=h, fd_order=fd_order, seed=seed)
 
     def run_one(entry):
         name = entry["check"]
         fn = CHECKS[name][0]
         digest = hashlib.sha256(
             json.dumps(
-                {"scenario": scenario.name, "seed": seed_used, "check": entry},
+                {"scenario": scenario.name, "seed": ctx.seed, "check": entry},
                 sort_keys=True,
             ).encode()
         ).hexdigest()[:16]
@@ -566,7 +525,7 @@ def run_scenario(scenario, h=None, fd_order=None, seed=None, threads=None):
             outcomes = list(pool.map(run_one, scenario.checks))
     else:
         outcomes = [run_one(entry) for entry in scenario.checks]
-    report = Report(scenario=scenario.name, seed=seed_used)
+    report = Report(scenario=scenario.name, seed=ctx.seed)
     for row, norms in outcomes:
         report.checks.append(row)
         report.norms.extend(norms)
@@ -688,7 +647,6 @@ BUILTINS = {
         "embedding": {"name": "identity"},
         "operators": {
             "drift-gradient": {
-                "form": "nabla",
                 "coefficients": [
                     [0, [["cos(x2)/4", "0"], ["0", "cos(x2)/4"]]],
                     [

@@ -353,7 +353,7 @@ def test_weighted_duality_trivial_weight():
     rng = seeded_rng(11, "bd-wtriv")
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
-    pairings = weighted_pairings(spec, weight, u, w)
+    pairings = weighted_pairings(spec, weight)(u, w)
     assert _two_picture_residual(pairings) <= 1e-12
     op = assemble_divergence_form(spec, gens, SCALAR, FLAT)
     weak = l2_pairing(apply_nabla_op(op, u), w, SCALAR, FLAT)
@@ -367,7 +367,7 @@ def test_weighted_duality_order_zero_is_change_of_measure():
     rng = seeded_rng(11, "bd-w0")
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
-    weighted, rescaled = weighted_pairings(spec, weight, u, w)
+    weighted, rescaled = weighted_pairings(spec, weight)(u, w)
     assert _two_picture_residual((weighted, rescaled)) <= 1e-12
     assert weighted / rescaled == pytest.approx(1.0, abs=1e-12)
 
@@ -379,7 +379,7 @@ def test_weighted_duality_first_order_two_route():
     rng = seeded_rng(11, "bd-w1")
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
-    weighted, rescaled = weighted_pairings(spec, weight, u, w)
+    weighted, rescaled = weighted_pairings(spec, weight)(u, w)
     assert weighted / rescaled == pytest.approx(1.0, abs=1e-4)
 
 
@@ -387,10 +387,8 @@ def test_weighted_duality_rejects_undeclared_weight():
     x1, _ = GRID.coords
     weight = WeightPair(GRID, 1.0 / (2.0 + x1), np.ones(GRID.shape))
     spec = _dirichlet_spec(SCALAR, FLAT)
-    rng = seeded_rng(11, "bd-wbad")
-    u = random_section(GRID, 0, 1, rng)
     with pytest.raises(NonadmissibleWeight):
-        weighted_pairings(spec, weight, u, u)
+        weighted_pairings(spec, weight)
 
 
 def test_ladder_form_assembly_differentiates_no_zero_level(monkeypatch):

@@ -11,7 +11,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from nabla_calc import calculus, checks
+from nabla_calc import calculus, checks, norms
 from nabla_calc.bundles import BundleSpec, TensorSection, magnetic_example_bundle
 from nabla_calc.calculus import covariant_derivative
 from nabla_calc.checks import (
@@ -184,6 +184,26 @@ def test_covering_bounds_takes_each_base_norm_once(monkeypatch):
     # s levels of each exponent's base norm, then of each covering's norm
     exponents, s = len(entry["exponents"]), entry["s"]
     assert len(calls) == s * exponents * (1 + entry["coverings"]) == 33
+
+
+def test_covering_bounds_takes_each_level_norm_once(monkeypatch):
+    cfg = builtin_scenario("covering-suite")
+    (entry,) = [c for c in cfg["checks"] if c["check"] == "covering-bounds"]
+    ctx = build_context(parse_scenario(cfg))
+    calls = []
+    pointwise = norms.pointwise_norm_sq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pointwise(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "pointwise_norm_sq", counting)
+    out = CHECKS["covering-bounds"][0](ctx, entry)
+    assert out["passed"]
+    # one pointwise norm per level of each base norm and of each covering's
+    # norm, however many boxes the covering has
+    exponents, s = len(entry["exponents"]), entry["s"]
+    assert len(calls) == (s + 1) * exponents * (1 + entry["coverings"]) == 66
 
 
 def _first(values, g):

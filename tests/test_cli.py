@@ -126,7 +126,7 @@ def test_bad_config_exits_two(tmp_path, capsys):
 def test_dropped_tag_key_exits_two(tmp_path, capsys, section, key, value):
     cfg = passing_config()
     cfg["embedding"] = {"name": "identity"}
-    cfg["operators"] = {"o": {"form": "nabla", "coefficients": [[0, [["1"]]]]}}
+    cfg["operators"] = {"o": {"coefficients": [[0, [["1"]]]]}}
     cfg["forms"] = {"f": {"half_order": 0, "table": [[0, 0, [["1"]]]]}}
     tagged = {
         "embedding": cfg["embedding"],
@@ -139,6 +139,86 @@ def test_dropped_tag_key_exits_two(tmp_path, capsys, section, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"unknown keys ['{key}']" in err
+
+
+@pytest.mark.parametrize(
+    "section, value, unknown",
+    [
+        ("fields", {"v": ["1"]}, "['fields']"),
+        ("operators", {"o": {"form": "nabla", "coefficients": [[0, [["1"]]]]}}, "['form']"),
+        (
+            "operators",
+            {"o": {"form": "mixed", "terms": [{"coefficient": [["1"]], "fields": ["v"]}]}},
+            "['form', 'terms']",
+        ),
+    ],
+    ids=("fields", "form", "mixed-terms"),
+)
+def test_dropped_operator_input_exits_two(tmp_path, capsys, section, value, unknown):
+    cfg = passing_config()
+    cfg[section] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"unknown keys {unknown}" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--seed", "2.5"),
+        ("--seed", "True"),
+        ("--seed", "-3"),
+        ("--fd-order", "2.9"),
+        ("--fd-order", "3"),
+        ("--h", "nan"),
+        ("--h", "0"),
+        ("--h", "fine"),
+    ],
+)
+def test_bad_override_exits_two(tmp_path, capsys, flag, value):
+    path = write_config(tmp_path, passing_config())
+    args = ["run", "--scenario", path, "--out", str(tmp_path / "o"), flag, value]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: override ") and err.count("\n") == 1, err
+
+
+def test_fd_order_override_changes_the_stencil(tmp_path):
+    path = write_config(tmp_path, passing_config())
+    out_dir = tmp_path / "out"
+    args = ["run", "--scenario", path, "--out", str(out_dir), "--format", "json"]
+    assert main(args + ["--fd-order", "2"]) == 0
+    with open(out_dir / "cli-pass.json") as fh:
+        assert json.load(fh)["norms"][0]["fd_order"] == 2
+
+
+# file contents that raised out of the loader or the expression evaluator:
+# the bytes of a file, or a conformal factor; the sum of 1500 terms parses
+# and nests too deeply only for the evaluator
+MALFORMED_INPUTS = {
+    "deeply nested json": b"[" * 100000,
+    "non-utf-8 file": b'{"name": "caf\xe9"}',
+    "long unary chain": "-" * 5000 + "x1",
+    "long sum": "1+" * 3000 + "1",
+    "long power tower": "x1" + "**2" * 3000,
+    "sum past the evaluator's depth": "1+" * 1500 + "1",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_two(tmp_path, capsys, case):
+    value = MALFORMED_INPUTS[case]
+    path = tmp_path / "scn.json"
+    if isinstance(value, bytes):
+        path.write_bytes(value)
+    else:
+        cfg = passing_config()
+        cfg["metric"] = {"kind": "conformal", "phi": value}
+        path.write_text(json.dumps(cfg))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(capsys)
 
 
 def test_unreadable_json_exits_two(tmp_path, capsys):

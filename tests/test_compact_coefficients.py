@@ -314,7 +314,7 @@ def test_weighted_duality_with_a_compact_form_equals_its_twin(monkeypatch):
         # the two pictures, and the weak-form pairing of the assembled operator
         op = assemble_divergence_form(form, ctx.gens, form.cosource, ctx.metric)
         weak = l2_pairing(apply_nabla_op(op, u), w, form.cosource, ctx.metric)
-        return (*weighted_pairings(form, ctx.weight, u, w), weak)
+        return (*weighted_pairings(form, ctx.weight)(u, w), weak)
 
     got = pairings(spec)
     with _full_grid(monkeypatch):

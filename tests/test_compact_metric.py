@@ -156,7 +156,7 @@ def test_conformal_exponent_is_taken_at_the_shape_it_varies_over():
 
 def test_one_axis_conformal_metric_reaches_the_full_grid_only_in_gamma():
     scenario = parse_scenario(_one_axis_config("0.1*x1"))
-    grid = scenarios._build_grid(scenario, h=2 / 256)
+    grid = scenarios._build_grid(scenario, h=2 / 256, fd_order=4)
     tracemalloc.start()
     try:
         metric = scenarios._build_metric(scenario, grid, None, None)

@@ -15,6 +15,7 @@ from nabla_calc.geometry import MetricField, WeightPair
 from nabla_calc.grid import ChartGrid
 from nabla_calc.norms import (
     _lp_combine,
+    _lp_of_sq,
     conformal_weighted_norms,
     covering_multiplicity,
     covering_norm,
@@ -196,18 +197,20 @@ def test_lp_norm_at_large_exponent_tends_to_the_sup():
     assert lp_norm(zero, 2000, FLAT, BUNDLE) == 0.0
 
 
-def test_lp_norm_region_ignores_larger_values_outside_it():
+def test_masked_lp_reduction_ignores_larger_values_outside_the_mask():
     # (1.5 / 0.5) ** 2000 overflows: the scale comes from the region's max,
-    # so the values outside the region must not be raised to the power p
+    # so the values outside the region must not be raised to the power p;
+    # covering_norm reduces each level's pointwise norm masked this way
     left = GRID.coords[0] < 0.0
     vals = np.where(left, 0.5, 1.5)[None]
     u = TensorSection(GRID, 0, vals, 1)
     inside = TensorSection(GRID, 0, np.where(left, 0.5, 0.0)[None], 1)
+    masked = np.where(left, pointwise_norm_sq(u, FLAT), 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = lp_norm(u, 2000, FLAT, region=left)
+        got = _lp_of_sq(masked, 2000, FLAT)
         assert got == lp_norm(inside, 2000, FLAT)
-        assert lp_norm(u, math.inf, FLAT, region=left) == 0.5
+        assert _lp_of_sq(masked, math.inf, FLAT) == 0.5
     assert got == pytest.approx(0.5, rel=1e-3)
 
 

@@ -27,7 +27,7 @@ from nabla_calc.calculus import (
     tower,
 )
 from nabla_calc.generators import nabla_via_generators
-from nabla_calc.operators import NablaOpSpec, apply_mixed_op, apply_nabla_op
+from nabla_calc.operators import apply_nabla_op
 from nabla_calc.scenarios import build_context, builtin_scenario, list_builtins, parse_scenario
 from nabla_calc.sections import random_section, random_vector_field, seeded_rng
 
@@ -73,18 +73,12 @@ def _stored_fields(ctx):
             ("g structure", ctx.gens.g_structure, (g, g, g)),
             ("l structure", ctx.gens.l_structure, (g, g, g)),
         ]
-    fields += [(f"field {name}", x, (n,)) for name, x in ctx.fields.items()]
     for name, op in ctx.nabla_ops.items():
-        if isinstance(op, NablaOpSpec):
-            fields += [
-                (f"{name} level {j}", a, (d, n**j * d))
-                for j, a in enumerate(op.coefficients)
-                if a is not None
-            ]
-        else:
-            for term in op.terms:
-                fields.append((f"{name} term", term.coefficient, (d, d)))
-                fields += [(f"{name} term field", x, (n,)) for x in term.fields]
+        fields += [
+            (f"{name} level {j}", a, (d, n**j * d))
+            for j, a in enumerate(op.coefficients)
+            if a is not None
+        ]
     for name, form in ctx.bidiff_forms.items():
         fields += [
             (f"{name} {key}", a, (n ** key[1] * d, n ** key[0] * d))
@@ -105,9 +99,7 @@ def _sections(ctx):
         contract_with_vector(levels[2], x),
         directional_derivative(u, x, bundle, metric),
     ]
-    for op in ctx.nabla_ops.values():
-        apply = apply_nabla_op if isinstance(op, NablaOpSpec) else apply_mixed_op
-        made.append(apply(op, u))
+    made += [apply_nabla_op(op, u) for op in ctx.nabla_ops.values()]
     if ctx.gens is not None:
         made.append(nabla_via_generators(u, ctx.gens, bundle, metric))
         made.append(contract_with_vector(levels[1], ctx.gens.z[0]))

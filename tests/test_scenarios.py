@@ -1,7 +1,10 @@
 """Scenario parsing, object construction, and deterministic execution."""
 
+import dataclasses
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from nabla_calc.norms import sobolev_norm
 from nabla_calc.reports import report_payload
 from nabla_calc.scenarios import (
     BUILTINS,
+    Scenario,
     build_context,
     builtin_scenario,
     list_builtins,
@@ -22,8 +26,16 @@ from nabla_calc.scenarios import (
 from nabla_calc.sections import random_section, seeded_rng
 
 
+# every check entry that test_config_errors rejects, as with_check makes them
+REJECTED_CHECK_ENTRIES = []
+
+
 def with_check(entry):
-    return lambda c: c.update(checks=[dict(entry, tolerance=1.0)])
+    """A mangle that makes entry, at tolerance 1 unless it sets its own, the
+    config's one check."""
+    entry = {"tolerance": 1.0, **entry}
+    REJECTED_CHECK_ENTRIES.append(entry)
+    return lambda c: c.update(checks=[entry])
 
 
 def tiny_config():
@@ -62,9 +74,10 @@ def test_parse_round_trips_the_tiny_config():
         lambda c: c["chart"].update(box=[[1, -1]]),
         lambda c: c["chart"].update(fd_order=3),
         lambda c: c["bundle"].update(fiber_dim=0),
-        lambda c: c["checks"][0].update(tolerance=0),
-        lambda c: c["checks"][0].update(bogus_param=1),
+        with_check({"check": "norm-table", "tolerance": 0}),
+        with_check({"check": "norm-table", "bogus_param": 1}),
         lambda c: c.update(seed=-4),
+        # the write-only fields section is gone
         lambda c: c.update(fields={"v": ["x1"]}),
         # check parameters that passed without evaluating anything
         with_check({"check": "multiindex-formulas", "trials": 0}),
@@ -83,8 +96,8 @@ def test_parse_round_trips_the_tiny_config():
         with_check({"check": "weighted-duality", "p": 1}),
         with_check({"check": "norm-equivalence", "p": "inf"}),
         # values that were accepted
-        lambda c: c["checks"][0].update(tolerance=True),
-        lambda c: c["checks"][0].update(tolerance=float("inf")),
+        with_check({"check": "norm-table", "tolerance": True}),
+        with_check({"check": "norm-table", "tolerance": float("inf")}),
         lambda c: c.update(seed=True),
         # sections that crashed
         lambda c: c.update(chart=5),
@@ -98,16 +111,13 @@ def test_parse_round_trips_the_tiny_config():
             operators={"m": {"form": "mixed", "terms": [{"fields": ["v"]}]}},
         ),
         lambda c: c.update(
-            operators={
-                "m": {"form": "nabla", "coefficients": [["a", [["1", "0"], ["0", "1"]]]]}
-            }
+            operators={"m": {"coefficients": [["a", [["1", "0"], ["0", "1"]]]]}}
         ),
         lambda c: c.update(forms={"f": {"half_order": 0, "table": [[0, 0]]}}),
         # the dropped coefficient-class and Frechet tags are unknown keys
         lambda c: c.update(
             operators={
                 "m": {
-                    "form": "nabla",
                     "class": "smooth",
                     "coefficients": [[0, [["1", "0"], ["0", "1"]]]],
                 }
@@ -141,6 +151,18 @@ def test_parse_round_trips_the_tiny_config():
         lambda c: c["chart"].update(box=[["-1", "1"], ["-1", "1"]]),
         lambda c: c["chart"].update(box=[[False, True], [-1, 1]]),
         lambda c: c.update(weight={"rho": "x1 + 2", "admissible": "false"}),
+        # an operator is its coefficients: the one-valued form key and the
+        # mixed terms are gone
+        lambda c: c.update(
+            operators={"m": {"form": "nabla", "coefficients": [[0, [["1", "0"], ["0", "1"]]]]}}
+        ),
+        lambda c: c.update(
+            operators={"m": {"terms": [{"coefficient": [["1"]], "fields": []}]}}
+        ),
+        # the narrowed exponent rules of single checks
+        with_check({"check": "norm-equivalence", "p": "infinity"}),
+        with_check({"check": "weighted-duality", "p": "inf"}),
+        with_check({"check": "weighted-duality", "p": 1.0}),
     ],
 )
 def test_config_errors(mangle):
@@ -170,6 +192,49 @@ def test_resolution_errors(mangle):
     mangle(cfg)
     with pytest.raises(ResolutionError):
         parse_scenario(cfg)
+
+
+@pytest.mark.parametrize("entry", REJECTED_CHECK_ENTRIES, ids=repr)
+def test_direct_check_calls_reject_what_parsing_rejects(entry):
+    ctx = build_context(parse_scenario(tiny_config()))
+    with pytest.raises(ConfigError):
+        CHECKS[entry["check"]][0](ctx, entry)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seed": 2.5},
+        {"seed": True},
+        {"seed": -3},
+        {"fd_order": 2.9},
+        {"fd_order": 3},
+        {"fd_order": True},
+        {"h": "0.03125"},
+        {"h": math.nan},
+        {"h": math.inf},
+        {"h": 0},
+    ],
+    ids=repr,
+)
+def test_overrides_obey_the_file_rules(override):
+    s = parse_scenario(tiny_config())
+    for run in (build_context, run_scenario):
+        with pytest.raises(ConfigError, match="override"):
+            run(s, **override)
+    # the same value in the file fails its rule too
+    cfg = tiny_config()
+    key, value = next(iter(override.items()))
+    (cfg if key == "seed" else cfg["chart"])[key] = value
+    with pytest.raises(ConfigError):
+        parse_scenario(cfg)
+
+
+def test_readme_lists_the_scenario_sections():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    line = next(line for line in text.splitlines() if line.startswith("Scenario sections: "))
+    listed = re.findall(r"`([a-z_]+)`", line)
+    assert listed == [f.name for f in dataclasses.fields(Scenario)]
 
 
 def test_empty_check_list_gives_empty_passing_report():
@@ -284,8 +349,7 @@ def test_grid_overrides():
 def test_context_matches_hand_built_objects():
     cfg = tiny_config()
     cfg["bundle"] = {"kind": "magnetic-example"}
-    cfg["weight"] = {"rho": "2 + x1", "admissible": True}
-    cfg["fields"] = {"spin": ["x2", "-x1"]}
+    cfg["weight"] = {"rho": "2 + x1", "f0": "exp(x2)", "admissible": True}
     s = parse_scenario(cfg)
     ctx = build_context(s)
     grid = ctx.grid
@@ -293,8 +357,8 @@ def test_context_matches_hand_built_objects():
     want = magnetic_example_bundle(grid)
     assert np.allclose(ctx.bundle.potentials, want.potentials)
     assert np.allclose(ctx.weight.rho, 2 + grid.coords[0])
-    assert np.allclose(ctx.fields["spin"][0], grid.coords[1])
-    assert np.allclose(ctx.fields["spin"][1], -grid.coords[0])
+    assert np.allclose(ctx.weight.f0, np.exp(grid.coords[1]))
+    assert ctx.weight.f0.shape == grid.shape
 
 
 def test_conformal_metric_from_expression():
@@ -319,7 +383,6 @@ def test_operator_and_form_construction():
     cfg["embedding"] = {"name": "identity"}
     cfg["operators"] = {
         "drift": {
-            "form": "nabla",
             "coefficients": [
                 [1, [["1", "0", "0", "0"], ["0", "1", "0", "0"]]]
             ],
@@ -340,7 +403,7 @@ def test_operator_and_form_construction():
 def test_misshaped_operator_matrix_is_rejected():
     cfg = tiny_config()
     cfg["operators"] = {
-        "bad": {"form": "nabla", "coefficients": [[1, [["1", "0"], ["0", "1"]]]]}
+        "bad": {"coefficients": [[1, [["1", "0"], ["0", "1"]]]]}
     }
     with pytest.raises(ConfigError):
         build_context(parse_scenario(cfg))
@@ -442,10 +505,8 @@ def test_margin_below_stencil_radius_is_a_config_error():
 
 
 def test_mapping_bound_needs_a_nabla_operator():
-    cfg = tiny_config()
-    cfg["fields"] = {"v": ["1", "0"]}
-    term = {"coefficient": [["1", "0"], ["0", "1"]], "fields": ["v"]}
-    cfg["operators"] = {"m": {"form": "mixed", "terms": [term]}}
-    cfg["checks"] = [{"check": "mapping-bound", "tolerance": 1.0, "operator": "m"}]
-    with pytest.raises(ResolutionError, match="nabla-form operator"):
-        run_scenario(parse_scenario(cfg))
+    # a file's check names a defined operator; a direct call is told
+    ctx = build_context(parse_scenario(tiny_config()))
+    entry = {"check": "mapping-bound", "tolerance": 1.0, "operator": "m"}
+    with pytest.raises(ResolutionError, match="no operator named 'm'"):
+        CHECKS["mapping-bound"][0](ctx, entry)
