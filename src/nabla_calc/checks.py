@@ -600,7 +600,7 @@ def _random_mixed_spec(ctx, gens, trial, max_order):
         length = int(rng.integers(1, max_order + 1))
         labels = tuple(int(l) for l in rng.integers(1, n_gen + 1, size=length))
         coeff = random_trig_field(grid.dim, (d, d), rng).sample(grid)
-        terms.append(MixedTerm(coeff, labels=labels))
+        terms.append(MixedTerm(coeff, labels))
     return MixedOpSpec(ctx.bundle, ctx.bundle, ctx.metric, terms)
 
 

@@ -29,11 +29,11 @@ SIGMA_FLOOR = 1e-12
 class EmbeddingSpec:
     """Pointwise injective linear map of the tangent spaces into R^N.
 
-    phi has shape (N, n) + grid; the isometric flag asserts phi^T phi = g
-    for the metric the embedding will be paired with.
+    phi has shape (N, n) + grid.  It pairs with any metric on the grid:
+    build_generators compares phi^T phi with that metric itself.
     """
 
-    def __init__(self, grid, phi, isometric=False):
+    def __init__(self, grid, phi):
         phi = np.asarray(phi, dtype=float)
         n = grid.dim
         if phi.ndim != grid.dim + 2 or phi.shape[2:] != grid.shape:
@@ -51,7 +51,6 @@ class EmbeddingSpec:
             )
         self.grid = grid
         self.phi = phi
-        self.isometric = bool(isometric)
 
     def gram(self):
         """phi^T phi as a pointwise n x n field."""
@@ -98,9 +97,10 @@ def coframe_gram(gens, metric):
 def build_generators(embedding, metric):
     """Frame and coframe from an embedding: Z_j = Psi(e_j), xi_j = row j of Phi.
 
-    Psi is the pointwise pseudoinverse (Phi^T Phi)^{-1} Phi^T; for an
-    isometric embedding the Gram factor is the metric itself and g^{-1}
-    Phi^T is used directly.
+    Psi is the pointwise pseudoinverse (Phi^T Phi)^{-1} Phi^T.  Where the
+    Gram field Phi^T Phi equals the metric to 1e-8 relative, the Gram
+    factor is g itself and g^{-1} Phi^T is used directly; any other pair
+    of embedding and metric takes the linear solve.
     """
     grid = embedding.grid
     if metric.grid != grid:
@@ -116,14 +116,10 @@ def build_generators(embedding, metric):
             f"embedding singular value {smin:.3e} is at or below the floor "
             f"{SIGMA_FLOOR * max(1.0, smax):.3e}"
         )
-    if embedding.isometric:
-        defect = float(np.max(np.abs(gram - metric.values)))
-        scale = max(1.0, float(np.max(np.abs(metric.values))))
-        if defect > 1e-8 * scale:
-            raise ValueError(
-                f"isometric flag is set but phi^T phi differs from the metric "
-                f"by {defect:.3e}"
-            )
+    defect = float(np.max(np.abs(gram - metric.values)))
+    scale = max(1.0, float(np.max(np.abs(metric.values))))
+    if defect <= 1e-8 * scale:
+        # the Gram field is the metric: Psi = g^{-1} Phi^T
         z = np.swapaxes(np.einsum("ik...,jk...->ij...", metric.inv, phi), 0, 1)
     else:
         # numpy.linalg wants the matrices last: psi[..., i, j] = Psi_ij
@@ -155,8 +151,9 @@ def polar_isometrize(embedding, metric):
     """Replace an embedding by its metric-adjusted polar part.
 
     The result Phi' = Phi (Phi^T Phi)^{-1/2} g^{1/2} satisfies
-    Phi'^T Phi' = g pointwise, so the returned spec carries the isometric
-    flag.  An already isometric embedding comes back unchanged.
+    Phi'^T Phi' = g pointwise up to rounding, so build_generators takes
+    its g^{-1} Phi^T branch for the pair.  An embedding whose Gram field
+    is already g comes back unchanged up to rounding.
     """
     grid = embedding.grid
     if metric.grid != grid:
@@ -164,7 +161,7 @@ def polar_isometrize(embedding, metric):
     inv_root = _spd_power(embedding.gram(), -0.5, "embedding Gram")
     g_root = _spd_power(metric.values, 0.5, "metric")
     phi = np.einsum("ai...,ij...,jk...->ak...", embedding.phi, inv_root, g_root)
-    return EmbeddingSpec(grid, phi, isometric=True)
+    return EmbeddingSpec(grid, phi)
 
 
 def structure_functions(gens, metric):
@@ -249,12 +246,12 @@ def generator_sobolev_norm(u, s, p, gens, bundle, metric, all_tuples=False):
     return _lp_combine(terms, p)
 
 
-def identity_embedding(grid, isometric=True):
-    """Phi = identity with N = n; isometric exactly for the flat metric."""
+def identity_embedding(grid):
+    """Phi = identity with N = n; its Gram field is the flat metric."""
     n = grid.dim
     eye = np.eye(n).reshape((n, n) + (1,) * n)
     phi = np.broadcast_to(eye, (n, n) + grid.shape).copy()
-    return EmbeddingSpec(grid, phi, isometric=isometric)
+    return EmbeddingSpec(grid, phi)
 
 
 def sphere_ambient_embedding(grid):
@@ -276,15 +273,14 @@ def sphere_ambient_embedding(grid):
     phi[2, 0] = 4.0 * x1 / s**2
     phi[2, 1] = 4.0 * x2 / s**2
     metric = MetricField(grid, (4.0 / s**2) * np.eye(2).reshape(2, 2, 1, 1))
-    return EmbeddingSpec(grid, phi, isometric=True), metric
+    return EmbeddingSpec(grid, phi), metric
 
 
-def graph_embedding(grid, heights, gradients=None):
+def graph_embedding(grid, heights):
     """Graph-of-f chart: Phi stacks the identity over the height gradients.
 
     heights is a grid array (one ambient height) or (m,) + grid for m of
-    them; gradients holds the (m, n) + grid partials and is
-    central-differenced from the heights when not supplied.  Returns
+    them; the gradients are central-differenced from the heights.  Returns
     (embedding, metric) with the induced graph metric 1 + Df^T Df.
     """
     heights = np.asarray(heights, dtype=float)
@@ -296,18 +292,11 @@ def graph_embedding(grid, heights, gradients=None):
             f"height field shape {heights.shape} does not sit over grid {grid.shape}"
         )
     n = grid.dim
-    if gradients is None:
-        gradients = np.stack([grid.diff(heights, axis=k) for k in range(n)], axis=1)
-    gradients = np.asarray(gradients, dtype=float)
-    if gradients.shape != (m, n) + grid.shape:
-        raise ShapeMismatch(
-            f"gradient field shape {gradients.shape} does not match "
-            f"{m} heights over a {n}d chart"
-        )
+    gradients = np.stack([grid.diff(heights, axis=k) for k in range(n)], axis=1)
     eye = np.eye(n).reshape((n, n) + (1,) * n)
     phi = np.concatenate([np.broadcast_to(eye, (n, n) + grid.shape), gradients])
     gram = eye + np.einsum("mi...,mj...->ij...", gradients, gradients)
-    return EmbeddingSpec(grid, phi, isometric=True), MetricField(grid, gram)
+    return EmbeddingSpec(grid, phi), MetricField(grid, gram)
 
 
 def random_embedding(grid, n_ambient, rng, amplitude=0.25):
@@ -335,4 +324,4 @@ def random_embedding(grid, n_ambient, rng, amplitude=0.25):
         c *= amplitude / (n_waves * np.linalg.norm(c, 2))
         wave = np.sin(x @ w + phase)
         phi = phi + wave * c.reshape(c.shape + pad)
-    return EmbeddingSpec(grid, phi, isometric=False)
+    return EmbeddingSpec(grid, phi)

@@ -301,49 +301,38 @@ def compose(q, p):
 
 
 class MixedTerm:
-    """One summand a nabla_{X_1} ... nabla_{X_r}; the rightmost factor acts first.
+    """One summand a nabla_{Z_k1} ... nabla_{Z_kr}; the rightmost factor acts first.
 
     The coefficient may be stored at the shape it varies over, each grid
-    axis full or of length 1.  fields holds the vector fields as (n,) + grid
-    arrays; labels optionally tags them as 1-based generator indices, which
-    reordering requires.  Either may be omitted, but not both.
+    axis full or of length 1.  labels are the 1-based indices k1 .. kr of
+    the vector fields in a GeneratorSystem, which every function that
+    applies or rewrites the term takes; any finite list of vector fields
+    can serve as one.
     """
 
-    def __init__(self, coefficient, fields=None, labels=None):
-        if fields is None and labels is None:
-            raise ShapeMismatch("a mixed term needs vector fields or labels")
+    def __init__(self, coefficient, labels):
         self.coefficient = np.asarray(coefficient, dtype=complex)
-        self.fields = None if fields is None else [np.asarray(x, float) for x in fields]
-        self.labels = None if labels is None else tuple(int(k) for k in labels)
-
-    @property
-    def depth(self):
-        return len(self.fields) if self.fields is not None else len(self.labels)
+        self.labels = tuple(int(k) for k in labels)
 
 
 class MixedOpSpec:
-    """Sum of mixed terms a nabla_{X_1} ... nabla_{X_r} with r <= order.
+    """Sum of mixed terms a nabla_{Z_k1} ... nabla_{Z_kr} with r <= order.
 
-    A term whose coefficient is identically zero is validated and counts
-    towards the default order, but is not kept.
+    The terms name their vector fields by generator labels only; the
+    GeneratorSystem that holds the fields is passed where the operator is
+    applied or rewritten.  A term whose coefficient is identically zero is
+    validated and counts towards the default order, but is not kept.
     """
 
     def __init__(self, source, target, metric, terms, order=None):
         grid = _common_grid(metric, "operator", source, target)
-        n = grid.dim
         tail = (target.fiber_dim, source.fiber_dim)
         depth = 0
         for term in terms:
             check_grid_shape(term.coefficient.shape, grid, tail, "term coefficient")
-            if term.fields is not None:
-                for x in term.fields:
-                    if x.shape != (n,) + grid.shape:
-                        raise ShapeMismatch(
-                            f"vector field shape {x.shape} does not match the grid"
-                        )
-            if term.labels is not None and any(k < 1 for k in term.labels):
+            if any(k < 1 for k in term.labels):
                 raise ShapeMismatch(f"generator labels must be >= 1, got {term.labels}")
-            depth = max(depth, term.depth)
+            depth = max(depth, len(term.labels))
         if order is None:
             order = depth
         if order < depth:
@@ -361,47 +350,41 @@ class MixedOpSpec:
         return self.metric.grid
 
 
-def _term_fields(term, gens):
-    if term.fields is not None:
-        return term.fields
-    if gens is None:
-        raise ValueError(
-            "term carries only generator labels; pass the generator system"
-        )
-    return [gens.z[k - 1] for k in term.labels]
-
-
-def apply_mixed_op(spec, u, gens=None):
+def apply_mixed_op(spec, u, gens):
     """Apply each directional chain right to left, then the coefficient."""
     grid = spec.grid
+    if gens.grid != grid:
+        raise ChartMismatch("generator system and operator live on different grids")
     _check_rank0(
         u, grid, spec.source, spec.order, "operator and section", "operator eats rank-0 sections"
     )
     out = np.zeros((spec.target.fiber_dim,) + grid.shape, dtype=complex)
     for term in spec.terms:
         v = u
-        for x in reversed(_term_fields(term, gens)):
+        for k in reversed(term.labels):
             full = covariant_derivative(v, spec.source, spec.metric, check_support=False)
-            vals = np.einsum("k...,ka...->a...", x, full.values)
+            vals = np.einsum("k...,ka...->a...", gens.z[k - 1], full.values)
             v = TensorSection(grid, 0, vals, u.fiber_dim)
         out += np.einsum("gk...,k...->g...", term.coefficient, v.values)
     return TensorSection(grid, 0, out, spec.target.fiber_dim)
 
 
-def mixed_to_nabla(spec, gens=None):
+def mixed_to_nabla(spec, gens):
     """Rewrite directional chains into a single coefficient ladder.
 
-    Each term a nabla_{X_1} ... nabla_{X_r} becomes the composition of the
-    multiplication by a with the first-order ladders nabla_{X_i}, nested
+    Each term a nabla_{Z_k1} ... nabla_{Z_kr} becomes the composition of the
+    multiplication by a with the first-order ladders nabla_{Z_ki}, nested
     from the rightmost factor inward so that every product-rule step
     differentiates a single table entry.  The ladder keeps the declared order.
     """
+    if gens.grid != spec.grid:
+        raise ChartMismatch("generator system and operator live on different grids")
     metric = spec.metric
     source = spec.source
     total = None
     for term in spec.terms:
         op = multiplication_op(term.coefficient, source, spec.target, metric)
-        fields = _term_fields(term, gens)
+        fields = [gens.z[k - 1] for k in term.labels]
         if fields:
             chain = directional_op(fields[-1], source, metric)
             for x in reversed(fields[:-1]):
@@ -466,10 +449,7 @@ def nabla_to_mixed(spec, gens):
         del cur
     merge(spec.coefficients[spec.order], prev)
     del prev
-    terms = [
-        MixedTerm(c, fields=[gens.z[k - 1] for k in chain], labels=chain)
-        for chain, c in sorted(merged.items())
-    ]
+    terms = [MixedTerm(c, chain) for chain, c in sorted(merged.items())]
     return MixedOpSpec(source, spec.target, metric, terms, order=spec.order)
 
 
@@ -506,11 +486,7 @@ def reorder_generators(spec, gens, bundle):
     d = bundle.fiber_dim
     eye = np.eye(d, dtype=complex).reshape((d, d) + (1,) * metric.grid.dim)
     curv = curvature(bundle)
-    pending = []
-    for term in spec.terms:
-        if term.labels is None:
-            raise ValueError("reordering needs generator labels on every term")
-        pending.append((term.coefficient, term.labels))
+    pending = [(term.coefficient, term.labels) for term in spec.terms]
     finished = {}
     while pending:
         coeff, labels = pending.pop()
@@ -533,10 +509,7 @@ def reorder_generators(spec, gens, bundle):
             pending.extend(
                 _absorb(coeff, pre, scaled, (m + 1,) + post, gens, bundle, metric)
             )
-    terms = [
-        MixedTerm(c, fields=[gens.z[k - 1] for k in chain], labels=chain)
-        for chain, c in sorted(finished.items())
-    ]
+    terms = [MixedTerm(c, chain) for chain, c in sorted(finished.items())]
     return MixedOpSpec(spec.source, spec.target, metric, terms, order=spec.order)
 
 

@@ -160,11 +160,9 @@ def parse_scenario(cfg):
     if not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box):
         raise ConfigError(f"chart box {box} needs finite lo < hi on every axis")
     h = _need(chart, "h", "chart")
-    _check_rules(chart, _SETTINGS, "chart")
+    _check_rules(chart, {**_SETTINGS, "margin": (_is_int, "an integer >= 0")}, "chart")
     fd_order = chart.get("fd_order", 4)
     margin = chart.get("margin")
-    if margin is not None and not _is_int(margin):
-        raise ConfigError(f"chart margin must be an integer >= 0, got {margin!r}")
     chart = {"box": box, "h": float(h), "fd_order": fd_order, "margin": margin}
 
     metric = _object(_need(cfg, "metric", "scenario"), "metric")
@@ -321,9 +319,7 @@ def _build_embedding(scenario, grid, seed):
         return None, None
     name = cfg["name"]
     if name == "identity":
-        return identity_embedding(
-            grid, isometric=scenario.metric["kind"] == "flat"
-        ), None
+        return identity_embedding(grid), None
     if name == "sphere-ambient":
         return sphere_ambient_embedding(grid)
     if name == "graph":

@@ -87,8 +87,24 @@ def test_passing_run_writes_reports(tmp_path, capsys):
     assert (out_dir / "cli-pass.norms.csv").exists()
 
 
-def test_json_format(tmp_path):
-    path = write_config(tmp_path, passing_config())
+# embeddings on a metric their Gram field is not: the frame is the
+# pseudoinverse of the embedding, whatever the metric
+PAIRINGS = {
+    "sphere-ambient on flat": ({"name": "sphere-ambient"}, {"kind": "flat"}),
+    "graph on conformal": (
+        {"name": "graph", "heights": ["0.2*x1*x2"]},
+        {"kind": "conformal", "phi": "0.1*x1*x2"},
+    ),
+}
+
+
+@pytest.mark.parametrize("pairing", [None, *PAIRINGS])
+def test_json_format(tmp_path, pairing):
+    cfg = passing_config()
+    if pairing is not None:
+        cfg["embedding"], cfg["metric"] = PAIRINGS[pairing]
+        cfg["checks"].append({"check": "generator-identities", "tolerance": 1e-12})
+    path = write_config(tmp_path, cfg)
     out_dir = tmp_path / "out"
     assert main([
         "run", "--scenario", path, "--out", str(out_dir), "--format", "json",

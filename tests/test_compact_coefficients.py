@@ -141,7 +141,7 @@ def test_every_stored_coefficient_rejects_an_axis_neither_full_nor_one(shape):
     with pytest.raises(ShapeMismatch):
         BidiffSpec(MAGNET, MAGNET, FLAT, 0, {(0, 0): bad})
     with pytest.raises(ShapeMismatch):
-        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(bad, fields=[])])
+        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(bad, ())])
     with pytest.raises(ShapeMismatch):
         coefficient_infty_norm(bad, MAGNET, MAGNET, FLAT, 1)
 

@@ -99,10 +99,19 @@ def test_degenerate_embedding_raises():
         build_generators(EmbeddingSpec(GRID, phi), FLAT)
 
 
-def test_isometric_flag_is_checked():
-    emb = identity_embedding(GRID, isometric=True)
-    with pytest.raises(ValueError):
-        build_generators(emb, _conformal_metric(GRID))
+@pytest.mark.parametrize(
+    "emb, metric",
+    [(SPHERE_EMB, FLAT), (identity_embedding(GRID), _conformal_metric(GRID))],
+    ids=("sphere-on-flat", "identity-on-conformal"),
+)
+def test_a_gram_that_is_not_the_metric_gets_the_pseudoinverse_frame(emb, metric):
+    # any embedding pairs with any metric: Z_j = Psi(e_j) with Psi the
+    # pointwise pseudoinverse, whatever the metric
+    gens = build_generators(emb, metric)
+    pinv = np.linalg.pinv(np.moveaxis(emb.phi, (0, 1), (-2, -1)))
+    assert np.max(np.abs(gens.z - np.moveaxis(pinv, (-1, -2), (0, 1)))) <= 1e-12
+    assert np.array_equal(gens.xi, emb.phi)
+    assert reconstruction_defect(gens) <= 1e-12
 
 
 def test_embedding_shape_validation():
@@ -118,11 +127,15 @@ def test_polar_isometrize_random_embedding():
     emb = polar_isometrize(random_embedding(GRID, 5, rng), metric)
     defect = np.max(np.abs(emb.gram() - metric.values))
     assert defect <= 1e-10
-    assert emb.isometric
+    # the Gram field is the metric, so the frame is g^{-1} Phi^T
+    gens = build_generators(emb, metric)
+    want = np.einsum("ik...,jk...->ji...", metric.inv, emb.phi)
+    assert np.array_equal(gens.z, want)
 
 
 def test_polar_isometrize_fixed_points():
-    # an isometric embedding is already its own polar part
+    # an embedding whose Gram field is the metric is its own polar part,
+    # up to rounding
     emb2 = polar_isometrize(SPHERE_EMB, SPHERE_G)
     assert np.max(np.abs(emb2.phi - SPHERE_EMB.phi)) <= 1e-10
     # a constant multiple of the identity collapses back to the identity
@@ -261,8 +274,7 @@ def test_generator_norm_tuple_variants_and_curvature_gap():
 def test_graph_embedding_round_trip():
     x, y = GRID.coords
     heights = 0.3 * np.sin(x) * np.cos(y)
-    gradients = np.stack([0.3 * np.cos(x) * np.cos(y), -0.3 * np.sin(x) * np.sin(y)])[None]
-    emb, metric = graph_embedding(GRID, heights, gradients)
+    emb, metric = graph_embedding(GRID, heights)
     gens = build_generators(emb, metric)
     assert reconstruction_defect(gens) <= 1e-12
     u = random_section(GRID, 0, 1, seeded_rng(37, "graph"))

@@ -39,7 +39,6 @@ from nabla_calc.grid import ChartGrid
 from nabla_calc.operators import (
     _add_ladders,
     _scaled,
-    _term_fields,
     apply_mixed_op,
     compose,
     directional_op,
@@ -268,9 +267,9 @@ def _apply_mixed_reference(spec, u, gens):
     out = np.zeros(grid.shape + (spec.target.fiber_dim,), dtype=complex)
     for term in spec.terms:
         v = u
-        for x in reversed(_term_fields(term, gens)):
+        for k in reversed(term.labels):
             full = covariant_derivative(v, spec.source, spec.metric, check_support=False)
-            vals = np.einsum("...k,...ka->...a", _first(x), _first(full.values))
+            vals = np.einsum("...k,...ka->...a", _first(gens.z[k - 1]), _first(full.values))
             v = TensorSection(grid, 0, _last(vals), u.fiber_dim)
         coefficient = np.broadcast_to(term.coefficient, term.coefficient.shape[:2] + grid.shape)
         out += np.einsum("...gk,...k->...g", _first(coefficient), _first(v.values))

@@ -16,6 +16,7 @@ from nabla_calc.calculus import covariant_derivative, curvature, multiindex_deri
 from nabla_calc.checks import CHECKS
 from nabla_calc.errors import ChartMismatch, ShapeMismatch
 from nabla_calc.generators import (
+    GeneratorSystem,
     build_generators,
     identity_embedding,
     sphere_ambient_embedding,
@@ -64,12 +65,21 @@ GRID = ChartGrid([(-1, 1), (-1, 1)], (97, 97))
 FLAT = MetricField.flat(GRID)
 SCALAR = BundleSpec(GRID, 1)
 MAGNET = magnetic_example_bundle(GRID)
+# the coordinate frame: Z_1 = e_1 and Z_2 = e_2
+COORD = build_generators(identity_embedding(GRID), FLAT)
 
 
 def _basis_field(grid, axis):
     e = np.zeros((grid.dim,) + grid.shape)
     e[axis] = 1.0
     return e
+
+
+def _frame(fields, grid=GRID):
+    """Any list of vector fields as a generator system; the mixed-operator
+    functions read only its frame, so the coframe is left zero."""
+    z = np.reshape(fields, (-1, grid.dim) + grid.shape)
+    return GeneratorSystem(grid, z, np.zeros_like(z))
 
 
 def _eye(d, grid=GRID):
@@ -178,7 +188,13 @@ def test_apply_rejects_wrong_shape_and_grid():
         apply_nabla_op(identity_op(MAGNET, FLAT), v)
     mixed = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(np.ones((2, 2) + GRID.shape), [])])
     with pytest.raises(ShapeMismatch, match=shape):
-        apply_mixed_op(mixed, v)
+        apply_mixed_op(mixed, v, COORD)
+    other_gens = build_generators(identity_embedding(other), MetricField.flat(other))
+    frames = "^generator system and operator live on different grids$"
+    with pytest.raises(ChartMismatch, match=frames):
+        apply_mixed_op(mixed, v, other_gens)
+    with pytest.raises(ChartMismatch, match=frames):
+        mixed_to_nabla(mixed, other_gens)
     with pytest.raises(ChartMismatch, match="^operator ingredients live on different grids$"):
         NablaOpSpec(MAGNET, magnetic_example_bundle(other), FLAT, [None])
 
@@ -398,20 +414,16 @@ def test_compose_rejects_mismatched_factors():
 def test_mixed_constant_fields_match_multiindex():
     u = random_section(GRID, 0, 2, seeded_rng(7, "op-mixed"))
     eye = _eye(2)
-    term = MixedTerm(eye, fields=[_basis_field(GRID, 1), _basis_field(GRID, 1)])
-    spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [term])
-    out = apply_mixed_op(spec, u)
+    spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, (2, 2))])
+    out = apply_mixed_op(spec, u, COORD)
     want = multiindex_derivative(u, (2, 2), MAGNET, FLAT)
     assert np.allclose(out.values, want.values, atol=1e-13)
 
 
 def test_mixed_to_nabla_flat_laplacian_coefficients():
     eye = _eye(1)
-    terms = [
-        MixedTerm(eye, fields=[_basis_field(GRID, k), _basis_field(GRID, k)])
-        for k in range(2)
-    ]
-    ladder = mixed_to_nabla(MixedOpSpec(SCALAR, SCALAR, FLAT, terms)).coefficients
+    terms = [MixedTerm(eye, (k, k)) for k in (1, 2)]
+    ladder = mixed_to_nabla(MixedOpSpec(SCALAR, SCALAR, FLAT, terms), COORD).coefficients
     want = _flat_laplacian_ladder(GRID, 1)
     assert len(ladder) == len(want)
     for got, ref in zip(ladder, want):
@@ -422,8 +434,8 @@ def test_mixed_to_nabla_flat_laplacian_coefficients():
 def test_mixed_to_nabla_magnetic_second_order():
     u = random_section(GRID, 0, 2, seeded_rng(7, "op-m2n"))
     eye = _eye(2)
-    term = MixedTerm(eye, fields=[_basis_field(GRID, 1), _basis_field(GRID, 1)])
-    spec = mixed_to_nabla(MixedOpSpec(MAGNET, MAGNET, FLAT, [term]))
+    term = MixedTerm(eye, (2, 2))
+    spec = mixed_to_nabla(MixedOpSpec(MAGNET, MAGNET, FLAT, [term]), COORD)
     out = apply_nabla_op(spec, u)
     want = multiindex_derivative(u, (2, 2), MAGNET, FLAT)
     scale = np.max(np.abs(want.values))
@@ -435,20 +447,20 @@ def test_mixed_to_nabla_varying_fields_round_trip():
     x = random_vector_field(GRID, rng)
     y = random_vector_field(GRID, rng)
     coeff = random_trig_field(2, (2, 2), rng).sample(GRID)
-    term = MixedTerm(coeff, fields=[x, y])
-    mixed = MixedOpSpec(MAGNET, MAGNET, FLAT, [term])
-    ladder = mixed_to_nabla(mixed)
+    gens = _frame([x, y])
+    mixed = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(coeff, (1, 2))])
+    ladder = mixed_to_nabla(mixed, gens)
     u = random_bump_section(GRID, 0, 2, rng).section(GRID)
     one = apply_nabla_op(ladder, u)
-    two = apply_mixed_op(mixed, u)
+    two = apply_mixed_op(mixed, u, gens)
     scale = np.max(np.abs(two.values))
     # the two routes differ by the discrete product-rule defect, which is
     # O(h^4) against the fifth derivatives of the windowed field times u
     assert np.max(np.abs(one.values - two.values)) <= 1e-3 * scale
 
 
-def _mixed_to_nabla_reference(spec):
-    """The levels of mixed_to_nabla(spec), by the hand-walked product rule.
+def _mixed_to_nabla_reference(spec, gens):
+    """The levels of mixed_to_nabla(spec, gens), by the hand-walked product rule.
 
     Works inward from the rightmost factor of each term, starting from the
     identity: every accumulated coefficient splits into its directional
@@ -460,7 +472,8 @@ def _mixed_to_nabla_reference(spec):
     total = [None] * (spec.order + 1)
     for term in spec.terms:
         chain = {0: eye}
-        for x in reversed(term.fields):
+        for k in reversed(term.labels):
+            x = gens.z[k - 1]
             nxt = {}
             for m, c in chain.items():
                 der = _hom_derivative(c, (source, m), (source, 0), metric)
@@ -476,16 +489,16 @@ def _mixed_to_nabla_reference(spec):
 
 
 def _varying_mixed(depths, order=None):
-    """Magnetic-bundle terms with random varying coefficients and fields."""
+    """Magnetic-bundle terms with random varying coefficients and fields,
+    and the frame that holds every term's own fields."""
     rng = seeded_rng(7, f"op-m2n-ref-{depths}")
-    terms = [
-        MixedTerm(
-            random_trig_field(2, (2, 2), rng).sample(GRID),
-            fields=[random_vector_field(GRID, rng) for _ in range(depth)],
-        )
-        for depth in depths
-    ]
-    return MixedOpSpec(MAGNET, MAGNET, FLAT, terms, order=order)
+    fields, terms = [], []
+    for depth in depths:
+        coefficient = random_trig_field(2, (2, 2), rng).sample(GRID)
+        labels = range(len(fields) + 1, len(fields) + depth + 1)
+        fields += [random_vector_field(GRID, rng) for _ in range(depth)]
+        terms.append(MixedTerm(coefficient, labels))
+    return MixedOpSpec(MAGNET, MAGNET, FLAT, terms, order=order), _frame(fields)
 
 
 def _same_levels(got, want, rtol=1e-13):
@@ -512,19 +525,19 @@ def test_directional_op_is_contracted_gradient():
 def test_mixed_to_nabla_matches_hand_walked_reference():
     cases = (((2,), None), ((3,), None), ((0, 2, 3), None), ((1,), 3))
     for depths, order in cases:
-        spec = _varying_mixed(depths, order)
-        ladder = mixed_to_nabla(spec)
+        spec, gens = _varying_mixed(depths, order)
+        ladder = mixed_to_nabla(spec, gens)
         assert ladder.order == spec.order
-        _same_levels(ladder.coefficients, _mixed_to_nabla_reference(spec))
+        _same_levels(ladder.coefficients, _mixed_to_nabla_reference(spec, gens))
     # a declared order above the depth leaves the top levels None
-    assert mixed_to_nabla(_varying_mixed((1,), 3)).coefficients[2:] == [None, None]
+    assert mixed_to_nabla(*_varying_mixed((1,), 3)).coefficients[2:] == [None, None]
 
 
 def test_mixed_to_nabla_depth_zero_term_is_its_coefficient():
-    spec = _varying_mixed((0,))
-    ladder = mixed_to_nabla(spec)
+    spec, gens = _varying_mixed((0,))
+    ladder = mixed_to_nabla(spec, gens)
     assert len(ladder.coefficients) == 1
-    assert np.array_equal(ladder.coefficients[0], _mixed_to_nabla_reference(spec)[0])
+    assert np.array_equal(ladder.coefficients[0], _mixed_to_nabla_reference(spec, gens)[0])
 
 
 def test_mixed_to_nabla_differentiates_once_per_table_entry(monkeypatch):
@@ -538,18 +551,15 @@ def test_mixed_to_nabla_differentiates_once_per_table_entry(monkeypatch):
     monkeypatch.setattr(operators, "_hom_derivative", counting)
     for depth, want in ((2, 1), (3, 3)):
         calls.clear()
-        mixed_to_nabla(_varying_mixed((depth,)))
+        mixed_to_nabla(*_varying_mixed((depth,)))
         assert len(calls) == want, calls
 
 
-def test_mixed_labels_require_generators():
+def test_mixed_labels_index_the_generator_frame():
     eye = _eye(2)
-    spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, labels=(2, 1))])
+    spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, (2, 1))])
     u = random_section(GRID, 0, 2, seeded_rng(7, "op-lbl"))
-    with pytest.raises(ValueError):
-        apply_mixed_op(spec, u)
-    gens = build_generators(identity_embedding(GRID), FLAT)
-    out = apply_mixed_op(spec, u, gens)
+    out = apply_mixed_op(spec, u, COORD)
     want = multiindex_derivative(u, (2, 1), MAGNET, FLAT)
     assert np.allclose(out.values, want.values, atol=1e-13)
 
@@ -564,7 +574,7 @@ def test_nabla_to_mixed_gradient_reads_off_coframe():
         want[term.labels[0] - 1, 0] = 1.0
         assert np.allclose(term.coefficient, want, atol=1e-14)
     u = random_section(GRID, 0, 1, seeded_rng(7, "op-n2m"))
-    one = apply_mixed_op(mixed, u)
+    one = apply_mixed_op(mixed, u, gens)
     two = apply_nabla_op(gradient_op(SCALAR, FLAT), u)
     assert np.allclose(one.values, two.values, atol=1e-13)
 
@@ -583,7 +593,7 @@ def test_nabla_to_mixed_round_trip_on_sphere():
     spec = NablaOpSpec(bundle, bundle, sphere_g, entries)
     mixed = nabla_to_mixed(spec, gens)
     u = random_bump_section(GRID, 0, 1, rng).section(GRID)
-    one = apply_mixed_op(mixed, u)
+    one = apply_mixed_op(mixed, u, gens)
     two = apply_nabla_op(spec, u)
     scale = np.max(np.abs(two.values))
     assert np.max(np.abs(one.values - two.values)) <= 2e-4 * scale
@@ -771,16 +781,15 @@ def test_apply_is_linear():
 def test_mixed_spec_validation():
     eye = _eye(2)
     with pytest.raises(ShapeMismatch):
-        MixedTerm(eye)
-    with pytest.raises(ShapeMismatch):
         MixedOpSpec(SCALAR, SCALAR, FLAT, [MixedTerm(eye, labels=(1,))])
     with pytest.raises(ShapeMismatch):
         MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, labels=(0,))])
     with pytest.raises(ShapeMismatch):
         MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, labels=(1, 2))], order=1)
+    # the frame that the labels index validates its fields
     bad_field = np.zeros((3,) + GRID.shape)
     with pytest.raises(ShapeMismatch):
-        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, fields=[bad_field])])
+        GeneratorSystem(GRID, bad_field[None], bad_field[None])
 
 
 def test_coefficient_infty_norm_constant_field():
@@ -867,17 +876,7 @@ def test_mapping_bound_identity_and_gradient():
 
 def test_mapping_bound_second_order_magnetic():
     spec = mixed_to_nabla(
-        MixedOpSpec(
-            MAGNET,
-            MAGNET,
-            FLAT,
-            [
-                MixedTerm(
-                    _eye(2),
-                    fields=[_basis_field(GRID, 1), _basis_field(GRID, 0)],
-                )
-            ],
-        )
+        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(_eye(2), (2, 1))]), COORD
     )
     # within the certified bound, without the rounding slack
     assert _observed_over_certified(spec, 8) <= 1.0
@@ -925,15 +924,14 @@ def test_explicit_zero_levels_are_stored_as_none():
 def test_mixed_spec_drops_zero_terms_but_keeps_their_order():
     eye = _eye(2)
     zero = np.zeros((2, 2) + GRID.shape, dtype=complex)
-    x = _basis_field(GRID, 0)
-    kept = MixedTerm(eye, fields=[x])
-    spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [kept, MixedTerm(zero, fields=[x, x])])
+    kept = MixedTerm(eye, (1,))
+    spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [kept, MixedTerm(zero, (1, 1))])
     assert spec.terms == [kept]
-    assert spec.order == mixed_to_nabla(spec).order == 2
+    assert spec.order == mixed_to_nabla(spec, COORD).order == 2
     # a zero term is validated before it is dropped
     with pytest.raises(ShapeMismatch):
-        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero[:, :1], fields=[x])])
+        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero[:, :1], (1,))])
     with pytest.raises(ShapeMismatch):
         MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero, labels=(0,))])
     with pytest.raises(ShapeMismatch):
-        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero, fields=[x, x])], order=1)
+        MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(zero, (1, 1))], order=1)

@@ -12,8 +12,14 @@ not count.
 The registered checks are reached through the CHECKS registry, and KEPT
 lists the few functions kept on purpose, each with its reason.
 
-A second guard keeps every verdict in checks.py: no library module draws
-trial data from sections or builds a "passed" key.  A third keeps it in the
+A second guard keeps no input that the package never sets: every
+defaulted parameter of a public function, method or constructor is set,
+by position, by keyword or through a *args or **kw forward, by some call
+in the package outside its own body.  KEPT_DEFAULTS lists the few kept on
+purpose, each with its reason.
+
+A third guard keeps every verdict in checks.py: no library module draws
+trial data from sections or builds a "passed" key.  A fourth keeps it in the
 rule table there: no check body reads its tolerance, except the two that
 judge their norm rows one by one.
 """
@@ -39,6 +45,16 @@ KEPT = {
     "partial": "the analytic derivatives of a bump, the reference for the "
     "stencil tests",
     "admissibility_bound": "the measured counterpart of WeightPair's admissible flag",
+}
+
+# (function, parameter) -> why no call in the package sets it
+KEPT_DEFAULTS = {
+    ("main", "argv"): "the command line reads sys.argv when it is not given; "
+    "a caller in Python passes its own argument list",
+    ("run_scenario", "threads"): "the benchmark's determinism run sets it to 2, "
+    "to compare threaded and serial report bytes",
+    ("generator_sobolev_norm", "all_tuples"): "the full product set of tuples, "
+    "the generator_sobolev_norm route kept for the (FFC) Parseval identity",
 }
 
 
@@ -172,6 +188,97 @@ def test_the_guard_sees_a_method_named_like_an_array_attribute():
         "    return Field.flat(1).twice(), f.sum()\n"
     )
     assert unreached_names({"mod.py": tree}) == {"copy", "sum"}
+
+
+def _callables(tree):
+    """(name it is called by, node, leading arguments the call does not
+    pass) of each public function, public method and constructor."""
+    for name, fn, owner in _public_definitions(tree):
+        static = any(
+            isinstance(dec, ast.Name) and dec.id == "staticmethod" for dec in fn.decorator_list
+        )
+        yield name, fn, 0 if owner is None or static else 1
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    yield node.name, fn, 1
+
+
+def _defaulted(fn, skip):
+    """(parameter, position in a call or None) of each defaulted parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index in range(first, len(positional)):
+        yield positional[index].arg, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls(node):
+    """(called name, call) of every call in node by a name or attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            if isinstance(sub.func, ast.Name):
+                yield sub.func.id, sub
+            elif isinstance(sub.func, ast.Attribute):
+                yield sub.func.attr, sub
+
+
+def _sets(call, param, position):
+    """Whether call passes param by keyword, by position or by a forward."""
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def unset_defaults(modules):
+    """(name, parameter) of each defaulted parameter that no call sets."""
+    calls_by_name = {}
+    for filename, tree in modules.items():
+        if filename != "__init__.py":
+            for called, call in _calls(tree):
+                calls_by_name.setdefault(called, []).append(call)
+    unset = set()
+    for tree in modules.values():
+        for name, fn, skip in _callables(tree):
+            own = {id(call) for _, call in _calls(fn)}
+            calls = [call for call in calls_by_name.get(name, ()) if id(call) not in own]
+            for param, position in _defaulted(fn, skip):
+                if not any(_sets(call, param, position) for call in calls):
+                    unset.add((name, param))
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_a_package_call():
+    unset = unset_defaults(_modules()) - set(KEPT_DEFAULTS)
+    assert not unset, f"defaulted parameters that no package call sets: {sorted(unset)}"
+
+
+def test_every_kept_default_is_otherwise_unset():
+    # a kept parameter that the package starts to set, or that is deleted,
+    # leaves the list
+    assert set(KEPT_DEFAULTS) <= unset_defaults(_modules())
+    assert all(reason.strip() for reason in KEPT_DEFAULTS.values())
+
+
+def test_the_default_guard_sees_a_parameter_no_call_sets():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return f(a, e=0)\n\n"
+        "def g(x, y=0, z=0):\n    return x\n\n"
+        "class C:\n"
+        "    def __init__(self, v, w=None):\n        self.v = v\n"
+        "    def m(self, k=0, j=0):\n        return k\n\n"
+        "def run(kw, args):\n"
+        "    return f(0, 1, d=5), g(1, **kw), C(1).m(2), C(0, *args)\n"
+    )
+    # e is set only in f's own body, c and j by no call; the **kw forward
+    # sets every parameter of g, the *args forward every one of C
+    assert unset_defaults({"mod.py": tree}) == {("f", "c"), ("f", "e"), ("m", "j")}
 
 
 # modules that only compute: checks.py draws the trial data and decides

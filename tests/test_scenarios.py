@@ -99,6 +99,7 @@ def test_parse_round_trips_the_tiny_config():
         with_check({"check": "norm-table", "tolerance": True}),
         with_check({"check": "norm-table", "tolerance": float("inf")}),
         lambda c: c.update(seed=True),
+        lambda c: c["chart"].update(margin=None),
         # sections that crashed
         lambda c: c.update(chart=5),
         lambda c: c["chart"].update(h="abc"),
