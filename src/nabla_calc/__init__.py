@@ -25,6 +25,7 @@ from .calculus import (
     directional_derivative,
     divergence,
     multiindex_derivative,
+    tower,
 )
 from .norms import (
     covering_multiplicity,

@@ -29,7 +29,7 @@ from .generators import coframe_gram
 from .operators import (
     NablaOpSpec,
     _add_ladders,
-    _check_rank0,
+    _check_levels,
     _common_grid,
     _put,
     _scaled,
@@ -77,23 +77,14 @@ class BidiffSpec:
         return self.metric.grid
 
 
-def eval_bidiff(spec, u, w):
-    """Pointwise density sum_ij (a_ij grad^i u, grad^j w), conjugating w."""
+def eval_bidiff(spec, us, ws):
+    """Density sum_ij (a_ij grad^i u, grad^j w), w conjugated, of the towers us, ws."""
     grid = spec.grid
     m = spec.half_order
     pair = "form and sections"
-    _check_rank0(u, grid, spec.source, m, pair, "first argument must be rank 0")
-    _check_rank0(w, grid, spec.cosource, m, pair, "second argument must be rank 0")
-    depth_u = max((i for i, _ in spec.coefficients), default=0)
-    depth_w = max((j for _, j in spec.coefficients), default=0)
-    us = [
-        v.values.reshape((-1,) + grid.shape)
-        for v in tower(u, spec.source, spec.metric, depth_u)
-    ]
-    ws = [
-        v.values.reshape((-1,) + grid.shape)
-        for v in tower(w, spec.cosource, spec.metric, depth_w)
-    ]
+    _check_levels(us, m, grid, spec.source, pair, "first argument must be rank 0")
+    _check_levels(ws, m, grid, spec.cosource, pair, "second argument must be rank 0")
+    us, ws = ([v.values.reshape((-1,) + grid.shape) for v in t] for t in (us, ws))
     out = np.zeros(grid.shape, dtype=complex)
     for (i, j), a in spec.coefficients.items():
         moved = np.einsum("ae...,e...->a...", a, us[i])
@@ -132,12 +123,12 @@ def bidiff_from_ops(p, q):
     return BidiffSpec(p.source, q.source, p.metric, m, coefficients)
 
 
-def dirichlet_form(spec, u, w, metric=None):
+def dirichlet_form(spec, us, ws, metric=None):
     """Quadrature of the form density against the volume element."""
     met = spec.metric if metric is None else metric
     if met.grid != spec.grid:
         raise ChartMismatch("quadrature metric lives on a different grid")
-    density = eval_bidiff(spec, u, w)
+    density = eval_bidiff(spec, us, ws)
     return complex(spec.grid.integrate(density * met.sqrt_det))
 
 
@@ -215,8 +206,9 @@ def assemble_divergence_form(spec, gens, bundle, metric):
 def weighted_pairings(spec, weight, p=2.0):
     """Two-picture pairing: original metric against the rescaled one.
 
-    Returns the function (u, w) -> (pair_weighted, pair_rescaled).  The
-    first evaluates the Dirichlet pairing directly.  The second pulls the
+    Returns the function (us, ws) -> (pair_weighted, pair_rescaled) of the
+    towers of u and w, each to the half order.  The first evaluates the
+    Dirichlet pairing directly.  The second pulls the
     normalizing twists f0 rho^{-n/p} (and the dual twist on the w side) into
     the coefficients, which turns the volume into the one of the rescaled
     metric rho^{-2} g; exact arithmetic would make the two numbers equal.
@@ -237,8 +229,6 @@ def weighted_pairings(spec, weight, p=2.0):
     q = p / (p - 1.0)
     s_u = weight.f0 * weight.rho ** (-n / p)
     s_w = weight.rho ** (-n / q) / weight.f0
-    d_e = spec.source.fiber_dim
-    d_f = spec.cosource.fiber_dim
     mult_u = _scaled(identity_op(spec.source, metric), s_u)
     mult_w = _scaled(identity_op(spec.cosource, metric), s_w)
     depth_u = max((i for i, _ in spec.coefficients), default=0)
@@ -267,10 +257,12 @@ def weighted_pairings(spec, weight, p=2.0):
     spec0 = BidiffSpec(spec.source, spec.cosource, metric, spec.half_order, twisted)
     metric0 = weight.rescaled_metric(metric)
 
-    def pairings(u, w):
-        u0 = TensorSection(grid, 0, u.values / s_u, d_e)
-        w0 = TensorSection(grid, 0, w.values / s_w, d_f)
-        pair_weighted = dirichlet_form(spec, u, w)
-        return pair_weighted, dirichlet_form(spec0, u0, w0, metric=metric0)
+    def pairings(us, ws):
+        pair_weighted = dirichlet_form(spec, us, ws)
+        u0 = TensorSection(grid, 0, us[0].values / s_u, us[0].fiber_dim)
+        w0 = TensorSection(grid, 0, ws[0].values / s_w, ws[0].fiber_dim)
+        m = spec.half_order
+        levels = tower(u0, spec.source, metric, m), tower(w0, spec.cosource, metric, m)
+        return pair_weighted, dirichlet_form(spec0, *levels, metric=metric0)
 
     return pairings

@@ -112,14 +112,16 @@ def _coordinate_directional(vals, axis, rank, bundle):
 
 
 def tower(u, bundle, metric, depth):
-    """Yield u, nabla u, .., nabla^depth u, one level alive at a time.
-
-    No support check: callers check u once for the depth they need.
-    """
-    yield u
+    """The levels [u, nabla u, .., nabla^depth u], after the one check that
+    u vanishes on depth stencil radii; norms, ladders and forms reduce them."""
+    if depth < 0:
+        raise ValueError(f"order must be >= 0, got {depth}")
+    u.grid.check_support(u.values, depth * u.grid.stencil_radius)
+    levels = [u]
     for _ in range(depth):
         u = covariant_derivative(u, bundle, metric, check_support=False)
-        yield u
+        levels.append(u)
+    return levels
 
 
 def validate_multiindex(idx, dim):
@@ -149,17 +151,15 @@ def multiindex_derivative(u, idx, bundle, metric):
     many = any(np.ndim(i) for i in idx)
     idxs = [validate_multiindex(i, grid.dim) for i in (idx if many else [idx])]
     depth = max(map(len, idxs), default=0)
-    if depth:
-        grid.check_support(u.values, depth * grid.stencil_radius)
     out = [None] * len(idxs)
     if metric.christoffel.shape[3:] != grid.shape and bundle.base is None:
+        grid.check_support(u.values, depth * grid.stencil_radius)
         _directional_walk(u.values, 0, range(len(idxs)), idxs, u, bundle, out)
     else:
-        for j, level in enumerate(tower(u, bundle, metric, depth)):
-            for pos, i in enumerate(idxs):
-                if len(i) == j:
-                    vals = level.values[tuple(k - 1 for k in i)].copy()
-                    out[pos] = TensorSection(grid, u.rank, vals, u.fiber_dim)
+        levels = tower(u, bundle, metric, depth)
+        for pos, i in enumerate(idxs):
+            vals = levels[len(i)].values[tuple(k - 1 for k in i)].copy()
+            out[pos] = TensorSection(grid, u.rank, vals, u.fiber_dim)
     return out if many else out[0]
 
 

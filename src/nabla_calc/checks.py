@@ -24,7 +24,7 @@ from .bidiff import (
     l2_pairing,
     weighted_pairings,
 )
-from .bundles import BundleSpec, TensorSection, magnetic_phase
+from .bundles import BundleSpec, TensorSection, magnetic_example_bundle, magnetic_phase
 from .calculus import (
     covariant_derivative,
     curvature,
@@ -32,6 +32,7 @@ from .calculus import (
     divergence,
     formal_adjoint_directional,
     multiindex_derivative,
+    tower,
 )
 from .errors import ConfigError, ResolutionError
 from .generators import (
@@ -243,15 +244,9 @@ def _require_flat(ctx, what):
 
 
 def _require_oscillating_bundle(ctx, what):
-    """The potentials of magnetic_example_bundle, compared against a model
-    that holds only the x1 axis and broadcasts over x2."""
-    phase = magnetic_phase(ctx.grid)
-    model = np.zeros((2, 2, 2) + phase.shape, dtype=complex)
-    model[1, 0, 1] = phase
-    model[1, 1, 0] = -np.conj(phase)
-    if ctx.bundle.fiber_dim != 2 or not np.allclose(
-        ctx.bundle.potentials, model
-    ):
+    """The potentials of magnetic_example_bundle on the scenario's grid."""
+    model = magnetic_example_bundle(ctx.grid).potentials
+    if ctx.bundle.fiber_dim != 2 or not np.allclose(ctx.bundle.potentials, model):
         raise ConfigError(f"{what} needs the built-in oscillating-potential bundle")
 
 
@@ -481,13 +476,14 @@ def check_covering_bounds(
     if any(covering_multiplicity(b) != 1 + t % 4 for t, b in enumerate(boxes)):
         return math.inf, ()
     u = random_section(grid, 0, d, _rng(ctx, "covering-section"))
-    bases = [sobolev_norm(u, s, p, ctx.bundle, ctx.metric) for p in exponents]
+    levels = tower(u, ctx.bundle, ctx.metric, s)
+    bases = [sobolev_norm(levels, p, ctx.bundle, ctx.metric) for p in exponents]
     rows = []
 
     def violation(trial):
         violations = []
         for p, base in zip(exponents, bases):
-            value, mult = covering_norm(u, boxes[trial], s, p, ctx.bundle, ctx.metric)
+            value, mult = covering_norm(levels, boxes[trial], p, ctx.bundle, ctx.metric)
             factor = 1.0 if math.isinf(p) else mult ** (1.0 / p)
             upper = factor * base
             if math.isinf(p):
@@ -554,14 +550,15 @@ def check_multiplication_property(ctx, trials=25, s=2, p=math.inf, q=2.0, r=2.0)
     constant = multiplication_constant(s, p, q, r)
     scalar = BundleSpec(grid, 1)
 
+    def norm(v, exponent, bundle):
+        return sobolev_norm(tower(v, bundle, ctx.metric, s), exponent, bundle, ctx.metric)
+
     def ratio(trial):
         a = random_section(grid, 0, 1, _rng(ctx, "product-factor", trial))
         u = random_section(grid, 0, d, _rng(ctx, "product-section", trial))
         au = TensorSection(grid, 0, a.values * u.values, d)
-        na = sobolev_norm(a, s, p, scalar, ctx.metric)
-        nu = sobolev_norm(u, s, q, ctx.bundle, ctx.metric)
-        nau = sobolev_norm(au, s, r, ctx.bundle, ctx.metric)
-        return nau / max(constant * na * nu, _TINY)
+        bound = constant * norm(a, p, scalar) * norm(u, q, ctx.bundle)
+        return norm(au, r, ctx.bundle) / max(bound, _TINY)
 
     return _worst(trials, ratio), ()
 
@@ -646,8 +643,10 @@ def check_mapping_bound(ctx, operator=None, s=1, p=2.0, trials=10):
         # keyed without the scenario name, unlike _rng; a new key moves the reports
         rng = seeded_rng(ctx.seed, "mapping-bound", trial)
         u = random_section(spec.grid, 0, spec.source.fiber_dim, rng)
-        den = sobolev_norm(u, s + spec.order, p, spec.source, spec.metric)
-        num = sobolev_norm(apply_nabla_op(spec, u), s, p, spec.target, spec.metric)
+        us = tower(u, spec.source, spec.metric, s + spec.order)
+        den = sobolev_norm(us, p, spec.source, spec.metric)
+        pu = tower(apply_nabla_op(spec, us), spec.target, spec.metric, s)
+        num = sobolev_norm(pu, p, spec.target, spec.metric)
         return num / den if den != 0 else 0.0
 
     return _worst(trials, ratio) / max(constant, _TINY), ()
@@ -690,11 +689,13 @@ def check_divergence_duality(ctx, pairs=10, half_orders=(1,), form=None):
         def defect(trial):
             u = random_section(grid, 0, d, _rng(ctx, f"duality-u-{m}", trial))
             w = random_section(grid, 0, d, _rng(ctx, f"duality-w-{m}", trial))
-            strong = dirichlet_form(spec, u, w)
-            weak = l2_pairing(apply_nabla_op(op, u), w, spec.cosource, ctx.metric)
+            us = tower(u, ctx.bundle, ctx.metric, max(m, op.order))
+            ws = tower(w, ctx.bundle, ctx.metric, m)
+            strong = dirichlet_form(spec, us, ws)
+            weak = l2_pairing(apply_nabla_op(op, us), w, spec.cosource, ctx.metric)
             denom = max(
-                sobolev_norm(u, m, 2, ctx.bundle, ctx.metric)
-                * sobolev_norm(w, m, 2, ctx.bundle, ctx.metric),
+                sobolev_norm(us[: m + 1], 2, ctx.bundle, ctx.metric)
+                * sobolev_norm(ws, 2, ctx.bundle, ctx.metric),
                 _TINY,
             )
             return abs(weak - strong) / denom
@@ -713,18 +714,21 @@ def check_weighted_duality(ctx, pairs=5, form=None, p=2.0):
     d = ctx.bundle.fiber_dim
     (spec,) = _forms(ctx, form, (1,))
     pairings = weighted_pairings(spec, weight, p)
+    m = depth = spec.half_order
     op = None
     if ctx.gens is not None:
         op = assemble_divergence_form(spec, ctx.gens, spec.cosource, spec.metric)
+        depth = max(m, op.order)
 
     def defect(trial):
         u = random_section(grid, 0, d, _rng(ctx, "weighted-u", trial))
         w = random_section(grid, 0, d, _rng(ctx, "weighted-w", trial))
-        weighted, rescaled = pairings(u, w)
+        us = tower(u, spec.source, spec.metric, depth)
+        weighted, rescaled = pairings(us, tower(w, spec.cosource, spec.metric, m))
         two = abs(weighted - rescaled) / max(abs(weighted), abs(rescaled), _TINY)
         if op is None:
             return two
-        weak = l2_pairing(apply_nabla_op(op, u), w, spec.cosource, spec.metric)
+        weak = l2_pairing(apply_nabla_op(op, us), w, spec.cosource, spec.metric)
         return strict_max(two, abs(weak - weighted) / max(abs(weighted), _TINY))
 
     return _worst(pairs, defect), ()
@@ -739,9 +743,10 @@ def check_norm_table(ctx, orders=(0, 1, 2), exponents=(2.0,)):
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     u = random_section(grid, 0, d, _rng(ctx, "norm-table"))
+    levels = tower(u, ctx.bundle, ctx.metric, max(orders))
     rows = []
     for s in orders:
         for p in exponents:
-            value = sobolev_norm(u, s, p, ctx.bundle, ctx.metric)
+            value = sobolev_norm(levels[: s + 1], p, ctx.bundle, ctx.metric)
             rows.append(_norm_row(ctx, s, p, value, None, math.isfinite(value)))
     return next((row.value for row in rows if not row.passed), 0.0), rows

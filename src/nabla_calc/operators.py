@@ -46,9 +46,11 @@ def _common_grid(metric, noun, *bundles):
     return grid
 
 
-def _check_rank0(u, grid, bundle, depth, pair, expects):
-    """Reject a section off the grid, not of rank 0 on the bundle's fiber,
-    or not supported depth stencil radii inside the chart."""
+def _check_levels(levels, depth, grid, bundle, pair, expects):
+    """Reject a tower below depth, or one of u off the grid or not rank 0 on the bundle."""
+    if len(levels) <= depth:
+        raise ShapeMismatch(f"{pair} need a tower of depth {depth}, got {len(levels) - 1}")
+    u = levels[0]
     if u.grid != grid:
         raise ChartMismatch(f"{pair} live on different grids")
     if u.rank != 0 or u.fiber_dim != bundle.fiber_dim:
@@ -56,7 +58,6 @@ def _check_rank0(u, grid, bundle, depth, pair, expects):
             f"{expects} with fiber {bundle.fiber_dim}, "
             f"got rank {u.rank} with fiber {u.fiber_dim}"
         )
-    grid.check_support(u.values, depth * grid.stencil_radius)
 
 
 class NablaOpSpec:
@@ -152,14 +153,12 @@ def directional_op(x, bundle, metric):
     return NablaOpSpec(bundle, bundle, metric, [None, i_x])
 
 
-def apply_nabla_op(spec, u):
-    """Apply a ladder operator by walking the derivative tower once."""
+def apply_nabla_op(spec, levels):
+    """Apply a ladder operator to the levels of a tower at least its order deep."""
     grid = spec.grid
-    _check_rank0(
-        u, grid, spec.source, spec.order, "operator and section", "operator eats rank-0 sections"
-    )
+    pair, expects = "operator and section", "operator eats rank-0 sections"
+    _check_levels(levels, spec.order, grid, spec.source, pair, expects)
     out = np.zeros((spec.target.fiber_dim,) + grid.shape, dtype=complex)
-    levels = tower(u, spec.source, spec.metric, spec.order)
     for a, v in zip(spec.coefficients, levels):
         if a is not None:
             flat = v.values.reshape((-1,) + grid.shape)
@@ -350,14 +349,22 @@ class MixedOpSpec:
         return self.metric.grid
 
 
+def _check_frame(spec, gens):
+    """Reject a frame off the operator's grid or without a field a label names."""
+    if gens.grid != spec.grid:
+        raise ChartMismatch("generator system and operator live on different grids")
+    top = max((k for term in spec.terms for k in term.labels), default=0)
+    if top > gens.n_gens:
+        raise ShapeMismatch(f"label {top} exceeds the frame's {gens.n_gens} fields")
+
+
 def apply_mixed_op(spec, u, gens):
     """Apply each directional chain right to left, then the coefficient."""
     grid = spec.grid
-    if gens.grid != grid:
-        raise ChartMismatch("generator system and operator live on different grids")
-    _check_rank0(
-        u, grid, spec.source, spec.order, "operator and section", "operator eats rank-0 sections"
-    )
+    _check_frame(spec, gens)
+    pair, expects = "operator and section", "operator eats rank-0 sections"
+    _check_levels([u], 0, grid, spec.source, pair, expects)
+    grid.check_support(u.values, spec.order * grid.stencil_radius)
     out = np.zeros((spec.target.fiber_dim,) + grid.shape, dtype=complex)
     for term in spec.terms:
         v = u
@@ -377,8 +384,7 @@ def mixed_to_nabla(spec, gens):
     from the rightmost factor inward so that every product-rule step
     differentiates a single table entry.  The ladder keeps the declared order.
     """
-    if gens.grid != spec.grid:
-        raise ChartMismatch("generator system and operator live on different grids")
+    _check_frame(spec, gens)
     metric = spec.metric
     source = spec.source
     total = None
@@ -478,8 +484,7 @@ def reorder_generators(spec, gens, bundle):
     R(Z_i, Z_j) + sum_k L_ij^k nabla_{Z_k}, absorbed into lower-order
     labeled terms; the induced map is unchanged up to stencil error.
     """
-    if gens.grid != spec.grid:
-        raise ChartMismatch("generator system and operator live on different grids")
+    _check_frame(spec, gens)
     if bundle.grid != spec.grid or bundle.fiber_dim != spec.source.fiber_dim:
         raise ShapeMismatch("curvature bundle does not match the operator source")
     metric = spec.metric
@@ -597,8 +602,8 @@ def perturbed_norms(u, perturbation, ell, p, bundle, metric):
     )
     coeff_norm = hom_infty_norm(perturbation, max(ell - 1, 0), bundle, metric)
     constant = equivalence_constant(ell, p, coeff_norm)
-    base = sobolev_norm(u, ell, p, bundle, metric)
-    other = sobolev_norm(u, ell, p, perturbed, metric)
+    base = sobolev_norm(tower(u, bundle, metric, ell), p, bundle, metric)
+    other = sobolev_norm(tower(u, perturbed, metric, ell), p, perturbed, metric)
     return base, other, constant
 
 

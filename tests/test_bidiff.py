@@ -20,7 +20,7 @@ from nabla_calc.bundles import (
     induced_tensor_bundle,
     magnetic_example_bundle,
 )
-from nabla_calc.calculus import covariant_derivative, divergence
+from nabla_calc.calculus import covariant_derivative, divergence, tower
 from nabla_calc.checks import _ladder_form
 from nabla_calc.errors import (
     ChartMismatch,
@@ -67,6 +67,17 @@ def _eye_coefficient(dim, grid=GRID):
     return np.broadcast_to(eye, (dim, dim) + grid.shape)
 
 
+def _towers(spec, u, w):
+    """The towers of u and w to the form's half order."""
+    m = spec.half_order
+    return tower(u, spec.source, spec.metric, m), tower(w, spec.cosource, spec.metric, m)
+
+
+def _apply(op, u):
+    """The ladder op applied to the tower of u to its order."""
+    return apply_nabla_op(op, tower(u, op.source, op.metric, op.order))
+
+
 def _dirichlet_spec(bundle, metric, grid=None):
     g = bundle.grid if grid is None else grid
     n = g.dim
@@ -80,7 +91,7 @@ def test_eval_order_zero_is_plain_pairing():
     u = random_section(GRID, 0, 2, rng)
     w = random_section(GRID, 0, 2, rng)
     spec = BidiffSpec(MAGNET, MAGNET, FLAT, 0, {(0, 0): _eye_coefficient(2)})
-    got = eval_bidiff(spec, u, w)
+    got = eval_bidiff(spec, *_towers(spec, u, w))
     want = np.einsum("a...,a...->...", u.values, np.conj(w.values))
     assert np.allclose(got, want, atol=1e-14)
 
@@ -90,7 +101,7 @@ def test_eval_flat_dirichlet_integrand():
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
     spec = _dirichlet_spec(SCALAR, FLAT)
-    got = eval_bidiff(spec, u, w)
+    got = eval_bidiff(spec, *_towers(spec, u, w))
     want = np.zeros(GRID.shape, dtype=complex)
     for k in range(2):
         want += GRID.diff(u.values[0], axis=k) * np.conj(
@@ -103,7 +114,7 @@ def test_eval_checks_support():
     ones = TensorSection(GRID, 0, np.ones((1,) + GRID.shape, dtype=complex), 1)
     spec = _dirichlet_spec(SCALAR, FLAT)
     with pytest.raises(SupportViolation):
-        eval_bidiff(spec, ones, ones)
+        eval_bidiff(spec, *_towers(spec, ones, ones))
 
 
 def test_eval_and_spec_name_what_they_reject():
@@ -112,12 +123,18 @@ def test_eval_and_spec_name_what_they_reject():
     pair = random_section(GRID, 0, 2, seeded_rng(11, "bd-args-pair"))
     other = ChartGrid([(-1, 1), (-1, 1)], (65, 65))
     off = random_section(other, 0, 1, seeded_rng(11, "bd-args-off"))
+    us = tower(u, SCALAR, FLAT, 1)
+    offs = tower(off, BundleSpec(other, 1), MetricField.flat(other), 1)
+    pairs = tower(pair, MAGNET, FLAT, 1)
     with pytest.raises(ChartMismatch, match="^form and sections live on different grids$"):
-        eval_bidiff(spec, u, off)
+        eval_bidiff(spec, us, offs)
     with pytest.raises(ShapeMismatch, match="^first argument must be rank 0 with fiber 1, "):
-        eval_bidiff(spec, pair, u)
+        eval_bidiff(spec, pairs, us)
     with pytest.raises(ShapeMismatch, match="^second argument must be rank 0 with fiber 1, "):
-        eval_bidiff(spec, u, pair)
+        eval_bidiff(spec, us, pairs)
+    short = "^form and sections need a tower of depth 1, got 0$"
+    with pytest.raises(ShapeMismatch, match=short):
+        eval_bidiff(spec, us[:1], us)
     with pytest.raises(ChartMismatch, match="^form ingredients live on different grids$"):
         BidiffSpec(SCALAR, BundleSpec(other, 1), FLAT, 0, {})
 
@@ -127,12 +144,13 @@ def test_dirichlet_form_is_sesquilinear():
     u = random_section(GRID, 0, 2, rng)
     w = random_section(GRID, 0, 2, rng)
     spec = BidiffSpec(MAGNET, MAGNET, FLAT, 0, {(0, 0): _eye_coefficient(2)})
-    base = dirichlet_form(spec, u, w)
+    base = dirichlet_form(spec, *_towers(spec, u, w))
     lam = 0.7 - 1.3j
     u_lam = TensorSection(GRID, 0, u.values * lam, 2)
     w_lam = TensorSection(GRID, 0, w.values * lam, 2)
-    assert dirichlet_form(spec, u_lam, w) == pytest.approx(lam * base, rel=1e-12)
-    assert dirichlet_form(spec, u, w_lam) == pytest.approx(
+    lam_u = dirichlet_form(spec, *_towers(spec, u_lam, w))
+    assert lam_u == pytest.approx(lam * base, rel=1e-12)
+    assert dirichlet_form(spec, *_towers(spec, u, w_lam)) == pytest.approx(
         np.conj(lam) * base, rel=1e-12
     )
 
@@ -174,7 +192,7 @@ def test_from_ops_two_route_evaluation():
     rng = seeded_rng(11, "bd-two")
     u = random_section(GRID, 0, 2, rng)
     w = random_section(GRID, 0, 4, rng)
-    got = eval_bidiff(spec, u, w)
+    got = eval_bidiff(spec, *_towers(spec, u, w))
     pu = covariant_derivative(covariant_derivative(u, MAGNET, FLAT), MAGNET, FLAT)
     qw = covariant_derivative(w, partner.source, FLAT)
     h2 = second.target.fiber_metric
@@ -197,7 +215,7 @@ def test_dirichlet_disjoint_supports_vanishes():
     u = TensorSection(GRID, 0, u_vals[None], 1)
     w = TensorSection(GRID, 0, w_vals[None], 1)
     spec = BidiffSpec(SCALAR, SCALAR, FLAT, 0, {(0, 0): _eye_coefficient(1)})
-    assert dirichlet_form(spec, u, w) == 0.0
+    assert dirichlet_form(spec, *_towers(spec, u, w)) == 0.0
 
 
 def test_dirichlet_gaussian_mass():
@@ -206,7 +224,7 @@ def test_dirichlet_gaussian_mass():
     values = np.exp(-(x**2 + y**2) / sigma**2)[None].astype(complex)
     u = TensorSection(GRID, 0, values, 1)
     spec = BidiffSpec(SCALAR, SCALAR, FLAT, 0, {(0, 0): _eye_coefficient(1)})
-    got = dirichlet_form(spec, u, u)
+    got = dirichlet_form(spec, *_towers(spec, u, u))
     want = np.pi * sigma**2 / 2.0
     assert got.real == pytest.approx(want, rel=1e-6)
     assert abs(got.imag) <= 1e-12 * want
@@ -217,7 +235,7 @@ def test_dirichlet_gradient_square_against_analytic_partials():
     bump = random_bump_section(GRID, 0, 1, rng)
     u = bump.section(GRID)
     spec = _dirichlet_spec(SCALAR, FLAT)
-    got = dirichlet_form(spec, u, u)
+    got = dirichlet_form(spec, *_towers(spec, u, u))
     density = np.zeros(GRID.shape)
     for orders in ((1, 0), (0, 1)):
         dk = bump.partial(GRID, orders)[0]
@@ -243,8 +261,8 @@ def test_hermitian_symmetry_for_adjoint_shaped_coefficients():
     spec = BidiffSpec(MAGNET, MAGNET, FLAT, 1, {(0, 0): a00, (1, 1): a11})
     u = random_section(GRID, 0, 2, rng)
     w = random_section(GRID, 0, 2, rng)
-    one = dirichlet_form(spec, u, w)
-    two = np.conj(dirichlet_form(spec, w, u))
+    one = dirichlet_form(spec, *_towers(spec, u, w))
+    two = np.conj(dirichlet_form(spec, *_towers(spec, w, u)))
     assert abs(one - two) <= 1e-12 * abs(one)
 
 
@@ -256,7 +274,7 @@ def test_coercivity_witness():
         SCALAR, SCALAR, FLAT, 1, {(0, 0): _eye_coefficient(1), (1, 1): a11}
     )
     mass = lp_norm(u, 2.0, FLAT, SCALAR) ** 2
-    assert dirichlet_form(spec, u, u).real >= mass * (1.0 - 1e-12)
+    assert dirichlet_form(spec, *_towers(spec, u, u)).real >= mass * (1.0 - 1e-12)
 
 
 def test_spec_validation():
@@ -267,8 +285,6 @@ def test_spec_validation():
 
 
 def test_assemble_identity_form():
-    from nabla_calc.operators import apply_nabla_op
-
     gens = build_generators(identity_embedding(GRID), FLAT)
     spec = BidiffSpec(SCALAR, SCALAR, FLAT, 0, {(0, 0): _eye_coefficient(1)})
     op = assemble_divergence_form(spec, gens, SCALAR, FLAT)
@@ -276,22 +292,20 @@ def test_assemble_identity_form():
     rng = seeded_rng(11, "bd-asm0")
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
-    assert np.allclose(apply_nabla_op(op, u).values, u.values, atol=1e-14)
+    assert np.allclose(_apply(op, u).values, u.values, atol=1e-14)
     pair = l2_pairing(u, w, SCALAR, FLAT)
-    form = dirichlet_form(spec, u, w)
+    form = dirichlet_form(spec, *_towers(spec, u, w))
     assert pair == pytest.approx(form, rel=1e-12)
 
 
 def test_assemble_flat_laplacian_is_exact():
-    from nabla_calc.operators import apply_nabla_op
-
     gens = build_generators(identity_embedding(GRID), FLAT)
     spec = _dirichlet_spec(SCALAR, FLAT)
     op = assemble_divergence_form(spec, gens, SCALAR, FLAT)
     assert op.order == 2
     rng = seeded_rng(11, "bd-lap")
     u = random_section(GRID, 0, 1, rng)
-    got = apply_nabla_op(op, u)
+    got = _apply(op, u)
     want = np.zeros_like(u.values)
     for k in range(2):
         want[0] -= GRID.diff(GRID.diff(u.values[0], axis=k), axis=k)
@@ -299,13 +313,11 @@ def test_assemble_flat_laplacian_is_exact():
     assert np.max(np.abs(got.values - want)) <= 1e-12 * scale
     w = random_section(GRID, 0, 1, rng)
     weak = l2_pairing(got, w, SCALAR, FLAT)
-    form = dirichlet_form(spec, u, w)
+    form = dirichlet_form(spec, *_towers(spec, u, w))
     assert weak == pytest.approx(form, rel=1e-11)
 
 
 def test_assemble_magnetic_weak_duality():
-    from nabla_calc.operators import apply_nabla_op
-
     gens = build_generators(identity_embedding(GRID), FLAT)
     spec = _dirichlet_spec(MAGNET, FLAT)
     op = assemble_divergence_form(spec, gens, MAGNET, FLAT)
@@ -313,8 +325,8 @@ def test_assemble_magnetic_weak_duality():
     for trial in range(5):
         u = random_section(GRID, 0, 2, seeded_rng(11, "bd-weak-u", trial))
         w = random_section(GRID, 0, 2, seeded_rng(11, "bd-weak-w", trial))
-        weak = l2_pairing(apply_nabla_op(op, u), w, MAGNET, FLAT)
-        form = dirichlet_form(spec, u, w)
+        weak = l2_pairing(_apply(op, u), w, MAGNET, FLAT)
+        form = dirichlet_form(spec, *_towers(spec, u, w))
         assert abs(weak - form) <= 1e-11 * abs(form)
 
 
@@ -327,7 +339,7 @@ def test_assemble_transpose_probe_oracle():
     op = assemble_divergence_form(spec, gens, scalar, flat)
     rng = seeded_rng(11, "bd-probe")
     u = random_section(grid, 0, 1, rng)
-    pu = apply_nabla_op(op, u)
+    pu = _apply(op, u)
     weights = grid.quad_weights()
     scale = np.max(np.abs(pu.values))
     for _ in range(10):
@@ -335,7 +347,8 @@ def test_assemble_transpose_probe_oracle():
         iy = int(rng.integers(8, grid.shape[1] - 8))
         delta = np.zeros((1,) + grid.shape, dtype=complex)
         delta[0, ix, iy] = 1.0
-        probe = dirichlet_form(spec, u, TensorSection(grid, 0, delta, 1))
+        probe = TensorSection(grid, 0, delta, 1)
+        probe = dirichlet_form(spec, *_towers(spec, u, probe))
         assert abs(probe / weights[ix, iy] - pu.values[0, ix, iy]) <= 1e-10 * scale
 
 
@@ -353,10 +366,10 @@ def test_weighted_duality_trivial_weight():
     rng = seeded_rng(11, "bd-wtriv")
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
-    pairings = weighted_pairings(spec, weight)(u, w)
+    pairings = weighted_pairings(spec, weight)(*_towers(spec, u, w))
     assert _two_picture_residual(pairings) <= 1e-12
     op = assemble_divergence_form(spec, gens, SCALAR, FLAT)
-    weak = l2_pairing(apply_nabla_op(op, u), w, SCALAR, FLAT)
+    weak = l2_pairing(_apply(op, u), w, SCALAR, FLAT)
     assert abs(weak - pairings[0]) / max(abs(pairings[0]), 1e-300) <= 1e-11
 
 
@@ -367,7 +380,7 @@ def test_weighted_duality_order_zero_is_change_of_measure():
     rng = seeded_rng(11, "bd-w0")
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
-    weighted, rescaled = weighted_pairings(spec, weight)(u, w)
+    weighted, rescaled = weighted_pairings(spec, weight)(*_towers(spec, u, w))
     assert _two_picture_residual((weighted, rescaled)) <= 1e-12
     assert weighted / rescaled == pytest.approx(1.0, abs=1e-12)
 
@@ -379,7 +392,7 @@ def test_weighted_duality_first_order_two_route():
     rng = seeded_rng(11, "bd-w1")
     u = random_section(GRID, 0, 1, rng)
     w = random_section(GRID, 0, 1, rng)
-    weighted, rescaled = weighted_pairings(spec, weight)(u, w)
+    weighted, rescaled = weighted_pairings(spec, weight)(*_towers(spec, u, w))
     assert weighted / rescaled == pytest.approx(1.0, abs=1e-4)
 
 

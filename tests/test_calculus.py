@@ -360,6 +360,23 @@ def test_curvature_peak_memory_below_three_results():
     assert peak < 3 * r.values.nbytes
 
 
+def test_tower_checks_its_order_and_the_support_once(monkeypatch):
+    sec = random_section(GRID, 0, 2, seeded_rng(105, "tower-checks"))
+    with pytest.raises(ValueError, match="^order must be >= 0, got -1$"):
+        tower(sec, MAGNETIC, FLAT, -1)
+    ones = TensorSection(GRID, 0, np.ones((2,) + GRID.shape, dtype=complex), 2)
+    assert tower(ones, MAGNETIC, FLAT, 0) == [ones]
+    with pytest.raises(SupportViolation):
+        tower(ones, MAGNETIC, FLAT, 1)
+    layers = []
+    check = GRID.check_support
+    monkeypatch.setattr(
+        GRID, "check_support", lambda values, k: layers.append(k) or check(values, k)
+    )
+    assert len(tower(sec, MAGNETIC, FLAT, 3)) == 4
+    assert layers == [3 * GRID.stencil_radius]
+
+
 def test_support_violation_raised():
     vals = np.ones((2,) + GRID.shape, dtype=complex)
     sec = TensorSection(GRID, 0, vals, 2)

@@ -96,15 +96,15 @@ def _ratio_patches(monkeypatch, ratio):
     the parameters it runs with."""
     # norm-equivalence: the two norms sit ratio apart, constant 1
     monkeypatch.setattr(checks, "perturbed_norms", lambda *args: (1.0, ratio, 1.0))
-    # mapping-bound: the image's W^{1,2} norm reads ratio, the section's
-    # W^{2,2} norm 1 and the certified constant 1; multiplication-property,
-    # at s = 0 with constant 1: the factor and section norms (p = q = 4)
-    # read 1 and the product norm (r = 2) reads ratio
+    # mapping-bound: the image's W^{1,2} norm (two levels) reads ratio, the
+    # section's W^{2,2} norm 1 and the certified constant 1;
+    # multiplication-property, at s = 0 with constant 1: the factor and
+    # section norms (p = q = 4) read 1 and the product norm (r = 2) reads ratio
     monkeypatch.setattr(checks, "mapping_constant", lambda spec, k, p: 1.0)
     monkeypatch.setattr(
         checks,
         "sobolev_norm",
-        lambda u, k, p, bundle, metric: ratio if k == 1 or p == 2 else 1.0,
+        lambda levels, p, bundle, metric: ratio if len(levels) == 2 or p == 2 else 1.0,
     )
     return {
         "norm-equivalence": {"trials": 2},
@@ -143,7 +143,7 @@ def test_multiplication_property_passes_within_one_plus_tolerance(
     tol = 1e-3
     ratio = 1.0 + excess * tol
     monkeypatch.setattr(
-        checks, "sobolev_norm", lambda u, s, p, bundle, metric: ratio if p == 2 else 1.0
+        checks, "sobolev_norm", lambda levels, p, bundle, metric: ratio if p == 2 else 1.0
     )
     params = {"tolerance": tol, "trials": 2, "s": 0, "p": 4, "q": 4, "r": 2}
     out = CHECKS["multiplication-property"][0](_plain_context(), params)
@@ -167,9 +167,22 @@ def test_operator_rewrite_fails_an_unsorted_rewrite(monkeypatch):
     assert out["measured"] == math.inf and not out["passed"]
 
 
-def test_covering_bounds_takes_each_base_norm_once(monkeypatch):
-    cfg = builtin_scenario("covering-suite")
-    (entry,) = [c for c in cfg["checks"] if c["check"] == "covering-bounds"]
+# (builtin, check, covariant_derivative calls at the default seed): each
+# trial builds each section's tower once, to the deepest level any norm,
+# form or ladder reads
+TOWER_CALLS = [
+    ("covering-suite", "covering-bounds", 1),
+    ("covering-suite", "norm-table", 1),
+    ("sphere-ffc", "norm-table", 2),
+    ("flat-operators", "divergence-duality", 90),
+    ("flat-operators", "mapping-bound", 30),
+]
+
+
+@pytest.mark.parametrize("scenario, check, want", TOWER_CALLS)
+def test_a_check_builds_each_tower_once(monkeypatch, scenario, check, want):
+    cfg = builtin_scenario(scenario)
+    (entry,) = [c for c in cfg["checks"] if c["check"] == check]
     ctx = build_context(parse_scenario(cfg))
     calls = []
     derivative = calculus.covariant_derivative
@@ -179,11 +192,9 @@ def test_covering_bounds_takes_each_base_norm_once(monkeypatch):
         return derivative(*args, **kwargs)
 
     monkeypatch.setattr(calculus, "covariant_derivative", counting)
-    out = CHECKS["covering-bounds"][0](ctx, entry)
+    out = CHECKS[check][0](ctx, entry)
     assert out["passed"]
-    # s levels of each exponent's base norm, then of each covering's norm
-    exponents, s = len(entry["exponents"]), entry["s"]
-    assert len(calls) == s * exponents * (1 + entry["coverings"]) == 33
+    assert len(calls) == want
 
 
 def test_covering_bounds_takes_each_level_norm_once(monkeypatch):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from nabla_calc import bidiff, operators
+from nabla_calc.calculus import tower
 from nabla_calc.bidiff import (
     BidiffSpec,
     _gradient_adjoint,
@@ -233,8 +234,9 @@ def test_apply_and_eval_compact_equal_full(monkeypatch, kinds):
         twin_form = BidiffSpec(
             MAGNET, MAGNET, FLAT, m, {k: _full(a, GRID) for k, a in table.items()}
         )
-    assert np.array_equal(apply_nabla_op(spec, u).values, apply_nabla_op(twin, u).values)
-    assert np.array_equal(eval_bidiff(form, u, w), eval_bidiff(twin_form, u, w))
+    us, ws = tower(u, MAGNET, FLAT, m), tower(w, MAGNET, FLAT, m)
+    assert np.array_equal(apply_nabla_op(spec, us).values, apply_nabla_op(twin, us).values)
+    assert np.array_equal(eval_bidiff(form, us, ws), eval_bidiff(twin_form, us, ws))
 
 
 def _flat_operators(h):
@@ -272,7 +274,8 @@ def test_flat_operators_assembly_is_constant_and_equals_its_full_grid_twin(
     for a, b in zip(op.coefficients, twin.coefficients):
         assert a is None or _same(a, b)
     u = random_section(ctx.grid, 0, 2, seeded_rng(34, half_order))
-    assert np.array_equal(apply_nabla_op(op, u).values, apply_nabla_op(twin, u).values)
+    us = tower(u, op.source, ctx.metric, op.order)
+    assert np.array_equal(apply_nabla_op(op, us).values, apply_nabla_op(twin, us).values)
 
 
 def test_random_embedding_assembly_collapses_nothing_and_equals_its_twin(monkeypatch):
@@ -309,12 +312,13 @@ def test_weighted_duality_with_a_compact_form_equals_its_twin(monkeypatch):
     assert all(a.shape[2:] == (1,) for a in spec.coefficients.values())
     u = random_section(ctx.grid, 0, 1, seeded_rng(35, "u"))
     w = random_section(ctx.grid, 0, 1, seeded_rng(35, "w"))
+    us, ws = tower(u, ctx.bundle, ctx.metric, 2), tower(w, ctx.bundle, ctx.metric, 1)
 
     def pairings(form):
         # the two pictures, and the weak-form pairing of the assembled operator
         op = assemble_divergence_form(form, ctx.gens, form.cosource, ctx.metric)
-        weak = l2_pairing(apply_nabla_op(op, u), w, form.cosource, ctx.metric)
-        return (*weighted_pairings(form, ctx.weight)(u, w), weak)
+        weak = l2_pairing(apply_nabla_op(op, us), w, form.cosource, ctx.metric)
+        return (*weighted_pairings(form, ctx.weight)(us, ws), weak)
 
     got = pairings(spec)
     with _full_grid(monkeypatch):

@@ -8,6 +8,7 @@ from nabla_calc.calculus import (
     curvature,
     divergence,
     multiindex_derivative,
+    tower,
 )
 from nabla_calc.errors import DegenerateEmbedding, ShapeMismatch
 from nabla_calc.generators import (
@@ -242,10 +243,10 @@ def test_generator_norm_sphere_ratio():
         bump = random_scalar_bump(GRID.box, seeded_rng(29, "ratio", trial), 0.2)
         sec = TensorSection(GRID, 0, bump.sample(GRID)[None], 1)
         gen = generator_sobolev_norm(sec, 1, 2, SPHERE, bundle, SPHERE_G)
-        sob = sobolev_norm(sec, 1, 2, bundle, SPHERE_G)
+        sob = sobolev_norm(tower(sec, bundle, SPHERE_G, 1), 2, bundle, SPHERE_G)
         assert gen == pytest.approx(sob, rel=1e-8)
     gen = generator_sobolev_norm(sec, 1, np.inf, SPHERE, bundle, SPHERE_G)
-    sob = sobolev_norm(sec, 1, np.inf, bundle, SPHERE_G)
+    sob = sobolev_norm(tower(sec, bundle, SPHERE_G, 1), np.inf, bundle, SPHERE_G)
     assert 0.5 <= gen / sob <= 1.0 + 1e-12
 
 

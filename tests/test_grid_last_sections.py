@@ -244,7 +244,7 @@ def test_apply_nabla_op_matches_grid_first_reference(metric_name):
     spec = _ladder(bundle, metric, rng)
     assert spec.coefficients[0].shape[2:] == (1, 1)
     u = random_section(GRID, 0, 2, rng)
-    got = apply_nabla_op(spec, u).values
+    got = apply_nabla_op(spec, tower(u, bundle, metric, spec.order)).values
     assert got.flags.c_contiguous
     assert np.array_equal(_first(got), _apply_reference(spec, _first(u.values)))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nabla_calc.bundles import BundleSpec, TensorSection, magnetic_example_bundle
-from nabla_calc.calculus import multiindex_derivative
+from nabla_calc.calculus import multiindex_derivative, tower
 from nabla_calc.errors import (
     EmptyCovering,
     ExponentMismatch,
@@ -74,7 +74,7 @@ def test_slot_norm_uses_metric_inverse():
 def test_sobolev_norm_order_zero_is_lp():
     rng = seeded_rng(20, "s0")
     u = random_section(GRID, 0, 2, rng)
-    assert sobolev_norm(u, 0, 2, BUNDLE, FLAT) == pytest.approx(
+    assert sobolev_norm(tower(u, BUNDLE, FLAT, 0), 2, BUNDLE, FLAT) == pytest.approx(
         lp_norm(u, 2, FLAT, BUNDLE)
     )
 
@@ -82,7 +82,7 @@ def test_sobolev_norm_order_zero_is_lp():
 def test_sobolev_norm_monotone_in_order():
     rng = seeded_rng(21, "monotone")
     u = random_section(GRID, 0, 2, rng)
-    norms = [sobolev_norm(u, s, 2, BUNDLE, FLAT) for s in range(3)]
+    norms = [sobolev_norm(tower(u, BUNDLE, FLAT, s), 2, BUNDLE, FLAT) for s in range(3)]
     assert norms[0] <= norms[1] <= norms[2]
 
 
@@ -90,13 +90,14 @@ def test_homogeneity_and_triangle():
     rng = seeded_rng(22, "vector-space")
     u = random_section(GRID, 0, 2, rng)
     v = random_section(GRID, 0, 2, seeded_rng(22, "vector-space", 1))
+    scaled = TensorSection(GRID, 0, 2.5j * u.values, 2)
+    w = TensorSection(GRID, 0, u.values + v.values, 2)
+    us, vs, scaleds, ws = (tower(x, BUNDLE, FLAT, 1) for x in (u, v, scaled, w))
     for p in (1, 2, math.inf):
-        nu = sobolev_norm(u, 1, p, BUNDLE, FLAT)
-        scaled = TensorSection(GRID, 0, 2.5j * u.values, 2)
-        assert sobolev_norm(scaled, 1, p, BUNDLE, FLAT) == pytest.approx(2.5 * nu)
-        w = TensorSection(GRID, 0, u.values + v.values, 2)
-        assert sobolev_norm(w, 1, p, BUNDLE, FLAT) <= nu + sobolev_norm(
-            v, 1, p, BUNDLE, FLAT
+        nu = sobolev_norm(us, p, BUNDLE, FLAT)
+        assert sobolev_norm(scaleds, p, BUNDLE, FLAT) == pytest.approx(2.5 * nu)
+        assert sobolev_norm(ws, p, BUNDLE, FLAT) <= nu + sobolev_norm(
+            vs, p, BUNDLE, FLAT
         ) + 1e-12
 
 
@@ -105,7 +106,7 @@ def test_magnetic_norm_equals_multiindex_assembly():
     metric = MetricField.flat(grid)
     bundle = magnetic_example_bundle(grid)
     u = random_section(grid, 0, 2, seeded_rng(23, "assembly"))
-    direct = sobolev_norm(u, 2, 2, bundle, metric)
+    direct = sobolev_norm(tower(u, bundle, metric, 2), 2, bundle, metric)
     total = 0.0
     indices = [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
     for idx in indices:
@@ -119,7 +120,7 @@ def test_weighted_norm_reduces_to_plain():
     u = random_section(GRID, 0, 2, rng)
     unit = WeightPair(GRID, np.ones(GRID.shape))
     assert weighted_sobolev_norm(u, 1, 2, unit, BUNDLE, FLAT) == pytest.approx(
-        sobolev_norm(u, 1, 2, BUNDLE, FLAT)
+        sobolev_norm(tower(u, BUNDLE, FLAT, 1), 2, BUNDLE, FLAT)
     )
     halved = WeightPair(GRID, np.ones(GRID.shape), f0=2 * np.ones(GRID.shape))
     assert weighted_sobolev_norm(u, 0, 2, halved, BUNDLE, FLAT) == pytest.approx(
@@ -146,25 +147,26 @@ def test_covering_norm_single_box_and_bounds():
     rng = seeded_rng(25, "covering")
     u = random_section(GRID, 0, 2, rng)
     whole = [((-1.0, 1.0), (-1.0, 1.0))]
-    value, mult = covering_norm(u, whole, 1, 2, BUNDLE, FLAT)
-    base = sobolev_norm(u, 1, 2, BUNDLE, FLAT)
+    levels = tower(u, BUNDLE, FLAT, 1)
+    value, mult = covering_norm(levels, whole, 2, BUNDLE, FLAT)
+    base = sobolev_norm(levels, 2, BUNDLE, FLAT)
     assert mult == 1
     assert value == pytest.approx(base)
     halves = [((-1.0, 0.1), (-1.0, 1.0)), ((-0.1, 1.0), (-1.0, 1.0))]
-    value, mult = covering_norm(u, halves, 1, 2, BUNDLE, FLAT)
+    value, mult = covering_norm(levels, halves, 2, BUNDLE, FLAT)
     assert mult == 2
     assert base - 1e-10 <= value <= math.sqrt(2.0) * base + 1e-10
-    vinf, _ = covering_norm(u, halves, 1, math.inf, BUNDLE, FLAT)
-    assert vinf == pytest.approx(sobolev_norm(u, 1, math.inf, BUNDLE, FLAT))
+    vinf, _ = covering_norm(levels, halves, math.inf, BUNDLE, FLAT)
+    assert vinf == pytest.approx(sobolev_norm(levels, math.inf, BUNDLE, FLAT))
 
 
 def test_covering_norm_rejects_bad_coverings():
     u = TensorSection(GRID, 0, np.zeros((2,) + GRID.shape), 2)
     with pytest.raises(EmptyCovering):
-        covering_norm(u, [], 0, 2, BUNDLE, FLAT)
+        covering_norm([u], [], 2, BUNDLE, FLAT)
     small = [((-0.2, 0.2), (-0.2, 0.2))]
     with pytest.raises(EmptyCovering):
-        covering_norm(u, small, 0, 2, BUNDLE, FLAT)
+        covering_norm([u], small, 2, BUNDLE, FLAT)
 
 
 def test_multiplication_constant_values():
@@ -412,9 +414,10 @@ def _nan_at_one_point_bundle():
 def test_sup_sobolev_norm_propagates_nan_from_first_derivative():
     bundle = _nan_at_one_point_bundle()
     u = random_section(GRID, 0, 2, seeded_rng(4, "nan-sup"))
-    assert math.isfinite(sobolev_norm(u, 0, math.inf, bundle, FLAT))
-    assert math.isnan(sobolev_norm(u, 1, math.inf, bundle, FLAT))
+    levels = tower(u, bundle, FLAT, 1)
+    assert math.isfinite(sobolev_norm(levels[:1], math.inf, bundle, FLAT))
+    assert math.isnan(sobolev_norm(levels, math.inf, bundle, FLAT))
     value, _ = covering_norm(
-        u, [((-1, 0.2), (-1, 1)), ((-0.2, 1), (-1, 1))], 1, math.inf, bundle, FLAT
+        levels, [((-1, 0.2), (-1, 1)), ((-0.2, 1), (-1, 1))], math.inf, bundle, FLAT
     )
     assert math.isnan(value)

@@ -99,7 +99,7 @@ def _sections(ctx):
         contract_with_vector(levels[2], x),
         directional_derivative(u, x, bundle, metric),
     ]
-    made += [apply_nabla_op(op, u) for op in ctx.nabla_ops.values()]
+    made += [apply_nabla_op(op, levels) for op in ctx.nabla_ops.values()]
     if ctx.gens is not None:
         made.append(nabla_via_generators(u, ctx.gens, bundle, metric))
         made.append(contract_with_vector(levels[1], ctx.gens.z[0]))

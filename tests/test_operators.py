@@ -12,7 +12,12 @@ from nabla_calc.bundles import (
     magnetic_example_bundle,
     pointwise_kron,
 )
-from nabla_calc.calculus import covariant_derivative, curvature, multiindex_derivative
+from nabla_calc.calculus import (
+    covariant_derivative,
+    curvature,
+    multiindex_derivative,
+    tower,
+)
 from nabla_calc.checks import CHECKS
 from nabla_calc.errors import ChartMismatch, ShapeMismatch
 from nabla_calc.generators import (
@@ -82,6 +87,11 @@ def _frame(fields, grid=GRID):
     return GeneratorSystem(grid, z, np.zeros_like(z))
 
 
+def _apply(op, u):
+    """The ladder op applied to the tower of u to its order."""
+    return apply_nabla_op(op, tower(u, op.source, op.metric, op.order))
+
+
 def _eye(d, grid=GRID):
     """The d x d identity on every point of the grid."""
     eye = np.eye(d, dtype=complex).reshape((d, d) + (1,) * grid.dim)
@@ -104,7 +114,7 @@ def _flat_laplacian_ladder(grid, fiber_dim):
 
 def test_identity_op_is_identity():
     u = random_section(GRID, 0, 2, seeded_rng(7, "op-id"))
-    out = apply_nabla_op(identity_op(MAGNET, FLAT), u)
+    out = _apply(identity_op(MAGNET, FLAT), u)
     assert np.array_equal(out.values, u.values)
 
 
@@ -112,14 +122,14 @@ def test_multiplication_op_matches_pointwise_product():
     rng = seeded_rng(7, "op-mult")
     a = random_trig_field(2, (2, 2), rng).sample(GRID)
     u = random_section(GRID, 0, 2, rng)
-    out = apply_nabla_op(multiplication_op(a, MAGNET, MAGNET, FLAT), u)
+    out = _apply(multiplication_op(a, MAGNET, MAGNET, FLAT), u)
     want = np.einsum("fe...,e...->f...", a, u.values)
     assert np.allclose(out.values, want, atol=1e-14)
 
 
 def test_gradient_op_matches_covariant_derivative():
     u = random_section(GRID, 0, 2, seeded_rng(7, "op-grad"))
-    out = apply_nabla_op(gradient_op(MAGNET, FLAT), u)
+    out = _apply(gradient_op(MAGNET, FLAT), u)
     want = covariant_derivative(u, MAGNET, FLAT).values.reshape((-1,) + GRID.shape)
     assert np.array_equal(out.values, want)
 
@@ -127,7 +137,7 @@ def test_gradient_op_matches_covariant_derivative():
 def test_flat_laplacian_against_direct_differences():
     u = random_section(GRID, 0, 1, seeded_rng(7, "op-lap"))
     spec = NablaOpSpec(SCALAR, SCALAR, FLAT, _flat_laplacian_ladder(GRID, 1))
-    out = apply_nabla_op(spec, u)
+    out = _apply(spec, u)
     want = np.zeros_like(u.values)
     for k in range(2):
         want[0] += GRID.diff(GRID.diff(u.values[0], axis=k), axis=k)
@@ -142,7 +152,7 @@ def test_first_order_extraction_on_magnetic_bundle():
     a1[1, 3] = 1.0
     zero = np.zeros((2, 2) + GRID.shape, dtype=complex)
     spec = NablaOpSpec(MAGNET, MAGNET, FLAT, [zero, a1])
-    out = apply_nabla_op(spec, u)
+    out = _apply(spec, u)
     want = multiindex_derivative(u, (2,), MAGNET, FLAT)
     assert np.allclose(out.values, want.values, atol=1e-14)
 
@@ -181,11 +191,15 @@ def test_apply_rejects_wrong_shape_and_grid():
     other = ChartGrid([(-1, 1), (-1, 1)], (65, 65))
     u = random_section(other, 0, 2, seeded_rng(7, "op-bad"))
     with pytest.raises(ChartMismatch, match="^operator and section live on different grids$"):
-        apply_nabla_op(identity_op(MAGNET, FLAT), u)
+        _apply(identity_op(MAGNET, FLAT), u)
     v = random_section(GRID, 0, 3, seeded_rng(7, "op-bad-fiber"))
     shape = "^operator eats rank-0 sections with fiber 2, got rank 0 with fiber 3$"
     with pytest.raises(ShapeMismatch, match=shape):
-        apply_nabla_op(identity_op(MAGNET, FLAT), v)
+        _apply(identity_op(MAGNET, FLAT), v)
+    short = "^operator and section need a tower of depth 1, got 0$"
+    w = random_section(GRID, 0, 2, seeded_rng(7, "op-short"))
+    with pytest.raises(ShapeMismatch, match=short):
+        apply_nabla_op(gradient_op(MAGNET, FLAT), [w])
     mixed = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(np.ones((2, 2) + GRID.shape), [])])
     with pytest.raises(ShapeMismatch, match=shape):
         apply_mixed_op(mixed, v, COORD)
@@ -205,8 +219,8 @@ def test_compose_of_flat_gradients_is_exact():
     spec = compose(grad2, grad)
     assert spec.order == 2
     u = random_section(GRID, 0, 1, seeded_rng(7, "op-comp0"))
-    one = apply_nabla_op(spec, u)
-    two = apply_nabla_op(grad2, apply_nabla_op(grad, u))
+    one = _apply(spec, u)
+    two = _apply(grad2, _apply(grad, u))
     assert np.array_equal(one.values, two.values)
 
 
@@ -217,8 +231,8 @@ def test_compose_matches_chained_application():
     grad = gradient_op(MAGNET, FLAT)
     spec = compose(grad, mult)
     u = random_section(GRID, 0, 2, rng)
-    one = apply_nabla_op(spec, u)
-    two = apply_nabla_op(grad, apply_nabla_op(mult, u))
+    one = _apply(spec, u)
+    two = _apply(grad, _apply(mult, u))
     scale = np.max(np.abs(two.values))
     assert np.max(np.abs(one.values - two.values)) <= 1e-5 * scale
 
@@ -233,8 +247,8 @@ def test_compose_is_associative():
     left = compose(compose(last, grad), mult)
     right = compose(last, compose(grad, mult))
     u = random_section(GRID, 0, 2, rng)
-    one = apply_nabla_op(left, u)
-    two = apply_nabla_op(right, u)
+    one = _apply(left, u)
+    two = _apply(right, u)
     scale = np.max(np.abs(one.values))
     assert np.max(np.abs(one.values - two.values)) <= 1e-10 * scale
 
@@ -436,7 +450,7 @@ def test_mixed_to_nabla_magnetic_second_order():
     eye = _eye(2)
     term = MixedTerm(eye, (2, 2))
     spec = mixed_to_nabla(MixedOpSpec(MAGNET, MAGNET, FLAT, [term]), COORD)
-    out = apply_nabla_op(spec, u)
+    out = _apply(spec, u)
     want = multiindex_derivative(u, (2, 2), MAGNET, FLAT)
     scale = np.max(np.abs(want.values))
     assert np.max(np.abs(out.values - want.values)) <= 1e-12 * scale
@@ -451,7 +465,7 @@ def test_mixed_to_nabla_varying_fields_round_trip():
     mixed = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(coeff, (1, 2))])
     ladder = mixed_to_nabla(mixed, gens)
     u = random_bump_section(GRID, 0, 2, rng).section(GRID)
-    one = apply_nabla_op(ladder, u)
+    one = _apply(ladder, u)
     two = apply_mixed_op(mixed, u, gens)
     scale = np.max(np.abs(two.values))
     # the two routes differ by the discrete product-rule defect, which is
@@ -519,7 +533,7 @@ def test_directional_op_is_contracted_gradient():
     want = np.einsum(
         "k...,ka...->a...", x, covariant_derivative(u, MAGNET, FLAT).values
     )
-    assert np.allclose(apply_nabla_op(spec, u).values, want, atol=1e-14)
+    assert np.allclose(_apply(spec, u).values, want, atol=1e-14)
 
 
 def test_mixed_to_nabla_matches_hand_walked_reference():
@@ -555,6 +569,23 @@ def test_mixed_to_nabla_differentiates_once_per_table_entry(monkeypatch):
         assert len(calls) == want, calls
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, u: apply_mixed_op(spec, u, COORD),
+        lambda spec, u: mixed_to_nabla(spec, COORD),
+        lambda spec, u: reorder_generators(spec, COORD, MAGNET),
+    ],
+    ids=["apply_mixed_op", "mixed_to_nabla", "reorder_generators"],
+)
+def test_a_label_past_the_frame_is_a_shape_mismatch(call):
+    # the coordinate frame has two vector fields; label 3 names none of them
+    spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(_eye(2), (3,))])
+    u = random_section(GRID, 0, 2, seeded_rng(7, "op-label"))
+    with pytest.raises(ShapeMismatch, match="^label 3 exceeds the frame's 2 fields$"):
+        call(spec, u)
+
+
 def test_mixed_labels_index_the_generator_frame():
     eye = _eye(2)
     spec = MixedOpSpec(MAGNET, MAGNET, FLAT, [MixedTerm(eye, (2, 1))])
@@ -575,7 +606,7 @@ def test_nabla_to_mixed_gradient_reads_off_coframe():
         assert np.allclose(term.coefficient, want, atol=1e-14)
     u = random_section(GRID, 0, 1, seeded_rng(7, "op-n2m"))
     one = apply_mixed_op(mixed, u, gens)
-    two = apply_nabla_op(gradient_op(SCALAR, FLAT), u)
+    two = _apply(gradient_op(SCALAR, FLAT), u)
     assert np.allclose(one.values, two.values, atol=1e-13)
 
 
@@ -594,7 +625,7 @@ def test_nabla_to_mixed_round_trip_on_sphere():
     mixed = nabla_to_mixed(spec, gens)
     u = random_bump_section(GRID, 0, 1, rng).section(GRID)
     one = apply_mixed_op(mixed, u, gens)
-    two = apply_nabla_op(spec, u)
+    two = _apply(spec, u)
     scale = np.max(np.abs(two.values))
     assert np.max(np.abs(one.values - two.values)) <= 2e-4 * scale
 
@@ -772,8 +803,8 @@ def test_apply_is_linear():
     spec = compose(grad, mult)
     u = random_section(GRID, 0, 2, rng)
     v = random_section(GRID, 0, 2, rng)
-    both = apply_nabla_op(spec, TensorSection(GRID, 0, u.values + v.values, 2)).values
-    split = apply_nabla_op(spec, u).values + apply_nabla_op(spec, v).values
+    both = _apply(spec, TensorSection(GRID, 0, u.values + v.values, 2)).values
+    split = _apply(spec, u).values + _apply(spec, v).values
     scale = np.max(np.abs(both))
     assert np.max(np.abs(both - split)) <= 1e-12 * scale
 

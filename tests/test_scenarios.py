@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nabla_calc import BundleSpec, MetricField, magnetic_example_bundle
+from nabla_calc import BundleSpec, MetricField, magnetic_example_bundle, tower
 from nabla_calc.checks import CHECKS
 from nabla_calc.errors import ConfigError, ResolutionError
 from nabla_calc.norms import sobolev_norm
@@ -484,8 +484,8 @@ def test_constant_fiber_metric_is_one_matrix():
     assert field.fiber_metric.shape == (2, 2, 1, 1)
     u = random_section(grid, 0, 2, seeded_rng(7, "fiber-metric"))
     for s, p in ((0, 2.0), (1, 2.0), (2, math.inf)):
-        want = sobolev_norm(u, s, p, field, ctx.metric)
-        got = sobolev_norm(u, s, p, bundle, ctx.metric)
+        want = sobolev_norm(tower(u, field, ctx.metric, s), p, field, ctx.metric)
+        got = sobolev_norm(tower(u, bundle, ctx.metric, s), p, bundle, ctx.metric)
         assert abs(got - want) <= 1e-13 * want
 
 
