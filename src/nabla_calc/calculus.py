@@ -11,17 +11,18 @@ every step of the tower runs in that one layout: each direction's
 difference is written straight into its contiguous block of the result
 (ChartGrid.diff), and the potential and Christoffel products run with the
 grid innermost on the stored arrays, so nothing is copied to meet
-anything else.  A multi-index derivative nabla_(i_1..i_r) is the
-(i_1..i_r) component of the r-fold covariant derivative, so Christoffel
-terms act on the accumulated cotangent slots while they are alive.  On a
-constant metric this reduces to composing directional derivatives
-right-to-left, which gives the same bits.  Entries are 1-based.
+anything else; the potential product is added one fiber row at a time.
+A multi-index derivative nabla_(i_1..i_r) is the (i_1..i_r) component of
+the r-fold covariant derivative, so Christoffel terms act on the
+accumulated cotangent slots while they are alive.  On a constant metric
+this reduces to composing directional derivatives right-to-left, which
+gives the same bits.  Entries are 1-based.
 """
 
 import numpy as np
 
 from ._kernels import diff_axis
-from .bundles import TensorSection
+from .bundles import TensorSection, check_grid_shape
 from .errors import ChartMismatch, ShapeMismatch
 
 # slot letters must avoid the reserved einsum indices a, b, k, m, y, z
@@ -58,6 +59,24 @@ def _gamma_slot_sum(gamma, values, rank):
     return total
 
 
+def _add_rows(out, axis, script, rows, other, subtract=False):
+    """out[.., a, ..] += np.einsum(script, rows[a], other) for every row a,
+    the row index at position `axis` of out, or -= with subtract.
+
+    Each row's product goes through one reused buffer of one component's
+    shape, so no temporary holds the whole product; the bits are those of
+    the product formed at once and then added.
+    """
+    buf = None
+    for a, row in enumerate(rows):
+        buf = np.einsum(script, row, other, out=buf)
+        target = out[(slice(None),) * axis + (a,)]
+        if subtract:
+            target -= buf
+        else:
+            target += buf
+
+
 def covariant_derivative(u, bundle, metric, check_support=True):
     """One covariant derivative; result has rank r+1 with the new slot first.
 
@@ -89,11 +108,8 @@ def covariant_derivative(u, bundle, metric, check_support=True):
     if r > 0 and metric.christoffel.shape[3:] == grid.shape:
         parts -= _gamma_slot_sum(metric.christoffel, vals, r)
     for y in bundle.live:
-        parts[y] += np.einsum(
-            f"ab...,{letters}b...->{letters}a...",
-            bundle.potentials[y],
-            vals,
-        )
+        script = f"b...,{letters}b...->{letters}..."
+        _add_rows(parts[y], r, script, bundle.potentials[y], vals)
     return TensorSection(grid, r + 1, parts, u.fiber_dim)
 
 
@@ -103,11 +119,8 @@ def _coordinate_directional(vals, axis, rank, bundle):
     out = bundle.grid.diff(vals, axis)
     if axis in bundle.live:
         letters = _SLOTS[:rank]
-        out += np.einsum(
-            f"ab...,{letters}b...->{letters}a...",
-            bundle.potentials[axis],
-            vals,
-        )
+        script = f"b...,{letters}b...->{letters}..."
+        _add_rows(out, rank, script, bundle.potentials[axis], vals)
     return out
 
 
@@ -213,12 +226,11 @@ def directional_derivative(u, X, bundle, metric):
 
 class CurvatureField:
     """Curvature tensor R_kl = d_k A_l - d_l A_k + [A_k, A_l], stored as
-    values[k, l, a, b, idx]."""
+    values[k, l, a, b, idx], each grid axis full or of length 1."""
 
     def __init__(self, grid, values):
         n = grid.dim
-        if values.shape[:2] != (n, n) or values.shape[4:] != grid.shape:
-            raise ShapeMismatch(f"curvature values have shape {values.shape}")
+        check_grid_shape(values.shape, grid, (n, n) + values.shape[2:4], "curvature")
         self.grid = grid
         self.values = values
         self.fiber_dim = values.shape[2]
@@ -234,21 +246,26 @@ class CurvatureField:
 
 
 def curvature(bundle):
-    """Curvature of the bundle connection, zeroed on the FD-invalid band.
+    """Curvature of the bundle connection, stored at the shape the
+    potentials vary over.
 
     Per pair k < l, R_kl = (d_k A_l - d_l A_k) + (A_k A_l - A_l A_k) and
     R_lk with every difference taken the other way round.  A potential is
     differenced only along its full-length grid axes, since its difference
     along a length-1 axis is exactly zero; the products run only when k
-    and l are both live.  R_kk = 0, and a flat bundle gives zeros.
+    and l are both live.  R is zeroed on the FD-invalid band along its
+    full-length axes alone: along a length-1 axis no difference was taken,
+    so nothing there is invalid.  R_kk = 0, and a flat bundle gives zeros
+    of shape (n, n, d, d, 1, .., 1).
     """
     grid = bundle.grid
     n = grid.dim
     d = bundle.fiber_dim
-    r = np.zeros((n, n, d, d) + grid.shape, dtype=complex)
+    pots = bundle.potentials
+    shape = (1,) * n if bundle.is_flat else pots.shape[3:]
+    r = np.zeros((n, n, d, d) + shape, dtype=complex)
     if bundle.is_flat:
         return CurvatureField(grid, r)
-    pots = bundle.potentials
 
     def difference(a, axis):
         if a.shape[axis - n] == 1:

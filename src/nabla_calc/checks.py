@@ -26,6 +26,7 @@ from .bidiff import (
 )
 from .bundles import BundleSpec, TensorSection, magnetic_example_bundle, magnetic_phase
 from .calculus import (
+    _add_rows,
     covariant_derivative,
     curvature,
     directional_derivative,
@@ -333,12 +334,14 @@ def check_multiindex_formulas(ctx, trials=20):
 
 
 def _leibniz_error(ctx, trial):
-    """One trial of leibniz-rule, one direction k at a time:
-    nabla_k a = d_k a + A_k a - a A_k, skipped products on a dead k, and
-    rhs_k = (nabla_k a) u + a (nabla u)_k.  The field and its first
-    partials share one phase per wave, and are made before any section
-    exists; each direction's temporaries are freed before the next
-    direction makes its own."""
+    """One trial of leibniz-rule, ordered so that few full fields are alive
+    at once.  First rhs_k = (nabla_k a) u for every direction k, with
+    nabla_k a = d_k a + A_k a - a A_k (the products skipped on a dead k),
+    each partial freed once it is used; then rhs_k += a (nabla u)_k, and
+    nabla u is freed; then a u, with a and u freed before nabla(a u) is
+    made.  The field and its first partials share one phase per wave, and
+    are made before any section exists; every product with a potential or
+    with nabla u adds one row at a time."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     n = grid.dim
@@ -348,23 +351,27 @@ def _leibniz_error(ctx, trial):
     a, *partials = fields
     del fields
     u = random_section(grid, 0, d, _rng(ctx, "leibniz-section", trial))
-    au = TensorSection(grid, 0, np.einsum("ab...,b...->a...", a, u.values), d)
-    lhs = covariant_derivative(au, ctx.bundle, ctx.metric).values
-    del au
-    grad_u = covariant_derivative(u, ctx.bundle, ctx.metric).values
-    u = u.values
-    err = 0.0
+    rhs = []
     for k in range(n):
         nabla_a = partials[k]
         partials[k] = None
         if k in ctx.bundle.live:
-            nabla_a += np.einsum("ab...,bc...->ac...", pots[k], a)
-            nabla_a -= np.einsum("ab...,bc...->ac...", a, pots[k])
-        rhs = np.einsum("ab...,b...->a...", nabla_a, u)
+            _add_rows(nabla_a, 0, "b...,bc...->c...", pots[k], a)
+            _add_rows(nabla_a, 0, "b...,bc...->c...", a, pots[k], subtract=True)
+        rhs.append(np.einsum("ab...,b...->a...", nabla_a, u.values))
         del nabla_a
-        rhs += np.einsum("ab...,b...->a...", a, grad_u[k])
-        diff = lhs[k] - rhs
-        del rhs
+    grad_u = covariant_derivative(u, ctx.bundle, ctx.metric).values
+    for k in range(n):
+        _add_rows(rhs[k], 0, "b...,b...->...", a, grad_u[k])
+    del grad_u
+    au = TensorSection(grid, 0, np.einsum("ab...,b...->a...", a, u.values), d)
+    del a, u
+    lhs = covariant_derivative(au, ctx.bundle, ctx.metric).values
+    del au
+    err = 0.0
+    for k in range(n):
+        diff = lhs[k] - rhs[k]
+        rhs[k] = None
         err = strict_max(err, float(np.max(np.abs(diff))))
         del diff
     return err / max(float(np.max(np.abs(lhs))), _TINY)
@@ -378,7 +385,8 @@ def check_leibniz_rule(ctx, trials=5):
 
 def _commutator_error(ctx, trial, blocks, pairs):
     """One trial of curvature-commutator over every direction pair; blocks
-    holds the curvature R_kl of each pair as (d, d) + grid."""
+    holds the curvature R_kl of each pair as (d, d) + the shape the
+    potentials vary over."""
     rng = _rng(ctx, "curvature-commutator", trial)
     u = random_section(ctx.grid, 0, ctx.bundle.fiber_dim, rng)
     idxs = [idx for k, l in pairs for idx in ((k, l), (l, k))]

@@ -114,12 +114,26 @@ class ChartGrid:
             layers = self.support_margin
         return ~self.band_mask(layers)
 
+    def _edge_slabs(self, values, layers):
+        """Index tuples of the two edge slabs, `layers` deep, of each
+        full-length grid axis of a grid-last array; an axis of length 1
+        has no band."""
+        g = self.dim
+        return [
+            (Ellipsis, edge) + (slice(None),) * (g - 1 - k)
+            for k, m in enumerate(values.shape[values.ndim - g :])
+            if m == self.shape[k]
+            for edge in (slice(None, layers), slice(-layers, None))
+        ]
+
     def zero_band(self, values, layers):
         """Zero a grid-last array in place on the outermost `layers` grid
-        layers."""
+        layers along each of its full-length grid axes.  On a full-grid
+        array this is the whole band."""
         if layers <= 0:
             return values
-        values[..., self.band_mask(layers)] = 0
+        for slab in self._edge_slabs(values, layers):
+            values[slab] = 0
         return values
 
     def check_support(self, values, layers):
@@ -132,12 +146,7 @@ class ChartGrid:
             )
         if layers <= 0:
             return
-        g = self.dim
-        slabs = [
-            values[(Ellipsis, edge) + (slice(None),) * (g - 1 - k)]
-            for k in range(g)
-            for edge in (slice(None, layers), slice(-layers, None))
-        ]
+        slabs = [values[slab] for slab in self._edge_slabs(values, layers)]
         if any(np.any(slab != 0) for slab in slabs):
             worst = float(np.max([np.max(np.abs(slab)) for slab in slabs]))
             raise SupportViolation(

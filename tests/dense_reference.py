@@ -12,6 +12,10 @@ the explicit formulas, to check that route:
 It also keeps the former all-direction connection products, which ran
 over every direction, a dead one (identically zero potential) included:
 the package now skips the dead directions and must give equal arrays.
+And it keeps the former whole-product einsum formula of the connection
+term, A_y[a, b] u[.., b] formed at once for every fiber row a: the
+package adds one row at a time through a one-component buffer and must
+give the same bits.
 """
 
 import numpy as np
@@ -151,3 +155,29 @@ def all_direction_curvature(bundle):
             r[l, k] = d_lk - d_kl + (p_lk - p_kl)
     grid.zero_band(r, grid.stencil_radius)
     return r
+
+
+def einsum_covariant_derivative(u, bundle, metric):
+    """covariant_derivative on a plain bundle, each live direction's
+    potential product formed whole by one einsum and then added."""
+    grid = u.grid
+    r = u.rank
+    parts = np.empty((grid.dim,) + u.values.shape, dtype=complex)
+    for k in range(grid.dim):
+        grid.diff(u.values, k, out=parts[k])
+    letters = "cdefghij"[:r]
+    if r > 0 and metric.christoffel.shape[3:] == grid.shape:
+        parts -= _gamma_slot_sum(metric.christoffel, u.values, r)
+    for y in bundle.live:
+        parts[y] += np.einsum(
+            f"ab...,{letters}b...->{letters}a...", bundle.potentials[y], u.values
+        )
+    return TensorSection(grid, r + 1, parts, u.fiber_dim)
+
+
+def einsum_multiindex_derivative(u, idx, bundle, metric):
+    """The idx component of the |idx|-fold einsum_covariant_derivative."""
+    level = u
+    for _ in idx:
+        level = einsum_covariant_derivative(level, bundle, metric)
+    return level.values[tuple(k - 1 for k in idx)]

@@ -26,10 +26,13 @@ from nabla_calc.grid import ChartGrid
 from nabla_calc.sections import (
     random_bump_section,
     random_section,
+    random_skew_potentials,
     random_trig_field,
     random_vector_field,
     seeded_rng,
 )
+
+from dense_reference import einsum_covariant_derivative, einsum_multiindex_derivative
 
 GRID = ChartGrid([(-1, 1), (-1, 1)], (129, 129))
 FLAT = MetricField.flat(GRID)
@@ -292,6 +295,31 @@ def test_connection_term_matches_grid_first_einsum(shape, d):
     assert pots.flags.c_contiguous and pots.shape == (n, d, d) + grid.shape
 
 
+def _random_3d_bundle():
+    grid = ChartGrid([(-1, 1)] * 3, (15, 15, 15), support_margin=4)
+    return BundleSpec(grid, 3, random_skew_potentials(grid, 3, seeded_rng(114, "3d")))
+
+
+@pytest.mark.parametrize("name", ["magnetic", "random-3d"])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_connection_rows_match_the_einsum_formula(name, rank):
+    # the compact magnetic potentials and full random ones on a 3-D chart,
+    # added one fiber row at a time, against the product formed at once
+    bundle = MAGNETIC if name == "magnetic" else _random_3d_bundle()
+    grid = bundle.grid
+    metric = MetricField.flat(grid)
+    rng = seeded_rng(114, f"{name}-{rank}")
+    u = random_section(grid, rank, bundle.fiber_dim, rng)
+    got = covariant_derivative(u, bundle, metric).values
+    assert np.array_equal(got, einsum_covariant_derivative(u, bundle, metric).values)
+    n = grid.dim
+    idxs = [(1,), (n,), (1, n), (n, 1), (n, n)]
+    gots = multiindex_derivative(u, idxs, bundle, metric)
+    for idx, got in zip(idxs, gots, strict=True):
+        want = einsum_multiindex_derivative(u, idx, bundle, metric)
+        assert np.array_equal(got.values, want)
+
+
 def _grid_first_multiindex(sec, idx, bundle):
     """The former constant-metric composition, grid axes first."""
     grid = sec.grid
@@ -345,8 +373,10 @@ def test_flat_curvature_is_zero():
     grid = ChartGrid([(-1, 1), (-1, 1)], (13, 13), support_margin=2)
     bundle = BundleSpec(grid, 2)
     r = curvature(bundle).values
-    assert r.shape == (2, 2, 2, 2) + grid.shape and not np.any(r)
-    assert np.array_equal(_first(r, grid.dim), _stacked_curvature(bundle))
+    # stored at the shape a flat bundle varies over: no grid axis at all
+    assert r.shape == (2, 2, 2, 2, 1, 1) and not np.any(r)
+    full = np.broadcast_to(r, (2, 2, 2, 2) + grid.shape)
+    assert np.array_equal(_first(full, grid.dim), _stacked_curvature(bundle))
 
 
 def test_curvature_peak_memory_below_three_results():
