@@ -27,6 +27,7 @@ from .bidiff import (
 from .bundles import BundleSpec, TensorSection, magnetic_example_bundle, magnetic_phase
 from .calculus import (
     _add_rows,
+    _coordinate_directional,
     covariant_derivative,
     curvature,
     directional_derivative,
@@ -217,8 +218,14 @@ def _worst(trials, per_trial, start=0.0):
 
 
 def _sup_error(got, want, floor=_TINY):
-    """Grid sup of |got - want| over the larger of sup |want| and floor."""
-    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), floor)
+    """Grid sup of |got - want| over the larger of sup |want| and floor.
+
+    got is spent: want is subtracted from it in place, after sup |want| is
+    taken, so no third field is made.
+    """
+    scale = max(float(np.max(np.abs(want))), floor)
+    got -= want
+    return float(np.max(np.abs(got))) / scale
 
 
 def _rng(ctx, label, trial=0):
@@ -263,59 +270,63 @@ def _require_weight(ctx, what):
     return ctx.weight
 
 
-def _closed_form_second_derivatives(grid, xi, phase, conj_phase, slope):
-    """Displayed forms of the mixed second derivatives for the oscillating
-    potential A_2 = [[0, phase], [-conj(phase), 0]], phase = e^{i x1^3}, on
-    a flat chart, keyed by multi-index; slope = 3i x1^2 is the factor that
-    d_1 brings down from the phase.
+def _add_swapped(out, v, top, bottom, scale=None):
+    """out += scale * (top v_2, bottom v_1), one fiber row at a time through
+    one buffer; A_2 v is the pair with top = phase and bottom = -conj(phase).
 
-    xi is a section's grid-last values.  The section's own derivatives are
-    rendered with the grid stencils; only the potential's derivative uses
-    its analytic form.
+    Each row is formed as (top v_2), then scaled, then added, the bits of
+    the whole pair formed at once and then added.
     """
-    d1 = grid.diff(xi, 0)
-    d2 = grid.diff(xi, 1)
-
-    def swap(v, top, bottom):
-        """The fiber vector (top v_2, bottom v_1); A_2 v = swap(v, phase,
-        -conj_phase)."""
-        out = np.empty_like(v)
-        np.multiply(top, v[1], out=out[0])
-        np.multiply(bottom, v[0], out=out[1])
-        return out
-
-    # each form is summed in place, term by term in its displayed order
-    a2_d1 = swap(d1, phase, -conj_phase)
-    da2_xi = swap(xi, phase, conj_phase)
-    np.multiply(slope, da2_xi, out=da2_xi)
-    f12 = grid.diff(d2, 0)
-    f12 += da2_xi
-    f12 += a2_d1
-    del da2_xi
-    f21 = grid.diff(d1, 1)
-    f21 += a2_d1
-    del a2_d1, d1
-    f22 = grid.diff(d2, 1)
-    a2_d2 = swap(d2, phase, -conj_phase)
-    np.multiply(2, a2_d2, out=a2_d2)
-    f22 += a2_d2
-    f22 -= xi
-    return {(1, 2): f12, (2, 1): f21, (2, 2): f22}
+    buf = None
+    for row, (coeff, entry) in enumerate(((top, v[1]), (bottom, v[0]))):
+        buf = np.multiply(coeff, entry, out=buf)
+        if scale is not None:
+            np.multiply(scale, buf, out=buf)
+        out[row] += buf
 
 
 def _formula_error(ctx, trial, phase, conj_phase, slope):
-    """One trial of multiindex-formulas: its worst relative error."""
+    """One trial of multiindex-formulas: its worst relative error.
+
+    The mixed second derivatives of a section xi against their displayed
+    forms for the oscillating potential A_2 = [[0, phase], [-conj(phase),
+    0]], phase = e^{i x1^3}, on a flat chart; slope = 3i x1^2 is the factor
+    that d_1 brings down from the phase.  The section's own derivatives are
+    rendered with the grid stencils; only the potential's derivative uses
+    its analytic form, and each form is summed in place, term by term in
+    its displayed order.
+
+    (1,2) and (2,2) are walked together, sharing their nabla_2 step, and
+    (2,1) last.  Each form is built only once its result exists, compared
+    with it at once (the result is spent on the comparison) and freed with
+    it before the next form is built.
+    """
+    grid = ctx.grid
     bumps = random_bump_section(
-        ctx.grid, 0, 2, _rng(ctx, "multiindex-formulas", trial), kappa_max=1.5
+        grid, 0, 2, _rng(ctx, "multiindex-formulas", trial), kappa_max=1.5
     )
-    sec = bumps.section(ctx.grid)
-    forms = _closed_form_second_derivatives(
-        ctx.grid, sec.values, phase, conj_phase, slope
-    )
-    gots = multiindex_derivative(sec, list(forms), ctx.bundle, ctx.metric)
-    return strict_max(
-        *(_sup_error(got.values, want) for got, want in zip(gots, forms.values()))
-    )
+    sec = bumps.section(grid)
+    xi = sec.values
+    neg_conj = -conj_phase
+    got12, got22 = multiindex_derivative(sec, [(1, 2), (2, 2)], ctx.bundle, ctx.metric)
+    d2 = grid.diff(xi, 1)
+    want = grid.diff(d2, 1)
+    _add_swapped(want, d2, phase, neg_conj, 2)
+    want -= xi
+    err22 = _sup_error(got22.values, want)
+    del got22, want
+    want = grid.diff(d2, 0)
+    del d2
+    _add_swapped(want, xi, phase, conj_phase, slope)
+    d1 = grid.diff(xi, 0)
+    _add_swapped(want, d1, phase, neg_conj)
+    err12 = _sup_error(got12.values, want)
+    del got12, want
+    want = grid.diff(d1, 1)
+    _add_swapped(want, d1, phase, neg_conj)
+    del d1
+    got21 = multiindex_derivative(sec, (2, 1), ctx.bundle, ctx.metric)
+    return strict_max(err12, _sup_error(got21.values, want), err22)
 
 
 @register("multiindex-formulas", rule="residual")
@@ -335,35 +346,37 @@ def check_multiindex_formulas(ctx, trials=20):
 
 def _leibniz_error(ctx, trial):
     """One trial of leibniz-rule, ordered so that few full fields are alive
-    at once.  First rhs_k = (nabla_k a) u for every direction k, with
-    nabla_k a = d_k a + A_k a - a A_k (the products skipped on a dead k),
-    each partial freed once it is used; then rhs_k += a (nabla u)_k, and
-    nabla u is freed; then a u, with a and u freed before nabla(a u) is
-    made.  The field and its first partials share one phase per wave, and
-    are made before any section exists; every product with a potential or
-    with nabla u adds one row at a time."""
+    at once.  a is sampled together with d_1 a, before any section exists.
+    Then for each direction k, rhs_k = (nabla_k a) u, with nabla_k a = d_k a
+    + A_k a - a A_k (the products skipped on a dead k); the partial is freed
+    once rhs_k is formed, and rhs_k += a nabla_k u, with nabla_k u made and
+    freed one direction at a time.  Each further d_k a is sampled alone,
+    only then, at the cost of its waves' phases once more.  Last comes a u,
+    with a and u freed before nabla(a u) is made.  Every product with a
+    potential or with nabla_k u adds one row at a time."""
     grid = ctx.grid
     d = ctx.bundle.fiber_dim
     n = grid.dim
     pots = ctx.bundle.potentials
     a_field = random_trig_field(n, (d, d), _rng(ctx, "leibniz-rule", trial))
-    fields = a_field.sample(grid, [()] + [(k,) for k in range(n)])
-    a, *partials = fields
-    del fields
+    a, nabla_a = a_field.sample(grid, [(), (0,)])
     u = random_section(grid, 0, d, _rng(ctx, "leibniz-section", trial))
+    grid.check_support(u.values, grid.stencil_radius)
     rhs = []
     for k in range(n):
-        nabla_a = partials[k]
-        partials[k] = None
+        if nabla_a is None:
+            nabla_a = a_field.sample(grid, (k,))
         if k in ctx.bundle.live:
             _add_rows(nabla_a, 0, "b...,bc...->c...", pots[k], a)
             _add_rows(nabla_a, 0, "b...,bc...->c...", a, pots[k], subtract=True)
         rhs.append(np.einsum("ab...,b...->a...", nabla_a, u.values))
-        del nabla_a
-    grad_u = covariant_derivative(u, ctx.bundle, ctx.metric).values
-    for k in range(n):
-        _add_rows(rhs[k], 0, "b...,b...->...", a, grad_u[k])
-    del grad_u
+        nabla_a = None
+        # a rank-0 section has no Christoffel term: on any metric, nabla_k u
+        # is its directional derivative, the bits of covariant_derivative's
+        # block k
+        grad_u = _coordinate_directional(u.values, k, 0, ctx.bundle)
+        _add_rows(rhs[k], 0, "b...,b...->...", a, grad_u)
+        del grad_u
     au = TensorSection(grid, 0, np.einsum("ab...,b...->a...", a, u.values), d)
     del a, u
     lhs = covariant_derivative(au, ctx.bundle, ctx.metric).values

@@ -316,7 +316,7 @@ def random_embedding(grid, n_ambient, rng, amplitude=0.25):
     base = np.linalg.qr(rng.standard_normal((n_ambient, n_ambient)))[0][:, :n]
     pad = (1,) * n
     phi = np.broadcast_to(base.reshape(base.shape + pad), base.shape + grid.shape).copy()
-    x = np.stack(grid.coords, axis=-1)
+    x = np.stack(np.broadcast_arrays(*grid.coords), axis=-1)
     for _ in range(n_waves):
         w = rng.uniform(-1.0, 1.0, size=n)
         phase = rng.uniform(0.0, 2.0 * np.pi)

@@ -12,7 +12,14 @@ from .errors import ResolutionError, ShapeMismatch, SupportViolation
 
 
 class ChartGrid:
-    """Uniform tensor-product grid over a box in R^n."""
+    """Uniform tensor-product grid over a box in R^n.
+
+    axes[k] holds the points of axis k, and coords[k] the k-th coordinate
+    stored at the shape it varies over: axes[k] shaped (1, .., N_k, .., 1).
+    The coordinates broadcast against each other and against any grid
+    field; np.broadcast_arrays(*coords) reads them on the full grid, as
+    views.
+    """
 
     def __init__(self, box, shape, fd_order=4, support_margin=None):
         box = tuple((float(lo), float(hi)) for lo, hi in box)
@@ -48,8 +55,7 @@ class ChartGrid:
         self.axes = [
             np.linspace(lo, hi, m) for (lo, hi), m in zip(box, shape)
         ]
-        # full-shape coordinate arrays, x[k][idx] = k-th coordinate at idx
-        self.coords = list(np.meshgrid(*self.axes, indexing="ij"))
+        self.coords = list(np.meshgrid(*self.axes, indexing="ij", sparse=True))
         self._quad_weights = None
 
     @property

@@ -83,8 +83,10 @@ class ScalarBump:
         self.box = tuple(tuple(edge) for edge in box)
         self.terms = terms  # list of (amplitude, [AxisFactor per axis])
 
-    def sample(self, grid, orders=None):
-        """Evaluate (a partial derivative of) the bump on a grid over the box."""
+    def sample(self, grid, orders=None, out=None):
+        """Evaluate (a partial derivative of) the bump on a grid over the box,
+        written into out when given (a complex array of the grid's shape,
+        such as one component's block of a section) and returned."""
         n = len(self.box)
         if tuple(grid.box) != self.box:
             raise ShapeMismatch(f"grid box {grid.box} differs from bump box {self.box}")
@@ -93,7 +95,9 @@ class ScalarBump:
         orders = tuple(int(o) for o in orders)
         if len(orders) != n:
             raise ShapeMismatch(f"orders {orders} must have one entry per axis")
-        total = np.zeros(grid.shape, dtype=complex)
+        if out is None:
+            out = np.empty(grid.shape, dtype=complex)
+        out[...] = 0
         for amp, factors in self.terms:
             prod = None
             for k, fac in enumerate(factors):
@@ -101,8 +105,8 @@ class ScalarBump:
                 shape1 = tuple(grid.shape[k] if a == k else 1 for a in range(n))
                 axis_vals = axis_vals.reshape(shape1)
                 prod = axis_vals if prod is None else prod * axis_vals
-            total += np.multiply(amp, prod, out=prod)
-        return total
+            out += np.multiply(amp, prod, out=prod)
+        return out
 
 
 def default_margin_width(grid):
@@ -141,15 +145,17 @@ class BumpSection:
         self.box = box
         self.rank = rank
         self.fiber_dim = fiber_dim
-        self.components = components  # dict: component tuple -> ScalarBump
+        # dict: component tuple -> ScalarBump, one entry for every component
+        self.components = components
 
     def _assemble(self, grid, orders):
-        """The components written grid-last, each into its contiguous block."""
+        """The components sampled grid-last, each straight into its
+        contiguous block."""
         n = grid.dim
         shape = (n,) * self.rank + (self.fiber_dim,) + grid.shape
-        vals = np.zeros(shape, dtype=complex)
+        vals = np.empty(shape, dtype=complex)
         for comp, bump in self.components.items():
-            vals[comp] = bump.sample(grid, orders)
+            bump.sample(grid, orders, out=vals[comp])
         return vals
 
     def section(self, grid):
@@ -212,7 +218,11 @@ class TrigPolyField:
         orders lists 0-based axes to differentiate along, repeats allowed.
         A list of such tuples gives a list of fields, and each wave's phase
         is computed once for all of them.  Each field is value_shape + grid,
-        summed entry by entry with the grid innermost.
+        summed entry by entry with the grid innermost.  Each wave's phase is
+        formed from the coordinates at the shape they vary over and
+        exponentiated in place in one reused buffer, and each entry's term,
+        (factor * phase) * coeff, in another, so no other full-grid
+        temporary is made.
         """
         n = grid.dim
         if self.waves.shape[1] != n:
@@ -223,16 +233,18 @@ class TrigPolyField:
         many = any(np.ndim(o) for o in orders)
         wanted = [tuple(int(a) for a in o) for o in (orders if many else [orders])]
         stores = [np.zeros(self.value_shape + grid.shape, dtype=complex) for _ in wanted]
+        phase = np.empty(grid.shape, dtype=complex)
         term = np.empty(grid.shape, dtype=complex)
         for w, c in zip(self.waves, self.coeffs):
-            phase = np.exp(1j * sum(w[k] * grid.coords[k] for k in range(n)))
+            np.multiply(1j, sum(w[k] * grid.coords[k] for k in range(n)), out=phase)
+            np.exp(phase, out=phase)
             for o, store in zip(wanted, stores):
                 factor = 1.0 + 0.0j
                 for a in o:
                     factor = factor * 1j * w[a]
-                wave = factor * phase
                 for entry in np.ndindex(self.value_shape):
-                    store[entry] += np.multiply(wave, c[entry], out=term)
+                    np.multiply(factor, phase, out=term)
+                    store[entry] += np.multiply(term, c[entry], out=term)
         for o, store in zip(wanted, stores):
             if not o and self.const is not None:
                 for entry in np.ndindex(self.value_shape):

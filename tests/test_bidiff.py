@@ -374,7 +374,7 @@ def test_weighted_duality_trivial_weight():
 
 
 def test_weighted_duality_order_zero_is_change_of_measure():
-    x1, x2 = GRID.coords
+    x1, x2 = np.broadcast_arrays(*GRID.coords)
     weight = WeightPair(GRID, 1.0 / (2.0 + x1), np.exp(0.3 * x2), admissible=True)
     spec = BidiffSpec(SCALAR, SCALAR, FLAT, 0, {(0, 0): _eye_coefficient(1)})
     rng = seeded_rng(11, "bd-w0")
@@ -386,7 +386,7 @@ def test_weighted_duality_order_zero_is_change_of_measure():
 
 
 def test_weighted_duality_first_order_two_route():
-    x1, x2 = GRID.coords
+    x1, x2 = np.broadcast_arrays(*GRID.coords)
     weight = WeightPair(GRID, 1.0 / (2.0 + x1), np.exp(0.3 * x2), admissible=True)
     spec = _dirichlet_spec(SCALAR, FLAT)
     rng = seeded_rng(11, "bd-w1")
@@ -397,7 +397,7 @@ def test_weighted_duality_first_order_two_route():
 
 
 def test_weighted_duality_rejects_undeclared_weight():
-    x1, _ = GRID.coords
+    x1, _ = np.broadcast_arrays(*GRID.coords)
     weight = WeightPair(GRID, 1.0 / (2.0 + x1), np.ones(GRID.shape))
     spec = _dirichlet_spec(SCALAR, FLAT)
     with pytest.raises(NonadmissibleWeight):

@@ -4,8 +4,8 @@ perfbench/reference.json holds, for each builtin of a workload, the seed
 and the measured value of every check it runs.  The five builtins other
 than flat-operators and three of flat-operators' four checks run here in a
 few seconds, so a change that moves a builtin residual fails tier-1 and not
-only the benchmark gate.  So do the two magnetic-example checks that only
-the "fine-grid" workload runs.  The drift limit is the benchmark's own.
+only the benchmark gate.  So do the three magnetic-example checks at the
+"fine-grid" workload's resolution.  The drift limit is the benchmark's own.
 """
 
 import json
@@ -31,10 +31,10 @@ LIGHT = sorted(name for name in _reference_builtins() if name != "flat-operators
 # config, and divergence-duality assembles the weak operator of the half-order
 # 1 and 2 ladder forms through the coefficient algebra
 FAST_FLAT_OPERATORS = ("mapping-bound", "divergence-duality", "multiplication-property")
-# the builtins workload leaves these two magnetic-example checks out, as
+# the builtins workload leaves the last two magnetic-example checks out, as
 # they miss their tolerance at some seeds on the builtin's grid; fine-grid
-# runs them at h = 2/512
-FINE_GRID_CHECKS = ("leibniz-rule", "curvature-commutator")
+# runs all three, in the builtin's order, at h = 2/512
+FINE_GRID_CHECKS = ("multiindex-formulas", "leibniz-rule", "curvature-commutator")
 FINE_GRID_H = 2 / 512
 
 

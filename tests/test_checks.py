@@ -2,7 +2,8 @@
 the verdict rules, and the pass/fail edges of the bound-ratio checks fed
 known ratios; check parameters, which are validated on every call; the
 README's table of checks and rules against the registry; and the grid-last
-leibniz-rule residual against its former grid-first formula."""
+leibniz-rule residual against its former grid-first formula.  A NaN that a
+patched derivative puts in one multi-index result fails multiindex-formulas."""
 
 import inspect
 import math
@@ -332,6 +333,34 @@ def test_closed_form_check_needs_the_flat_metric_and_the_oscillating_bundle():
     for bundle in (BundleSpec(grid, 2, off), BundleSpec(grid, 2), BundleSpec(grid, 1)):
         with pytest.raises(ConfigError, match="oscillating-potential bundle"):
             run(MetricField.flat(grid), bundle)
+
+
+@pytest.mark.parametrize("poisoned", [(1, 2), (2, 2), (2, 1)], ids=str)
+def test_multiindex_formulas_fails_a_nan_in_one_derivative(monkeypatch, poisoned):
+    # one NaN in one multi-index result, whichever walk makes it, must reach
+    # measured: a comparison that drops it would pass the check
+    grid = ChartGrid([(-1, 1), (-1, 1)], (33, 33))
+    ctx = CheckContext(
+        name="closed-form",
+        grid=grid,
+        metric=MetricField.flat(grid),
+        bundle=magnetic_example_bundle(grid),
+        seed=3,
+    )
+    derivative = checks.multiindex_derivative
+
+    def nan_in_one(u, idx, bundle, metric):
+        out = derivative(u, idx, bundle, metric)
+        many = isinstance(out, list)
+        for sec, i in zip(out if many else [out], idx if many else [idx]):
+            if tuple(i) == poisoned:
+                sec.values[0, 16, 16] = np.nan
+        return out
+
+    monkeypatch.setattr(checks, "multiindex_derivative", nan_in_one)
+    out = CHECKS["multiindex-formulas"][0](ctx, {"tolerance": 1.0, "trials": 2})
+    assert not math.isfinite(out["measured"])
+    assert not out["passed"]
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

@@ -101,7 +101,7 @@ def test_potentials_view_has_the_full_shape_and_is_read_only(name):
 def test_magnetic_view_holds_the_displayed_potentials():
     pots = magnetic_example_bundle(GRID).potentials
     pots = np.broadcast_to(pots, (2, 2, 2) + GRID.shape)
-    phase = np.exp(1j * GRID.coords[0] ** 3)
+    phase = np.broadcast_to(np.exp(1j * GRID.coords[0] ** 3), GRID.shape)
     assert np.all(pots[0] == 0)
     assert np.array_equal(pots[1, 0, 1], phase)
     assert np.array_equal(pots[1, 1, 0], -np.conj(phase))
@@ -214,18 +214,20 @@ def _peak(call):
     return out, peak
 
 
-def _magnetic_context():
-    """The magnetic-example context at h = 2/128, its build peak in rank-0
-    section bytes, and that section's byte count."""
+def _magnetic_context(h=2 / 128):
+    """The magnetic-example context at grid spacing h, its build peak in
+    rank-0 section bytes, and that section's byte count."""
     scenario = parse_scenario(builtin_scenario("magnetic-example"))
-    ctx, peak = _peak(lambda: build_context(scenario, h=2 / 128))
+    ctx, peak = _peak(lambda: build_context(scenario, h=h))
     section = ctx.grid.shape[0] * ctx.grid.shape[1] * 2 * 16
     return ctx, peak / section, section
 
 
 def test_magnetic_build_peak_stays_below_the_compact_bound():
-    # 9.54 sections with the potentials stored on the full grid, 3.51 now
-    assert _magnetic_context()[1] <= 3.6
+    # 9.54 sections with the potentials stored on the full grid; 0.59 with
+    # the two full-grid coordinate arrays, 0.09 now that each coordinate is
+    # stored at the shape it varies over
+    assert _magnetic_context()[1] <= 0.3
 
 
 @pytest.mark.parametrize(
@@ -237,16 +239,24 @@ def test_magnetic_build_peak_stays_below_the_compact_bound():
     # multiindex-formulas at 9.27, before the curvature was stored at the
     # potentials' shape, the potential products went one fiber row at a
     # time and leibniz-rule freed each partial, nabla u, a and u before
-    # the next full field was made: 8.52, 6.53 and 8.54 now
-    "name, bound",
+    # the next full field was made: 8.52, 6.53 and 8.54; 8.51, 6.53 and
+    # 8.55 (8.50, 6.50 and 8.51 at h = 2/512) before multiindex-formulas
+    # compared and freed each closed form as it went, leibniz-rule sampled
+    # each further partial alone and made nabla_k u one direction at a
+    # time, and the trial fields were sampled without full-grid temporaries:
+    # 7.51, 6.53 and 5.79 now (7.27, 6.50 and 5.52 at h = 2/512)
+    "name, h, bound",
     [
-        ("leibniz-rule", 8.8),
-        ("curvature-commutator", 6.8),
-        ("multiindex-formulas", 8.8),
+        ("leibniz-rule", 2 / 128, 7.8),
+        ("curvature-commutator", 2 / 128, 6.8),
+        ("multiindex-formulas", 2 / 128, 6.0),
+        ("leibniz-rule", 2 / 512, 7.5),
+        ("curvature-commutator", 2 / 512, 6.8),
+        ("multiindex-formulas", 2 / 512, 5.8),
     ],
 )
-def test_magnetic_trial_peak_stays_below_the_compact_bound(name, bound):
-    ctx, _, section = _magnetic_context()
+def test_magnetic_trial_peak_stays_below_the_compact_bound(name, h, bound):
+    ctx, _, section = _magnetic_context(h)
     # numpy imports numpy.random on first use, about 1.2 sections here; that
     # import is done before the measurement, since it is no field of a trial
     seeded_rng(0, "numpy.random")

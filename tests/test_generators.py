@@ -166,7 +166,7 @@ def test_nabla_via_generators_magnetic():
 
 def test_divergence_identity_frame_linear_field():
     gens = build_generators(identity_embedding(GRID), FLAT)
-    x, y = GRID.coords
+    x, y = np.broadcast_arrays(*GRID.coords)
     field = np.stack([x, y])
     div = divergence_via_generators(field, gens, FLAT)
     inner = GRID.interior_mask(GRID.stencil_radius)
@@ -179,7 +179,7 @@ def test_divergence_of_sphere_rotation_field_vanishes():
     grid = ChartGrid([(-1, 1), (-1, 1)], (129, 129))
     emb, metric = sphere_ambient_embedding(grid)
     gens = build_generators(emb, metric)
-    x, y = grid.coords
+    x, y = np.broadcast_arrays(*grid.coords)
     rotation = np.stack([-y, x])
     div = divergence_via_generators(rotation, gens, metric)
     assert np.max(np.abs(div[grid.interior_mask(grid.stencil_radius)])) <= 5e-6

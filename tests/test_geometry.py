@@ -14,7 +14,7 @@ from nabla_calc.sections import random_vector_field, seeded_rng
 
 def _conformal_setup(npts=129):
     grid = ChartGrid([(-1, 1), (-1, 1)], (npts, npts))
-    x, y = grid.coords
+    x, y = np.broadcast_arrays(*grid.coords)
     phi = 0.2 * x * y + 0.1 * x - 0.05 * y**2
     metric = MetricField.conformal(grid, phi)
     # analytic phi gradient for the closed-form Christoffel oracle
@@ -51,7 +51,7 @@ def test_christoffel_point_access():
     pt = (16, 10)
     assert metric.sqrt_det[pt] == pytest.approx(np.exp(2 * 2 * phi[pt]) ** 0.5)
     # phi of x1 alone: values (N1, 1), a full-grid Christoffel field
-    x, _ = grid.coords
+    x = np.broadcast_to(grid.coords[0], grid.shape)
     one_axis = MetricField.conformal(grid, 0.1 * x)
     assert one_axis.values.shape == (2, 2, 33, 1)
     assert one_axis.christoffel.shape == (2, 2, 2) + grid.shape
@@ -136,7 +136,7 @@ def test_constant_metric_is_validated_on_one_matrix(monkeypatch):
     const = np.array([[2.0, 0.5], [0.5, 1.0]])[:, :, None, None]
     const = np.broadcast_to(const, (2, 2, 17, 17))
     assert MetricField(grid, const).values.shape == (2, 2, 1, 1)
-    x, _ = grid.coords
+    x = np.broadcast_to(grid.coords[0], grid.shape)
     MetricField.conformal(grid, 0.1 * x)
     assert shapes == [(1, 1, 2, 2), (17, 1, 2, 2)]
 
@@ -146,7 +146,7 @@ def test_metric_verdicts_do_not_depend_on_constancy(constant):
     # the finite, symmetry and eigenvalue-floor checks give the same errors
     # whether the metric is one matrix everywhere or varies
     grid = ChartGrid([(-1, 1), (-1, 1)], (17, 17), support_margin=2)
-    x, _ = grid.coords
+    x = np.broadcast_to(grid.coords[0], grid.shape)
     scale = np.ones_like(x) if constant else 1.0 + 0.1 * (x + 1)
 
     def field(mat):

@@ -12,8 +12,14 @@ def test_basic_layout():
     assert g.h == (2 / 32, 2 / 16)
     assert g.stencil_radius == 2
     assert g.support_margin == 6
-    assert g.coords[0].shape == (33, 17)
+    # each coordinate is stored at the shape it varies over, and the two
+    # broadcast to the full-grid coordinates of every point
+    assert g.coords[0].shape == (33, 1)
+    assert g.coords[1].shape == (1, 17)
     assert g.coords[1][0, -1] == pytest.approx(2.0)
+    full = np.meshgrid(*g.axes, indexing="ij")
+    for got, want in zip(np.broadcast_arrays(*g.coords), full, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_margin_below_radius_rejected():

@@ -203,7 +203,7 @@ def test_masked_lp_reduction_ignores_larger_values_outside_the_mask():
     # (1.5 / 0.5) ** 2000 overflows: the scale comes from the region's max,
     # so the values outside the region must not be raised to the power p;
     # covering_norm reduces each level's pointwise norm masked this way
-    left = GRID.coords[0] < 0.0
+    left = np.broadcast_to(GRID.coords[0] < 0.0, GRID.shape)
     vals = np.where(left, 0.5, 1.5)[None]
     u = TensorSection(GRID, 0, vals, 1)
     inside = TensorSection(GRID, 0, np.where(left, 0.5, 0.0)[None], 1)

@@ -433,7 +433,7 @@ def test_graph_embedding_builds_its_induced_metric():
     cfg["metric"] = {"kind": "embedded"}
     cfg["embedding"] = {"name": "graph", "heights": ["0.1 * x1 * x2"]}
     ctx = build_context(parse_scenario(cfg))
-    x2 = ctx.grid.coords[1]
+    x2 = np.broadcast_to(ctx.grid.coords[1], ctx.grid.shape)
     # g = 1 + Df^T Df away from the stencil band, where Df = 0.1 (x2, x1)
     g11 = ctx.metric.values[0, 0]
     inner = ctx.grid.interior_mask(ctx.grid.stencil_radius)

@@ -115,3 +115,56 @@ def test_trig_field_is_bounded_not_supported():
     assert a.shape == (2,) + grid.shape
     # generic draws do not vanish at the box edge
     assert np.max(np.abs(a[:, 0, :])) > 1e-3
+
+
+# a 2d and a 3d grid, each axis of its own length and box
+SAMPLE_GRIDS = [
+    ChartGrid([(-1, 1), (-0.5, 1.5)], (33, 21)),
+    ChartGrid([(-1, 1), (0, 2), (-1.5, 0.5)], (17, 15, 19)),
+]
+ORDERS = [(), (0,), (1,), (0, 1)]
+
+
+def _full_coords_sample(field, grid, orders):
+    """TrigPolyField.sample as formerly written, on full-grid coordinates,
+    with each wave's phase and each order's factor * phase stored whole."""
+    coords = np.meshgrid(*grid.axes, indexing="ij")
+    store = np.zeros(field.value_shape + grid.shape, dtype=complex)
+    term = np.empty(grid.shape, dtype=complex)
+    for w, c in zip(field.waves, field.coeffs):
+        phase = np.exp(1j * sum(w[k] * coords[k] for k in range(grid.dim)))
+        factor = 1.0 + 0.0j
+        for a in orders:
+            factor = factor * 1j * w[a]
+        wave = factor * phase
+        for entry in np.ndindex(field.value_shape):
+            store[entry] += np.multiply(wave, c[entry], out=term)
+    if not orders:
+        for entry in np.ndindex(field.value_shape):
+            store[entry] += field.const[entry]
+    return store
+
+
+@pytest.mark.parametrize("grid", SAMPLE_GRIDS, ids=["2d", "3d"])
+def test_trig_sample_equals_the_full_coordinate_formula(grid):
+    # each order sampled alone and all of them in one list call
+    field = random_trig_field(grid.dim, (2, 3), seeded_rng(10, "trig-full", grid.dim))
+    listed = field.sample(grid, ORDERS)
+    for orders, got in zip(ORDERS, listed, strict=True):
+        want = _full_coords_sample(field, grid, orders)
+        assert np.array_equal(field.sample(grid, orders), want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid", SAMPLE_GRIDS, ids=["2d", "3d"])
+def test_bump_sample_into_a_block_gives_the_bits_it_returns(grid):
+    bumps = random_bump_section(grid, 1, 2, seeded_rng(10, "bump-out", grid.dim))
+    for orders in (None, (1,) + (0,) * (grid.dim - 1), (0,) * (grid.dim - 1) + (2,)):
+        values = bumps.partial(grid, orders)
+        for comp, bump in bumps.components.items():
+            want = bump.sample(grid, orders)
+            # whatever the block held before is overwritten
+            block = np.full(grid.shape, np.nan, dtype=complex)
+            assert bump.sample(grid, orders, out=block) is block
+            assert np.array_equal(block, want)
+            assert np.array_equal(values[comp], want)
