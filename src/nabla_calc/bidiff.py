@@ -16,16 +16,11 @@ composes and sums such levels without building full-grid constants.
 
 import numpy as np
 
-from .bundles import (
-    TensorSection,
-    check_grid_shape,
-    compact_grid_axes,
-    induced_tensor_bundle,
-    is_identity,
-)
+from .bundles import TensorSection, induced_tensor_bundle, is_identity
 from .calculus import divergence, tower
 from .errors import ChartMismatch, NonadmissibleWeight, ShapeMismatch
 from .generators import coframe_gram
+from .grid import check_grid_shape, compact_grid_axes
 from .operators import (
     NablaOpSpec,
     _add_ladders,

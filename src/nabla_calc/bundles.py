@@ -1,14 +1,14 @@
 """Hermitian bundles over a chart, their potentials, and tensor sections.
 
-Every grid field is stored the one way: its index axes first, its grid
-axes last, each grid axis at its full length or at length 1, the shape
-the field varies over.  A section of T*M^{tensor r} (x) E holds
-values[i_1..i_r, a, idx], C-contiguous, at the full grid shape; new
-covariant slots are always prepended leftmost.  The metric, the
-Christoffel symbols, the potentials and the fiber metric, ladder and form
-coefficients, frames and vector fields follow the same rule, so a product
-of any two of them is one np.einsum with the ellipsis trailing on every
-term, and nothing is moved to meet anything else.
+Every grid field is stored the one way, by the rule grid.py owns: its
+index axes first, its grid axes last, each grid axis at its full length or
+at length 1, the shape the field varies over.  A section of
+T*M^{tensor r} (x) E holds values[i_1..i_r, a, idx], C-contiguous, at the
+full grid shape; new covariant slots are always prepended leftmost.  The
+metric, the Christoffel symbols, the potentials and the fiber metric,
+ladder and form coefficients, frames and vector fields follow the same
+rule, so a product of any two of them is one np.einsum with the ellipsis
+trailing on every term, and nothing is moved to meet anything else.
 
 A bundle is trivialized over the chart: fiber C^d, a Hermitian fiber
 metric, and connection potential matrices A_k per coordinate direction,
@@ -34,8 +34,8 @@ nothing.  A flat bundle is one with no live direction.
 
 import numpy as np
 
-from ._kernels import diff_axis
 from .errors import ChartMismatch, ShapeMismatch, SingularMetric
+from .grid import check_grid_shape, compact_grid_axes
 
 
 def pointwise_kron(x, y):
@@ -44,38 +44,6 @@ def pointwise_kron(x, y):
     r, s = y.shape[:2]
     out = x[:, None, :, None] * y[None, :, None, :]
     return out.reshape((p * r, q * s) + out.shape[4:])
-
-
-def check_grid_shape(shape, grid, tail, what):
-    """Raise ShapeMismatch unless shape is tail + grid with each grid axis
-    of full length or of length 1, the shape a stored field varies over."""
-    t = len(tail)
-    if len(shape) != t + grid.dim or tuple(shape[:t]) != tuple(tail) or not all(
-        m in (1, full) for m, full in zip(shape[t:], grid.shape)
-    ):
-        raise ShapeMismatch(
-            f"{what} shape {shape} does not match leading axes {tuple(tail)} "
-            f"with grid {grid.shape} (each grid axis full or of length 1)"
-        )
-
-
-def compact_grid_axes(a, g):
-    """a with every one of its g trailing axes along which each slice equals
-    the first kept at length 1.
-
-    One neighbouring slice is compared before the whole axis, so a field
-    that varies costs one slice comparison per axis.  A shrunk result is a
-    copy, so it does not keep the full array alive.
-    """
-    shrunk = False
-    for axis in range(a.ndim - g, a.ndim):
-        if a.shape[axis] == 1:
-            continue
-        lead = (slice(None),) * axis
-        first = a[lead + (slice(0, 1),)]
-        if np.array_equal(a[lead + (slice(1, 2),)], first) and np.all(a == first):
-            a, shrunk = first, True
-    return a.copy() if shrunk else a
 
 
 def is_identity(m):
@@ -133,8 +101,7 @@ def compatibility_defect(bundle):
 
     Zero means d(u, v) = (nabla u, v) + (u, nabla v); with the identity fiber
     metric this is skew-Hermitian-ness of every A_k.  Measured as the max
-    Frobenius norm of A_k^T H + H conj(A_k) - d_k H over interior points;
-    only the full-length grid axes of H are differentiated.
+    Frobenius norm of A_k^T H + H conj(A_k) - d_k H over interior points.
     """
     grid = bundle.grid
     n = grid.dim
@@ -143,8 +110,7 @@ def compatibility_defect(bundle):
     defect = np.einsum("kba...,bc...->kac...", a, h)
     defect = defect + np.einsum("ab...,kbc...->kac...", h, np.conj(a))
     for k in range(n):
-        if h.shape[2 + k] > 1:
-            defect[k] -= diff_axis(h, k - n, grid.h[k], grid.fd_order)
+        defect[k] -= grid.diff(h, k)
     frob = np.sqrt(np.sum(np.abs(defect) ** 2, axis=(1, 2)))
     frob = np.broadcast_to(frob, (n,) + grid.shape)
     mask = grid.interior_mask(grid.stencil_radius)
@@ -192,7 +158,7 @@ def magnetic_phase(grid):
     """e^{i x1^3} on the x1 axis, shaped (N1, 1) to broadcast over a 2d grid."""
     if grid.dim != 2:
         raise ShapeMismatch(f"magnetic example needs a 2d chart, got {grid.dim}d")
-    return np.exp(1j * grid.axes[0] ** 3)[:, None]
+    return np.exp(1j * grid.coords[0] ** 3)
 
 
 class InducedBundle:

@@ -21,9 +21,9 @@ gives the same bits.  Entries are 1-based.
 
 import numpy as np
 
-from ._kernels import diff_axis
-from .bundles import TensorSection, check_grid_shape
+from .bundles import TensorSection
 from .errors import ChartMismatch, ShapeMismatch
+from .grid import check_grid_shape
 
 # slot letters must avoid the reserved einsum indices a, b, k, m, y, z
 _SLOTS = "cdefghij"
@@ -105,7 +105,7 @@ def covariant_derivative(u, bundle, metric, check_support=True):
     for k in range(n):
         grid.diff(vals, k, out=parts[k])
     letters = _SLOTS[:r]
-    if r > 0 and metric.christoffel.shape[3:] == grid.shape:
+    if r > 0 and not metric.constant:
         parts -= _gamma_slot_sum(metric.christoffel, vals, r)
     for y in bundle.live:
         script = f"b...,{letters}b...->{letters}..."
@@ -165,7 +165,7 @@ def multiindex_derivative(u, idx, bundle, metric):
     idxs = [validate_multiindex(i, grid.dim) for i in (idx if many else [idx])]
     depth = max(map(len, idxs), default=0)
     out = [None] * len(idxs)
-    if metric.christoffel.shape[3:] != grid.shape and bundle.base is None:
+    if metric.constant and bundle.base is None:
         grid.check_support(u.values, depth * grid.stencil_radius)
         _directional_walk(u.values, 0, range(len(idxs)), idxs, u, bundle, out)
     else:
@@ -250,10 +250,9 @@ def curvature(bundle):
     potentials vary over.
 
     Per pair k < l, R_kl = (d_k A_l - d_l A_k) + (A_k A_l - A_l A_k) and
-    R_lk with every difference taken the other way round.  A potential is
-    differenced only along its full-length grid axes, since its difference
-    along a length-1 axis is exactly zero; the products run only when k
-    and l are both live.  R is zeroed on the FD-invalid band along its
+    R_lk with every difference taken the other way round, each at the
+    shape its potential varies over; the products run only when k and l
+    are both live.  R is zeroed on the FD-invalid band along its
     full-length axes alone: along a length-1 axis no difference was taken,
     so nothing there is invalid.  R_kk = 0, and a flat bundle gives zeros
     of shape (n, n, d, d, 1, .., 1).
@@ -266,16 +265,10 @@ def curvature(bundle):
     r = np.zeros((n, n, d, d) + shape, dtype=complex)
     if bundle.is_flat:
         return CurvatureField(grid, r)
-
-    def difference(a, axis):
-        if a.shape[axis - n] == 1:
-            return 0.0
-        return diff_axis(a, axis - n, grid.h[axis], grid.fd_order)
-
     for k in range(n):
         for l in range(k + 1, n):
-            d_kl = difference(pots[l], k)
-            d_lk = difference(pots[k], l)
+            d_kl = grid.diff(pots[l], k)
+            d_lk = grid.diff(pots[k], l)
             np.subtract(d_kl, d_lk, out=r[k, l])
             np.subtract(d_lk, d_kl, out=r[l, k])
             del d_kl, d_lk  # freed before the products: a lower peak
@@ -298,7 +291,7 @@ def divergence(X, metric):
     if X.shape != (n,) + grid.shape:
         raise ShapeMismatch(f"vector field shape {X.shape} does not match the grid")
     out = sum(grid.diff(X[k], axis=k) for k in range(n))
-    if metric.christoffel.shape[3:] == grid.shape:
+    if not metric.constant:
         out = out + np.einsum("kkl...,l...->...", metric.christoffel, X)
     if np.iscomplexobj(out):
         out = out.astype(complex)

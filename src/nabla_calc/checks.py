@@ -335,7 +335,7 @@ def check_multiindex_formulas(ctx, trials=20):
     _require_flat(ctx, "the closed-form check")
     _require_oscillating_bundle(ctx, "the closed-form check")
     # the phase and its slope on the x1 axis, broadcast over x2
-    x1 = ctx.grid.axes[0][:, None]
+    x1 = ctx.grid.coords[0]
     phase = magnetic_phase(ctx.grid)
     conj_phase = np.conj(phase)
     slope = 3j * x1**2

@@ -177,8 +177,10 @@ def structure_functions(gens, metric):
     grid.zero_band(dz, grid.stencil_radius)
     flow = np.einsum("il...,ljm...->ijm...", z, dz)
     cov = flow
-    if metric.christoffel.shape[3:] == grid.shape:
+    if not metric.constant:
         cov = cov + np.einsum("mlr...,il...,jr...->ijm...", metric.christoffel, z, z)
+        # Gamma's band is zeroed along its full-length axes alone
+        grid.zero_band(cov, grid.stencil_radius)
     bracket = flow - np.swapaxes(flow, 0, 1)
     g_structure = np.einsum("km...,ijm...->ijk...", gens.xi, cov)
     l_structure = np.einsum("km...,ijm...->ijk...", gens.xi, bracket)
@@ -208,7 +210,7 @@ def divergence_via_generators(X, gens, metric):
         raise ShapeMismatch(f"vector field shape {X.shape} does not match the grid")
     dx = np.stack([grid.diff(X, axis=l) for l in range(n)])
     cov = np.einsum("kl...,lm...->km...", gens.z, dx)
-    if metric.christoffel.shape[3:] == grid.shape:
+    if not metric.constant:
         cov = cov + np.einsum("mlr...,kl...,r...->km...", metric.christoffel, gens.z, X)
     inner = np.einsum("im...,ki...,lm...->kl...", metric.values, cov, gens.z)
     out = np.einsum("kl...,kl...->...", coframe_gram(gens, metric), inner)

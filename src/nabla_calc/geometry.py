@@ -3,17 +3,18 @@
 Metric values are real symmetric positive matrices stored grid-last,
 values[k, l, idx] = g_kl(x_idx), at the shape they vary over: each grid
 axis has its full length or length 1, as every grid field is (see
-bundles).  The flat metric is (n, n, 1, .., 1).
-Christoffel symbols come from central differences of the metric; the
-outermost stencil-radius band is zeroed since the one-sided values there
-are garbage and sections are required to vanish nearby anyway.
+grid).  The flat metric is (n, n, 1, .., 1).
+Christoffel symbols come from central differences of the metric, at the
+metric's shape.  Their outermost stencil-radius band is zeroed along each
+full-length axis, since the one-sided values there are garbage and
+sections are required to vanish nearby anyway; along a length-1 axis no
+difference was taken, so nothing there is invalid.
 """
 
 import numpy as np
 
-from ._kernels import diff_axis
-from .bundles import check_grid_shape, compact_grid_axes
 from .errors import ChartMismatch, NonpositiveWeight, ShapeMismatch, SingularMetric
+from .grid import check_grid_shape, compact_grid_axes
 
 EIG_FLOOR_REL = 1e-12
 
@@ -21,13 +22,11 @@ EIG_FLOOR_REL = 1e-12
 class MetricField:
     """Riemannian metric sampled on a chart grid.
 
-    values, inv and sqrt_det are stored at the shape the metric varies
-    over, each grid axis full or of length 1, and are computed once, here,
-    and never written.  The Christoffel field is the one exception: the
-    zeroed stencil band runs along every axis, so a metric that varies at
-    all has a full-grid christoffel[m, k, l, idx], and a constant one has
-    the exact zero of shape (n, n, n, 1, .., 1).  Every stored field is
-    C-contiguous.
+    values, inv, sqrt_det and christoffel[m, k, l, idx] are stored at the
+    shape the metric varies over, each grid axis full or of length 1, and
+    are computed once, here, and never written.  A constant metric has
+    the Christoffel field (n, n, n, 1, .., 1) of zeros.  Every stored
+    field is C-contiguous.
     """
 
     def __init__(self, grid, values):
@@ -55,25 +54,21 @@ class MetricField:
             np.moveaxis(np.linalg.inv(mats), (-2, -1), (0, 1))
         )
         self.sqrt_det = np.sqrt(np.linalg.det(mats))
-        lead = values.shape[2:]
-        if lead == (1,) * n:
-            self.christoffel = np.zeros((n, n, n) + (1,) * n)
-        else:
-            # dg[k, r, l, idx] = d_k g_rl at the shape g varies over: only
-            # the full-length axes are differenced, the rest stay exact zeros
-            dg = np.zeros((n, n, n) + lead)
-            for k in range(n):
-                if lead[k] > 1:
-                    dg[k] = diff_axis(values, k - n, grid.h[k], grid.fd_order)
-            t1 = np.swapaxes(dg, 0, 1)  # [r, k, l] = d_k g_rl
-            t2 = np.swapaxes(t1, 1, 2)  # [r, k, l] = d_l g_rk
-            gamma = 0.5 * np.einsum("mr...,rkl...->mkl...", self.inv, t1 + t2 - dg)
-            if lead != grid.shape:
-                # the zeroed band runs along every axis
-                gamma = np.broadcast_to(gamma, (n, n, n) + grid.shape).copy()
-            self.christoffel = grid.zero_band(gamma, grid.stencil_radius)
+        # dg[k, r, l, idx] = d_k g_rl at the shape g varies over
+        dg = np.empty((n,) + values.shape)
+        for k in range(n):
+            grid.diff(values, k, out=dg[k])
+        t1 = np.swapaxes(dg, 0, 1)  # [r, k, l] = d_k g_rl
+        t2 = np.swapaxes(t1, 1, 2)  # [r, k, l] = d_l g_rk
+        gamma = 0.5 * np.einsum("mr...,rkl...->mkl...", self.inv, t1 + t2 - dg)
+        self.christoffel = grid.zero_band(gamma, grid.stencil_radius)
         for field in (self.values, self.inv, self.sqrt_det, self.christoffel):
             field.flags.writeable = False
+
+    @property
+    def constant(self):
+        """True when the metric is the same at every grid point."""
+        return self.values.shape[2:] == (1,) * self.grid.dim
 
     @classmethod
     def flat(cls, grid):

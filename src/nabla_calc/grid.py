@@ -3,6 +3,13 @@
 A ChartGrid fixes the discretization everything else lives on: box bounds,
 point counts, finite-difference order, and the width of the margin band on
 which sections are required to vanish (in grid layers).
+
+It also owns the rule by which every grid field is stored: index axes
+first, grid axes last, each grid axis at its full length or at length 1,
+the shape the field varies over (check_grid_shape, compact_grid_axes).
+The coordinates follow it, and ChartGrid.diff differences any field
+stored so: along a length-1 axis the difference is an exact zero of the
+field's shape.  ChartGrid.diff is the one caller of the stencil kernel.
 """
 
 import numpy as np
@@ -11,14 +18,45 @@ from ._kernels import STENCIL_RADIUS, diff_axis
 from .errors import ResolutionError, ShapeMismatch, SupportViolation
 
 
+def check_grid_shape(shape, grid, tail, what):
+    """Raise ShapeMismatch unless shape is tail + grid with each grid axis
+    of full length or of length 1, the shape a stored field varies over."""
+    t = len(tail)
+    if len(shape) != t + grid.dim or tuple(shape[:t]) != tuple(tail) or not all(
+        m in (1, full) for m, full in zip(shape[t:], grid.shape)
+    ):
+        raise ShapeMismatch(
+            f"{what} shape {shape} does not match leading axes {tuple(tail)} "
+            f"with grid {grid.shape} (each grid axis full or of length 1)"
+        )
+
+
+def compact_grid_axes(a, g):
+    """a with every one of its g trailing axes along which each slice equals
+    the first kept at length 1.
+
+    One neighbouring slice is compared before the whole axis, so a field
+    that varies costs one slice comparison per axis.  A shrunk result is a
+    copy, so it does not keep the full array alive.
+    """
+    shrunk = False
+    for axis in range(a.ndim - g, a.ndim):
+        if a.shape[axis] == 1:
+            continue
+        lead = (slice(None),) * axis
+        first = a[lead + (slice(0, 1),)]
+        if np.array_equal(a[lead + (slice(1, 2),)], first) and np.all(a == first):
+            a, shrunk = first, True
+    return a.copy() if shrunk else a
+
+
 class ChartGrid:
     """Uniform tensor-product grid over a box in R^n.
 
-    axes[k] holds the points of axis k, and coords[k] the k-th coordinate
-    stored at the shape it varies over: axes[k] shaped (1, .., N_k, .., 1).
-    The coordinates broadcast against each other and against any grid
-    field; np.broadcast_arrays(*coords) reads them on the full grid, as
-    views.
+    coords[k] holds the k-th coordinate stored at the shape it varies
+    over, the points of axis k shaped (1, .., N_k, .., 1), read-only.  The
+    coordinates broadcast against each other and against any grid field;
+    np.broadcast_arrays(*coords) reads them on the full grid, as views.
     """
 
     def __init__(self, box, shape, fd_order=4, support_margin=None):
@@ -52,10 +90,13 @@ class ChartGrid:
         self.fd_order = fd_order
         self.support_margin = support_margin
         self.h = tuple((hi - lo) / (m - 1) for (lo, hi), m in zip(box, shape))
-        self.axes = [
-            np.linspace(lo, hi, m) for (lo, hi), m in zip(box, shape)
+        g = len(shape)
+        self.coords = [
+            np.linspace(lo, hi, m).reshape((1,) * k + (m,) + (1,) * (g - k - 1))
+            for k, ((lo, hi), m) in enumerate(zip(box, shape))
         ]
-        self.coords = list(np.meshgrid(*self.axes, indexing="ij", sparse=True))
+        for x in self.coords:
+            x.flags.writeable = False
         self._quad_weights = None
 
     @property
@@ -89,36 +130,23 @@ class ChartGrid:
         )
 
     def diff(self, values, axis, out=None):
-        """Central difference of a grid-last field along one grid axis,
-        written into out when given (a C-contiguous array of its shape)
-        and returned."""
-        if values.shape[values.ndim - self.dim :] != self.shape:
-            raise ShapeMismatch(
-                f"array shape {values.shape} does not end with grid shape {self.shape}"
-            )
-        return diff_axis(values, axis - self.dim, self.h[axis], self.fd_order, out=out)
+        """Central difference of a grid-last field, stored at the shape it
+        varies over, along one grid axis, written into out when given (a
+        C-contiguous array of its shape) and returned.  Along an axis of
+        length 1 the difference is an exact zero of the field's shape."""
+        g = self.dim
+        check_grid_shape(values.shape, self, values.shape[: values.ndim - g], "array")
+        if values.shape[axis - g] == 1:
+            if out is None:
+                return np.zeros(values.shape, dtype=values.dtype)
+            out[...] = 0
+            return out
+        return diff_axis(values, axis - g, self.h[axis], self.fd_order, out=out)
 
-    def band_mask(self, layers):
-        """Boolean mask, True on the outermost `layers` grid layers."""
-        mask = np.zeros(self.shape, dtype=bool)
-        if layers <= 0:
-            return mask
-        for k in range(self.dim):
-            idx_lo = tuple(
-                slice(0, layers) if a == k else slice(None) for a in range(self.dim)
-            )
-            idx_hi = tuple(
-                slice(-layers, None) if a == k else slice(None) for a in range(self.dim)
-            )
-            mask[idx_lo] = True
-            mask[idx_hi] = True
-        return mask
-
-    def interior_mask(self, layers=None):
-        """Complement of band_mask; defaults to the declared support margin."""
-        if layers is None:
-            layers = self.support_margin
-        return ~self.band_mask(layers)
+    def interior_mask(self, layers):
+        """Boolean mask of the grid, False on the outermost `layers` grid
+        layers."""
+        return self.zero_band(np.ones(self.shape, dtype=bool), layers)
 
     def _edge_slabs(self, values, layers):
         """Index tuples of the two edge slabs, `layers` deep, of each
@@ -165,13 +193,8 @@ class ChartGrid:
         built once per grid and read-only."""
         if self._quad_weights is None:
             w = np.ones(self.shape, dtype=float)
-            for k in range(self.dim):
-                w1 = np.ones(self.shape[k])
-                w1[0] = w1[-1] = 0.5
-                shape1 = tuple(
-                    self.shape[k] if a == k else 1 for a in range(self.dim)
-                )
-                w = w * w1.reshape(shape1)
+            for x, (lo, hi) in zip(self.coords, self.box):
+                w = w * np.where((x == lo) | (x == hi), 0.5, 1.0)
             w = w * self.cell_volume
             w.flags.writeable = False
             self._quad_weights = w

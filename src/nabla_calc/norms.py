@@ -40,9 +40,8 @@ def pointwise_norm_sq(u, metric, bundle=None):
     if r > len(_UL):
         raise ShapeMismatch(f"pointwise norms support rank <= {len(_UL)}, got {r}")
     h = _fiber_metric_of(bundle, u.fiber_dim)
-    g = u.grid.dim
     vals = u.values
-    if metric.values.shape[2:] == (1,) * g and is_identity(h):
+    if metric.constant and is_identity(h):
         if r == 0 or is_identity(metric.inv):
             sq = vals.real**2
             sq += vals.imag**2
@@ -178,10 +177,8 @@ def covering_multiplicity(covering, dim=None):
 
 def _box_mask(grid, box):
     mask = np.ones(grid.shape, dtype=bool)
-    for a, (lo, hi) in enumerate(box):
-        inside = (grid.axes[a] >= lo - 1e-12) & (grid.axes[a] <= hi + 1e-12)
-        shape1 = tuple(grid.shape[a] if b == a else 1 for b in range(grid.dim))
-        mask &= inside.reshape(shape1)
+    for x, (lo, hi) in zip(grid.coords, box):
+        mask &= (x >= lo - 1e-12) & (x <= hi + 1e-12)
     return mask
 
 

@@ -19,17 +19,10 @@ import math
 
 import numpy as np
 
-from ._kernels import diff_axis
-from .bundles import (
-    BundleSpec,
-    TensorSection,
-    check_grid_shape,
-    compact_grid_axes,
-    induced_tensor_bundle,
-    pointwise_kron,
-)
+from .bundles import BundleSpec, TensorSection, induced_tensor_bundle, pointwise_kron
 from .calculus import _gamma_slot_sum, covariant_derivative, curvature, tower
 from .errors import ChartMismatch, ShapeMismatch
+from .grid import check_grid_shape, compact_grid_axes
 from .norms import (
     equivalence_constant,
     multiplication_constant,
@@ -178,15 +171,14 @@ def _hom_derivative(a, source, target, metric):
     on the stencil-invalid band.
 
     a is (d_target, d_source) + grid, stored at the shape it varies
-    over.  Only its full-length
-    grid axes are differentiated, since D_y of a length-1 axis is exactly
-    zero, and the potential products are formed at the broadcast shape of
-    a and the potentials.  An identically zero result is returned at that
-    shape; any other result varies over the band, so it is broadcast to
-    the full grid before the band is zeroed.
+    over, and the result is formed at the broadcast shape of a, Gamma and
+    the live potentials, each product at its own factors' shape.  An
+    identically zero result is returned at that shape; any other result
+    varies over the band, so it is broadcast to the full grid before the
+    band is zeroed.
     """
     grid = metric.grid
-    n = g = grid.dim
+    n = grid.dim
     (src, s), (tgt, t) = [
         (b, k) if b.base is None else (b.base, b.slots + k) for b, k in (source, target)
     ]
@@ -195,10 +187,9 @@ def _hom_derivative(a, source, target, metric):
     gamma = metric.christoffel
     live = [b.potentials.shape[3:] for b in (tgt, src) if b.live]
     shape = np.broadcast_shapes(lead, gamma.shape[3:], *live)
-    da = np.zeros((n, rows, cols) + shape, dtype=complex)
+    da = np.empty((n, rows, cols) + shape, dtype=complex)
     for y in range(n):
-        if lead[y] > 1:
-            da[y] = diff_axis(a, y - g, grid.h[y], grid.fd_order)
+        da[y] = grid.diff(a, y)
     if tgt.live or src.live:
         # one live direction at a time: each product is freed before the
         # next is made
@@ -212,15 +203,17 @@ def _hom_derivative(a, source, target, metric):
         for y in src.live:
             pots = src.potentials[y]
             by_cols[y] -= np.einsum("rl...,le...->re...", a_cols, pots)
-    if gamma.shape[3:] == grid.shape:
-        # the slots of the rows, then of the columns, unfolded in front
+    if not metric.constant:
+        # the slots of the rows, then of the columns, unfolded in front;
+        # each sum has the shape a and Gamma vary over together
+        sums = np.broadcast_shapes(lead, gamma.shape[3:])
         if t:
             slots = a.reshape((n,) * t + (-1,) + lead)
-            da -= _gamma_slot_sum(gamma, slots, t).reshape(da.shape)
+            da -= _gamma_slot_sum(gamma, slots, t).reshape((n, rows, cols) + sums)
         if s:
             slots = np.swapaxes(a, 0, 1).reshape((n,) * s + (-1,) + lead)
             flipped = _gamma_slot_sum(np.swapaxes(gamma, 0, 2), slots, s)
-            da += np.swapaxes(flipped.reshape((n, cols, rows) + shape), 1, 2)
+            da += np.swapaxes(flipped.reshape((n, cols, rows) + sums), 1, 2)
     if shape != grid.shape:
         if not np.any(da):
             return da

@@ -246,16 +246,11 @@ def parse_scenario(cfg):
 
 
 def _expression(expr, grid, what):
-    """An expression evaluated on the grid axes shaped to broadcast, x1 as
+    """An expression evaluated on the grid coordinates, x1 stored as
     (N1, 1, ..) and so on, so each grid axis of the result has its full
     length or length 1: an expression that does not read x_k leaves axis k
     at 1.  It must be finite at every grid point."""
-    g = grid.dim
-    coords = [
-        axis.reshape((1,) * k + (-1,) + (1,) * (g - k - 1))
-        for k, axis in enumerate(grid.axes)
-    ]
-    values = np.asarray(evaluate(expr, coords))
+    values = np.asarray(evaluate(expr, grid.coords))
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"{what} expression {expr!r} is not finite on the grid")
     return values

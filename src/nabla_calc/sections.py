@@ -100,10 +100,8 @@ class ScalarBump:
         out[...] = 0
         for amp, factors in self.terms:
             prod = None
-            for k, fac in enumerate(factors):
-                axis_vals = fac(grid.axes[k], orders[k])
-                shape1 = tuple(grid.shape[k] if a == k else 1 for a in range(n))
-                axis_vals = axis_vals.reshape(shape1)
+            for x, fac, order in zip(grid.coords, factors, orders):
+                axis_vals = fac(x, order)
                 prod = axis_vals if prod is None else prod * axis_vals
             out += np.multiply(amp, prod, out=prod)
         return out

@@ -111,7 +111,7 @@ def all_direction_covariant(u, bundle, metric):
         [diff_axis(u.values, k - n, grid.h[k], grid.fd_order) for k in range(n)]
     )
     letters = "cdefghij"[:r]
-    if r > 0 and metric.christoffel.shape[3:] == grid.shape:
+    if r > 0 and not metric.constant:
         parts -= _gamma_slot_sum(metric.christoffel, u.values, r)
     parts += np.einsum(
         f"yab...,{letters}b...->y{letters}a...", bundle.potentials, u.values
@@ -166,7 +166,7 @@ def einsum_covariant_derivative(u, bundle, metric):
     for k in range(grid.dim):
         grid.diff(u.values, k, out=parts[k])
     letters = "cdefghij"[:r]
-    if r > 0 and metric.christoffel.shape[3:] == grid.shape:
+    if r > 0 and not metric.constant:
         parts -= _gamma_slot_sum(metric.christoffel, u.values, r)
     for y in bundle.live:
         parts[y] += np.einsum(

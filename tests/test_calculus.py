@@ -346,7 +346,7 @@ def _stacked_curvature(bundle):
     da = da - np.swapaxes(da, -4, -3)
     prod = np.einsum("...kab,...lbc->...klac", a, a)
     r = da + (prod - np.swapaxes(prod, -4, -3))
-    r[grid.band_mask(grid.stencil_radius)] = 0
+    r[~grid.interior_mask(grid.stencil_radius)] = 0
     return r
 
 

@@ -29,16 +29,11 @@ from nabla_calc.bidiff import (
     l2_pairing,
     weighted_pairings,
 )
-from nabla_calc.bundles import (
-    BundleSpec,
-    check_grid_shape,
-    compact_grid_axes,
-    magnetic_example_bundle,
-)
+from nabla_calc.bundles import BundleSpec, magnetic_example_bundle
 from nabla_calc.checks import CHECKS, _ladder_form
 from nabla_calc.errors import ShapeMismatch
 from nabla_calc.geometry import MetricField
-from nabla_calc.grid import ChartGrid
+from nabla_calc.grid import ChartGrid, check_grid_shape, compact_grid_axes
 from nabla_calc.operators import (
     MixedOpSpec,
     MixedTerm,
@@ -368,13 +363,13 @@ def test_configured_constant_potentials_are_stored_at_one_point():
     # the metric varies over x1 alone and the fiber metric over x2 alone
     assert ctx.metric.values.shape == (2, 2, ctx.grid.shape[0], 1)
     assert ctx.bundle.fiber_metric.shape == (1, 1, 1, ctx.grid.shape[1])
-    x1 = ctx.grid.axes[0]
-    assert np.array_equal(ctx.metric.values[0, 0, :, 0], 1 + 0.1 * x1**2)
+    x1 = ctx.grid.coords[0]
+    assert np.array_equal(ctx.metric.values[0, 0], 1 + 0.1 * x1**2)
     # potentials that vary over x1 alone keep x2 at length 1
     cfg["bundle"]["potentials"] = [[["0.5*i*x1"]], [["0"]]]
     pots = build_context(parse_scenario(cfg)).bundle.potentials
     assert pots.shape == (2, 1, 1, ctx.grid.shape[0], 1)
-    assert np.array_equal(pots[0, 0, 0, :, 0], 0.5j * ctx.grid.axes[0])
+    assert np.array_equal(pots[0, 0, 0], 0.5j * ctx.grid.coords[0])
 
 
 def _peak(call):

@@ -1,13 +1,13 @@
 """Metrics stored at the shape they vary over.
 
-MetricField keeps values, inv and sqrt_det at the shape the metric varies
-over, each grid axis full or of length 1, and BundleSpec keeps its fiber
-metric the same way.  The Christoffel field is the exception: full-grid
-for a metric that varies at all, an exact one-point zero for a constant
-one.  A conformal metric of x1 alone, stored (2, 2, N1, 1), must give the same
-bits as a full-grid stand-in built from its broadcast values, and it is
-built from phi at its own (N1, 1) shape: the full grid is reached only by
-the Christoffel field.
+MetricField keeps values, inv, sqrt_det and the Christoffel field at the
+shape the metric varies over, each grid axis full or of length 1, and
+BundleSpec keeps its fiber metric the same way.  The Christoffel band is
+zeroed along the full-length axes alone, and a constant metric has the
+exact one-point zero.  A conformal metric of x1 alone, stored
+(2, 2, N1, 1) with Gamma (2, 2, 2, N1, 1), must give the same bits as a
+full-grid stand-in built from its broadcast values, and it is built from
+phi at its own (N1, 1) shape: the full grid is never reached.
 """
 
 import tracemalloc
@@ -16,11 +16,12 @@ import types
 import numpy as np
 import pytest
 
-from nabla_calc.bundles import BundleSpec, compact_grid_axes, magnetic_example_bundle
+from nabla_calc.bundles import BundleSpec, magnetic_example_bundle
 from nabla_calc.calculus import covariant_derivative, divergence, multiindex_derivative
 from nabla_calc.errors import ShapeMismatch
 from nabla_calc.geometry import MetricField
-from nabla_calc.grid import ChartGrid
+from nabla_calc.grid import ChartGrid, compact_grid_axes
+from nabla_calc.operators import _hom_derivative
 from nabla_calc import scenarios
 from nabla_calc.scenarios import build_context, builtin_scenario, list_builtins, parse_scenario
 from nabla_calc.sections import random_section, random_vector_field, seeded_rng
@@ -47,10 +48,10 @@ def test_builtin_metrics_are_stored_at_the_shape_they_vary_over(name):
     assert metric.inv.shape == metric.values.shape
     assert metric.sqrt_det.shape == metric.values.shape[2:]
     gamma = metric.christoffel
-    if metric.values.shape[2:] == (1,) * g:
+    assert gamma.shape == (g,) * 3 + metric.values.shape[2:]
+    assert metric.constant == (metric.values.shape[2:] == (1,) * g)
+    if metric.constant:
         assert gamma.shape == (g,) * 3 + (1,) * g and not np.any(gamma)
-    else:
-        assert gamma.shape == (g,) * 3 + ctx.grid.shape
     if scenario.metric["kind"] == "flat":
         assert metric.values.shape == (g, g) + (1,) * g
 
@@ -76,8 +77,16 @@ def _one_axis_twins():
         inv=_last(inv),
         sqrt_det=np.sqrt(np.linalg.det(first)),
         christoffel=_last(_christoffel(GRID, first, inv)),
+        constant=False,
     )
     return metric, ref
+
+
+def _banded_full(gamma, grid):
+    """A Christoffel field broadcast to the full grid and zeroed on the
+    whole stencil band, as the full-grid construction stores it."""
+    full = np.broadcast_to(gamma, gamma.shape[:3] + grid.shape).copy()
+    return grid.zero_band(full, grid.stencil_radius)
 
 
 def test_one_axis_metric_fields_equal_their_full_grid_twins():
@@ -87,8 +96,15 @@ def test_one_axis_metric_fields_equal_their_full_grid_twins():
     assert metric.sqrt_det.shape == (GRID.shape[0], 1)
     assert np.array_equal(np.broadcast_to(metric.inv, ref.inv.shape), ref.inv)
     assert np.array_equal(np.broadcast_to(metric.sqrt_det, GRID.shape), ref.sqrt_det)
-    assert metric.christoffel.shape == (2, 2, 2) + GRID.shape
-    assert np.array_equal(metric.christoffel, ref.christoffel)
+    gamma = metric.christoffel
+    assert gamma.shape == (2, 2, 2, GRID.shape[0], 1) and gamma.flags.c_contiguous
+    assert np.array_equal(_banded_full(gamma, GRID), ref.christoffel)
+    # the band is zeroed along x1, which was differenced, and not along x2
+    width = GRID.stencil_radius
+    assert not np.any(gamma[..., :width, :]) and not np.any(gamma[..., -width:, :])
+    inner = gamma[..., width:-width, :]
+    assert np.any(inner)
+    assert np.array_equal(inner, ref.christoffel[..., width:-width, width : width + 1])
 
 
 def test_one_axis_metric_calculus_equals_its_full_grid_twin():
@@ -109,6 +125,37 @@ def test_one_axis_metric_calculus_equals_its_full_grid_twin():
     got = multiindex_derivative(u, idxs, bundle, metric)
     for i, one in zip(idxs, got):
         assert np.array_equal(one.values, multiindex_derivative(u, i, bundle, ref).values)
+
+
+def _x2_bundle():
+    """A C^2 bundle whose one live potential varies over x2 alone, stored
+    (2, 2, 2, 1, N2)."""
+    phase = np.exp(1j * GRID.coords[1] ** 2)
+    pots = np.zeros((2, 2, 2) + phase.shape, dtype=complex)
+    pots[0, 0, 1] = phase
+    pots[0, 1, 0] = -np.conj(phase)
+    return BundleSpec(GRID, 2, pots)
+
+
+@pytest.mark.parametrize("lead", [(1, 1), (GRID.shape[0], 1)])
+def test_one_axis_hom_derivative_equals_its_full_grid_twin(lead):
+    # Gamma varies over x1 and the potentials over x2, so a Christoffel
+    # slot sum has neither the potentials' shape nor the result's
+    metric, ref = _one_axis_twins()
+    assert metric.christoffel.shape == (2, 2, 2, GRID.shape[0], 1)
+    bundle = _x2_bundle()
+    assert bundle.potentials.shape == (2, 2, 2, 1, GRID.shape[1])
+    assert bundle.live == (0,)
+    rng = seeded_rng(6, "one-axis-hom")
+    for source, target in [((bundle, 0), (bundle, 1)), ((bundle, 1), (bundle, 0))]:
+        rows = 2 ** (target[1] + 1)
+        cols = 2 ** (source[1] + 1)
+        re, im = rng.normal(size=(2, rows, cols) + lead)
+        a = re + 1j * im
+        got = _hom_derivative(a, source, target, metric)
+        want = _hom_derivative(a, source, target, ref)
+        assert got.shape == want.shape == (2, rows, cols) + GRID.shape
+        assert np.any(got) and np.array_equal(got, want)
 
 
 def _full_grid_christoffel(metric):
@@ -134,14 +181,15 @@ def test_christoffel_equals_its_full_grid_construction(name):
         cfg = builtin_scenario(name)
     metric = build_context(parse_scenario(cfg)).metric
     grid = metric.grid
+    gamma = metric.christoffel
+    assert gamma.shape == (grid.dim,) * 3 + metric.values.shape[2:]
     if name == "conformal-x1":
-        assert metric.values.shape == (2, 2, grid.shape[0], 1)
-    gamma = np.broadcast_to(metric.christoffel, (grid.dim,) * 3 + grid.shape)
-    assert np.array_equal(gamma, _full_grid_christoffel(metric))
+        assert gamma.shape == (2, 2, 2, grid.shape[0], 1)
+    assert np.array_equal(_banded_full(gamma, grid), _full_grid_christoffel(metric))
 
 
 def test_conformal_exponent_is_taken_at_the_shape_it_varies_over():
-    x1 = GRID.axes[0][:, None]
+    x1 = GRID.coords[0]
     phi = 0.3 * x1 - 0.2 * x1**2
     compact = MetricField.conformal(GRID, phi)
     full = MetricField.conformal(GRID, np.broadcast_to(phi, GRID.shape))
@@ -151,10 +199,10 @@ def test_conformal_exponent_is_taken_at_the_shape_it_varies_over():
     with pytest.raises(ShapeMismatch, match="conformal exponent"):
         MetricField.conformal(GRID, phi[:-1])
     with pytest.raises(ShapeMismatch, match="conformal exponent"):
-        MetricField.conformal(GRID, GRID.axes[0])
+        MetricField.conformal(GRID, GRID.coords[0].ravel())
 
 
-def test_one_axis_conformal_metric_reaches_the_full_grid_only_in_gamma():
+def test_one_axis_conformal_metric_never_reaches_the_full_grid():
     scenario = parse_scenario(_one_axis_config("0.1*x1"))
     grid = scenarios._build_grid(scenario, h=2 / 256, fd_order=4)
     tracemalloc.start()
@@ -164,5 +212,8 @@ def test_one_axis_conformal_metric_reaches_the_full_grid_only_in_gamma():
     finally:
         tracemalloc.stop()
     assert metric.values.shape == (2, 2, grid.shape[0], 1)
-    # the full-grid build this replaced peaked above 4.5 Gammas
-    assert peak < 1.25 * metric.christoffel.nbytes
+    assert metric.christoffel.shape == (2, 2, 2, grid.shape[0], 1)
+    # 104-106 kB measured, where one full-grid Gamma alone was 4.2 MB and
+    # the build that made it peaked above 4.5 of them: the build holds not
+    # a quarter of one full-grid real scalar field
+    assert peak < 0.25 * grid.shape[0] * grid.shape[1] * 8

@@ -5,11 +5,8 @@ records the live ones once, and covariant_derivative, the directional
 steps of multiindex_derivative, _hom_derivative, curvature and the
 leibniz-rule check skip the dead ones.  The results must equal the former
 all-direction products in dense_reference.py.  Also here: list calls of
-multiindex_derivative and TrigPolyField.sample, and the per-trial memory
-of the two magnetic checks that use them.
+multiindex_derivative and TrigPolyField.sample.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +22,7 @@ from nabla_calc.checks import CHECKS
 from nabla_calc.geometry import MetricField
 from nabla_calc.grid import ChartGrid
 from nabla_calc.operators import _hom_derivative
-from nabla_calc.scenarios import CheckContext, build_context, builtin_scenario, parse_scenario
+from nabla_calc.scenarios import CheckContext
 from nabla_calc.sections import (
     random_section,
     random_skew_potentials,
@@ -153,30 +150,3 @@ def test_trig_field_list_sample_equals_one_call_per_order():
     orders = [(), (0,), (1,), (0, 1)]
     for got, order in zip(field.sample(GRID, orders), orders, strict=True):
         assert np.array_equal(got, field.sample(GRID, order))
-
-
-def _trial_peak(name):
-    """tracemalloc peak of one trial at h = 2/128, in rank-0 section bytes."""
-    ctx = build_context(parse_scenario(builtin_scenario("magnetic-example")), h=2 / 128)
-    section = ctx.grid.shape[0] * ctx.grid.shape[1] * 2 * 16
-    entry = {"check": name, "tolerance": 1e-5, "trials": 1}
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        out = CHECKS[name][0](ctx, entry)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert out["passed"]
-    return peak / section
-
-
-@pytest.mark.parametrize(
-    # the peaks measured with one multi-index per call and one phase per
-    # sample, 12.825 and 18.507 sections; shared steps and phases must not
-    # raise them
-    "name, bound",
-    [("multiindex-formulas", 12.83), ("leibniz-rule", 18.51)],
-)
-def test_one_trial_peak_stays_below_the_former_peak(name, bound):
-    assert _trial_peak(name) <= bound

@@ -47,8 +47,7 @@ def test_scalar_literal_broadcasts_to_grid():
 
 
 def test_result_keeps_the_shape_of_the_coordinates_it_reads():
-    x1 = GRID.axes[0].reshape(-1, 1)
-    x2 = GRID.axes[1].reshape(1, -1)
+    x1, x2 = GRID.coords
     assert evaluate("sin(x1)", (x1, x2)).shape == (17, 1)
     assert evaluate("x1*x2", (x1, x2)).shape == GRID.shape
 

@@ -50,14 +50,16 @@ def test_christoffel_point_access():
     grid, phi, metric, dphi = _conformal_setup(33)
     pt = (16, 10)
     assert metric.sqrt_det[pt] == pytest.approx(np.exp(2 * 2 * phi[pt]) ** 0.5)
-    # phi of x1 alone: values (N1, 1), a full-grid Christoffel field
+    # phi of x1 alone: values and Christoffel field (N1, 1), read on the
+    # full grid through a broadcast view
     x = np.broadcast_to(grid.coords[0], grid.shape)
     one_axis = MetricField.conformal(grid, 0.1 * x)
     assert one_axis.values.shape == (2, 2, 33, 1)
-    assert one_axis.christoffel.shape == (2, 2, 2) + grid.shape
+    assert one_axis.christoffel.shape == (2, 2, 2, 33, 1)
     sqrt_det = np.broadcast_to(one_axis.sqrt_det, grid.shape)
     assert sqrt_det[pt] == pytest.approx(np.exp(2 * 0.1 * x[pt]))
-    gamma = one_axis.christoffel
+    gamma = np.broadcast_to(one_axis.christoffel, (2, 2, 2) + grid.shape)
+    assert np.any(gamma[(...,) + pt])
     assert np.array_equal(gamma[(...,) + pt], gamma[..., pt[0], grid.shape[1] // 2])
 
 

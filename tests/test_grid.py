@@ -17,7 +17,8 @@ def test_basic_layout():
     assert g.coords[0].shape == (33, 1)
     assert g.coords[1].shape == (1, 17)
     assert g.coords[1][0, -1] == pytest.approx(2.0)
-    full = np.meshgrid(*g.axes, indexing="ij")
+    points = [np.linspace(lo, hi, m) for (lo, hi), m in zip(g.box, g.shape)]
+    full = np.meshgrid(*points, indexing="ij")
     for got, want in zip(np.broadcast_arrays(*g.coords), full, strict=True):
         assert np.array_equal(got, want)
 
@@ -34,9 +35,10 @@ def test_too_few_points_rejected():
 
 def test_band_mask_counts():
     g = ChartGrid([(-1, 1), (-1, 1)], (17, 17), fd_order=2, support_margin=2)
-    band = g.band_mask(2)
+    band = ~g.interior_mask(2)
     assert band.sum() == 17 * 17 - 13 * 13
     assert not g.interior_mask(2)[0, 5]
+    assert g.interior_mask(0).all()
 
 
 def test_check_support_passes_and_raises():
@@ -99,8 +101,42 @@ def test_diff_on_grid_last_values_is_the_grid_first_stencil():
         out = np.empty_like(last)
         assert g.diff(last, axis, out=out) is out
         assert np.array_equal(out, want)
-    with pytest.raises(ShapeMismatch, match="end with grid shape"):
+    with pytest.raises(ShapeMismatch, match="each grid axis full or of length 1"):
         g.diff(first, 0)
+
+
+def test_diff_of_a_compact_field_is_the_difference_of_its_full_broadcast():
+    g = ChartGrid([(-1, 1), (0, 2)], (33, 17))
+    x1, x2 = g.coords
+    field = np.stack([np.sin(3 * x1), np.cos(x1) ** 2]) * (1 + 0.5j)
+    assert field.shape == (2, 33, 1)
+    full = np.ascontiguousarray(np.broadcast_to(field, (2,) + g.shape))
+    # a full-length axis: the stencil of the broadcast field, at field's shape
+    got = g.diff(field, 0)
+    assert got.shape == field.shape
+    assert np.array_equal(np.broadcast_to(got, full.shape), g.diff(full, 0))
+    # a length-1 axis: an exact zero of the field's shape, also through out;
+    # the broadcast field's stencil is zero too, off its zero-padded band
+    zero = g.diff(field, 1)
+    assert zero.shape == field.shape and zero.dtype == field.dtype
+    assert not np.any(zero)
+    inner = (Ellipsis, slice(g.stencil_radius, -g.stencil_radius))
+    assert np.array_equal(g.diff(full, 1)[inner], np.broadcast_to(zero, full.shape)[inner])
+    out = np.full_like(field, 7.0)
+    assert g.diff(field, 1, out=out) is out and not np.any(out)
+    # a constant field differences to zero along every axis
+    assert not np.any(g.diff(np.ones((3, 1, 1)), 0))
+    # an axis neither full nor of length 1 is rejected
+    with pytest.raises(ShapeMismatch, match="each grid axis full or of length 1"):
+        g.diff(np.zeros((2, 33, 2)), 0)
+    with pytest.raises(ShapeMismatch):
+        g.diff(x2[0], 1)
+
+
+def test_coords_are_the_one_read_only_coordinate_store():
+    g = ChartGrid([(-1, 1), (0, 2)], (33, 17))
+    assert not hasattr(g, "axes") and not hasattr(g, "band_mask")
+    assert not any(x.flags.writeable for x in g.coords)
 
 
 def test_grid_equality_and_hash():

@@ -105,7 +105,7 @@ def _christoffel(grid, values, inv):
     t1 = np.swapaxes(dg, -3, -2)
     t2 = np.swapaxes(t1, -2, -1)
     gamma = 0.5 * np.einsum("...mr,...rkl->...mkl", inv, t1 + t2 - dg)
-    gamma[grid.band_mask(grid.stencil_radius)] = 0
+    gamma[~grid.interior_mask(grid.stencil_radius)] = 0
     return gamma
 
 
@@ -121,7 +121,7 @@ def _metric_first(metric):
 def _structure_functions(z, xi, grid, gamma):
     n = grid.dim
     dz = np.stack([diff_axis(z, l, grid.h[l], grid.fd_order) for l in range(n)], axis=-3)
-    dz[grid.band_mask(grid.stencil_radius)] = 0
+    dz[~grid.interior_mask(grid.stencil_radius)] = 0
     flow = np.einsum("...il,...ljm->...ijm", z, dz)
     cov = flow + np.einsum("...mlr,...il,...jr->...ijm", gamma, z, z)
     bracket = flow - np.swapaxes(flow, -3, -2)
@@ -146,7 +146,7 @@ def _frame_divergence(X, gens, metric, christoffel_term):
     cov = np.einsum("...kl,...lm->...km", z, dx) + christoffel_term
     inner = np.einsum("...im,...ki,...lm->...kl", values, cov, z)
     out = np.einsum("...kl,...kl->...", _coframe_gram(inv, xi), inner)
-    out[grid.band_mask(grid.stencil_radius)] = 0
+    out[~grid.interior_mask(grid.stencil_radius)] = 0
     return out
 
 

@@ -104,7 +104,7 @@ def _covariant_reference(vals, bundle, metric):
     r = vals.ndim - n - 1
     parts = np.stack([_diff(vals, k) for k in range(n)], axis=n)
     letters = SLOTS[:r]
-    if r > 0 and metric.christoffel.shape[3:] == grid.shape:
+    if r > 0 and not metric.constant:
         gamma = _first(metric.christoffel)
         parts -= _gamma_slot_sum_reference(gamma, vals, r)
     if bundle.live:
@@ -140,7 +140,7 @@ def _multiindex_reference(vals, idx, bundle, metric):
     """The former multiindex_derivative of one multi-index, grid-first."""
     grid = metric.grid
     n = grid.dim
-    if metric.christoffel.shape[3:] != grid.shape and bundle.base is None:
+    if metric.constant and bundle.base is None:
         r = vals.ndim - n - 1
         letters = SLOTS[:r]
         last = _last(vals)

@@ -10,6 +10,9 @@ functions are C-contiguous, and so is every TensorSection made from the
 context.  A static check pins the layout moves the package keeps:
 np.moveaxis appears only around the numpy.linalg calls, which want the
 matrices last, and no function moves a whole field between layouts.
+Another pins the one owner of the stored-shape rule: grid.py alone
+imports the stencil kernel, and no module decides anything from the
+Christoffel field's shape.
 """
 
 import ast
@@ -173,3 +176,42 @@ def test_the_guard_sees_a_move_outside_the_linalg_sites():
         "def grid_last(x, g):\n    return np.moveaxis(x, range(g), range(-g, 0))\n"
     )
     assert _calls_by_function(tree, "moveaxis") == ["MetricField.__init__", "grid_last"]
+
+
+def _rule_readers(tree):
+    """(imports of diff_axis, reads of christoffel.shape) in a module."""
+    kernel = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "diff_axis"
+    ]
+    shape = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "shape"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "christoffel"
+    ]
+    return kernel, shape
+
+
+def test_grid_alone_differences_and_no_module_reads_the_christoffel_shape():
+    importers, readers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        kernel, shape = _rule_readers(ast.parse(path.read_text()))
+        importers |= {path.name} if kernel else set()
+        readers |= {(path.name, line) for line in shape}
+    assert importers == {"grid.py"}
+    assert not readers, sorted(readers)
+
+
+def test_the_rule_guard_sees_a_kernel_import_and_a_shape_read():
+    tree = ast.parse(
+        "from ._kernels import STENCIL_RADIUS, diff_axis\n\n"
+        "def f(metric, grid):\n"
+        "    return metric.christoffel.shape[3:] == grid.shape\n"
+    )
+    assert _rule_readers(tree) == (["diff_axis"], [4])

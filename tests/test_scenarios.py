@@ -494,8 +494,8 @@ def test_varying_fiber_metric_stays_a_grid_field():
     cfg["bundle"]["fiber_metric"] = [["2 + x1^2", "0"], ["0", "1"]]
     ctx = build_context(parse_scenario(cfg))
     assert ctx.bundle.fiber_metric.shape == (2, 2, ctx.grid.shape[0], 1)
-    x1 = ctx.grid.axes[0]
-    assert np.array_equal(ctx.bundle.fiber_metric[0, 0, :, 0], 2 + x1**2)
+    x1 = ctx.grid.coords[0]
+    assert np.array_equal(ctx.bundle.fiber_metric[0, 0], 2 + x1**2)
 
 
 def test_margin_below_stencil_radius_is_a_config_error():

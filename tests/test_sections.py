@@ -128,7 +128,7 @@ ORDERS = [(), (0,), (1,), (0, 1)]
 def _full_coords_sample(field, grid, orders):
     """TrigPolyField.sample as formerly written, on full-grid coordinates,
     with each wave's phase and each order's factor * phase stored whole."""
-    coords = np.meshgrid(*grid.axes, indexing="ij")
+    coords = np.broadcast_arrays(*grid.coords)
     store = np.zeros(field.value_shape + grid.shape, dtype=complex)
     term = np.empty(grid.shape, dtype=complex)
     for w, c in zip(field.waves, field.coeffs):
