@@ -32,6 +32,8 @@ check) runs over the live directions alone: a dead direction multiplies
 nothing.  A flat bundle is one with no live direction.
 """
 
+import copy
+
 import numpy as np
 
 from .errors import ChartMismatch, ShapeMismatch, SingularMetric
@@ -94,6 +96,16 @@ class BundleSpec:
         # a plain bundle; an InducedBundle names its plain bundle here
         self.base = None
         self.slots = 0
+
+    def on(self, window):
+        """This bundle read on a window of its grid: its potentials and
+        fiber metric restricted to the window's points, as views, and the
+        live directions of the whole grid."""
+        out = copy.copy(self)
+        out.grid = window
+        out.potentials = window.restrict(self.potentials)
+        out.fiber_metric = window.restrict(self.fiber_metric)
+        return out
 
 
 def compatibility_defect(bundle):

@@ -8,8 +8,23 @@ draws trial data; the library modules only compute.  Random data comes
 from the counter-based generator keyed by the scenario seed and the check
 name, so repeated runs see identical draws and checks can execute
 concurrently without sharing state.
+
+The pointwise identities (multiindex-formulas, leibniz-rule and
+curvature-commutator) are checked strip by strip over the windows of
+the grid (ChartGrid.windows), so a trial's fields are held one window at
+a time: about grid._WINDOW_POINTS points, one window on a 129^2 grid and
+about four 128-row strips on 513^2.  Each trial is drawn once on the
+whole grid and sampled, differenced and compared on each window, whose
+halo holds one stencil radius per difference the identity takes (two
+for a second derivative, one for leibniz-rule), so its core gets the
+whole grid's bits.  The sup of each error and of its scale is reduced
+over the cores before the one division, so the measured value is the
+whole grid's float.  The checks that integrate stay on the whole grid:
+np.sum adds pairwise in blocks set by the array's extent, so a sum
+split into strips would round differently.
 """
 
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -217,15 +232,50 @@ def _worst(trials, per_trial, start=0.0):
     return strict_max(start, *map(per_trial, range(trials)))
 
 
-def _sup_error(got, want, floor=_TINY):
-    """Grid sup of |got - want| over the larger of sup |want| and floor.
+def _sup_parts(got, want, core=Ellipsis):
+    """(sup |got - want|, sup |want|) over core, an index of the grid
+    points to read.
 
     got is spent: want is subtracted from it in place, after sup |want| is
     taken, so no third field is made.
     """
-    scale = max(float(np.max(np.abs(want))), floor)
+    scale = float(np.max(np.abs(want)[core]))
     got -= want
-    return float(np.max(np.abs(got))) / scale
+    return float(np.max(np.abs(got)[core])), scale
+
+
+def _sup_error(got, want, floor=_TINY):
+    """Grid sup of |got - want| over the larger of sup |want| and floor;
+    got is spent (_sup_parts)."""
+    err, scale = _sup_parts(got, want)
+    return err / max(scale, floor)
+
+
+def _windowed_error(ctx, depth, compare):
+    """The worst relative sup error of a pointwise identity, checked one
+    window at a time.
+
+    compare(wctx, core) gives one (error, scale) pair per compared
+    quantity, each the sup over the window's core, for ctx read on each
+    window whose halo holds depth stencil radii (ChartGrid.windows): its
+    bundle and metric are the whole grid's, restricted as views.  Each
+    quantity's errors and scales are reduced over the windows before they
+    are divided, so the quotient is the whole grid's, bit for bit.
+    """
+    parts = [
+        compare(
+            dataclasses.replace(
+                ctx, grid=win, metric=ctx.metric.on(win), bundle=ctx.bundle.on(win)
+            ),
+            core,
+        )
+        for win, core in ctx.grid.windows(depth)
+    ]
+    ratios = []
+    for pairs in zip(*parts):
+        errors, scales = zip(*pairs)
+        ratios.append(strict_max(*errors) / strict_max(*scales, _TINY))
+    return strict_max(0.0, *ratios)
 
 
 def _rng(ctx, label, trial=0):
@@ -285,8 +335,8 @@ def _add_swapped(out, v, top, bottom, scale=None):
         out[row] += buf
 
 
-def _formula_error(ctx, trial, phase, conj_phase, slope):
-    """One trial of multiindex-formulas: its worst relative error.
+def _formula_parts(ctx, core, bumps, phase, conj_phase, slope):
+    """The (error, scale) pairs of (1,2), (2,1) and (2,2) on one window.
 
     The mixed second derivatives of a section xi against their displayed
     forms for the oscillating potential A_2 = [[0, phase], [-conj(phase),
@@ -302,9 +352,7 @@ def _formula_error(ctx, trial, phase, conj_phase, slope):
     it before the next form is built.
     """
     grid = ctx.grid
-    bumps = random_bump_section(
-        grid, 0, 2, _rng(ctx, "multiindex-formulas", trial), kappa_max=1.5
-    )
+    phase, conj_phase, slope = map(grid.restrict, (phase, conj_phase, slope))
     sec = bumps.section(grid)
     xi = sec.values
     neg_conj = -conj_phase
@@ -313,20 +361,32 @@ def _formula_error(ctx, trial, phase, conj_phase, slope):
     want = grid.diff(d2, 1)
     _add_swapped(want, d2, phase, neg_conj, 2)
     want -= xi
-    err22 = _sup_error(got22.values, want)
+    err22 = _sup_parts(got22.values, want, core)
     del got22, want
     want = grid.diff(d2, 0)
     del d2
     _add_swapped(want, xi, phase, conj_phase, slope)
     d1 = grid.diff(xi, 0)
     _add_swapped(want, d1, phase, neg_conj)
-    err12 = _sup_error(got12.values, want)
+    err12 = _sup_parts(got12.values, want, core)
     del got12, want
     want = grid.diff(d1, 1)
     _add_swapped(want, d1, phase, neg_conj)
     del d1
     got21 = multiindex_derivative(sec, (2, 1), ctx.bundle, ctx.metric)
-    return strict_max(err12, _sup_error(got21.values, want), err22)
+    return err12, _sup_parts(got21.values, want, core), err22
+
+
+def _formula_error(ctx, trial, phase, conj_phase, slope):
+    """One trial of multiindex-formulas: its worst relative error.  The
+    section is drawn once and sampled on each window, whose halo covers
+    the two differences of a second derivative."""
+    bumps = random_bump_section(
+        ctx.grid, 0, 2, _rng(ctx, "multiindex-formulas", trial), kappa_max=1.5
+    )
+    return _windowed_error(
+        ctx, 2, lambda wc, core: _formula_parts(wc, core, bumps, phase, conj_phase, slope)
+    )
 
 
 @register("multiindex-formulas", rule="residual")
@@ -344,26 +404,28 @@ def check_multiindex_formulas(ctx, trials=20):
     ), ()
 
 
-def _leibniz_error(ctx, trial):
-    """One trial of leibniz-rule, ordered so that few full fields are alive
-    at once.  a is sampled together with d_1 a, before any section exists.
-    Then for each direction k, rhs_k = (nabla_k a) u, with nabla_k a = d_k a
-    + A_k a - a A_k (the products skipped on a dead k); the partial is freed
-    once rhs_k is formed, and rhs_k += a nabla_k u, with nabla_k u made and
-    freed one direction at a time.  Each further d_k a is sampled alone,
-    only then, at the cost of its waves' phases once more.  Last comes a u,
-    with a and u freed before nabla(a u) is made.  Every product with a
-    potential or with nabla_k u adds one row at a time."""
+def _leibniz_parts(ctx, core, a_field, bumps):
+    """The (error, scale) pair of leibniz-rule on one window, ordered so
+    that few fields are alive at once.
+
+    a is sampled together with d_1 a, before u.  Then for each direction
+    k, rhs_k = (nabla_k a) u, with nabla_k a = d_k a + A_k a - a A_k (the
+    products skipped on a dead k); the partial is freed once rhs_k is
+    formed, and rhs_k += a nabla_k u, with nabla_k u made and freed one
+    direction at a time.  Each further d_k a is sampled alone, only then:
+    sampled with a, the partials would all be alive at once, at least 8
+    rank-0 sections on the one window of a 129^2 grid against 7.5.
+    Last comes a u, with a and u freed before nabla(a u) is made; the
+    scale is sup |nabla(a u)| over every block.  Every product with a
+    potential or with nabla_k u adds one row at a time.
+    """
     grid = ctx.grid
-    d = ctx.bundle.fiber_dim
-    n = grid.dim
     pots = ctx.bundle.potentials
-    a_field = random_trig_field(n, (d, d), _rng(ctx, "leibniz-rule", trial))
     a, nabla_a = a_field.sample(grid, [(), (0,)])
-    u = random_section(grid, 0, d, _rng(ctx, "leibniz-section", trial))
+    u = bumps.section(grid)
     grid.check_support(u.values, grid.stencil_radius)
     rhs = []
-    for k in range(n):
+    for k in range(grid.dim):
         if nabla_a is None:
             nabla_a = a_field.sample(grid, (k,))
         if k in ctx.bundle.live:
@@ -377,17 +439,23 @@ def _leibniz_error(ctx, trial):
         grad_u = _coordinate_directional(u.values, k, 0, ctx.bundle)
         _add_rows(rhs[k], 0, "b...,b...->...", a, grad_u)
         del grad_u
-    au = TensorSection(grid, 0, np.einsum("ab...,b...->a...", a, u.values), d)
+    au = TensorSection(grid, 0, np.einsum("ab...,b...->a...", a, u.values), u.fiber_dim)
     del a, u
     lhs = covariant_derivative(au, ctx.bundle, ctx.metric).values
     del au
-    err = 0.0
-    for k in range(n):
-        diff = lhs[k] - rhs[k]
-        rhs[k] = None
-        err = strict_max(err, float(np.max(np.abs(diff))))
-        del diff
-    return err / max(float(np.max(np.abs(lhs))), _TINY)
+    errors, scales = zip(*(_sup_parts(r, want, core) for r, want in zip(rhs, lhs)))
+    return [(strict_max(*errors), strict_max(*scales))]
+
+
+def _leibniz_error(ctx, trial):
+    """One trial of leibniz-rule: a and u are drawn once and sampled on
+    each window, whose halo covers one difference."""
+    d = ctx.bundle.fiber_dim
+    a_field = random_trig_field(ctx.grid.dim, (d, d), _rng(ctx, "leibniz-rule", trial))
+    bumps = random_bump_section(ctx.grid, 0, d, _rng(ctx, "leibniz-section", trial))
+    return _windowed_error(
+        ctx, 1, lambda wctx, core: _leibniz_parts(wctx, core, a_field, bumps)
+    )
 
 
 @register("leibniz-rule", rule="residual")
@@ -396,24 +464,37 @@ def check_leibniz_rule(ctx, trials=5):
     return _worst(trials, lambda trial: _leibniz_error(ctx, trial)), ()
 
 
+def _commutator_parts(ctx, core, bumps, blocks, pairs):
+    """The (error, scale) pair of each direction pair on one window: the
+    commutator nabla_kl u - nabla_lk u against R_kl u, each subtracted in
+    place, over the larger of sup |R_kl u| and sup |u|."""
+    u = bumps.section(ctx.grid)
+    idxs = [idx for k, l in pairs for idx in ((k, l), (l, k))]
+    # a 1d chart has no pair, and an empty list would read as one empty
+    # multi-index
+    terms = multiindex_derivative(u, idxs, ctx.bundle, ctx.metric) if idxs else []
+    u_sup = float(np.max(np.abs(u.values)[core]))
+    parts = []
+    for r_kl, kl, lk in zip(blocks, terms[::2], terms[1::2]):
+        lhs = kl.values
+        lhs -= lk.values
+        # R_kl acting pointwise on the fiber of a rank-0 section
+        rhs = np.einsum("ab...,b...->a...", ctx.grid.restrict(r_kl), u.values)
+        error, scale = _sup_parts(lhs, rhs, core)
+        parts.append((error, strict_max(scale, u_sup)))
+    return parts
+
+
 def _commutator_error(ctx, trial, blocks, pairs):
     """One trial of curvature-commutator over every direction pair; blocks
     holds the curvature R_kl of each pair as (d, d) + the shape the
-    potentials vary over."""
+    potentials vary over.  u is drawn once and sampled on each window,
+    whose halo covers the two differences of a second derivative."""
     rng = _rng(ctx, "curvature-commutator", trial)
-    u = random_section(ctx.grid, 0, ctx.bundle.fiber_dim, rng)
-    idxs = [idx for k, l in pairs for idx in ((k, l), (l, k))]
-    terms = multiindex_derivative(u, idxs, ctx.bundle, ctx.metric)
-    errors = []
-    for r_kl, kl, lk in zip(blocks, terms[::2], terms[1::2]):
-        lhs = kl.values - lk.values
-        # R_kl acting pointwise on the fiber of a rank-0 section
-        rhs = np.einsum("ab...,b...->a...", r_kl, u.values)
-        scale = max(
-            float(np.max(np.abs(rhs))), float(np.max(np.abs(u.values))), _TINY
-        )
-        errors.append(float(np.max(np.abs(lhs - rhs))) / scale)
-    return strict_max(0.0, *errors)  # a 1d chart has no pair
+    bumps = random_bump_section(ctx.grid, 0, ctx.bundle.fiber_dim, rng)
+    return _windowed_error(
+        ctx, 2, lambda wctx, core: _commutator_parts(wctx, core, bumps, blocks, pairs)
+    )
 
 
 @register("curvature-commutator", rule="residual")

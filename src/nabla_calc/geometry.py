@@ -11,6 +11,8 @@ sections are required to vanish nearby anyway; along a length-1 axis no
 difference was taken, so nothing there is invalid.
 """
 
+import copy
+
 import numpy as np
 
 from .errors import ChartMismatch, NonpositiveWeight, ShapeMismatch, SingularMetric
@@ -64,6 +66,16 @@ class MetricField:
         self.christoffel = grid.zero_band(gamma, grid.stencil_radius)
         for field in (self.values, self.inv, self.sqrt_det, self.christoffel):
             field.flags.writeable = False
+
+    def on(self, window):
+        """This metric read on a window of its grid: values, inv, sqrt_det
+        and christoffel restricted to the window's points, as views, none
+        of them recomputed."""
+        out = copy.copy(self)
+        out.grid = window
+        for name in ("values", "inv", "sqrt_det", "christoffel"):
+            setattr(out, name, window.restrict(getattr(self, name)))
+        return out
 
     @property
     def constant(self):

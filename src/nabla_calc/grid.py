@@ -10,12 +10,35 @@ the shape the field varies over (check_grid_shape, compact_grid_axes).
 The coordinates follow it, and ChartGrid.diff differences any field
 stored so: along a length-1 axis the difference is an exact zero of the
 field's shape.  ChartGrid.diff is the one caller of the stencil kernel.
+
+A window (ChartGrid.windows) is a strip of rows of axis 0 read as a grid
+of its own.  A pointwise identity differenced to some depth can be
+checked one window at a time: the window cores tile the rows, each
+window adds a halo of depth stencil radii to its core on each side, cut
+off at the grid's edges, and on its core every difference then has the
+whole grid's bits.  A window's spacing
+is the whole grid's h and its coordinates are views of the whole grid's
+rows, never a new linspace, so every point sees the same numbers; its
+band is the whole grid's band read on its rows; and the fields of the
+whole grid are read on it through ChartGrid.restrict, a view, never
+rebuilt, since a difference taken at a window edge would come out
+different.  The windows of a grid hold about _WINDOW_POINTS points each,
+halo left out.  Quadrature is never split into windows: np.sum adds
+pairwise in blocks set by the array's extent, so a sum taken strip by
+strip would round differently.
 """
+
+import copy
+import math
 
 import numpy as np
 
 from ._kernels import STENCIL_RADIUS, diff_axis
 from .errors import ResolutionError, ShapeMismatch, SupportViolation
+
+# The windows of a grid hold about this many points each, halo left out:
+# a 129^2 grid is one window, and 513^2 is four of about 128 rows
+_WINDOW_POINTS = 1 << 16
 
 
 def check_grid_shape(shape, grid, tail, what):
@@ -57,6 +80,9 @@ class ChartGrid:
     over, the points of axis k shaped (1, .., N_k, .., 1), read-only.  The
     coordinates broadcast against each other and against any grid field;
     np.broadcast_arrays(*coords) reads them on the full grid, as views.
+
+    A grid is its own whole window: offset[k] is the index of its first
+    point on axis k of the whole grid, whole_shape that grid's shape.
     """
 
     def __init__(self, box, shape, fd_order=4, support_margin=None):
@@ -97,6 +123,8 @@ class ChartGrid:
         ]
         for x in self.coords:
             x.flags.writeable = False
+        self.offset = (0,) * g
+        self.whole_shape = shape
         self._quad_weights = None
 
     @property
@@ -111,23 +139,93 @@ class ChartGrid:
     def cell_volume(self):
         return float(np.prod(self.h))
 
-    def __eq__(self, other):
+    def _key(self):
         return (
-            isinstance(other, ChartGrid)
-            and self.box == other.box
-            and self.shape == other.shape
-            and self.fd_order == other.fd_order
-            and self.support_margin == other.support_margin
+            self.box,
+            self.shape,
+            self.fd_order,
+            self.support_margin,
+            self.offset,
+            self.whole_shape,
         )
 
+    def __eq__(self, other):
+        return isinstance(other, ChartGrid) and self._key() == other._key()
+
     def __hash__(self):
-        return hash((self.box, self.shape, self.fd_order, self.support_margin))
+        return hash(self._key())
 
     def __repr__(self):
         return (
             f"ChartGrid(box={self.box}, shape={self.shape}, "
-            f"fd_order={self.fd_order}, support_margin={self.support_margin})"
+            f"fd_order={self.fd_order}, support_margin={self.support_margin}, "
+            f"offset={self.offset})"
         )
+
+    def window(self, start, stop):
+        """Rows start..stop of axis 0 as a grid of their own: the same box,
+        spacing and stencil, coordinates that are views of those rows, and
+        the whole grid's band read on them.  A window equals only a window
+        of the same rows of the same whole grid."""
+        if not 0 <= start < stop <= self.shape[0]:
+            raise ValueError(f"rows {start}..{stop} are not within 0..{self.shape[0]}")
+        win = copy.copy(self)
+        win.shape = (stop - start,) + self.shape[1:]
+        win.offset = (self.offset[0] + start,) + self.offset[1:]
+        win.coords = [self.coords[0][start:stop]] + self.coords[1:]
+        win._quad_weights = None
+        return win
+
+    def windows(self, depth):
+        """The strips of rows of axis 0 that check a pointwise identity
+        differenced depth times: a list of (window, core) pairs.
+
+        The cores tile the rows, each at least _WINDOW_POINTS // (points
+        per row) rows, so a grid of fewer points is one window that equals
+        the grid.  Each window adds a halo of depth stencil radii on each
+        side, cut off at the grid's edges; core, an index tuple, picks a
+        grid-last field's core rows, and there every difference up to
+        depth has the grid's bits.  A core is never so short that a window
+        is narrower than the stencil.
+        """
+        n = self.shape[0]
+        halo = depth * self.stencil_radius
+        rows = max(
+            1,
+            _WINDOW_POINTS // math.prod(self.shape[1:]),
+            2 * self.stencil_radius + 1 - halo,
+        )
+        count = max(1, n // rows)
+        tail = (slice(None),) * (self.dim - 1)
+        out = []
+        for i in range(count):
+            lo, hi = n * i // count, n * (i + 1) // count
+            start, stop = max(0, lo - halo), min(n, hi + halo)
+            core = (Ellipsis, slice(lo - start, hi - start)) + tail
+            out.append((self.window(start, stop), core))
+        return out
+
+    def restrict(self, values):
+        """A grid-last field of the whole grid read on this grid's points:
+        each grid axis of the whole grid's length sliced to them, each of
+        length 1 left as it is.  A view, the whole field on the whole
+        grid."""
+        g = self.dim
+        axes = values.shape[values.ndim - g :]
+        if values.ndim < g or any(
+            m not in (1, w) for m, w in zip(axes, self.whole_shape)
+        ):
+            raise ShapeMismatch(
+                f"array shape {values.shape} does not end in the whole grid "
+                f"{self.whole_shape} (each grid axis full or of length 1)"
+            )
+        return values[
+            (Ellipsis,)
+            + tuple(
+                slice(None) if m == 1 else slice(o, o + k)
+                for m, o, k in zip(axes, self.offset, self.shape)
+            )
+        ]
 
     def diff(self, values, axis, out=None):
         """Central difference of a grid-last field, stored at the shape it
@@ -144,21 +242,28 @@ class ChartGrid:
         return diff_axis(values, axis - g, self.h[axis], self.fd_order, out=out)
 
     def interior_mask(self, layers):
-        """Boolean mask of the grid, False on the outermost `layers` grid
-        layers."""
+        """Boolean mask of the grid, False on the band `layers` deep (on a
+        window, the whole grid's band read on its rows)."""
         return self.zero_band(np.ones(self.shape, dtype=bool), layers)
 
     def _edge_slabs(self, values, layers):
-        """Index tuples of the two edge slabs, `layers` deep, of each
-        full-length grid axis of a grid-last array; an axis of length 1
-        has no band."""
+        """Index tuples of the edge slabs, `layers` deep, of each
+        full-length grid axis of a grid-last array: the whole grid's band
+        read on this grid's points, so a window has a slab only at an
+        edge it shares with the whole grid.  An axis of length 1 has no
+        band."""
         g = self.dim
-        return [
-            (Ellipsis, edge) + (slice(None),) * (g - 1 - k)
-            for k, m in enumerate(values.shape[values.ndim - g :])
-            if m == self.shape[k]
-            for edge in (slice(None, layers), slice(-layers, None))
-        ]
+        slabs = []
+        for k, m in enumerate(values.shape[values.ndim - g :]):
+            if m != self.shape[k]:
+                continue
+            lo, whole = self.offset[k], self.whole_shape[k]
+            # the whole grid's edge slabs, shifted to this grid's points
+            for a, b in ((0, layers), (whole - layers, whole)):
+                a, b = max(a - lo, 0), min(b - lo, m)
+                if a < b:
+                    slabs.append((Ellipsis, slice(a, b)) + (slice(None),) * (g - 1 - k))
+        return slabs
 
     def zero_band(self, values, layers):
         """Zero a grid-last array in place on the outermost `layers` grid

@@ -376,3 +376,12 @@ def test_readme_lists_every_check_with_its_rule():
         name, rule = (cell.strip() for cell in line.split("|")[1:3])
         rows[name] = rule
     assert rows == {name: rule for name, (_, _, rule) in CHECKS.items()}
+
+
+def test_curvature_commutator_on_a_1d_chart_has_no_pair_to_measure():
+    grid = ChartGrid([(-1, 1)], (65,))
+    ctx = CheckContext(
+        name="line", grid=grid, metric=MetricField.flat(grid), bundle=BundleSpec(grid, 2)
+    )
+    out = CHECKS["curvature-commutator"][0](ctx, {"tolerance": 1e-5, "trials": 2})
+    assert out["measured"] == 0.0 and out["passed"]

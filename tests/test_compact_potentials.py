@@ -6,8 +6,8 @@ stored copy over the grid.  A compact bundle and its full-grid twin must
 give the same bits in covariant_derivative, multiindex_derivative,
 _hom_derivative, curvature and one trial of each magnetic check that
 reads the potentials.  Also here: the tracemalloc peaks of the magnetic
-build_context and of one trial of each check that this storage and the
-trials' own early frees lower.
+build_context and of one trial of each check that this storage, the
+trials' own early frees and their window-by-window evaluation lower.
 """
 
 import itertools
@@ -244,15 +244,19 @@ def test_magnetic_build_peak_stays_below_the_compact_bound():
     # compared and freed each closed form as it went, leibniz-rule sampled
     # each further partial alone and made nabla_k u one direction at a
     # time, and the trial fields were sampled without full-grid temporaries:
-    # 7.51, 6.53 and 5.79 now (7.27, 6.50 and 5.52 at h = 2/512)
+    # 7.51, 6.53 and 5.79 (7.27, 6.50 and 5.52 at h = 2/512) before the
+    # three checks ran window by window, about four 128-row strips at
+    # h = 2/512, and curvature-commutator subtracted in place: 7.52, 4.55
+    # and 5.79 now, on the one window of 129^2 (1.88, 1.20 and 1.48 at
+    # h = 2/512)
     "name, h, bound",
     [
         ("leibniz-rule", 2 / 128, 7.8),
         ("curvature-commutator", 2 / 128, 6.8),
         ("multiindex-formulas", 2 / 128, 6.0),
-        ("leibniz-rule", 2 / 512, 7.5),
-        ("curvature-commutator", 2 / 512, 6.8),
-        ("multiindex-formulas", 2 / 512, 5.8),
+        ("leibniz-rule", 2 / 512, 2.0),
+        ("curvature-commutator", 2 / 512, 1.3),
+        ("multiindex-formulas", 2 / 512, 1.6),
     ],
 )
 def test_magnetic_trial_peak_stays_below_the_compact_bound(name, h, bound):
