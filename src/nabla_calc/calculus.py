@@ -206,14 +206,11 @@ def _directional_walk(vals, depth, members, idxs, u, bundle, out):
 
 
 def contract_with_vector(u, X):
-    """Interior product i_X, eating the leftmost slot."""
+    """Interior product i_X, eating the leftmost slot; X is (n,) + grid,
+    each grid axis full or of length 1."""
     if u.rank == 0:
         raise ShapeMismatch("cannot contract a rank-0 section with a vector field")
-    n = u.grid.dim
-    if X.shape != (n,) + u.grid.shape:
-        raise ShapeMismatch(
-            f"vector field shape {X.shape} does not match grid {u.grid.shape}"
-        )
+    check_grid_shape(X.shape, u.grid, (u.grid.dim,), "vector field")
     letters = _SLOTS[: u.rank - 1]
     vals = np.einsum(f"k...,k{letters}z...->{letters}z...", X, u.values)
     return TensorSection(u.grid, u.rank - 1, vals, u.fiber_dim)
@@ -285,18 +282,18 @@ def curvature(bundle):
 
 
 def divergence(X, metric):
-    """Levi-Civita divergence of a vector field."""
+    """Levi-Civita divergence of a vector field, (n,) + grid with each
+    grid axis full or of length 1.  The result is zeroed on the
+    stencil-invalid band, so it is full-grid."""
     grid = metric.grid
     n = grid.dim
-    if X.shape != (n,) + grid.shape:
-        raise ShapeMismatch(f"vector field shape {X.shape} does not match the grid")
+    check_grid_shape(X.shape, grid, (n,), "vector field")
     out = sum(grid.diff(X[k], axis=k) for k in range(n))
     if not metric.constant:
         out = out + np.einsum("kkl...,l...->...", metric.christoffel, X)
     if np.iscomplexobj(out):
         out = out.astype(complex)
-    grid.zero_band(out, grid.stencil_radius)
-    return out
+    return np.where(grid.interior_mask(grid.stencil_radius), out, 0.0)
 
 
 def formal_adjoint_directional(X, bundle, metric):

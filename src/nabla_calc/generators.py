@@ -9,8 +9,11 @@ functions used to reorder iterated directional derivatives.
 
 The embedding, the frame, the coframe and the structure functions are
 grid fields stored grid-last (see bundles): phi[a, i, idx], z[j, i, idx]
-and xi[j, i, idx], so the frame field Z_j is z[j].  Every contraction is
-one einsum with the grid innermost.
+and xi[j, i, idx], so the frame field Z_j is z[j].  Like every grid field
+they are stored at the shape they vary over, each grid axis full or of
+length 1 (grid.check_grid_shape): the identity embedding, its frame and
+its coframe are (n, n, 1, .., 1).  Every contraction is one einsum with
+the grid innermost, which broadcasts the stored shapes as they are.
 """
 
 import itertools
@@ -21,6 +24,7 @@ from .bundles import TensorSection
 from .calculus import _SLOTS, contract_with_vector, covariant_derivative
 from .errors import ChartMismatch, DegenerateEmbedding, ShapeMismatch
 from .geometry import MetricField
+from .grid import check_grid_shape
 from .norms import _lp_combine, lp_norm
 
 SIGMA_FLOOR = 1e-12
@@ -29,22 +33,15 @@ SIGMA_FLOOR = 1e-12
 class EmbeddingSpec:
     """Pointwise injective linear map of the tangent spaces into R^N.
 
-    phi has shape (N, n) + grid.  It pairs with any metric on the grid:
-    build_generators compares phi^T phi with that metric itself.
+    phi has shape (N, n) + grid, each grid axis full or of length 1.  It
+    pairs with any metric on the grid: build_generators compares phi^T phi
+    with that metric itself.
     """
 
     def __init__(self, grid, phi):
         phi = np.asarray(phi, dtype=float)
         n = grid.dim
-        if phi.ndim != grid.dim + 2 or phi.shape[2:] != grid.shape:
-            raise ShapeMismatch(
-                f"embedding values {phi.shape} do not sit over grid {grid.shape}"
-            )
-        if phi.shape[1] != n:
-            raise ShapeMismatch(
-                f"embedding matrices are {phi.shape[0]}x{phi.shape[1]}, "
-                f"expected column count {n}"
-            )
+        check_grid_shape(phi.shape, grid, phi.shape[:1] + (n,), "embedding values")
         if phi.shape[0] < n:
             raise ShapeMismatch(
                 f"ambient dimension {phi.shape[0]} is below the chart dimension {n}"
@@ -61,19 +58,18 @@ class GeneratorSystem:
     """Spanning frame Z_j with dual coframe xi_j over a chart.
 
     z[j, i, idx] holds the components Z_j^i and xi[j, i, idx] the covector
-    components (xi_j)_i; g_structure[i, j, k, idx] and l_structure hold the
-    expansion coefficients of nabla_{Z_i} Z_j and [Z_i, Z_j] in the frame.
+    components (xi_j)_i, each at the shape it varies over, so the frame and
+    the coframe may differ in shape; g_structure[i, j, k, idx] and
+    l_structure hold the expansion coefficients of nabla_{Z_i} Z_j and
+    [Z_i, Z_j] in the frame.
     """
 
     def __init__(self, grid, z, xi):
-        n = grid.dim
         z = np.ascontiguousarray(z, dtype=float)
         xi = np.ascontiguousarray(xi, dtype=float)
-        if z.shape != xi.shape or z.shape[2:] != grid.shape or z.shape[1] != n:
-            raise ShapeMismatch(
-                f"frame arrays {z.shape} / {xi.shape} do not match grid "
-                f"{grid.shape} with {n} components"
-            )
+        tail = z.shape[:1] + (grid.dim,)
+        check_grid_shape(z.shape, grid, tail, "frame")
+        check_grid_shape(xi.shape, grid, tail, "coframe")
         self.grid = grid
         self.z = z
         self.xi = xi
@@ -168,7 +164,9 @@ def structure_functions(gens, metric):
     """Expansion coefficients G_ij^k of nabla_{Z_i} Z_j and L_ij^k of [Z_i, Z_j].
 
     Both come from applying the coframe to the derivative fields; the outer
-    stencil band is zeroed like every other differentiated quantity.
+    stencil band is zeroed like every other differentiated quantity, along
+    the full-length axes alone, as Gamma's is: a frame of length 1 along an
+    axis has no difference there, so nothing there is invalid.
     """
     grid = gens.grid
     n = grid.dim
@@ -203,19 +201,21 @@ def nabla_via_generators(u, gens, bundle, metric):
 
 
 def divergence_via_generators(X, gens, metric):
-    """Divergence through the frame: sum_kl (xi_k, xi_l) g(nabla_{Z_k} X, Z_l)."""
+    """Divergence through the frame: sum_kl (xi_k, xi_l) g(nabla_{Z_k} X, Z_l).
+
+    X is (n,) + grid, each grid axis full or of length 1; the result is
+    zeroed on the stencil-invalid band, so it is full-grid, as divergence's.
+    """
     grid = gens.grid
     n = grid.dim
-    if X.shape != (n,) + grid.shape:
-        raise ShapeMismatch(f"vector field shape {X.shape} does not match the grid")
+    check_grid_shape(X.shape, grid, (n,), "vector field")
     dx = np.stack([grid.diff(X, axis=l) for l in range(n)])
     cov = np.einsum("kl...,lm...->km...", gens.z, dx)
     if not metric.constant:
         cov = cov + np.einsum("mlr...,kl...,r...->km...", metric.christoffel, gens.z, X)
     inner = np.einsum("im...,ki...,lm...->kl...", metric.values, cov, gens.z)
     out = np.einsum("kl...,kl...->...", coframe_gram(gens, metric), inner)
-    grid.zero_band(out, grid.stencil_radius)
-    return out
+    return np.where(grid.interior_mask(grid.stencil_radius), out, 0.0)
 
 
 def generator_sobolev_norm(u, s, p, gens, bundle, metric, all_tuples=False):
@@ -249,11 +249,10 @@ def generator_sobolev_norm(u, s, p, gens, bundle, metric, all_tuples=False):
 
 
 def identity_embedding(grid):
-    """Phi = identity with N = n; its Gram field is the flat metric."""
+    """Phi = identity with N = n, stored (n, n, 1, .., 1); its Gram field
+    is the flat metric."""
     n = grid.dim
-    eye = np.eye(n).reshape((n, n) + (1,) * n)
-    phi = np.broadcast_to(eye, (n, n) + grid.shape).copy()
-    return EmbeddingSpec(grid, phi)
+    return EmbeddingSpec(grid, np.eye(n).reshape((n, n) + (1,) * n))
 
 
 def sphere_ambient_embedding(grid):
@@ -282,21 +281,19 @@ def graph_embedding(grid, heights):
     """Graph-of-f chart: Phi stacks the identity over the height gradients.
 
     heights is a grid array (one ambient height) or (m,) + grid for m of
-    them; the gradients are central-differenced from the heights.  Returns
-    (embedding, metric) with the induced graph metric 1 + Df^T Df.
+    them, each grid axis full or of length 1; the gradients are
+    central-differenced from the heights, and the embedding is stored at
+    the shape they vary over.  Returns (embedding, metric) with the
+    induced graph metric 1 + Df^T Df.
     """
-    heights = np.asarray(heights, dtype=float)
-    if heights.shape == grid.shape:
-        heights = heights[None]
-    m = heights.shape[0]
-    if heights.shape != (m,) + grid.shape:
-        raise ShapeMismatch(
-            f"height field shape {heights.shape} does not sit over grid {grid.shape}"
-        )
     n = grid.dim
+    heights = np.asarray(heights, dtype=float)
+    if heights.ndim == n:
+        heights = heights[None]
+    check_grid_shape(heights.shape, grid, heights.shape[:1], "height field")
     gradients = np.stack([grid.diff(heights, axis=k) for k in range(n)], axis=1)
     eye = np.eye(n).reshape((n, n) + (1,) * n)
-    phi = np.concatenate([np.broadcast_to(eye, (n, n) + grid.shape), gradients])
+    phi = np.concatenate([np.broadcast_to(eye, (n, n) + heights.shape[1:]), gradients])
     gram = eye + np.einsum("mi...,mj...->ij...", gradients, gradients)
     return EmbeddingSpec(grid, phi), MetricField(grid, gram)
 
@@ -317,7 +314,7 @@ def random_embedding(grid, n_ambient, rng, amplitude=0.25):
     n_waves = 2
     base = np.linalg.qr(rng.standard_normal((n_ambient, n_ambient)))[0][:, :n]
     pad = (1,) * n
-    phi = np.broadcast_to(base.reshape(base.shape + pad), base.shape + grid.shape).copy()
+    phi = base.reshape(base.shape + pad)
     x = np.stack(np.broadcast_arrays(*grid.coords), axis=-1)
     for _ in range(n_waves):
         w = rng.uniform(-1.0, 1.0, size=n)

@@ -100,18 +100,20 @@ class MetricField:
         return cls(grid, vals)
 
 
+def _positive_scalar(values, grid, what):
+    """A positive scalar grid field, each grid axis full or of length 1."""
+    values = np.asarray(values, dtype=float)
+    check_grid_shape(values.shape, grid, (), what)
+    if np.min(values) <= 0:
+        raise NonpositiveWeight(
+            f"{what} must be positive, min is {float(np.min(values)):.3e}"
+        )
+    return values
+
+
 def conformal_rescale(metric, rho):
     """Divide out a conformal factor: returns the metric rho^{-2} g."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != metric.grid.shape:
-        raise ShapeMismatch(
-            f"conformal factor shape {rho.shape} does not match grid "
-            f"{metric.grid.shape}"
-        )
-    if np.min(rho) <= 0:
-        raise NonpositiveWeight(
-            f"conformal factor must be positive, min is {float(np.min(rho)):.3e}"
-        )
+    rho = _positive_scalar(rho, metric.grid, "conformal factor")
     return MetricField(metric.grid, metric.values / rho**2)
 
 
@@ -119,56 +121,40 @@ def levi_civita_difference(X, Y, phi, metric0):
     """Difference of Levi-Civita connections under g = e^{2 phi} g0.
 
     Evaluates X(phi) Y + Y(phi) X - g0(X, Y) grad_{g0} phi as a vector field;
-    X, Y are (n,) + grid coordinate-component arrays.
+    X, Y are (n,) + grid coordinate-component arrays and phi a scalar
+    field, each grid axis full or of length 1.  The result is zeroed on
+    the stencil-invalid band, so it is full-grid.
     """
     grid = metric0.grid
     n = grid.dim
-    for name, fld in (("X", X), ("Y", Y)):
-        if fld.shape != (n,) + grid.shape:
-            raise ShapeMismatch(f"{name} has shape {fld.shape}, expected vector field")
-    if phi.shape != grid.shape:
-        raise ShapeMismatch(f"phi has shape {phi.shape}, expected scalar field")
+    check_grid_shape(X.shape, grid, (n,), "X")
+    check_grid_shape(Y.shape, grid, (n,), "Y")
+    check_grid_shape(phi.shape, grid, (), "phi")
     dphi = np.stack([grid.diff(phi, axis=k) for k in range(n)])
     x_phi = np.einsum("k...,k...->...", X, dphi)
     y_phi = np.einsum("k...,k...->...", Y, dphi)
     grad_phi = np.einsum("km...,m...->k...", metric0.inv, dphi)
     g0_xy = np.einsum("kl...,k...,l...->...", metric0.values, X, Y)
     out = x_phi * Y + y_phi * X - g0_xy * grad_phi
-    grid.zero_band(out, grid.stencil_radius)
-    return out
+    return np.where(grid.interior_mask(grid.stencil_radius), out, 0.0)
 
 
 class WeightPair:
     """A weight function rho and a normalizer f0, both positive scalars.
 
-    The admissible flag asserts that d(rho)/rho stays bounded in the
-    rescaled metric; admissibility_bound measures that on the grid.
+    Both are stored at the shape they are given, each grid axis full or
+    of length 1, like every grid field; the default f0 is the constant 1,
+    (1, .., 1).  The admissible flag asserts that d(rho)/rho stays
+    bounded in the rescaled metric; admissibility_bound measures that on
+    the grid.
     """
 
     def __init__(self, grid, rho, f0=None, admissible=False):
-        rho = np.asarray(rho, dtype=float)
-        if rho.shape != grid.shape:
-            raise ShapeMismatch(
-                f"weight shape {rho.shape} does not match grid {grid.shape}"
-            )
-        if np.min(rho) <= 0:
-            raise NonpositiveWeight(
-                f"weight must be positive, min is {float(np.min(rho)):.3e}"
-            )
         if f0 is None:
-            f0 = np.ones(grid.shape)
-        f0 = np.asarray(f0, dtype=float)
-        if f0.shape != grid.shape:
-            raise ShapeMismatch(
-                f"normalizer shape {f0.shape} does not match grid {grid.shape}"
-            )
-        if np.min(f0) <= 0:
-            raise NonpositiveWeight(
-                f"normalizer must be positive, min is {float(np.min(f0)):.3e}"
-            )
+            f0 = np.ones((1,) * grid.dim)
         self.grid = grid
-        self.rho = rho
-        self.f0 = f0
+        self.rho = _positive_scalar(rho, grid, "weight")
+        self.f0 = _positive_scalar(f0, grid, "normalizer")
         self.admissible = bool(admissible)
 
     def rescaled_metric(self, metric):
@@ -186,4 +172,4 @@ class WeightPair:
         omega = drho / self.rho
         sq = np.einsum("kl...,k...,l...->...", g0.inv, omega, omega)
         mask = grid.interior_mask(grid.stencil_radius)
-        return float(np.sqrt(np.max(sq[mask])))
+        return float(np.sqrt(np.max(np.broadcast_to(sq, mask.shape)[mask])))

@@ -185,13 +185,15 @@ class ChartGrid:
         the grid.  Each window adds a halo of depth stencil radii on each
         side, cut off at the grid's edges; core, an index tuple, picks a
         grid-last field's core rows, and there every difference up to
-        depth has the grid's bits.  A core is never so short that a window
-        is narrower than the stencil.
+        depth has the grid's bits.  A core is never shorter than the halo,
+        so a window is at most three cores tall, nor so short that a
+        window is narrower than the stencil.
         """
         n = self.shape[0]
         halo = depth * self.stencil_radius
         rows = max(
             1,
+            halo,
             _WINDOW_POINTS // math.prod(self.shape[1:]),
             2 * self.stencil_radius + 1 - halo,
         )

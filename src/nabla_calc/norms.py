@@ -124,7 +124,7 @@ def weighted_sobolev_norm(u, s, p, weight, bundle, metric):
     """lp combination of the L^p norms of rho^j nabla^j (f0^{-1} u)."""
     if weight.grid != u.grid:
         raise ChartMismatch("weight and section live on different grids")
-    # the grid-last values broadcast against the grid-shaped f0 and rho
+    # the grid-last values broadcast against f0 and rho as they are stored
     v = TensorSection(u.grid, u.rank, u.values / weight.f0, u.fiber_dim)
     levels = [
         TensorSection(u.grid, d.rank, weight.rho**j * d.values, d.fiber_dim)

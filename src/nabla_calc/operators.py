@@ -397,16 +397,23 @@ def mixed_to_nabla(spec, gens):
 
 
 def _add_coframe_lift(table, key, xi, mat):
-    """Add xi (x) mat into table[key], held as (n, rows, cols) + grid.
+    """Add xi (x) mat into table[key], held as (n, rows, cols) + the shape
+    its terms vary over together.
 
     The first term is stored whole; later ones are added slab by slab,
-    slab y taking xi_y mat, so no n-fold lift is built to be summed.
+    slab y taking xi_y mat, so no n-fold lift is built to be summed.  A
+    term that varies over more grid axes than the sum so far widens the
+    sum first.
     """
     if key not in table:
         table[key] = xi[:, None, None] * mat[None]
         return
+    lift = table[key]
+    axes = np.broadcast_shapes(lift.shape[3:], xi.shape[1:], mat.shape[2:])
+    if lift.shape[3:] != axes:
+        lift = table[key] = np.broadcast_to(lift, lift.shape[:3] + axes).copy()
     for y in range(xi.shape[0]):
-        table[key][y] += xi[y] * mat
+        lift[y] += xi[y] * mat
 
 
 def nabla_to_mixed(spec, gens):
@@ -444,7 +451,7 @@ def nabla_to_mixed(spec, gens):
                 _add_coframe_lift(cur, (i + 1,) + chain, xi, phi)
             del der
         merge(spec.coefficients[j - 1], prev)
-        prev = {c: a.reshape((-1, d) + grid.shape) for c, a in cur.items()}
+        prev = {c: a.reshape((-1, d) + a.shape[3:]) for c, a in cur.items()}
         del cur
     merge(spec.coefficients[spec.order], prev)
     del prev
@@ -556,19 +563,15 @@ def coefficient_infty_norm(a, source, target, metric, depth):
 def hom_infty_norm(field, depth, bundle, metric):
     """W^{depth,inf} norm of a Hom-valued one-form field on the grid.
 
-    field has shape (n, d_out, d_in) + grid.  Derivatives are taken in the
-    induced connection; values inside the stencil-invalid band are excluded
-    from the max, since coefficient fields need not vanish there.
+    field has shape (n, d_out, d_in) + grid, each grid axis full or of
+    length 1.  Derivatives are taken in the induced connection; values
+    inside the stencil-invalid band are excluded from the max, since
+    coefficient fields need not vanish there.
     """
-    grid = metric.grid
-    n = grid.dim
+    n = metric.grid.dim
     d = bundle.fiber_dim
-    if field.shape != (n, d, d) + grid.shape:
-        raise ShapeMismatch(
-            f"potential field has shape {field.shape}, expected "
-            f"{(n, d, d) + grid.shape}"
-        )
-    a = field.astype(complex, copy=False).reshape((n * d, d) + grid.shape)
+    check_grid_shape(field.shape, metric.grid, (n, d, d), "potential field")
+    a = field.astype(complex, copy=False).reshape((n * d, d) + field.shape[3:])
     return _hom_tower_sup(a, bundle, bundle, 1, metric, depth)
 
 

@@ -256,14 +256,6 @@ def _expression(expr, grid, what):
     return values
 
 
-def _real_field(expr, grid, what):
-    """A real expression as a full-grid field."""
-    values = _expression(expr, grid, what)
-    if np.iscomplexobj(values) and np.max(np.abs(values.imag)) > 0:
-        raise ConfigError(f"{what} expression {expr!r} must be real")
-    return np.ascontiguousarray(np.broadcast_to(values.real.astype(float), grid.shape))
-
-
 def _matrix_field(entries, grid, what):
     """A matrix of expressions, (rows, cols) + the broadcast grid shape of
     its entries, each evaluated by _expression."""
@@ -282,6 +274,16 @@ def _matrix_field(entries, grid, what):
         for b, v in enumerate(row):
             out[a, b] = v
     return out
+
+
+def _real_field(entries, grid, what):
+    """A matrix of real expressions as a real field, (rows, cols) + the
+    broadcast grid shape of its entries (see _matrix_field): the one
+    reader of the expressions a metric, a weight and graph heights take."""
+    values = _matrix_field(entries, grid, what)
+    if np.max(np.abs(values.imag)) > 0:
+        raise ConfigError(f"{what} expressions must be real")
+    return np.ascontiguousarray(values.real)
 
 
 def _resolve_settings(scenario, h, fd_order, seed):
@@ -318,9 +320,7 @@ def _build_embedding(scenario, grid, seed):
     if name == "sphere-ambient":
         return sphere_ambient_embedding(grid)
     if name == "graph":
-        heights = np.stack(
-            [_real_field(expr, grid, "graph height") for expr in cfg["heights"]]
-        )
+        heights = _real_field([cfg["heights"]], grid, "graph heights")[0]
         return graph_embedding(grid, heights)
     rng = seeded_rng(seed, f"{scenario.name}:embedding")
     kw = {"amplitude": float(cfg["amplitude"])} if "amplitude" in cfg else {}
@@ -332,17 +332,11 @@ def _build_metric(scenario, grid, emb, induced):
     if kind == "flat":
         return MetricField.flat(grid)
     if kind == "conformal":
-        # at the shape phi varies over, each axis it does not read at length 1
-        expr = scenario.metric["phi"]
-        phi = _matrix_field([[expr]], grid, "conformal factor")[0, 0]
-        if np.max(np.abs(phi.imag)) > 0:
-            raise ConfigError(f"conformal factor expression {expr!r} must be real")
-        return MetricField.conformal(grid, phi.real)
+        phi = _real_field([[scenario.metric["phi"]]], grid, "conformal factor")
+        return MetricField.conformal(grid, phi[0, 0])
     if kind == "matrix":
-        values = _matrix_field(scenario.metric["entries"], grid, "metric entries")
-        if np.max(np.abs(values.imag)) > 0:
-            raise ConfigError("metric entries must be real")
-        return MetricField(grid, values.real)
+        values = _real_field(scenario.metric["entries"], grid, "metric entries")
+        return MetricField(grid, values)
     if induced is not None:
         return induced
     return MetricField(grid, emb.gram())
@@ -433,13 +427,12 @@ def build_context(scenario, h=None, fd_order=None, seed=None):
         bundle = _build_bundle(scenario, grid)
         weight = None
         if scenario.weight is not None:
-            rho = _real_field(scenario.weight["rho"], grid, "weight rho")
-            f0 = None
-            if scenario.weight.get("f0") is not None:
-                f0 = _real_field(scenario.weight["f0"], grid, "weight f0")
-            weight = WeightPair(
-                grid, rho, f0=f0, admissible=scenario.weight.get("admissible", False)
-            )
+            cfg = scenario.weight
+            rho = _real_field([[cfg["rho"]]], grid, "weight rho")[0, 0]
+            f0 = cfg.get("f0")
+            if f0 is not None:
+                f0 = _real_field([[f0]], grid, "weight f0")[0, 0]
+            weight = WeightPair(grid, rho, f0=f0, admissible=cfg.get("admissible", False))
         nabla_ops = _build_operators(scenario, grid, bundle, metric)
         forms = _build_forms(scenario, grid, bundle, metric)
     except ConfigError:

@@ -39,11 +39,12 @@ def test_unary_minus_and_parens():
 
 
 def test_scalar_literal_broadcasts_to_grid():
-    # an expression is a scalar until a field built from it broadcasts it
+    # an expression is a scalar until a field built from it gives it one
+    # length-1 axis per grid axis, so that it broadcasts over the grid
     assert evaluate("3/4", GRID.coords) == 0.75
-    out = _real_field("3/4", GRID, "literal")
-    assert out.shape == GRID.shape
-    assert np.allclose(out, 0.75)
+    out = _real_field([["3/4"]], GRID, "literal")
+    assert out.shape == (1, 1, 1, 1)
+    assert np.array_equal(out, np.full((1, 1, 1, 1), 0.75))
 
 
 def test_result_keeps_the_shape_of_the_coordinates_it_reads():

@@ -5,15 +5,20 @@ first and its grid axes last, each grid axis full or of length 1: the
 metric, its inverse, volume density and Christoffel field; the potentials
 and fiber metrics; the curvature; ladder levels, form coefficients and
 mixed terms with their vector fields; the frame, the coframe and their
-structure functions.  The frame, the coframe and their structure
-functions are C-contiguous, and so is every TensorSection made from the
-context.  A static check pins the layout moves the package keeps:
-np.moveaxis appears only around the numpy.linalg calls, which want the
-matrices last, and no function moves a whole field between layouts.
-Another pins the one owner of the stored-shape rule: grid.py alone
-imports the stencil kernel, and no module decides anything from the
-Christoffel field's shape.
+structure functions; the weight's rho and f0.  Each is stored compact:
+at the shape grid.compact_grid_axes gives it, so no stored field is a
+broadcast copy.  The frame, the coframe and their structure functions
+are C-contiguous, and so is every TensorSection made from the context.
+A static check pins the layout moves the package keeps: np.moveaxis
+appears only around the numpy.linalg calls, which want the matrices
+last, and no function moves a whole field between layouts.  Another pins
+the one owner of the stored-shape rule: grid.py alone imports the
+stencil kernel, no module decides anything from the Christoffel field's
+shape, and no module but grid.py compares a shape with the grid's,
+beyond the sites listed in GRID_SHAPE_COMPARES with their reasons.
 """
+
+import functools
 
 import ast
 from pathlib import Path
@@ -30,6 +35,7 @@ from nabla_calc.calculus import (
     tower,
 )
 from nabla_calc.generators import nabla_via_generators
+from nabla_calc.grid import compact_grid_axes
 from nabla_calc.operators import apply_nabla_op
 from nabla_calc.scenarios import build_context, builtin_scenario, list_builtins, parse_scenario
 from nabla_calc.sections import random_section, random_vector_field, seeded_rng
@@ -49,6 +55,19 @@ LINALG_SITES = {
 BRIDGE = {"grid_first", "grid_last", "grid_einsum"}
 # stored fields that must also be C-contiguous
 CONTIGUOUS = {"frame", "coframe", "g structure", "l structure"}
+# the functions outside grid.py that compare a shape with the grid's
+GRID_SHAPE_COMPARES = {
+    # sections are full-grid by contract
+    ("bundles.py", "TensorSection.__init__"),
+    # a nonzero Hom derivative varies over the band, so it is broadcast to
+    # the full grid before the band is zeroed
+    ("operators.py", "_hom_derivative"),
+}
+
+
+@functools.cache
+def _context(name):
+    return build_context(parse_scenario(builtin_scenario(name)))
 
 
 def _stored_fields(ctx):
@@ -76,6 +95,8 @@ def _stored_fields(ctx):
             ("g structure", ctx.gens.g_structure, (g, g, g)),
             ("l structure", ctx.gens.l_structure, (g, g, g)),
         ]
+    if ctx.weight is not None:
+        fields += [("weight rho", ctx.weight.rho, ()), ("weight f0", ctx.weight.f0, ())]
     for name, op in ctx.nabla_ops.items():
         fields += [
             (f"{name} level {j}", a, (d, n**j * d))
@@ -111,7 +132,7 @@ def _sections(ctx):
 
 @pytest.mark.parametrize("name", list_builtins())
 def test_every_stored_field_is_grid_last(name):
-    ctx = build_context(parse_scenario(builtin_scenario(name)))
+    ctx = _context(name)
     grid = ctx.grid
     for what, field, index in _stored_fields(ctx):
         k = len(index)
@@ -126,28 +147,39 @@ def test_every_stored_field_is_grid_last(name):
         assert section.values.shape[section.values.ndim - grid.dim :] == grid.shape
 
 
+@pytest.mark.parametrize("name", list_builtins())
+def test_every_stored_field_is_compact(name):
+    ctx = _context(name)
+    loose = [
+        (what, field.shape)
+        for what, field, _ in _stored_fields(ctx)
+        if compact_grid_axes(field, ctx.grid.dim).shape != field.shape
+    ]
+    assert not loose
+
+
+def _functions(node, owner=""):
+    """(qualified name, node) of every function in the tree, a method as
+    Class.method; a nested function is read as part of its owner."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, child.name + ".")
+        elif isinstance(child, ast.FunctionDef):
+            yield owner + child.name, child
+        else:
+            yield from _functions(child, owner)
+
+
 def _calls_by_function(tree, attr):
     """(qualified function name) of every call of np.<attr> in the tree."""
-    found = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, child.name + ".")
-            elif isinstance(child, ast.FunctionDef):
-                qual = owner + child.name
-                for sub in ast.walk(child):
-                    if (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr == attr
-                    ):
-                        found.append(qual)
-            else:
-                visit(child, owner)
-
-    visit(tree, "")
-    return found
+    return [
+        qual
+        for qual, fn in _functions(tree)
+        for sub in ast.walk(fn)
+        if isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr == attr
+    ]
 
 
 def test_moveaxis_only_around_linalg_and_no_layout_bridge():
@@ -178,8 +210,26 @@ def test_the_guard_sees_a_move_outside_the_linalg_sites():
     assert _calls_by_function(tree, "moveaxis") == ["MetricField.__init__", "grid_last"]
 
 
+def _reads_grid_shape(node, names=()):
+    """True when node reads grid.shape (or x.grid.shape) or one of names."""
+    return any(
+        isinstance(sub, ast.Attribute)
+        and sub.attr == "shape"
+        and (
+            isinstance(sub.value, ast.Name) and sub.value.id == "grid"
+            or isinstance(sub.value, ast.Attribute) and sub.value.attr == "grid"
+        )
+        or isinstance(sub, ast.Name) and sub.id in names
+        for sub in ast.walk(node)
+    )
+
+
 def _rule_readers(tree):
-    """(imports of diff_axis, reads of christoffel.shape) in a module."""
+    """(imports of diff_axis, reads of christoffel.shape, comparisons with
+    the grid shape) in a module: a comparison as (qualified function,
+    line), with the grid shape in an operand, read directly or through a
+    local name assigned a shape built from it (an expression with no
+    call, so a name bound to an array of the grid's shape is not one)."""
     kernel = [
         alias.name
         for node in ast.walk(tree)
@@ -195,13 +245,31 @@ def _rule_readers(tree):
         and isinstance(node.value, ast.Attribute)
         and node.value.attr == "christoffel"
     ]
-    return kernel, shape
+    compares = []
+    for qual, fn in _functions(tree):
+        body = list(ast.walk(fn))
+        names = {
+            target.id
+            for node in body
+            if isinstance(node, ast.Assign)
+            and _reads_grid_shape(node.value)
+            and not any(isinstance(sub, ast.Call) for sub in ast.walk(node.value))
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        compares += [
+            (qual, node.lineno)
+            for node in body
+            if isinstance(node, ast.Compare)
+            and any(_reads_grid_shape(op, names) for op in [node.left, *node.comparators])
+        ]
+    return kernel, shape, compares
 
 
 def test_grid_alone_differences_and_no_module_reads_the_christoffel_shape():
     importers, readers = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        kernel, shape = _rule_readers(ast.parse(path.read_text()))
+        kernel, shape, _ = _rule_readers(ast.parse(path.read_text()))
         importers |= {path.name} if kernel else set()
         readers |= {(path.name, line) for line in shape}
     assert importers == {"grid.py"}
@@ -214,4 +282,30 @@ def test_the_rule_guard_sees_a_kernel_import_and_a_shape_read():
         "def f(metric, grid):\n"
         "    return metric.christoffel.shape[3:] == grid.shape\n"
     )
-    assert _rule_readers(tree) == (["diff_axis"], [4])
+    assert _rule_readers(tree)[:2] == (["diff_axis"], [4])
+
+
+def test_no_module_but_grid_compares_a_shape_with_the_grids():
+    sites = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "grid.py":
+            _, _, compares = _rule_readers(ast.parse(path.read_text()))
+            sites |= {(path.name, qual) for qual, _ in compares}
+    assert sites == GRID_SHAPE_COMPARES
+
+
+def test_the_rule_guard_sees_a_planted_grid_shape_comparison():
+    tree = ast.parse(
+        "class WeightPair:\n"
+        "    def __init__(self, grid, rho):\n"
+        "        if rho.shape != grid.shape:\n"
+        "            raise ValueError(rho.shape)\n\n"
+        "def contract(u, X):\n"
+        "    want = (u.grid.dim,) + u.grid.shape\n"
+        "    return X.shape == want\n\n"
+        "def fine(u, grid, out=None):\n"
+        "    if out is None:\n"
+        "        out = np.empty(grid.shape)\n"
+        "    return u.shape[0] == grid.dim and out is not None\n"
+    )
+    assert _rule_readers(tree)[2] == [("WeightPair.__init__", 3), ("contract", 8)]

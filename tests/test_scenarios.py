@@ -359,7 +359,8 @@ def test_context_matches_hand_built_objects():
     assert np.allclose(ctx.bundle.potentials, want.potentials)
     assert np.allclose(ctx.weight.rho, 2 + grid.coords[0])
     assert np.allclose(ctx.weight.f0, np.exp(grid.coords[1]))
-    assert ctx.weight.f0.shape == grid.shape
+    # f0 = exp(x2) is stored at the shape it varies over
+    assert ctx.weight.f0.shape == (1, grid.shape[1])
 
 
 def test_conformal_metric_from_expression():

@@ -123,6 +123,21 @@ def test_windows_tile_the_rows_with_a_halo_of_depth_radii(monkeypatch):
         assert all(hi - lo >= 10 for lo, hi in cores)
 
 
+@pytest.mark.parametrize("fd_order", [2, 4])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_no_core_is_shorter_than_its_halo(monkeypatch, fd_order, depth):
+    # a window of a longer row holds fewer rows, down to the floor
+    monkeypatch.setattr(grid_module, "_WINDOW_POINTS", 1)
+    grid = ChartGrid([(-1, 1), (-1, 1)], (129, 33), fd_order=fd_order)
+    halo = depth * grid.stencil_radius
+    pairs = grid.windows(depth)
+    assert len(pairs) > 1
+    for win, core in pairs:
+        assert core[1].stop - core[1].start >= halo
+        assert win.shape[0] <= 3 * (core[1].stop - core[1].start)
+        assert win.shape[0] >= 2 * grid.stencil_radius + 1
+
+
 def test_window_bundle_and_metric_are_views_of_the_whole_grids():
     metric = MetricField.conformal(GRID, 0.1 * GRID.coords[0] ** 2)
     bundle = magnetic_example_bundle(GRID)
@@ -156,8 +171,8 @@ def one_window(magnetic_ctx):
     return {name: _measured(magnetic_ctx, name) for name in MAGNETIC}
 
 
-# strip heights in rows of 129 points: a core of 1 or 3 rows is shorter
-# than the 4-row halo of a second derivative at fd order 4
+# strip heights in rows of 129 points: a core asked for 1 or 3 rows is
+# raised to the 4-row halo of a second derivative at fd order 4
 @pytest.mark.parametrize("rows", [1, 3, 7, 50])
 def test_magnetic_checks_on_narrow_windows_keep_their_bits(
     magnetic_ctx, one_window, monkeypatch, rows
