@@ -6,20 +6,22 @@ returns the worst case as a single number; the rule it registers with
 judges that number against the tolerance.  This is the only module that
 draws trial data; the library modules only compute.  Random data comes
 from the counter-based generator keyed by the scenario seed and the check
-name, so repeated runs see identical draws and checks can execute
-concurrently without sharing state.
+name, so repeated runs see identical draws.
 
 The pointwise identities (multiindex-formulas, leibniz-rule and
 curvature-commutator) are checked strip by strip over the windows of
-the grid (ChartGrid.windows), so a trial's fields are held one window at
-a time: about grid._WINDOW_POINTS points, one window on a 129^2 grid and
-about four 128-row strips on 513^2.  Each trial is drawn once on the
-whole grid and sampled, differenced and compared on each window, whose
-halo holds one stencil radius per difference the identity takes (two
-for a second derivative, one for leibniz-rule), so its core gets the
-whole grid's bits.  The sup of each error and of its scale is reduced
-over the cores before the one division, so the measured value is the
-whole grid's float.  The checks that integrate stay on the whole grid:
+the grid (ChartGrid.windows), up to ctx.threads windows at once on the
+run's one pool (ctx.pool), so a trial's fields are held only on the
+windows in flight: they share about grid._WINDOW_POINTS points.  A
+129^2 grid is one window, checked inline; 513^2 is four strips of about
+128 rows for one thread and eight of about 64 for two.  Each trial is
+drawn once on the whole grid and sampled, differenced and compared on
+each window, whose halo holds one stencil radius per difference the
+identity takes (two for a second derivative, one for leibniz-rule), so
+its core gets the whole grid's bits.  The sup of each error and of its
+scale is reduced over the cores in window order before the one
+division, so the measured value is the whole grid's float at any thread
+count.  The checks that integrate stay on the whole grid:
 np.sum adds pairwise in blocks set by the array's extent, so a sum
 split into strips would round differently.
 """
@@ -29,6 +31,7 @@ import functools
 import inspect
 import itertools
 import math
+from concurrent.futures import FIRST_COMPLETED, wait
 
 import numpy as np
 
@@ -234,14 +237,16 @@ def _worst(trials, per_trial, start=0.0):
 
 def _sup_parts(got, want, core=Ellipsis):
     """(sup |got - want|, sup |want|) over core, an index of the grid
-    points to read.
+    points to read; only the core is read or written.
 
-    got is spent: want is subtracted from it in place, after sup |want| is
-    taken, so no third field is made.
+    got is spent: want is subtracted from its core in place, after sup
+    |want| is taken, so no third field is made.
     """
-    scale = float(np.max(np.abs(want)[core]))
+    want = want[core]
+    scale = float(np.max(np.abs(want)))
+    got = got[core]
     got -= want
-    return float(np.max(np.abs(got)[core])), scale
+    return float(np.max(np.abs(got))), scale
 
 
 def _sup_error(got, want, floor=_TINY):
@@ -251,31 +256,71 @@ def _sup_error(got, want, floor=_TINY):
     return err / max(scale, floor)
 
 
-def _windowed_error(ctx, depth, compare):
-    """The worst relative sup error of a pointwise identity, checked one
-    window at a time.
+def _in_order(pool, width, fn, items):
+    """[fn(item) for item in items], with at most width of the calls
+    running at once on pool, the next started as soon as one ends; with
+    width 1 they run inline, and no thread is started.  Once a call has
+    raised no more are started, and the first to raise in item order
+    raises here, as it would inline."""
+    if width == 1:
+        return list(map(fn, items))
+    futures, running = [], set()
+    for item in items:
+        if len(running) == width:
+            done, running = wait(running, return_when=FIRST_COMPLETED)
+            if any(future.exception() for future in done):
+                break
+        futures.append(pool.submit(fn, item))
+        running.add(futures[-1])
+    return [future.result() for future in futures]
 
-    compare(wctx, core) gives one (error, scale) pair per compared
-    quantity, each the sup over the window's core, for ctx read on each
-    window whose halo holds depth stencil radii (ChartGrid.windows): its
-    bundle and metric are the whole grid's, restricted as views.  Each
-    quantity's errors and scales are reduced over the windows before they
-    are divided, so the quotient is the whole grid's, bit for bit.
+
+def _windowed_worst(ctx, depth, trials, draw, compare):
+    """The worst relative sup error of a pointwise identity over trials,
+    each checked one window at a time, up to ctx.threads windows at once
+    on ctx.pool.
+
+    draw(trial) gives a trial's data, drawn once on the whole grid when
+    its first window is reached.  compare(wctx, core, data) gives one
+    (error, scale) pair per compared quantity, each the sup over the
+    window's core, for ctx read on each window whose halo holds depth
+    stencil radii (ChartGrid.windows): its bundle and metric are the
+    whole grid's, restricted as views.  The windows of the next trial
+    start as those of the last finish, with no wait between trials; a
+    grid of one window runs inline.  Each quantity's errors and scales
+    are reduced over a trial's windows in window order before they are
+    divided, and the trials in trial order, so the value is the whole
+    grid's, bit for bit, at any thread count.
     """
-    parts = [
-        compare(
+    width = ctx.grid.window_workers(depth, ctx.threads)
+    views = [
+        (
             dataclasses.replace(
                 ctx, grid=win, metric=ctx.metric.on(win), bundle=ctx.bundle.on(win)
             ),
             core,
         )
-        for win, core in ctx.grid.windows(depth)
+        for win, core in ctx.grid.windows(depth, width)
     ]
-    ratios = []
-    for pairs in zip(*parts):
-        errors, scales = zip(*pairs)
-        ratios.append(strict_max(*errors) / strict_max(*scales, _TINY))
-    return strict_max(0.0, *ratios)
+
+    def jobs():
+        for trial in range(trials):
+            data = draw(trial)
+            for wctx, core in views:
+                yield wctx, core, data
+
+    parts = _in_order(
+        ctx.pool, width if len(views) > 1 else 1, lambda job: compare(*job), jobs()
+    )
+
+    def ratio(trial):
+        ratios = []
+        for pairs in zip(*parts[trial * len(views) : (trial + 1) * len(views)]):
+            errors, scales = zip(*pairs)
+            ratios.append(strict_max(*errors) / strict_max(*scales, _TINY))
+        return strict_max(0.0, *ratios)
+
+    return _worst(trials, ratio)
 
 
 def _rng(ctx, label, trial=0):
@@ -377,21 +422,12 @@ def _formula_parts(ctx, core, bumps, phase, conj_phase, slope):
     return err12, _sup_parts(got21.values, want, core), err22
 
 
-def _formula_error(ctx, trial, phase, conj_phase, slope):
-    """One trial of multiindex-formulas: its worst relative error.  The
-    section is drawn once and sampled on each window, whose halo covers
-    the two differences of a second derivative."""
-    bumps = random_bump_section(
-        ctx.grid, 0, 2, _rng(ctx, "multiindex-formulas", trial), kappa_max=1.5
-    )
-    return _windowed_error(
-        ctx, 2, lambda wc, core: _formula_parts(wc, core, bumps, phase, conj_phase, slope)
-    )
-
-
 @register("multiindex-formulas", rule="residual")
 def check_multiindex_formulas(ctx, trials=20):
-    """Mixed second derivatives against their displayed closed forms."""
+    """Mixed second derivatives against their displayed closed forms.
+
+    Each trial's section is drawn once and sampled on each window, whose
+    halo covers the two differences of a second derivative."""
     _require_flat(ctx, "the closed-form check")
     _require_oscillating_bundle(ctx, "the closed-form check")
     # the phase and its slope on the x1 axis, broadcast over x2
@@ -399,8 +435,16 @@ def check_multiindex_formulas(ctx, trials=20):
     phase = magnetic_phase(ctx.grid)
     conj_phase = np.conj(phase)
     slope = 3j * x1**2
-    return _worst(
-        trials, lambda trial: _formula_error(ctx, trial, phase, conj_phase, slope)
+    return _windowed_worst(
+        ctx,
+        2,
+        trials,
+        lambda trial: random_bump_section(
+            ctx.grid, 0, 2, _rng(ctx, "multiindex-formulas", trial), kappa_max=1.5
+        ),
+        lambda wctx, core, bumps: _formula_parts(
+            wctx, core, bumps, phase, conj_phase, slope
+        ),
     ), ()
 
 
@@ -447,21 +491,23 @@ def _leibniz_parts(ctx, core, a_field, bumps):
     return [(strict_max(*errors), strict_max(*scales))]
 
 
-def _leibniz_error(ctx, trial):
-    """One trial of leibniz-rule: a and u are drawn once and sampled on
-    each window, whose halo covers one difference."""
-    d = ctx.bundle.fiber_dim
-    a_field = random_trig_field(ctx.grid.dim, (d, d), _rng(ctx, "leibniz-rule", trial))
-    bumps = random_bump_section(ctx.grid, 0, d, _rng(ctx, "leibniz-section", trial))
-    return _windowed_error(
-        ctx, 1, lambda wctx, core: _leibniz_parts(wctx, core, a_field, bumps)
-    )
-
-
 @register("leibniz-rule", rule="residual")
 def check_leibniz_rule(ctx, trials=5):
-    """nabla(a u) = (nabla a) u + (1 (x) a) nabla u for Hom coefficients."""
-    return _worst(trials, lambda trial: _leibniz_error(ctx, trial)), ()
+    """nabla(a u) = (nabla a) u + (1 (x) a) nabla u for Hom coefficients.
+
+    Each trial's a and u are drawn once and sampled on each window, whose
+    halo covers one difference."""
+    d = ctx.bundle.fiber_dim
+
+    def draw(trial):
+        return (
+            random_trig_field(ctx.grid.dim, (d, d), _rng(ctx, "leibniz-rule", trial)),
+            random_bump_section(ctx.grid, 0, d, _rng(ctx, "leibniz-section", trial)),
+        )
+
+    return _windowed_worst(
+        ctx, 1, trials, draw, lambda wctx, core, drawn: _leibniz_parts(wctx, core, *drawn)
+    ), ()
 
 
 def _commutator_parts(ctx, core, bumps, blocks, pairs):
@@ -473,7 +519,7 @@ def _commutator_parts(ctx, core, bumps, blocks, pairs):
     # a 1d chart has no pair, and an empty list would read as one empty
     # multi-index
     terms = multiindex_derivative(u, idxs, ctx.bundle, ctx.metric) if idxs else []
-    u_sup = float(np.max(np.abs(u.values)[core]))
+    u_sup = float(np.max(np.abs(u.values[core])))
     parts = []
     for r_kl, kl, lk in zip(blocks, terms[::2], terms[1::2]):
         lhs = kl.values
@@ -485,32 +531,29 @@ def _commutator_parts(ctx, core, bumps, blocks, pairs):
     return parts
 
 
-def _commutator_error(ctx, trial, blocks, pairs):
-    """One trial of curvature-commutator over every direction pair; blocks
-    holds the curvature R_kl of each pair as (d, d) + the shape the
-    potentials vary over.  u is drawn once and sampled on each window,
-    whose halo covers the two differences of a second derivative."""
-    rng = _rng(ctx, "curvature-commutator", trial)
-    bumps = random_bump_section(ctx.grid, 0, ctx.bundle.fiber_dim, rng)
-    return _windowed_error(
-        ctx, 2, lambda wctx, core: _commutator_parts(wctx, core, bumps, blocks, pairs)
-    )
-
-
 @register("curvature-commutator", rule="residual")
 def check_curvature_commutator(ctx, trials=5):
     """(nabla_kl - nabla_lk) u = R_kl u on every direction pair.
 
     Only the R_kl blocks of the pairs k < l are kept across the trials,
-    each copied out; the full (n, n, d, d) curvature field is freed once
-    they are copied.
+    each copied out as (d, d) + the shape the potentials vary over; the
+    full (n, n, d, d) curvature field is freed once they are copied.
+    Each trial's u is drawn once and sampled on each window, whose halo
+    covers the two differences of a second derivative.
     """
     pairs = list(itertools.combinations(range(1, ctx.grid.dim + 1), 2))
     r = curvature(ctx.bundle).values
     blocks = [r[k - 1, l - 1].copy() for k, l in pairs]
     del r
-    return _worst(
-        trials, lambda trial: _commutator_error(ctx, trial, blocks, pairs)
+    d = ctx.bundle.fiber_dim
+    return _windowed_worst(
+        ctx,
+        2,
+        trials,
+        lambda trial: random_bump_section(
+            ctx.grid, 0, d, _rng(ctx, "curvature-commutator", trial)
+        ),
+        lambda wctx, core, bumps: _commutator_parts(wctx, core, bumps, blocks, pairs),
     ), ()
 
 

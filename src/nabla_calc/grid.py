@@ -22,8 +22,9 @@ rows, never a new linspace, so every point sees the same numbers; its
 band is the whole grid's band read on its rows; and the fields of the
 whole grid are read on it through ChartGrid.restrict, a view, never
 rebuilt, since a difference taken at a window edge would come out
-different.  The windows of a grid hold about _WINDOW_POINTS points each,
-halo left out.  Quadrature is never split into windows: np.sum adds
+different.  The windows in flight share _WINDOW_POINTS points, halo
+left out: checked by w workers at once, each holds about
+_WINDOW_POINTS // w.  Quadrature is never split into windows: np.sum adds
 pairwise in blocks set by the array's extent, so a sum taken strip by
 strip would round differently.
 """
@@ -36,8 +37,10 @@ import numpy as np
 from ._kernels import STENCIL_RADIUS, diff_axis
 from .errors import ResolutionError, ShapeMismatch, SupportViolation
 
-# The windows of a grid hold about this many points each, halo left out:
-# a 129^2 grid is one window, and 513^2 is four of about 128 rows
+# The windows in flight hold about this many points together, halo left
+# out: for one worker a 129^2 grid is one window and 513^2 is four of
+# about 128 rows; for two, 129^2 is still one and 513^2 is eight of
+# about 64 rows
 _WINDOW_POINTS = 1 << 16
 
 
@@ -176,25 +179,36 @@ class ChartGrid:
         win._quad_weights = None
         return win
 
-    def windows(self, depth):
-        """The strips of rows of axis 0 that check a pointwise identity
-        differenced depth times: a list of (window, core) pairs.
+    def window_workers(self, depth, workers):
+        """How many of workers check the windows of depth at once: no more
+        than the _WINDOW_POINTS budget holds cores of two halos' rows, and
+        at least one."""
+        row = math.prod(self.shape[1:])
+        halo = depth * self.stencil_radius
+        return max(1, min(workers, _WINDOW_POINTS // (row * max(1, 2 * halo))))
 
-        The cores tile the rows, each at least _WINDOW_POINTS // (points
-        per row) rows, so a grid of fewer points is one window that equals
-        the grid.  Each window adds a halo of depth stencil radii on each
-        side, cut off at the grid's edges; core, an index tuple, picks a
-        grid-last field's core rows, and there every difference up to
-        depth has the grid's bits.  A core is never shorter than the halo,
-        so a window is at most three cores tall, nor so short that a
-        window is narrower than the stencil.
+    def windows(self, depth, workers=1):
+        """The strips of rows of axis 0 that check a pointwise identity
+        differenced depth times, window_workers(depth, workers) of them at
+        once: a list of (window, core) pairs.
+
+        The cores tile the rows, each at least _WINDOW_POINTS // (workers
+        at once) // (points per row) rows, so a grid of fewer points is
+        one window that equals the grid.  Each window adds a halo of depth
+        stencil radii on each side, cut off at the grid's edges; core, an
+        index tuple, picks a grid-last field's core rows, and there every
+        difference up to depth has the grid's bits.  A core is never
+        shorter than the halo, so a window is at most three cores tall,
+        nor so short that a window is narrower than the stencil.
         """
         n = self.shape[0]
         halo = depth * self.stencil_radius
         rows = max(
             1,
             halo,
-            _WINDOW_POINTS // math.prod(self.shape[1:]),
+            _WINDOW_POINTS
+            // self.window_workers(depth, workers)
+            // math.prod(self.shape[1:]),
             2 * self.stencil_radius + 1 - halo,
         )
         count = max(1, n // rows)

@@ -4,8 +4,8 @@ A scenario is a JSON-shaped dict naming a chart, a metric, a bundle, and
 optionally a weight, an embedding, operators, and bidifferential forms,
 all through small closed-form expression strings.  Its check list invokes
 registered checks by name with tolerances.  The same seed always produces
-the same report, and checks may run in parallel threads since each draws
-from its own counter-based stream.
+the same report.  The checks run in order; the windows of a pointwise
+check may run on the run's one thread pool, and reduce in window order.
 """
 
 import copy
@@ -92,7 +92,9 @@ class Scenario:
 
 @dataclass
 class CheckContext:
-    """Everything a scenario built, handed to each check."""
+    """Everything a scenario built, handed to each check, and the pool, of
+    `threads` workers, that the windows of a pointwise check run on; with
+    no pool they run inline."""
 
     name: str
     grid: object
@@ -103,6 +105,8 @@ class CheckContext:
     nabla_ops: dict = field(default_factory=dict)
     bidiff_forms: dict = field(default_factory=dict)
     seed: int = 0
+    threads: int = 1
+    pool: object = None
 
 
 def _object(value, what, keys=None):
@@ -453,13 +457,14 @@ def build_context(scenario, h=None, fd_order=None, seed=None):
 
 
 def _thread_count(threads):
-    """Check-pool size: the threads argument, else NABLA_CALC_THREADS, else 1."""
+    """Window-pool size: the threads argument, else NABLA_CALC_THREADS,
+    else the number of cores this process may run on."""
     source = "threads"
     if threads is None:
         source = "NABLA_CALC_THREADS"
         text = os.environ.get(source, "").strip()
         if not text:
-            return 1
+            return len(os.sched_getaffinity(0))
         try:
             threads = int(text)
         except ValueError as exc:
@@ -472,9 +477,13 @@ def _thread_count(threads):
 
 
 def run_scenario(scenario, h=None, fd_order=None, seed=None, threads=None):
-    """Execute every configured check; returns the assembled Report.
+    """Execute every configured check, in order; returns the assembled
+    Report.
 
-    h, fd_order and seed override the scenario's own values when given."""
+    h, fd_order and seed override the scenario's own values when given.
+    threads sizes the one pool that the windows of the pointwise checks
+    run on; a thread is started only for a grid of more than one window,
+    and every thread is joined before the report is returned."""
     workers = _thread_count(threads)
     ctx = build_context(scenario, h=h, fd_order=fd_order, seed=seed)
 
@@ -504,10 +513,8 @@ def run_scenario(scenario, h=None, fd_order=None, seed=None, threads=None):
         )
         return row, out["norms"]
 
-    if workers > 1 and len(scenario.checks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, scenario.checks))
-    else:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ctx = dataclasses.replace(ctx, threads=workers, pool=pool)
         outcomes = [run_one(entry) for entry in scenario.checks]
     report = Report(scenario=scenario.name, seed=ctx.seed)
     for row, norms in outcomes:

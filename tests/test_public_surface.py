@@ -51,8 +51,9 @@ KEPT = {
 KEPT_DEFAULTS = {
     ("main", "argv"): "the command line reads sys.argv when it is not given; "
     "a caller in Python passes its own argument list",
-    ("run_scenario", "threads"): "the benchmark's determinism run sets it to 2, "
-    "to compare threaded and serial report bytes",
+    ("run_scenario", "threads"): "sizes the window pool, else NABLA_CALC_THREADS "
+    "or the usable cores; the benchmark's determinism run sets it to 2, to "
+    "compare threaded and serial report bytes",
     ("generator_sobolev_norm", "all_tuples"): "the full product set of tuples, "
     "the generator_sobolev_norm route kept for the (FFC) Parseval identity",
 }

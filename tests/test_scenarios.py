@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from nabla_calc.reports import report_payload
 from nabla_calc.scenarios import (
     BUILTINS,
     Scenario,
+    _thread_count,
     build_context,
     builtin_scenario,
     list_builtins,
@@ -270,9 +272,10 @@ _TRIAL_KEYS = ("trials", "pairs", "coverings", "specs")
 
 @pytest.mark.parametrize("name", list_builtins())
 def test_threaded_builtin_checks_keep_their_bits(name):
-    # the checks read the one context at once, and every measured value
-    # keeps its bits under any interleaving of the threads; flat-operators
-    # runs two trials per check, since this tests determinism, not verdicts
+    # every builtin grid is one window, so threads changes no measured
+    # value (tests/test_windows.py runs the windows on threads);
+    # flat-operators runs two trials per check, since this tests
+    # determinism, not verdicts
     cfg = builtin_scenario(name)
     if name == "flat-operators":
         for entry in cfg["checks"]:
@@ -318,6 +321,14 @@ def test_checks_leave_the_metric_as_built(name):
     after = vars(ctx.metric)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_thread_count_defaults_to_the_usable_cores(monkeypatch):
+    monkeypatch.delenv("NABLA_CALC_THREADS", raising=False)
+    assert _thread_count(None) == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("NABLA_CALC_THREADS", " 3 ")
+    assert _thread_count(None) == 3
+    assert _thread_count(1) == 1
 
 
 def test_thread_count_below_one_is_rejected(monkeypatch):

@@ -4,21 +4,34 @@ A window is a strip of rows of axis 0 read as a grid of its own: its
 coordinates are the whole grid's rows, bit for bit, its band is the
 whole grid's band on those rows, and it equals only a window of the same
 rows.  multiindex-formulas, leibniz-rule and curvature-commutator reduce
-their sup residuals over the window cores; at any strip height their
-measured values are those of the one window a 129^2 grid is, bit for
-bit, and a halo one stencil radius short moves them.
+their sup residuals over the window cores; at any strip height and any
+thread count their measured values are those of the one window a 129^2
+grid is, bit for bit, and a halo one stencil radius short moves them.
+The windows in flight share one point budget, and a grid of one window
+starts no thread.
 """
+
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from nabla_calc import checks as checks_module
 from nabla_calc import grid as grid_module
 from nabla_calc.bundles import magnetic_example_bundle
 from nabla_calc.checks import CHECKS
 from nabla_calc.errors import ShapeMismatch, SupportViolation
 from nabla_calc.geometry import MetricField
 from nabla_calc.grid import ChartGrid
-from nabla_calc.scenarios import build_context, builtin_scenario, parse_scenario
+from nabla_calc.scenarios import (
+    build_context,
+    builtin_scenario,
+    parse_scenario,
+    run_scenario,
+)
 
 GRID = ChartGrid([(-1, 1), (-0.5, 2)], (41, 23))
 MAGNETIC = ("multiindex-formulas", "leibniz-rule", "curvature-commutator")
@@ -189,7 +202,121 @@ def test_a_halo_one_radius_short_moves_the_measured_values(
     monkeypatch.setattr(grid_module, "_WINDOW_POINTS", 20 * 129)
     windows = ChartGrid.windows
     monkeypatch.setattr(
-        ChartGrid, "windows", lambda grid, depth: windows(grid, depth - 1)
+        ChartGrid,
+        "windows",
+        lambda grid, depth, workers=1: windows(grid, depth - 1, workers),
     )
     moved = [name for name in MAGNETIC if _measured(magnetic_ctx, name) != one_window[name]]
     assert moved
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_64_worker_plan_keeps_the_budget_and_two_halos(depth):
+    # the plan alone, with no pool: a 64-core machine does not cut 513^2
+    # into strips of one halo
+    grid = ChartGrid([(-1, 1), (-1, 1)], (513, 513))
+    halo = depth * grid.stencil_radius
+    width = grid.window_workers(depth, 64)
+    assert 1 < width < 64
+    cores = [core[1].stop - core[1].start for _, core in grid.windows(depth, 64)]
+    assert len(cores) > width
+    assert min(cores) >= 2 * halo
+    # the windows in flight hold the budget, give or take a row each
+    assert width * (max(cores) - 1) * 513 <= grid_module._WINDOW_POINTS
+    # one worker keeps its plan, and more workers than fit are not used
+    assert grid.window_workers(depth, 1) == 1
+    assert grid.windows(depth, width) == grid.windows(depth, 64)
+
+
+def _magnetic_scenario(trials):
+    cfg = builtin_scenario("magnetic-example")
+    for entry in cfg["checks"]:
+        entry["trials"] = trials
+    return parse_scenario(cfg)
+
+
+def _spy_threads(monkeypatch):
+    """The idents of the threads that compare window cores."""
+    seen = set()
+    sup_parts = checks_module._sup_parts
+
+    def spy(*args):
+        seen.add(threading.get_ident())
+        return sup_parts(*args)
+
+    monkeypatch.setattr(checks_module, "_sup_parts", spy)
+    return seen
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_a_one_window_grid_starts_no_thread(monkeypatch, threads):
+    seen = _spy_threads(monkeypatch)
+    before = threading.active_count()
+    run_scenario(_magnetic_scenario(2), threads=threads)
+    assert seen == {threading.get_ident()}
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("rows", [16, 30, 64])
+def test_threaded_windows_keep_their_bits(monkeypatch, rows):
+    # windows of about rows * 129 points in flight together, checked on up
+    # to three threads under frequent switches, against the one window of
+    # the default budget; every pool thread is joined by the return
+    scenario = _magnetic_scenario(2)
+    want = [repr(row.measured) for row in run_scenario(scenario, threads=1).checks]
+    monkeypatch.setattr(grid_module, "_WINDOW_POINTS", rows * 129)
+    seen = _spy_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 2, 3):
+            seen.clear()
+            before = threading.active_count()
+            got = run_scenario(scenario, threads=threads)
+            assert [repr(row.measured) for row in got.checks] == want
+            assert threading.active_count() == before
+            if threads == 1:
+                assert seen == {threading.get_ident()}
+            else:
+                assert len(seen) >= 2 and threading.get_ident() not in seen
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sup_parts_read_and_write_the_core_alone():
+    rng = np.random.default_rng(3)
+    got, want = rng.standard_normal((2, 2, 41, 23))
+    core = (Ellipsis, slice(5, 30), slice(None))
+    got[..., :5, :] = np.inf
+    want[..., 30:, :] = np.nan
+    spent = got.copy()
+    error, scale = checks_module._sup_parts(spent, want, core)
+    assert error == np.max(np.abs(got[core] - want[core]))
+    assert scale == np.max(np.abs(want[core]))
+    assert np.array_equal(spent[..., :5, :], got[..., :5, :])
+    assert np.array_equal(spent[..., 30:, :], got[..., 30:, :])
+
+
+def test_in_order_keeps_item_order_and_bounds_the_calls_running():
+    running, most = [0], [0]
+    lock = threading.Lock()
+
+    def call(item):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        time.sleep(0.001 * (item % 3))
+        with lock:
+            running[0] -= 1
+        if item in (7, 11):
+            raise ValueError(f"item {item}")
+        return item * item
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert checks_module._in_order(pool, 2, call, range(7)) == [i * i for i in range(7)]
+        assert most[0] <= 2
+        # the first item to raise, in item order, raises
+        with pytest.raises(ValueError, match="item 7"):
+            checks_module._in_order(pool, 3, call, range(20))
+    # width 1 runs inline: no pool is needed
+    assert checks_module._in_order(None, 1, call, range(3)) == [0, 1, 4]
